@@ -8,12 +8,10 @@ next-job predictor evaluated by per-item perplexity.
 
 __version__ = "0.1.0"
 
-from .backend import active_backend
 from .tensor import Tensor3, fold, frob_norm, khatri_rao, mttkrp, unfold
 
 __all__ = [
     "Tensor3",
-    "active_backend",
     "fold",
     "frob_norm",
     "khatri_rao",

@@ -353,18 +353,31 @@ class SeqModel:
                 raise ValueError("not a seqmodel file")
             config = LstmConfig(**json.loads(fh.readline()))
             vocab = Vocab(labels=tuple(json.loads(fh.readline())))
-            n_blocks = int(fh.readline().split()[1])
+            n_blocks = int(_read_fields(fh, "blocks", 2)[1])
             params = {}
             for _ in range(n_blocks):
-                header = fh.readline().split()
+                header = _read_fields(fh, "block", 3)
                 name, ndim = header[1], int(header[2])
                 shape = tuple(int(v) for v in header[3 : 3 + ndim])
                 count = int(np.prod(shape)) if shape else 1
                 values: list[float] = []
                 while len(values) < count:
-                    values.extend(float(v) for v in fh.readline().split())
+                    line = fh.readline()
+                    if line == "":
+                        raise ValueError(f"seqmodel file ends inside block {name}")
+                    values.extend(float(v) for v in line.split())
                 params[name] = np.array(values).reshape(shape)
         return cls(vocab=vocab, config=config, params=params)
+
+
+def _read_fields(fh, keyword: str, min_fields: int) -> list[str]:
+    line = fh.readline()
+    if line == "":
+        raise ValueError(f"seqmodel file ends before a {keyword} line")
+    fields = line.split()
+    if len(fields) < min_fields or fields[0] != keyword:
+        raise ValueError(f"malformed {keyword} line {line.strip()!r}")
+    return fields
 
 
 def _zero_state(cfg: LstmConfig, batch: int):

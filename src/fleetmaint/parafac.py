@@ -83,21 +83,11 @@ class CpModel:
         return tuple(f.shape[0] for f in self.factors)  # type: ignore[return-value]
 
     @classmethod
-    def from_factors(cls, a, b, c, weights=None, axis_labels=None) -> "CpModel":
+    def from_factors(cls, a, b, c, axis_labels=None) -> "CpModel":
         """Wrap raw factor matrices, normalizing columns into weights."""
-        a = np.array(a, dtype=np.float64)
-        b = np.array(b, dtype=np.float64)
-        c = np.array(c, dtype=np.float64)
-        rank = a.shape[1]
-        w = np.ones(rank) if weights is None else np.asarray(weights, dtype=np.float64).copy()
-        factors = []
-        for f in (a, b, c):
-            norms = np.linalg.norm(f, axis=0)
-            safe = np.where(norms > 0, norms, 1.0)
-            w = w * norms
-            factors.append(f / safe)
-        a, b, c = factors
-        order = _component_order(w, (a, b, c))
+        unit, w = _normalize_factors([np.asarray(f, dtype=np.float64) for f in (a, b, c)])
+        a, b, c = unit
+        order = _component_order(w, unit)
         if axis_labels is None:
             axis_labels = default_labels((a.shape[0], b.shape[0], c.shape[0]))
         return cls(

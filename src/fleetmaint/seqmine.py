@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import backend
 from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_make_model
 
 I_RATIO_CAP = 10000.0
@@ -146,25 +146,17 @@ def mine_frequent(
     return ranked[:top_n]
 
 
-def _concat(sequences: list[EventSequence]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
-    for i, seq in enumerate(sequences):
-        offsets[i + 1] = offsets[i] + len(seq)
-    if sequences:
-        events = np.concatenate([seq.events for seq in sequences]).astype(np.int32)
-    else:
-        events = np.zeros(0, dtype=np.int32)
-    return events, offsets
-
-
 def count_pattern(sequences: list[EventSequence], pattern: tuple[int, ...]) -> int:
     """Occurrences of one pattern across all windows of all sequences."""
-    events, offsets = _concat(sequences)
-    return int(
-        backend.count_occurrences_kernel(
-            events, offsets, np.asarray(pattern, dtype=np.int32)
-        )
-    )
+    target = np.asarray(pattern, dtype=np.int32)
+    width = target.shape[0]
+    total = 0
+    for seq in sequences:
+        if len(seq) < width:
+            continue
+        windows = sliding_window_view(seq.events, width)
+        total += int(np.all(windows == target, axis=1).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

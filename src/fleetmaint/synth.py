@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import normalize_system
+from .ingest import _parse_month, normalize_system
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -120,17 +120,6 @@ class FleetSpec:
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
             if set(chain.labels) - known:
                 raise ValueError(f"markov {name}: labels outside the system vocabulary")
-
-
-def _parse_month(value: str) -> tuple[int, int] | None:
-    parts = value.split("-")
-    if len(parts) != 2:
-        return None
-    try:
-        y, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    return (y, m) if 1 <= m <= 12 else None
 
 
 def month_labels(window_start: str, months: int) -> list[str]:

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
-
 AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 # axis permutation applied before a C-order reshape, per mode
@@ -141,7 +139,12 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
     f1 = _check_factor("f1", f1, others[0], None)
     f2 = _check_factor("f2", f2, others[1], f1.shape[1])
-    return backend.mttkrp_kernel(x, f1, f2, mode)
+    # einsum contracts without materializing the Khatri-Rao product
+    if mode == 1:
+        return np.einsum("ijk,jr,kr->ir", x, f1, f2, optimize=True)
+    if mode == 2:
+        return np.einsum("ijk,ir,kr->jr", x, f1, f2, optimize=True)
+    return np.einsum("ijk,ir,jr->kr", x, f1, f2, optimize=True)
 
 
 def mttkrp_reference(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
@@ -158,7 +161,7 @@ def cp_compose(weights: np.ndarray, factors: tuple[np.ndarray, np.ndarray, np.nd
     a = _check_factor("A", a, a.shape[0], rank)
     b = _check_factor("B", b, b.shape[0], rank)
     c = _check_factor("C", c, c.shape[0], rank)
-    data = backend.cp_compose_kernel(weights, a, b, c)
+    data = np.einsum("r,ir,jr,kr->ijk", weights, a, b, c, optimize=True)
     if axis_labels is None:
         axis_labels = default_labels(data.shape)
     return Tensor3(data, axis_labels)

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria with stated
-runtime budgets time the relevant computation after a one-off kernel warmup.
+runtime budgets time the relevant computation.
 """
 
 import math
@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetmaint import backend
 from fleetmaint.cli import main
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.lstm import (
@@ -65,7 +64,6 @@ def report(line: str) -> None:
 
 
 def test_c1_kernel_equivalence():
-    backend.warm_up()
     rng = np.random.default_rng(101)
     t0 = time.monotonic()
     worst = 0.0

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,23 @@ class TestTrainEvalPredict:
         assert len(lines) == 3
         probs = [float(line.split("\t")[0]) for line in lines]
         assert probs == sorted(probs, reverse=True)
+
+    def test_predict_truncated_model_is_data_error(self, model_path, tmp_path):
+        # a subprocess with a timeout, so a reader that loops at EOF fails
+        # the test instead of hanging the suite
+        text = model_path.read_text()
+        cut = tmp_path / "cut.txt"
+        cut.write_text(text[: len(text) // 2])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fleetmaint.cli", "predict", "--model", str(cut),
+             "--prefix", "brakes"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("data-error:")
 
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
         config = tmp_path / "train.cfg"

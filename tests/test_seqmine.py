@@ -399,13 +399,17 @@ class TestFormatting:
 
 
 class TestCountPattern:
-    def test_matches_python_count(self):
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_python_count(self, width):
         rng = np.random.default_rng(3)
         lists = [
             [str(i) for i in rng.integers(0, 3, size=rng.integers(0, 15))] for _ in range(10)
         ]
+        # every length below the pattern width, down to the empty sequence
+        lists += [["0"] * n for n in range(width)]
         seqset = sequence_set_from_lists(lists)
-        oracle = brute_force_counts(seqset.as_label_lists(), 2, 2)
+        oracle = brute_force_counts(seqset.as_label_lists(), width, width)
+        assert oracle
         for pattern_labels, count in oracle.items():
             idx = tuple(seqset.labels.index(lab) for lab in pattern_labels)
             assert count_pattern(seqset.sequences, idx) == count

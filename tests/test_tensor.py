@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetmaint import backend
 from fleetmaint.tensor import (
     Tensor3,
     cp_compose,
@@ -172,18 +171,6 @@ class TestMttkrp:
             mttkrp(t, np.ones((4, 2)), np.ones((5, 3)), 1)
         with pytest.raises(ValueError):
             mttkrp(t, np.ones((3, 2)), np.ones((5, 2)), 1)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_all_backends_agree(self, mode):
-        rng = np.random.default_rng(31)
-        t = rng.normal(size=(4, 3, 6))
-        shapes = {1: (3, 6), 2: (4, 6), 3: (4, 3)}
-        f1 = rng.normal(size=(shapes[mode][0], 2))
-        f2 = rng.normal(size=(shapes[mode][1], 2))
-        ref = mttkrp_reference(t, f1, f2, mode)
-        for name, impl in backend.IMPLEMENTATIONS.items():
-            got = impl["mttkrp"](t, f1, f2, mode)
-            np.testing.assert_allclose(got, ref, atol=1e-10, err_msg=name)
 
 
 class TestCpCompose:
