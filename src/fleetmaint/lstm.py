@@ -16,7 +16,7 @@ thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -351,8 +351,11 @@ class SeqModel:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != "seqmodel v1":
                 raise ValueError("not a seqmodel file")
-            config = LstmConfig(**json.loads(fh.readline()))
-            vocab = Vocab(labels=tuple(json.loads(fh.readline())))
+            try:
+                config = LstmConfig(**json.loads(fh.readline()))
+                vocab = Vocab(labels=tuple(json.loads(fh.readline())))
+            except TypeError as exc:
+                raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
             n_blocks = int(_read_fields(fh, "blocks", 2)[1])
             params = {}
             for _ in range(n_blocks):
@@ -363,7 +366,9 @@ class SeqModel:
                 values: list[float] = []
                 while len(values) < count:
                     line = fh.readline()
-                    if line == "":
+                    # the writer ends every line with a newline; a line
+                    # without one was cut, possibly inside a value
+                    if not line.endswith("\n"):
                         raise ValueError(f"seqmodel file ends inside block {name}")
                     values.extend(float(v) for v in line.split())
                 params[name] = np.array(values).reshape(shape)
@@ -372,8 +377,8 @@ class SeqModel:
 
 def _read_fields(fh, keyword: str, min_fields: int) -> list[str]:
     line = fh.readline()
-    if line == "":
-        raise ValueError(f"seqmodel file ends before a {keyword} line")
+    if not line.endswith("\n"):
+        raise ValueError(f"seqmodel file ends before a complete {keyword} line")
     fields = line.split()
     if len(fields) < min_fields or fields[0] != keyword:
         raise ValueError(f"malformed {keyword} line {line.strip()!r}")

@@ -9,17 +9,11 @@ ordered, compared and reported.
 
 from __future__ import annotations
 
-import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import AxisLabels, Tensor3, cp_compose, default_labels, frob_norm, mttkrp
-
-# entry count above which fit is evaluated through the Gram closed form
-# instead of materializing the reconstruction
-_DIRECT_FIT_MAX_SIZE = 1_000_000
 
 _RIDGE_SCALE = 1e-12
 
@@ -103,17 +97,10 @@ class CpModel:
 def _component_order(weights: np.ndarray, factors) -> list[int]:
     """Non-increasing weight order; ties broken by factor-column lexicographic compare."""
     a, b, c = factors
-
-    def compare(r: int, s: int) -> int:
-        if weights[r] != weights[s]:
-            return -1 if weights[r] > weights[s] else 1
-        for f in (a, b, c):
-            col_r, col_s = tuple(f[:, r]), tuple(f[:, s])
-            if col_r != col_s:
-                return -1 if col_r < col_s else 1
-        return 0
-
-    return sorted(range(weights.shape[0]), key=functools.cmp_to_key(compare))
+    return sorted(
+        range(weights.shape[0]),
+        key=lambda r: (-weights[r], tuple(a[:, r]), tuple(b[:, r]), tuple(c[:, r])),
+    )
 
 
 def _normalize_factors(factors):
@@ -127,44 +114,26 @@ def _normalize_factors(factors):
     return out, weights
 
 
-def _fit_direct(data: np.ndarray, weights, factors, norm_t: float) -> float:
-    resid = data - cp_compose(weights, tuple(factors)).data
-    return 1.0 - float(np.linalg.norm(resid.ravel())) / norm_t
-
-
-def _fit_gram(t, weights, factors, norm_t: float) -> float:
-    a, b, c = factors
-    m3 = mttkrp(t, a, b, 3)
-    inner = float(np.sum(weights * np.einsum("kr,kr->r", c, m3)))
-    gram = np.outer(weights, weights) * (a.T @ a) * (b.T @ b) * (c.T @ c)
-    resid_sq = max(norm_t**2 - 2.0 * inner + float(gram.sum()), 0.0)
-    return 1.0 - float(np.sqrt(resid_sq)) / norm_t
-
-
-def _evaluate_fit(t: Tensor3, weights, factors, norm_t: float) -> float:
-    if t.data.size <= _DIRECT_FIT_MAX_SIZE:
-        return _fit_direct(t.data, weights, factors, norm_t)
-    return _fit_gram(t, weights, factors, norm_t)
-
-
 def fit_score(t: Tensor3, model: CpModel) -> float:
-    """1 - relative Frobenius reconstruction error of the model on t."""
+    """1 - relative Frobenius reconstruction error of the model on t, by full reconstruction."""
     if model.dims != t.dims:
         raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
     norm_t = frob_norm(t)
     if norm_t == 0.0:
         raise ValueError("fit is undefined for a zero tensor")
-    return _evaluate_fit(t, model.weights, model.factors, norm_t)
+    resid = t.data - cp_compose(model.weights, model.factors).data
+    return 1.0 - frob_norm(resid) / norm_t
 
 
-def _solve_factor(t, factors, mode: int, rank: int) -> np.ndarray:
+def _solve_factor(t, factors, mode: int, rank: int):
+    """Least-squares update of one factor, with the MTTKRP and Gram it used."""
     others = [factors[m] for m in range(3) if m != mode - 1]
     m = mttkrp(t, others[0], others[1], mode)
     gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
     ridge = _RIDGE_SCALE * float(np.trace(gram))
     if ridge == 0.0:
         ridge = _RIDGE_SCALE
-    return np.linalg.solve(gram + ridge * np.eye(rank), m.T).T
+    return np.linalg.solve(gram + ridge * np.eye(rank), m.T).T, m, gram
 
 
 def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, warnings: list[str]):
@@ -177,10 +146,13 @@ def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, warnings: list[s
     converged = False
     for _ in range(opts.max_iters):
         for mode in (1, 2, 3):
-            factors[mode - 1] = _solve_factor(t, factors, mode, rank)
-        unit, weights = _normalize_factors(factors)
-        fit = _evaluate_fit(t, weights, unit, norm_t)
-        fits.append(fit)
+            factors[mode - 1], m, gram = _solve_factor(t, factors, mode, rank)
+        # |X - X_hat|^2 = |X|^2 - 2<X, X_hat> + |X_hat|^2 with A and B unchanged
+        # since the mode-3 solve: <X, X_hat> = sum(C * M3) and |X_hat|^2 =
+        # sum((A'A * B'B) * C'C), so no reconstruction (Kolda & Bader 2009)
+        c = factors[2]
+        resid_sq = norm_t**2 - 2.0 * float(np.sum(c * m)) + float(np.sum(gram * (c.T @ c)))
+        fits.append(1.0 - float(np.sqrt(max(resid_sq, 0.0))) / norm_t)
         if len(fits) > 1 and abs(fits[-1] - fits[-2]) < opts.tol:
             converged = True
             break
@@ -210,9 +182,12 @@ def _flag_degenerate_components(unit, warnings: list[str]) -> None:
 def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     """Best-of-n-restarts CP-ALS factorization of ``t``.
 
-    Raises ValueError on a zero tensor. A rank larger than all pairwise
-    dimension products is permitted but flagged in ``model.warnings``.
+    Raises ValueError on a zero tensor or one with a nan or inf entry. A
+    rank larger than all pairwise dimension products is permitted but
+    flagged in ``model.warnings``.
     """
+    if not np.isfinite(t.data).all():
+        raise ValueError("cannot factorize a tensor with nan or inf entries")
     norm_t = frob_norm(t)
     if norm_t == 0.0:
         raise ValueError("cannot factorize a zero tensor: fit is undefined")
@@ -349,32 +324,53 @@ def save_model(model: CpModel, path) -> None:
 
 def load_model(path) -> CpModel:
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != _MAGIC:
-            raise ValueError("not a cpmodel file")
-        rank = int(fh.readline().split()[1])
-        dims = tuple(int(v) for v in fh.readline().split()[1:])
-        fit = float(fh.readline().split()[1])
-        iterations = int(fh.readline().split()[1])
-        converged = bool(int(fh.readline().split()[1]))
-        weights = np.array([float(v) for v in fh.readline().split()[1:]])
-        fits_line = fh.readline().split()
-        fits = tuple(float(v) for v in fits_line[2:])
-        n_warn = int(fh.readline().split()[1])
-        warnings = tuple(fh.readline().rstrip("\n") for _ in range(n_warn))
-        labels = []
-        for n in dims:
-            labels.append(tuple(fh.readline().rstrip("\n") for _ in range(n)))
-        factors = []
-        for n in dims:
-            rows = [[float(v) for v in fh.readline().split()] for _ in range(n)]
-            factors.append(np.array(rows).reshape(n, rank))
+        text = fh.read()
+    # both writers end every line with a newline: without one the file was
+    # cut, possibly inside its last value
+    if not text.endswith("\n"):
+        raise ValueError("cpmodel file is truncated: no final newline")
+    lines = iter(text[:-1].split("\n"))
+
+    def line() -> str:
+        value = next(lines, None)
+        if value is None:
+            raise ValueError("cpmodel file ends early")
+        return value
+
+    def fields(keyword: str, count: int | None = None) -> list[str]:
+        parts = line().split()
+        if len(parts) < 2 or parts[0] != keyword or count not in (None, len(parts) - 1):
+            raise ValueError(f"malformed {keyword} line")
+        return parts[1:]
+
+    if line() != _MAGIC:
+        raise ValueError("not a cpmodel file")
+    rank = int(fields("rank", 1)[0])
+    dims = tuple(int(v) for v in fields("dims", 3))
+    fit = float(fields("fit", 1)[0])
+    iterations = int(fields("iterations", 1)[0])
+    converged = bool(int(fields("converged", 1)[0]))
+    weights = np.array([float(v) for v in fields("weights", rank)])
+    n_fits, *fit_values = fields("fits")
+    fits = tuple(float(v) for v in fit_values)
+    if len(fits) != int(n_fits):
+        raise ValueError(f"fits line declares {n_fits} values, has {len(fits)}")
+    n_warn = int(fields("warnings", 1)[0])
+    warnings = tuple(line() for _ in range(n_warn))
+    labels = tuple(tuple(line() for _ in range(n)) for n in dims)
+    factors = []
+    for n in dims:
+        rows = [[float(v) for v in line().split()] for _ in range(n)]
+        factors.append(np.array(rows).reshape(n, rank))
+    if next(lines, None) is not None:
+        raise ValueError("cpmodel file has data after the factors")
     return CpModel(
         factors=tuple(factors),
         weights=weights,
         fit=fit,
         iterations=iterations,
         converged=converged,
-        axis_labels=tuple(labels),  # type: ignore[arg-type]
+        axis_labels=labels,  # type: ignore[arg-type]
         fits=fits,
         warnings=warnings,
     )

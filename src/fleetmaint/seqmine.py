@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_make_model
+from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord
 
 I_RATIO_CAP = 10000.0
 P_FLOOR = 1e-4

@@ -132,6 +132,31 @@ class TestParafacAndReport:
         assert not list((tmp_path / "rep").glob("*.svg"))
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_tensor_is_data_error(self, tmp_path, capsys, bad):
+        tensor = tmp_path / "tensor.txt"
+        tensor.write_text(f"tensor3 v1\ndims 2 1 2\na\nb\nc\nd\ne\n1.0 {bad} 2.0 3.0\n")
+        model_path = tmp_path / "model.txt"
+        code = main(["parafac", "--tensor", str(tensor), "--rank", "1",
+                     "--out", str(model_path)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data-error:")
+        assert not model_path.exists()
+
+    def test_report_truncated_model_is_data_error(self, tensor_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        main([
+            "parafac", "--tensor", str(tensor_path), "--rank", "2",
+            "--max-iters", "5", "--seed", "3", "--out", str(model_path),
+        ])
+        text = model_path.read_text()
+        model_path.write_text(text[: text.index("\niterations ") + 1])
+        capsys.readouterr()
+        code = main(["report", "--model", str(model_path), "--out", str(tmp_path / "rep")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data-error:")
+
+
 class TestSeqmine:
     def test_table_csv(self, fleet_dir, tmp_path):
         out = tmp_path / "diff.csv"
@@ -216,6 +241,15 @@ class TestTrainEvalPredict:
         )
         assert proc.returncode == 4
         assert proc.stderr.startswith("data-error:")
+
+    def test_predict_unknown_config_key_is_data_error(self, model_path, tmp_path, capsys):
+        lines = model_path.read_text().split("\n")
+        lines[1] = lines[1].replace("{", '{"bogus": 1, ', 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data-error:")
 
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
         config = tmp_path / "train.cfg"

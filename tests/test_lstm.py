@@ -264,6 +264,28 @@ class TestSerialization:
         model.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        seqs = [["a", "b"] * 3 for _ in range(5)]
+        cfg = LstmConfig(embed_dim=2, hidden_dim=2, layers=1, dropout_keep=1.0,
+                         epochs=1, seed=2)
+        path = tmp_path / "model.txt"
+        train(seqs[:4], seqs[4:], cfg).save(path)
+        text = path.read_text()
+        cut = tmp_path / "cut.txt"
+        for n in range(len(text)):
+            cut.write_text(text[:n])
+            with pytest.raises(ValueError):
+                SeqModel.load(cut)
+        cut.write_text(text)
+        assert SeqModel.load(cut).config == cfg
+
+    @pytest.mark.parametrize("config_line", ['{"bogus": 1}', "[1, 2]", '{"embed_dim": "x"}'])
+    def test_bad_config_line(self, tmp_path, config_line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f'seqmodel v1\n{config_line}\n["a"]\nblocks 0\n')
+        with pytest.raises(ValueError, match="config"):
+            SeqModel.load(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from fleetmaint.parafac import (
     load_model,
     reconstruct,
     save_model,
-    _fit_direct,
-    _fit_gram,
 )
 from fleetmaint.tensor import Tensor3, cp_compose, frob_norm
 
@@ -114,6 +114,21 @@ class TestCpAls:
         )
         np.testing.assert_allclose(reconstruct(scaled).data, base, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        data = np.random.default_rng(3).random((3, 2, 4))
+        data[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="nan or inf"):
+            cp_als(Tensor3.from_array(data), AlsOptions(rank=1))
+
+    def test_equal_weights_ordered_by_a_column(self):
+        # unit A columns and identical B and C columns give equal weights
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        ones = np.ones((2, 3))
+        model = CpModel.from_factors(a, ones, ones)
+        assert len(set(model.weights)) == 1
+        np.testing.assert_array_equal(model.factors[0], a[:, [0, 2, 1]])
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             AlsOptions(rank=0)
@@ -143,27 +158,32 @@ class TestFitScore:
         )
         assert fit_score(t, zero) == pytest.approx(0.0, abs=1e-15)
 
-    def test_hand_built_residual_matches_direct_path(self):
-        # 2x2x2 case with a known residual: gram path vs direct path
+    def test_matches_hand_built_residual(self):
+        # 2x2x2 case with the residual summed entry by entry
         rng = np.random.default_rng(5)
         t = Tensor3.from_array(rng.random((2, 2, 2)))
         gen = planted_model(rng, (2, 2, 2), 1, positive=True)
-        norm_t = frob_norm(t)
-        direct = _fit_direct(t.data, gen.weights, gen.factors, norm_t)
-        gram = _fit_gram(t, gen.weights, gen.factors, norm_t)
-        assert gram == pytest.approx(direct, abs=1e-12)
-        assert fit_score(t, gen) == pytest.approx(direct, abs=1e-12)
+        (a, b, c), w = gen.factors, gen.weights[0]
+        resid_sq = sum(
+            (t.data[i, j, k] - w * a[i, 0] * b[j, 0] * c[k, 0]) ** 2
+            for i in range(2) for j in range(2) for k in range(2)
+        )
+        expected = 1.0 - math.sqrt(resid_sq) / frob_norm(t)
+        assert fit_score(t, gen) == pytest.approx(expected, abs=1e-12)
 
-    def test_gram_and_direct_paths_agree_randomly(self):
+    def test_sweep_fit_matches_fit_score(self):
+        # cp_als scores each sweep from its mode-3 MTTKRP and Gram; the
+        # final fit must equal the fit of a full reconstruction
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            dims = tuple(rng.integers(2, 6, size=3))
+        cases = [((2, 3, 4), 1, 500), ((5, 4, 3), 2, 500), ((7, 6, 5), 3, 500),
+                 ((9, 4, 6), 4, 500), ((4, 5, 6), 3, 4), ((3, 8, 2), 5, 2)]
+        stopped_at_max = 0
+        for seed, (dims, rank, max_iters) in enumerate(cases):
             t = Tensor3.from_array(rng.normal(size=dims))
-            gen = planted_model(rng, dims, 2)
-            norm_t = frob_norm(t)
-            assert _fit_gram(t, gen.weights, gen.factors, norm_t) == pytest.approx(
-                _fit_direct(t.data, gen.weights, gen.factors, norm_t), abs=1e-8
-            )
+            model = cp_als(t, AlsOptions(rank=rank, seed=seed, max_iters=max_iters))
+            assert model.fit == pytest.approx(fit_score(t, model), abs=1e-9)
+            stopped_at_max += not model.converged and model.iterations == max_iters
+        assert stopped_at_max >= 1
 
     def test_zero_tensor_rejected(self):
         t = Tensor3.from_array(np.zeros((2, 2, 2)))
@@ -267,6 +287,36 @@ class TestModelSerialization:
         assert np.array_equal(back.weights, model.weights)
         for f1, f2 in zip(back.factors, model.factors):
             assert np.array_equal(f1, f2)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        t = Tensor3(np.random.default_rng(5).random((2, 1, 2)), (("u1", "u2"), ("b",), ("x", "y")))
+        model = cp_als(t, AlsOptions(rank=2, seed=1, max_iters=3))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text = path.read_text()
+        cut = tmp_path / "cut.txt"
+        for n in range(len(text)):
+            cut.write_text(text[:n])
+            with pytest.raises(ValueError):
+                load_model(cut)
+        cut.write_text(text)
+        assert load_model(cut).fits == model.fits
+
+    @pytest.mark.parametrize("old, new", [
+        ("\niterations ", "\niteration "),
+        ("\nrank 2\n", "\nrank\n"),
+        ("\nfits ", "\nfits 9"),
+        ("\ndims 2 1 2\n", "\ndims 2 1\n"),
+    ])
+    def test_malformed_keyword_line_rejected(self, tmp_path, old, new):
+        t = Tensor3.from_array(np.random.default_rng(5).random((2, 1, 2)))
+        path = tmp_path / "model.txt"
+        save_model(cp_als(t, AlsOptions(rank=2, seed=1, max_iters=3)), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match="malformed|declares"):
+            load_model(path)
 
     def test_save_deterministic(self, tmp_path):
         t = Tensor3.from_array(np.random.default_rng(4).random((2, 3, 2)))
