@@ -1,23 +1,25 @@
 """CSV ingestion of the vehicles/maintenance tables and count-tensor assembly.
 
-Input files are UTF-8 comma-delimited CSV with double-quote escaping and a
-header row. Mandatory vehicle columns: Unit#, Make, Model, Year. Mandatory
-maintenance columns: Job ID, Unit No, Job Open Date, System Description.
-Missing identity values (Unit#, Job ID, Unit No) abort with an error naming
-the row; rows with an unusable Job Open Date or an empty System Description
-are routed to a rejects report instead.
+Input files are UTF-8 comma-delimited CSV, with or without a byte order
+mark, with double-quote escaping and a header row. Mandatory vehicle
+columns: Unit#, Make, Model, Year. Mandatory maintenance columns: Job ID,
+Unit No, Job Open Date, System Description. Missing identity values (Unit#,
+Job ID, Unit No) abort with an error naming the row; rows with an unusable
+Job Open Date or an empty System Description are routed to a rejects report
+instead.
 
-Dates must be ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS``. Currency fields are
-parsed after stripping ``$`` and thousands separators; unparseable optional
-fields simply become None.
+Dates must be ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS`` (exact grammar in
+:func:`parse_date`). Currency fields are parsed after stripping ``$`` and
+thousands separators; unparseable optional fields simply become None.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 
 import numpy as np
 
@@ -31,7 +33,15 @@ class DataError(ValueError):
 VEHICLE_REQUIRED = ("Unit#", "Make", "Model", "Year")
 MAINTENANCE_REQUIRED = ("Job ID", "Unit No", "Job Open Date", "System Description")
 
-_DATE_FORMATS = ("%Y-%m-%d", "%Y-%m-%d %H:%M:%S")
+# the grammar datetime's format parser compiles for "%Y-%m-%d" and
+# "%Y-%m-%d %H:%M:%S": month and day may have one digit, the day also a
+# leading space, \s+ separates date and time, and \d (like int()) takes any
+# Unicode decimal digit; seconds stop at 59 because that parser's 60 and 61
+# fail when the datetime is built
+_DATE_RE = re.compile(
+    r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+    r"(?:\s+(?:2[0-3]|[01]\d|\d):(?:[0-5]\d|\d):(?:[0-5]\d|\d))?"
+)
 
 
 def normalize_system(label: str) -> str:
@@ -44,13 +54,20 @@ def normalize_make_model(make: str, model: str) -> str:
 
 
 def parse_date(value: str) -> date | None:
-    value = value.strip()
-    for fmt in _DATE_FORMATS:
-        try:
-            return datetime.strptime(value, fmt).date()
-        except ValueError:
-            continue
-    return None
+    """Date of a ``YYYY-MM-DD[ HH:MM:SS]`` value, or None when it is not one.
+
+    Accepts exactly the values that ``datetime`` parses with the format
+    ``%Y-%m-%d`` or ``%Y-%m-%d %H:%M:%S`` once surrounding whitespace is
+    stripped; the time of day is checked and dropped.
+    """
+    match = _DATE_RE.fullmatch(value.strip())
+    if match is None:
+        return None
+    year, month, day = match.groups()
+    try:
+        return date(int(year), int(month), int(day))
+    except ValueError:
+        return None
 
 
 def parse_currency(value: str) -> float | None:
@@ -115,7 +132,8 @@ class RejectedRow:
 
 
 def _open_reader(path):
-    fh = open(path, "r", encoding="utf-8", newline="")
+    # utf-8-sig drops the byte order mark that spreadsheet exports put first
+    fh = open(path, "r", encoding="utf-8-sig", newline="")
     reader = csv.DictReader(fh)
     return fh, reader
 

@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .tensor import write_floats
+
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
 
@@ -341,10 +343,7 @@ class SeqModel:
                 arr = self.params[name]
                 dims = " ".join(str(d) for d in arr.shape)
                 fh.write(f"block {name} {arr.ndim} {dims}\n")
-                flat = arr.ravel()
-                for start in range(0, flat.size, 8):
-                    chunk = flat[start : start + 8]
-                    fh.write(" ".join(repr(float(v)) for v in chunk) + "\n")
+                write_floats(fh, arr, 8)
 
     @classmethod
     def load(cls, path) -> "SeqModel":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import AxisLabels, Tensor3, cp_compose, default_labels, frob_norm, mttkrp
+from .tensor import AxisLabels, Tensor3, cp_compose, default_labels, frob_norm, mttkrp, write_floats
 
 _RIDGE_SCALE = 1e-12
 
@@ -182,13 +182,16 @@ def _flag_degenerate_components(unit, warnings: list[str]) -> None:
 def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     """Best-of-n-restarts CP-ALS factorization of ``t``.
 
-    Raises ValueError on a zero tensor or one with a nan or inf entry. A
-    rank larger than all pairwise dimension products is permitted but
-    flagged in ``model.warnings``.
+    Raises ValueError on a zero tensor and on one whose Frobenius norm is
+    not finite: a nan or inf entry, or entries so large that the norm
+    overflows. A rank larger than all pairwise dimension products is
+    permitted but flagged in ``model.warnings``.
     """
-    if not np.isfinite(t.data).all():
-        raise ValueError("cannot factorize a tensor with nan or inf entries")
     norm_t = frob_norm(t)
+    if not np.isfinite(norm_t):
+        raise ValueError(
+            "cannot factorize a tensor with nan or inf entries or whose norm overflows float64"
+        )
     if norm_t == 0.0:
         raise ValueError("cannot factorize a zero tensor: fit is undefined")
     dim_i, dim_j, dim_k = t.dims
@@ -301,7 +304,6 @@ _MAGIC = "cpmodel v1"
 
 
 def save_model(model: CpModel, path) -> None:
-    a, b, c = model.factors
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_MAGIC + "\n")
         fh.write(f"rank {model.rank}\n")
@@ -317,9 +319,8 @@ def save_model(model: CpModel, path) -> None:
         for axis in model.axis_labels:
             for label in axis:
                 fh.write(label + "\n")
-        for f in (a, b, c):
-            for row in f:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for f in model.factors:
+            write_floats(fh, f, model.rank)
 
 
 def load_model(path) -> CpModel:

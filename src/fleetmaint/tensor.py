@@ -15,6 +15,7 @@ index the columns with the earlier axis varying fastest:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,12 +180,59 @@ def frob_norm(t: Tensor3 | np.ndarray) -> float:
 #   line 1: "tensor3 v1"
 #   line 2: "dims I J K"
 #   next I+J+K lines: axis labels, axis 1 first, one label per line, verbatim
-#   remaining lines: I*J*K whitespace-separated float values in the fixed
-#   layout (axis 1 slowest, axis 3 fastest); line wrapping is insignificant
+#   remaining lines: I*J*K whitespace-separated finite float values in the
+#   fixed layout (axis 1 slowest, axis 3 fastest); line wrapping is
+#   insignificant, but the file ends with a newline
 # ---------------------------------------------------------------------------
 
 _MAGIC = "tensor3 v1"
 _VALUES_PER_LINE = 8
+_CHUNK_LINES = 1 << 15
+
+
+def write_floats(fh, values: np.ndarray, per_line: int) -> None:
+    """Write ``values`` in C order as ``repr`` floats, ``per_line`` to a line.
+
+    Every line, the last one included, ends with a newline; an empty array
+    writes nothing. The tensor, CP model and sequence model formats write
+    their float blocks through this one function.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return
+    lines = min(_CHUNK_LINES, -(-flat.size // per_line))
+    step = lines * per_line
+    # even slots take the values, odd slots a space or, after every
+    # per_line-th value, a newline
+    parts = ([None, " "] * (per_line - 1) + [None, "\n"]) * lines
+    zeros = ["0.0"] * step
+    for start in range(0, flat.size, step):
+        chunk = flat[start : start + step]
+        if chunk.size < step:
+            parts = parts[: 2 * chunk.size]
+            parts[-1] = "\n"
+            zeros = zeros[: chunk.size]
+        # count tensors are mostly zeros: +0.0 (bit pattern 0) is written as
+        # its repr literal and only the other values go through repr
+        parts[0::2] = zeros
+        nonzero = np.flatnonzero(chunk.view(np.uint64))
+        for slot, v in zip((2 * nonzero).tolist(), chunk[nonzero].tolist()):
+            parts[slot] = repr(v)
+        fh.write("".join(parts))
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    """Whitespace-separated floats; ValueError on any token that is not one."""
+    if text.isspace():
+        # fromstring reads a blank string as [-1.0]
+        return np.empty(0)
+    with warnings.catch_warnings():
+        # older numpy only warns on unmatched data and returns the prefix
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, sep=" ")
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
 
 
 def save_tensor(t: Tensor3, path) -> None:
@@ -194,10 +242,7 @@ def save_tensor(t: Tensor3, path) -> None:
         for axis in t.axis_labels:
             for label in axis:
                 fh.write(label + "\n")
-        flat = t.data.ravel()
-        for start in range(0, flat.size, _VALUES_PER_LINE):
-            chunk = flat[start : start + _VALUES_PER_LINE]
-            fh.write(" ".join(repr(float(v)) for v in chunk) + "\n")
+        write_floats(fh, t.data, _VALUES_PER_LINE)
 
 
 def load_tensor(path) -> Tensor3:
@@ -218,9 +263,15 @@ def load_tensor(path) -> Tensor3:
                     raise ValueError("unexpected end of file in label block")
                 axis.append(line.rstrip("\n"))
             labels.append(tuple(axis))
-        values = fh.read().split()
+        block = fh.read()
+    # the writer ends every line with a newline; without one the file was
+    # cut, possibly inside its last value
+    if not block.endswith("\n"):
+        raise ValueError("tensor3 file is truncated: no final newline")
+    values = _parse_floats(block)
     expected = dims[0] * dims[1] * dims[2]
-    if len(values) != expected:
-        raise ValueError(f"expected {expected} values, found {len(values)}")
-    data = np.array([float(v) for v in values]).reshape(dims)
-    return Tensor3(data, tuple(labels))  # type: ignore[arg-type]
+    if values.size != expected:
+        raise ValueError(f"expected {expected} values, found {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError("tensor3 file holds nan or inf values")
+    return Tensor3(values.reshape(dims), tuple(labels))  # type: ignore[arg-type]

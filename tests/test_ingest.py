@@ -1,7 +1,10 @@
 import csv
+from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
     DataError,
@@ -175,12 +178,69 @@ class TestParseMaintenance:
             parse_maintenance(path)
 
 
+def strptime_date_oracle(value: str):
+    """The former ``parse_date``: the reference for its accept/reject set."""
+    value = value.strip()
+    for fmt in ("%Y-%m-%d", "%Y-%m-%d %H:%M:%S"):
+        try:
+            return datetime.strptime(value, fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+DATE_EDGE_CASES = [
+    "2017-01-17", "2017-1-7", "2017-01- 5", " 2017-01-05\t", "2017-01-5 ",
+    "2009-11-05 15:37:25", "2009-11-05\t15:37:25", "2009-11-05 \t 1:2:3",
+    "2009-11-05\xa015:37:25", "2009-11-05 15:37:59", "2009-11-05 15:37:60",
+    "2009-11-05 15:37:61", "2009-11-05 24:00:00", "2009-11-05 15:37",
+    "2009-11-05T15:37:25", "2016-02-29", "2017-02-29", "2017-02-30",
+    "0000-01-01", "0001-01-01", "9999-12-31", "2017-01-17x",
+    "2017-01-17 10:00:00 extra", "17/01/2017", "2017-13-01", "2017-00-10",
+    "2017-01-32", "20170-01-01", "2017-001-01", "",
+    # Unicode decimal digits count as digits, as in int()
+    "\u0661\u0662\u0663\u0664-\u0660\u0661-\u0660\u0662", "2017-01-3\u0661", "2017-01-1\u0663",
+]
+DATE_FIELDS = [
+    "", "0", "00", "1", "01", "5", " 5", "5 ", "09", "10", "12", "13", "23",
+    "24", "29", "30", "31", "32", "59", "60", "61", "62", "\u0663", "1\u0663",
+    "\u0660\u0667",
+]
+DATE_SEPARATORS = ["", " ", "  ", "\t", " \t", "\xa0", "\n", "T", "x"]
+DATE_ALPHABET = "0123456789-: \t\u0663x"
+
+
+@st.composite
+def date_like_strings(draw):
+    """Strings near ``YYYY-MM-DD[ HH:MM:SS]``, each piece sometimes wrong."""
+    def sep(usual):
+        return draw(st.one_of(st.just(usual), st.sampled_from(DATE_SEPARATORS)))
+
+    def field():
+        return draw(st.sampled_from(DATE_FIELDS))
+
+    year = draw(st.sampled_from(["2016", "0000", "9999", "\u0661\u0669\u0669\u0669", "201", "20165"]))
+    text = year + sep("-") + field() + sep("-") + field()
+    if draw(st.booleans()):
+        text += sep(" ") + field() + sep(":") + field() + sep(":") + field()
+    return sep("") + text + sep("")
+
+
 class TestHelpers:
     def test_parse_date_accepts_two_forms_only(self):
         assert parse_date("2017-01-17") is not None
         assert parse_date("2009-11-05 15:37:25") is not None
         assert parse_date("17/01/2017") is None
         assert parse_date("2017-13-01") is None
+
+    @pytest.mark.parametrize("value", DATE_EDGE_CASES)
+    def test_parse_date_matches_strptime_on_edge_cases(self, value):
+        assert parse_date(value) == strptime_date_oracle(value)
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=st.one_of(date_like_strings(), st.text(alphabet=DATE_ALPHABET, max_size=22)))
+    def test_parse_date_matches_strptime(self, value):
+        assert parse_date(value) == strptime_date_oracle(value)
 
     def test_parse_currency(self):
         assert parse_currency("$5,951.04") == 5951.04
@@ -189,6 +249,24 @@ class TestHelpers:
     def test_normalize_system(self):
         assert normalize_system("  Brakes ") == "brakes"
         assert normalize_system("PM Service All Levels") == "pm service all levels"
+
+
+class TestByteOrderMark:
+    def test_bom_prefixed_tables_parse_like_plain(self, tmp_path):
+        vrows = [vehicle_row("U1"), vehicle_row("U2", year="2014")]
+        mrows = [
+            maint_row("J1", "U1", "2016-01-05", "Brakes"),
+            maint_row("J2", "U2", "2016-02-05 10:00:00", "Tires"),
+            maint_row("J3", "U2", "not a date", "Tires"),
+        ]
+        vpath = write_csv(tmp_path / "v.csv", VEHICLE_COLUMNS, vrows)
+        mpath = write_csv(tmp_path / "m.csv", MAINT_COLUMNS, mrows)
+        bom = b"\xef\xbb\xbf"
+        vbom, mbom = tmp_path / "v_bom.csv", tmp_path / "m_bom.csv"
+        vbom.write_bytes(bom + vpath.read_bytes())
+        mbom.write_bytes(bom + mpath.read_bytes())
+        assert parse_vehicles(vbom) == parse_vehicles(vpath)
+        assert parse_maintenance(mbom) == parse_maintenance(mpath)
 
 
 def build_fixture(tmp_path, vehicle_rows, maint_rows):

@@ -121,6 +121,12 @@ class TestCpAls:
         with pytest.raises(ValueError, match="nan or inf"):
             cp_als(Tensor3.from_array(data), AlsOptions(rank=1))
 
+    def test_overflowing_norm_rejected(self):
+        # every entry is finite, but the Frobenius norm overflows to inf
+        t = Tensor3.from_array(np.full((2, 2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+            cp_als(t, AlsOptions(rank=1, max_iters=5))
+
     def test_equal_weights_ordered_by_a_column(self):
         # unit A columns and identical B and C columns give equal weights
         a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

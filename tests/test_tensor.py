@@ -1,8 +1,13 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fleetmaint import tensor as tensor_module
 from fleetmaint.tensor import (
     Tensor3,
     cp_compose,
@@ -15,6 +20,7 @@ from fleetmaint.tensor import (
     mttkrp_reference,
     save_tensor,
     unfold,
+    write_floats,
 )
 
 
@@ -41,6 +47,44 @@ def unfold_oracle(x: np.ndarray, mode: int) -> np.ndarray:
                 else:
                     out[k, i + j * dim_i] = x[i, j, k]
     return out
+
+
+def float_lines_oracle(values: np.ndarray, per_line: int) -> str:
+    """The per-value writer ``write_floats`` replaced: its output is the reference."""
+    flat = values.ravel()
+    out = []
+    for start in range(0, flat.size, per_line):
+        chunk = flat[start : start + per_line]
+        out.append(" ".join(repr(float(v)) for v in chunk) + "\n")
+    return "".join(out)
+
+
+def save_tensor_oracle(t: Tensor3, path) -> None:
+    """The former ``save_tensor``: header and labels, then 8 values per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("tensor3 v1\n")
+        fh.write("dims %d %d %d\n" % t.dims)
+        for axis in t.axis_labels:
+            for label in axis:
+                fh.write(label + "\n")
+        fh.write(float_lines_oracle(t.data, 8))
+
+
+# zeros dominate count tensors; the rest covers signed zero, subnormals and
+# the ends of the finite range
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1.0, 0.1, -3.0,
+]
+float_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
 def random_tensor(rng, max_dim=6):
@@ -270,3 +314,94 @@ class TestSerialization:
         path.write_text("tensor3 v1\ndims 1 1 2\na\nb\nc\n1.0\n")
         with pytest.raises(ValueError):
             load_tensor(path)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5)),
+        elements=float_values,
+    ))
+    @example(data=np.array(EDGE_FLOATS[:-1]).reshape(1, 1, 11))
+    def test_save_matches_per_value_writer(self, tmp_path, data):
+        t = Tensor3.from_array(data)
+        save_tensor(t, tmp_path / "new.txt")
+        save_tensor_oracle(t, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+        np.testing.assert_array_equal(bits(load_tensor(tmp_path / "new.txt").data), bits(data))
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        data = np.array([[[0.25, 0.0, -2.0]], [[0.0, 3.0, 1.5]]])
+        t = Tensor3(data, (("u1", "u2"), ("b",), ("x", "y", "z")))
+        path = tmp_path / "t.txt"
+        save_tensor(t, path)
+        text = path.read_text()
+        cut = tmp_path / "cut.txt"
+        for n in range(len(text)):
+            cut.write_text(text[:n])
+            with pytest.raises(ValueError):
+                load_tensor(cut)
+        cut.write_text(text)
+        np.testing.assert_array_equal(load_tensor(cut).data, data)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor3 v1\ndims 1 1 2\na\nb\nc\nd\n1.0 {bad}\n")
+        with pytest.raises(ValueError, match="nan or inf"):
+            load_tensor(path)
+
+    def test_blank_value_block_rejected(self, tmp_path):
+        # numpy reads a whitespace-only string as one value, -1.0
+        path = tmp_path / "t.txt"
+        path.write_text("tensor3 v1\ndims 1 1 1\na\nb\nc\n \n")
+        with pytest.raises(ValueError, match="found 0"):
+            load_tensor(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+                    elements=float_values),
+        junk=st.sampled_from(["1_0", "abc", "2.0x", "0x1p3", "\u0663", "1,5", "--1", ".", "1e"]),
+        where=st.floats(0.0, 1.0),
+        replace=st.booleans(),
+    )
+    def test_malformed_token_rejected(self, tmp_path, data, junk, where, replace):
+        t = Tensor3.from_array(data)
+        path = tmp_path / "t.txt"
+        save_tensor(t, path)
+        lines = path.read_text().split("\n")
+        n_head = 2 + sum(t.dims)
+        tokens = " ".join(lines[n_head:]).split()
+
+        def write(values):
+            path.write_text("\n".join(lines[:n_head] + [" ".join(values)]) + "\n")
+
+        write(tokens)
+        np.testing.assert_array_equal(bits(load_tensor(path).data), bits(data))
+        # the junk replaces a value, or follows one: at the end it is trailing data
+        at = min(int(where * len(tokens)), len(tokens) - 1)
+        tokens[at : at + 1] = [junk] if replace else [tokens[at], junk]
+        write(tokens)
+        with pytest.raises(ValueError):
+            load_tensor(path)
+
+
+class TestWriteFloats:
+    def test_empty_block_writes_nothing(self):
+        fh = io.StringIO()
+        write_floats(fh, np.empty((0, 3)), 3)
+        assert fh.getvalue() == ""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=arrays(np.float64, st.integers(0, 70), elements=float_values),
+        per_line=st.integers(1, 30),
+        chunk_lines=st.sampled_from([1, 2, 3, 1 << 15]),
+    )
+    def test_matches_per_value_writer(self, values, per_line, chunk_lines):
+        fh = io.StringIO()
+        with mock.patch.object(tensor_module, "_CHUNK_LINES", chunk_lines):
+            write_floats(fh, values, per_line)
+        assert fh.getvalue() == float_lines_oracle(values, per_line)
