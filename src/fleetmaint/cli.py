@@ -55,13 +55,15 @@ class ConfigError(ValueError):
 
 
 def fleet_spec_from_json(payload: dict) -> FleetSpec:
+    if not isinstance(payload, dict):
+        raise ConfigError("malformed fleet spec: expected a JSON object")
     try:
         components = [
             PlantedComponent(
                 name=c["name"],
                 vehicle_weights=dict(c["vehicle_weights"]),
                 system_weights=dict(c["system_weights"]),
-                time_profile=tuple(c["time_profile"]),
+                time_profile=tuple(float(v) for v in c["time_profile"]),
                 intensity=float(c["intensity"]),
             )
             for c in payload.get("components", [])
@@ -100,7 +102,7 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
             ),
             noiseless=bool(payload.get("noiseless", False)),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed fleet spec: {exc}") from exc
 
 

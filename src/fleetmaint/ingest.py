@@ -9,16 +9,19 @@ Job Open Date or an empty System Description are routed to a rejects report
 instead.
 
 Dates must be ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS`` (exact grammar in
-:func:`parse_date`). Currency fields are parsed after stripping ``$`` and
-thousands separators; unparseable optional fields simply become None.
+:func:`parse_date`). The vehicle table's optional Dept#, Purchase Cost and
+Status Code are read too; Purchase Cost is parsed after stripping ``$`` and
+thousands separators, and an unparseable or empty optional value becomes
+None. Other columns are ignored.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -31,6 +34,7 @@ class DataError(ValueError):
 
 
 VEHICLE_REQUIRED = ("Unit#", "Make", "Model", "Year")
+VEHICLE_OPTIONAL = ("Dept#", "Purchase Cost", "Status Code")
 MAINTENANCE_REQUIRED = ("Job ID", "Unit No", "Job Open Date", "System Description")
 
 # the grammar datetime's format parser compiles for "%Y-%m-%d" and
@@ -80,13 +84,6 @@ def parse_currency(value: str) -> float | None:
         return None
 
 
-def _parse_float(value: str) -> float | None:
-    try:
-        return float(value.strip())
-    except (ValueError, AttributeError):
-        return None
-
-
 @dataclass
 class VehicleRecord:
     unit_no: str
@@ -96,28 +93,18 @@ class VehicleRecord:
     dept_code: str | None = None
     purchase_cost: float | None = None
     status_code: str | None = None
-    extras: dict[str, str] = field(default_factory=dict)
 
     @property
     def make_model(self) -> str:
         return normalize_make_model(self.make, self.model)
 
 
-@dataclass
+@dataclass(slots=True)
 class MaintenanceRecord:
     job_id: str
     unit_no: str
     job_open_date: date
     system_desc: str
-    wo_open_date: date | None = None
-    job_completed_date: date | None = None
-    job_reason: str | None = None
-    job_code: str | None = None
-    labor_hours: float | None = None
-    actual_labor_cost: float | None = None
-    commercial_cost: float | None = None
-    part_cost: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
 
     @property
     def system(self) -> str:
@@ -131,116 +118,105 @@ class RejectedRow:
     detail: str = ""
 
 
-def _open_reader(path):
+def _read_table(path, required, optional=()):
+    """Yield ``(row number, values of the required then optional columns)``.
+
+    Reads like ``csv.DictReader``: a repeated header name means its last
+    column, blank lines are skipped and not numbered (the first data row is
+    row 2), a short row or an optional column the header lacks reads as
+    empty, and extra fields are ignored. No other column is read.
+    """
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
-    fh = open(path, "r", encoding="utf-8-sig", newline="")
-    reader = csv.DictReader(fh)
-    return fh, reader
-
-
-def _check_headers(reader, required, path):
-    headers = reader.fieldnames or []
-    missing = [c for c in required if c not in headers]
-    if missing:
-        raise DataError(f"{path}: missing mandatory columns {missing}")
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in required if c not in index]
+        if missing:
+            raise DataError(f"{path}: missing mandatory columns {missing}")
+        # an absent optional column reads the "" appended to every row
+        positions = [index.get(c, -1) for c in required + optional]
+        pick = operator.itemgetter(*positions)
+        width = max(positions) + 1
+        row_no = 1
+        for row in reader:
+            if row:
+                row_no += 1
+                row += [""] * (width - len(row))
+                row.append("")
+                yield row_no, pick(row)
 
 
 def parse_vehicles(path) -> list[VehicleRecord]:
-    fh, reader = _open_reader(path)
-    with fh:
-        _check_headers(reader, VEHICLE_REQUIRED, path)
-        records: list[VehicleRecord] = []
-        seen: dict[str, int] = {}
-        duplicates: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            unit = (row.get("Unit#") or "").strip()
-            if not unit:
-                raise DataError(f"{path}: row {row_no}: missing Unit# value")
-            make = (row.get("Make") or "").strip()
-            model = (row.get("Model") or "").strip()
-            if not make or not model:
-                raise DataError(f"{path}: row {row_no}: missing Make/Model value")
-            year_raw = (row.get("Year") or "").strip()
-            try:
-                year = int(year_raw)
-            except ValueError:
-                raise DataError(f"{path}: row {row_no}: unparseable Year {year_raw!r}")
-            if not 1900 <= year <= 2100:
-                raise DataError(f"{path}: row {row_no}: Year {year} outside [1900, 2100]")
-            if unit in seen:
-                duplicates.append(unit)
-                continue
-            seen[unit] = row_no
-            known = {"Unit#", "Make", "Model", "Year", "Dept#", "Purchase Cost", "Status Code"}
-            records.append(
-                VehicleRecord(
-                    unit_no=unit,
-                    make=make,
-                    model=model,
-                    model_year=year,
-                    dept_code=(row.get("Dept#") or "").strip() or None,
-                    purchase_cost=parse_currency(row.get("Purchase Cost") or ""),
-                    status_code=(row.get("Status Code") or "").strip() or None,
-                    extras={k: v for k, v in row.items() if k not in known and v},
-                )
+    records: list[VehicleRecord] = []
+    seen: set[str] = set()
+    duplicates: list[str] = []
+    rows = _read_table(path, VEHICLE_REQUIRED, VEHICLE_OPTIONAL)
+    for row_no, (unit, make, model, year_raw, dept, cost, status) in rows:
+        unit = unit.strip()
+        if not unit:
+            raise DataError(f"{path}: row {row_no}: missing Unit# value")
+        make = make.strip()
+        model = model.strip()
+        if not make or not model:
+            raise DataError(f"{path}: row {row_no}: missing Make/Model value")
+        year_raw = year_raw.strip()
+        try:
+            year = int(year_raw)
+        except ValueError:
+            raise DataError(f"{path}: row {row_no}: unparseable Year {year_raw!r}")
+        if not 1900 <= year <= 2100:
+            raise DataError(f"{path}: row {row_no}: Year {year} outside [1900, 2100]")
+        if unit in seen:
+            duplicates.append(unit)
+            continue
+        seen.add(unit)
+        records.append(
+            VehicleRecord(
+                unit_no=unit,
+                make=make,
+                model=model,
+                model_year=year,
+                dept_code=dept.strip() or None,
+                purchase_cost=parse_currency(cost),
+                status_code=status.strip() or None,
             )
-        if duplicates:
-            raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
+        )
+    if duplicates:
+        raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
     return records
 
 
 def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]:
-    fh, reader = _open_reader(path)
-    with fh:
-        _check_headers(reader, MAINTENANCE_REQUIRED, path)
-        records: list[MaintenanceRecord] = []
-        rejects: list[RejectedRow] = []
-        seen: dict[str, int] = {}
-        duplicates: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            job_id = (row.get("Job ID") or "").strip()
-            if not job_id:
-                raise DataError(f"{path}: row {row_no}: missing Job ID value")
-            unit = (row.get("Unit No") or "").strip()
-            if not unit:
-                raise DataError(f"{path}: row {row_no}: missing Unit No value")
-            if job_id in seen:
-                duplicates.append(job_id)
-                continue
-            seen[job_id] = row_no
-            open_raw = (row.get("Job Open Date") or "").strip()
-            open_date = parse_date(open_raw)
-            if open_date is None:
-                rejects.append(RejectedRow(row_no, "bad_job_open_date", open_raw))
-                continue
-            system = (row.get("System Description") or "").strip()
-            if not system:
-                rejects.append(RejectedRow(row_no, "empty_system_description", job_id))
-                continue
-            known = {
-                "Job ID", "Unit No", "Job Open Date", "System Description",
-                "WO Open Date", "Job Completed Date", "Job Reason", "Job Code",
-                "Labor Hours", "Actual Labor Cost", "Commercial Cost", "Part Cost",
-            }
-            records.append(
-                MaintenanceRecord(
-                    job_id=job_id,
-                    unit_no=unit,
-                    job_open_date=open_date,
-                    system_desc=system,
-                    wo_open_date=parse_date(row.get("WO Open Date") or ""),
-                    job_completed_date=parse_date(row.get("Job Completed Date") or ""),
-                    job_reason=(row.get("Job Reason") or "").strip() or None,
-                    job_code=(row.get("Job Code") or "").strip() or None,
-                    labor_hours=_parse_float(row.get("Labor Hours") or ""),
-                    actual_labor_cost=parse_currency(row.get("Actual Labor Cost") or ""),
-                    commercial_cost=parse_currency(row.get("Commercial Cost") or ""),
-                    part_cost=parse_currency(row.get("Part Cost") or ""),
-                    extras={k: v for k, v in row.items() if k not in known and v},
-                )
-            )
-        if duplicates:
-            raise DataError(f"{path}: duplicate Job ID values: {sorted(set(duplicates))}")
+    records: list[MaintenanceRecord] = []
+    rejects: list[RejectedRow] = []
+    seen: set[str] = set()
+    duplicates: list[str] = []
+    dates: dict[str, date | None] = {}  # parse_date of each distinct raw value
+    for row_no, (job_id, unit, open_raw, system) in _read_table(path, MAINTENANCE_REQUIRED):
+        job_id = job_id.strip()
+        if not job_id:
+            raise DataError(f"{path}: row {row_no}: missing Job ID value")
+        unit = unit.strip()
+        if not unit:
+            raise DataError(f"{path}: row {row_no}: missing Unit No value")
+        if job_id in seen:
+            duplicates.append(job_id)
+            continue
+        seen.add(job_id)
+        open_raw = open_raw.strip()
+        if open_raw not in dates:
+            dates[open_raw] = parse_date(open_raw)
+        open_date = dates[open_raw]
+        if open_date is None:
+            rejects.append(RejectedRow(row_no, "bad_job_open_date", open_raw))
+            continue
+        system = system.strip()
+        if not system:
+            rejects.append(RejectedRow(row_no, "empty_system_description", job_id))
+            continue
+        records.append(MaintenanceRecord(job_id, unit, open_date, system))
+    if duplicates:
+        raise DataError(f"{path}: duplicate Job ID values: {sorted(set(duplicates))}")
     return records, rejects
 
 

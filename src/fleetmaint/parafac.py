@@ -187,7 +187,8 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     overflows. A rank larger than all pairwise dimension products is
     permitted but flagged in ``model.warnings``.
     """
-    norm_t = frob_norm(t)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norm_t = frob_norm(t)
     if not np.isfinite(norm_t):
         raise ValueError(
             "cannot factorize a tensor with nan or inf entries or whose norm overflows float64"

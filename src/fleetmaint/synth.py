@@ -161,7 +161,6 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     rng = np.random.default_rng(spec.seed)
 
     labels = month_labels(spec.window_start, spec.months)
-    start_y, start_m = _parse_month(spec.window_start)
     if spec.purchase_years is None:
         purchase_years = tuple(sorted({int(lbl[:4]) for lbl in labels}))
     else:
@@ -178,9 +177,12 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
             roster.append((unit, make_model, year))
 
     system_index = {label: i for i, label in enumerate(spec.systems)}
-    motifs_by_model: dict[str, list[PlantedMotif]] = {}
-    for motif in spec.motifs:
-        motifs_by_model.setdefault(motif.make_model, []).append(motif)
+    n_sys = len(spec.systems)
+    # per system label: normalized name, Job System code, Job Code, Job Description
+    system_fields = {
+        label: (normalize_system(label), f"{i:02d}", f"{i:02d}-13-000", f"REPAIR {label}")
+        for label, i in system_index.items()
+    }
 
     cells: dict[str, int] = {}
     sequences: dict[str, list[str]] = {}
@@ -192,8 +194,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     ]
     component_units: list[dict[str, float]] = [{} for _ in spec.components]
 
-    job_rows = []
-    job_counter = 0
+    job_rows: list[tuple[str, ...]] = []
     for unit, make_model, purchase_year in roster:
         # per-vehicle event list: (month index, display label)
         if make_model in spec.markov:
@@ -214,14 +215,12 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                 for sys_label, sw in comp.system_weights.items():
                     means[system_index[sys_label]] += comp.intensity * vw * sw * profile
             if spec.noiseless:
-                counts = np.rint(means).astype(np.int64)
+                counts = np.rint(means).astype(np.int64).clip(0)  # < 0 emits no job
             else:
                 counts = rng.poisson(means)
-            events = []
-            for month in range(spec.months):
-                for sys_pos, sys_label in enumerate(spec.systems):
-                    events.extend([(month, sys_label)] * int(counts[sys_pos, month]))
-            events.sort(key=lambda e: e[0])
+            # month-major: cell c is (month c // n_sys, system c % n_sys)
+            cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
+            events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]
 
         # motif injection (contiguous runs, months inherited from neighbors)
         for mi, motif in enumerate(spec.motifs):
@@ -258,76 +257,44 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
         for month, sys_label in events:
             slot = per_month_seen.get(month, 0)
             per_month_seen[month] = slot + 1
-            day = min(slot + 1, 28)
-            abs_month = start_y * 12 + (start_m - 1) + month
-            date = f"{abs_month // 12:04d}-{abs_month % 12 + 1:02d}-{day:02d}"
-            job_counter += 1
-            job_id = f"{job_counter:07d}"
-            sys_norm = normalize_system(sys_label)
+            date = f"{labels[month]}-{min(slot + 1, 28):02d}"
+            job_id = f"{len(job_rows) + 1:07d}"
+            sys_norm, code, job_code, job_desc = system_fields[sys_label]
             seq_labels.append(sys_norm)
             key = f"{unit}|{sys_norm}|{labels[month]}"
             cells[key] = cells.get(key, 0) + 1
-            sys_no = system_index[sys_label]
             labor = round(float(rng.uniform(0.5, 8.0)), 2)
             cost = round(labor * 54.8, 2)
-            job_rows.append({
-                "Job ID": job_id,
-                "Year WO Completed": date[:4],
-                "Unit No": unit,
-                "Work Order No": job_id,
-                "WO Open Date": date,
-                "WO Completed Date": date,
-                "Work Order Location": "CODRF",
-                "Job Open Date": date,
-                "Job Reason": "B",
-                "Job Reason Desc": "BREAKDOWN / REPAIR",
-                "Job Open Date2": date,
-                "Job Completed Date": date,
-                "Job Code": f"{sys_no:02d}-13-000",
-                "Job Description": f"REPAIR {sys_label}",
-                "Labor Hours": f"{labor:.2f}",
-                "Actual Labor Cost": f"${cost:,.2f}",
-                "Commercial Cost": "$0",
-                "Part Cost": f"${round(cost * 0.3, 2):,.2f}",
-                "Primary Meter": str(int(rng.integers(1000, 99000))),
-                "Job Status": "DON",
-                "Job WAC": "24",
-                "WACDescription": "REPAIR",
-                "Job System": f"{sys_no:02d}",
-                "System Description": sys_label,
-                "Job Location": "CODRF",
-            })
+            job_rows.append((
+                job_id, date[:4], unit, job_id, date, date, "CODRF", date, "B",
+                "BREAKDOWN / REPAIR", date, date, job_code, job_desc, f"{labor:.2f}",
+                f"${cost:,.2f}", "$0", f"${round(cost * 0.3, 2):,.2f}",
+                str(int(rng.integers(1000, 99000))), "DON", "24", "REPAIR", code,
+                sys_label, "CODRF",
+            ))
         if seq_labels:
             sequences[unit] = seq_labels
 
     vehicles_path = out_dir / "vehicles.csv"
     with open(vehicles_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=VEHICLE_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(VEHICLE_COLUMNS)
         for unit, make_model, year in roster:
             make, _, model = make_model.partition(" ")
             cost = int(rng.integers(18, 95)) * 1000 + int(rng.integers(0, 1000))
-            writer.writerow({
-                "Unit#": unit,
-                "Dept#": "19",
-                "Dept Desc": "GENERAL SERVICES",
-                "Make": make,
-                "Model": model or "BASE",
-                "Year": str(year),
-                "Last Meter": str(int(rng.integers(500, 120000))),
-                "Last Fuel Date": f"{year + 1}-06-15 08:30:00",
-                "Purchase Cost": f"${cost:,}",
-                "Status Code": "A",
-                "Status Desc": "Active Unit",
-                "LTD Maintenance Cost": f"${float(rng.integers(100, 9000)):,.2f}",
-                "LTD Fuel Cost": f"${float(rng.integers(100, 9000)):,.2f}",
-                "LTD Fuel Gallons": f"{float(rng.integers(100, 4000)):,.1f}",
-            })
+            writer.writerow((
+                unit, "19", "GENERAL SERVICES", make, model or "BASE", str(year),
+                str(int(rng.integers(500, 120000))), f"{year + 1}-06-15 08:30:00",
+                f"${cost:,}", "A", "Active Unit",
+                f"${float(rng.integers(100, 9000)):,.2f}",
+                f"${float(rng.integers(100, 9000)):,.2f}",
+                f"{float(rng.integers(100, 4000)):,.1f}",
+            ))
 
     maintenance_path = out_dir / "maintenance.csv"
     with open(maintenance_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MAINTENANCE_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MAINTENANCE_COLUMNS)
         writer.writerows(job_rows)
 
     manifest = {

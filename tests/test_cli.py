@@ -13,11 +13,32 @@ from fleetmaint.parafac import load_model
 from fleetmaint.tensor import load_tensor
 
 
+def run_cli(*argv):
+    """Run the CLI in a subprocess, with a timeout so a hang fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "fleetmaint.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 @pytest.fixture(scope="module")
 def fleet_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fleet")
     assert main(["synth", "--out", str(out), "--seed", "77"]) == 0
     return out
+
+
+CUSTOM_SPEC = {
+    "seed": 5,
+    "vehicles": {"DODGE CHARGER": 2, "FORD F150": 2},
+    "window_start": "2015-01",
+    "months": 6,
+    "systems": ["Brakes", "Tires"],
+    "background_rate": 0.5,
+}
 
 
 class TestSynth:
@@ -27,16 +48,8 @@ class TestSynth:
         assert (fleet_dir / "manifest.json").exists()
 
     def test_custom_spec_file(self, tmp_path):
-        spec = {
-            "seed": 5,
-            "vehicles": {"DODGE CHARGER": 2, "FORD F150": 2},
-            "window_start": "2015-01",
-            "months": 6,
-            "systems": ["Brakes", "Tires"],
-            "background_rate": 0.5,
-        }
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(json.dumps(CUSTOM_SPEC))
         assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)]) == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["totals"]["vehicles"] == 4
@@ -47,6 +60,21 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("config-error:")
+
+    @pytest.mark.parametrize("spec", [
+        dict(CUSTOM_SPEC, vehicles=[]),
+        [CUSTOM_SPEC],
+        dict(CUSTOM_SPEC, months=2, components=[{
+            "name": "c", "vehicle_weights": {"FORD F150": 1.0},
+            "system_weights": {"Brakes": 1.0}, "time_profile": ["a", "b"], "intensity": 1.0,
+        }]),
+    ], ids=["vehicles-list", "top-level-list", "time-profile-strings"])
+    def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config-error: malformed fleet spec")
 
 
 class TestTensorize:
@@ -143,6 +171,15 @@ class TestParafacAndReport:
         assert capsys.readouterr().err.startswith("data-error:")
         assert not model_path.exists()
 
+    def test_overflowing_norm_prints_only_the_error(self, tmp_path):
+        tensor = tmp_path / "tensor.txt"
+        tensor.write_text("tensor3 v1\ndims 2 1 2\na\nb\nc\nd\ne\n1e200 1e200 1e200 1e200\n")
+        proc = run_cli("parafac", "--tensor", str(tensor), "--rank", "1",
+                       "--out", str(tmp_path / "model.txt"))
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data-error: "), proc.stderr
+
     def test_report_truncated_model_is_data_error(self, tensor_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         main([
@@ -231,14 +268,7 @@ class TestTrainEvalPredict:
         text = model_path.read_text()
         cut = tmp_path / "cut.txt"
         cut.write_text(text[: len(text) // 2])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fleetmaint.cli", "predict", "--model", str(cut),
-             "--prefix", "brakes"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = run_cli("predict", "--model", str(cut), "--prefix", "brakes")
         assert proc.returncode == 4
         assert proc.stderr.startswith("data-error:")
 

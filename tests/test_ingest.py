@@ -1,4 +1,5 @@
 import csv
+import io
 from datetime import datetime
 
 import numpy as np
@@ -7,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
+    MAINTENANCE_REQUIRED,
+    VEHICLE_REQUIRED,
     DataError,
+    MaintenanceRecord,
+    RejectedRow,
     TensorizeSpec,
+    VehicleRecord,
     build_tensor,
     normalize_system,
     parse_date,
@@ -267,6 +273,166 @@ class TestByteOrderMark:
         mbom.write_bytes(bom + mpath.read_bytes())
         assert parse_vehicles(vbom) == parse_vehicles(vpath)
         assert parse_maintenance(mbom) == parse_maintenance(mpath)
+
+
+def parse_maintenance_oracle(path):
+    """The former ``csv.DictReader`` parser, the reference for the new one."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in MAINTENANCE_REQUIRED if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataError(f"{path}: missing mandatory columns {missing}")
+        records, rejects, seen, duplicates = [], [], set(), []
+        for row_no, row in enumerate(reader, start=2):
+            job_id = (row.get("Job ID") or "").strip()
+            if not job_id:
+                raise DataError(f"{path}: row {row_no}: missing Job ID value")
+            unit = (row.get("Unit No") or "").strip()
+            if not unit:
+                raise DataError(f"{path}: row {row_no}: missing Unit No value")
+            if job_id in seen:
+                duplicates.append(job_id)
+                continue
+            seen.add(job_id)
+            open_raw = (row.get("Job Open Date") or "").strip()
+            open_date = parse_date(open_raw)
+            if open_date is None:
+                rejects.append(RejectedRow(row_no, "bad_job_open_date", open_raw))
+                continue
+            system = (row.get("System Description") or "").strip()
+            if not system:
+                rejects.append(RejectedRow(row_no, "empty_system_description", job_id))
+                continue
+            records.append(MaintenanceRecord(job_id, unit, open_date, system))
+        if duplicates:
+            raise DataError(f"{path}: duplicate Job ID values: {sorted(set(duplicates))}")
+    return records, rejects
+
+
+def parse_vehicles_oracle(path):
+    """The former ``csv.DictReader`` vehicle parser."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in VEHICLE_REQUIRED if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataError(f"{path}: missing mandatory columns {missing}")
+        records, seen, duplicates = [], set(), []
+        for row_no, row in enumerate(reader, start=2):
+            unit = (row.get("Unit#") or "").strip()
+            if not unit:
+                raise DataError(f"{path}: row {row_no}: missing Unit# value")
+            make = (row.get("Make") or "").strip()
+            model = (row.get("Model") or "").strip()
+            if not make or not model:
+                raise DataError(f"{path}: row {row_no}: missing Make/Model value")
+            year_raw = (row.get("Year") or "").strip()
+            try:
+                year = int(year_raw)
+            except ValueError:
+                raise DataError(f"{path}: row {row_no}: unparseable Year {year_raw!r}")
+            if not 1900 <= year <= 2100:
+                raise DataError(f"{path}: row {row_no}: Year {year} outside [1900, 2100]")
+            if unit in seen:
+                duplicates.append(unit)
+                continue
+            seen.add(unit)
+            records.append(VehicleRecord(
+                unit, make, model, year,
+                dept_code=(row.get("Dept#") or "").strip() or None,
+                purchase_cost=parse_currency(row.get("Purchase Cost") or ""),
+                status_code=(row.get("Status Code") or "").strip() or None,
+            ))
+        if duplicates:
+            raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
+    return records
+
+
+def outcome(parse, path):
+    """A parser's result on a table, or the type and message of its error."""
+    try:
+        return parse(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+MAINT_FIELD_VALUES = {
+    "Job ID": [str(i) for i in range(1, 25)] + [" 8 ", "J9", "", " "],
+    "Unit No": ["U1", "U2", "U3", " U4 ", "", "\t"],
+    "Job Open Date": [
+        "2016-01-05", " 2016-01-05 ", "2016-1-5", "2016-01- 5", "2016-01-05 10:00:00",
+        "2016-02-30", "05/01/2016", " 05/01/2016 ", "", "2016-01-05x",
+    ],
+    "System Description": ["Brakes", " Tires ", "", "Cab, Sheet Metal", "two\nlines", 'say "pm"'],
+}
+OTHER_FIELD_VALUES = ["", "x", "a,b", "c\r\nd", '"q"', "$1,000.00"]
+
+
+@st.composite
+def maintenance_tables(draw):
+    """Text of a maintenance table: quoted commas, quotes and newlines, short,
+    long and blank rows, a BOM, repeated or missing header names, duplicate
+    and blank identity values, bad and space-padded dates."""
+    names = list(draw(st.permutations(MAINTENANCE_REQUIRED + ("Work Order No", "Part Cost"))))
+    # usually every column; sometimes a mandatory one is missing or the
+    # header row is blank
+    names = names[: draw(st.sampled_from([6] * 12 + [5, 0]))]
+    if names and draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+    # a tidy table's rows are never short and have their identity values
+    tidy = draw(st.booleans())
+    rows = [names]
+    for _ in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([])  # a blank line
+        width = draw(st.integers(len(names) if tidy else 0, len(names) + 2))
+        row = []
+        for i in range(width):
+            name = names[i] if i < len(names) else None
+            pool = MAINT_FIELD_VALUES.get(name, OTHER_FIELD_VALUES)
+            if tidy and name in ("Job ID", "Unit No"):
+                pool = [v for v in pool if v.strip()]
+            row.append(draw(st.sampled_from(pool)))
+        rows.append(row)
+    out = io.StringIO()
+    out.write(draw(st.sampled_from(["", "\ufeff"])))
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return out.getvalue()
+
+
+VEHICLE_TABLES = [
+    "",
+    "\n",
+    "\nUnit#,Make,Model,Year\nU1,FORD,F150,2012\n",
+    "Unit#,Make,Model,Year\n",
+    'Unit#,Make,Model,Year,Dept#,Purchase Cost,Status Code\nU1,FORD,F150,2012,19,"$20,456",A\n',
+    'Unit#,Make,Model,Year,Notes\nU1,FORD,F150,2012,"a,\nb"\n\nU2,FORD,F150,2013\n',
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012,extra,fields\n",
+    "Unit#,Make,Model,Year,Dept#,Status Code\nU1,FORD,F150,2012\n",
+    "Unit#,Make,Model,Year\nU1,FORD,F150\n",
+    "Unit#,Make,Model,Year,Make\nU1,FORD,F150,2012,CHEVROLET\nU2,FORD,F150,2012\n",
+    "\ufeffUnit#,Make,Model,Year\n U1 , FORD , F150 , 2012 \n",
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012\n\n\nU1,FORD,F150,2013\n",
+    "Unit#,Make,Model,Year\n\nU1,FORD,F150,1776\n",
+    "Unit#,Make,Model,Year\nU1,FORD,F150,20x2\n",
+    "Unit#,Make,Model,Year\n,FORD,F150,2012\n",
+    "Unit#,Make,Model\nU1,FORD,F150\n",
+    "Unit#,Make,Model,Year,Purchase Cost\r\nU1,FORD,F150,2012,n/a\r\n",
+]
+
+
+class TestReaderMatchesDictReader:
+    @settings(max_examples=500, deadline=None)
+    @given(text=maintenance_tables())
+    def test_parse_maintenance_matches_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "maintenance_oracle.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(parse_maintenance, path) == outcome(parse_maintenance_oracle, path)
+
+    @pytest.mark.parametrize("text", VEHICLE_TABLES)
+    def test_parse_vehicles_matches_oracle(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(parse_vehicles, path) == outcome(parse_vehicles_oracle, path)
 
 
 def build_fixture(tmp_path, vehicle_rows, maint_rows):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -35,7 +36,73 @@ def tiny_spec(seed=7, **overrides):
     return FleetSpec(**base)
 
 
+def markov_spec():
+    chain = MarkovSpec(
+        labels=("Brakes", "Tires"),
+        transition=((0.2, 0.8), (0.8, 0.2)),
+        start=(0.5, 0.5),
+        length=30,
+    )
+    return tiny_spec(markov={"FORD F150": chain}, background_rate=0.1)
+
+
+def noiseless_spec():
+    profile = tuple(2.0 if m in (5, 6) else 0.0 for m in range(12))
+    component = PlantedComponent(
+        name="planted",
+        vehicle_weights={"DODGE CHARGER": 1.0},
+        system_weights={"Brakes": 1.0, "Tires": 0.5},
+        time_profile=profile,
+        intensity=1.0,
+    )
+    return tiny_spec(background_rate=0.0, components=[component], noiseless=True)
+
+
+def negative_mean_spec():
+    # a negative planted mean rounds to a negative count, which emits no job
+    profile = tuple(-2.0 if m % 3 == 0 else 1.0 for m in range(12))
+    component = PlantedComponent("dip", {"DODGE CHARGER": 1.0}, {"Brakes": 1.0}, profile, 1.0)
+    return tiny_spec(background_rate=0.6, components=[component], noiseless=True)
+
+
+# sha256 of (vehicles.csv, maintenance.csv, manifest.json): any change to the
+# emitted bytes or to the order of the RNG draws changes them
+GOLDEN_DIGESTS = {
+    "demo": (
+        demo_spec,
+        "14fc1a9f4305c76285bd6cb2efb2a2f05acd0f6a46d289118371f91b3a10af9f",
+        "14dd7c76b30fe76dace74246aad3fb5cce4e74cb2b6d3ada900fc1a64e24d01b",
+        "0a2ff6d755c17a1e9a72d1ded92da2a1d6cf719fef5593de16bf9837fb25fe86",
+    ),
+    "markov": (
+        markov_spec,
+        "96d3512849c1c2813b5b3c02eb9b66e29d824133b93966fbcf50e56d7a4cc6b9",
+        "1a220d22fc0dcc9708151a90a2bc38d50a99c16d1b245657a429624cde147ff5",
+        "49d46f6344ca00ec989ab4d727755c8e54dd156fc6f0673d107eaf4fcb8eacdf",
+    ),
+    "negative-mean": (
+        negative_mean_spec,
+        "864b0ffd1abc58e758a1385b52af166fbd4d3449c9f165aabe13e016c40b6f0b",
+        "ac03f5679497da58020530921ed122330cc8fb26bffa7baef7819135cce15419",
+        "c455fd9a1ee3adf16688e3f00113992395504bcb4530bd6168af755c758505e8",
+    ),
+    "noiseless": (
+        noiseless_spec,
+        "a846970a66165eb4f250c29506228d91d83f92568105daa10998965dc94e3291",
+        "83a1d565da43ccbbe6178d792c2e3c6367037a2ce3247392dbd579b0fa13727d",
+        "215f169d2a1502d70b8ac1b274513e39d4c647205ac51b36dc5abc8b38e78032",
+    ),
+}
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests(self, tmp_path, name):
+        make_spec, *expected = GOLDEN_DIGESTS[name]
+        fleet = generate(make_spec(), tmp_path)
+        paths = (fleet.vehicles_path, fleet.maintenance_path, fleet.manifest_path)
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == expected
+
     def test_same_seed_byte_identical(self, tmp_path):
         f1 = generate(tiny_spec(), tmp_path / "a")
         f2 = generate(tiny_spec(), tmp_path / "b")
@@ -87,21 +154,7 @@ class TestGenerate:
         assert got == fleet.manifest["sequences"]
 
     def test_noiseless_rank_one_component_exact(self, tmp_path):
-        profile = tuple(2.0 if m in (5, 6) else 0.0 for m in range(12))
-        spec = tiny_spec(
-            background_rate=0.0,
-            components=[
-                PlantedComponent(
-                    name="planted",
-                    vehicle_weights={"DODGE CHARGER": 1.0},
-                    system_weights={"Brakes": 1.0, "Tires": 0.5},
-                    time_profile=profile,
-                    intensity=1.0,
-                )
-            ],
-            noiseless=True,
-        )
-        fleet = generate(spec, tmp_path)
+        fleet = generate(noiseless_spec(), tmp_path)
         vehicles = parse_vehicles(fleet.vehicles_path)
         maintenance, _ = parse_maintenance(fleet.maintenance_path)
         build = build_tensor(
@@ -147,14 +200,7 @@ class TestGenerate:
         assert fleet.manifest["motifs"][0]["total_injected"] > 0
 
     def test_markov_group_uses_chain_labels(self, tmp_path):
-        chain = MarkovSpec(
-            labels=("Brakes", "Tires"),
-            transition=((0.2, 0.8), (0.8, 0.2)),
-            start=(0.5, 0.5),
-            length=30,
-        )
-        spec = tiny_spec(markov={"FORD F150": chain}, background_rate=0.1)
-        fleet = generate(spec, tmp_path)
+        fleet = generate(markov_spec(), tmp_path)
         for unit, meta in fleet.manifest["vehicles"].items():
             if meta["make_model"] == "FORD F150":
                 seq = fleet.manifest["sequences"][unit]
