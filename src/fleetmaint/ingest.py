@@ -129,21 +129,25 @@ def _read_table(path, required, optional=()):
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        missing = [c for c in required if c not in index]
-        if missing:
-            raise DataError(f"{path}: missing mandatory columns {missing}")
-        # an absent optional column reads the "" appended to every row
-        positions = [index.get(c, -1) for c in required + optional]
-        pick = operator.itemgetter(*positions)
-        width = max(positions) + 1
-        row_no = 1
-        for row in reader:
-            if row:
-                row_no += 1
-                row += [""] * (width - len(row))
-                row.append("")
-                yield row_no, pick(row)
+        row_no = 0
+        try:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [c for c in required if c not in index]
+            if missing:
+                raise DataError(f"{path}: missing mandatory columns {missing}")
+            # an absent optional column reads the "" appended to every row
+            positions = [index.get(c, -1) for c in required + optional]
+            pick = operator.itemgetter(*positions)
+            width = max(positions) + 1
+            row_no = 1
+            for row in reader:
+                if row:
+                    row_no += 1
+                    row += [""] * (width - len(row))
+                    row.append("")
+                    yield row_no, pick(row)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}: row {row_no + 1}: {exc}") from None
 
 
 def parse_vehicles(path) -> list[VehicleRecord]:

@@ -16,12 +16,15 @@ thread count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import write_floats
+from .tensor import parse_floats, write_floats
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -53,9 +56,13 @@ class Vocab:
     def size(self) -> int:
         return len(self.labels) + 2
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def encode(self, seq: Sequence[str]) -> np.ndarray:
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        return np.array([index.get(lab, self.unk) for lab in seq], dtype=np.int64)
+        index, unk = self._index, self.unk
+        return np.array([index.get(lab, unk) for lab in seq], dtype=np.int64)
 
     def token_label(self, idx: int) -> str:
         if idx == self.unk:
@@ -86,21 +93,12 @@ class LstmConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 < self.dropout_keep <= 1:
             raise ValueError("dropout_keep must be in (0, 1]")
-        if self.lr <= 0 or self.lr_decay <= 0 or self.grad_clip <= 0:
-            raise ValueError("lr, lr_decay and grad_clip must be positive")
+        if not all(0 < v < math.inf for v in (self.lr, self.lr_decay, self.grad_clip)):
+            raise ValueError("lr, lr_decay and grad_clip must be positive and finite")
 
     def lr_at_epoch(self, epoch: int) -> float:
         """Learning rate for a 0-based epoch index."""
         return self.lr * self.lr_decay ** max(0, epoch + 1 - self.lr_constant_epochs)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -147,54 +145,54 @@ def _pack_batch(encoded: list[np.ndarray], eos: int):
 
 
 def _forward_chunk(params, cfg, ids, state, drop_masks):
-    """Run one BPTT window; returns log-probs, caches and the carried state."""
+    """Run one BPTT window layer by layer; returns log-probs, caches and the carried state.
+
+    Each layer projects its whole (T, B) input with one GEMM and keeps only
+    ``h @ Wh`` and the cell update in its time loop; the head is one GEMM.
+    """
     steps, batch = ids.shape
     hidden = cfg.hidden_dim
-    h_prev, c_prev = state
-    caches = []
-    log_probs = np.empty((steps, batch, params["out_b"].shape[0]))
-    for t in range(steps):
-        x = params["embedding"][ids[t]]
+    # gate columns are [i, f, g, o]; sigmoid(z) = (1 + tanh(z/2)) / 2, so one
+    # tanh serves all four: the i, f and o columns are halved before it (by
+    # halving their weights, which is exact) and mapped by a/2 + 1/2 after it
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    offset = 1.0 - scale
+    inp = params["embedding"][ids]
+    if drop_masks is not None:
+        inp = inp * drop_masks["input"]
+    layer_caches, h_out, c_out = [], [], []
+    for layer in range(cfg.layers):
+        wx = params[f"lstm{layer}_wx"] * scale
+        wh = params[f"lstm{layer}_wh"] * scale
+        bias = params[f"lstm{layer}_b"] * scale
+        gates = (inp.reshape(steps * batch, -1) @ wx + bias).reshape(steps, batch, 4 * hidden)
+        # hs[t] and cs[t] are the state entering step t; hs[0], cs[0] the carried one
+        hs = np.empty((steps + 1, batch, hidden))
+        cs = np.empty((steps + 1, batch, hidden))
+        tanh_c = np.empty((steps, batch, hidden))
+        hs[0] = state[0][layer]
+        cs[0] = state[1][layer]
+        gate_i, gate_f, gate_g, gate_o = np.split(gates, 4, axis=2)
+        for t in range(steps):
+            z = gates[t]
+            z += hs[t] @ wh
+            np.tanh(z, out=z)
+            z *= scale
+            z += offset
+            np.multiply(gate_f[t], cs[t], out=cs[t + 1])
+            cs[t + 1] += gate_i[t] * gate_g[t]
+            np.tanh(cs[t + 1], out=tanh_c[t])
+            np.multiply(gate_o[t], tanh_c[t], out=hs[t + 1])
+        layer_caches.append((inp, hs, cs, gates, tanh_c))
+        h_out.append(hs[-1])
+        c_out.append(cs[-1])
+        inp = hs[1:]
         if drop_masks is not None:
-            x = x * drop_masks["input"][t]
-        inp = x
-        step_cache = []
-        for layer in range(cfg.layers):
-            z = (
-                inp @ params[f"lstm{layer}_wx"]
-                + h_prev[layer] @ params[f"lstm{layer}_wh"]
-                + params[f"lstm{layer}_b"]
-            )
-            gate_i = _sigmoid(z[:, :hidden])
-            gate_f = _sigmoid(z[:, hidden : 2 * hidden])
-            gate_g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-            gate_o = _sigmoid(z[:, 3 * hidden :])
-            c = gate_f * c_prev[layer] + gate_i * gate_g
-            tanh_c = np.tanh(c)
-            h = gate_o * tanh_c
-            step_cache.append(
-                dict(
-                    inp=inp,
-                    h_prev=h_prev[layer],
-                    c_prev=c_prev[layer],
-                    i=gate_i,
-                    f=gate_f,
-                    g=gate_g,
-                    o=gate_o,
-                    tanh_c=tanh_c,
-                )
-            )
-            h_prev[layer] = h
-            c_prev[layer] = c
-            out = h
-            if drop_masks is not None:
-                out = out * drop_masks["layer"][t][layer]
-            step_cache[-1]["out_mask_applied"] = out
-            inp = out
-        logits = inp @ params["out_w"] + params["out_b"]
-        log_probs[t] = _log_softmax(logits)
-        caches.append(step_cache)
-    return log_probs, caches, (h_prev, c_prev)
+            inp = inp * drop_masks["layer"][:, layer]
+    logits = inp.reshape(steps * batch, hidden) @ params["out_w"] + params["out_b"]
+    log_probs = _log_softmax(logits).reshape(steps, batch, -1)
+    return log_probs, (layer_caches, inp), (h_out, c_out)
 
 
 def _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop_masks,
@@ -205,61 +203,66 @@ def _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop_mas
     constant batch_size * bptt_steps so every token in the epoch carries the
     same weight regardless of how full its window is; by default the window's
     own token count is used, matching the mean loss of :func:`_chunk_loss`.
+    The gradients come back in ``params`` order.
     """
     steps, batch = ids.shape
+    slots = steps * batch
     hidden = cfg.hidden_dim
     n_items = norm if norm is not None else mask.sum()
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dh_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
-    dc_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
-    for t in range(steps - 1, -1, -1):
-        probs = np.exp(log_probs[t])
-        dlogits = probs * mask[t][:, None]
-        dlogits[np.arange(batch), targets[t]] -= mask[t]
-        dlogits /= n_items
-        top_out = caches[t][-1]["out_mask_applied"]
-        grads["out_w"] += top_out.T @ dlogits
-        grads["out_b"] += dlogits.sum(axis=0)
-        dinp = dlogits @ params["out_w"].T
-        for layer in range(cfg.layers - 1, -1, -1):
-            cache = caches[t][layer]
-            if drop_masks is not None:
-                dh = dinp * drop_masks["layer"][t][layer] + dh_next[layer]
-            else:
-                dh = dinp + dh_next[layer]
-            do = dh * cache["tanh_c"]
-            dc = dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2) + dc_next[layer]
-            di = dc * cache["g"]
-            df = dc * cache["c_prev"]
-            dg = dc * cache["i"]
-            dc_next[layer] = dc * cache["f"]
-            dz = np.concatenate(
-                [
-                    di * cache["i"] * (1.0 - cache["i"]),
-                    df * cache["f"] * (1.0 - cache["f"]),
-                    dg * (1.0 - cache["g"] ** 2),
-                    do * cache["o"] * (1.0 - cache["o"]),
-                ],
-                axis=1,
-            )
-            grads[f"lstm{layer}_wx"] += cache["inp"].T @ dz
-            grads[f"lstm{layer}_wh"] += cache["h_prev"].T @ dz
-            grads[f"lstm{layer}_b"] += dz.sum(axis=0)
-            dh_next[layer] = dz @ params[f"lstm{layer}_wh"].T
-            dinp = dz @ params[f"lstm{layer}_wx"].T
+    layer_caches, top = caches
+    grads = dict.fromkeys(params)
+    dlogits = np.exp(log_probs) * mask[:, :, None]
+    dlogits[np.arange(steps)[:, None], np.arange(batch), targets] -= mask
+    dlogits /= n_items
+    dlogits = dlogits.reshape(slots, -1)
+    grads["out_w"] = top.reshape(slots, hidden).T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    dinp = dlogits @ params["out_w"].T
+    for layer in range(cfg.layers - 1, -1, -1):
+        inp, hs, cs, gates, tanh_c = layer_caches[layer]
+        dh_in = dinp.reshape(steps, batch, hidden)
         if drop_masks is not None:
-            dinp = dinp * drop_masks["input"][t]
-        np.add.at(grads["embedding"], ids[t], dinp)
+            dh_in = dh_in * drop_masks["layer"][:, layer]
+        gate_i, gate_f, gate_g, gate_o = np.split(gates, 4, axis=2)
+        # window-wide factors: dc = dh * dc_dh + dc_next, the i, f and g
+        # columns of dz are dc * dz_dc and the o column is dh * dzo_dh
+        dc_dh = gate_o * (1.0 - tanh_c**2)
+        dz_dc = np.stack([gate_g * gate_i * (1.0 - gate_i), cs[:-1] * gate_f * (1.0 - gate_f),
+                          gate_i * (1.0 - gate_g**2)], axis=2)
+        dzo_dh = tanh_c * gate_o * (1.0 - gate_o)
+        wh_t = params[f"lstm{layer}_wh"].T
+        dz = np.empty((steps, batch, 4, hidden))
+        dh_next = np.zeros((batch, hidden))
+        dc_next = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = dh_in[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(dc[:, None, :], dz_dc[t], out=dz[t, :, :3])
+            np.multiply(dh, dzo_dh[t], out=dz[t, :, 3])
+            dc_next = dc * gate_f[t]
+            dh_next = dz[t].reshape(batch, 4 * hidden) @ wh_t
+        dz = dz.reshape(slots, 4 * hidden)
+        grads[f"lstm{layer}_wx"] = inp.reshape(slots, -1).T @ dz
+        grads[f"lstm{layer}_wh"] = hs[:-1].reshape(slots, hidden).T @ dz
+        grads[f"lstm{layer}_b"] = dz.sum(axis=0)
+        dinp = dz @ params[f"lstm{layer}_wx"].T
+    if drop_masks is not None:
+        dinp = dinp * drop_masks["input"].reshape(slots, -1)
+    grads["embedding"] = np.zeros_like(params["embedding"])
+    np.add.at(grads["embedding"], ids.ravel(), dinp)
     return grads
 
 
+def _target_log_probs(log_probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(T, B) log-probabilities of the targets."""
+    steps, batch = targets.shape
+    return log_probs[np.arange(steps)[:, None], np.arange(batch), targets]
+
+
 def _chunk_loss(mask, targets, log_probs) -> float:
-    batch_idx = np.arange(targets.shape[1])
-    nll = 0.0
-    for t in range(targets.shape[0]):
-        nll -= float((log_probs[t][batch_idx, targets[t]] * mask[t]).sum())
     n = float(mask.sum())
-    return nll / n if n else 0.0
+    return -float((_target_log_probs(log_probs, targets) * mask).sum()) / n if n else 0.0
 
 
 def _sample_drop_masks(cfg, rng, steps, batch):
@@ -273,10 +276,7 @@ def _sample_drop_masks(cfg, rng, steps, batch):
 
 
 def _clip_gradients(grads, max_norm: float) -> None:
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
@@ -297,18 +297,18 @@ class SeqModel:
     def _run_eval(self, encoded: list[np.ndarray]) -> tuple[float, int]:
         """Total negative log-likelihood and item count, dropout disabled."""
         cfg = self.config
-        total_nll = 0.0
+        step_nll = []
         total_items = 0
         for start in range(0, len(encoded), cfg.batch_size):
             group = encoded[start : start + cfg.batch_size]
             ids, targets, mask = _pack_batch(group, self.vocab.eos)
             state = _zero_state(cfg, len(group))
             log_probs, _, _ = _forward_chunk(self.params, cfg, ids, state, None)
-            batch_idx = np.arange(len(group))
-            for t in range(ids.shape[0]):
-                total_nll -= float((log_probs[t][batch_idx, targets[t]] * mask[t]).sum())
+            step_nll.append((_target_log_probs(log_probs, targets) * mask).sum(axis=1))
             total_items += int(mask.sum())
-        return total_nll, total_items
+        # cumsum adds the per-step totals one at a time, in window order, so
+        # the perplexity keeps the last bits of a plain running total
+        return -float(np.cumsum(np.concatenate(step_nll))[-1]), total_items
 
     def log_prob_items(self, seq: Sequence[str]) -> np.ndarray:
         """Log-probability of each predicted item of one sequence, EOS included."""
@@ -316,7 +316,7 @@ class SeqModel:
         ids, targets, mask = _pack_batch([encoded], self.vocab.eos)
         state = _zero_state(self.config, 1)
         log_probs, _, _ = _forward_chunk(self.params, self.config, ids, state, None)
-        return log_probs[np.arange(ids.shape[0]), 0, targets[:, 0]]
+        return _target_log_probs(log_probs, targets)[:, 0]
 
     def next_distribution(self, prefix: Sequence[str]) -> np.ndarray:
         """Probability distribution over the vocabulary for the next item.
@@ -361,16 +361,11 @@ class SeqModel:
                 header = _read_fields(fh, "block", 3)
                 name, ndim = header[1], int(header[2])
                 shape = tuple(int(v) for v in header[3 : 3 + ndim])
-                count = int(np.prod(shape)) if shape else 1
-                values: list[float] = []
-                while len(values) < count:
-                    line = fh.readline()
-                    # the writer ends every line with a newline; a line
-                    # without one was cut, possibly inside a value
-                    if not line.endswith("\n"):
-                        raise ValueError(f"seqmodel file ends inside block {name}")
-                    values.extend(float(v) for v in line.split())
-                params[name] = np.array(values).reshape(shape)
+                count = math.prod(shape)
+                # write_floats puts 8 values on a line; islice stops at EOF
+                block = "".join(islice(fh, -(-count // 8)))
+                values = parse_floats(block, count, f"seqmodel block {name}")
+                params[name] = values.reshape(shape)
         return cls(vocab=vocab, config=config, params=params)
 
 
@@ -513,11 +508,8 @@ def unigram_baseline(train_seqs: list[Sequence[str]]) -> UnigramModel:
     if not train_seqs:
         raise ValueError("training set is empty")
     vocab = Vocab.from_sequences(train_seqs)
-    counts = np.zeros(vocab.size)
-    for seq in train_seqs:
-        for idx in vocab.encode(seq):
-            counts[idx] += 1
-        counts[vocab.eos] += 1
+    targets = [vocab.encode(seq) for seq in train_seqs] + [np.full(len(train_seqs), vocab.eos)]
+    counts = np.bincount(np.concatenate(targets), minlength=vocab.size).astype(float)
     probs = (counts + 1.0) / (counts.sum() + vocab.size)
     return UnigramModel(vocab, np.log(probs))
 

@@ -221,18 +221,29 @@ def write_floats(fh, values: np.ndarray, per_line: int) -> None:
         fh.write("".join(parts))
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    """Whitespace-separated floats; ValueError on any token that is not one."""
+def parse_floats(text: str, count: int, what: str) -> np.ndarray:
+    """The ``count`` finite floats of a ``write_floats`` block, named ``what`` in errors.
+
+    The writer ends every line with a newline: a block without one was cut,
+    possibly inside its last value.
+    """
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{what} is truncated: no final newline")
     if text.isspace():
-        # fromstring reads a blank string as [-1.0]
-        return np.empty(0)
-    with warnings.catch_warnings():
-        # older numpy only warns on unmatched data and returns the prefix
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.fromstring(text, sep=" ")
-        except DeprecationWarning as exc:
-            raise ValueError(str(exc)) from None
+        values = np.empty(0)  # fromstring reads a blank string as [-1.0]
+    else:
+        with warnings.catch_warnings():
+            # older numpy only warns on unmatched data and returns the prefix
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(text, sep=" ")
+            except DeprecationWarning as exc:
+                raise ValueError(str(exc)) from None
+    if values.size != count:
+        raise ValueError(f"{what}: expected {count} values, found {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds nan or inf values")
+    return values
 
 
 def save_tensor(t: Tensor3, path) -> None:
@@ -264,14 +275,5 @@ def load_tensor(path) -> Tensor3:
                 axis.append(line.rstrip("\n"))
             labels.append(tuple(axis))
         block = fh.read()
-    # the writer ends every line with a newline; without one the file was
-    # cut, possibly inside its last value
-    if not block.endswith("\n"):
-        raise ValueError("tensor3 file is truncated: no final newline")
-    values = _parse_floats(block)
-    expected = dims[0] * dims[1] * dims[2]
-    if values.size != expected:
-        raise ValueError(f"expected {expected} values, found {values.size}")
-    if not np.isfinite(values).all():
-        raise ValueError("tensor3 file holds nan or inf values")
+    values = parse_floats(block, dims[0] * dims[1] * dims[2], "tensor3 file")
     return Tensor3(values.reshape(dims), tuple(labels))  # type: ignore[arg-type]

@@ -103,6 +103,22 @@ class TestTensorize:
         assert code == 3
         assert capsys.readouterr().err.startswith("io-error:")
 
+    def test_oversized_field_is_data_error(self, fleet_dir, tmp_path, capsys):
+        # one field past csv.field_size_limit() (131,072 characters)
+        with open(fleet_dir / "maintenance.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index("System Description")] = "x" * 200_000
+        maintenance = tmp_path / "maintenance.csv"
+        with open(maintenance, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main([
+            "tensorize", "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(maintenance), "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data-error: {maintenance}: row 4: field larger than field limit")
+
     def test_lifetime_mode(self, fleet_dir, tmp_path):
         out = tmp_path / "life.txt"
         code = main([
@@ -280,6 +296,35 @@ class TestTrainEvalPredict:
         code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
+
+    def test_non_finite_model_value_is_data_error(self, model_path, tmp_path, capsys):
+        lines = model_path.read_text().split("\n")
+        assert lines[4].startswith("block ")
+        lines[5] = "nan " + lines[5].split(" ", 1)[1]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data-error:")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr-decay", "nan"), ("--lr-decay", "inf"),
+        ("--grad-clip", "nan"), ("--grad-clip", "inf"),
+    ])
+    def test_non_finite_hyperparameter_is_data_error(self, fleet_dir, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "m.txt"
+        code = main([
+            "train",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--embed-dim", "4", "--hidden-dim", "4", "--layers", "1",
+            "--epochs", "1", flag, value, "--out", str(out),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data-error:") and len(err.splitlines()) == 1, err
+        assert not out.exists()
 
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
         config = tmp_path / "train.cfg"

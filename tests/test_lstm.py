@@ -1,7 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetmaint.lstm import (
     EOS_TOKEN,
@@ -10,6 +13,11 @@ from fleetmaint.lstm import (
     TrainingDiverged,
     UnigramModel,
     Vocab,
+    _backward_chunk,
+    _forward_chunk,
+    _init_params,
+    _log_softmax,
+    _sample_drop_masks,
     grad_check,
     perplexity,
     predict_next,
@@ -121,6 +129,19 @@ class TestUnigram:
         model = unigram_baseline([["a", "b", "a", "a"]])
         assert perplexity(model, [["a", "a"], ["b"]]) >= 1.0
 
+    def test_counts_match_per_item_loop(self):
+        rng = np.random.default_rng(3)
+        seqs = [[str(v) for v in rng.integers(0, 9, size=rng.integers(0, 30))]
+                for _ in range(40)]
+        model = unigram_baseline(seqs)
+        counts = np.zeros(model.vocab.size)
+        for seq in seqs:
+            for idx in model.vocab.encode(seq):
+                counts[idx] += 1
+            counts[model.vocab.eos] += 1
+        expected = np.log((counts + 1.0) / (counts.sum() + model.vocab.size))
+        assert np.array_equal(model.log_probs, expected)
+
     def test_matches_closed_form_on_own_training_set(self):
         seqs = [["a", "a", "b"], ["b", "c"]]
         model = unigram_baseline(seqs)
@@ -199,6 +220,12 @@ class TestTraining:
             LstmConfig(bptt_steps=0)
         with pytest.raises(ValueError):
             LstmConfig(lr=-1.0)
+
+    @pytest.mark.parametrize("name", ["lr", "lr_decay", "grad_clip"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            LstmConfig(**{name: value})
 
 
 @pytest.fixture(scope="module")
@@ -286,8 +313,238 @@ class TestSerialization:
         with pytest.raises(ValueError, match="config"):
             SeqModel.load(path)
 
+    @staticmethod
+    def edit_first_value_line(tmp_path, edit):
+        """Save a tiny model, apply ``edit`` to its first value line, return the path."""
+        seqs = [["a", "b"] * 3 for _ in range(5)]
+        cfg = LstmConfig(embed_dim=2, hidden_dim=2, layers=1, dropout_keep=1.0,
+                         epochs=1, seed=2)
+        path = tmp_path / "model.txt"
+        train(seqs[:4], seqs[4:], cfg).save(path)
+        lines = path.read_text().split("\n")
+        assert lines[4].startswith("block ")
+        lines[5] = edit(lines[5])
+        path.write_text("\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "0x1p3", "1.0.0"])
+    def test_bad_value_rejected(self, tmp_path, token):
+        path = self.edit_first_value_line(
+            tmp_path, lambda line: token + " " + line.split(" ", 1)[1])
+        with pytest.raises(ValueError):
+            SeqModel.load(path)
+
+    def test_extra_value_rejected(self, tmp_path):
+        path = self.edit_first_value_line(tmp_path, lambda line: line + " 0.5")
+        with pytest.raises(ValueError, match="expected 8 values, found 9"):
+            SeqModel.load(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
         with pytest.raises(ValueError):
             SeqModel.load(path)
+
+
+# ---------------------------------------------------------------------------
+# step-by-step reference kernels
+# ---------------------------------------------------------------------------
+
+
+def sigmoid_oracle(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def forward_chunk_oracle(params, cfg, ids, state, drop_masks):
+    """One time step at a time, every layer per step, one cache dict per step and layer."""
+    steps, batch = ids.shape
+    hidden = cfg.hidden_dim
+    h_prev, c_prev = state
+    caches = []
+    log_probs = np.empty((steps, batch, params["out_b"].shape[0]))
+    for t in range(steps):
+        x = params["embedding"][ids[t]]
+        if drop_masks is not None:
+            x = x * drop_masks["input"][t]
+        inp = x
+        step_cache = []
+        for layer in range(cfg.layers):
+            z = (
+                inp @ params[f"lstm{layer}_wx"]
+                + h_prev[layer] @ params[f"lstm{layer}_wh"]
+                + params[f"lstm{layer}_b"]
+            )
+            gate_i = sigmoid_oracle(z[:, :hidden])
+            gate_f = sigmoid_oracle(z[:, hidden : 2 * hidden])
+            gate_g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+            gate_o = sigmoid_oracle(z[:, 3 * hidden :])
+            c = gate_f * c_prev[layer] + gate_i * gate_g
+            tanh_c = np.tanh(c)
+            h = gate_o * tanh_c
+            step_cache.append(
+                dict(
+                    inp=inp,
+                    h_prev=h_prev[layer],
+                    c_prev=c_prev[layer],
+                    i=gate_i,
+                    f=gate_f,
+                    g=gate_g,
+                    o=gate_o,
+                    tanh_c=tanh_c,
+                )
+            )
+            h_prev[layer] = h
+            c_prev[layer] = c
+            out = h
+            if drop_masks is not None:
+                out = out * drop_masks["layer"][t][layer]
+            step_cache[-1]["out_mask_applied"] = out
+            inp = out
+        logits = inp @ params["out_w"] + params["out_b"]
+        log_probs[t] = _log_softmax(logits)
+        caches.append(step_cache)
+    return log_probs, caches, (h_prev, c_prev)
+
+
+def backward_chunk_oracle(params, cfg, ids, targets, mask, log_probs, caches, drop_masks,
+                          norm=None):
+    """Step-by-step BPTT over the caches of :func:`forward_chunk_oracle`."""
+    steps, batch = ids.shape
+    hidden = cfg.hidden_dim
+    n_items = norm if norm is not None else mask.sum()
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dh_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
+    dc_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
+    for t in range(steps - 1, -1, -1):
+        probs = np.exp(log_probs[t])
+        dlogits = probs * mask[t][:, None]
+        dlogits[np.arange(batch), targets[t]] -= mask[t]
+        dlogits /= n_items
+        top_out = caches[t][-1]["out_mask_applied"]
+        grads["out_w"] += top_out.T @ dlogits
+        grads["out_b"] += dlogits.sum(axis=0)
+        dinp = dlogits @ params["out_w"].T
+        for layer in range(cfg.layers - 1, -1, -1):
+            cache = caches[t][layer]
+            if drop_masks is not None:
+                dh = dinp * drop_masks["layer"][t][layer] + dh_next[layer]
+            else:
+                dh = dinp + dh_next[layer]
+            do = dh * cache["tanh_c"]
+            dc = dh * cache["o"] * (1.0 - cache["tanh_c"] ** 2) + dc_next[layer]
+            di = dc * cache["g"]
+            df = dc * cache["c_prev"]
+            dg = dc * cache["i"]
+            dc_next[layer] = dc * cache["f"]
+            dz = np.concatenate(
+                [
+                    di * cache["i"] * (1.0 - cache["i"]),
+                    df * cache["f"] * (1.0 - cache["f"]),
+                    dg * (1.0 - cache["g"] ** 2),
+                    do * cache["o"] * (1.0 - cache["o"]),
+                ],
+                axis=1,
+            )
+            grads[f"lstm{layer}_wx"] += cache["inp"].T @ dz
+            grads[f"lstm{layer}_wh"] += cache["h_prev"].T @ dz
+            grads[f"lstm{layer}_b"] += dz.sum(axis=0)
+            dh_next[layer] = dz @ params[f"lstm{layer}_wh"].T
+            dinp = dz @ params[f"lstm{layer}_wx"].T
+        if drop_masks is not None:
+            dinp = dinp * drop_masks["input"][t]
+        np.add.at(grads["embedding"], ids[t], dinp)
+    return grads
+
+
+def assert_close(actual, expected, what, rel=1e-12):
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    err = float(np.abs(actual - expected).max(initial=0.0)) / scale
+    assert err <= rel, f"{what}: relative error {err:.3e}"
+
+
+@st.composite
+def kernel_cases(draw):
+    layers = draw(st.integers(1, 3))
+    keep = draw(st.sampled_from([1.0, 0.6]))
+    steps = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 4))
+    cfg = LstmConfig(
+        embed_dim=draw(st.integers(1, 5)), hidden_dim=draw(st.integers(1, 5)),
+        layers=layers, dropout_keep=keep, bptt_steps=steps, batch_size=batch,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    vocab_size = draw(st.integers(3, 7))
+    # per-column counts of real slots; column 0 has at least one
+    lengths = [draw(st.integers(1 if b == 0 else 0, steps)) for b in range(batch)]
+    carried = draw(st.booleans())
+    use_norm = draw(st.booleans())
+    return cfg, vocab_size, lengths, carried, use_norm
+
+
+class TestKernelsMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_forward_and_backward_match_step_by_step(self, case):
+        cfg, vocab_size, lengths, carried, use_norm = case
+        steps, batch = cfg.bptt_steps, cfg.batch_size
+        rng = np.random.default_rng(cfg.seed)
+        params = _init_params(cfg, vocab_size, rng)
+        for name in params:
+            params[name] = rng.uniform(-0.8, 0.8, size=params[name].shape)
+        ids = rng.integers(0, vocab_size, size=(steps, batch))
+        targets = rng.integers(0, vocab_size, size=(steps, batch))
+        mask = (np.arange(steps)[:, None] < np.array(lengths)).astype(float)
+        shape = (batch, cfg.hidden_dim)
+        if carried:
+            state = ([rng.uniform(-1, 1, shape) for _ in range(cfg.layers)],
+                     [rng.uniform(-2, 2, shape) for _ in range(cfg.layers)])
+        else:
+            state = ([np.zeros(shape) for _ in range(cfg.layers)],
+                     [np.zeros(shape) for _ in range(cfg.layers)])
+        drop = _sample_drop_masks(cfg, rng, steps, batch)
+        norm = float(steps * batch + 3) if use_norm else None
+
+        log_probs, caches, (h_out, c_out) = _forward_chunk(
+            params, cfg, ids, copy.deepcopy(state), drop)
+        ref_lp, ref_caches, (ref_h, ref_c) = forward_chunk_oracle(
+            params, cfg, ids, copy.deepcopy(state), drop)
+        assert_close(log_probs, ref_lp, "log-probs")
+        for layer in range(cfg.layers):
+            assert_close(h_out[layer], ref_h[layer], f"carried h{layer}")
+            assert_close(c_out[layer], ref_c[layer], f"carried c{layer}")
+
+        grads = _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop,
+                                norm=norm)
+        ref = backward_chunk_oracle(params, cfg, ids, targets, mask, ref_lp, ref_caches, drop,
+                                    norm=norm)
+        assert list(grads) == list(params)
+        for name in params:
+            assert grads[name].shape == params[name].shape, name
+            assert_close(grads[name], ref[name], name)
+
+
+# train(...).history of GOLDEN_SEQS under GOLDEN_CFG, recorded with the
+# step-by-step kernels above
+GOLDEN_SEQS = [list(s) for s in [
+    "abcabd", "abdc", "cab", "a", "bbcadcab", "dcba", "acbdabcd", "ba", "cabbad", "abcdabcdab",
+]]
+GOLDEN_CFG = dict(embed_dim=5, hidden_dim=6, layers=2, dropout_keep=0.8, bptt_steps=4,
+                  batch_size=3, epochs=4, lr=0.9, lr_constant_epochs=2, lr_decay=0.5, seed=11)
+GOLDEN_HISTORY = {
+    "train_loss": [1.7691849559781567, 1.7005144732193422, 1.6717991281282274,
+                   1.6638130564836413],
+    "valid_perplexity": [5.452688676028218, 5.2210913015037015, 5.157799998629607,
+                         5.132644119875572],
+}
+
+
+def test_training_history_matches_golden():
+    model = train(GOLDEN_SEQS[:7], GOLDEN_SEQS[7:], LstmConfig(**GOLDEN_CFG))
+    assert model.history.keys() == GOLDEN_HISTORY.keys()
+    for key, expected in GOLDEN_HISTORY.items():
+        np.testing.assert_allclose(model.history[key], expected, rtol=1e-12, atol=0)
