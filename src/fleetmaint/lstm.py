@@ -88,6 +88,11 @@ class LstmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs",
+                     "lr_constant_epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"config field {name} must be an integer, got {value!r}")
         for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -13,9 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import AxisLabels, Tensor3, cp_compose, default_labels, frob_norm, mttkrp, write_floats
+from .tensor import (
+    AxisLabels,
+    Tensor3,
+    cp_compose,
+    default_labels,
+    frob_norm,
+    mttkrp,
+    mttkrp_from_partial,
+    mttkrp_partial,
+    parse_floats,
+    write_floats,
+)
 
 _RIDGE_SCALE = 1e-12
+# sweeps whose fit passes this score it from a full reconstruction
+_DIRECT_FIT_ABOVE = 1.0 - 1e-6
 
 
 @dataclass
@@ -125,40 +138,50 @@ def fit_score(t: Tensor3, model: CpModel) -> float:
     return 1.0 - frob_norm(resid) / norm_t
 
 
-def _solve_factor(t, factors, mode: int, rank: int):
-    """Least-squares update of one factor, with the MTTKRP and Gram it used."""
-    others = [factors[m] for m in range(3) if m != mode - 1]
-    m = mttkrp(t, others[0], others[1], mode)
-    gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
+def _solve(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Least-squares factor update from its MTTKRP and Hadamard-product Gram."""
     ridge = _RIDGE_SCALE * float(np.trace(gram))
     if ridge == 0.0:
         ridge = _RIDGE_SCALE
-    return np.linalg.solve(gram + ridge * np.eye(rank), m.T).T, m, gram
+    return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), m.T).T
 
 
-def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, warnings: list[str]):
+def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, norm_t: float,
+                    warnings: list[str]):
     rng = np.random.default_rng([opts.seed, restart])
     rank = opts.rank
-    factors = [rng.random((dim, rank)) for dim in t.dims]
-    norm_t = frob_norm(t)
+    a, b, c = (rng.random((dim, rank)) for dim in t.dims)
+    gram_b, gram_c = b.T @ b, c.T @ c
 
     fits: list[float] = []
     converged = False
     for _ in range(opts.max_iters):
-        for mode in (1, 2, 3):
-            factors[mode - 1], m, gram = _solve_factor(t, factors, mode, rank)
+        a = _solve(mttkrp(t, b, c, 1), gram_b * gram_c)
+        gram_a = a.T @ a
+        # modes 2 and 3 share Z = A'X_(1) of the new A (dimension tree)
+        z = mttkrp_partial(t, a)
+        b = _solve(mttkrp_from_partial(z, c, 2), gram_a * gram_c)
+        gram_b = b.T @ b
+        m3, gram = mttkrp_from_partial(z, b, 3), gram_a * gram_b
+        c = _solve(m3, gram)
+        gram_c = c.T @ c
         # |X - X_hat|^2 = |X|^2 - 2<X, X_hat> + |X_hat|^2 with A and B unchanged
         # since the mode-3 solve: <X, X_hat> = sum(C * M3) and |X_hat|^2 =
         # sum((A'A * B'B) * C'C), so no reconstruction (Kolda & Bader 2009)
-        c = factors[2]
-        resid_sq = norm_t**2 - 2.0 * float(np.sum(c * m)) + float(np.sum(gram * (c.T @ c)))
-        fits.append(1.0 - float(np.sqrt(max(resid_sq, 0.0))) / norm_t)
+        resid_sq = norm_t**2 - 2.0 * float(np.sum(c * m3)) + float(np.sum(gram * gram_c))
+        fit = 1.0 - float(np.sqrt(max(resid_sq, 0.0))) / norm_t
+        if fit > _DIRECT_FIT_ABOVE:
+            # the subtraction above cancels to ~1e-8 here, as large as tol:
+            # score the reconstruction instead
+            resid = t.data - cp_compose(np.ones(rank), (a, b, c)).data
+            fit = 1.0 - frob_norm(resid) / norm_t
+        fits.append(fit)
         if len(fits) > 1 and abs(fits[-1] - fits[-2]) < opts.tol:
             converged = True
             break
         # keep iterating on the unnormalized factors; scale is re-absorbed
         # by the next least-squares solve
-    unit, weights = _normalize_factors(factors)
+    unit, weights = _normalize_factors([a, b, c])
     order = _component_order(weights, unit)
     unit = [f[:, order] for f in unit]
     weights = weights[order]
@@ -206,7 +229,7 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     best = None
     for restart in range(opts.n_restarts):
         run_warnings: list[str] = []
-        unit, weights, fits, converged = _als_single_run(t, opts, restart, run_warnings)
+        unit, weights, fits, converged = _als_single_run(t, opts, restart, norm_t, run_warnings)
         if best is None or fits[-1] > best[2][-1]:
             best = (unit, weights, fits, converged, run_warnings)
     unit, weights, fits, converged, run_warnings = best
@@ -352,7 +375,7 @@ def load_model(path) -> CpModel:
     fit = float(fields("fit", 1)[0])
     iterations = int(fields("iterations", 1)[0])
     converged = bool(int(fields("converged", 1)[0]))
-    weights = np.array([float(v) for v in fields("weights", rank)])
+    weights = parse_floats(" ".join(fields("weights", rank)) + "\n", rank, "cpmodel weights")
     n_fits, *fit_values = fields("fits")
     fits = tuple(float(v) for v in fit_values)
     if len(fits) != int(n_fits):
@@ -361,9 +384,9 @@ def load_model(path) -> CpModel:
     warnings = tuple(line() for _ in range(n_warn))
     labels = tuple(tuple(line() for _ in range(n)) for n in dims)
     factors = []
-    for n in dims:
-        rows = [[float(v) for v in line().split()] for _ in range(n)]
-        factors.append(np.array(rows).reshape(n, rank))
+    for name, n in zip("ABC", dims):
+        block = "".join(line() + "\n" for _ in range(n))
+        factors.append(parse_floats(block, n * rank, f"cpmodel factor {name}").reshape(n, rank))
     if next(lines, None) is not None:
         raise ValueError("cpmodel file has data after the factors")
     return CpModel(

@@ -10,7 +10,9 @@ index the columns with the earlier axis varying fastest:
     mode 3: rows k, column = i + j*I
 
 ``_UNFOLD_PERM`` below is the single source of truth for that convention;
-``unfold``, ``fold`` and the mttkrp kernels all derive from it.
+``unfold``, ``fold`` and ``mttkrp_reference`` derive from it. The fast
+mttkrp kernels read the tensor through its (I, J*K) view instead, with no
+copy, and are checked against ``mttkrp_reference``.
 """
 
 from __future__ import annotations
@@ -131,8 +133,10 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     """Matricized-tensor times Khatri-Rao product for the target mode.
 
     ``f1`` and ``f2`` are the factor matrices of the two non-target modes in
-    ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``
-    but computed without materializing the Khatri-Rao product.
+    ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``.
+    Mode 1 is one GEMM of the (I, J*K) view of the tensor with the Khatri-Rao
+    product built as an (R, J*K) array; modes 2 and 3 contract over i first
+    (:func:`mttkrp_partial`) and finish with :func:`mttkrp_from_partial`.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -140,12 +144,31 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
     f1 = _check_factor("f1", f1, others[0], None)
     f2 = _check_factor("f2", f2, others[1], f1.shape[1])
-    # einsum contracts without materializing the Khatri-Rao product
     if mode == 1:
-        return np.einsum("ijk,jr,kr->ir", x, f1, f2, optimize=True)
+        # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the
+        # column order of the C-contiguous (I, J*K) view; the GEMM runs as
+        # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
+        kr = (f1.T[:, :, None] * f2.T[:, None, :]).reshape(f1.shape[1], -1)
+        return (kr @ x.reshape(x.shape[0], -1).T).T
+    return mttkrp_from_partial(mttkrp_partial(x, f1), f2, mode)
+
+
+def mttkrp_partial(t: Tensor3 | np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Z = A^T X_(1) as an (R, J, K) array: the contraction over i that the
+    mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013)."""
+    x = _as_array(t)
+    a = _check_factor("a", a, x.shape[0], None)
+    return (a.T @ x.reshape(x.shape[0], -1)).reshape(a.shape[1], x.shape[1], x.shape[2])
+
+
+def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRP from Z = A^T X_(1)."""
+    # one O(R*J*K) pass; einsum without path search, a plain C loop
     if mode == 2:
-        return np.einsum("ijk,ir,kr->jr", x, f1, f2, optimize=True)
-    return np.einsum("ijk,ir,jr->kr", x, f1, f2, optimize=True)
+        return np.einsum("rjk,kr->jr", z, f)
+    if mode == 3:
+        return np.einsum("rjk,jr->kr", z, f)
+    raise ValueError(f"mode must be 2 or 3, got {mode}")
 
 
 def mttkrp_reference(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:

@@ -133,7 +133,7 @@ def seasonal_run(tmp_path_factory):
 def test_c2_cp_recovery(recovery_runs):
     generator, model_clean, model_noisy, elapsed = recovery_runs
     assert model_clean.fit >= 0.999
-    assert model_clean.iterations <= 200
+    assert model_clean.iterations == 112
     per_mode = congruence_per_mode(model_clean, generator)
     assert min(per_mode) >= 0.99
     noisy_score = congruence(model_noisy, generator)

@@ -209,6 +209,25 @@ class TestParafacAndReport:
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
 
+    @pytest.mark.parametrize("row", ["weights", "last factor row"])
+    def test_report_non_finite_model_value_is_data_error(self, tensor_path, tmp_path, capsys,
+                                                         row):
+        model_path = tmp_path / "model.txt"
+        main([
+            "parafac", "--tensor", str(tensor_path), "--rank", "2",
+            "--max-iters", "5", "--seed", "3", "--out", str(model_path),
+        ])
+        lines = model_path.read_text().split("\n")
+        assert lines[6].startswith("weights ")
+        at = 6 if row == "weights" else len(lines) - 2
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " nan"
+        model_path.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = main(["report", "--model", str(model_path), "--out", str(tmp_path / "rep")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("data-error:")
+        assert not (tmp_path / "rep" / "factor_report.csv").exists()
+
 
 class TestSeqmine:
     def test_table_csv(self, fleet_dir, tmp_path):
@@ -296,6 +315,22 @@ class TestTrainEvalPredict:
         code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
+
+    @pytest.mark.parametrize("key, value", [("bptt_steps", "2.5"), ("layers", "true"),
+                                            ("seed", '"4"')])
+    def test_mistyped_integer_config_is_data_error(self, model_path, tmp_path, capsys,
+                                                   key, value):
+        lines = model_path.read_text().split("\n")
+        config = json.loads(lines[1])
+        assert isinstance(config[key], int)
+        lines[1] = lines[1].replace(f'"{key}": {config[key]}', f'"{key}": {value}', 1)
+        assert json.loads(lines[1])[key] == json.loads(value)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data-error:") and key in err, err
 
     def test_non_finite_model_value_is_data_error(self, model_path, tmp_path, capsys):
         lines = model_path.read_text().split("\n")

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.parafac import (
     AlsOptions,
     CpModel,
@@ -15,7 +17,11 @@ from fleetmaint.parafac import (
     reconstruct,
     save_model,
 )
+from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import Tensor3, cp_compose, frob_norm
+
+# fits of cp_als on the demo tensor, recorded with the einsum MTTKRP kernels
+GOLDEN_DEMO_FITS = Path(__file__).parent / "data" / "cp_demo_fits.txt"
 
 
 def planted_model(rng, dims, rank, positive=False):
@@ -55,6 +61,10 @@ class TestCpAls:
         assert model.fit >= 0.999
         per_mode = congruence_per_mode(model, gen)
         assert min(per_mode) >= 0.99
+        # past fit 1 - 1e-6 each sweep scores a full reconstruction, so the
+        # stop point does not hang on the Gram formula's cancellation error
+        assert model.iterations == 34
+        assert model.fit == pytest.approx(fit_score(t, model), abs=1e-12)
 
     def test_rank_five_planted_recovery_with_restarts(self):
         rng = np.random.default_rng(31)
@@ -62,6 +72,21 @@ class TestCpAls:
         t = planted_tensor(gen)
         model = cp_als(t, AlsOptions(rank=5, seed=8, max_iters=400, n_restarts=3))
         assert congruence(model, gen) >= 0.99
+
+    def test_demo_fit_history_matches_golden(self, tmp_path):
+        spec = demo_spec(seed=1234)
+        fleet = generate(spec, tmp_path)
+        maintenance, _ = parse_maintenance(fleet.maintenance_path)
+        labels = month_labels(spec.window_start, spec.months)
+        t = build_tensor(
+            parse_vehicles(fleet.vehicles_path), maintenance,
+            TensorizeSpec(window_start=labels[0], window_end=labels[-1]),
+        ).tensor
+        model = cp_als(t, AlsOptions(rank=5, seed=1234, n_restarts=2, max_iters=300))
+        expected = np.loadtxt(GOLDEN_DEMO_FITS)
+        assert model.iterations == expected.size == 230
+        assert model.converged
+        np.testing.assert_allclose(model.fits, expected, rtol=1e-12, atol=0)
 
     def test_fit_history_monotone(self):
         rng = np.random.default_rng(21)

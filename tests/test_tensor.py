@@ -17,6 +17,8 @@ from fleetmaint.tensor import (
     khatri_rao,
     load_tensor,
     mttkrp,
+    mttkrp_from_partial,
+    mttkrp_partial,
     mttkrp_reference,
     save_tensor,
     unfold,
@@ -215,6 +217,36 @@ class TestMttkrp:
             mttkrp(t, np.ones((4, 2)), np.ones((5, 3)), 1)
         with pytest.raises(ValueError):
             mttkrp(t, np.ones((3, 2)), np.ones((5, 2)), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 6)] * 3),
+        rank=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(1, 1, 1), rank=3, seed=0)
+    @example(dims=(5, 1, 4), rank=7, seed=1)
+    @example(dims=(1, 6, 1), rank=8, seed=2)
+    def test_shared_partial_matches_reference(self, dims, rank, seed):
+        # cp_als takes modes 2 and 3 from one Z = A'X_(1); mttkrp builds on
+        # the same two helpers
+        rng = np.random.default_rng(seed)
+        t = Tensor3.from_array(rng.normal(size=dims))
+        a, b, c = (rng.normal(size=(d, rank)) for d in dims)
+        z = mttkrp_partial(t, a)
+        assert z.shape == (rank, dims[1], dims[2])
+        cases = [(mttkrp_from_partial(z, c, 2), mttkrp_reference(t, a, c, 2)),
+                 (mttkrp_from_partial(z, b, 3), mttkrp_reference(t, a, b, 3))]
+        cases += [(mttkrp(t, f1, f2, mode), mttkrp_reference(t, f1, f2, mode))
+                  for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b))]
+        for fast, slow in cases:
+            assert fast.shape == slow.shape
+            assert np.abs(fast - slow).max() <= 1e-10
+
+    def test_from_partial_rejects_mode_one(self):
+        z = mttkrp_partial(Tensor3.from_array(np.ones((2, 3, 4))), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="mode must be 2 or 3"):
+            mttkrp_from_partial(z, np.ones((4, 2)), 1)
 
 
 class TestCpCompose:
