@@ -2,10 +2,10 @@
 train, eval, predict, and the end-to-end pipeline demo.
 
 Every randomized step takes --seed (default 1234). A --config file of
-``key = value`` lines (keys are long flag names with dashes or underscores)
-overrides the corresponding flags. Failures print one machine-parseable
-``<category>: <message>`` line to stderr and exit nonzero: 2 config-error,
-3 io-error, 4 data-error, 1 internal-error.
+``key = value`` lines (keys are long flag names with dashes or underscores,
+switches take true or false) overrides the corresponding flags. Failures
+print one machine-parseable ``<category>: <message>`` line to stderr and
+exit nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error.
 """
 
 from __future__ import annotations
@@ -106,11 +106,14 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
         raise ConfigError(f"malformed fleet spec: {exc}") from exc
 
 
-def _apply_config_file(args: argparse.Namespace, parser_types: dict[str, object]) -> None:
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+def _config_flags(path, args: argparse.Namespace) -> list[str]:
+    """The ``--key=value`` flags of a ``key = value`` config file.
+
+    A key must name one of the subcommand's options exactly; argparse
+    converts and checks the values when they are parsed.
+    """
+    flags = []
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -118,21 +121,25 @@ def _apply_config_file(args: argparse.Namespace, parser_types: dict[str, object]
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in parser_types:
+        if dest == "config":
+            raise ConfigError(f"{path}:{line_no}: a config file cannot name another config file")
+        if dest not in vars(args):
             raise ConfigError(f"{path}:{line_no}: unknown option {key.strip()!r}")
-        caster = parser_types[dest] or str
-        try:
-            setattr(args, dest, caster(value.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key.strip()!r}: {exc}")
+        flags.append(f"--{dest.replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _types_of(parser: argparse.ArgumentParser) -> dict[str, object]:
-    return {
-        action.dest: action.type
-        for action in parser._actions
-        if action.dest not in ("help",)
-    }
+def _boolean(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+    return value.lower() == "true"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``config-error`` line instead of usage and exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _load_tables(args):
@@ -368,7 +375,7 @@ def cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fleetmaint",
         description="Fleet maintenance analytics: tensors, PARAFAC, sequence mining, LSTM.",
     )
@@ -429,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=3)
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--top-n", type=int, default=8)
-    p.add_argument("--bonferroni", action="store_true",
-                   help="append a Bonferroni-adjusted p column")
+    p.add_argument("--bonferroni", nargs="?", type=_boolean, const=True, default=False,
+                   metavar="true|false", help="append a Bonferroni-adjusted p column")
     p.add_argument("--out", required=True, help="CSV output path")
     add_common(p)
     p.set_defaults(func=cmd_seqmine)
@@ -472,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("pipeline", help="end-to-end demo: synth through eval")
-    p.add_argument("--demo", action="store_true", help="run the built-in demo fleet")
+    p.add_argument("--demo", nargs="?", type=_boolean, const=True, default=False,
+                   metavar="true|false", help="run the built-in demo fleet")
     p.add_argument("--out", required=True, help="output directory")
     add_common(p)
     p.set_defaults(func=cmd_pipeline)
@@ -482,11 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        sub_actions = parser._subparsers._group_actions[0]  # type: ignore[union-attr]
-        subparser = sub_actions.choices[args.command]
-        _apply_config_file(args, _types_of(subparser))
+        if args.config:
+            # parsed again with the file's flags last, so they override
+            args = parser.parse_args(argv + _config_flags(args.config, args))
         return args.func(args)
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)

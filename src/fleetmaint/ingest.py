@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -296,72 +297,6 @@ class TensorBuild:
         return self.placed + sum(self.discards.values())
 
 
-def _time_axis(spec: TensorizeSpec, records) -> tuple[list[str], object]:
-    """Bucket labels and a record -> bucket-index function (or discard reason)."""
-    if spec.time_mode == "absolute":
-        start_y, start_m = _parse_month(spec.window_start)
-        if spec.window_end is not None:
-            end_y, end_m = _parse_month(spec.window_end)
-        else:
-            if not records:
-                raise DataError("cannot infer window end: no maintenance records")
-            last = max(r.job_open_date for r in records)
-            end_y, end_m = last.year, last.month
-        lo = _month_index(start_y, start_m)
-        hi = _month_index(end_y, end_m)
-        if hi < lo:
-            raise DataError("window end precedes window start")
-        if spec.granularity == "month":
-            labels = [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(lo, hi + 1)]
-
-            def bucket(record, vehicle):
-                idx = _month_index(record.job_open_date.year, record.job_open_date.month)
-                if lo <= idx <= hi:
-                    return idx - lo
-                return "outside_window"
-
-        else:
-            years = list(range(start_y, end_y + 1))
-            labels = [str(y) for y in years]
-
-            def bucket(record, vehicle):
-                y = record.job_open_date.year
-                idx = _month_index(y, record.job_open_date.month)
-                if lo <= idx <= hi:
-                    return y - start_y
-                return "outside_window"
-
-        return labels, bucket
-
-    horizon = spec.lifetime_horizon_years
-    if spec.granularity == "year":
-        labels = [f"year {k}" for k in range(horizon)]
-
-        def bucket(record, vehicle):
-            offset = record.job_open_date.year - vehicle.model_year
-            if offset < 0:
-                return "before_purchase_year"
-            if offset >= horizon:
-                return "beyond_lifetime_horizon"
-            return offset
-
-    else:
-        n_buckets = horizon * 12
-        labels = [f"month {k}" for k in range(n_buckets)]
-
-        def bucket(record, vehicle):
-            offset = _month_index(
-                record.job_open_date.year, record.job_open_date.month
-            ) - _month_index(vehicle.model_year, 1)
-            if offset < 0:
-                return "before_purchase_year"
-            if offset >= n_buckets:
-                return "beyond_lifetime_horizon"
-            return offset
-
-    return labels, bucket
-
-
 def build_tensor(
     vehicles: list[VehicleRecord],
     maintenance: list[MaintenanceRecord],
@@ -374,44 +309,74 @@ def build_tensor(
     normalized System Description values among placed jobs, sorted. Every
     record either lands in exactly one cell or in one discard bucket, so
     ``tensor.sum() + sum(discards) == len(maintenance)``.
+
+    One rule buckets time: with ``m = 12*year + month - 1`` of the Job Open
+    Date, ``step`` 1 (month) or 12 (year) and ``origin`` the window-start
+    month (absolute) or ``12*model_year`` (lifetime), a job's bucket is
+    ``m // step - origin // step``. A job is discarded for the first reason
+    that holds: unknown_vehicle, below_purchase_year_floor, then
+    outside_window (m outside the window) or before_purchase_year /
+    beyond_lifetime_horizon (bucket < 0 or >= horizon*12 // step).
     """
     by_unit = {v.unit_no: v for v in vehicles}
-    time_labels, bucket_of = _time_axis(spec, maintenance)
+    ranked = sorted(by_unit, key=lambda u: (by_unit[u].model_year, u))
+    rank = {u: i for i, u in enumerate(ranked)}
+    descs = {r.system_desc for r in maintenance}
+    system_names = sorted({normalize_system(d) for d in descs})
+    system_rank = {s: j for j, s in enumerate(system_names)}
+    system_of = {d: system_rank[normalize_system(d)] for d in descs}
+    n = len(maintenance)
+    unit = np.fromiter((rank.get(r.unit_no, -1) for r in maintenance), np.int64, n)
+    system = np.fromiter((system_of[r.system_desc] for r in maintenance), np.int64, n)
+    dates = (r.job_open_date for r in maintenance)
+    month = np.fromiter((12 * d.year + d.month - 1 for d in dates), np.int64, n)
+    # unit -1 (unknown vehicle) reads the trailing model year -1
+    model_year = np.array([by_unit[u].model_year for u in ranked] + [-1])[unit]
 
-    discards: dict[str, int] = {}
-    placements: list[tuple[str, str, int]] = []
-
-    def discard(reason: str) -> None:
-        discards[reason] = discards.get(reason, 0) + 1
-
-    for record in maintenance:
-        vehicle = by_unit.get(record.unit_no)
-        if vehicle is None:
-            discard("unknown_vehicle")
-            continue
-        if vehicle.model_year < spec.purchase_year_floor:
-            discard("below_purchase_year_floor")
-            continue
-        result = bucket_of(record, vehicle)
-        if isinstance(result, str):
-            discard(result)
-            continue
-        placements.append((record.unit_no, record.system, result))
-
-    if not placements:
+    step = 1 if spec.granularity == "month" else 12
+    masks = {
+        "unknown_vehicle": unit < 0,
+        "below_purchase_year_floor": model_year < spec.purchase_year_floor,
+    }
+    if spec.time_mode == "absolute":
+        lo = _month_index(*_parse_month(spec.window_start))
+        if spec.window_end is not None:
+            hi = _month_index(*_parse_month(spec.window_end))
+        elif n:
+            hi = int(month.max())
+        else:
+            raise DataError("cannot infer window end: no maintenance records")
+        if hi < lo:
+            raise DataError("window end precedes window start")
+        buckets = range(lo // step, hi // step + 1)
+        labels = [f"{i // 12:04d}-{i % 12 + 1:02d}" if step == 1 else str(i) for i in buckets]
+        origin = lo
+        masks["outside_window"] = (month < lo) | (month > hi)
+    else:
+        n_buckets = spec.lifetime_horizon_years * 12 // step
+        labels = [f"{spec.granularity} {k}" for k in range(n_buckets)]
+        origin = 12 * model_year
+    bucket = month // step - origin // step
+    # every job inside an absolute window has a bucket in range
+    masks["before_purchase_year"] = bucket < 0
+    masks["beyond_lifetime_horizon"] = bucket >= len(labels)
+    # 0 for a placed job, else 1 + the index of its first discard reason
+    reason = np.select(list(masks.values()), range(1, len(masks) + 1), 0)
+    counts = np.bincount(reason, minlength=len(masks) + 1)
+    discards = {name: int(c) for name, c in zip(masks, counts[1:]) if c}
+    placed = reason == 0
+    if not placed.any():
         raise DataError("empty tensor: no vehicle passes the filters with in-window jobs")
 
-    units = sorted({p[0] for p in placements}, key=lambda u: (by_unit[u].model_year, u))
-    systems = sorted({p[1] for p in placements})
-    unit_idx = {u: i for i, u in enumerate(units)}
-    system_idx = {s: j for j, s in enumerate(systems)}
-
-    data = np.zeros((len(units), len(systems), len(time_labels)))
-    for unit, system, t in placements:
-        data[unit_idx[unit], system_idx[system], t] += 1.0
-
-    tensor = Tensor3(data, (tuple(units), tuple(systems), tuple(time_labels)))
-    return TensorBuild(tensor=tensor, discards=discards, placed=len(placements))
+    units, unit_axis = np.unique(unit[placed], return_inverse=True)
+    systems, system_axis = np.unique(system[placed], return_inverse=True)
+    shape = (len(units), len(systems), len(labels))
+    flat = (unit_axis * shape[1] + system_axis) * shape[2] + bucket[placed]
+    # weighted, so the counts come out as float64 without an integer copy
+    data = np.bincount(flat, weights=np.ones(flat.size), minlength=math.prod(shape))
+    axes = ([ranked[i] for i in units], [system_names[j] for j in systems], labels)
+    tensor = Tensor3(data.reshape(shape), tuple(map(tuple, axes)))
+    return TensorBuild(tensor=tensor, discards=discards, placed=flat.size)
 
 
 def write_discard_summary(build: TensorBuild, path) -> None:

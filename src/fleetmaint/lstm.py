@@ -111,20 +111,30 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _init_params(cfg: LstmConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    scale = 0.1
-    params: dict[str, np.ndarray] = {
-        "embedding": rng.uniform(-scale, scale, size=(vocab_size, cfg.embed_dim))
-    }
+def _param_shapes(cfg: LstmConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter block, in initialization order."""
+    gates = 4 * cfg.hidden_dim
+    shapes = {"embedding": (vocab_size, cfg.embed_dim)}
     for layer in range(cfg.layers):
         in_dim = cfg.embed_dim if layer == 0 else cfg.hidden_dim
-        params[f"lstm{layer}_wx"] = rng.uniform(-scale, scale, size=(in_dim, 4 * cfg.hidden_dim))
-        params[f"lstm{layer}_wh"] = rng.uniform(-scale, scale, size=(cfg.hidden_dim, 4 * cfg.hidden_dim))
-        bias = np.zeros(4 * cfg.hidden_dim)
-        bias[cfg.hidden_dim : 2 * cfg.hidden_dim] = 1.0  # forget gate open at init
-        params[f"lstm{layer}_b"] = bias
-    params["out_w"] = rng.uniform(-scale, scale, size=(cfg.hidden_dim, vocab_size))
-    params["out_b"] = np.zeros(vocab_size)
+        shapes[f"lstm{layer}_wx"] = (in_dim, gates)
+        shapes[f"lstm{layer}_wh"] = (cfg.hidden_dim, gates)
+        shapes[f"lstm{layer}_b"] = (gates,)
+    shapes["out_w"] = (cfg.hidden_dim, vocab_size)
+    shapes["out_b"] = (vocab_size,)
+    return shapes
+
+
+def _init_params(cfg: LstmConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    scale = 0.1
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(cfg, vocab_size).items():
+        if name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.uniform(-scale, scale, size=shape)
+    for layer in range(cfg.layers):  # forget gate open at init
+        params[f"lstm{layer}_b"][cfg.hidden_dim : 2 * cfg.hidden_dim] = 1.0
     return params
 
 
@@ -360,17 +370,24 @@ class SeqModel:
                 vocab = Vocab(labels=tuple(json.loads(fh.readline())))
             except TypeError as exc:
                 raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
+            # the blocks save writes for this config and vocabulary, by name
+            expected = sorted(_param_shapes(config, vocab.size).items())
             n_blocks = int(_read_fields(fh, "blocks", 2)[1])
+            if n_blocks != len(expected):
+                raise ValueError(f"seqmodel declares {n_blocks} blocks, its config needs "
+                                 f"{len(expected)}")
             params = {}
-            for _ in range(n_blocks):
+            for name, shape in expected:
                 header = _read_fields(fh, "block", 3)
-                name, ndim = header[1], int(header[2])
-                shape = tuple(int(v) for v in header[3 : 3 + ndim])
+                if header[1:] != [name, str(len(shape)), *map(str, shape)]:
+                    raise ValueError(f"seqmodel line {' '.join(header)!r} does not match the "
+                                     f"config and vocabulary, which need block {name} {shape}")
                 count = math.prod(shape)
                 # write_floats puts 8 values on a line; islice stops at EOF
                 block = "".join(islice(fh, -(-count // 8)))
-                values = parse_floats(block, count, f"seqmodel block {name}")
-                params[name] = values.reshape(shape)
+                params[name] = parse_floats(block, count, f"seqmodel block {name}").reshape(shape)
+            if fh.read():
+                raise ValueError("seqmodel file has data after the last block")
         return cls(vocab=vocab, config=config, params=params)
 
 

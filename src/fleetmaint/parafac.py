@@ -374,7 +374,11 @@ def load_model(path) -> CpModel:
     dims = tuple(int(v) for v in fields("dims", 3))
     fit = float(fields("fit", 1)[0])
     iterations = int(fields("iterations", 1)[0])
-    converged = bool(int(fields("converged", 1)[0]))
+    if iterations < 0:
+        raise ValueError(f"cpmodel iterations must be >= 0, got {iterations}")
+    converged = int(fields("converged", 1)[0])
+    if converged not in (0, 1):
+        raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
     weights = parse_floats(" ".join(fields("weights", rank)) + "\n", rank, "cpmodel weights")
     n_fits, *fit_values = fields("fits")
     fits = tuple(float(v) for v in fit_values)
@@ -394,7 +398,7 @@ def load_model(path) -> CpModel:
         weights=weights,
         fit=fit,
         iterations=iterations,
-        converged=converged,
+        converged=bool(converged),
         axis_labels=labels,  # type: ignore[arg-type]
         fits=fits,
         warnings=warnings,

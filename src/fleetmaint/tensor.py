@@ -46,6 +46,9 @@ class Tensor3:
             raise ValueError(f"Tensor3 data must be 3-dimensional, got ndim={arr.ndim}")
         if any(d < 1 for d in arr.shape):
             raise ValueError(f"Tensor3 dims must be positive, got {arr.shape}")
+        # min and max carry any nan and reach any inf, with no temporary array
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise ValueError("Tensor3 data holds nan or inf values")
         labels = tuple(tuple(str(x) for x in axis) for axis in self.axis_labels)
         if len(labels) != 3:
             raise ValueError("axis_labels must hold exactly three label lists")

@@ -229,6 +229,26 @@ class TestParafacAndReport:
         assert not (tmp_path / "rep" / "factor_report.csv").exists()
 
 
+    @pytest.mark.parametrize("line", ["converged 7", "converged -1", "iterations -5"])
+    def test_report_out_of_range_model_header_is_data_error(self, tensor_path, tmp_path, capsys,
+                                                            line):
+        model_path = tmp_path / "model.txt"
+        main([
+            "parafac", "--tensor", str(tensor_path), "--rank", "2",
+            "--max-iters", "5", "--seed", "3", "--out", str(model_path),
+        ])
+        lines = model_path.read_text().split("\n")
+        at = next(i for i, old in enumerate(lines) if old.split()[0] == line.split()[0])
+        lines[at] = line
+        model_path.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = main(["report", "--model", str(model_path), "--out", str(tmp_path / "rep")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data-error:") and line.split()[0] in err, err
+        assert not (tmp_path / "rep" / "factor_report.csv").exists()
+
+
 class TestSeqmine:
     def test_table_csv(self, fleet_dir, tmp_path):
         out = tmp_path / "diff.csv"
@@ -245,6 +265,28 @@ class TestSeqmine:
             "right_norm", "i_ratio", "z", "p",
         ]
         assert len(rows) == 9  # header + top 8
+
+    @pytest.mark.parametrize("flags, config, column", [
+        ([], "bonferroni = true", True),
+        ([], "bonferroni = false", False),
+        (["--bonferroni"], "bonferroni = false", False),
+        (["--bonferroni"], None, True),
+        ([], None, False),
+    ])
+    def test_bonferroni_flag_and_config(self, fleet_dir, tmp_path, flags, config, column):
+        out = tmp_path / "diff.csv"
+        argv = [
+            "seqmine",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--target", "DODGE CHARGER", "--out", str(out), *flags,
+        ]
+        if config is not None:
+            (tmp_path / "mine.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "mine.cfg")]
+        assert main(argv) == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert ("p_bonferroni" in header) == column
 
     def test_unknown_target_is_data_error(self, fleet_dir, tmp_path, capsys):
         code = main([
@@ -342,6 +384,27 @@ class TestTrainEvalPredict:
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
 
+    @pytest.mark.parametrize("edit", ["two layers", "extra label", "renamed block",
+                                      "trailing junk"])
+    def test_model_not_matching_its_config_is_data_error(self, model_path, tmp_path, capsys,
+                                                         edit):
+        lines = model_path.read_text().split("\n")
+        assert json.loads(lines[1])["layers"] == 1 and lines[4].startswith("block embedding ")
+        if edit == "two layers":
+            lines[1] = lines[1].replace('"layers": 1', '"layers": 2', 1)
+        elif edit == "extra label":
+            lines[2] = json.dumps(json.loads(lines[2]) + ["zzz extra"])
+        elif edit == "renamed block":
+            lines[4] = lines[4].replace("block embedding ", "block embeddings ", 1)
+        else:
+            lines[-1] = "junk\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        code = main(["predict", "--model", str(bad), "--prefix", "brakes"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data-error:") and len(err.splitlines()) == 1, err
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr-decay", "nan"), ("--lr-decay", "inf"),
         ("--grad-clip", "nan"), ("--grad-clip", "inf"),
@@ -391,6 +454,44 @@ class TestTrainEvalPredict:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("config-error:")
+
+
+    @pytest.mark.parametrize("command, config", [
+        (["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt"],
+         "time_mode = bogus"),
+        (["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt"],
+         "horizon = eight"),
+        (["report", "--model", "m.txt", "--out", "rep"], "format = png"),
+        (["report", "--model", "m.txt", "--out", "rep"], "config = other.txt"),
+        (["report", "--model", "m.txt", "--out", "rep"], "command = train"),
+        (["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
+          "--out", "d.csv"], "bonferroni = maybe"),
+        (["pipeline", "--out", "run"], "demo = 1"),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, monkeypatch, capsys, command,
+                                              config):
+        monkeypatch.chdir(tmp_path)  # the relative paths must never be written
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        code = main([*command, "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt",
+         "--time-mode", "bogus"],
+        ["parafac", "--tensor", "t.txt", "--out", "m.txt", "--rank", "five"],
+        ["predict", "--model", "m.txt", "--no-such-flag"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_bad_flag_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
 
 
 class TestPipeline:

@@ -1,10 +1,10 @@
 import csv
 import io
-from datetime import datetime
+from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
@@ -13,8 +13,11 @@ from fleetmaint.ingest import (
     DataError,
     MaintenanceRecord,
     RejectedRow,
+    TensorBuild,
     TensorizeSpec,
     VehicleRecord,
+    _month_index,
+    _parse_month,
     build_tensor,
     normalize_system,
     parse_date,
@@ -23,6 +26,7 @@ from fleetmaint.ingest import (
     parse_vehicles,
     write_discard_summary,
 )
+from fleetmaint.tensor import Tensor3
 
 VEHICLE_COLUMNS = [
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -623,3 +627,165 @@ class TestBuildTensor:
             "discarded": {"unknown_vehicle": 1},
             "total_records": 2,
         }
+
+
+def _time_axis_oracle(spec, records):
+    """The former per-framing bucket closures of ``build_tensor_oracle``."""
+    if spec.time_mode == "absolute":
+        start_y, start_m = _parse_month(spec.window_start)
+        if spec.window_end is not None:
+            end_y, end_m = _parse_month(spec.window_end)
+        else:
+            if not records:
+                raise DataError("cannot infer window end: no maintenance records")
+            last = max(r.job_open_date for r in records)
+            end_y, end_m = last.year, last.month
+        lo = _month_index(start_y, start_m)
+        hi = _month_index(end_y, end_m)
+        if hi < lo:
+            raise DataError("window end precedes window start")
+        if spec.granularity == "month":
+            labels = [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(lo, hi + 1)]
+
+            def bucket(record, vehicle):
+                idx = _month_index(record.job_open_date.year, record.job_open_date.month)
+                if lo <= idx <= hi:
+                    return idx - lo
+                return "outside_window"
+
+        else:
+            labels = [str(y) for y in range(start_y, end_y + 1)]
+
+            def bucket(record, vehicle):
+                y = record.job_open_date.year
+                idx = _month_index(y, record.job_open_date.month)
+                if lo <= idx <= hi:
+                    return y - start_y
+                return "outside_window"
+
+        return labels, bucket
+
+    horizon = spec.lifetime_horizon_years
+    if spec.granularity == "year":
+        labels = [f"year {k}" for k in range(horizon)]
+
+        def bucket(record, vehicle):
+            offset = record.job_open_date.year - vehicle.model_year
+            if offset < 0:
+                return "before_purchase_year"
+            if offset >= horizon:
+                return "beyond_lifetime_horizon"
+            return offset
+
+    else:
+        n_buckets = horizon * 12
+        labels = [f"month {k}" for k in range(n_buckets)]
+
+        def bucket(record, vehicle):
+            offset = _month_index(
+                record.job_open_date.year, record.job_open_date.month
+            ) - _month_index(vehicle.model_year, 1)
+            if offset < 0:
+                return "before_purchase_year"
+            if offset >= n_buckets:
+                return "beyond_lifetime_horizon"
+            return offset
+
+    return labels, bucket
+
+
+def build_tensor_oracle(vehicles, maintenance, spec):
+    """The former per-record ``build_tensor``, the reference for the array rule."""
+    by_unit = {v.unit_no: v for v in vehicles}
+    time_labels, bucket_of = _time_axis_oracle(spec, maintenance)
+    discards = {}
+    placements = []
+    for record in maintenance:
+        vehicle = by_unit.get(record.unit_no)
+        if vehicle is None:
+            reason = "unknown_vehicle"
+        elif vehicle.model_year < spec.purchase_year_floor:
+            reason = "below_purchase_year_floor"
+        else:
+            reason = bucket_of(record, vehicle)
+            if not isinstance(reason, str):
+                placements.append((record.unit_no, record.system, reason))
+                continue
+        discards[reason] = discards.get(reason, 0) + 1
+    if not placements:
+        raise DataError("empty tensor: no vehicle passes the filters with in-window jobs")
+    units = sorted({p[0] for p in placements}, key=lambda u: (by_unit[u].model_year, u))
+    systems = sorted({p[1] for p in placements})
+    unit_idx = {u: i for i, u in enumerate(units)}
+    system_idx = {s: j for j, s in enumerate(systems)}
+    data = np.zeros((len(units), len(systems), len(time_labels)))
+    for unit, system, t in placements:
+        data[unit_idx[unit], system_idx[system], t] += 1.0
+    tensor = Tensor3(data, (tuple(units), tuple(systems), tuple(time_labels)))
+    return TensorBuild(tensor=tensor, discards=discards, placed=len(placements))
+
+
+def build_outcome(build, vehicles, maintenance, spec):
+    """Data bytes, labels, discards and placed of a build, or its error."""
+    try:
+        b = build(vehicles, maintenance, spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    t = b.tensor
+    return t.data.dtype, t.dims, t.data.tobytes(), t.axis_labels, b.discards, b.placed
+
+
+UNITS = ["U1", "U2", "U3", "U4", "u1"]
+SYSTEMS = ["Brakes", " brakes ", "BRAKES", "Tires", "Cab & Sheet Metal", "Ölwechsel"]
+
+
+@st.composite
+def tensorize_cases(draw):
+    """Vehicles, jobs and a spec: every framing, a window that may cut through
+    a year or be inferred, and jobs before, inside and after it, on unknown
+    vehicles and on vehicles below the purchase-year floor."""
+    vehicles = [
+        VehicleRecord(unit, "FORD", "F150", draw(st.integers(2008, 2014)))
+        for unit in draw(st.lists(st.sampled_from(UNITS[:4]), unique=True, min_size=1))
+    ]
+    maintenance = [
+        MaintenanceRecord(
+            str(job),
+            draw(st.sampled_from(UNITS)),
+            date(draw(st.integers(2007, 2019)), draw(st.integers(1, 12)), draw(st.integers(1, 28))),
+            draw(st.sampled_from(SYSTEMS)),
+        )
+        for job in range(draw(st.integers(1, 30)))
+    ]
+    start = (draw(st.integers(2007, 2015)), draw(st.integers(1, 12)))
+    end = None
+    if draw(st.booleans()):
+        months = draw(st.integers(1, 60))
+        end = divmod(start[0] * 12 + start[1] - 1 + months, 12)
+        end = (end[0], end[1] + 1)
+    spec = TensorizeSpec(
+        time_mode=draw(st.sampled_from(["absolute", "lifetime"])),
+        granularity=draw(st.sampled_from(["month", "year"])),
+        window_start="%04d-%02d" % start,
+        window_end=None if end is None else "%04d-%02d" % end,
+        lifetime_horizon_years=draw(st.integers(1, 4)),
+        purchase_year_floor=draw(st.integers(2006, 2013)),
+    )
+    return vehicles, maintenance, spec
+
+
+ORACLE_VEHICLES = [VehicleRecord("U1", "FORD", "F150", 2012)]
+ORACLE_JOB = MaintenanceRecord("1", "U1", date(2011, 6, 15), "Brakes")
+
+
+class TestBuildTensorMatchesOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tensorize_cases())
+    @example((ORACLE_VEHICLES, [], TensorizeSpec()))  # nothing to infer the window end from
+    @example((ORACLE_VEHICLES, [ORACLE_JOB], TensorizeSpec(window_start="2012-01")))  # end < start
+    @example((ORACLE_VEHICLES, [ORACLE_JOB], TensorizeSpec(time_mode="lifetime")))  # empty tensor
+    def test_build_tensor_matches_oracle(self, case):
+        vehicles, maintenance, spec = case
+        assert build_outcome(build_tensor, vehicles, maintenance, spec) == build_outcome(
+            build_tensor_oracle, vehicles, maintenance, spec
+        )

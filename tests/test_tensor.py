@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -312,6 +313,26 @@ class TestTensor3Construction:
         with pytest.raises(ValueError):
             t.data[0, 0, 0] = 7.0
 
+
+    @pytest.mark.parametrize("at", [0, 5, 7])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad, at):
+        data = np.arange(8.0).reshape(2, 2, 2)
+        data.flat[at] = bad
+        with pytest.raises(ValueError, match="nan or inf"):
+            Tensor3.from_array(data)
+
+    def test_finite_check_makes_no_full_size_temporary(self):
+        data = np.ones((50, 40, 100))
+        labels = default_labels(data.shape)
+        tracemalloc.start()
+        try:
+            Tensor3(data, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a boolean mask of the entries alone would be data.nbytes / 8
+        assert peak < data.nbytes // 16, peak
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
