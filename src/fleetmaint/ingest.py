@@ -263,8 +263,8 @@ class TensorizeSpec:
             end = _parse_month(self.window_end)
             if end is None:
                 raise ValueError(f"bad window_end {self.window_end!r}")
-            if not start < end:
-                raise ValueError("window_start must precede window_end")
+            if end < start:
+                raise ValueError("window_end precedes window_start")
 
 
 def _parse_month(value: str) -> tuple[int, int] | None:
@@ -342,10 +342,12 @@ def build_tensor(
         lo = _month_index(*_parse_month(spec.window_start))
         if spec.window_end is not None:
             hi = _month_index(*_parse_month(spec.window_end))
-        elif n:
-            hi = int(month.max())
         else:
-            raise DataError("cannot infer window end: no maintenance records")
+            # the latest job that the vehicle checks keep
+            kept = month[~(masks["unknown_vehicle"] | masks["below_purchase_year_floor"])]
+            if not kept.size:
+                raise DataError("cannot infer window end: no maintenance records")
+            hi = int(kept.max())
         if hi < lo:
             raise DataError("window end precedes window start")
         buckets = range(lo // step, hi // step + 1)

@@ -431,13 +431,24 @@ def train(
     """SGD training with truncated BPTT; returns the best-validation model.
 
     ``initial`` warm-starts from an existing model's parameters and
-    vocabulary instead of a fresh seeded initialization.
+    vocabulary instead of a fresh seeded initialization; its blocks must
+    have the names and shapes that ``cfg`` and its vocabulary imply and hold
+    finite values.
     """
     if not train_seqs:
         raise ValueError("training set is empty")
     rng = np.random.default_rng([cfg.seed, 0])
     if initial is not None:
         vocab = initial.vocab
+        shapes = _param_shapes(cfg, vocab.size)
+        for name in sorted(shapes.keys() | initial.params.keys()):
+            block = initial.params.get(name)
+            shape = None if block is None else block.shape
+            if shape != shapes.get(name):
+                raise ValueError(f"initial model block {name} has shape {shape}, "
+                                 f"the config and vocabulary need {shapes.get(name)}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"initial model block {name} holds nan or inf values")
         model = SeqModel(vocab, cfg, {k: v.copy() for k, v in initial.params.items()})
     else:
         vocab = Vocab.from_sequences(train_seqs)

@@ -214,6 +214,9 @@ def frob_norm(t: Tensor3 | np.ndarray) -> float:
 _MAGIC = "tensor3 v1"
 _VALUES_PER_LINE = 8
 _CHUNK_LINES = 1 << 15
+_PARSE_CHARS = 1 << 18
+# every byte but the whitespace np.fromstring skips
+_TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b" \t\n\v\f\r")))
 
 
 def write_floats(fh, values: np.ndarray, per_line: int) -> None:
@@ -251,25 +254,61 @@ def parse_floats(text: str, count: int, what: str) -> np.ndarray:
     """The ``count`` finite floats of a ``write_floats`` block, named ``what`` in errors.
 
     The writer ends every line with a newline: a block without one was cut,
-    possibly inside its last value.
+    possibly inside its last value. Count tensors are mostly zeros, written
+    as the token ``0.0``: a token that is exactly ``0.0`` is taken as +0.0
+    without parsing, and every other token goes through ``np.fromstring``,
+    so the block is accepted or rejected, and read to the same values, as
+    if ``np.fromstring`` read it whole. The block is read in chunks of about
+    ``_PARSE_CHARS`` characters, so no temporary is the size of the block.
     """
     if text and not text.endswith("\n"):
         raise ValueError(f"{what} is truncated: no final newline")
     if text.isspace():
-        values = np.empty(0)  # fromstring reads a blank string as [-1.0]
-    else:
-        with warnings.catch_warnings():
-            # older numpy only warns on unmatched data and returns the prefix
-            warnings.simplefilter("error", DeprecationWarning)
+        text = ""  # fromstring reads a blank string as [-1.0]
+    # n characters hold at most n // 2 values: a count past that, or below
+    # zero, fails the count check below instead of the allocation
+    out = np.zeros(min(max(count, 0), len(text) // 2))
+    found = 0
+    finite = True
+    carry = b""
+    with warnings.catch_warnings():
+        # older numpy only warns on unmatched data and returns the prefix
+        warnings.simplefilter("error", DeprecationWarning)
+        for start in range(0, len(text), _PARSE_CHARS):
+            # cut after the chunk's last whitespace; the partial token after
+            # it opens the next chunk
+            buf = carry + text[start : start + _PARSE_CHARS].encode()
+            head = buf.rstrip(_TOKEN_BYTES)
+            carry = buf[len(head):]
+            b = np.frombuffer(head, dtype=np.uint8)
+            ws = (b == 32) | (b - 9 < 5)  # space, or \t \n \v \f \r (uint8 wraps)
+            first = ~ws  # the first byte of each token
+            first[1:] &= ws[:-1]
+            zero = np.zeros_like(first)  # the first byte of each 0.0 token
+            zero[:-3] = first[:-3] & (b[:-3] == 48) & (b[1:-2] == 46) & (b[2:-1] == 48) & ws[3:]
+            starts = np.flatnonzero(first)
+            # zero marks a subset of first, so first ^ zero marks the other tokens
+            index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
+            found += starts.size
+            if not index.size:  # nothing to parse; a blank string reads as [-1.0]
+                continue
+            # drop each 0.0 token with the whitespace byte after it: the
+            # other tokens keep their order and a separator each
+            drop = zero.copy()
+            for shift in (1, 2, 3):
+                drop[shift:] |= zero[:-shift]
             try:
-                values = np.fromstring(text, sep=" ")
+                values = np.fromstring(b[~drop], sep=" ")
             except DeprecationWarning as exc:
                 raise ValueError(str(exc)) from None
-    if values.size != count:
-        raise ValueError(f"{what}: expected {count} values, found {values.size}")
-    if not np.isfinite(values).all():
+            finite = finite and bool(np.isfinite(values).all())
+            if found <= out.size:
+                out[index] = values
+    if found != count:
+        raise ValueError(f"{what}: expected {count} values, found {found}")
+    if not finite:
         raise ValueError(f"{what} holds nan or inf values")
-    return values
+    return out
 
 
 def save_tensor(t: Tensor3, path) -> None:

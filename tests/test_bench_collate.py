@@ -37,12 +37,40 @@ def test_collates_medians_seeds_and_ratios(tmp_path, monkeypatch):
     assert got["label"] == "x"
     assert got["metrics"] == ["setup_s", "run_s", "models_s", "peak_rss_mb"]
     assert got["parent"]["commit"] is None
-    assert got["parent"]["workloads"]["paper-tensor"] == {
-        "seeds": [1, 2], "failed": 0, "median": e2e(9.25, 8.2, 4.1, 620.0)}
-    assert got["change"]["workloads"]["paper-tensor"] == {
-        "seeds": [1, 2], "failed": 1, "median": e2e(3.5, 6.1, 4.2, 310.0)}
+    expected = {
+        "parent": ({"seeds": [1, 2], "failed": 0, "median": e2e(9.25, 8.2, 4.1, 620.0)},
+                   e2e(9.125, 8.1, 4.05, 610.0), e2e(9.375, 8.3, 4.15, 630.0)),
+        "change": ({"seeds": [1, 2], "failed": 1, "median": e2e(3.5, 6.1, 4.2, 310.0)},
+                   e2e(3.25, 6.05, 4.1, 305.0), e2e(3.75, 6.15, 4.3, 315.0)),
+    }
+    for side, (summary, q1, q3) in expected.items():
+        entry = got[side]["workloads"]["paper-tensor"]
+        assert entry["q1"] == pytest.approx(q1)
+        assert entry["q3"] == pytest.approx(q3)
+        assert {k: v for k, v in entry.items() if k not in ("q1", "q3")} == summary
     assert set(got["change"]["workloads"]) == {"paper-tensor", "dept-batch"}
     ratio = got["change_over_parent"]
     assert set(ratio) == {"paper-tensor"}
     assert ratio["paper-tensor"] == pytest.approx(
         e2e(3.5 / 9.25, 6.1 / 8.2, 4.2 / 4.1, 310.0 / 620.0))
+    # models_s ties on seed 1 and loses on seed 2
+    assert got["pairs"] == {"paper-tensor": {"seeds": [1, 2], "change_wins": e2e(2, 2, 0, 2)}}
+
+
+def test_pair_wins_follow_each_metric_direction(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_collate, "end_to_end_metrics",
+                        lambda: {"run_s": "lower", "rate": "higher"})
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2, 3, 4):
+        write_result(parent, f"w-{seed}-t0.json", run_s=5.0, rate=10.0)
+    # seed 2 wins both, 3 ties run_s and wins rate, 4 loses run_s and ties
+    # rate; seed 5 has no parent run
+    for seed, run_s, rate in ((2, 4.0, 11.0), (3, 5.0, 12.0), (4, 6.0, 10.0), (5, 1.0, 99.0)):
+        write_result(change, f"w-{seed}-t0.json", run_s=run_s, rate=rate)
+    got = bench_collate.collate(parent, change, "x")
+    assert got["pairs"] == {"w": {"seeds": [2, 3, 4], "change_wins": {"run_s": 1, "rate": 2}}}
+    assert got["parent"]["workloads"]["w"]["q1"] == {"run_s": 5.0, "rate": 10.0}
+    change_w = got["change"]["workloads"]["w"]
+    assert change_w["q1"]["run_s"] == pytest.approx(3.25)
+    assert change_w["q3"]["run_s"] == pytest.approx(5.25)
+    assert change_w["median"]["run_s"] == pytest.approx(4.5)

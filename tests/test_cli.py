@@ -119,6 +119,24 @@ class TestTensorize:
         err = capsys.readouterr().err
         assert err.startswith(f"data-error: {maintenance}: row 4: field larger than field limit")
 
+    @pytest.mark.parametrize("end, code", [("2016-12", 0), ("2016-11", 4)],
+                             ids=["one month", "end before start"])
+    def test_one_month_window(self, fleet_dir, tmp_path, capsys, end, code):
+        out = tmp_path / "tensor.txt"
+        assert main([
+            "tensorize",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--window-start", "2016-12", "--window-end", end,
+            "--out", str(out),
+        ]) == code
+        if code == 0:
+            tensor = load_tensor(out)
+            assert tensor.dims[2] == 1
+            assert tensor.axis_labels[2] == ("2016-12",)
+        else:
+            assert capsys.readouterr().err.startswith("data-error:")
+
     def test_lifetime_mode(self, fleet_dir, tmp_path):
         out = tmp_path / "life.txt"
         code = main([

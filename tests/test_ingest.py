@@ -560,6 +560,22 @@ class TestBuildTensor:
         assert build.tensor.axis_labels[2][0] == "2010-01"
         assert build.tensor.axis_labels[2][-1] == "2013-05"
 
+    def test_inferred_window_end_ignores_discarded_jobs(self, tmp_path):
+        vehicles, maintenance = build_fixture(
+            tmp_path,
+            [vehicle_row("V1", year="2012"), vehicle_row("OLD", year="2000")],
+            [
+                maint_row("1", "V1", "2015-03-01", "Brakes"),
+                maint_row("2", "GHOST", "2099-01-01", "Brakes"),
+                maint_row("3", "OLD", "2098-06-01", "Brakes"),
+            ],
+        )
+        build = build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2015-01"))
+        assert build.tensor.axis_labels[2] == ("2015-01", "2015-02", "2015-03")
+        assert build.discards == {"unknown_vehicle": 1, "below_purchase_year_floor": 1}
+        with pytest.raises(DataError, match="cannot infer window end"):
+            build_tensor(vehicles, maintenance[1:], TensorizeSpec(window_start="2015-01"))
+
     def test_idempotent_bit_for_bit(self, tmp_path):
         vehicles, maintenance = build_fixture(
             tmp_path,
@@ -596,7 +612,7 @@ class TestBuildTensor:
             [maint_row("1", "OLD", "2015-03-10", "Brakes")],
         )
         with pytest.raises(DataError, match="empty tensor"):
-            build_tensor(vehicles, maintenance, TensorizeSpec())
+            build_tensor(vehicles, maintenance, TensorizeSpec(window_end="2015-12"))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -697,7 +713,10 @@ def _time_axis_oracle(spec, records):
 def build_tensor_oracle(vehicles, maintenance, spec):
     """The former per-record ``build_tensor``, the reference for the array rule."""
     by_unit = {v.unit_no: v for v in vehicles}
-    time_labels, bucket_of = _time_axis_oracle(spec, maintenance)
+    time_labels, bucket_of = _time_axis_oracle(spec, [
+        r for r in maintenance
+        if r.unit_no in by_unit and by_unit[r.unit_no].model_year >= spec.purchase_year_floor
+    ])
     discards = {}
     placements = []
     for record in maintenance:

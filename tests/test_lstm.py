@@ -191,8 +191,23 @@ class TestTraining:
         cfg = LstmConfig(embed_dim=4, hidden_dim=4, layers=1, dropout_keep=1.0,
                          epochs=2, seed=0)
         base = train(seqs[:3], seqs[3:], cfg)
-        base.params["embedding"][0, 0] = np.nan
-        with pytest.raises(TrainingDiverged, match="non-finite"):
+        # finite parameters whose loss overflows: every label but the
+        # first is all but impossible
+        base.params["out_b"][1:] = -np.finfo(np.float64).max
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite"):
+            train(seqs[:3], seqs[3:], cfg, initial=base)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("lstm0_wh", np.zeros((3, 16)), "block lstm0_wh has shape"),
+        ("embedding", np.full((4, 4), np.nan), "block embedding holds nan"),
+    ], ids=["shape mismatch", "nan block"])
+    def test_warm_start_model_checked(self, name, value, match):
+        seqs = [["a", "b"] * 10 for _ in range(4)]
+        cfg = LstmConfig(embed_dim=4, hidden_dim=4, layers=1, dropout_keep=1.0,
+                         epochs=1, seed=0)
+        base = train(seqs[:3], seqs[3:], cfg)
+        base.params[name] = value
+        with pytest.raises(ValueError, match=match):
             train(seqs[:3], seqs[3:], cfg, initial=base)
 
     def test_empty_train_rejected(self):

@@ -1,5 +1,7 @@
 import io
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from fleetmaint.tensor import (
     mttkrp_from_partial,
     mttkrp_partial,
     mttkrp_reference,
+    parse_floats,
     save_tensor,
     unfold,
     write_floats,
@@ -60,6 +63,27 @@ def float_lines_oracle(values: np.ndarray, per_line: int) -> str:
         chunk = flat[start : start + per_line]
         out.append(" ".join(repr(float(v)) for v in chunk) + "\n")
     return "".join(out)
+
+
+def parse_floats_oracle(text: str, count: int, what: str) -> np.ndarray:
+    """The former ``parse_floats``: one ``np.fromstring`` call on the whole block."""
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{what} is truncated: no final newline")
+    if text.isspace():
+        values = np.empty(0)  # fromstring reads a blank string as [-1.0]
+    else:
+        with warnings.catch_warnings():
+            # older numpy only warns on unmatched data and returns the prefix
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(text, sep=" ")
+            except DeprecationWarning as exc:
+                raise ValueError(str(exc)) from None
+    if values.size != count:
+        raise ValueError(f"{what}: expected {count} values, found {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds nan or inf values")
+    return values
 
 
 def save_tensor_oracle(t: Tensor3, path) -> None:
@@ -458,3 +482,80 @@ class TestWriteFloats:
         with mock.patch.object(tensor_module, "_CHUNK_LINES", chunk_lines):
             write_floats(fh, values, per_line)
         assert fh.getvalue() == float_lines_oracle(values, per_line)
+
+
+# tokens that look like the 0.0 token but are not it: each one parses to
+# some value or is rejected, never taken as +0.0 unread
+NEAR_ZERO = [
+    "0.0.0", "00.0", "0.00", "-0.0", "+0.0", "0.0e0", "0.", ".0", "0.0x", "x0.0", "0x0", "0.1",
+]
+# the whitespace np.fromstring skips, a run of spaces, and no separator at all
+SEPARATORS = [" ", "\t", "\n", "\v", "\f", "\r", "   ", ""]
+
+
+def parse_outcome(parse, text, count):
+    """Bits of the parsed values, or None if ``parse`` raised ValueError."""
+    try:
+        return bits(parse(text, count, "block"))
+    except ValueError:
+        return None
+
+
+class TestParseFloats:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        values=arrays(np.float64, st.integers(0, 40),
+                      elements=st.one_of(st.just(0.0), st.just(0.0), float_values)),
+        per_line=st.integers(1, 9),
+        tokens=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                  st.sampled_from(NEAR_ZERO + ["nan", "-inf", "1e999"])),
+                        max_size=3),
+        separators=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(SEPARATORS)),
+                            max_size=3),
+        lead=st.sampled_from(["", " ", "\n", " \t\r "]),
+        trail=st.sampled_from(["", " ", "\v\f ", "\n\n"]),
+        count_delta=st.sampled_from([0, 0, 0, -1, 1]),
+        chunk=st.integers(1, 16),
+    )
+    def test_matches_oracle(self, values, per_line, tokens, separators, lead, trail,
+                            count_delta, chunk):
+        fh = io.StringIO()
+        write_floats(fh, values, per_line)
+        # alternating tokens and the whitespace after each; a mutation
+        # replaces one of either
+        pieces = re.split(r"(\s+)", fh.getvalue())
+        for where, token in tokens:
+            pieces[2 * int(where * (len(pieces) // 2))] = token
+        for where, sep in separators:
+            if len(pieces) > 2:
+                pieces[2 * int(where * (len(pieces) // 2 - 1)) + 1] = sep
+        text = lead + "".join(pieces)
+        if text:
+            text = text[:-1] + trail + "\n"
+        count = values.size + count_delta
+        expected = parse_outcome(parse_floats_oracle, text, count)
+        with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
+            got = parse_outcome(parse_floats, text, count)
+        if expected is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    def test_makes_no_block_size_temporary(self):
+        values = np.zeros(1 << 20)
+        values[::97] = 1.5
+        fh = io.StringIO()
+        write_floats(fh, values, 8)
+        text = fh.getvalue()
+        chunk = 1 << 14
+        with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
+            tracemalloc.start()
+            try:
+                got = parse_floats(text, values.size, "block")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(bits(got), bits(values))
+        # the output plus chunk-sized temporaries: an encoded copy of the
+        # block would be len(text) bytes, a finiteness mask values.size
+        assert peak <= values.nbytes + 16 * chunk, peak

@@ -5,11 +5,14 @@
 Reads every ``.bench_out/results/<workload>-<seed>-t0.json`` that
 ``perfbench/run.py --trace 0`` left in each checkout. For each side and
 workload it writes the seeds, the count of failed operations and the median
-of each end-to-end metric named in ``BENCHMARK.json``, plus the
-change/parent ratio of those medians, to BENCH_<label>.json in the current
-directory. Each side's commit is ``git describe --always --dirty`` of its
-checkout (``-dirty`` marks uncommitted changes), or null outside a git
-checkout.
+and quartiles (q1, q3) of each end-to-end metric named in ``BENCHMARK.json``,
+plus the change/parent ratio of those medians, to BENCH_<label>.json in the
+current directory. For each workload run on both sides it also writes the
+seeds run on both and, per metric, in how many of those seed pairs the
+change reads better than the parent in the metric's ``better`` direction
+(a tie counts for neither). Each side's commit is ``git describe --always
+--dirty`` of its checkout (``-dirty`` marks uncommitted changes), or null
+outside a git checkout.
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import statistics
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_NAME = re.compile(r"(?P<workload>.+)-(?P<seed>\d+)-t0\.json")
 
 
-def end_to_end_metrics() -> list[str]:
+def end_to_end_metrics() -> dict[str, str]:
+    """Name -> better direction ("lower" or "higher") of each end-to-end metric."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [m["name"] for m in spec["end_to_end"]]
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -41,40 +47,66 @@ def commit_of(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def collate_side(checkout: Path, metrics: list[str]) -> dict:
-    """Seeds, failed count and metric medians per workload of one checkout."""
-    runs: dict[str, list[tuple[int, dict]]] = {}
+def read_runs(checkout: Path) -> dict[str, dict[int, dict]]:
+    """The untraced result of each workload and seed in one checkout."""
+    runs: dict[str, dict[int, dict]] = {}
     for path in sorted((checkout / ".bench_out" / "results").glob("*-t0.json")):
         match = RESULT_NAME.fullmatch(path.name)
         if match:
             detail = json.loads(path.read_text(encoding="utf-8"))
-            runs.setdefault(match["workload"], []).append((int(match["seed"]), detail))
-    workloads = {}
-    for workload, entries in sorted(runs.items()):
-        entries.sort(key=lambda entry: entry[0])
-        workloads[workload] = {
-            "seeds": [seed for seed, _ in entries],
-            "failed": sum(detail["failed"] for _, detail in entries),
-            "median": {
-                name: statistics.median(detail["metrics"][name][0] for _, detail in entries)
-                for name in metrics
-            },
-        }
-    return {"commit": commit_of(checkout), "workloads": workloads}
+            runs.setdefault(match["workload"], {})[int(match["seed"])] = detail
+    return runs
+
+
+def summarize(runs: dict[int, dict], metrics: dict[str, str]) -> dict:
+    """Seeds, failed count and metric median and quartiles of one workload."""
+    seeds = sorted(runs)
+    values = {name: [runs[seed]["metrics"][name][0] for seed in seeds] for name in metrics}
+    # linear interpolation between order statistics; one run is its own quartiles
+    quartiles = {name: np.percentile(v, [25, 75]).tolist() for name, v in values.items()}
+    return {
+        "seeds": seeds,
+        "failed": sum(runs[seed]["failed"] for seed in seeds),
+        "median": {name: statistics.median(v) for name, v in values.items()},
+        "q1": {name: q[0] for name, q in quartiles.items()},
+        "q3": {name: q[1] for name, q in quartiles.items()},
+    }
+
+
+def change_wins(parent: dict[int, dict], change: dict[int, dict], metrics: dict[str, str]) -> dict:
+    """Seeds run on both sides and, per metric, the pairs the change wins."""
+    seeds = sorted(parent.keys() & change.keys())
+    wins = {}
+    for name, better in metrics.items():
+        sign = 1 if better == "higher" else -1
+        wins[name] = sum(
+            sign * (change[seed]["metrics"][name][0] - parent[seed]["metrics"][name][0]) > 0
+            for seed in seeds
+        )
+    return {"seeds": seeds, "change_wins": wins}
 
 
 def collate(parent: Path, change: Path, label: str) -> dict:
     metrics = end_to_end_metrics()
-    sides = {"parent": collate_side(parent, metrics), "change": collate_side(change, metrics)}
+    runs = {"parent": read_runs(parent), "change": read_runs(change)}
+    sides = {
+        side: {
+            "commit": commit_of(checkout),
+            "workloads": {w: summarize(r, metrics) for w, r in sorted(runs[side].items())},
+        }
+        for side, checkout in (("parent", parent), ("change", change))
+    }
+    both = sorted(runs["parent"].keys() & runs["change"].keys())
     ratio = {
         workload: {
             name: sides["change"]["workloads"][workload]["median"][name] / median
-            for name, median in entry["median"].items()
+            for name, median in sides["parent"]["workloads"][workload]["median"].items()
         }
-        for workload, entry in sides["parent"]["workloads"].items()
-        if workload in sides["change"]["workloads"]
+        for workload in both
     }
-    return {"label": label, "metrics": metrics, **sides, "change_over_parent": ratio}
+    pairs = {w: change_wins(runs["parent"][w], runs["change"][w], metrics) for w in both}
+    return {"label": label, "metrics": list(metrics), **sides, "change_over_parent": ratio,
+            "pairs": pairs}
 
 
 def main(argv: list[str] | None = None) -> int:
