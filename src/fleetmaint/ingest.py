@@ -9,10 +9,7 @@ Job Open Date or an empty System Description are routed to a rejects report
 instead.
 
 Dates must be ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS`` (exact grammar in
-:func:`parse_date`). The vehicle table's optional Dept#, Purchase Cost and
-Status Code are read too; Purchase Cost is parsed after stripping ``$`` and
-thousands separators, and an unparseable or empty optional value becomes
-None. Other columns are ignored.
+:func:`parse_date`). Other columns are ignored.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ class DataError(ValueError):
 
 
 VEHICLE_REQUIRED = ("Unit#", "Make", "Model", "Year")
-VEHICLE_OPTIONAL = ("Dept#", "Purchase Cost", "Status Code")
 MAINTENANCE_REQUIRED = ("Job ID", "Unit No", "Job Open Date", "System Description")
 
 # the grammar datetime's format parser compiles for "%Y-%m-%d" and
@@ -75,25 +71,12 @@ def parse_date(value: str) -> date | None:
         return None
 
 
-def parse_currency(value: str) -> float | None:
-    cleaned = value.strip().replace("$", "").replace(",", "")
-    if not cleaned:
-        return None
-    try:
-        return float(cleaned)
-    except ValueError:
-        return None
-
-
 @dataclass
 class VehicleRecord:
     unit_no: str
     make: str
     model: str
     model_year: int
-    dept_code: str | None = None
-    purchase_cost: float | None = None
-    status_code: str | None = None
 
     @property
     def make_model(self) -> str:
@@ -119,13 +102,13 @@ class RejectedRow:
     detail: str = ""
 
 
-def _read_table(path, required, optional=()):
-    """Yield ``(row number, values of the required then optional columns)``.
+def _read_table(path, required):
+    """Yield ``(row number, values of the required columns)``.
 
     Reads like ``csv.DictReader``: a repeated header name means its last
     column, blank lines are skipped and not numbered (the first data row is
-    row 2), a short row or an optional column the header lacks reads as
-    empty, and extra fields are ignored. No other column is read.
+    row 2), a short row reads its missing columns as empty, and extra fields
+    are ignored. No other column is read.
     """
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -136,8 +119,7 @@ def _read_table(path, required, optional=()):
             missing = [c for c in required if c not in index]
             if missing:
                 raise DataError(f"{path}: missing mandatory columns {missing}")
-            # an absent optional column reads the "" appended to every row
-            positions = [index.get(c, -1) for c in required + optional]
+            positions = [index[c] for c in required]
             pick = operator.itemgetter(*positions)
             width = max(positions) + 1
             row_no = 1
@@ -145,7 +127,6 @@ def _read_table(path, required, optional=()):
                 if row:
                     row_no += 1
                     row += [""] * (width - len(row))
-                    row.append("")
                     yield row_no, pick(row)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}: row {row_no + 1}: {exc}") from None
@@ -155,8 +136,7 @@ def parse_vehicles(path) -> list[VehicleRecord]:
     records: list[VehicleRecord] = []
     seen: set[str] = set()
     duplicates: list[str] = []
-    rows = _read_table(path, VEHICLE_REQUIRED, VEHICLE_OPTIONAL)
-    for row_no, (unit, make, model, year_raw, dept, cost, status) in rows:
+    for row_no, (unit, make, model, year_raw) in _read_table(path, VEHICLE_REQUIRED):
         unit = unit.strip()
         if not unit:
             raise DataError(f"{path}: row {row_no}: missing Unit# value")
@@ -181,9 +161,6 @@ def parse_vehicles(path) -> list[VehicleRecord]:
                 make=make,
                 model=model,
                 model_year=year,
-                dept_code=dept.strip() or None,
-                purchase_cost=parse_currency(cost),
-                status_code=status.strip() or None,
             )
         )
     if duplicates:

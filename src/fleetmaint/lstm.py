@@ -19,19 +19,18 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import parse_floats, write_floats
+from .tensor import FormatReader, write_floats
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
 
 
-class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+class TrainingDiverged(ValueError):
+    """Raised when a training loss, gradient norm or validation perplexity is not finite."""
 
 
 @dataclass(frozen=True)
@@ -290,12 +289,19 @@ def _sample_drop_masks(cfg, rng, steps, batch):
     }
 
 
-def _clip_gradients(grads, max_norm: float) -> None:
+def _clip_gradients(grads, max_norm: float) -> float:
+    """Scale the gradients down to norm ``max_norm``; returns the norm before."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
+    return norm
+
+
+def _check_finite(value: float, quantity: str, epoch: int, lr: float) -> None:
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite {quantity} at epoch {epoch + 1}, lr={lr}: {value}")
 
 
 class SeqModel:
@@ -324,14 +330,6 @@ class SeqModel:
         # cumsum adds the per-step totals one at a time, in window order, so
         # the perplexity keeps the last bits of a plain running total
         return -float(np.cumsum(np.concatenate(step_nll))[-1]), total_items
-
-    def log_prob_items(self, seq: Sequence[str]) -> np.ndarray:
-        """Log-probability of each predicted item of one sequence, EOS included."""
-        encoded = self.vocab.encode(seq)
-        ids, targets, mask = _pack_batch([encoded], self.vocab.eos)
-        state = _zero_state(self.config, 1)
-        log_probs, _, _ = _forward_chunk(self.params, self.config, ids, state, None)
-        return _target_log_probs(log_probs, targets)[:, 0]
 
     def next_distribution(self, prefix: Sequence[str]) -> np.ndarray:
         """Probability distribution over the vocabulary for the next item.
@@ -363,42 +361,28 @@ class SeqModel:
     @classmethod
     def load(cls, path) -> "SeqModel":
         with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != "seqmodel v1":
-                raise ValueError("not a seqmodel file")
+            reader = FormatReader(fh, "seqmodel v1")
             try:
-                config = LstmConfig(**json.loads(fh.readline()))
-                vocab = Vocab(labels=tuple(json.loads(fh.readline())))
+                config = LstmConfig(**json.loads(reader.line()))
+                vocab = Vocab(labels=tuple(json.loads(reader.line())))
             except TypeError as exc:
                 raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
             # the blocks save writes for this config and vocabulary, by name
             expected = sorted(_param_shapes(config, vocab.size).items())
-            n_blocks = int(_read_fields(fh, "blocks", 2)[1])
+            n_blocks = int(reader.fields("blocks", 1)[0])
             if n_blocks != len(expected):
                 raise ValueError(f"seqmodel declares {n_blocks} blocks, its config needs "
                                  f"{len(expected)}")
             params = {}
             for name, shape in expected:
-                header = _read_fields(fh, "block", 3)
-                if header[1:] != [name, str(len(shape)), *map(str, shape)]:
-                    raise ValueError(f"seqmodel line {' '.join(header)!r} does not match the "
-                                     f"config and vocabulary, which need block {name} {shape}")
+                header = reader.fields("block")
+                if header != [name, str(len(shape)), *map(str, shape)]:
+                    raise ValueError(f"seqmodel block line {' '.join(header)!r} does not match "
+                                     f"the config and vocabulary, which need block {name} {shape}")
                 count = math.prod(shape)
-                # write_floats puts 8 values on a line; islice stops at EOF
-                block = "".join(islice(fh, -(-count // 8)))
-                params[name] = parse_floats(block, count, f"seqmodel block {name}").reshape(shape)
-            if fh.read():
-                raise ValueError("seqmodel file has data after the last block")
+                params[name] = reader.floats(count, f"block {name}", 8).reshape(shape)
+            reader.end()
         return cls(vocab=vocab, config=config, params=params)
-
-
-def _read_fields(fh, keyword: str, min_fields: int) -> list[str]:
-    line = fh.readline()
-    if not line.endswith("\n"):
-        raise ValueError(f"seqmodel file ends before a complete {keyword} line")
-    fields = line.split()
-    if len(fields) < min_fields or fields[0] != keyword:
-        raise ValueError(f"malformed {keyword} line {line.strip()!r}")
-    return fields
 
 
 def _zero_state(cfg: LstmConfig, batch: int):
@@ -422,37 +406,19 @@ def split_by_vehicle(items: list, seed: int = 0) -> tuple[list, list, list]:
     return train, valid, test
 
 
+# warnings off: a nan or inf that an overflow leads to raises TrainingDiverged
+@np.errstate(all="ignore")
 def train(
     train_seqs: list[Sequence[str]],
     valid_seqs: list[Sequence[str]],
     cfg: LstmConfig,
-    initial: SeqModel | None = None,
 ) -> SeqModel:
-    """SGD training with truncated BPTT; returns the best-validation model.
-
-    ``initial`` warm-starts from an existing model's parameters and
-    vocabulary instead of a fresh seeded initialization; its blocks must
-    have the names and shapes that ``cfg`` and its vocabulary imply and hold
-    finite values.
-    """
+    """SGD training with truncated BPTT; returns the best-validation model."""
     if not train_seqs:
         raise ValueError("training set is empty")
     rng = np.random.default_rng([cfg.seed, 0])
-    if initial is not None:
-        vocab = initial.vocab
-        shapes = _param_shapes(cfg, vocab.size)
-        for name in sorted(shapes.keys() | initial.params.keys()):
-            block = initial.params.get(name)
-            shape = None if block is None else block.shape
-            if shape != shapes.get(name):
-                raise ValueError(f"initial model block {name} has shape {shape}, "
-                                 f"the config and vocabulary need {shapes.get(name)}")
-            if not np.isfinite(block).all():
-                raise ValueError(f"initial model block {name} holds nan or inf values")
-        model = SeqModel(vocab, cfg, {k: v.copy() for k, v in initial.params.items()})
-    else:
-        vocab = Vocab.from_sequences(train_seqs)
-        model = SeqModel(vocab, cfg, _init_params(cfg, vocab.size, rng))
+    vocab = Vocab.from_sequences(train_seqs)
+    model = SeqModel(vocab, cfg, _init_params(cfg, vocab.size, rng))
     if vocab.size <= 2:
         raise ValueError("empty vocabulary: no labels in the training sequences")
     encoded_train = [vocab.encode(s) for s in train_seqs]
@@ -480,10 +446,7 @@ def train(
                     model.params, cfg, ids[lo:hi], state, drop
                 )
                 loss = _chunk_loss(sub_mask, targets[lo:hi], log_probs)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch + 1}, lr={lr}: {loss}"
-                    )
+                _check_finite(loss, "loss", epoch, lr)
                 epoch_nll += loss * sub_mask.sum()
                 epoch_items += int(sub_mask.sum())
                 grads = _backward_chunk(
@@ -491,12 +454,13 @@ def train(
                     log_probs, caches, drop,
                     norm=float(cfg.batch_size * cfg.bptt_steps),
                 )
-                _clip_gradients(grads, cfg.grad_clip)
+                _check_finite(_clip_gradients(grads, cfg.grad_clip), "gradient norm", epoch, lr)
                 for name, g in grads.items():
                     model.params[name] -= lr * g
         loss_history.append(epoch_nll / max(epoch_items, 1))
         if valid_seqs:
             val_ppl = perplexity(model, valid_seqs)
+            _check_finite(val_ppl, "validation perplexity", epoch, lr)
             val_history.append(val_ppl)
             if val_ppl < best_ppl:
                 best_ppl = val_ppl

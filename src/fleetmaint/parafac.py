@@ -15,6 +15,7 @@ import numpy as np
 
 from .tensor import (
     AxisLabels,
+    FormatReader,
     Tensor3,
     cp_compose,
     default_labels,
@@ -349,52 +350,30 @@ def save_model(model: CpModel, path) -> None:
 
 def load_model(path) -> CpModel:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # both writers end every line with a newline: without one the file was
-    # cut, possibly inside its last value
-    if not text.endswith("\n"):
-        raise ValueError("cpmodel file is truncated: no final newline")
-    lines = iter(text[:-1].split("\n"))
-
-    def line() -> str:
-        value = next(lines, None)
-        if value is None:
-            raise ValueError("cpmodel file ends early")
-        return value
-
-    def fields(keyword: str, count: int | None = None) -> list[str]:
-        parts = line().split()
-        if len(parts) < 2 or parts[0] != keyword or count not in (None, len(parts) - 1):
-            raise ValueError(f"malformed {keyword} line")
-        return parts[1:]
-
-    if line() != _MAGIC:
-        raise ValueError("not a cpmodel file")
-    rank = int(fields("rank", 1)[0])
-    dims = tuple(int(v) for v in fields("dims", 3))
-    fit = float(fields("fit", 1)[0])
-    iterations = int(fields("iterations", 1)[0])
-    if iterations < 0:
-        raise ValueError(f"cpmodel iterations must be >= 0, got {iterations}")
-    converged = int(fields("converged", 1)[0])
-    if converged not in (0, 1):
-        raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
-    weights = parse_floats(" ".join(fields("weights", rank)) + "\n", rank, "cpmodel weights")
-    n_fits, *fit_values = fields("fits")
-    fits = tuple(float(v) for v in fit_values)
-    if len(fits) != int(n_fits):
-        raise ValueError(f"fits line declares {n_fits} values, has {len(fits)}")
-    n_warn = int(fields("warnings", 1)[0])
-    warnings = tuple(line() for _ in range(n_warn))
-    labels = tuple(tuple(line() for _ in range(n)) for n in dims)
-    factors = []
-    for name, n in zip("ABC", dims):
-        block = "".join(line() + "\n" for _ in range(n))
-        factors.append(parse_floats(block, n * rank, f"cpmodel factor {name}").reshape(n, rank))
-    if next(lines, None) is not None:
-        raise ValueError("cpmodel file has data after the factors")
+        reader = FormatReader(fh, _MAGIC)
+        rank = int(reader.fields("rank", 1)[0])
+        dims = tuple(int(v) for v in reader.fields("dims", 3))
+        fit = float(reader.fields("fit", 1)[0])
+        iterations = int(reader.fields("iterations", 1)[0])
+        if iterations < 0:
+            raise ValueError(f"cpmodel iterations must be >= 0, got {iterations}")
+        converged = int(reader.fields("converged", 1)[0])
+        if converged not in (0, 1):
+            raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
+        weights = parse_floats(" ".join(reader.fields("weights", rank)) + "\n", rank,
+                               "cpmodel weights")
+        n_fits, *fit_values = reader.fields("fits")
+        fits = tuple(float(v) for v in fit_values)
+        if len(fits) != int(n_fits):
+            raise ValueError(f"fits line declares {n_fits} values, has {len(fits)}")
+        n_warn = int(reader.fields("warnings", 1)[0])
+        warnings = tuple(reader.line() for _ in range(n_warn))
+        labels = reader.labels(dims)
+        factors = tuple(reader.floats(n * rank, f"factor {name}", rank).reshape(n, rank)
+                        for name, n in zip("ABC", dims))
+        reader.end()
     return CpModel(
-        factors=tuple(factors),
+        factors=factors,
         weights=weights,
         fit=fit,
         iterations=iterations,

@@ -311,6 +311,54 @@ def parse_floats(text: str, count: int, what: str) -> np.ndarray:
     return out
 
 
+class FormatReader:
+    """The line rules of the tensor3, cpmodel and seqmodel formats.
+
+    A file opens with its ``magic`` line, whose first word names the format
+    in errors. Every line the writers produce ends with a newline, so a line
+    without one means the file was cut short.
+    """
+
+    def __init__(self, fh, magic: str):
+        self._fh = fh
+        self._kind = magic.split()[0]
+        header = fh.readline()
+        if header != magic + "\n":
+            raise ValueError(f"not a {self._kind} file, or one cut short: bad header {header!r}")
+
+    def line(self) -> str:
+        """The next line, without its newline."""
+        line = self._fh.readline()
+        if not line.endswith("\n"):
+            raise ValueError(f"{self._kind} file is truncated: it ends before a complete line")
+        return line[:-1]
+
+    def fields(self, keyword: str, count: int | None = None) -> list[str]:
+        """The values of a ``keyword v1 v2 ...`` line: at least one, or exactly ``count``."""
+        line = self.line()
+        parts = line.split()
+        if len(parts) < 2 or parts[0] != keyword or count not in (None, len(parts) - 1):
+            raise ValueError(f"malformed {keyword} line {line!r}")
+        return parts[1:]
+
+    def labels(self, dims) -> AxisLabels:
+        """One verbatim label per line for each index of each axis, axis 1 first."""
+        return tuple(tuple(self.line() for _ in range(n)) for n in dims)  # type: ignore[return-value]
+
+    def floats(self, count: int, what: str, per_line: int | None = None) -> np.ndarray:
+        """A ``write_floats`` block of ``count`` values: its ceil(count / per_line)
+        lines, or with no ``per_line`` the rest of the file."""
+        if per_line is None:
+            block = self._fh.read()
+        else:
+            block = "".join(self.line() + "\n" for _ in range(-(-count // per_line)))
+        return parse_floats(block, count, f"{self._kind} {what}")
+
+    def end(self) -> None:
+        if self._fh.read():
+            raise ValueError(f"{self._kind} file has data after the last block")
+
+
 def save_tensor(t: Tensor3, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_MAGIC + "\n")
@@ -323,22 +371,8 @@ def save_tensor(t: Tensor3, path) -> None:
 
 def load_tensor(path) -> Tensor3:
     with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != _MAGIC:
-            raise ValueError(f"not a tensor3 file: bad header {magic!r}")
-        dims_line = fh.readline().split()
-        if len(dims_line) != 4 or dims_line[0] != "dims":
-            raise ValueError("malformed dims line")
-        dims = tuple(int(v) for v in dims_line[1:])
-        labels = []
-        for n in dims:
-            axis = []
-            for _ in range(n):
-                line = fh.readline()
-                if line == "":
-                    raise ValueError("unexpected end of file in label block")
-                axis.append(line.rstrip("\n"))
-            labels.append(tuple(axis))
-        block = fh.read()
-    values = parse_floats(block, dims[0] * dims[1] * dims[2], "tensor3 file")
-    return Tensor3(values.reshape(dims), tuple(labels))  # type: ignore[arg-type]
+        reader = FormatReader(fh, _MAGIC)
+        dims = tuple(int(v) for v in reader.fields("dims", 3))
+        labels = reader.labels(dims)
+        values = reader.floats(dims[0] * dims[1] * dims[2], "values")
+    return Tensor3(values.reshape(dims), labels)  # type: ignore[arg-type]

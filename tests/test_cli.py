@@ -402,8 +402,8 @@ class TestTrainEvalPredict:
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
 
-    @pytest.mark.parametrize("edit", ["two layers", "extra label", "renamed block",
-                                      "trailing junk"])
+    @pytest.mark.parametrize("edit", ["two layers", "extra label", "extra blocks field",
+                                      "renamed block", "trailing junk"])
     def test_model_not_matching_its_config_is_data_error(self, model_path, tmp_path, capsys,
                                                          edit):
         lines = model_path.read_text().split("\n")
@@ -412,6 +412,9 @@ class TestTrainEvalPredict:
             lines[1] = lines[1].replace('"layers": 1', '"layers": 2', 1)
         elif edit == "extra label":
             lines[2] = json.dumps(json.loads(lines[2]) + ["zzz extra"])
+        elif edit == "extra blocks field":
+            assert lines[3].startswith("blocks ")
+            lines[3] += " extra"
         elif edit == "renamed block":
             lines[4] = lines[4].replace("block embedding ", "block embeddings ", 1)
         else:
@@ -440,6 +443,20 @@ class TestTrainEvalPredict:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("data-error:") and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+    def test_diverging_training_is_data_error(self, fleet_dir, tmp_path):
+        out = tmp_path / "m.txt"
+        proc = run_cli(
+            "train",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--lr", "1e300", "--epochs", "2", "--hidden-dim", "8", "--embed-dim", "4",
+            "--layers", "1", "--out", str(out),
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data-error: non-finite"), proc.stderr
         assert not out.exists()
 
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):

@@ -21,7 +21,6 @@ from fleetmaint.ingest import (
     build_tensor,
     normalize_system,
     parse_date,
-    parse_currency,
     parse_maintenance,
     parse_vehicles,
     write_discard_summary,
@@ -74,15 +73,6 @@ class TestParseVehicles:
         path = write_csv(tmp_path / "v.csv", VEHICLE_COLUMNS, [])
         assert parse_vehicles(path) == []
 
-    def test_currency_with_dollar_and_commas(self, tmp_path):
-        path = write_csv(
-            tmp_path / "v.csv",
-            VEHICLE_COLUMNS,
-            [vehicle_row("026603", **{"Purchase Cost": "$20,456"})],
-        )
-        records = parse_vehicles(path)
-        assert records[0].purchase_cost == 20456.0
-
     def test_missing_unit_value_is_hard_error(self, tmp_path):
         path = write_csv(tmp_path / "v.csv", VEHICLE_COLUMNS, [vehicle_row("")])
         with pytest.raises(DataError, match="row 2"):
@@ -107,15 +97,6 @@ class TestParseVehicles:
         path = write_csv(tmp_path / "v.csv", VEHICLE_COLUMNS, [vehicle_row("X", year="1776")])
         with pytest.raises(DataError, match="1776"):
             parse_vehicles(path)
-
-    def test_unparseable_optional_fields_become_none(self, tmp_path):
-        path = write_csv(
-            tmp_path / "v.csv",
-            VEHICLE_COLUMNS,
-            [vehicle_row("X", **{"Purchase Cost": "n/a?"})],
-        )
-        records = parse_vehicles(path)
-        assert records[0].purchase_cost is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -252,10 +233,6 @@ class TestHelpers:
     def test_parse_date_matches_strptime(self, value):
         assert parse_date(value) == strptime_date_oracle(value)
 
-    def test_parse_currency(self):
-        assert parse_currency("$5,951.04") == 5951.04
-        assert parse_currency("") is None
-
     def test_normalize_system(self):
         assert normalize_system("  Brakes ") == "brakes"
         assert normalize_system("PM Service All Levels") == "pm service all levels"
@@ -340,12 +317,7 @@ def parse_vehicles_oracle(path):
                 duplicates.append(unit)
                 continue
             seen.add(unit)
-            records.append(VehicleRecord(
-                unit, make, model, year,
-                dept_code=(row.get("Dept#") or "").strip() or None,
-                purchase_cost=parse_currency(row.get("Purchase Cost") or ""),
-                status_code=(row.get("Status Code") or "").strip() or None,
-            ))
+            records.append(VehicleRecord(unit, make, model, year))
         if duplicates:
             raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
     return records

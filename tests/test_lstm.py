@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetmaint import lstm
 from fleetmaint.lstm import (
     EOS_TOKEN,
     LstmConfig,
@@ -186,29 +187,37 @@ class TestTraining:
         assert returned_ppl == pytest.approx(min(history), rel=1e-12)
         assert returned_ppl <= history[-1] + 1e-12
 
-    def test_divergence_aborts_with_diagnostic(self):
+    def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         seqs = [["a", "b"] * 10 for _ in range(4)]
         cfg = LstmConfig(embed_dim=4, hidden_dim=4, layers=1, dropout_keep=1.0,
                          epochs=2, seed=0)
-        base = train(seqs[:3], seqs[3:], cfg)
-        # finite parameters whose loss overflows: every label but the
-        # first is all but impossible
-        base.params["out_b"][1:] = -np.finfo(np.float64).max
-        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite"):
-            train(seqs[:3], seqs[3:], cfg, initial=base)
 
-    @pytest.mark.parametrize("name, value, match", [
-        ("lstm0_wh", np.zeros((3, 16)), "block lstm0_wh has shape"),
-        ("embedding", np.full((4, 4), np.nan), "block embedding holds nan"),
-    ], ids=["shape mismatch", "nan block"])
-    def test_warm_start_model_checked(self, name, value, match):
+        def overflowing_init(*args):
+            # finite parameters whose loss overflows: every label but the
+            # first is all but impossible
+            params = _init_params(*args)
+            params["out_b"][1:] = -np.finfo(np.float64).max
+            return params
+
+        monkeypatch.setattr(lstm, "_init_params", overflowing_init)
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            train(seqs[:3], seqs[3:], cfg)
+
+    def test_overflowing_gradient_norm_aborts(self, monkeypatch):
         seqs = [["a", "b"] * 10 for _ in range(4)]
         cfg = LstmConfig(embed_dim=4, hidden_dim=4, layers=1, dropout_keep=1.0,
                          epochs=1, seed=0)
-        base = train(seqs[:3], seqs[3:], cfg)
-        base.params[name] = value
-        with pytest.raises(ValueError, match=match):
-            train(seqs[:3], seqs[3:], cfg, initial=base)
+
+        def huge_backward(*args, **kwargs):
+            # finite gradients whose squared norm overflows, which clipping
+            # would otherwise scale to zero
+            grads = _backward_chunk(*args, **kwargs)
+            grads["out_b"][:] = 1e200
+            return grads
+
+        monkeypatch.setattr(lstm, "_backward_chunk", huge_backward)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient norm at epoch 1"):
+            train(seqs[:3], seqs[3:], cfg)
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):

@@ -338,6 +338,7 @@ class TestModelSerialization:
         ("\nrank 2\n", "\nrank\n"),
         ("\nfits ", "\nfits 9"),
         ("\ndims 2 1 2\n", "\ndims 2 1\n"),
+        ("\nrank 2\n", "\n\n"),
     ])
     def test_malformed_keyword_line_rejected(self, tmp_path, old, new):
         t = Tensor3.from_array(np.random.default_rng(5).random((2, 1, 2)))
