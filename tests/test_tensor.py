@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from fleetmaint import tensor as tensor_module
 from fleetmaint.tensor import (
+    FormatReader,
     Tensor3,
     cp_compose,
     default_labels,
@@ -463,6 +464,55 @@ class TestSerialization:
         write(tokens)
         with pytest.raises(ValueError):
             load_tensor(path)
+
+
+class TestFormatReader:
+    def test_reads_each_part_in_order(self):
+        fh = io.StringIO("demo v1\ndims 2 1\nu1\nu2\nb\n"
+                         "block w 3\n0.5 0.0\n-2.0\n"
+                         "block v 2\n1.0 2.0\n")
+        reader = FormatReader(fh, "demo v1")
+        assert reader.fields("dims", 2) == ["2", "1"]
+        assert reader.labels((2, 1)) == (("u1", "u2"), ("b",))
+        assert reader.fields("block") == ["w", "3"]
+        # ceil(3 / 2) = 2 lines, leaving the next keyword line unread
+        np.testing.assert_array_equal(reader.floats(3, "w", per_line=2), [0.5, 0.0, -2.0])
+        assert reader.fields("block", 2) == ["v", "2"]
+        np.testing.assert_array_equal(reader.floats(2, "v"), [1.0, 2.0])
+        reader.end()
+
+    def test_bad_magic_names_the_format(self):
+        with pytest.raises(ValueError, match="not a demo file"):
+            FormatReader(io.StringIO("demo v2\n"), "demo v1")
+
+    def test_line_without_newline_is_truncation(self):
+        reader = FormatReader(io.StringIO("demo v1\nlast"), "demo v1")
+        with pytest.raises(ValueError, match="demo file is truncated"):
+            reader.line()
+
+    @pytest.mark.parametrize("line, count", [
+        ("rank\n", None),
+        ("ranks 2\n", None),
+        ("rank 2 3\n", 1),
+        ("rank 2\n", 2),
+        ("\n", None),
+    ], ids=["no value", "other keyword", "extra value", "missing value", "empty line"])
+    def test_malformed_keyword_line_rejected(self, line, count):
+        reader = FormatReader(io.StringIO("demo v1\n" + line), "demo v1")
+        with pytest.raises(ValueError, match="malformed rank line"):
+            reader.fields("rank", count)
+
+    def test_float_block_short_of_its_lines_rejected(self):
+        # three values at two per line need two lines
+        reader = FormatReader(io.StringIO("demo v1\n1.0 2.0 3.0\n"), "demo v1")
+        with pytest.raises(ValueError, match="truncated"):
+            reader.floats(3, "w", per_line=2)
+
+    def test_data_after_last_block_rejected(self):
+        reader = FormatReader(io.StringIO("demo v1\n1.0\n\n"), "demo v1")
+        np.testing.assert_array_equal(reader.floats(1, "w", per_line=4), [1.0])
+        with pytest.raises(ValueError, match="demo file has data after the last block"):
+            reader.end()
 
 
 class TestWriteFloats:
