@@ -129,6 +129,24 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
     return flags
 
 
+def _at_least(low: int):
+    """Argument type: an integer no less than ``low``."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+    return parse
+
+
+def _component(value: str) -> int | None:
+    """Argument type of ``--component``: a 1-based component, or None for ``all``."""
+    return None if value == "all" else _at_least(1)(value)
+
+
 def _boolean(value: str) -> bool:
     if value.lower() not in ("true", "false"):
         raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
@@ -150,8 +168,17 @@ def _load_tables(args):
     return vehicles, maintenance
 
 
+def _from_flags(build, **values):
+    """``build(**values)``, with a value it rejects reported as a config error."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _tensorize_spec(args) -> TensorizeSpec:
-    return TensorizeSpec(
+    return _from_flags(
+        TensorizeSpec,
         time_mode=args.time_mode,
         granularity=args.granularity,
         window_start=args.window_start,
@@ -162,7 +189,8 @@ def _tensorize_spec(args) -> TensorizeSpec:
 
 
 def _lstm_config(args) -> LstmConfig:
-    return LstmConfig(
+    return _from_flags(
+        LstmConfig,
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
         layers=args.layers,
@@ -197,8 +225,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_tensorize(args) -> int:
+    spec = _tensorize_spec(args)
     vehicles, maintenance = _load_tables(args)
-    build = build_tensor(vehicles, maintenance, _tensorize_spec(args))
+    build = build_tensor(vehicles, maintenance, spec)
     save_tensor(build.tensor, args.out)
     if args.discards:
         write_discard_summary(build, args.discards)
@@ -208,14 +237,15 @@ def cmd_tensorize(args) -> int:
 
 
 def cmd_parafac(args) -> int:
-    tensor = load_tensor(args.tensor)
-    opts = AlsOptions(
+    opts = _from_flags(
+        AlsOptions,
         rank=args.rank,
         max_iters=args.max_iters,
         tol=args.tol,
         seed=args.seed,
         n_restarts=args.restarts,
     )
+    tensor = load_tensor(args.tensor)
     model = cp_als(tensor, opts)
     save_model(model, args.out)
     for warning in model.warnings:
@@ -232,7 +262,7 @@ def cmd_parafac(args) -> int:
 
 def cmd_report(args) -> int:
     model = load_model(args.model)
-    components = None if args.component == "all" else [int(args.component)]
+    components = None if args.component is None else [args.component]
     written = export_component_reports(model, args.out, components, svg=args.format != "csv")
     for path in written:
         print(f"wrote {path}")
@@ -240,6 +270,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_seqmine(args) -> int:
+    if args.max_len < args.min_len:
+        raise ConfigError(f"--max-len {args.max_len} is below --min-len {args.min_len}")
     vehicles, maintenance = _load_tables(args)
     seqset, rejects = extract_sequences(maintenance, vehicles)
     if rejects:
@@ -262,10 +294,11 @@ def _split_label_lists(seqset, seed):
 
 
 def cmd_train(args) -> int:
+    cfg = _lstm_config(args)
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
     train_set, valid_set, _ = _split_label_lists(seqset, args.seed)
-    model = train_lstm(train_set, valid_set, _lstm_config(args))
+    model = train_lstm(train_set, valid_set, cfg)
     model.save(args.out)
     best = min(model.history["valid_perplexity"]) if model.history["valid_perplexity"] else None
     print(f"wrote {args.out} vocab={model.vocab.size} valid_perplexity={best}")
@@ -383,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
                        help="seed for randomized steps (default %(default)s)")
         p.add_argument("--config", type=str, default=None,
                        help="key = value file; values override flags")
@@ -423,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="export factor loading reports for a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--component", default="all", help="1-based component or 'all'")
+    p.add_argument("--component", type=_component, default="all",
+                   help="1-based component or 'all'")
     p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.add_argument("--out", required=True, help="output directory")
     add_common(p)
@@ -433,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--target", required=True, help='target make/model, e.g. "DODGE CHARGER"')
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--top-n", type=int, default=8)
+    p.add_argument("--min-len", type=_at_least(1), default=3)
+    p.add_argument("--max-len", type=_at_least(1), default=4)
+    p.add_argument("--top-n", type=_at_least(1), default=8)
     p.add_argument("--bonferroni", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="append a Bonferroni-adjusted p column")
     p.add_argument("--out", required=True, help="CSV output path")
@@ -474,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="rank likely next jobs after a prefix")
     p.add_argument("--model", required=True)
     p.add_argument("--prefix", default="", help="comma-separated system labels")
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=_at_least(1), default=5)
     add_common(p)
     p.set_defaults(func=cmd_predict)
 

@@ -289,6 +289,40 @@ def _sample_drop_masks(cfg, rng, steps, batch):
     }
 
 
+def _live_windows(params, cfg, ids, targets, mask, rng=None):
+    """Run the forward pass of a packed batch one BPTT window at a time.
+
+    A window runs only on its live rows, those whose sequence has not ended
+    before its first step: every later slot of an ended row is padding, so
+    the row adds nothing to the loss or the gradients. The state carried
+    between windows is sliced as rows drop out. With ``rng``, every window
+    draws dropout masks for the whole batch and keeps the live rows' part,
+    so a row's draws do not depend on which other rows are live.
+
+    Yields ``(rows, ids, targets, mask, log_probs, caches, drop)`` per window,
+    where ``rows`` indexes the live rows in the batch and the arrays are
+    restricted to the window and those rows. ``params`` is read at every
+    window, so updates made between windows take effect.
+    """
+    horizon, batch = ids.shape
+    lengths = np.count_nonzero(mask, axis=0)
+    rows = np.arange(batch)
+    state = _zero_state(cfg, batch)
+    for lo in range(0, horizon, cfg.bptt_steps):
+        hi = min(lo + cfg.bptt_steps, horizon)
+        live = lengths[rows] > lo
+        if not live.all():
+            rows = rows[live]
+            state = ([h[live] for h in state[0]], [c[live] for c in state[1]])
+        drop = None if rng is None else _sample_drop_masks(cfg, rng, hi - lo, batch)
+        if drop is not None:
+            drop = {"input": drop["input"][:, rows], "layer": drop["layer"][:, :, rows]}
+        window_ids = ids[lo:hi, rows]
+        log_probs, caches, state = _forward_chunk(params, cfg, window_ids, state, drop)
+        yield (rows, window_ids, targets[lo:hi, rows], mask[lo:hi, rows], log_probs, caches,
+               drop)
+
+
 def _clip_gradients(grads, max_norm: float) -> float:
     """Scale the gradients down to norm ``max_norm``; returns the norm before."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -316,20 +350,28 @@ class SeqModel:
     # -- evaluation ---------------------------------------------------------
 
     def _run_eval(self, encoded: list[np.ndarray]) -> tuple[float, int]:
-        """Total negative log-likelihood and item count, dropout disabled."""
+        """Total negative log-likelihood and item count, dropout disabled.
+
+        Batches hold sequences of similar length (a stable sort by length).
+        Each sequence's NLL is summed in time order and the sequences' totals
+        are added in input order, so the total does not depend on how the
+        batches are formed.
+        """
         cfg = self.config
-        step_nll = []
-        total_items = 0
-        for start in range(0, len(encoded), cfg.batch_size):
-            group = encoded[start : start + cfg.batch_size]
-            ids, targets, mask = _pack_batch(group, self.vocab.eos)
-            state = _zero_state(cfg, len(group))
-            log_probs, _, _ = _forward_chunk(self.params, cfg, ids, state, None)
-            step_nll.append((_target_log_probs(log_probs, targets) * mask).sum(axis=1))
-            total_items += int(mask.sum())
-        # cumsum adds the per-step totals one at a time, in window order, so
-        # the perplexity keeps the last bits of a plain running total
-        return -float(np.cumsum(np.concatenate(step_nll))[-1]), total_items
+        order = np.argsort([s.shape[0] for s in encoded], kind="stable")
+        seq_nll = np.zeros(len(encoded))
+        for start in range(0, len(order), cfg.batch_size):
+            group = order[start : start + cfg.batch_size]
+            ids, targets, mask = _pack_batch([encoded[i] for i in group], self.vocab.eos)
+            nll = np.zeros(len(group))
+            for rows, _, targets_w, mask_w, log_probs, _, _ in _live_windows(
+                    self.params, cfg, ids, targets, mask):
+                # cumsum from the carried total adds one step at a time
+                item_nll = -_target_log_probs(log_probs, targets_w) * mask_w
+                nll[rows] = np.cumsum(np.vstack([nll[rows], item_nll]), axis=0)[-1]
+            seq_nll[group] = nll
+        total_items = sum(s.shape[0] + 1 for s in encoded)
+        return float(np.cumsum(seq_nll)[-1]), total_items
 
     def next_distribution(self, prefix: Sequence[str]) -> np.ndarray:
         """Probability distribution over the vocabulary for the next item.
@@ -435,23 +477,14 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             group = [encoded_train[i] for i in order[start : start + cfg.batch_size]]
             ids, targets, mask = _pack_batch(group, vocab.eos)
-            state = _zero_state(cfg, len(group))
-            for lo in range(0, ids.shape[0], cfg.bptt_steps):
-                hi = min(lo + cfg.bptt_steps, ids.shape[0])
-                sub_mask = mask[lo:hi]
-                if sub_mask.sum() == 0:
-                    break
-                drop = _sample_drop_masks(cfg, rng, hi - lo, len(group))
-                log_probs, caches, state = _forward_chunk(
-                    model.params, cfg, ids[lo:hi], state, drop
-                )
-                loss = _chunk_loss(sub_mask, targets[lo:hi], log_probs)
+            for _, ids_w, targets_w, mask_w, log_probs, caches, drop in _live_windows(
+                    model.params, cfg, ids, targets, mask, rng):
+                loss = _chunk_loss(mask_w, targets_w, log_probs)
                 _check_finite(loss, "loss", epoch, lr)
-                epoch_nll += loss * sub_mask.sum()
-                epoch_items += int(sub_mask.sum())
+                epoch_nll += loss * mask_w.sum()
+                epoch_items += int(mask_w.sum())
                 grads = _backward_chunk(
-                    model.params, cfg, ids[lo:hi], targets[lo:hi], sub_mask,
-                    log_probs, caches, drop,
+                    model.params, cfg, ids_w, targets_w, mask_w, log_probs, caches, drop,
                     norm=float(cfg.batch_size * cfg.bptt_steps),
                 )
                 _check_finite(_clip_gradients(grads, cfg.grad_clip), "gradient norm", epoch, lr)

@@ -119,7 +119,7 @@ class TestTensorize:
         err = capsys.readouterr().err
         assert err.startswith(f"data-error: {maintenance}: row 4: field larger than field limit")
 
-    @pytest.mark.parametrize("end, code", [("2016-12", 0), ("2016-11", 4)],
+    @pytest.mark.parametrize("end, code", [("2016-12", 0), ("2016-11", 2)],
                              ids=["one month", "end before start"])
     def test_one_month_window(self, fleet_dir, tmp_path, capsys, end, code):
         out = tmp_path / "tensor.txt"
@@ -135,7 +135,7 @@ class TestTensorize:
             assert tensor.dims[2] == 1
             assert tensor.axis_labels[2] == ("2016-12",)
         else:
-            assert capsys.readouterr().err.startswith("data-error:")
+            assert capsys.readouterr().err.startswith("config-error:")
 
     def test_lifetime_mode(self, fleet_dir, tmp_path):
         out = tmp_path / "life.txt"
@@ -426,25 +426,6 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("data-error:") and len(err.splitlines()) == 1, err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--lr", "nan"), ("--lr", "inf"), ("--lr-decay", "nan"), ("--lr-decay", "inf"),
-        ("--grad-clip", "nan"), ("--grad-clip", "inf"),
-    ])
-    def test_non_finite_hyperparameter_is_data_error(self, fleet_dir, tmp_path, capsys,
-                                                     flag, value):
-        out = tmp_path / "m.txt"
-        code = main([
-            "train",
-            "--vehicles", str(fleet_dir / "vehicles.csv"),
-            "--maintenance", str(fleet_dir / "maintenance.csv"),
-            "--embed-dim", "4", "--hidden-dim", "4", "--layers", "1",
-            "--epochs", "1", flag, value, "--out", str(out),
-        ])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("data-error:") and len(err.splitlines()) == 1, err
-        assert not out.exists()
-
     def test_diverging_training_is_data_error(self, fleet_dir, tmp_path):
         out = tmp_path / "m.txt"
         proc = run_cli(
@@ -527,6 +508,41 @@ class TestTrainEvalPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
+
+
+TENSORIZE = ["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt"]
+PARAFAC = ["parafac", "--tensor", "t.txt", "--out", "m.txt"]
+TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*PARAFAC, "--rank", "0"],
+    [*PARAFAC, "--tol", "2"],
+    [*PARAFAC, "--max-iters", "0"],
+    [*PARAFAC, "--restarts", "0"],
+    [*TRAIN, "--batch-size", "0"],
+    [*TRAIN, "--dropout-keep", "0"],
+    [*TRAIN, "--lr", "-1"],
+    *([*TRAIN, flag, value] for flag in ("--lr", "--lr-decay", "--grad-clip")
+      for value in ("nan", "inf")),
+    ["predict", "--model", "m.txt", "--top-k", "0"],
+    [*TENSORIZE, "--horizon", "0"],
+    [*TENSORIZE, "--window-start", "2010-13"],
+    [*TENSORIZE, "--window-start", "2016-12", "--window-end", "2016-11"],
+    ["report", "--model", "m.txt", "--out", "rep", "--component", "abc"],
+    ["report", "--model", "m.txt", "--out", "rep", "--component", "0"],
+    ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
+     "--out", "d.csv", "--min-len", "4", "--max-len", "3"],
+    ["synth", "--out", "fleet", "--seed", "-1"],
+], ids=" ".join)
+def test_flag_out_of_range_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    # none of the named files exist: the flags are checked before any is read
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
+    assert not list(tmp_path.iterdir())
 
 
 class TestPipeline:

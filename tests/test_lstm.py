@@ -15,10 +15,16 @@ from fleetmaint.lstm import (
     UnigramModel,
     Vocab,
     _backward_chunk,
+    _chunk_loss,
+    _clip_gradients,
     _forward_chunk,
     _init_params,
     _log_softmax,
+    _pack_batch,
+    _param_shapes,
     _sample_drop_masks,
+    _target_log_probs,
+    _zero_state,
     grad_check,
     perplexity,
     predict_next,
@@ -581,3 +587,121 @@ def test_training_history_matches_golden():
     assert model.history.keys() == GOLDEN_HISTORY.keys()
     for key, expected in GOLDEN_HISTORY.items():
         np.testing.assert_allclose(model.history[key], expected, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# full-batch training and per-sequence evaluation references
+# ---------------------------------------------------------------------------
+
+
+def train_oracle(train_seqs, valid_seqs, cfg):
+    """The training loop that runs every window on the whole batch, ended rows included."""
+    rng = np.random.default_rng([cfg.seed, 0])
+    vocab = Vocab.from_sequences(train_seqs)
+    model = SeqModel(vocab, cfg, _init_params(cfg, vocab.size, rng))
+    encoded_train = [vocab.encode(s) for s in train_seqs]
+    best_ppl = np.inf
+    best_params = None
+    val_history, loss_history = [], []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr_at_epoch(epoch)
+        order = rng.permutation(len(encoded_train))
+        epoch_nll = 0.0
+        epoch_items = 0
+        for start in range(0, len(order), cfg.batch_size):
+            group = [encoded_train[i] for i in order[start : start + cfg.batch_size]]
+            ids, targets, mask = _pack_batch(group, vocab.eos)
+            state = _zero_state(cfg, len(group))
+            for lo in range(0, ids.shape[0], cfg.bptt_steps):
+                hi = min(lo + cfg.bptt_steps, ids.shape[0])
+                sub_mask = mask[lo:hi]
+                if sub_mask.sum() == 0:
+                    break
+                drop = _sample_drop_masks(cfg, rng, hi - lo, len(group))
+                log_probs, caches, state = _forward_chunk(
+                    model.params, cfg, ids[lo:hi], state, drop)
+                loss = _chunk_loss(sub_mask, targets[lo:hi], log_probs)
+                epoch_nll += loss * sub_mask.sum()
+                epoch_items += int(sub_mask.sum())
+                grads = _backward_chunk(
+                    model.params, cfg, ids[lo:hi], targets[lo:hi], sub_mask,
+                    log_probs, caches, drop, norm=float(cfg.batch_size * cfg.bptt_steps))
+                _clip_gradients(grads, cfg.grad_clip)
+                for name, g in grads.items():
+                    model.params[name] -= lr * g
+        loss_history.append(epoch_nll / max(epoch_items, 1))
+        if valid_seqs:
+            val_ppl = perplexity(model, valid_seqs)
+            val_history.append(val_ppl)
+            if val_ppl < best_ppl:
+                best_ppl = val_ppl
+                best_params = {k: v.copy() for k, v in model.params.items()}
+    if best_params is not None:
+        model.params = best_params
+    model.history = {"train_loss": loss_history, "valid_perplexity": val_history}
+    return model
+
+
+def perplexity_oracle(model, seqs):
+    """exp(sum of NLLs / sum of items), each sequence scored alone in one full-length window."""
+    total_nll = 0.0
+    total_items = 0
+    for seq in seqs:
+        ids, targets, _ = _pack_batch([model.vocab.encode(seq)], model.vocab.eos)
+        log_probs, _, _ = _forward_chunk(model.params, model.config, ids,
+                                         _zero_state(model.config, 1), None)
+        total_nll -= float(_target_log_probs(log_probs, targets).sum())
+        total_items += ids.shape[0]
+    return math.exp(total_nll / total_items)
+
+
+label_seqs = st.lists(st.lists(st.sampled_from("abcd"), max_size=12), min_size=1, max_size=9)
+
+
+@st.composite
+def training_cases(draw):
+    cfg = LstmConfig(
+        embed_dim=draw(st.integers(1, 4)), hidden_dim=draw(st.integers(1, 5)),
+        layers=draw(st.integers(1, 2)), dropout_keep=draw(st.sampled_from([0.7, 1.0])),
+        bptt_steps=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 5)),
+        epochs=draw(st.integers(1, 2)), lr=0.9, lr_constant_epochs=1, lr_decay=0.5,
+        grad_clip=draw(st.sampled_from([0.1, 5.0])), seed=draw(st.integers(0, 2**16)),
+    )
+    train_seqs = draw(label_seqs.filter(lambda seqs: any(seqs)))
+    return train_seqs, draw(label_seqs), cfg
+
+
+class TestLiveRowWindows:
+    # the "ab" row's 3 packed slots end exactly where the second window starts
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(training_cases())
+    @example(([list("ab"), list("abcab")], [list("ba")],
+              LstmConfig(embed_dim=3, hidden_dim=4, layers=2, dropout_keep=0.7, bptt_steps=3,
+                         batch_size=2, epochs=2, lr=0.9, lr_constant_epochs=1, lr_decay=0.5,
+                         seed=5)))
+    def test_training_matches_full_batch_loop(self, case):
+        train_seqs, valid_seqs, cfg = case
+        model = train(train_seqs, valid_seqs, cfg)
+        ref = train_oracle(train_seqs, valid_seqs, cfg)
+        assert model.history.keys() == ref.history.keys()
+        for key, values in ref.history.items():
+            np.testing.assert_allclose(model.history[key], values, rtol=1e-12, atol=0)
+        assert model.params.keys() == ref.params.keys()
+        for name, value in ref.params.items():
+            assert_close(model.params[name], value, name)
+
+    # batches of 3 sequences with 3, 4 and 10 packed slots: only the longest
+    # row is live in the windows starting at steps 4 and 8
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(label_seqs, st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**16))
+    @example([list("ab"), list("abc"), list("abcdabcda")], 4, 3, 1)
+    def test_perplexity_scores_each_sequence_alone(self, seqs, bptt_steps, batch_size, seed):
+        cfg = LstmConfig(embed_dim=3, hidden_dim=4, layers=2, bptt_steps=bptt_steps,
+                         batch_size=batch_size, seed=seed)
+        vocab = Vocab.from_sequences([list("abc")])  # "d" is unseen and maps to UNK
+        rng = np.random.default_rng(seed)
+        params = {name: rng.uniform(-0.8, 0.8, size=shape)
+                  for name, shape in _param_shapes(cfg, vocab.size).items()}
+        model = SeqModel(vocab, cfg, params)
+        assert perplexity(model, seqs) == pytest.approx(perplexity_oracle(model, seqs),
+                                                        rel=1e-12)
