@@ -85,8 +85,8 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
             )
             for name, c in payload.get("markov", {}).items()
         }
-        return FleetSpec(
-            seed=int(payload["seed"]),
+        spec = FleetSpec(
+            seed=payload["seed"],
             vehicles={k: int(v) for k, v in payload["vehicles"].items()},
             window_start=payload["window_start"],
             months=int(payload["months"]),
@@ -102,8 +102,10 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
             ),
             noiseless=bool(payload.get("noiseless", False)),
         )
+        spec.validate()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed fleet spec: {exc}") from exc
+    return spec
 
 
 def _config_flags(path, args: argparse.Namespace) -> list[str]:
@@ -213,7 +215,10 @@ def _lstm_config(args) -> LstmConfig:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ConfigError(f"malformed fleet spec: {exc}") from exc
         spec = fleet_spec_from_json(payload)
     else:
         spec = demo_spec(seed=args.seed)

@@ -50,8 +50,9 @@ def normalize_system(label: str) -> str:
     return label.strip().casefold()
 
 
-def normalize_make_model(make: str, model: str) -> str:
-    return f"{make.strip().upper()} {model.strip().upper()}"
+def normalize_make_model(*parts: str) -> str:
+    """Make/model key: the parts joined, whitespace runs collapsed, upper-cased."""
+    return " ".join(" ".join(parts).split()).upper()
 
 
 def parse_date(value: str) -> date | None:

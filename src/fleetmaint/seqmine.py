@@ -6,7 +6,8 @@ count) and is normalized by the total number of length-l windows in the
 group, so left/right normalized supports are comparable proportions. The
 left:right ratio (i-ratio) is capped at 10000.0 when the right side has zero
 support, and H0: p_left = p_right is tested with a pooled two-proportion
-z-test.
+z-test; a right side with no window of the pattern's length gives z = 0,
+p = 1.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord
+from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_make_model
 
 I_RATIO_CAP = 10000.0
 P_FLOOR = 1e-4
@@ -111,52 +111,17 @@ def sequence_set_from_lists(
     return SequenceSet(labels=labels, sequences=sequences)
 
 
-def count_windows(sequences, length: int) -> int:
-    """Number of contiguous windows of the given length across all sequences."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    total = 0
-    for seq in sequences:
-        total += max(0, len(seq) - length + 1)
-    return total
-
-
-def mine_frequent(
-    sequences: list[EventSequence],
-    min_len: int = 3,
-    max_len: int = 4,
-    top_n: int = 8,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Most frequent contiguous patterns with lengths in [min_len, max_len].
-
-    Every window occurrence counts, including overlapping repeats inside one
-    vehicle. Ties are broken lexicographically by pattern.
-    """
-    if min_len < 1 or max_len < min_len:
-        raise ValueError("need 1 <= min_len <= max_len")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
+def window_counts(sequences: list[EventSequence], width: int) -> Counter:
+    """Occurrences of every contiguous window of ``width`` events, keyed by its
+    tuple of label indices; overlapping windows and repeats within one
+    sequence all count, and ``total()`` is the number of windows."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
     counts: Counter = Counter()
     for seq in sequences:
-        ev = tuple(int(v) for v in seq.events)
-        for width in range(min_len, max_len + 1):
-            for start in range(len(ev) - width + 1):
-                counts[ev[start : start + width]] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_n]
-
-
-def count_pattern(sequences: list[EventSequence], pattern: tuple[int, ...]) -> int:
-    """Occurrences of one pattern across all windows of all sequences."""
-    target = np.asarray(pattern, dtype=np.int32)
-    width = target.shape[0]
-    total = 0
-    for seq in sequences:
-        if len(seq) < width:
-            continue
-        windows = sliding_window_view(seq.events, width)
-        total += int(np.all(windows == target, axis=1).sum())
-    return total
+        events = seq.events.tolist()
+        counts.update(zip(*(events[k:] for k in range(width))))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +171,11 @@ def differential(
 
     Output is sorted by left support descending, then by pattern.
     """
-    target = " ".join(target_make_model.split()).upper()
+    if min_len < 1 or max_len < min_len:
+        raise ValueError("need 1 <= min_len <= max_len")
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    target = normalize_make_model(target_make_model)
     left = [s for s in seqset.sequences if s.make_model == target]
     right = [s for s in seqset.sequences if s.make_model != target]
     if not left:
@@ -214,32 +183,31 @@ def differential(
     if not right:
         raise ValueError("no non-target sequences to compare against")
 
-    mined = mine_frequent(left, min_len=min_len, max_len=max_len, top_n=top_n)
-    n_left = {width: count_windows(left, width) for width in range(min_len, max_len + 1)}
-    n_right = {width: count_windows(right, width) for width in range(min_len, max_len + 1)}
+    widths = range(min_len, max_len + 1)
+    left_counts = {width: window_counts(left, width) for width in widths}
+    right_counts = {width: window_counts(right, width) for width in widths}
+    n_left = {width: counts.total() for width, counts in left_counts.items()}
+    n_right = {width: counts.total() for width, counts in right_counts.items()}
+    # ties broken by the pattern's label indices, across all widths
+    mined = sorted(
+        (item for counts in left_counts.values() for item in counts.items()),
+        key=lambda kv: (-kv[1], kv[0]),
+    )[:top_n]
 
     out = []
     for pattern_idx, left_support in mined:
         width = len(pattern_idx)
-        right_support = count_pattern(right, pattern_idx)
+        right_support = right_counts[width][pattern_idx]
         left_norm = left_support / n_left[width]
-        right_norm = right_support / n_right[width] if n_right[width] > 0 else 0.0
-        if right_norm > 0:
-            i_ratio = left_norm / right_norm
-        else:
-            i_ratio = I_RATIO_CAP
-        z, p = two_prop_z(left_support, n_left[width], right_support, n_right[width])
+        if n_right[width] > 0:
+            right_norm = right_support / n_right[width]
+            z, p = two_prop_z(left_support, n_left[width], right_support, n_right[width])
+        else:  # no rest window of this width: nothing to test against
+            right_norm, z, p = 0.0, 0.0, 1.0
+        i_ratio = left_norm / right_norm if right_norm > 0 else I_RATIO_CAP
+        pattern = tuple(seqset.labels[i] for i in pattern_idx)
         out.append(
-            DiffPattern(
-                pattern=tuple(seqset.labels[i] for i in pattern_idx),
-                left_support=left_support,
-                left_norm=left_norm,
-                right_support=right_support,
-                right_norm=right_norm,
-                i_ratio=i_ratio,
-                z=z,
-                p=p,
-            )
+            DiffPattern(pattern, left_support, left_norm, right_support, right_norm, i_ratio, z, p)
         )
     out.sort(key=lambda d: (-d.left_support, d.pattern))
     return out

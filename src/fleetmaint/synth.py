@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -86,16 +88,26 @@ class FleetSpec:
     noiseless: bool = False
 
     def validate(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.months < 1:
             raise ValueError("months must be >= 1")
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
+        if not (math.isfinite(self.background_rate) and self.background_rate >= 0):
+            raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate}")
         if not self.vehicles:
             raise ValueError("need at least one make/model group")
+        if self.purchase_years is not None and not self.purchase_years:
+            raise ValueError("purchase_years must not be empty")
         if _parse_month(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
         for comp in self.components:
+            values = (comp.intensity, *comp.vehicle_weights.values(),
+                      *comp.system_weights.values(), *comp.time_profile)
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(
+                    f"component {comp.name}: non-finite intensity, weight or time-profile value"
+                )
             if comp.intensity < 0:
                 raise ValueError(f"component {comp.name}: negative intensity")
             if len(comp.time_profile) != self.months:

@@ -54,7 +54,8 @@ def test_collates_medians_seeds_and_ratios(tmp_path, monkeypatch):
     assert ratio["paper-tensor"] == pytest.approx(
         e2e(3.5 / 9.25, 6.1 / 8.2, 4.2 / 4.1, 310.0 / 620.0))
     # models_s ties on seed 1 and loses on seed 2
-    assert got["pairs"] == {"paper-tensor": {"seeds": [1, 2], "change_wins": e2e(2, 2, 0, 2)}}
+    assert got["pairs"] == {"paper-tensor": {
+        "seeds": [1, 2], "unpaired": {"parent": [], "change": []}, "change_wins": e2e(2, 2, 0, 2)}}
 
 
 def test_pair_wins_follow_each_metric_direction(tmp_path, monkeypatch):
@@ -64,13 +65,18 @@ def test_pair_wins_follow_each_metric_direction(tmp_path, monkeypatch):
     for seed in (1, 2, 3, 4):
         write_result(parent, f"w-{seed}-t0.json", run_s=5.0, rate=10.0)
     # seed 2 wins both, 3 ties run_s and wins rate, 4 loses run_s and ties
-    # rate; seed 5 has no parent run
+    # rate; seed 5 has no parent run and seed 1 no change run
     for seed, run_s, rate in ((2, 4.0, 11.0), (3, 5.0, 12.0), (4, 6.0, 10.0), (5, 1.0, 99.0)):
         write_result(change, f"w-{seed}-t0.json", run_s=run_s, rate=rate)
     got = bench_collate.collate(parent, change, "x")
-    assert got["pairs"] == {"w": {"seeds": [2, 3, 4], "change_wins": {"run_s": 1, "rate": 2}}}
+    assert got["pairs"] == {"w": {"seeds": [2, 3, 4], "unpaired": {"parent": [1], "change": [5]},
+                                  "change_wins": {"run_s": 1, "rate": 2}}}
+    assert got["parent"]["workloads"]["w"]["seeds"] == [2, 3, 4]
     assert got["parent"]["workloads"]["w"]["q1"] == {"run_s": 5.0, "rate": 10.0}
+    # the unpaired seed 5 (run_s 1.0) is in no figure
     change_w = got["change"]["workloads"]["w"]
-    assert change_w["q1"]["run_s"] == pytest.approx(3.25)
-    assert change_w["q3"]["run_s"] == pytest.approx(5.25)
-    assert change_w["median"]["run_s"] == pytest.approx(4.5)
+    assert change_w["seeds"] == [2, 3, 4]
+    assert change_w["q1"]["run_s"] == pytest.approx(4.5)
+    assert change_w["q3"]["run_s"] == pytest.approx(5.5)
+    assert change_w["median"]["run_s"] == pytest.approx(5.0)
+    assert got["change_over_parent"]["w"]["run_s"] == pytest.approx(1.0)

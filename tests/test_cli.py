@@ -61,20 +61,44 @@ class TestSynth:
         assert code == 2
         assert capsys.readouterr().err.startswith("config-error:")
 
-    @pytest.mark.parametrize("spec", [
+    @pytest.mark.parametrize("text", [json.dumps(spec) for spec in (
         dict(CUSTOM_SPEC, vehicles=[]),
         [CUSTOM_SPEC],
         dict(CUSTOM_SPEC, months=2, components=[{
             "name": "c", "vehicle_weights": {"FORD F150": 1.0},
             "system_weights": {"Brakes": 1.0}, "time_profile": ["a", "b"], "intensity": 1.0,
         }]),
-    ], ids=["vehicles-list", "top-level-list", "time-profile-strings"])
-    def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, spec):
+        dict(CUSTOM_SPEC, seed=-1),
+        dict(CUSTOM_SPEC, seed=1.5),
+        dict(CUSTOM_SPEC, months=0),
+        dict(CUSTOM_SPEC, background_rate=float("nan")),
+        dict(CUSTOM_SPEC, months=2, components=[{
+            "name": "c", "vehicle_weights": {"FORD F150": 1.0},
+            "system_weights": {"Brakes": 1.0}, "time_profile": [1.0, 1.0],
+            "intensity": float("inf"),
+        }]),
+        dict(CUSTOM_SPEC, months=2, components=[{
+            "name": "c", "vehicle_weights": {"FORD F150": float("nan")},
+            "system_weights": {"Brakes": 1.0}, "time_profile": [1.0, float("-inf")],
+            "intensity": 1.0,
+        }]),
+        dict(CUSTOM_SPEC, motifs=[{
+            "make_model": "FORD F150", "labels": ["Brakes", "Tires"], "rate": float("nan"),
+        }]),
+        dict(CUSTOM_SPEC, purchase_years=[]),
+    )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
+        "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
+        "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
+        "motif-rate-nan", "purchase-years-empty", "not-json",
+    ])
+    def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
+        spec_path.write_text(text)
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config-error: malformed fleet spec")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config-error: malformed fleet spec")
+        assert not (tmp_path / "o").exists()
 
 
 class TestTensorize:

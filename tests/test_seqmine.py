@@ -6,15 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.ingest import MaintenanceRecord, VehicleRecord
 from fleetmaint.seqmine import (
     DiffPattern,
     I_RATIO_CAP,
-    count_pattern,
-    count_windows,
     differential,
     extract_sequences,
     format_norm,
@@ -22,10 +20,10 @@ from fleetmaint.seqmine import (
     format_pattern,
     format_ratio,
     format_z,
-    mine_frequent,
     normal_cdf,
     sequence_set_from_lists,
     two_prop_z,
+    window_counts,
     write_diff_csv,
 )
 
@@ -83,14 +81,28 @@ class TestExtractSequences:
         seqset, _ = extract_sequences([job("1", "V1", date(2016, 1, 1), "Brakes")], vehicles)
         assert seqset.sequences[0].make_model == "FORD CROWN VICTORIA"
 
+    def test_inner_whitespace_runs_collapse_for_target_and_vehicle(self):
+        vehicles = [vehicle("V1", make="Ford", model="Crown  Victoria"), vehicle("V2")]
+        jobs = [job(str(i), unit, date(2016, 1, 1 + i), "Brakes")
+                for i, unit in enumerate(["V1", "V1", "V1", "V2", "V2", "V2"])]
+        seqset, _ = extract_sequences(jobs, vehicles)
+        assert seqset.sequences[0].make_model == "FORD CROWN VICTORIA"
+        for target in ("FORD CROWN VICTORIA", " ford  crown\tvictoria "):
+            result = differential(seqset, target, min_len=3, max_len=3)
+            assert [(d.pattern, d.left_support) for d in result] == [(("brakes",) * 3, 1)]
+
 
 class TestCountWindows:
     def test_examples(self):
         seqs = sequence_set_from_lists([["a"] * 5]).sequences
-        assert count_windows(seqs, 3) == 3
-        assert count_windows(sequence_set_from_lists([["a", "b"]]).sequences, 3) == 0
+        assert window_counts(seqs, 3).total() == 3
+        assert window_counts(sequence_set_from_lists([["a", "b"]]).sequences, 3).total() == 0
         ten = sequence_set_from_lists([["a"] * 10 for _ in range(10)]).sequences
-        assert count_windows(ten, 4) == 70
+        assert window_counts(ten, 4).total() == 70
+
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            window_counts(sequence_set_from_lists([["a"]]).sequences, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -99,7 +111,7 @@ class TestCountWindows:
     )
     def test_matches_sum_formula(self, lengths, width):
         seqs = sequence_set_from_lists([["x"] * n for n in lengths] + [["x"]]).sequences[:-1]
-        assert count_windows(seqs, width) == sum(max(0, n - width + 1) for n in lengths)
+        assert window_counts(seqs, width).total() == sum(max(0, n - width + 1) for n in lengths)
 
 
 def brute_force_counts(label_lists, min_len, max_len):
@@ -111,18 +123,24 @@ def brute_force_counts(label_lists, min_len, max_len):
     return counts
 
 
+def labelled_counts(seqset, sequences, width):
+    """``window_counts`` keyed by label tuples, as the oracle keys them."""
+    return {
+        tuple(seqset.labels[i] for i in pattern): count
+        for pattern, count in window_counts(sequences, width).items()
+    }
+
+
 class TestMineFrequent:
     def test_overlapping_windows_all_count(self):
         seqset = sequence_set_from_lists([["a", "a", "a", "a"]])
-        mined = mine_frequent(seqset.sequences, min_len=3, max_len=3, top_n=5)
-        assert len(mined) == 1
-        pattern, count = mined[0]
-        assert count == 2
+        counts = window_counts(seqset.sequences, 3)
+        assert len(counts) == 1
+        assert counts[(0, 0, 0)] == 2
 
     def test_duplicate_sequences(self):
         seqset = sequence_set_from_lists([["a", "b", "c"], ["a", "b", "c"]])
-        mined = mine_frequent(seqset.sequences, min_len=3, max_len=3, top_n=1)
-        assert mined[0][1] == 2
+        assert window_counts(seqset.sequences, 3) == Counter({(0, 1, 2): 2})
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(99)
@@ -133,20 +151,34 @@ class TestMineFrequent:
         ]
         seqset = sequence_set_from_lists(lists)
         oracle = brute_force_counts(seqset.as_label_lists(), 2, 4)
-        mined = mine_frequent(seqset.sequences, min_len=2, max_len=4, top_n=10_000)
-        got = {
-            tuple(seqset.labels[i] for i in pattern): count for pattern, count in mined
-        }
+        got = {}
+        for width in (2, 3, 4):
+            got.update(labelled_counts(seqset, seqset.sequences, width))
         assert got == dict(oracle)
 
     def test_tie_break_is_lexicographic(self):
-        seqset = sequence_set_from_lists([["b", "b", "b"], ["a", "a", "a"]])
-        mined = mine_frequent(seqset.sequences, min_len=3, max_len=3, top_n=2)
-        names = [tuple(seqset.labels[i] for i in p) for p, _ in mined]
-        assert names == [("a", "a", "a"), ("b", "b", "b")]
+        seqset = sequence_set_from_lists(
+            [["b", "b", "b"], ["a", "a", "a"], ["c"]], make_models=["T ONE", "T ONE", "O TWO"]
+        )
+        for top_n in (1, 2):
+            mined = differential(seqset, "T ONE", min_len=3, max_len=3, top_n=top_n)
+            names = [d.pattern for d in mined]
+            assert names == [("a", "a", "a"), ("b", "b", "b")][:top_n]
 
     def test_empty_input(self):
-        assert mine_frequent([], min_len=3, max_len=4, top_n=3) == []
+        assert window_counts([], 3) == Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lists=st.lists(st.lists(st.sampled_from("abc"), max_size=8), max_size=6),
+        width=st.integers(1, 5),
+    )
+    def test_matches_brute_force_property(self, lists, width):
+        # empty sequences and sequences shorter than the width included
+        seqset = sequence_set_from_lists(lists)
+        oracle = brute_force_counts(lists, width, width)
+        assert labelled_counts(seqset, seqset.sequences, width) == dict(oracle)
+        assert window_counts(seqset.sequences, width).total() == sum(oracle.values())
 
 
 class TestTwoPropZ:
@@ -231,12 +263,26 @@ def brute_force_differential(seqset, target, min_len, max_len, top_n):
         left_norm = left_support / n_l
         right_norm = right_support / n_r if n_r else 0.0
         i_ratio = left_norm / right_norm if right_norm > 0 else I_RATIO_CAP
-        z, p = two_prop_z(left_support, n_l, right_support, n_r)
+        # no right-side window of this width: z = 0, p = 1
+        z, p = two_prop_z(left_support, n_l, right_support, n_r) if n_r else (0.0, 1.0)
         out.append(
             DiffPattern(pattern, left_support, left_norm, right_support, right_norm, i_ratio, z, p)
         )
     out.sort(key=lambda d: (-d.left_support, d.pattern))
     return out
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.pattern == w.pattern
+        assert g.left_support == w.left_support
+        assert g.right_support == w.right_support
+        assert g.left_norm == w.left_norm
+        assert g.right_norm == w.right_norm
+        assert g.i_ratio == w.i_ratio
+        assert g.z == w.z
+        assert g.p == w.p
 
 
 class TestDifferential:
@@ -308,16 +354,49 @@ class TestDifferential:
             seqset = sequence_set_from_lists(lists, make_models=models)
             got = differential(seqset, "T ONE", min_len=3, max_len=4, top_n=8)
             want = brute_force_differential(seqset, "T ONE", 3, 4, 8)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.pattern == w.pattern
-                assert g.left_support == w.left_support
-                assert g.right_support == w.right_support
-                assert g.left_norm == w.left_norm
-                assert g.right_norm == w.right_norm
-                assert g.i_ratio == w.i_ratio
-                assert g.z == w.z
-                assert g.p == w.p
+            assert_same_rows(got, want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        left=st.lists(st.lists(st.sampled_from("abc"), max_size=10), min_size=1, max_size=5),
+        right=st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=5),
+        min_len=st.integers(1, 3),
+        extra=st.integers(0, 2),
+        top_n=st.integers(1, 12),
+    )
+    # a rest group too short for max_len
+    @example(left=[list("abcab")], right=[list("abc")], min_len=3, extra=1, top_n=8)
+    def test_matches_brute_force_property(self, left, right, min_len, extra, top_n):
+        seqset = sequence_set_from_lists(
+            left + right, make_models=["T ONE"] * len(left) + ["O TWO"] * len(right)
+        )
+        max_len = min_len + extra
+        got = differential(seqset, "T ONE", min_len=min_len, max_len=max_len, top_n=top_n)
+        want = brute_force_differential(seqset, "T ONE", min_len, max_len, top_n)
+        assert_same_rows(got, want)
+
+    def test_rest_without_windows_of_a_width(self):
+        seqset = sequence_set_from_lists(
+            [["a", "b", "c", "a", "b"], ["a", "b", "c"]], make_models=["T ONE", "O TWO"]
+        )
+        result = differential(seqset, "T ONE", min_len=3, max_len=4)
+        long_rows = [d for d in result if len(d.pattern) == 4]
+        assert [d.pattern for d in long_rows] == [("a", "b", "c", "a"), ("b", "c", "a", "b")]
+        for d in long_rows:
+            assert (d.left_support, d.left_norm) == (1, 0.5)
+            assert (d.right_support, d.right_norm, d.i_ratio) == (0, 0.0, I_RATIO_CAP)
+            assert (d.z, d.p) == (0.0, 1.0)
+        # width 3 still has rest windows and is tested as before
+        abc = next(d for d in result if d.pattern == ("a", "b", "c"))
+        assert (abc.z, abc.p) == two_prop_z(1, 3, 1, 1)
+
+    def test_length_and_top_n_checks(self):
+        seqset = sequence_set_from_lists(
+            [["a", "b", "c"], ["a", "b"]], make_models=["T ONE", "O TWO"]
+        )
+        for min_len, max_len, top_n in ((0, 3, 8), (3, 2, 8), (3, 4, 0)):
+            with pytest.raises(ValueError, match="min_len|top_n"):
+                differential(seqset, "T ONE", min_len=min_len, max_len=max_len, top_n=top_n)
 
     def test_supports_bounded_by_window_counts(self):
         rng = np.random.default_rng(5)
@@ -327,8 +406,8 @@ class TestDifferential:
         right = [s for s in seqset.sequences if s.make_model != "DODGE CHARGER"]
         for d in result:
             width = len(d.pattern)
-            assert d.left_support <= count_windows(left, width)
-            assert d.right_support <= count_windows(right, width)
+            assert d.left_support <= window_counts(left, width).total()
+            assert d.right_support <= window_counts(right, width).total()
 
     def test_missing_target_and_missing_rest(self):
         seqset = sequence_set_from_lists(
@@ -410,9 +489,11 @@ class TestCountPattern:
         seqset = sequence_set_from_lists(lists)
         oracle = brute_force_counts(seqset.as_label_lists(), width, width)
         assert oracle
+        counts = window_counts(seqset.sequences, width)
         for pattern_labels, count in oracle.items():
             idx = tuple(seqset.labels.index(lab) for lab in pattern_labels)
-            assert count_pattern(seqset.sequences, idx) == count
+            assert counts[idx] == count
+        assert counts.total() == sum(oracle.values())
 
     def test_empty_sequences(self):
-        assert count_pattern([], (0, 1)) == 0
+        assert window_counts([], 2)[(0, 1)] == 0

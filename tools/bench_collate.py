@@ -7,12 +7,13 @@ Reads every ``.bench_out/results/<workload>-<seed>-t0.json`` that
 workload it writes the seeds, the count of failed operations and the median
 and quartiles (q1, q3) of each end-to-end metric named in ``BENCHMARK.json``,
 plus the change/parent ratio of those medians, to BENCH_<label>.json in the
-current directory. For each workload run on both sides it also writes the
-seeds run on both and, per metric, in how many of those seed pairs the
-change reads better than the parent in the metric's ``better`` direction
-(a tie counts for neither). Each side's commit is ``git describe --always
---dirty`` of its checkout (``-dirty`` marks uncommitted changes), or null
-outside a git checkout.
+current directory. A workload with seeds run on both sides is summarized
+over those seeds only; ``pairs`` lists them, the seeds found on one side
+only (``unpaired``, left out of every figure) and, per metric, in how many
+seed pairs the change reads better than the parent in the metric's
+``better`` direction (a tie counts for neither). Each side's commit is ``git
+describe --always --dirty`` of its checkout (``-dirty`` marks uncommitted
+changes), or null outside a git checkout.
 """
 
 from __future__ import annotations
@@ -74,8 +75,11 @@ def summarize(runs: dict[int, dict], metrics: dict[str, str]) -> dict:
 
 
 def change_wins(parent: dict[int, dict], change: dict[int, dict], metrics: dict[str, str]) -> dict:
-    """Seeds run on both sides and, per metric, the pairs the change wins."""
+    """Seeds run on both sides, seeds run on one side only and, per metric,
+    the pairs the change wins."""
     seeds = sorted(parent.keys() & change.keys())
+    unpaired = {"parent": sorted(parent.keys() - change.keys()),
+                "change": sorted(change.keys() - parent.keys())}
     wins = {}
     for name, better in metrics.items():
         sign = 1 if better == "higher" else -1
@@ -83,12 +87,18 @@ def change_wins(parent: dict[int, dict], change: dict[int, dict], metrics: dict[
             sign * (change[seed]["metrics"][name][0] - parent[seed]["metrics"][name][0]) > 0
             for seed in seeds
         )
-    return {"seeds": seeds, "change_wins": wins}
+    return {"seeds": seeds, "unpaired": unpaired, "change_wins": wins}
 
 
 def collate(parent: Path, change: Path, label: str) -> dict:
     metrics = end_to_end_metrics()
     runs = {"parent": read_runs(parent), "change": read_runs(change)}
+    both = sorted(w for w in runs["parent"].keys() & runs["change"].keys()
+                  if runs["parent"][w].keys() & runs["change"][w].keys())
+    pairs = {w: change_wins(runs["parent"][w], runs["change"][w], metrics) for w in both}
+    for w in both:  # compare like with like: drop the unpaired seeds
+        for side in runs:
+            runs[side][w] = {seed: runs[side][w][seed] for seed in pairs[w]["seeds"]}
     sides = {
         side: {
             "commit": commit_of(checkout),
@@ -96,7 +106,6 @@ def collate(parent: Path, change: Path, label: str) -> dict:
         }
         for side, checkout in (("parent", parent), ("change", change))
     }
-    both = sorted(runs["parent"].keys() & runs["change"].keys())
     ratio = {
         workload: {
             name: sides["change"]["workloads"][workload]["median"][name] / median
@@ -104,7 +113,6 @@ def collate(parent: Path, change: Path, label: str) -> dict:
         }
         for workload in both
     }
-    pairs = {w: change_wins(runs["parent"][w], runs["change"][w], metrics) for w in both}
     return {"label": label, "metrics": list(metrics), **sides, "change_over_parent": ratio,
             "pairs": pairs}
 
