@@ -87,9 +87,9 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
         }
         spec = FleetSpec(
             seed=payload["seed"],
-            vehicles={k: int(v) for k, v in payload["vehicles"].items()},
+            vehicles=dict(payload["vehicles"].items()),
             window_start=payload["window_start"],
-            months=int(payload["months"]),
+            months=payload["months"],
             systems=tuple(payload["systems"]),
             background_rate=float(payload.get("background_rate", 0.02)),
             components=components,

@@ -90,12 +90,22 @@ class FleetSpec:
     def validate(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.months < 1:
-            raise ValueError("months must be >= 1")
+        if not _is_count(self.months):
+            raise ValueError(f"months must be an integer >= 1, got {self.months!r}")
         if not (math.isfinite(self.background_rate) and self.background_rate >= 0):
             raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate}")
         if not self.vehicles:
             raise ValueError("need at least one make/model group")
+        for make_model, count in self.vehicles.items():
+            make, _, model = make_model.partition(" ")
+            if not (make.strip() and model.strip()):
+                raise ValueError(
+                    f"vehicles key {make_model!r} must be a make and a model split by a space"
+                )
+            if not _is_count(count):
+                raise ValueError(
+                    f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
+                )
         if self.purchase_years is not None and not self.purchase_years:
             raise ValueError("purchase_years must not be empty")
         if _parse_month(self.window_start) is None:
@@ -132,6 +142,11 @@ class FleetSpec:
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
             if set(chain.labels) - known:
                 raise ValueError(f"markov {name}: labels outside the system vocabulary")
+
+
+def _is_count(value) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def month_labels(window_start: str, months: int) -> list[str]:
@@ -295,7 +310,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
             make, _, model = make_model.partition(" ")
             cost = int(rng.integers(18, 95)) * 1000 + int(rng.integers(0, 1000))
             writer.writerow((
-                unit, "19", "GENERAL SERVICES", make, model or "BASE", str(year),
+                unit, "19", "GENERAL SERVICES", make, model, str(year),
                 str(int(rng.integers(500, 120000))), f"{year + 1}-06-15 08:30:00",
                 f"${cost:,}", "A", "Active Unit",
                 f"${float(rng.integers(100, 9000)):,.2f}",

@@ -12,13 +12,16 @@ index the columns with the earlier axis varying fastest:
 ``_UNFOLD_PERM`` below is the single source of truth for that convention;
 ``unfold``, ``fold`` and ``mttkrp_reference`` derive from it. The fast
 mttkrp kernels read the tensor through its (I, J*K) view instead, with no
-copy, and are checked against ``mttkrp_reference``.
+copy, and are checked against ``mttkrp_reference``. A tensor at most
+1/``_SPARSE_FILL`` full is read through its nonzeros only.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +76,11 @@ class Tensor3:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
+
+    @functools.cached_property
+    def _nonzeros(self) -> "tuple[_Chunks, _Chunks] | None":
+        # built once: the dataclass is frozen and its data read-only
+        return _nonzero_chunks(self.data)
 
 
 def _as_array(t: "Tensor3 | np.ndarray") -> np.ndarray:
@@ -132,14 +140,84 @@ def _check_factor(name: str, f: np.ndarray, rows: int, rank: int | None) -> np.n
     return f
 
 
+# a tensor with at most 1/_SPARSE_FILL of its entries nonzero takes the
+# nonzero-list kernels: at rank 25 on a 1087x81x96 tensor they beat the GEMMs
+# up to about 3.5% fill; on a 60x8x48 one at rank 5 either path takes tens of
+# microseconds (README, Method notes)
+_SPARSE_FILL = 32
+# nonzeros per pass of the segment sum: an (R, _SEGMENT_CHUNK) buffer is a few MB
+_SEGMENT_CHUNK = 1 << 14
+
+
+class _Chunk(NamedTuple):
+    """Consecutive runs of nonzeros that share one coordinate, the group."""
+
+    idx: np.ndarray  # the other coordinate of each nonzero
+    vals: np.ndarray  # its value
+    groups: np.ndarray  # the group of each run
+    starts: np.ndarray  # the offset of each run's first nonzero in the chunk
+
+
+_Chunks = tuple[_Chunk, ...]
+
+
+def _chunks(keys: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> _Chunks:
+    """The nonzeros ``(keys, idx, vals)``, sorted by ``keys``, in chunks of
+    about ``_SEGMENT_CHUNK`` that each begin where a run begins."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    # each chunk begins with the run that holds its first wanted nonzero
+    first = np.unique(
+        np.searchsorted(starts, np.arange(0, keys.size, _SEGMENT_CHUNK), side="right") - 1
+    )
+    bounds = np.append(starts[first], keys.size).tolist()
+    return tuple(
+        _Chunk(idx[lo:hi], vals[lo:hi], keys[runs], runs - lo)
+        for lo, hi, runs in zip(bounds, bounds[1:], np.split(starts, first[1:]))
+    )
+
+
+def _nonzero_chunks(x: np.ndarray) -> tuple[_Chunks, _Chunks] | None:
+    """The nonzeros of the (I, J*K) view of ``x`` grouped by row and, in a
+    stable sort, by column; None when more than 1/_SPARSE_FILL are nonzero."""
+    flat = x.reshape(-1)
+    if np.count_nonzero(flat) * _SPARSE_FILL > flat.size:
+        return None
+    pos = np.flatnonzero(flat)
+    rows, cols = np.divmod(pos, x.shape[1] * x.shape[2])
+    vals = flat[pos]
+    order = np.argsort(cols, kind="stable")
+    return _chunks(rows, cols, vals), _chunks(cols[order], rows[order], vals[order])
+
+
+def _nonzeros_of(t: Tensor3 | np.ndarray) -> tuple[_Chunks, _Chunks] | None:
+    return t._nonzeros if isinstance(t, Tensor3) else _nonzero_chunks(_as_array(t))
+
+
+def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
+    """The (R, n) array whose column g sums ``val * table_t[:, idx]`` over the
+    nonzeros of group g; a group with no nonzero gives a zero column."""
+    table_t = np.ascontiguousarray(table_t)
+    rank = table_t.shape[0]
+    out = np.zeros((rank, n))
+    buf = np.empty(rank * max((chunk.idx.size for chunk in chunks), default=0))
+    for idx, vals, groups, starts in chunks:
+        part = buf[: rank * idx.size].reshape(rank, idx.size)
+        # mode="clip" writes into out= directly; "raise" goes through a copy
+        np.take(table_t, idx, axis=1, out=part, mode="clip")
+        part *= vals
+        out[:, groups] = np.add.reduceat(part, starts, axis=1)
+    return out
+
+
 def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for the target mode.
 
     ``f1`` and ``f2`` are the factor matrices of the two non-target modes in
     ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``.
-    Mode 1 is one GEMM of the (I, J*K) view of the tensor with the Khatri-Rao
-    product built as an (R, J*K) array; modes 2 and 3 contract over i first
-    (:func:`mttkrp_partial`) and finish with :func:`mttkrp_from_partial`.
+    Mode 1 multiplies the (I, J*K) view of the tensor by the Khatri-Rao
+    product built as an (R, J*K) array: one GEMM, or for a tensor at most
+    1/32 full a sum over each row's nonzeros. Modes 2 and 3 contract over i
+    first (:func:`mttkrp_partial`) and finish with :func:`mttkrp_from_partial`.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
@@ -149,19 +227,29 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     f2 = _check_factor("f2", f2, others[1], f1.shape[1])
     if mode == 1:
         # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the
-        # column order of the C-contiguous (I, J*K) view; the GEMM runs as
-        # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
+        # column order of the C-contiguous (I, J*K) view
         kr = (f1.T[:, :, None] * f2.T[:, None, :]).reshape(f1.shape[1], -1)
+        nonzeros = _nonzeros_of(t)
+        if nonzeros is not None:
+            return _segment_sums(kr, nonzeros[0], x.shape[0]).T
+        # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
         return (kr @ x.reshape(x.shape[0], -1).T).T
-    return mttkrp_from_partial(mttkrp_partial(x, f1), f2, mode)
+    return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
 
 
 def mttkrp_partial(t: Tensor3 | np.ndarray, a: np.ndarray) -> np.ndarray:
     """Z = A^T X_(1) as an (R, J, K) array: the contraction over i that the
-    mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013)."""
+    mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013).
+    One GEMM, or for a tensor at most 1/32 full a sum over each column's
+    nonzeros."""
     x = _as_array(t)
     a = _check_factor("a", a, x.shape[0], None)
-    return (a.T @ x.reshape(x.shape[0], -1)).reshape(a.shape[1], x.shape[1], x.shape[2])
+    nonzeros = _nonzeros_of(t)
+    if nonzeros is not None:
+        z = _segment_sums(a.T, nonzeros[1], x.shape[1] * x.shape[2])
+    else:
+        z = a.T @ x.reshape(x.shape[0], -1)
+    return z.reshape(a.shape[1], x.shape[1], x.shape[2])
 
 
 def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:

@@ -86,10 +86,16 @@ class TestSynth:
             "make_model": "FORD F150", "labels": ["Brakes", "Tires"], "rate": float("nan"),
         }]),
         dict(CUSTOM_SPEC, purchase_years=[]),
+        dict(CUSTOM_SPEC, months=2.7),
+        dict(CUSTOM_SPEC, months=True),
+        dict(CUSTOM_SPEC, vehicles={"A B": -2, "C D": 2}),
+        dict(CUSTOM_SPEC, vehicles={"A B": 2.0}),
+        dict(CUSTOM_SPEC, vehicles={"AB": 2}),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
-        "motif-rate-nan", "purchase-years-empty", "not-json",
+        "motif-rate-nan", "purchase-years-empty", "months-float", "months-bool",
+        "vehicle-count-negative", "vehicle-count-float", "vehicles-one-word-key", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"

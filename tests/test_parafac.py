@@ -1,9 +1,11 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fleetmaint import tensor as tensor_module
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.parafac import (
     AlsOptions,
@@ -87,6 +89,24 @@ class TestCpAls:
         assert model.iterations == expected.size == 230
         assert model.converged
         np.testing.assert_allclose(model.fits, expected, rtol=1e-12, atol=0)
+
+    def test_sparse_kernels_match_the_gemms(self):
+        # Poisson counts of a rank-3 intensity, about 1% of the entries nonzero:
+        # the nonzero-list kernels run, and the GEMMs when the lists are withheld
+        rng = np.random.default_rng(5)
+        a, b, c = (rng.random((d, 3)) ** 4 for d in (120, 16, 24))
+        lam = np.einsum("ir,jr,kr->ijk", a, b, c)
+        x = rng.poisson(lam * (0.012 * lam.size / lam.sum())).astype(float)
+        assert 0.005 < np.count_nonzero(x) / x.size < 0.02
+        opts = AlsOptions(rank=3, seed=2, n_restarts=2)
+        sparse = cp_als(Tensor3.from_array(x), opts)
+        with mock.patch.object(tensor_module, "_nonzero_chunks", return_value=None):
+            dense = cp_als(Tensor3.from_array(x), opts)
+        assert sparse.converged and dense.converged
+        assert sparse.iterations == dense.iterations
+        np.testing.assert_allclose(sparse.fits, dense.fits, rtol=0, atol=1e-12)
+        for f_sparse, f_dense in zip(sparse.factors, dense.factors):
+            np.testing.assert_allclose(f_sparse, f_dense, rtol=0, atol=1e-10)
 
     def test_fit_history_monotone(self):
         rng = np.random.default_rng(21)

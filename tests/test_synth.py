@@ -221,6 +221,25 @@ class TestGenerate:
                 motifs=[PlantedMotif("DODGE CHARGER", ("Brakes",) * 3, 0.5)]
             ).validate()
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(months=2.7), "months must be an integer"),
+        (dict(months=12.0), "months must be an integer"),
+        (dict(months=True), "months must be an integer"),
+        (dict(vehicles={"A B": -2, "C D": 2}), "'A B': count must be an integer >= 1"),
+        (dict(vehicles={"A B": 0}), "'A B': count must be an integer >= 1"),
+        (dict(vehicles={"A B": 1.5}), "'A B': count must be an integer >= 1"),
+        (dict(vehicles={"A B": True}), "'A B': count must be an integer >= 1"),
+        (dict(vehicles={"AB": 2}), "vehicles key 'AB' must be a make and a model"),
+        (dict(vehicles={"A B": 1, "AB ": 2}), "vehicles key 'AB ' must be a make and a model"),
+        (dict(vehicles={" AB": 2}), "vehicles key ' AB' must be a make and a model"),
+    ])
+    def test_counts_and_vehicle_keys_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_spec(**overrides).validate()
+
+    def test_numpy_integer_counts_accepted(self):
+        tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)}).validate()
+
 
 class TestDemoSpec:
     def test_demo_generates_and_reconciles(self, tmp_path):

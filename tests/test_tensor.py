@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fleetmaint import tensor as tensor_module
+from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
+from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import (
     FormatReader,
     Tensor3,
@@ -273,6 +275,70 @@ class TestMttkrp:
         z = mttkrp_partial(Tensor3.from_array(np.ones((2, 3, 4))), np.ones((2, 2)))
         with pytest.raises(ValueError, match="mode must be 2 or 3"):
             mttkrp_from_partial(z, np.ones((4, 2)), 1)
+
+
+def sparse_tensor(dims, nnz, seed):
+    """A tensor with ``nnz`` nonzero entries at random places."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(int(np.prod(dims)))
+    flat[rng.choice(flat.size, nnz, replace=False)] = rng.normal(size=nnz)
+    return flat.reshape(dims)
+
+
+class TestSparseMttkrp:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9)),
+        share=st.floats(0, 1),
+        rank=st.integers(1, 6),
+        chunk=st.sampled_from([1, 2, 5, 1 << 14]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(1, 1, 1), share=1.0, rank=2, chunk=1 << 14, seed=0)  # all zero
+    @example(dims=(4, 2, 4), share=1.0, rank=3, chunk=1 << 14, seed=1)  # one nonzero
+    @example(dims=(40, 9, 9), share=1.0, rank=1, chunk=1, seed=2)
+    def test_matches_reference(self, dims, share, rank, chunk, seed):
+        # at most 1/32 of the entries nonzero, so many rows and columns are empty
+        nnz = int(share * (np.prod(dims) // 32))
+        x = sparse_tensor(dims, nnz, seed)
+        rng = np.random.default_rng(seed + 1)
+        a, b, c = (rng.normal(size=(d, rank)) for d in dims)
+        # chunks of a few nonzeros put runs across chunk boundaries
+        with mock.patch.object(tensor_module, "_SEGMENT_CHUNK", chunk):
+            t = Tensor3.from_array(x)
+            assert t._nonzeros is not None
+            for arg in (t, x):
+                z = mttkrp_partial(arg, a)
+                assert np.abs(z - np.einsum("ir,ijk->rjk", a, x)).max(initial=0) <= 1e-10
+                for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b)):
+                    fast, slow = mttkrp(arg, f1, f2, mode), mttkrp_reference(x, f1, f2, mode)
+                    assert fast.shape == slow.shape
+                    assert np.abs(fast - slow).max(initial=0) <= 1e-10
+
+    @pytest.mark.parametrize("nnz, sparse", [(0, True), (4, True), (5, False)])
+    def test_path_follows_fill(self, nnz, sparse):
+        # 128 entries: 4 nonzeros are 1/32 of them, 5 are more
+        t = Tensor3.from_array(sparse_tensor((4, 4, 8), nnz, 3))
+        spy = mock.patch.object(tensor_module, "_segment_sums", wraps=tensor_module._segment_sums)
+        with spy as segment_sums:
+            mttkrp(t, np.ones((4, 2)), np.ones((8, 2)), 1)
+            mttkrp_partial(t, np.ones((4, 2)))
+        assert segment_sums.call_count == (2 if sparse else 0)
+
+    def test_demo_tensor_takes_the_gemms(self, tmp_path):
+        spec = demo_spec(seed=1234)
+        fleet = generate(spec, tmp_path)
+        labels = month_labels(spec.window_start, spec.months)
+        t = build_tensor(
+            parse_vehicles(fleet.vehicles_path), parse_maintenance(fleet.maintenance_path)[0],
+            TensorizeSpec(window_start=labels[0], window_end=labels[-1]),
+        ).tensor
+        assert 32 * np.count_nonzero(t.data) > t.data.size
+        rank = 5
+        with mock.patch.object(tensor_module, "_segment_sums") as segment_sums:
+            mttkrp(t, np.ones((t.dims[1], rank)), np.ones((t.dims[2], rank)), 1)
+            mttkrp_partial(t, np.ones((t.dims[0], rank)))
+        segment_sums.assert_not_called()
 
 
 class TestCpCompose:
