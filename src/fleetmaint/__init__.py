@@ -8,14 +8,6 @@ next-job predictor evaluated by per-item perplexity.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor3, fold, frob_norm, khatri_rao, mttkrp, unfold
+from .tensor import Tensor3, frob_norm, mttkrp
 
-__all__ = [
-    "Tensor3",
-    "fold",
-    "frob_norm",
-    "khatri_rao",
-    "mttkrp",
-    "unfold",
-    "__version__",
-]
+__all__ = ["Tensor3", "frob_norm", "mttkrp", "__version__"]

@@ -81,7 +81,7 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
                 labels=tuple(c["labels"]),
                 transition=tuple(tuple(row) for row in c["transition"]),
                 start=tuple(c["start"]),
-                length=int(c["length"]),
+                length=c["length"],
             )
             for name, c in payload.get("markov", {}).items()
         }
@@ -96,9 +96,7 @@ def fleet_spec_from_json(payload: dict) -> FleetSpec:
             motifs=motifs,
             markov=markov,
             purchase_years=(
-                tuple(int(y) for y in payload["purchase_years"])
-                if "purchase_years" in payload
-                else None
+                tuple(payload["purchase_years"]) if "purchase_years" in payload else None
             ),
             noiseless=bool(payload.get("noiseless", False)),
         )
@@ -114,8 +112,12 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
     A key must name one of the subcommand's options exactly; argparse
     converts and checks the values when they are parsed.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     flags = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -293,16 +295,11 @@ def cmd_seqmine(args) -> int:
     return 0
 
 
-def _split_label_lists(seqset, seed):
-    lists = seqset.as_label_lists()
-    return split_by_vehicle(lists, seed=seed)
-
-
 def cmd_train(args) -> int:
     cfg = _lstm_config(args)
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
-    train_set, valid_set, _ = _split_label_lists(seqset, args.seed)
+    train_set, valid_set, _ = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
     model = train_lstm(train_set, valid_set, cfg)
     model.save(args.out)
     best = min(model.history["valid_perplexity"]) if model.history["valid_perplexity"] else None
@@ -314,9 +311,9 @@ def cmd_eval(args) -> int:
     model = SeqModel.load(args.model)
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
-    train_set, valid_set, test_set = _split_label_lists(seqset, args.seed)
-    chosen = {"train": train_set, "valid": valid_set, "test": test_set,
-              "all": seqset.as_label_lists()}[args.split]
+    lists = seqset.as_label_lists()
+    train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
+    chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
     lstm_ppl = perplexity(model, chosen)
     baseline = unigram_baseline(train_set)
     baseline_ppl = perplexity(baseline, chosen)
@@ -365,7 +362,7 @@ def cmd_pipeline(args) -> int:
     patterns = differential(seqset, "DODGE CHARGER", top_n=8)
     write_diff_csv(patterns, out / "seqmine.csv")
 
-    train_set, valid_set, test_set = _split_label_lists(seqset, args.seed)
+    train_set, valid_set, test_set = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
     cfg = LstmConfig(
         embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9,
         bptt_steps=20, batch_size=8, epochs=6, lr=1.0,

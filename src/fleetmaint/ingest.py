@@ -354,8 +354,9 @@ def build_tensor(
     flat = (unit_axis * shape[1] + system_axis) * shape[2] + bucket[placed]
     # weighted, so the counts come out as float64 without an integer copy
     data = np.bincount(flat, weights=np.ones(flat.size), minlength=math.prod(shape))
+    data.shape = shape  # in place: Tensor3 keeps an array that owns its buffer
     axes = ([ranked[i] for i in units], [system_names[j] for j in systems], labels)
-    tensor = Tensor3(data.reshape(shape), tuple(map(tuple, axes)))
+    tensor = Tensor3(data, tuple(map(tuple, axes)))
     return TensorBuild(tensor=tensor, discards=discards, placed=flat.size)
 
 

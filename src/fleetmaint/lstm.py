@@ -210,24 +210,23 @@ def _forward_chunk(params, cfg, ids, state, drop_masks):
 
 
 def _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop_masks,
-                    norm: float | None = None):
+                    norm: float):
     """Gradients of the masked cross-entropy over one window.
 
     ``norm`` divides the summed per-token gradients. Training passes the
     constant batch_size * bptt_steps so every token in the epoch carries the
-    same weight regardless of how full its window is; by default the window's
-    own token count is used, matching the mean loss of :func:`_chunk_loss`.
+    same weight regardless of how full its window is; the window's own token
+    count, ``mask.sum()``, gives the gradient of :func:`_chunk_loss`'s mean.
     The gradients come back in ``params`` order.
     """
     steps, batch = ids.shape
     slots = steps * batch
     hidden = cfg.hidden_dim
-    n_items = norm if norm is not None else mask.sum()
     layer_caches, top = caches
     grads = dict.fromkeys(params)
     dlogits = np.exp(log_probs) * mask[:, :, None]
     dlogits[np.arange(steps)[:, None], np.arange(batch), targets] -= mask
-    dlogits /= n_items
+    dlogits /= norm
     dlogits = dlogits.reshape(slots, -1)
     grads["out_w"] = top.reshape(slots, hidden).T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
@@ -551,67 +550,3 @@ def predict_next(model: SeqModel, prefix: Sequence[str], top_k: int = 5) -> list
     probs = model.next_distribution(prefix)
     order = np.lexsort((np.arange(probs.shape[0]), -probs))
     return [(model.vocab.token_label(int(i)), float(probs[i])) for i in order[:top_k]]
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    cfg: LstmConfig | None = None,
-    sequences: list[Sequence[str]] | None = None,
-    step: float = 1e-5,
-    corrupt_block: str | None = None,
-) -> float:
-    """Max relative error between analytic BPTT gradients and central differences.
-
-    Dropout must be disabled (keep = 1). ``corrupt_block`` scales one analytic
-    gradient block and serves as the negative control. Zero-length input
-    touches no parameters and returns 0.
-    """
-    if cfg is None:
-        cfg = LstmConfig(
-            embed_dim=5, hidden_dim=6, layers=2, dropout_keep=1.0,
-            bptt_steps=20, batch_size=2, epochs=1, seed=7,
-        )
-    if cfg.dropout_keep < 1.0:
-        raise ValueError("grad_check requires dropout_keep == 1")
-    if sequences is None:
-        sequences = [["a", "b", "c", "a", "b", "c", "b", "a", "c", "a", "a", "b"]]
-    if sum(len(s) for s in sequences) == 0:
-        return 0.0
-    vocab = Vocab.from_sequences(sequences)
-    rng = np.random.default_rng(cfg.seed)
-    params = _init_params(cfg, vocab.size, rng)
-    # wide redraw keeps every gradient well above finite-difference noise
-    for name in params:
-        params[name] = rng.uniform(-0.8, 0.8, size=params[name].shape)
-    encoded = [vocab.encode(s) for s in sequences]
-    ids, targets, mask = _pack_batch(encoded, vocab.eos)
-
-    def loss_of(p) -> float:
-        log_probs, _, _ = _forward_chunk(p, cfg, ids, _zero_state(cfg, ids.shape[1]), None)
-        return _chunk_loss(mask, targets, log_probs)
-
-    log_probs, caches, _ = _forward_chunk(params, cfg, ids, _zero_state(cfg, ids.shape[1]), None)
-    grads = _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, None)
-    if corrupt_block is not None:
-        hidden = cfg.hidden_dim
-        grads[corrupt_block][:, hidden : 2 * hidden] *= 1.05  # skew the forget gate
-    worst = 0.0
-    for name, value in params.items():
-        flat = value.ravel()
-        grad_flat = grads[name].ravel()
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            upper = loss_of(params)
-            flat[idx] = original - step
-            lower = loss_of(params)
-            flat[idx] = original
-            numeric = (upper - lower) / (2.0 * step)
-            analytic = grad_flat[idx]
-            denom = max(abs(analytic) + abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

@@ -18,7 +18,6 @@ from .tensor import (
     FormatReader,
     Tensor3,
     cp_compose,
-    default_labels,
     frob_norm,
     mttkrp,
     mttkrp_from_partial,
@@ -58,7 +57,9 @@ class CpModel:
     """Factor matrices with unit-norm columns plus per-component weights.
 
     ``fit`` is 1 - |T - T_hat|_F / |T|_F for the tensor the model was fit
-    to; models assembled from known factors carry fit = nan.
+    to: ``cp_als`` computes it from the Gram matrices each sweep, and
+    ``load_model`` reads it back as saved (nan for a model assembled from
+    known factors).
     """
 
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -90,23 +91,6 @@ class CpModel:
     def dims(self) -> tuple[int, int, int]:
         return tuple(f.shape[0] for f in self.factors)  # type: ignore[return-value]
 
-    @classmethod
-    def from_factors(cls, a, b, c, axis_labels=None) -> "CpModel":
-        """Wrap raw factor matrices, normalizing columns into weights."""
-        unit, w = _normalize_factors([np.asarray(f, dtype=np.float64) for f in (a, b, c)])
-        a, b, c = unit
-        order = _component_order(w, unit)
-        if axis_labels is None:
-            axis_labels = default_labels((a.shape[0], b.shape[0], c.shape[0]))
-        return cls(
-            factors=(a[:, order], b[:, order], c[:, order]),
-            weights=w[order],
-            fit=float("nan"),
-            iterations=0,
-            converged=False,
-            axis_labels=axis_labels,
-        )
-
 
 def _component_order(weights: np.ndarray, factors) -> list[int]:
     """Non-increasing weight order; ties broken by factor-column lexicographic compare."""
@@ -126,17 +110,6 @@ def _normalize_factors(factors):
         weights = weights * norms
         out.append(f / np.where(norms > 0, norms, 1.0))
     return out, weights
-
-
-def fit_score(t: Tensor3, model: CpModel) -> float:
-    """1 - relative Frobenius reconstruction error of the model on t, by full reconstruction."""
-    if model.dims != t.dims:
-        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
-    norm_t = frob_norm(t)
-    if norm_t == 0.0:
-        raise ValueError("fit is undefined for a zero tensor")
-    resid = t.data - cp_compose(model.weights, model.factors).data
-    return 1.0 - frob_norm(resid) / norm_t
 
 
 def _solve(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -174,7 +147,7 @@ def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, norm_t: float,
         if fit > _DIRECT_FIT_ABOVE:
             # the subtraction above cancels to ~1e-8 here, as large as tol:
             # score the reconstruction instead
-            resid = t.data - cp_compose(np.ones(rank), (a, b, c)).data
+            resid = t.data - cp_compose(np.ones(rank), (a, b, c))
             fit = 1.0 - frob_norm(resid) / norm_t
         fits.append(fit)
         if len(fits) > 1 and abs(fits[-1] - fits[-2]) < opts.tol:
@@ -244,54 +217,6 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
         fits=tuple(fits),
         warnings=tuple(warnings + run_warnings),
     )
-
-
-def reconstruct(model: CpModel) -> Tensor3:
-    """Tensor equal to sum_r weight_r * a_r (outer) b_r (outer) c_r."""
-    return cp_compose(model.weights, model.factors, model.axis_labels)
-
-
-# ---------------------------------------------------------------------------
-# component matching / recovery scoring
-# ---------------------------------------------------------------------------
-
-
-def _greedy_match(m1: CpModel, m2: CpModel) -> list[tuple[int, int, float]]:
-    a1, b1, c1 = m1.factors
-    a2, b2, c2 = m2.factors
-    score = np.abs(a1.T @ a2) * np.abs(b1.T @ b2) * np.abs(c1.T @ c2)
-    pairs = []
-    remaining = score.copy()
-    for _ in range(m1.rank):
-        r, s = np.unravel_index(int(np.argmax(remaining)), remaining.shape)
-        pairs.append((int(r), int(s), float(score[r, s])))
-        remaining[r, :] = -np.inf
-        remaining[:, s] = -np.inf
-    return pairs
-
-
-def _check_comparable(m1: CpModel, m2: CpModel) -> None:
-    if m1.rank != m2.rank:
-        raise ValueError(f"rank mismatch: {m1.rank} vs {m2.rank}")
-    if m1.dims != m2.dims:
-        raise ValueError(f"dims mismatch: {m1.dims} vs {m2.dims}")
-
-
-def congruence(m1: CpModel, m2: CpModel) -> float:
-    """Mean greedy-matched product of absolute per-mode cosine similarities."""
-    _check_comparable(m1, m2)
-    pairs = _greedy_match(m1, m2)
-    return float(np.mean([p[2] for p in pairs]))
-
-
-def congruence_per_mode(m1: CpModel, m2: CpModel) -> tuple[float, float, float]:
-    """Per-mode mean absolute cosines of the greedy-matched components."""
-    _check_comparable(m1, m2)
-    pairs = _greedy_match(m1, m2)
-    out = []
-    for f1, f2 in zip(m1.factors, m2.factors):
-        out.append(float(np.mean([abs(f1[:, r] @ f2[:, s]) for r, s, _ in pairs])))
-    return tuple(out)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

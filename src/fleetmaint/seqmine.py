@@ -91,26 +91,6 @@ def extract_sequences(
     return SequenceSet(labels=labels, sequences=sequences), rejects
 
 
-def sequence_set_from_lists(
-    label_lists: list[list[str]],
-    make_models: list[str] | None = None,
-    units: list[str] | None = None,
-) -> SequenceSet:
-    """Build a SequenceSet directly from lists of labels (tests, adapters)."""
-    labels = tuple(sorted({lab for seq in label_lists for lab in seq}))
-    index = {label: i for i, label in enumerate(labels)}
-    sequences = []
-    for i, seq in enumerate(label_lists):
-        sequences.append(
-            EventSequence(
-                unit_no=units[i] if units else f"U{i:04d}",
-                make_model=make_models[i] if make_models else "UNKNOWN UNKNOWN",
-                events=np.array([index[lab] for lab in seq], dtype=np.int32),
-            )
-        )
-    return SequenceSet(labels=labels, sequences=sequences)
-
-
 def window_counts(sequences: list[EventSequence], width: int) -> Counter:
     """Occurrences of every contiguous window of ``width`` events, keyed by its
     tuple of label indices; overlapping windows and repeats within one

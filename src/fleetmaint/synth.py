@@ -21,7 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +106,12 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
                 )
-        if self.purchase_years is not None and not self.purchase_years:
-            raise ValueError("purchase_years must not be empty")
+        if self.purchase_years is not None and not (
+                self.purchase_years and all(_is_count(y) for y in self.purchase_years)):
+            raise ValueError(
+                f"purchase_years must be a non-empty list of integers >= 1, "
+                f"got {self.purchase_years!r}"
+            )
         if _parse_month(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
@@ -135,10 +139,22 @@ class FleetSpec:
             if not 0 < motif.rate < 1.0 / width:
                 raise ValueError(f"motif rate must be in (0, 1/{width})")
         for name, chain in self.markov.items():
-            t = np.asarray(chain.transition)
-            if t.shape != (len(chain.labels), len(chain.labels)):
+            n = len(chain.labels)
+            if not _is_count(chain.length):
+                raise ValueError(
+                    f"markov {name}: length must be an integer >= 1, got {chain.length!r}"
+                )
+            if not (len(chain.start) == n and _are_weights(chain.start)
+                    and 0 < math.fsum(chain.start) < math.inf):
+                raise ValueError(
+                    f"markov {name}: start must hold one finite weight >= 0 per label, "
+                    "with a positive sum"
+                )
+            if len(chain.transition) != n or any(len(row) != n for row in chain.transition):
                 raise ValueError(f"markov {name}: transition shape mismatch")
-            if not np.allclose(t.sum(axis=1), 1.0, atol=1e-9):
+            if not all(_are_weights(row) for row in chain.transition):
+                raise ValueError(f"markov {name}: transition entries must be finite and >= 0")
+            if not all(abs(math.fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
             if set(chain.labels) - known:
                 raise ValueError(f"markov {name}: labels outside the system vocabulary")
@@ -147,6 +163,12 @@ class FleetSpec:
 def _is_count(value) -> bool:
     """True for an integer >= 1 that is not a bool."""
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _are_weights(values) -> bool:
+    """True when every value is a finite real number >= 0 that is not a bool."""
+    return all(isinstance(v, Real) and not isinstance(v, bool) and 0 <= v < math.inf
+               for v in values)
 
 
 def month_labels(window_start: str, months: int) -> list[str]:
@@ -241,10 +263,11 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                 profile = np.asarray(comp.time_profile)
                 for sys_label, sw in comp.system_weights.items():
                     means[system_index[sys_label]] += comp.intensity * vw * sw * profile
+            # a negative mean emits no job
             if spec.noiseless:
-                counts = np.rint(means).astype(np.int64).clip(0)  # < 0 emits no job
+                counts = np.rint(means).astype(np.int64).clip(0)
             else:
-                counts = rng.poisson(means)
+                counts = rng.poisson(means.clip(0))
             # month-major: cell c is (month c // n_sys, system c % n_sys)
             cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
             events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]

@@ -2,18 +2,12 @@
 
 Layout is fixed repo-wide: values are stored row-major with the first axis
 slowest and the third fastest, i.e. a C-contiguous float64 array of shape
-(I, J, K). Mode-n unfolding follows the convention where the remaining axes
-index the columns with the earlier axis varying fastest:
-
-    mode 1: rows i, column = j + k*J
-    mode 2: rows j, column = i + k*I
-    mode 3: rows k, column = i + j*I
-
-``_UNFOLD_PERM`` below is the single source of truth for that convention;
-``unfold``, ``fold`` and ``mttkrp_reference`` derive from it. The fast
-mttkrp kernels read the tensor through its (I, J*K) view instead, with no
-copy, and are checked against ``mttkrp_reference``. A tensor at most
-1/``_SPARSE_FILL`` full is read through its nonzeros only.
+(I, J, K). The mttkrp kernels read the tensor through its (I, J*K) view,
+with no copy, and a tensor at most 1/``_SPARSE_FILL`` full through its
+nonzeros only. The mode-n unfolding convention they are checked against
+(Kolda & Bader 2009, remaining axes with the earlier one varying fastest)
+and the explicit ``unfold @ khatri_rao`` reference live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,9 +21,6 @@ import numpy as np
 
 AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
-# axis permutation applied before a C-order reshape, per mode
-_UNFOLD_PERM = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
-
 
 def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
     """Numeric stand-in labels for tensors without real axis metadata."""
@@ -38,13 +29,21 @@ def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Immutable dense 3-mode tensor with one label per index of each axis."""
+    """Immutable dense 3-mode tensor with one label per index of each axis.
+
+    The data is made read-only. An array that does not own its buffer (a
+    view, or one wrapping foreign memory) is copied first, since a write
+    through another view would change the data under the nonzero lists
+    cached on first use; an owned C-contiguous float64 array is kept.
+    """
 
     data: np.ndarray
     axis_labels: AxisLabels
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        if arr.base is not None:
+            arr = arr.copy()
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 data must be 3-dimensional, got ndim={arr.ndim}")
         if any(d < 1 for d in arr.shape):
@@ -85,48 +84,6 @@ class Tensor3:
 
 def _as_array(t: "Tensor3 | np.ndarray") -> np.ndarray:
     return t.data if isinstance(t, Tensor3) else np.asarray(t, dtype=np.float64)
-
-
-def unfold(t: Tensor3 | np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n matricization of a 3-mode tensor."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    x = _as_array(t)
-    perm = _UNFOLD_PERM[mode]
-    rows = x.shape[mode - 1]
-    return np.ascontiguousarray(x.transpose(perm)).reshape(rows, -1)
-
-
-def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int],
-         axis_labels: AxisLabels | None = None) -> Tensor3:
-    """Inverse of :func:`unfold`: rebuild the tensor from its matricization."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    mat = np.asarray(mat, dtype=np.float64)
-    perm = _UNFOLD_PERM[mode]
-    shape_permuted = tuple(dims[p] for p in perm)
-    if mat.shape != (dims[mode - 1], shape_permuted[1] * shape_permuted[2]):
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match mode-{mode} unfolding of dims {dims}"
-        )
-    inverse = tuple(perm.index(ax) for ax in range(3))
-    data = mat.reshape(shape_permuted).transpose(inverse)
-    if axis_labels is None:
-        axis_labels = default_labels(dims)
-    return Tensor3(data, axis_labels)
-
-
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise Kronecker product; column r is kron(a[:, r], b[:, r])."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def _check_factor(name: str, f: np.ndarray, rows: int, rank: int | None) -> np.ndarray:
@@ -189,10 +146,6 @@ def _nonzero_chunks(x: np.ndarray) -> tuple[_Chunks, _Chunks] | None:
     return _chunks(rows, cols, vals), _chunks(cols[order], rows[order], vals[order])
 
 
-def _nonzeros_of(t: Tensor3 | np.ndarray) -> tuple[_Chunks, _Chunks] | None:
-    return t._nonzeros if isinstance(t, Tensor3) else _nonzero_chunks(_as_array(t))
-
-
 def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
     """The (R, n) array whose column g sums ``val * table_t[:, idx]`` over the
     nonzeros of group g; a group with no nonzero gives a zero column."""
@@ -209,11 +162,12 @@ def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
     return out
 
 
-def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
+def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for the target mode.
 
     ``f1`` and ``f2`` are the factor matrices of the two non-target modes in
-    ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``.
+    ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``
+    (the reference in ``tests/oracles.py``).
     Mode 1 multiplies the (I, J*K) view of the tensor by the Khatri-Rao
     product built as an (R, J*K) array: one GEMM, or for a tensor at most
     1/32 full a sum over each row's nonzeros. Modes 2 and 3 contract over i
@@ -221,7 +175,7 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    x = _as_array(t)
+    x = t.data
     others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
     f1 = _check_factor("f1", f1, others[0], None)
     f2 = _check_factor("f2", f2, others[1], f1.shape[1])
@@ -229,7 +183,7 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
         # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the
         # column order of the C-contiguous (I, J*K) view
         kr = (f1.T[:, :, None] * f2.T[:, None, :]).reshape(f1.shape[1], -1)
-        nonzeros = _nonzeros_of(t)
+        nonzeros = t._nonzeros
         if nonzeros is not None:
             return _segment_sums(kr, nonzeros[0], x.shape[0]).T
         # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
@@ -237,14 +191,14 @@ def mttkrp(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -
     return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
 
 
-def mttkrp_partial(t: Tensor3 | np.ndarray, a: np.ndarray) -> np.ndarray:
+def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
     """Z = A^T X_(1) as an (R, J, K) array: the contraction over i that the
     mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013).
     One GEMM, or for a tensor at most 1/32 full a sum over each column's
     nonzeros."""
-    x = _as_array(t)
+    x = t.data
     a = _check_factor("a", a, x.shape[0], None)
-    nonzeros = _nonzeros_of(t)
+    nonzeros = t._nonzeros
     if nonzeros is not None:
         z = _segment_sums(a.T, nonzeros[1], x.shape[1] * x.shape[2])
     else:
@@ -262,24 +216,16 @@ def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 2 or 3, got {mode}")
 
 
-def mttkrp_reference(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
-    """Explicit unfold @ khatri_rao path; the slow oracle mttkrp must match."""
-    return unfold(t, mode) @ khatri_rao(f2, f1)
-
-
-def cp_compose(weights: np.ndarray, factors: tuple[np.ndarray, np.ndarray, np.ndarray],
-               axis_labels: AxisLabels | None = None) -> Tensor3:
-    """Tensor equal to sum_r weights[r] * a_r (outer) b_r (outer) c_r."""
+def cp_compose(weights: np.ndarray,
+               factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (I, J, K) array sum_r weights[r] * a_r (outer) b_r (outer) c_r."""
     a, b, c = factors
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     rank = weights.shape[0]
     a = _check_factor("A", a, a.shape[0], rank)
     b = _check_factor("B", b, b.shape[0], rank)
     c = _check_factor("C", c, c.shape[0], rank)
-    data = np.einsum("r,ir,jr,kr->ijk", weights, a, b, c, optimize=True)
-    if axis_labels is None:
-        axis_labels = default_labels(data.shape)
-    return Tensor3(data, axis_labels)
+    return np.einsum("r,ir,jr,kr->ijk", weights, a, b, c, optimize=True)
 
 
 def frob_norm(t: Tensor3 | np.ndarray) -> float:
@@ -463,4 +409,5 @@ def load_tensor(path) -> Tensor3:
         dims = tuple(int(v) for v in reader.fields("dims", 3))
         labels = reader.labels(dims)
         values = reader.floats(dims[0] * dims[1] * dims[2], "values")
-    return Tensor3(values.reshape(dims), labels)  # type: ignore[arg-type]
+    values.shape = dims  # in place: Tensor3 keeps an array that owns its buffer
+    return Tensor3(values, labels)  # type: ignore[arg-type]

@@ -1,0 +1,275 @@
+"""Slow reference implementations that the tests check fleetmaint against.
+
+Nothing in the package calls these. They are the explicit forms of what the
+package computes faster, or helpers that build test inputs and score
+results:
+
+- tensor: the mode-n unfolding and its inverse, the Khatri-Rao product and
+  the ``unfold @ khatri_rao`` MTTKRP that the mttkrp kernels must match;
+- parafac: a CP model from known factors, its full reconstruction and fit,
+  and the greedy component matching behind the congruence scores;
+- lstm: the finite-difference gradient check of the BPTT backward pass;
+- seqmine: a SequenceSet built straight from label lists.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from fleetmaint.lstm import (
+    LstmConfig,
+    Vocab,
+    _backward_chunk,
+    _chunk_loss,
+    _forward_chunk,
+    _init_params,
+    _pack_batch,
+    _zero_state,
+)
+from fleetmaint.parafac import CpModel, _component_order, _normalize_factors
+from fleetmaint.seqmine import EventSequence, SequenceSet
+from fleetmaint.tensor import (
+    AxisLabels,
+    Tensor3,
+    _as_array,
+    cp_compose,
+    default_labels,
+    frob_norm,
+)
+
+# ---------------------------------------------------------------------------
+# tensor unfolding and the reference MTTKRP
+#
+# Mode-n unfolding puts the remaining axes on the columns with the earlier
+# axis varying fastest (Kolda & Bader 2009):
+#
+#     mode 1: rows i, column = j + k*J
+#     mode 2: rows j, column = i + k*I
+#     mode 3: rows k, column = i + j*I
+#
+# _UNFOLD_PERM is the single source of truth for that convention; unfold,
+# fold and mttkrp_reference derive from it.
+# ---------------------------------------------------------------------------
+
+# axis permutation applied before a C-order reshape, per mode
+_UNFOLD_PERM = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
+
+
+def unfold(t: Tensor3 | np.ndarray, mode: int) -> np.ndarray:
+    """Mode-n matricization of a 3-mode tensor."""
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    x = _as_array(t)
+    perm = _UNFOLD_PERM[mode]
+    rows = x.shape[mode - 1]
+    return np.ascontiguousarray(x.transpose(perm)).reshape(rows, -1)
+
+
+def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int],
+         axis_labels: AxisLabels | None = None) -> Tensor3:
+    """Inverse of :func:`unfold`: rebuild the tensor from its matricization."""
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    mat = np.asarray(mat, dtype=np.float64)
+    perm = _UNFOLD_PERM[mode]
+    shape_permuted = tuple(dims[p] for p in perm)
+    if mat.shape != (dims[mode - 1], shape_permuted[1] * shape_permuted[2]):
+        raise ValueError(
+            f"matrix shape {mat.shape} does not match mode-{mode} unfolding of dims {dims}"
+        )
+    inverse = tuple(perm.index(ax) for ax in range(3))
+    data = mat.reshape(shape_permuted).transpose(inverse)
+    if axis_labels is None:
+        axis_labels = default_labels(dims)
+    return Tensor3(data, axis_labels)
+
+
+def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise Kronecker product; column r is kron(a[:, r], b[:, r])."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("khatri_rao expects two matrices")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
+        )
+    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+
+
+def mttkrp_reference(t: Tensor3 | np.ndarray, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
+    """Explicit unfold @ khatri_rao path; the slow oracle mttkrp must match."""
+    return unfold(t, mode) @ khatri_rao(f2, f1)
+
+
+# ---------------------------------------------------------------------------
+# CP models from known factors, reconstruction and fit
+# ---------------------------------------------------------------------------
+
+
+def from_factors(a, b, c, axis_labels=None) -> CpModel:
+    """Wrap raw factor matrices, normalizing columns into weights."""
+    unit, w = _normalize_factors([np.asarray(f, dtype=np.float64) for f in (a, b, c)])
+    a, b, c = unit
+    order = _component_order(w, unit)
+    if axis_labels is None:
+        axis_labels = default_labels((a.shape[0], b.shape[0], c.shape[0]))
+    return CpModel(
+        factors=(a[:, order], b[:, order], c[:, order]),
+        weights=w[order],
+        fit=float("nan"),
+        iterations=0,
+        converged=False,
+        axis_labels=axis_labels,
+    )
+
+
+def fit_score(t: Tensor3, model: CpModel) -> float:
+    """1 - relative Frobenius reconstruction error of the model on t, by full reconstruction."""
+    if model.dims != t.dims:
+        raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
+    norm_t = frob_norm(t)
+    if norm_t == 0.0:
+        raise ValueError("fit is undefined for a zero tensor")
+    resid = t.data - cp_compose(model.weights, model.factors)
+    return 1.0 - frob_norm(resid) / norm_t
+
+
+def reconstruct(model: CpModel) -> Tensor3:
+    """Tensor equal to sum_r weight_r * a_r (outer) b_r (outer) c_r."""
+    return Tensor3(cp_compose(model.weights, model.factors), model.axis_labels)
+
+
+# ---------------------------------------------------------------------------
+# component matching / recovery scoring
+# ---------------------------------------------------------------------------
+
+
+def _greedy_match(m1: CpModel, m2: CpModel) -> list[tuple[int, int, float]]:
+    a1, b1, c1 = m1.factors
+    a2, b2, c2 = m2.factors
+    score = np.abs(a1.T @ a2) * np.abs(b1.T @ b2) * np.abs(c1.T @ c2)
+    pairs = []
+    remaining = score.copy()
+    for _ in range(m1.rank):
+        r, s = np.unravel_index(int(np.argmax(remaining)), remaining.shape)
+        pairs.append((int(r), int(s), float(score[r, s])))
+        remaining[r, :] = -np.inf
+        remaining[:, s] = -np.inf
+    return pairs
+
+
+def _check_comparable(m1: CpModel, m2: CpModel) -> None:
+    if m1.rank != m2.rank:
+        raise ValueError(f"rank mismatch: {m1.rank} vs {m2.rank}")
+    if m1.dims != m2.dims:
+        raise ValueError(f"dims mismatch: {m1.dims} vs {m2.dims}")
+
+
+def congruence(m1: CpModel, m2: CpModel) -> float:
+    """Mean greedy-matched product of absolute per-mode cosine similarities."""
+    _check_comparable(m1, m2)
+    pairs = _greedy_match(m1, m2)
+    return float(np.mean([p[2] for p in pairs]))
+
+
+def congruence_per_mode(m1: CpModel, m2: CpModel) -> tuple[float, float, float]:
+    """Per-mode mean absolute cosines of the greedy-matched components."""
+    _check_comparable(m1, m2)
+    pairs = _greedy_match(m1, m2)
+    out = []
+    for f1, f2 in zip(m1.factors, m2.factors):
+        out.append(float(np.mean([abs(f1[:, r] @ f2[:, s]) for r, s, _ in pairs])))
+    return tuple(out)  # type: ignore[return-value]
+
+
+# ---------------------------------------------------------------------------
+# gradient verification
+# ---------------------------------------------------------------------------
+
+
+def grad_check(
+    cfg: LstmConfig | None = None,
+    sequences: list[Sequence[str]] | None = None,
+    step: float = 1e-5,
+    corrupt_block: str | None = None,
+) -> float:
+    """Max relative error between analytic BPTT gradients and central differences.
+
+    Dropout must be disabled (keep = 1). ``corrupt_block`` scales one analytic
+    gradient block and serves as the negative control. Zero-length input
+    touches no parameters and returns 0.
+    """
+    if cfg is None:
+        cfg = LstmConfig(
+            embed_dim=5, hidden_dim=6, layers=2, dropout_keep=1.0,
+            bptt_steps=20, batch_size=2, epochs=1, seed=7,
+        )
+    if cfg.dropout_keep < 1.0:
+        raise ValueError("grad_check requires dropout_keep == 1")
+    if sequences is None:
+        sequences = [["a", "b", "c", "a", "b", "c", "b", "a", "c", "a", "a", "b"]]
+    if sum(len(s) for s in sequences) == 0:
+        return 0.0
+    vocab = Vocab.from_sequences(sequences)
+    rng = np.random.default_rng(cfg.seed)
+    params = _init_params(cfg, vocab.size, rng)
+    # wide redraw keeps every gradient well above finite-difference noise
+    for name in params:
+        params[name] = rng.uniform(-0.8, 0.8, size=params[name].shape)
+    encoded = [vocab.encode(s) for s in sequences]
+    ids, targets, mask = _pack_batch(encoded, vocab.eos)
+
+    def loss_of(p) -> float:
+        log_probs, _, _ = _forward_chunk(p, cfg, ids, _zero_state(cfg, ids.shape[1]), None)
+        return _chunk_loss(mask, targets, log_probs)
+
+    log_probs, caches, _ = _forward_chunk(params, cfg, ids, _zero_state(cfg, ids.shape[1]), None)
+    grads = _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, None,
+                            mask.sum())
+    if corrupt_block is not None:
+        hidden = cfg.hidden_dim
+        grads[corrupt_block][:, hidden : 2 * hidden] *= 1.05  # skew the forget gate
+    worst = 0.0
+    for name, value in params.items():
+        flat = value.ravel()
+        grad_flat = grads[name].ravel()
+        for idx in range(flat.size):
+            original = flat[idx]
+            flat[idx] = original + step
+            upper = loss_of(params)
+            flat[idx] = original - step
+            lower = loss_of(params)
+            flat[idx] = original
+            numeric = (upper - lower) / (2.0 * step)
+            analytic = grad_flat[idx]
+            denom = max(abs(analytic) + abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# sequence sets from label lists
+# ---------------------------------------------------------------------------
+
+
+def sequence_set_from_lists(
+    label_lists: list[list[str]],
+    make_models: list[str] | None = None,
+    units: list[str] | None = None,
+) -> SequenceSet:
+    """Build a SequenceSet directly from lists of labels (tests, adapters)."""
+    labels = tuple(sorted({lab for seq in label_lists for lab in seq}))
+    index = {label: i for i, label in enumerate(labels)}
+    sequences = []
+    for i, seq in enumerate(label_lists):
+        sequences.append(
+            EventSequence(
+                unit_no=units[i] if units else f"U{i:04d}",
+                make_model=make_models[i] if make_models else "UNKNOWN UNKNOWN",
+                events=np.array([index[lab] for lab in seq], dtype=np.int32),
+            )
+        )
+    return SequenceSet(labels=labels, sequences=sequences)

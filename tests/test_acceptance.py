@@ -17,37 +17,32 @@ from fleetmaint.cli import main
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.lstm import (
     LstmConfig,
-    grad_check,
     perplexity,
     split_by_vehicle,
     train,
     unigram_baseline,
 )
-from fleetmaint.parafac import (
-    AlsOptions,
-    CpModel,
-    congruence,
-    congruence_per_mode,
-    cp_als,
-    reconstruct,
-)
+from fleetmaint.parafac import AlsOptions, cp_als
 from fleetmaint.seqmine import (
     differential,
     format_norm,
     format_p,
     format_ratio,
     normal_cdf,
-    sequence_set_from_lists,
     two_prop_z,
     extract_sequences,
 )
 from fleetmaint.synth import FleetSpec, PlantedMotif, demo_spec, generate, month_labels
-from fleetmaint.tensor import (
-    Tensor3,
+from fleetmaint.tensor import Tensor3, frob_norm, mttkrp
+from oracles import (
+    congruence,
+    congruence_per_mode,
     fold,
-    frob_norm,
-    mttkrp,
+    from_factors,
+    grad_check,
     mttkrp_reference,
+    reconstruct,
+    sequence_set_from_lists,
     unfold,
 )
 
@@ -100,7 +95,7 @@ def recovery_runs():
     dims, rank = (30, 20, 24), 3
     factors = [rng.normal(size=(d, rank)) for d in dims]
     assert all(np.linalg.cond(f) < 10 for f in factors)
-    generator = CpModel.from_factors(*factors)
+    generator = from_factors(*factors)
     clean = reconstruct(generator)
     sigma = 0.1 * frob_norm(clean) / math.sqrt(clean.data.size)
     noisy = Tensor3.from_array(clean.data + rng.normal(size=clean.dims) * sigma)

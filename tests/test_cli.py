@@ -41,6 +41,13 @@ CUSTOM_SPEC = {
 }
 
 
+def markov_spec(**chain):
+    """CUSTOM_SPEC with a Markov chain for FORD F150, its fields overridden by ``chain``."""
+    base = {"labels": ["Brakes", "Tires"], "transition": [[0.2, 0.8], [0.8, 0.2]],
+            "start": [1, 1], "length": 4}
+    return dict(CUSTOM_SPEC, markov={"FORD F150": dict(base, **chain)})
+
+
 class TestSynth:
     def test_writes_three_files(self, fleet_dir):
         assert (fleet_dir / "vehicles.csv").exists()
@@ -86,16 +93,31 @@ class TestSynth:
             "make_model": "FORD F150", "labels": ["Brakes", "Tires"], "rate": float("nan"),
         }]),
         dict(CUSTOM_SPEC, purchase_years=[]),
+        dict(CUSTOM_SPEC, purchase_years=[2013, float("inf")]),
         dict(CUSTOM_SPEC, months=2.7),
         dict(CUSTOM_SPEC, months=True),
         dict(CUSTOM_SPEC, vehicles={"A B": -2, "C D": 2}),
         dict(CUSTOM_SPEC, vehicles={"A B": 2.0}),
         dict(CUSTOM_SPEC, vehicles={"AB": 2}),
+        markov_spec(transition=[[1.5, -0.5], [0.5, 0.5]]),
+        markov_spec(transition=[[0.999995, 0.000001], [0.5, 0.5]]),
+        markov_spec(transition=[[0.5, 0.5], [0.5, float("nan")]]),
+        markov_spec(start=[0, 0]),
+        markov_spec(start=[1, 1, 1]),
+        markov_spec(start=[1, -1]),
+        markov_spec(start=[1, True]),
+        markov_spec(length=0),
+        markov_spec(length=2.5),
+        markov_spec(length=float("inf")),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
-        "motif-rate-nan", "purchase-years-empty", "months-float", "months-bool",
-        "vehicle-count-negative", "vehicle-count-float", "vehicles-one-word-key", "not-json",
+        "motif-rate-nan", "purchase-years-empty", "purchase-years-inf", "months-float",
+        "months-bool", "vehicle-count-negative", "vehicle-count-float", "vehicles-one-word-key",
+        "markov-negative-transition", "markov-row-sum", "markov-transition-nan",
+        "markov-start-zero", "markov-start-too-long", "markov-start-negative",
+        "markov-start-bool", "markov-length-zero", "markov-length-float", "markov-length-inf",
+        "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -488,6 +510,16 @@ class TestTrainEvalPredict:
         model = SeqModel.load(out)
         assert model.config.hidden_dim == 8
         assert model.config.epochs == 1
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"top-k = 3\n\xff\n")
+        code = main(["predict", "--model", "x", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config-error: "), err
+        assert "UTF-8" in err[0]
 
     def test_bad_config_key_is_config_error(self, fleet_dir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

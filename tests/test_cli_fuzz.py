@@ -1,0 +1,221 @@
+"""Fuzzing of the CLI's config-file and fleet-spec inputs.
+
+Each example mutates one valid input (a ``train --config`` file or a
+``synth --spec`` fleet spec) and runs ``cli.main`` in-process. The
+mutations flip bits, drop or duplicate lines and keys, and swap numbers for
+awkward values. The mutated file is the only input at fault, so whatever the
+mutation, the run either succeeds or ends with exit code 2 and exactly one
+``config-error: `` line on stderr: never another exit code, a warning or a
+traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fleetmaint.cli import main
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+VALID_CONFIG = """\
+# a small LSTM that trains in a few milliseconds
+embed-dim = 4
+hidden-dim = 5
+layers = 1
+dropout-keep = 0.9
+bptt-steps = 6
+batch-size = 2
+epochs = 1
+lr = 0.5
+lr-constant-epochs = 1
+lr-decay = 0.5
+grad-clip = 5.0
+seed = 3
+"""
+
+VALID_SPEC = {
+    "seed": 5,
+    "vehicles": {"DODGE CHARGER": 3, "FORD F150": 3},
+    "window_start": "2015-01",
+    "months": 3,
+    "systems": ["Brakes", "Tires", "Lights"],
+    "background_rate": 0.5,
+    "components": [{
+        "name": "c", "vehicle_weights": {"DODGE CHARGER": 1.0},
+        "system_weights": {"Brakes": 1.0}, "time_profile": [1.0, 0.5, 0.25],
+        "intensity": 2.0,
+    }],
+    "motifs": [{"make_model": "DODGE CHARGER", "labels": ["Tires", "Lights"], "rate": 0.2}],
+    "markov": {"FORD F150": {
+        "labels": ["Brakes", "Tires"], "transition": [[0.25, 0.75], [0.75, 0.25]],
+        "start": [1, 1], "length": 5,
+    }},
+    "purchase_years": [2013, 2014],
+    "noiseless": False,
+}
+
+# what a number is swapped for: as config-file text, and as a JSON value
+SWAPS = ["0", "-1", "1.5", "nan", "inf", "x", "true", "null"]
+JSON_SWAPS = [0, -1, 1.5, float("nan"), float("inf"), "x", True, None]
+
+
+def edits(kinds):
+    """One to three (kind, where, which) edits; ``where`` picks the place and
+    ``which`` the swapped-in value or the flipped bit, both modulo their range.
+    A swap is drawn twice as often as each other kind."""
+    edit = st.tuples(st.sampled_from(["swap"] * 2 + kinds), st.integers(0, 1 << 16),
+                     st.integers(0, 1 << 16))
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def run(argv):
+    """Exit code and stderr of ``main(argv)``; fails on any warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+def check_outcome(code, err):
+    """The mutated file is the only input at fault: the run succeeds with an
+    empty stderr or fails with exit code 2 and one ``config-error: `` line."""
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code == 2, (code, err)
+        assert err.startswith("config-error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+
+
+def edit_text(text: str, kind: str, where: int, which: int) -> str:
+    """``text`` with one line dropped or repeated, or one bit of one byte flipped."""
+    if kind == "flip":
+        data = bytearray(text.encode("utf-8", "surrogateescape"))
+        data[where % len(data)] ^= 1 << (which % 8)
+        return data.decode("utf-8", "surrogateescape")
+    lines = text.splitlines(keepends=True)
+    at = where % len(lines)
+    lines[at:at + 1] = [] if kind == "drop-line" else [lines[at]] * 2
+    return "".join(lines) or "\n"
+
+
+# ---------------------------------------------------------------------------
+# the --config file
+# ---------------------------------------------------------------------------
+
+
+def mutate_config(text: str, edit_list) -> bytes:
+    for kind, where, which in edit_list:
+        if kind == "swap":  # the value of one key = value line
+            lines = text.splitlines(keepends=True)
+            at = where % len(lines)
+            if "=" in lines[at]:
+                lines[at] = lines[at].partition("=")[0] + f"= {SWAPS[which % len(SWAPS)]}\n"
+            text = "".join(lines)
+        else:
+            text = edit_text(text, kind, where, which)
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_fleet")
+    spec = out / "spec.json"
+    spec.write_text(json.dumps(VALID_SPEC))
+    assert run(["synth", "--out", str(out), "--spec", str(spec)]) == (0, "")
+    return out
+
+
+def test_valid_config_trains(fleet, tmp_path):
+    config = tmp_path / "train.cfg"
+    config.write_text(VALID_CONFIG)
+    code, err = run(["train", "--vehicles", str(fleet / "vehicles.csv"),
+                     "--maintenance", str(fleet / "maintenance.csv"),
+                     "--out", str(tmp_path / "m.txt"), "--config", str(config)])
+    assert (code, err) == (0, "")
+
+
+@FUZZ
+@given(edit_list=edits(["drop-line", "duplicate-line", "flip"]))
+def test_mutated_config(fleet, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "train.cfg"
+        config.write_bytes(mutate_config(VALID_CONFIG, edit_list))
+        check_outcome(*run([
+            "train", "--vehicles", str(fleet / "vehicles.csv"),
+            "--maintenance", str(fleet / "maintenance.csv"),
+            "--out", str(Path(tmp) / "m.txt"), "--config", str(config),
+        ]))
+
+
+# ---------------------------------------------------------------------------
+# the fleet spec
+# ---------------------------------------------------------------------------
+
+
+def slots(node):
+    """Every (container, key or index) below ``node``, depth first."""
+    found = []
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        found.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            found.extend(slots(node[key]))
+    return found
+
+
+def mutate_spec(spec: dict, edit_list) -> bytes:
+    """The spec edited as a value (drop, duplicate, swap), then as JSON text
+    with one scalar per line, so a line edit drops or repeats a key or a value."""
+    spec = copy.deepcopy(spec)
+    for kind, where, which in edit_list:
+        places = slots(spec)
+        if kind == "swap":
+            places = [(c, k) for c, k in places
+                      if isinstance(c[k], (int, float)) and not isinstance(c[k], bool)]
+        if kind not in ("drop", "duplicate", "swap") or not places:
+            continue
+        container, key = places[where % len(places)]
+        if kind == "swap":
+            container[key] = JSON_SWAPS[which % len(JSON_SWAPS)]
+        elif kind == "drop":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        else:  # the same value under a second key, e.g. a new make/model
+            container[f"{key}{key}"] = copy.deepcopy(container[key])
+    text = json.dumps(spec, indent=1)
+    for kind, where, which in edit_list:
+        if kind in ("drop-line", "duplicate-line", "flip"):
+            text = edit_text(text, kind, where, which)
+    return text.encode("utf-8", "surrogateescape")
+
+
+def test_valid_spec_synthesizes(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(mutate_spec(VALID_SPEC, []))
+    assert run(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec)]) == (0, "")
+
+
+@FUZZ
+@given(edit_list=edits(["drop", "duplicate", "drop-line", "duplicate-line", "flip"]))
+def test_mutated_spec(edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_bytes(mutate_spec(VALID_SPEC, edit_list))
+        out = Path(tmp) / "fleet"
+        code, err = run(["synth", "--out", str(out), "--spec", str(spec)])
+        check_outcome(code, err)
+        if code == 2:  # a spec is checked before anything is written
+            assert not out.exists()

@@ -25,13 +25,13 @@ from fleetmaint.lstm import (
     _sample_drop_masks,
     _target_log_probs,
     _zero_state,
-    grad_check,
     perplexity,
     predict_next,
     split_by_vehicle,
     train,
     unigram_baseline,
 )
+from oracles import grad_check
 
 FAST_CFG = dict(
     embed_dim=8, hidden_dim=16, layers=1, dropout_keep=1.0,
@@ -442,11 +442,10 @@ def forward_chunk_oracle(params, cfg, ids, state, drop_masks):
 
 
 def backward_chunk_oracle(params, cfg, ids, targets, mask, log_probs, caches, drop_masks,
-                          norm=None):
+                          norm):
     """Step-by-step BPTT over the caches of :func:`forward_chunk_oracle`."""
     steps, batch = ids.shape
     hidden = cfg.hidden_dim
-    n_items = norm if norm is not None else mask.sum()
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dh_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
     dc_next = [np.zeros((batch, hidden)) for _ in range(cfg.layers)]
@@ -454,7 +453,7 @@ def backward_chunk_oracle(params, cfg, ids, targets, mask, log_probs, caches, dr
         probs = np.exp(log_probs[t])
         dlogits = probs * mask[t][:, None]
         dlogits[np.arange(batch), targets[t]] -= mask[t]
-        dlogits /= n_items
+        dlogits /= norm
         top_out = caches[t][-1]["out_mask_applied"]
         grads["out_w"] += top_out.T @ dlogits
         grads["out_b"] += dlogits.sum(axis=0)
@@ -543,7 +542,7 @@ class TestKernelsMatchOracle:
             state = ([np.zeros(shape) for _ in range(cfg.layers)],
                      [np.zeros(shape) for _ in range(cfg.layers)])
         drop = _sample_drop_masks(cfg, rng, steps, batch)
-        norm = float(steps * batch + 3) if use_norm else None
+        norm = float(steps * batch + 3) if use_norm else float(mask.sum())
 
         log_probs, caches, (h_out, c_out) = _forward_chunk(
             params, cfg, ids, copy.deepcopy(state), drop)

@@ -21,11 +21,11 @@ from fleetmaint.seqmine import (
     format_ratio,
     format_z,
     normal_cdf,
-    sequence_set_from_lists,
     two_prop_z,
     window_counts,
     write_diff_csv,
 )
+from oracles import sequence_set_from_lists
 
 DATA_DIR = Path(__file__).parent / "data"
 

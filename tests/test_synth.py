@@ -207,6 +207,16 @@ class TestGenerate:
                 assert len(seq) == 30
                 assert set(seq) <= {"brakes", "tires"}
 
+    def test_negative_sampled_mean_emits_no_job(self, tmp_path):
+        # as in noiseless mode, a Poisson draw of a mean below zero is no job
+        spec = negative_mean_spec()
+        spec.noiseless = False
+        fleet = generate(spec, tmp_path)
+        for unit, meta in fleet.manifest["vehicles"].items():
+            if meta["make_model"] == "DODGE CHARGER":
+                for month in month_labels(spec.window_start, spec.months)[::3]:
+                    assert f"{unit}|brakes|{month}" not in fleet.manifest["cells"]
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             tiny_spec(months=0).validate()
@@ -232,6 +242,8 @@ class TestGenerate:
         (dict(vehicles={"AB": 2}), "vehicles key 'AB' must be a make and a model"),
         (dict(vehicles={"A B": 1, "AB ": 2}), "vehicles key 'AB ' must be a make and a model"),
         (dict(vehicles={" AB": 2}), "vehicles key ' AB' must be a make and a model"),
+        (dict(purchase_years=(2014, 2015.0)), "purchase_years must be a non-empty list"),
+        (dict(purchase_years=(0,)), "purchase_years must be a non-empty list"),
     ])
     def test_counts_and_vehicle_keys_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
