@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -36,15 +37,7 @@ from .lstm import (
 from .parafac import AlsOptions, cp_als, load_model, save_model
 from .report import export_component_reports
 from .seqmine import differential, extract_sequences, write_diff_csv
-from .synth import (
-    FleetSpec,
-    MarkovSpec,
-    PlantedComponent,
-    PlantedMotif,
-    demo_spec,
-    generate,
-    month_labels,
-)
+from .synth import demo_spec, generate, month_labels, spec_from_json
 from .tensor import load_tensor, save_tensor
 
 DEFAULT_SEED = 1234
@@ -52,58 +45,6 @@ DEFAULT_SEED = 1234
 
 class ConfigError(ValueError):
     """Bad flags, bad config file, or an invalid spec file."""
-
-
-def fleet_spec_from_json(payload: dict) -> FleetSpec:
-    if not isinstance(payload, dict):
-        raise ConfigError("malformed fleet spec: expected a JSON object")
-    try:
-        components = [
-            PlantedComponent(
-                name=c["name"],
-                vehicle_weights=dict(c["vehicle_weights"]),
-                system_weights=dict(c["system_weights"]),
-                time_profile=tuple(float(v) for v in c["time_profile"]),
-                intensity=float(c["intensity"]),
-            )
-            for c in payload.get("components", [])
-        ]
-        motifs = [
-            PlantedMotif(
-                make_model=m["make_model"],
-                labels=tuple(m["labels"]),
-                rate=float(m["rate"]),
-            )
-            for m in payload.get("motifs", [])
-        ]
-        markov = {
-            name: MarkovSpec(
-                labels=tuple(c["labels"]),
-                transition=tuple(tuple(row) for row in c["transition"]),
-                start=tuple(c["start"]),
-                length=c["length"],
-            )
-            for name, c in payload.get("markov", {}).items()
-        }
-        spec = FleetSpec(
-            seed=payload["seed"],
-            vehicles=dict(payload["vehicles"].items()),
-            window_start=payload["window_start"],
-            months=payload["months"],
-            systems=tuple(payload["systems"]),
-            background_rate=float(payload.get("background_rate", 0.02)),
-            components=components,
-            motifs=motifs,
-            markov=markov,
-            purchase_years=(
-                tuple(payload["purchase_years"]) if "purchase_years" in payload else None
-            ),
-            noiseless=bool(payload.get("noiseless", False)),
-        )
-        spec.validate()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed fleet spec: {exc}") from exc
-    return spec
 
 
 def _config_flags(path, args: argparse.Namespace) -> list[str]:
@@ -172,42 +113,14 @@ def _load_tables(args):
     return vehicles, maintenance
 
 
-def _from_flags(build, **values):
-    """``build(**values)``, with a value it rejects reported as a config error."""
+def _from_flags(cls, args, **renames):
+    """A ``cls`` dataclass built from the flags whose dest is each field's name,
+    or its entry in ``renames``; a value it rejects is a config error."""
+    values = {f.name: getattr(args, renames.get(f.name, f.name)) for f in fields(cls)}
     try:
-        return build(**values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _tensorize_spec(args) -> TensorizeSpec:
-    return _from_flags(
-        TensorizeSpec,
-        time_mode=args.time_mode,
-        granularity=args.granularity,
-        window_start=args.window_start,
-        window_end=args.window_end,
-        lifetime_horizon_years=args.horizon,
-        purchase_year_floor=args.year_floor,
-    )
-
-
-def _lstm_config(args) -> LstmConfig:
-    return _from_flags(
-        LstmConfig,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        layers=args.layers,
-        dropout_keep=args.dropout_keep,
-        bptt_steps=args.bptt_steps,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        lr=args.lr,
-        lr_constant_epochs=args.lr_constant_epochs,
-        lr_decay=args.lr_decay,
-        grad_clip=args.grad_clip,
-        seed=args.seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +131,9 @@ def _lstm_config(args) -> LstmConfig:
 def cmd_synth(args) -> int:
     if args.spec:
         try:
-            payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise ConfigError(f"malformed fleet spec: {exc}") from exc
-        spec = fleet_spec_from_json(payload)
+            spec = spec_from_json(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+        except ValueError as exc:  # not UTF-8, not JSON, or not a valid spec
+            raise ConfigError(f"malformed fleet spec: {exc}") from None
     else:
         spec = demo_spec(seed=args.seed)
     fleet = generate(spec, args.out)
@@ -232,7 +144,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_tensorize(args) -> int:
-    spec = _tensorize_spec(args)
+    spec = _from_flags(TensorizeSpec, args, lifetime_horizon_years="horizon",
+                       purchase_year_floor="year_floor")
     vehicles, maintenance = _load_tables(args)
     build = build_tensor(vehicles, maintenance, spec)
     save_tensor(build.tensor, args.out)
@@ -244,14 +157,7 @@ def cmd_tensorize(args) -> int:
 
 
 def cmd_parafac(args) -> int:
-    opts = _from_flags(
-        AlsOptions,
-        rank=args.rank,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-        n_restarts=args.restarts,
-    )
+    opts = _from_flags(AlsOptions, args, n_restarts="restarts")
     tensor = load_tensor(args.tensor)
     model = cp_als(tensor, opts)
     save_model(model, args.out)
@@ -269,6 +175,8 @@ def cmd_parafac(args) -> int:
 
 def cmd_report(args) -> int:
     model = load_model(args.model)
+    if args.component is not None and args.component > model.rank:
+        raise ConfigError(f"--component {args.component} is past the model's rank {model.rank}")
     components = None if args.component is None else [args.component]
     written = export_component_reports(model, args.out, components, svg=args.format != "csv")
     for path in written:
@@ -296,7 +204,7 @@ def cmd_seqmine(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _lstm_config(args)
+    cfg = _from_flags(LstmConfig, args)
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
     train_set, valid_set, _ = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
@@ -363,11 +271,9 @@ def cmd_pipeline(args) -> int:
     write_diff_csv(patterns, out / "seqmine.csv")
 
     train_set, valid_set, test_set = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
-    cfg = LstmConfig(
-        embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9,
-        bptt_steps=20, batch_size=8, epochs=6, lr=1.0,
-        lr_constant_epochs=4, lr_decay=0.7, seed=args.seed,
-    )
+    # a smaller, shorter run than the defaults
+    cfg = LstmConfig(embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9, epochs=6,
+                     lr_constant_epochs=4, seed=args.seed)
     seq_model = train_lstm(train_set, valid_set, cfg)
     seq_model.save(out / "seq_model.txt")
     lstm_ppl = perplexity(seq_model, test_set)

@@ -348,8 +348,8 @@ class SeqModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _run_eval(self, encoded: list[np.ndarray]) -> tuple[float, int]:
-        """Total negative log-likelihood and item count, dropout disabled.
+    def nll(self, seqs: list[Sequence[str]]) -> tuple[float, int]:
+        """Total negative log-likelihood and item count (EOS included), dropout disabled.
 
         Batches hold sequences of similar length (a stable sort by length).
         Each sequence's NLL is summed in time order and the sequences' totals
@@ -357,6 +357,7 @@ class SeqModel:
         batches are formed.
         """
         cfg = self.config
+        encoded = [self.vocab.encode(s) for s in seqs]
         order = np.argsort([s.shape[0] for s in encoded], kind="stable")
         seq_nll = np.zeros(len(encoded))
         for start in range(0, len(order), cfg.batch_size):
@@ -504,19 +505,11 @@ def train(
 
 
 def perplexity(model, seqs: list[Sequence[str]]) -> float:
-    """exp of the mean negative log-probability per predicted item (EOS included)."""
+    """exp of the mean negative log-probability per predicted item (EOS included),
+    from ``model.nll``: a SeqModel's or a UnigramModel's."""
     if not seqs:
         raise ValueError("evaluation set is empty")
-    if isinstance(model, SeqModel):
-        encoded = [model.vocab.encode(s) for s in seqs]
-        total_nll, total_items = model._run_eval(encoded)
-        return float(np.exp(total_nll / total_items))
-    total_nll = 0.0
-    total_items = 0
-    for seq in seqs:
-        lp = model.log_prob_items(seq)
-        total_nll -= float(lp.sum())
-        total_items += lp.shape[0]
+    total_nll, total_items = model.nll(seqs)
     return float(np.exp(total_nll / total_items))
 
 
@@ -527,10 +520,15 @@ class UnigramModel:
         self.vocab = vocab
         self.log_probs = log_probs
 
-    def log_prob_items(self, seq: Sequence[str]) -> np.ndarray:
-        encoded = self.vocab.encode(seq)
-        targets = np.concatenate([encoded, [self.vocab.eos]])
-        return self.log_probs[targets]
+    def nll(self, seqs: list[Sequence[str]]) -> tuple[float, int]:
+        """Total negative log-likelihood and item count (EOS included)."""
+        total_nll = 0.0
+        total_items = 0
+        for seq in seqs:
+            lp = self.log_probs[np.concatenate([self.vocab.encode(seq), [self.vocab.eos]])]
+            total_nll -= float(lp.sum())
+            total_items += lp.shape[0]
+        return total_nll, total_items
 
 
 def unigram_baseline(train_seqs: list[Sequence[str]]) -> UnigramModel:

@@ -41,6 +41,9 @@ MAINTENANCE_COLUMNS = (
     "Part Cost", "Primary Meter", "Job Status", "Job WAC", "WACDescription",
     "Job System", "System Description", "Job Location",
 )
+# a bound on any cell's planted mean: past it a Poisson draw or the noiseless
+# int64 count fails, and far short of it the fleet no longer fits in memory
+MAX_CELL_MEAN = 1e6
 
 
 @dataclass
@@ -92,8 +95,12 @@ class FleetSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_count(self.months):
             raise ValueError(f"months must be an integer >= 1, got {self.months!r}")
-        if not (math.isfinite(self.background_rate) and self.background_rate >= 0):
-            raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate}")
+        if not (_is_finite(self.background_rate) and self.background_rate >= 0):
+            raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate!r}")
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
+        if not _are_labels(self.systems):
+            raise ValueError(f"systems must be a non-empty list of strings, got {self.systems!r}")
         if not self.vehicles:
             raise ValueError("need at least one make/model group")
         for make_model, count in self.vehicles.items():
@@ -115,13 +122,13 @@ class FleetSpec:
         if _parse_month(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
+        planted = self.background_rate  # a bound on every cell's mean
         for comp in self.components:
             values = (comp.intensity, *comp.vehicle_weights.values(),
                       *comp.system_weights.values(), *comp.time_profile)
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(
-                    f"component {comp.name}: non-finite intensity, weight or time-profile value"
-                )
+            if not (isinstance(comp.name, str) and all(_is_finite(v) for v in values)):
+                raise ValueError(f"component {comp.name!r}: the name must be a string, the "
+                                 "intensity, weights and time-profile values finite numbers")
             if comp.intensity < 0:
                 raise ValueError(f"component {comp.name}: negative intensity")
             if len(comp.time_profile) != self.months:
@@ -132,9 +139,17 @@ class FleetSpec:
             unknown = set(comp.system_weights) - known
             if unknown:
                 raise ValueError(f"component {comp.name}: unknown systems {sorted(unknown)}")
+            peaks = (max(map(abs, v), default=0.0) for v in (
+                comp.vehicle_weights.values(), comp.system_weights.values(), comp.time_profile))
+            planted += comp.intensity * math.prod(peaks)
+        if not planted <= MAX_CELL_MEAN:
+            raise ValueError(f"a cell's planted mean can reach {planted:g}, "
+                             f"past {MAX_CELL_MEAN:g}")
         for motif in self.motifs:
-            if set(motif.labels) - known:
-                raise ValueError(f"motif labels outside the system vocabulary: {motif.labels}")
+            if not (isinstance(motif.make_model, str) and _are_labels(motif.labels)
+                    and set(motif.labels) <= known):
+                raise ValueError("a motif needs a make_model and a non-empty list of labels "
+                                 f"from the system vocabulary, got {motif.labels!r}")
             width = len(motif.labels)
             if not 0 < motif.rate < 1.0 / width:
                 raise ValueError(f"motif rate must be in (0, 1/{width})")
@@ -156,8 +171,30 @@ class FleetSpec:
                 raise ValueError(f"markov {name}: transition entries must be finite and >= 0")
             if not all(abs(math.fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
-            if set(chain.labels) - known:
-                raise ValueError(f"markov {name}: labels outside the system vocabulary")
+            if not _are_labels(chain.labels) or set(chain.labels) - known:
+                raise ValueError(f"markov {name}: labels must be strings of the system vocabulary")
+
+
+def spec_from_json(payload) -> FleetSpec:
+    """The validated FleetSpec whose fields are the keys of a decoded JSON object.
+
+    Components, motifs and Markov chains are built from their own fields the
+    same way. A missing or unknown key, or a value of the wrong type, raises
+    ValueError. Intensities and time profiles are stored as floats, so a spec
+    that writes them as integers gives the same manifest.
+    """
+    try:
+        spec = FleetSpec(**payload)
+        spec.components = [PlantedComponent(**c) for c in spec.components]
+        spec.motifs = [PlantedMotif(**m) for m in spec.motifs]
+        spec.markov = {name: MarkovSpec(**c) for name, c in spec.markov.items()}
+        spec.validate()
+    except (AttributeError, OverflowError, TypeError) as exc:
+        raise ValueError(str(exc)) from None
+    for comp in spec.components:
+        comp.intensity = float(comp.intensity)
+        comp.time_profile = tuple(map(float, comp.time_profile))
+    return spec
 
 
 def _is_count(value) -> bool:
@@ -165,10 +202,20 @@ def _is_count(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
+def _is_finite(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _are_weights(values) -> bool:
     """True when every value is a finite real number >= 0 that is not a bool."""
-    return all(isinstance(v, Real) and not isinstance(v, bool) and 0 <= v < math.inf
-               for v in values)
+    return all(_is_finite(v) and v >= 0 for v in values)
+
+
+def _are_labels(values) -> bool:
+    """True for a non-empty list or tuple of strings."""
+    return (isinstance(values, (list, tuple)) and len(values) > 0
+            and all(isinstance(v, str) for v in values))
 
 
 def month_labels(window_start: str, months: int) -> list[str]:

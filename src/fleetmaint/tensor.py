@@ -34,7 +34,8 @@ class Tensor3:
     The data is made read-only. An array that does not own its buffer (a
     view, or one wrapping foreign memory) is copied first, since a write
     through another view would change the data under the nonzero lists
-    cached on first use; an owned C-contiguous float64 array is kept.
+    cached on first use. An owned C-contiguous float64 array is kept, not
+    copied: the caller must not write to it through any other view afterwards.
     """
 
     data: np.ndarray

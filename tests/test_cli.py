@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetmaint.cli import main
-from fleetmaint.parafac import load_model
+from fleetmaint.cli import DEFAULT_SEED, build_parser, main
+from fleetmaint.ingest import TensorizeSpec
+from fleetmaint.lstm import LstmConfig
+from fleetmaint.parafac import AlsOptions, load_model
 from fleetmaint.tensor import load_tensor
 
 
@@ -46,6 +49,13 @@ def markov_spec(**chain):
     base = {"labels": ["Brakes", "Tires"], "transition": [[0.2, 0.8], [0.8, 0.2]],
             "start": [1, 1], "length": 4}
     return dict(CUSTOM_SPEC, markov={"FORD F150": dict(base, **chain)})
+
+
+def component_spec(**component):
+    """CUSTOM_SPEC with one planted component, its fields overridden by ``component``."""
+    base = {"name": "c", "vehicle_weights": {"FORD F150": 1.0},
+            "system_weights": {"Brakes": 1.0}, "time_profile": [1.0] * 6, "intensity": 1.0}
+    return dict(CUSTOM_SPEC, components=[dict(base, **component)])
 
 
 class TestSynth:
@@ -109,6 +119,15 @@ class TestSynth:
         markov_spec(length=0),
         markov_spec(length=2.5),
         markov_spec(length=float("inf")),
+        dict(CUSTOM_SPEC, noiseless="false"),
+        dict(CUSTOM_SPEC, systems="Brakes"),
+        dict(CUSTOM_SPEC, systems=["B", "T"],
+             motifs=[{"make_model": "FORD F150", "labels": "BT", "rate": 0.2}]),
+        dict(CUSTOM_SPEC, background_rate="0.5"),
+        dict(CUSTOM_SPEC, backround_rate=0.5),
+        component_spec(weight=1.0),
+        component_spec(intensity=1e300),
+        dict(component_spec(intensity=1e300), noiseless=True),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -117,7 +136,9 @@ class TestSynth:
         "markov-negative-transition", "markov-row-sum", "markov-transition-nan",
         "markov-start-zero", "markov-start-too-long", "markov-start-negative",
         "markov-start-bool", "markov-length-zero", "markov-length-float", "markov-length-inf",
-        "not-json",
+        "noiseless-string", "systems-string", "motif-labels-string", "numeric-string",
+        "unknown-key", "unknown-component-key", "planted-mean-huge",
+        "planted-mean-huge-noiseless", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -127,6 +148,17 @@ class TestSynth:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config-error: malformed fleet spec")
         assert not (tmp_path / "o").exists()
+
+    def test_integer_intensities_give_the_same_files(self, tmp_path):
+        floats = component_spec(intensity=2.0, time_profile=[1.0, 0.0, 3.0, 0.5, 0.0, 1.0])
+        ints = component_spec(intensity=2, time_profile=[1, 0, 3, 0.5, 0, 1])
+        for name, spec in (("floats", floats), ("ints", ints)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+            assert main(["synth", "--out", str(tmp_path / name),
+                         "--spec", str(tmp_path / f"{name}.json")]) == 0
+        for file in ("vehicles.csv", "maintenance.csv", "manifest.json"):
+            assert (tmp_path / "ints" / file).read_bytes() == \
+                (tmp_path / "floats" / file).read_bytes(), file
 
 
 class TestTensorize:
@@ -244,6 +276,20 @@ class TestParafacAndReport:
         assert rows[0] == ["component", "mode", "label", "loading"]
         assert {r[0] for r in rows[1:]} == {"2"}
         assert not list((tmp_path / "rep").glob("*.svg"))
+
+    def test_report_component_past_the_rank_is_config_error(self, tensor_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        main([
+            "parafac", "--tensor", str(tensor_path), "--rank", "2",
+            "--max-iters", "5", "--seed", "3", "--out", str(model_path),
+        ])
+        capsys.readouterr()
+        code = main(["report", "--model", str(model_path), "--component", "3",
+                     "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config-error: --component 3"), err
+        assert not (tmp_path / "rep").exists()
 
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -605,6 +651,21 @@ def test_flag_out_of_range_is_config_error(tmp_path, monkeypatch, capsys, argv):
     assert code == 2
     assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cls, argv, renames, unpinned", [
+    (TensorizeSpec, TENSORIZE,
+     {"lifetime_horizon_years": "horizon", "purchase_year_floor": "year_floor"}, ()),
+    (AlsOptions, PARAFAC, {"n_restarts": "restarts"}, ("rank", "seed")),
+    (LstmConfig, TRAIN, {}, ("seed",)),
+], ids=["tensorize", "parafac", "train"])
+def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames, unpinned):
+    # --rank has a default the dataclass lacks; --seed is every subcommand's DEFAULT_SEED
+    args = build_parser().parse_args(argv)
+    assert args.seed == DEFAULT_SEED
+    for f in dataclasses.fields(cls):
+        if f.name not in unpinned:
+            assert getattr(args, renames.get(f.name, f.name)) == f.default, f.name
 
 
 class TestPipeline:

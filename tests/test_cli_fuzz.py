@@ -2,11 +2,11 @@
 
 Each example mutates one valid input (a ``train --config`` file or a
 ``synth --spec`` fleet spec) and runs ``cli.main`` in-process. The
-mutations flip bits, drop or duplicate lines and keys, and swap numbers for
-awkward values. The mutated file is the only input at fault, so whatever the
-mutation, the run either succeeds or ends with exit code 2 and exactly one
-``config-error: `` line on stderr: never another exit code, a warning or a
-traceback.
+mutations flip bits, drop or duplicate lines and keys, and swap values for
+awkward numbers or for values of other JSON types. The mutated file is the
+only input at fault, so whatever the mutation, the run either succeeds or
+ends with exit code 2 and exactly one ``config-error: `` line on stderr:
+never another exit code, a warning or a traceback.
 """
 
 import contextlib
@@ -62,9 +62,10 @@ VALID_SPEC = {
     "noiseless": False,
 }
 
-# what a number is swapped for: as config-file text, and as a JSON value
+# what a config-file number is swapped for, and what any fleet-spec value is
 SWAPS = ["0", "-1", "1.5", "nan", "inf", "x", "true", "null"]
-JSON_SWAPS = [0, -1, 1.5, float("nan"), float("inf"), "x", True, None]
+JSON_SWAPS = [0, -1, 1.5, float("nan"), float("inf"), "x", "1.5", True, False, None,
+              [], ["x"], {}, {"x": 1}]
 
 
 def edits(kinds):
@@ -181,14 +182,11 @@ def mutate_spec(spec: dict, edit_list) -> bytes:
     spec = copy.deepcopy(spec)
     for kind, where, which in edit_list:
         places = slots(spec)
-        if kind == "swap":
-            places = [(c, k) for c, k in places
-                      if isinstance(c[k], (int, float)) and not isinstance(c[k], bool)]
         if kind not in ("drop", "duplicate", "swap") or not places:
             continue
         container, key = places[where % len(places)]
         if kind == "swap":
-            container[key] = JSON_SWAPS[which % len(JSON_SWAPS)]
+            container[key] = copy.deepcopy(JSON_SWAPS[which % len(JSON_SWAPS)])
         elif kind == "drop":
             del container[key]
         elif isinstance(container, list):

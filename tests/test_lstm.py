@@ -109,8 +109,8 @@ class TestPerplexity:
 
     def test_perfect_model_scores_one(self):
         class Oracle:
-            def log_prob_items(self, seq):
-                return np.zeros(len(seq) + 1)
+            def nll(self, seqs):
+                return 0.0, sum(len(seq) + 1 for seq in seqs)
 
         assert perplexity(Oracle(), [["a", "b"], ["c"]]) == pytest.approx(1.0, abs=1e-12)
 
