@@ -18,8 +18,11 @@ specs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -44,6 +47,10 @@ MAINTENANCE_COLUMNS = (
 # a bound on any cell's planted mean: past it a Poisson draw or the noiseless
 # int64 count fails, and far short of it the fleet no longer fits in memory
 MAX_CELL_MEAN = 1e6
+# each job's Labor Hours is rng.uniform(*LABOR_HOURS), its Primary Meter
+# rng.integers(*METER_READINGS), drawn in that order
+LABOR_HOURS = (0.5, 8.0)
+METER_READINGS = (1000, 99000)
 
 
 @dataclass
@@ -139,6 +146,10 @@ class FleetSpec:
             unknown = set(comp.system_weights) - known
             if unknown:
                 raise ValueError(f"component {comp.name}: unknown systems {sorted(unknown)}")
+            unknown = set(comp.vehicle_weights) - set(self.vehicles)
+            if unknown:
+                raise ValueError(f"component {comp.name}: vehicle_weights keys that are not "
+                                 f"vehicles keys: {', '.join(sorted(map(repr, unknown)))}")
             peaks = (max(map(abs, v), default=0.0) for v in (
                 comp.vehicle_weights.values(), comp.system_weights.values(), comp.time_profile))
             planted += comp.intensity * math.prod(peaks)
@@ -150,10 +161,14 @@ class FleetSpec:
                     and set(motif.labels) <= known):
                 raise ValueError("a motif needs a make_model and a non-empty list of labels "
                                  f"from the system vocabulary, got {motif.labels!r}")
+            if motif.make_model not in self.vehicles:
+                raise ValueError(f"motif make_model {motif.make_model!r} is not a vehicles key")
             width = len(motif.labels)
             if not 0 < motif.rate < 1.0 / width:
                 raise ValueError(f"motif rate must be in (0, 1/{width})")
         for name, chain in self.markov.items():
+            if name not in self.vehicles:
+                raise ValueError(f"markov {name!r} is not a vehicles key")
             n = len(chain.labels)
             if not _is_count(chain.length):
                 raise ValueError(
@@ -249,6 +264,75 @@ def _sample_markov(chain: MarkovSpec, rng: np.random.Generator) -> list[str]:
     return out
 
 
+def _csv_text(fields) -> str:
+    """The fields as csv.writer joins them in a row, with no line terminator:
+    quoted, quotes doubled, only where QUOTE_MINIMAL needs it."""
+    out = io.StringIO()
+    # a trailing empty field: a row of one empty field is written as ""
+    csv.writer(out, lineterminator="\n").writerow((*fields, ""))
+    return out.getvalue()[:-2]
+
+
+@functools.lru_cache(maxsize=1024)  # labor hours round to at most 751 values
+def _money_fields(labor: float) -> str:
+    """csv text of the Labor Hours, Actual Labor Cost, Commercial Cost and Part
+    Cost of a job whose labor hours round to ``labor``."""
+    cost = round(labor * 54.8, 2)
+    return _csv_text((f"{labor:.2f}", f"${cost:,.2f}", "$0", f"${round(cost * 0.3, 2):,.2f}"))
+
+
+def _job_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labor hours and meter readings of n jobs, read from one ``random_raw`` call.
+
+    Gives the values, and leaves the bit generator in the state, of the loop
+
+        for _ in range(n):
+            labor.append(rng.uniform(*LABOR_HOURS))
+            meter.append(rng.integers(*METER_READINGS))
+
+    for PCG64 (O'Neill 2014). A uniform is ``low + (high - low) * d`` with
+    ``d = (w >> 11) * 2**-53`` of a fresh 64-bit word w. A meter reading is
+    Lemire's (2019) bounded draw on a 32-bit half-word: the half the bit
+    generator keeps (``has_uint32`` / ``uinteger``) if it holds one, else the
+    low half of a fresh word, whose high half it then keeps. Should a half
+    fall in Lemire's rejection zone, where the draw takes another half, the
+    state is restored and the loop above runs instead.
+    """
+    labor_low, labor_high = LABOR_HOURS
+    meter_low, meter_high = METER_READINGS
+    span = meter_high - meter_low
+    if n == 0:
+        return np.empty(0), np.empty(0, np.int64)
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    kept = saved["has_uint32"]  # 1: the first job's reading is the kept half
+    n_split = (n - kept + 1) // 2  # fresh words split into two readings
+    raw = bitgen.random_raw(n + n_split)
+    # after the first job's double if a half is kept, each two jobs read the
+    # words (double, split word, double); a lone last job's row is padded
+    rows = np.concatenate((raw[kept:], np.zeros((kept - n) % 2, np.uint64))).reshape(-1, 3)
+    words = np.concatenate((raw[:kept], rows[:, ::2].ravel()))[:n]
+    halves = np.concatenate((
+        np.full(kept, saved["uinteger"], np.uint64),
+        np.stack((rows[:, 1] & 0xFFFFFFFF, rows[:, 1] >> 32), axis=1).ravel(),
+    ))[:n]
+    scaled = halves * np.uint64(span)
+    if ((scaled & 0xFFFFFFFF) < (2**32 - span) % span).any():
+        bitgen.state = saved
+        labor, meter = np.empty(n), np.empty(n, np.int64)
+        for j in range(n):
+            labor[j] = rng.uniform(labor_low, labor_high)
+            meter[j] = rng.integers(meter_low, meter_high)
+        return labor, meter
+    state = bitgen.state
+    state["has_uint32"] = int(kept + 2 * n_split > n)
+    if n_split:
+        state["uinteger"] = int(rows[-1, 1] >> 32)
+    bitgen.state = state
+    labor = labor_low + (labor_high - labor_low) * ((words >> 11) * 2.0**-53)
+    return labor, (scaled >> 32).astype(np.int64) + meter_low
+
+
 def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     """Write vehicles.csv, maintenance.csv and manifest.json under out_dir."""
     spec.validate()
@@ -274,11 +358,22 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
 
     system_index = {label: i for i, label in enumerate(spec.systems)}
     n_sys = len(spec.systems)
-    # per system label: normalized name, Job System code, Job Code, Job Description
+    system_norm = {label: normalize_system(label) for label in spec.systems}
+    # per system label: the csv text of a job's fields before its money fields
+    # (Job Code, Job Description) and after its meter reading
     system_fields = {
-        label: (normalize_system(label), f"{i:02d}", f"{i:02d}-13-000", f"REPAIR {label}")
+        label: (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
+                _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
         for label, i in system_index.items()
     }
+    # per month: the year, and at index d the csv text from WO Open Date to
+    # Job Completed Date of a job on day d (jobs past the 28th share the 28th)
+    years = [label[:4] for label in labels]
+    date_fields = [
+        [""] + [f"{d},{d},CODRF,{d},B,BREAKDOWN / REPAIR,{d},{d}"
+                for d in (f"{label}-{day:02d}" for day in range(1, 29))]
+        for label in labels
+    ]
 
     cells: dict[str, int] = {}
     sequences: dict[str, list[str]] = {}
@@ -290,87 +385,87 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     ]
     component_units: list[dict[str, float]] = [{} for _ in spec.components]
 
-    job_rows: list[tuple[str, ...]] = []
-    for unit, make_model, purchase_year in roster:
-        # per-vehicle event list: (month index, display label)
-        if make_model in spec.markov:
-            chain = spec.markov[make_model]
-            drawn = _sample_markov(chain, rng)
-            events = [
-                (min(pos * spec.months // max(len(drawn), 1), spec.months - 1), lbl)
-                for pos, lbl in enumerate(drawn)
-            ]
-        else:
-            means = np.full((len(spec.systems), spec.months), float(spec.background_rate))
-            for ci, comp in enumerate(spec.components):
-                vw = comp.vehicle_weights.get(make_model, 0.0)
-                if vw == 0.0:
-                    continue
-                component_units[ci][unit] = vw
-                profile = np.asarray(comp.time_profile)
-                for sys_label, sw in comp.system_weights.items():
-                    means[system_index[sys_label]] += comp.intensity * vw * sw * profile
-            # a negative mean emits no job
-            if spec.noiseless:
-                counts = np.rint(means).astype(np.int64).clip(0)
+    maintenance_path = out_dir / "maintenance.csv"
+    n_jobs = 0
+    with open(maintenance_path, "w", encoding="utf-8", newline="") as jobs_out:
+        csv.writer(jobs_out, lineterminator="\n").writerow(MAINTENANCE_COLUMNS)
+        for unit, make_model, purchase_year in roster:
+            # per-vehicle event list: (month index, display label)
+            if make_model in spec.markov:
+                chain = spec.markov[make_model]
+                drawn = _sample_markov(chain, rng)
+                events = [
+                    (min(pos * spec.months // max(len(drawn), 1), spec.months - 1), lbl)
+                    for pos, lbl in enumerate(drawn)
+                ]
             else:
-                counts = rng.poisson(means.clip(0))
-            # month-major: cell c is (month c // n_sys, system c % n_sys)
-            cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
-            events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]
+                means = np.full((len(spec.systems), spec.months), float(spec.background_rate))
+                for ci, comp in enumerate(spec.components):
+                    vw = comp.vehicle_weights.get(make_model, 0.0)
+                    if vw == 0.0:
+                        continue
+                    component_units[ci][unit] = vw
+                    profile = np.asarray(comp.time_profile)
+                    for sys_label, sw in comp.system_weights.items():
+                        means[system_index[sys_label]] += comp.intensity * vw * sw * profile
+                # a negative mean emits no job
+                if spec.noiseless:
+                    counts = np.rint(means).astype(np.int64).clip(0)
+                else:
+                    counts = rng.poisson(means.clip(0))
+                # month-major: cell c is (month c // n_sys, system c % n_sys)
+                cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
+                events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]
 
-        # motif injection (contiguous runs, months inherited from neighbors)
-        for mi, motif in enumerate(spec.motifs):
-            if motif.make_model != make_model:
-                continue
-            width = len(motif.labels)
-            n_inject = _motif_count(len(events), width, motif.rate)
-            if n_inject == 0:
-                continue
-            gaps = sorted(int(g) for g in rng.integers(0, len(events) + 1, size=n_inject))
-            rebuilt = []
-            positions = []
-            gi = 0
-            for pos in range(len(events) + 1):
-                while gi < len(gaps) and gaps[gi] == pos:
-                    month = (
-                        events[pos - 1][0] if pos > 0
-                        else (events[0][0] if events else 0)
-                    )
-                    positions.append(len(rebuilt))
-                    rebuilt.extend((month, lbl) for lbl in motif.labels)
-                    gi += 1
-                if pos < len(events):
-                    rebuilt.append(events[pos])
-            events = rebuilt
-            book = motif_bookkeeping[mi]
-            book["injected_per_unit"][unit] = n_inject
-            book["positions_per_unit"][unit] = positions
-            book["total_injected"] += n_inject
+            # motif injection (contiguous runs, months inherited from neighbors)
+            for mi, motif in enumerate(spec.motifs):
+                if motif.make_model != make_model:
+                    continue
+                width = len(motif.labels)
+                n_inject = _motif_count(len(events), width, motif.rate)
+                if n_inject == 0:
+                    continue
+                gaps = sorted(int(g) for g in rng.integers(0, len(events) + 1, size=n_inject))
+                rebuilt = []
+                positions = []
+                gi = 0
+                for pos in range(len(events) + 1):
+                    while gi < len(gaps) and gaps[gi] == pos:
+                        month = (
+                            events[pos - 1][0] if pos > 0
+                            else (events[0][0] if events else 0)
+                        )
+                        positions.append(len(rebuilt))
+                        rebuilt.extend((month, lbl) for lbl in motif.labels)
+                        gi += 1
+                    if pos < len(events):
+                        rebuilt.append(events[pos])
+                events = rebuilt
+                book = motif_bookkeeping[mi]
+                book["injected_per_unit"][unit] = n_inject
+                book["positions_per_unit"][unit] = positions
+                book["total_injected"] += n_inject
 
-        # date assignment: within a month, days ascend with list position
-        per_month_seen: dict[int, int] = {}
-        seq_labels = []
-        for month, sys_label in events:
-            slot = per_month_seen.get(month, 0)
-            per_month_seen[month] = slot + 1
-            date = f"{labels[month]}-{min(slot + 1, 28):02d}"
-            job_id = f"{len(job_rows) + 1:07d}"
-            sys_norm, code, job_code, job_desc = system_fields[sys_label]
-            seq_labels.append(sys_norm)
-            key = f"{unit}|{sys_norm}|{labels[month]}"
-            cells[key] = cells.get(key, 0) + 1
-            labor = round(float(rng.uniform(0.5, 8.0)), 2)
-            cost = round(labor * 54.8, 2)
-            job_rows.append((
-                job_id, date[:4], unit, job_id, date, date, "CODRF", date, "B",
-                "BREAKDOWN / REPAIR", date, date, job_code, job_desc, f"{labor:.2f}",
-                f"${cost:,.2f}", "$0", f"${round(cost * 0.3, 2):,.2f}",
-                str(int(rng.integers(1000, 99000))), "DON", "24", "REPAIR", code,
-                sys_label, "CODRF",
-            ))
-        if seq_labels:
-            sequences[unit] = seq_labels
+            # one row per event; within a month, days ascend with list position
+            labor, meter = _job_draws(rng, len(events))
+            per_month_seen: dict[int, int] = {}
+            lines = []
+            for (month, sys_label), hours, reading in zip(events, labor.tolist(), meter.tolist()):
+                day = per_month_seen[month] = per_month_seen.get(month, 0) + 1
+                n_jobs += 1
+                job_id = f"{n_jobs:07d}"
+                before_money, after_meter = system_fields[sys_label]
+                lines.append(
+                    f"{job_id},{years[month]},{unit},{job_id},{date_fields[month][min(day, 28)]},"
+                    f"{before_money},{_money_fields(round(hours, 2))},{reading},{after_meter}"
+                )
+            jobs_out.writelines(lines)
+            for (month, sys_label), count in Counter(events).items():
+                # labels that normalize alike count into one cell
+                key = f"{unit}|{system_norm[sys_label]}|{labels[month]}"
+                cells[key] = cells.get(key, 0) + count
+            if events:
+                sequences[unit] = [system_norm[sys_label] for _, sys_label in events]
 
     vehicles_path = out_dir / "vehicles.csv"
     with open(vehicles_path, "w", encoding="utf-8", newline="") as fh:
@@ -388,19 +483,13 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                 f"{float(rng.integers(100, 4000)):,.1f}",
             ))
 
-    maintenance_path = out_dir / "maintenance.csv"
-    with open(maintenance_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MAINTENANCE_COLUMNS)
-        writer.writerows(job_rows)
-
     manifest = {
         "seed": spec.seed,
         "window_start": spec.window_start,
         "months": spec.months,
         "month_labels": labels,
         "systems": list(spec.systems),
-        "totals": {"vehicles": len(roster), "jobs": len(job_rows)},
+        "totals": {"vehicles": len(roster), "jobs": n_jobs},
         "vehicles": {
             unit: {"make_model": mm, "purchase_year": year} for unit, mm, year in roster
         },

@@ -128,6 +128,11 @@ class TestSynth:
         component_spec(weight=1.0),
         component_spec(intensity=1e300),
         dict(component_spec(intensity=1e300), noiseless=True),
+        dict(CUSTOM_SPEC, motifs=[{
+            "make_model": "DODGE CHARGR", "labels": ["Brakes", "Tires"], "rate": 0.2,
+        }]),
+        component_spec(vehicle_weights={"FORD F15O": 1.0}),
+        dict(CUSTOM_SPEC, markov={"FORD F15O": markov_spec()["markov"]["FORD F150"]}),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -138,7 +143,8 @@ class TestSynth:
         "markov-start-bool", "markov-length-zero", "markov-length-float", "markov-length-inf",
         "noiseless-string", "systems-string", "motif-labels-string", "numeric-string",
         "unknown-key", "unknown-component-key", "planted-mean-huge",
-        "planted-mean-huge-noiseless", "not-json",
+        "planted-mean-huge-noiseless", "motif-make-model-unknown",
+        "component-vehicle-unknown", "markov-make-model-unknown", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"

@@ -1,8 +1,12 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
     TensorizeSpec,
@@ -12,10 +16,13 @@ from fleetmaint.ingest import (
 )
 from fleetmaint.seqmine import extract_sequences
 from fleetmaint.synth import (
+    METER_READINGS,
     FleetSpec,
     MarkovSpec,
     PlantedComponent,
     PlantedMotif,
+    _csv_text,
+    _job_draws,
     demo_spec,
     generate,
     month_labels,
@@ -58,6 +65,18 @@ def noiseless_spec():
     return tiny_spec(background_rate=0.0, components=[component], noiseless=True)
 
 
+def rejection_spec():
+    # the 88th meter reading, the third vehicle's 7th, reads a 32-bit half-word
+    # that Lemire's method rejects, so that vehicle takes the scalar draws
+    return tiny_spec(seed=4857, vehicles={"DODGE CHARGER": 2, "FORD F150": 2},
+                     systems=("Brakes", "Tires"), background_rate=2.0)
+
+
+def quoted_systems_spec():
+    # labels that csv quoting has to mark: a quote, a comma, leading spaces
+    return tiny_spec(systems=('Brakes "front"', " Tires, Tubes", '  PM, "A" service'))
+
+
 def negative_mean_spec():
     # a negative planted mean rounds to a negative count, which emits no job
     profile = tuple(-2.0 if m % 3 == 0 else 1.0 for m in range(12))
@@ -91,6 +110,18 @@ GOLDEN_DIGESTS = {
         "a846970a66165eb4f250c29506228d91d83f92568105daa10998965dc94e3291",
         "83a1d565da43ccbbe6178d792c2e3c6367037a2ce3247392dbd579b0fa13727d",
         "215f169d2a1502d70b8ac1b274513e39d4c647205ac51b36dc5abc8b38e78032",
+    ),
+    "lemire-rejection": (
+        rejection_spec,
+        "ad5761768ca0e30dc4e74d321e7f45c8a7a1195f407fddb27859d5f8a5cc71f8",
+        "2c9bafecd66d8ec86e2407e1a8989f13c52321bcb0ee46ca0bf552af7bc0a58a",
+        "7b63ca5779de2c4ef248093e7292efc659875d8af5b436d3d8b7429f3e889ef5",
+    ),
+    "quoted-systems": (
+        quoted_systems_spec,
+        "656d222d6affc4c299baef4363ec2235e640440636d87a147c5b0ffa4fef4d53",
+        "78a53da4a2ae86737026456c1f1e96af4eb16fbc64ea95fc36c5d461a80cf96c",
+        "b72dbddb90628d6cf96817f404dcefbc80099668cce5e87aa51cc4c582b24225",
     ),
 }
 
@@ -271,3 +302,71 @@ class TestDemoSpec:
     def test_month_labels_helper(self):
         labels = month_labels("2013-11", 4)
         assert labels == ["2013-11", "2013-12", "2014-01", "2014-02"]
+
+
+def scalar_job_draws(rng, n):
+    """The per-job draw loop that ``_job_draws`` replays in bulk."""
+    labor, meter = [], []
+    for _ in range(n):
+        labor.append(float(rng.uniform(0.5, 8.0)))
+        meter.append(int(rng.integers(1000, 99000)))
+    return labor, meter
+
+
+def assert_draws_match(seed, advance, prefix, kept, n):
+    """From the same start, _job_draws and the scalar loop give the same values
+    and leave the same bit generator state. The start is PCG64(seed) advanced
+    by ``advance`` words, then the prefix draws, then one more 32-bit draw if
+    needed so that the bit generator keeps a 32-bit half exactly when ``kept``."""
+    fast, slow = (np.random.Generator(np.random.PCG64(seed).advance(advance)) for _ in range(2))
+    for rng in (fast, slow):
+        for draw in prefix:
+            if draw == "double":
+                rng.random()
+            else:
+                rng.integers(0, 1 << 20)
+        if rng.bit_generator.state["has_uint32"] != kept:
+            rng.integers(0, 1 << 20)
+    labor, meter = _job_draws(fast, n)
+    assert (labor.tolist(), meter.tolist()) == scalar_job_draws(slow, n)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestJobDraws:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           prefix=st.lists(st.sampled_from(["double", "half"]), max_size=12),
+           kept=st.booleans(), n=st.integers(0, 300))
+    def test_matches_scalar_loop(self, seed, prefix, kept, n):
+        assert_draws_match(seed, 0, prefix, kept, n)
+
+    def test_rejected_half_word_falls_back(self):
+        # the first word of a seeded stream with a half in Lemire's rejection zone
+        span = METER_READINGS[1] - METER_READINGS[0]
+        threshold = (2**32 - span) % span
+        assert threshold == 19296
+        words = np.random.PCG64(11).random_raw(1 << 20)
+        low, high = words & 0xFFFFFFFF, words >> 32
+        rejected = np.flatnonzero((((low * span) & 0xFFFFFFFF) < threshold)
+                                  | (((high * span) & 0xFFFFFFFF) < threshold))
+        at = int(rejected[0])
+        assert at > 0
+        # advanced to the word before it, with no kept half: job 0's labor
+        # hours read that word, and the meter readings of jobs 0 and 1 the
+        # halves of the rejected one, so its bad half is read as a first try
+        for n in (2, 3, 40):
+            assert_draws_match(11, at - 1, [], False, n)
+
+
+class TestCsvText:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(head=st.lists(st.text(), min_size=1, max_size=4),
+           tail=st.lists(st.text(), min_size=1, max_size=4))
+    def test_joined_pieces_are_the_csv_writer_row(self, head, tail):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(head + tail)
+        assert f"{_csv_text(head)},{_csv_text(tail)}\n" == out.getvalue()
+
+    def test_quoting_rules(self):
+        assert _csv_text(("a b", " x", "", "1,5", 'say "hi"', "two\nlines")) == \
+            'a b, x,,"1,5","say ""hi""","two\nlines"'
