@@ -21,11 +21,13 @@ from .ingest import (
     DataError,
     TensorizeSpec,
     build_tensor,
+    normalize_system,
     parse_maintenance,
     parse_vehicles,
     write_discard_summary,
 )
 from .lstm import (
+    UNK_TOKEN,
     LstmConfig,
     SeqModel,
     perplexity,
@@ -235,9 +237,31 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _prefix_labels(text: str, vocabulary: tuple[str, ...]) -> list[str]:
+    """The labels of a comma-separated prefix, each normalized like a System
+    Description; empty ones are dropped. Where consecutive pieces rejoin into
+    a vocabulary label that holds commas, the longest such run is one label."""
+    widest = 1 + max((label.count(",") for label in vocabulary), default=0)
+    pieces = text.split(",")
+    labels, i = [], 0
+    while i < len(pieces):
+        for j in range(min(len(pieces), i + widest), i, -1):
+            label = normalize_system(",".join(pieces[i:j]))
+            if j == i + 1 or label in vocabulary:
+                break
+        if label:
+            labels.append(label)
+        i = j
+    return labels
+
+
 def cmd_predict(args) -> int:
     model = SeqModel.load(args.model)
-    prefix = [p for p in (s.strip() for s in args.prefix.split(",")) if p] if args.prefix else []
+    prefix = _prefix_labels(args.prefix, model.vocab.labels)
+    unknown = [label for label in dict.fromkeys(prefix) if label not in model.vocab.labels]
+    if unknown:
+        print(f"note: prefix labels read as {UNK_TOKEN}: {', '.join(map(repr, unknown))}",
+              file=sys.stderr)
     ranked = predict_next(model, prefix, top_k=args.top_k)
     for label, prob in ranked:
         print(f"{prob:.6f}\t{label}")

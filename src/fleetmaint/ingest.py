@@ -91,10 +91,6 @@ class MaintenanceRecord:
     job_open_date: date
     system_desc: str
 
-    @property
-    def system(self) -> str:
-        return normalize_system(self.system_desc)
-
 
 @dataclass
 class RejectedRow:
@@ -156,14 +152,7 @@ def parse_vehicles(path) -> list[VehicleRecord]:
             duplicates.append(unit)
             continue
         seen.add(unit)
-        records.append(
-            VehicleRecord(
-                unit_no=unit,
-                make=make,
-                model=model,
-                model_year=year,
-            )
-        )
+        records.append(VehicleRecord(unit, make, model, year))
     if duplicates:
         raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
     return records
@@ -208,6 +197,10 @@ def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]
 # ---------------------------------------------------------------------------
 
 
+# a lifetime axis has horizon*12 month labels; no vehicle outlives two centuries
+MAX_HORIZON_YEARS = 200
+
+
 @dataclass
 class TensorizeSpec:
     """How maintenance events map onto the time axis.
@@ -232,8 +225,8 @@ class TensorizeSpec:
             raise ValueError(f"time_mode must be absolute or lifetime, got {self.time_mode!r}")
         if self.granularity not in ("month", "year"):
             raise ValueError(f"granularity must be month or year, got {self.granularity!r}")
-        if self.lifetime_horizon_years < 1:
-            raise ValueError("lifetime_horizon_years must be >= 1")
+        if not 1 <= self.lifetime_horizon_years <= MAX_HORIZON_YEARS:
+            raise ValueError(f"lifetime_horizon_years must be in [1, {MAX_HORIZON_YEARS}]")
         start = _parse_month(self.window_start)
         if start is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
@@ -275,6 +268,26 @@ class TensorBuild:
         return self.placed + sum(self.discards.values())
 
 
+def encode_jobs(
+    vehicles: list[VehicleRecord], maintenance: list[MaintenanceRecord]
+) -> tuple[list[VehicleRecord], np.ndarray, list[str], np.ndarray]:
+    """The job table's one encoding, for tensorize and sequence mining: the
+    vehicles by (model_year, unit_no), the last of a repeated Unit# kept; each
+    record's vehicle index, -1 for an unknown Unit No; the sorted normalized
+    System Descriptions; and each record's index into those."""
+    by_unit = {v.unit_no: v for v in vehicles}
+    ranked = sorted(by_unit.values(), key=lambda v: (v.model_year, v.unit_no))
+    rank = {v.unit_no: i for i, v in enumerate(ranked)}
+    descs = {r.system_desc for r in maintenance}
+    systems = sorted({normalize_system(d) for d in descs})
+    system_rank = {s: j for j, s in enumerate(systems)}
+    system_of = {d: system_rank[normalize_system(d)] for d in descs}
+    n = len(maintenance)
+    unit = np.fromiter((rank.get(r.unit_no, -1) for r in maintenance), np.int64, n)
+    system = np.fromiter((system_of[r.system_desc] for r in maintenance), np.int64, n)
+    return ranked, unit, systems, system
+
+
 def build_tensor(
     vehicles: list[VehicleRecord],
     maintenance: list[MaintenanceRecord],
@@ -282,11 +295,10 @@ def build_tensor(
 ) -> TensorBuild:
     """Assemble the (vehicle, system, time) job-count tensor.
 
-    Vehicle axis: vehicles at or above the purchase-year floor with at least
-    one in-window job, sorted by (model_year, unit_no). System axis: distinct
-    normalized System Description values among placed jobs, sorted. Every
-    record either lands in exactly one cell or in one discard bucket, so
-    ``tensor.sum() + sum(discards) == len(maintenance)``.
+    The axes hold the vehicles and the systems of the placed jobs, in
+    :func:`encode_jobs` order. Every record either lands in exactly one cell
+    or in one discard bucket, so ``tensor.sum() + sum(discards) ==
+    len(maintenance)``.
 
     One rule buckets time: with ``m = 12*year + month - 1`` of the Job Open
     Date, ``step`` 1 (month) or 12 (year) and ``origin`` the window-start
@@ -296,20 +308,11 @@ def build_tensor(
     outside_window (m outside the window) or before_purchase_year /
     beyond_lifetime_horizon (bucket < 0 or >= horizon*12 // step).
     """
-    by_unit = {v.unit_no: v for v in vehicles}
-    ranked = sorted(by_unit, key=lambda u: (by_unit[u].model_year, u))
-    rank = {u: i for i, u in enumerate(ranked)}
-    descs = {r.system_desc for r in maintenance}
-    system_names = sorted({normalize_system(d) for d in descs})
-    system_rank = {s: j for j, s in enumerate(system_names)}
-    system_of = {d: system_rank[normalize_system(d)] for d in descs}
-    n = len(maintenance)
-    unit = np.fromiter((rank.get(r.unit_no, -1) for r in maintenance), np.int64, n)
-    system = np.fromiter((system_of[r.system_desc] for r in maintenance), np.int64, n)
+    ranked, unit, system_names, system = encode_jobs(vehicles, maintenance)
     dates = (r.job_open_date for r in maintenance)
-    month = np.fromiter((12 * d.year + d.month - 1 for d in dates), np.int64, n)
+    month = np.fromiter((12 * d.year + d.month - 1 for d in dates), np.int64, len(unit))
     # unit -1 (unknown vehicle) reads the trailing model year -1
-    model_year = np.array([by_unit[u].model_year for u in ranked] + [-1])[unit]
+    model_year = np.array([v.model_year for v in ranked] + [-1])[unit]
 
     step = 1 if spec.granularity == "month" else 12
     masks = {
@@ -355,7 +358,7 @@ def build_tensor(
     # weighted, so the counts come out as float64 without an integer copy
     data = np.bincount(flat, weights=np.ones(flat.size), minlength=math.prod(shape))
     data.shape = shape  # in place: Tensor3 keeps an array that owns its buffer
-    axes = ([ranked[i] for i in units], [system_names[j] for j in systems], labels)
+    axes = ([ranked[i].unit_no for i in units], [system_names[j] for j in systems], labels)
     tensor = Tensor3(data, tuple(map(tuple, axes)))
     return TensorBuild(tensor=tensor, discards=discards, placed=flat.size)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_make_model
+from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, encode_jobs
+from .ingest import normalize_make_model
 
 I_RATIO_CAP = 10000.0
 P_FLOOR = 1e-4
@@ -64,31 +65,23 @@ class DiffPattern:
 def extract_sequences(
     maintenance: list[MaintenanceRecord], vehicles: list[VehicleRecord]
 ) -> tuple[SequenceSet, list[RejectedRow]]:
-    """Per-vehicle event sequences ordered by (job open date, job id)."""
-    by_unit = {v.unit_no: v for v in vehicles}
-    rejects: list[RejectedRow] = []
-    kept: list[MaintenanceRecord] = []
-    for idx, record in enumerate(maintenance):
-        if record.unit_no not in by_unit:
-            rejects.append(RejectedRow(idx, "unknown_vehicle", record.unit_no))
-            continue
-        kept.append(record)
-
-    labels = tuple(sorted({r.system for r in kept}))
-    index = {label: i for i, label in enumerate(labels)}
-
-    grouped: dict[str, list[MaintenanceRecord]] = {}
-    for record in kept:
-        grouped.setdefault(record.unit_no, []).append(record)
-
-    sequences = []
-    for unit in sorted(grouped, key=lambda u: (by_unit[u].model_year, u)):
-        jobs = sorted(grouped[unit], key=lambda r: (r.job_open_date, r.job_id))
-        events = np.array([index[r.system] for r in jobs], dtype=np.int32)
-        sequences.append(
-            EventSequence(unit_no=unit, make_model=by_unit[unit].make_model, events=events)
-        )
-    return SequenceSet(labels=labels, sequences=sequences), rejects
+    """Per-vehicle event sequences ordered by (job open date, job id), in the
+    vehicle order and over the normalized systems that ``encode_jobs`` gives."""
+    ranked, unit, systems, system = encode_jobs(vehicles, maintenance)
+    rejects = [RejectedRow(i, "unknown_vehicle", maintenance[i].unit_no)
+               for i in np.flatnonzero(unit < 0).tolist()]
+    ids = [r.job_id for r in maintenance]
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    day = np.fromiter((r.job_open_date.toordinal() for r in maintenance), np.int64, len(ids))
+    # stable: ties keep Job ID, then input, order; unknown vehicles (-1) lead, cut off
+    order = by_id[np.lexsort((day[by_id], unit[by_id]))][len(rejects):]
+    used, events = np.unique(system[order], return_inverse=True)
+    units, starts = np.unique(unit[order], return_index=True)
+    sequences = [
+        EventSequence(unit_no=ranked[u].unit_no, make_model=ranked[u].make_model, events=ev)
+        for u, ev in zip(units.tolist(), np.split(events.astype(np.int32), starts[1:]))
+    ]
+    return SequenceSet(tuple(systems[j] for j in used.tolist()), sequences), rejects
 
 
 def window_counts(sequences: list[EventSequence], width: int) -> Counter:
@@ -99,8 +92,9 @@ def window_counts(sequences: list[EventSequence], width: int) -> Counter:
         raise ValueError("width must be >= 1")
     counts: Counter = Counter()
     for seq in sequences:
-        events = seq.events.tolist()
-        counts.update(zip(*(events[k:] for k in range(width))))
+        if len(seq) >= width:  # a shorter sequence has no window
+            events = seq.events.tolist()
+            counts.update(zip(*(events[k:] for k in range(width))))
     return counts
 
 
@@ -163,7 +157,8 @@ def differential(
     if not right:
         raise ValueError("no non-target sequences to compare against")
 
-    widths = range(min_len, max_len + 1)
+    # no target window is wider than the longest target sequence
+    widths = range(min_len, min(max_len, max(map(len, left))) + 1)
     left_counts = {width: window_counts(left, width) for width in widths}
     right_counts = {width: window_counts(right, width) for width in widths}
     n_left = {width: counts.total() for width, counts in left_counts.items()}

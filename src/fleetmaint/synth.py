@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import _parse_month, normalize_system
+from .ingest import _parse_month, normalize_make_model, normalize_system
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -108,6 +108,9 @@ class FleetSpec:
             raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
         if not _are_labels(self.systems):
             raise ValueError(f"systems must be a non-empty list of strings, got {self.systems!r}")
+        if len(set(map(normalize_system, self.systems))) < len(self.systems):
+            raise ValueError(f"systems {self.systems!r} hold labels that normalize alike, "
+                             "which the tables would merge")
         if not self.vehicles:
             raise ValueError("need at least one make/model group")
         for make_model, count in self.vehicles.items():
@@ -120,6 +123,9 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
                 )
+        if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
+            raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
+                             "normalize alike, which the tables would merge")
         if self.purchase_years is not None and not (
                 self.purchase_years and all(_is_count(y) for y in self.purchase_years)):
             raise ValueError(

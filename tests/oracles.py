@@ -9,7 +9,8 @@ results:
 - parafac: a CP model from known factors, its full reconstruction and fit,
   and the greedy component matching behind the congruence scores;
 - lstm: the finite-difference gradient check of the BPTT backward pass;
-- seqmine: a SequenceSet built straight from label lists.
+- seqmine: a SequenceSet built straight from label lists, and the
+  per-record grouping and sorting that ``extract_sequences`` must match.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fleetmaint.lstm import (
     _zero_state,
 )
 from fleetmaint.parafac import CpModel, _component_order, _normalize_factors
+from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_system
 from fleetmaint.seqmine import EventSequence, SequenceSet
 from fleetmaint.tensor import (
     AxisLabels,
@@ -251,7 +253,7 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# sequence sets from label lists
+# sequence sets from label lists and from job records
 # ---------------------------------------------------------------------------
 
 
@@ -273,3 +275,33 @@ def sequence_set_from_lists(
             )
         )
     return SequenceSet(labels=labels, sequences=sequences)
+
+
+def extract_sequences(
+    maintenance: list[MaintenanceRecord], vehicles: list[VehicleRecord]
+) -> tuple[SequenceSet, list[RejectedRow]]:
+    """Per-vehicle event sequences ordered by (job open date, job id)."""
+    by_unit = {v.unit_no: v for v in vehicles}
+    rejects: list[RejectedRow] = []
+    kept: list[MaintenanceRecord] = []
+    for idx, record in enumerate(maintenance):
+        if record.unit_no not in by_unit:
+            rejects.append(RejectedRow(idx, "unknown_vehicle", record.unit_no))
+            continue
+        kept.append(record)
+
+    labels = tuple(sorted({normalize_system(r.system_desc) for r in kept}))
+    index = {label: i for i, label in enumerate(labels)}
+
+    grouped: dict[str, list[MaintenanceRecord]] = {}
+    for record in kept:
+        grouped.setdefault(record.unit_no, []).append(record)
+
+    sequences = []
+    for unit in sorted(grouped, key=lambda u: (by_unit[u].model_year, u)):
+        jobs = sorted(grouped[unit], key=lambda r: (r.job_open_date, r.job_id))
+        events = np.array([index[normalize_system(r.system_desc)] for r in jobs], dtype=np.int32)
+        sequences.append(
+            EventSequence(unit_no=unit, make_model=by_unit[unit].make_model, events=events)
+        )
+    return SequenceSet(labels=labels, sequences=sequences), rejects

@@ -11,7 +11,7 @@ import pytest
 
 from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
-from fleetmaint.lstm import LstmConfig
+from fleetmaint.lstm import LstmConfig, SeqModel, predict_next
 from fleetmaint.parafac import AlsOptions, load_model
 from fleetmaint.tensor import load_tensor
 
@@ -133,6 +133,8 @@ class TestSynth:
         }]),
         component_spec(vehicle_weights={"FORD F15O": 1.0}),
         dict(CUSTOM_SPEC, markov={"FORD F15O": markov_spec()["markov"]["FORD F150"]}),
+        dict(CUSTOM_SPEC, systems=["Brakes", " brakes", "Tires"]),
+        dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 2, "dodge  charger": 3}),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -144,7 +146,8 @@ class TestSynth:
         "noiseless-string", "systems-string", "motif-labels-string", "numeric-string",
         "unknown-key", "unknown-component-key", "planted-mean-huge",
         "planted-mean-huge-noiseless", "motif-make-model-unknown",
-        "component-vehicle-unknown", "markov-make-model-unknown", "not-json",
+        "component-vehicle-unknown", "markov-make-model-unknown", "systems-normalize-alike",
+        "vehicles-normalize-alike", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -420,6 +423,16 @@ class TestSeqmine:
         assert code == 4
         assert capsys.readouterr().err.startswith("data-error:")
 
+    def test_max_len_past_every_sequence_does_not_hang(self, fleet_dir, tmp_path):
+        # widths stop at the longest target sequence (under 100 jobs here)
+        tables = ["--vehicles", str(fleet_dir / "vehicles.csv"),
+                  "--maintenance", str(fleet_dir / "maintenance.csv")]
+        for max_len in ("10", "100000"):
+            proc = run_cli("seqmine", *tables, "--target", "DODGE CHARGER",
+                           "--max-len", max_len, "--out", str(tmp_path / f"{max_len}.csv"))
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "100000.csv").read_bytes() == (tmp_path / "10.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def model_path(fleet_dir, tmp_path_factory):
@@ -460,6 +473,31 @@ class TestTrainEvalPredict:
         assert len(lines) == 3
         probs = [float(line.split("\t")[0]) for line in lines]
         assert probs == sorted(probs, reverse=True)
+
+    @pytest.mark.parametrize("prefix, labels", [
+        ("brakes,tires, tubes, liners & valves", ["brakes", "tires, tubes, liners & valves"]),
+        ("Brakes", ["brakes"]),
+        (" PM Service All Levels,,Tires, Tubes, Liners & Valves ",
+         ["pm service all levels", "tires, tubes, liners & valves"]),
+    ])
+    def test_predict_prefix_reads_vocabulary_labels(self, model_path, capsys, prefix, labels):
+        model = SeqModel.load(model_path)
+        assert set(labels) <= set(model.vocab.labels)
+        assert main(["predict", "--model", str(model_path), "--prefix", prefix,
+                     "--top-k", "10"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out == "".join(
+            f"{prob:.6f}\t{label}\n" for label, prob in predict_next(model, labels, top_k=10))
+
+    def test_predict_unknown_prefix_label_is_named(self, model_path, capsys):
+        model = SeqModel.load(model_path)
+        assert main(["predict", "--model", str(model_path),
+                     "--prefix", "brakes,Brake Pads,brake pads", "--top-k", "10"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "note: prefix labels read as <unk>: 'brake pads'\n"
+        assert out.out == "".join(f"{prob:.6f}\t{label}\n" for label, prob in
+                                  predict_next(model, ["brakes", "<unk>", "<unk>"], top_k=10))
 
     def test_predict_truncated_model_is_data_error(self, model_path, tmp_path):
         # a subprocess with a timeout, so a reader that loops at EOF fails
@@ -641,6 +679,8 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
       for value in ("nan", "inf")),
     ["predict", "--model", "m.txt", "--top-k", "0"],
     [*TENSORIZE, "--horizon", "0"],
+    [*TENSORIZE, "--horizon", "201"],
+    [*TENSORIZE, "--time-mode", "lifetime", "--horizon", "100000000"],
     [*TENSORIZE, "--window-start", "2010-13"],
     [*TENSORIZE, "--window-start", "2016-12", "--window-end", "2016-11"],
     ["report", "--model", "m.txt", "--out", "rep", "--component", "abc"],

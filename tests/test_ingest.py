@@ -113,7 +113,7 @@ class TestParseMaintenance:
         records, rejects = parse_maintenance(path)
         assert rejects == []
         assert records[0].system_desc == "Brakes"
-        assert records[0].system == "brakes"
+        assert normalize_system(records[0].system_desc) == "brakes"
         assert str(records[0].job_open_date) == "2017-01-17"
 
     def test_empty_system_rejected_not_fatal(self, tmp_path):
@@ -700,7 +700,7 @@ def build_tensor_oracle(vehicles, maintenance, spec):
         else:
             reason = bucket_of(record, vehicle)
             if not isinstance(reason, str):
-                placements.append((record.unit_no, record.system, reason))
+                placements.append((record.unit_no, normalize_system(record.system_desc), reason))
                 continue
         discards[reason] = discards.get(reason, 0) + 1
     if not placements:

@@ -25,6 +25,7 @@ from fleetmaint.seqmine import (
     window_counts,
     write_diff_csv,
 )
+from oracles import extract_sequences as extract_sequences_oracle
 from oracles import sequence_set_from_lists
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -90,6 +91,44 @@ class TestExtractSequences:
         for target in ("FORD CROWN VICTORIA", " ford  crown\tvictoria "):
             result = differential(seqset, target, min_len=3, max_len=3)
             assert [(d.pattern, d.left_support) for d in result] == [(("brakes",) * 3, 1)]
+
+
+UNITS = ["V1", "V2", "V3", "v1", "V10"]
+JOB_IDS = ["1", "2", "10", "9", "a", "A", "1\x00", ""]
+SYSTEMS = ["Brakes", " brakes", "BRAKES ", "Tires", "tires", "Ölwechsel", "ÖLWECHSEL"]
+
+
+@st.composite
+def job_tables(draw):
+    """Vehicles (a repeated Unit# among them) and jobs with repeated job IDs,
+    same-day ties, unknown units and case and space variants of one system."""
+    vehicles = [
+        vehicle(unit, make=draw(st.sampled_from(["Dodge", "FORD"])), model="Charger",
+                year=draw(st.integers(2010, 2012)))
+        for unit in draw(st.lists(st.sampled_from(UNITS[:4]), max_size=5))
+    ]
+    jobs = [
+        job(draw(st.sampled_from(JOB_IDS)), draw(st.sampled_from(UNITS)),
+            date(2016, 1, draw(st.integers(1, 3))), draw(st.sampled_from(SYSTEMS)))
+        for _ in range(draw(st.integers(0, 25)))
+    ]
+    return jobs, vehicles
+
+
+class TestExtractSequencesMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(job_tables())
+    @example(([job("1\x00", "V1", date(2016, 1, 1), "Tires"),
+               job("1", "V1", date(2016, 1, 1), "Brakes")], [vehicle("V1")]))
+    def test_same_sequences_and_rejects(self, tables):
+        (seqset, rejects), (expected, expected_rejects) = (
+            extract_sequences(*tables), extract_sequences_oracle(*tables))
+        assert rejects == expected_rejects
+        assert seqset.labels == expected.labels
+        assert [(s.unit_no, s.make_model, s.events.dtype, s.events.tolist())
+                for s in seqset.sequences] == [
+            (s.unit_no, s.make_model, s.events.dtype, s.events.tolist())
+            for s in expected.sequences]
 
 
 class TestCountWindows:
