@@ -199,6 +199,9 @@ def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]
 
 # a lifetime axis has horizon*12 month labels; no vehicle outlives two centuries
 MAX_HORIZON_YEARS = 200
+# an absolute window, and a synthetic fleet, span at most the 2,412 months from
+# 1900-01 through 2100-12, the model years parse_vehicles accepts
+MAX_WINDOW_MONTHS = 12 * (2100 - 1900 + 1)
 
 
 @dataclass
@@ -236,6 +239,8 @@ class TensorizeSpec:
                 raise ValueError(f"bad window_end {self.window_end!r}")
             if end < start:
                 raise ValueError("window_end precedes window_start")
+            if _month_index(*end) - _month_index(*start) >= MAX_WINDOW_MONTHS:
+                raise ValueError(f"the window spans more than {MAX_WINDOW_MONTHS} months")
 
 
 def _parse_month(value: str) -> tuple[int, int] | None:
@@ -329,6 +334,9 @@ def build_tensor(
             if not kept.size:
                 raise DataError("cannot infer window end: no maintenance records")
             hi = int(kept.max())
+            if hi - lo >= MAX_WINDOW_MONTHS:
+                raise DataError(f"cannot infer window end: the latest job is more than "
+                                f"{MAX_WINDOW_MONTHS} months past the window start")
         if hi < lo:
             raise DataError("window end precedes window start")
         buckets = range(lo // step, hi // step + 1)

@@ -22,14 +22,13 @@ import functools
 import io
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import _parse_month, normalize_make_model, normalize_system
+from .ingest import MAX_WINDOW_MONTHS, _parse_month, normalize_make_model, normalize_system
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -47,6 +46,11 @@ MAINTENANCE_COLUMNS = (
 # a bound on any cell's planted mean: past it a Poisson draw or the noiseless
 # int64 count fails, and far short of it the fleet no longer fits in memory
 MAX_CELL_MEAN = 1e6
+# bounds on a spec's vehicle total (40 times the paper's 2,500-vehicle fleet)
+# and on a Markov chain's length: far past them synth runs for minutes or
+# fails for want of memory
+MAX_VEHICLES = 100_000
+MAX_CHAIN_LENGTH = 100_000
 # each job's Labor Hours is rng.uniform(*LABOR_HOURS), its Primary Meter
 # rng.integers(*METER_READINGS), drawn in that order
 LABOR_HOURS = (0.5, 8.0)
@@ -100,8 +104,9 @@ class FleetSpec:
     def validate(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_count(self.months):
-            raise ValueError(f"months must be an integer >= 1, got {self.months!r}")
+        if not (_is_count(self.months) and self.months <= MAX_WINDOW_MONTHS):
+            raise ValueError(f"months must be an integer in [1, {MAX_WINDOW_MONTHS}], "
+                             f"got {self.months!r}")
         if not (_is_finite(self.background_rate) and self.background_rate >= 0):
             raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate!r}")
         if not isinstance(self.noiseless, bool):
@@ -123,6 +128,9 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
                 )
+        total = sum(map(int, self.vehicles.values()))
+        if total > MAX_VEHICLES:
+            raise ValueError(f"vehicles total {total}, past {MAX_VEHICLES}")
         if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
             raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
                              "normalize alike, which the tables would merge")
@@ -176,10 +184,9 @@ class FleetSpec:
             if name not in self.vehicles:
                 raise ValueError(f"markov {name!r} is not a vehicles key")
             n = len(chain.labels)
-            if not _is_count(chain.length):
-                raise ValueError(
-                    f"markov {name}: length must be an integer >= 1, got {chain.length!r}"
-                )
+            if not (_is_count(chain.length) and chain.length <= MAX_CHAIN_LENGTH):
+                raise ValueError(f"markov {name}: length must be an integer in "
+                                 f"[1, {MAX_CHAIN_LENGTH}], got {chain.length!r}")
             if not (len(chain.start) == n and _are_weights(chain.start)
                     and 0 < math.fsum(chain.start) < math.inf):
                 raise ValueError(
@@ -364,16 +371,16 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
 
     system_index = {label: i for i, label in enumerate(spec.systems)}
     n_sys = len(spec.systems)
-    system_norm = {label: normalize_system(label) for label in spec.systems}
-    # per system label: the csv text of a job's fields before its money fields
-    # (Job Code, Job Description) and after its meter reading
-    system_fields = {
-        label: (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
-                _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
-        for label, i in system_index.items()
-    }
+    system_norm = [normalize_system(label) for label in spec.systems]
+    # per system: the csv text of a job's fields before its money fields (Job
+    # Code, Job Description) and after its meter reading
+    system_fields = [
+        (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
+         _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
+        for i, label in enumerate(spec.systems)
+    ]
     # per month: the year, and at index d the csv text from WO Open Date to
-    # Job Completed Date of a job on day d (jobs past the 28th share the 28th)
+    # Job Completed Date of a job on day d
     years = [label[:4] for label in labels]
     date_fields = [
         [""] + [f"{d},{d},CODRF,{d},B,BREAKDOWN / REPAIR,{d},{d}"
@@ -395,15 +402,13 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     n_jobs = 0
     with open(maintenance_path, "w", encoding="utf-8", newline="") as jobs_out:
         csv.writer(jobs_out, lineterminator="\n").writerow(MAINTENANCE_COLUMNS)
-        for unit, make_model, purchase_year in roster:
-            # per-vehicle event list: (month index, display label)
+        for unit, make_model, _ in roster:
+            # the vehicle's jobs in emission order as month-major cells: cell c
+            # is (month c // n_sys, system c % n_sys), and months never decrease
             if make_model in spec.markov:
-                chain = spec.markov[make_model]
-                drawn = _sample_markov(chain, rng)
-                events = [
-                    (min(pos * spec.months // max(len(drawn), 1), spec.months - 1), lbl)
-                    for pos, lbl in enumerate(drawn)
-                ]
+                drawn = _sample_markov(spec.markov[make_model], rng)
+                month = np.arange(len(drawn)) * spec.months // len(drawn)
+                cell = month * n_sys + [system_index[lbl] for lbl in drawn]
             else:
                 means = np.full((len(spec.systems), spec.months), float(spec.background_rate))
                 for ci, comp in enumerate(spec.components):
@@ -419,59 +424,48 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                     counts = np.rint(means).astype(np.int64).clip(0)
                 else:
                     counts = rng.poisson(means.clip(0))
-                # month-major: cell c is (month c // n_sys, system c % n_sys)
                 cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
-                events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]
 
-            # motif injection (contiguous runs, months inherited from neighbors)
+            # motif injection: contiguous runs, each in the month of the job
+            # before it (of the first job at position 0)
             for mi, motif in enumerate(spec.motifs):
                 if motif.make_model != make_model:
                     continue
                 width = len(motif.labels)
-                n_inject = _motif_count(len(events), width, motif.rate)
-                if n_inject == 0:
+                n_inject = _motif_count(len(cell), width, motif.rate)
+                if n_inject == 0:  # always so for a vehicle with no job
                     continue
-                gaps = sorted(int(g) for g in rng.integers(0, len(events) + 1, size=n_inject))
-                rebuilt = []
-                positions = []
-                gi = 0
-                for pos in range(len(events) + 1):
-                    while gi < len(gaps) and gaps[gi] == pos:
-                        month = (
-                            events[pos - 1][0] if pos > 0
-                            else (events[0][0] if events else 0)
-                        )
-                        positions.append(len(rebuilt))
-                        rebuilt.extend((month, lbl) for lbl in motif.labels)
-                        gi += 1
-                    if pos < len(events):
-                        rebuilt.append(events[pos])
-                events = rebuilt
+                gaps = np.sort(rng.integers(0, len(cell) + 1, size=n_inject))
+                run_month = cell[np.maximum(gaps - 1, 0)] // n_sys
+                runs = run_month[:, None] * n_sys + [system_index[lbl] for lbl in motif.labels]
+                cell = np.insert(cell, np.repeat(gaps, width), runs.ravel())
                 book = motif_bookkeeping[mi]
                 book["injected_per_unit"][unit] = n_inject
-                book["positions_per_unit"][unit] = positions
+                # each run's first index once every run is in: the runs before it shift it
+                book["positions_per_unit"][unit] = (gaps + width * np.arange(n_inject)).tolist()
                 book["total_injected"] += n_inject
 
-            # one row per event; within a month, days ascend with list position
-            labor, meter = _job_draws(rng, len(events))
-            per_month_seen: dict[int, int] = {}
+            # one row per job; a job's day is its place among its month's jobs,
+            # counted from 1, and jobs past the 28th share the 28th
+            month, system = np.divmod(cell, n_sys)
+            day = np.minimum(np.arange(len(cell)) - np.searchsorted(month, month) + 1, 28)
+            labor, meter = _job_draws(rng, len(cell))
             lines = []
-            for (month, sys_label), hours, reading in zip(events, labor.tolist(), meter.tolist()):
-                day = per_month_seen[month] = per_month_seen.get(month, 0) + 1
+            for m, s, d, hours, reading in zip(month.tolist(), system.tolist(), day.tolist(),
+                                               labor.tolist(), meter.tolist()):
                 n_jobs += 1
                 job_id = f"{n_jobs:07d}"
-                before_money, after_meter = system_fields[sys_label]
+                before_money, after_meter = system_fields[s]
                 lines.append(
-                    f"{job_id},{years[month]},{unit},{job_id},{date_fields[month][min(day, 28)]},"
+                    f"{job_id},{years[m]},{unit},{job_id},{date_fields[m][d]},"
                     f"{before_money},{_money_fields(round(hours, 2))},{reading},{after_meter}"
                 )
             jobs_out.writelines(lines)
-            for (month, sys_label), count in Counter(events).items():
-                # labels that normalize alike count into one cell
-                key = f"{unit}|{system_norm[sys_label]}|{labels[month]}"
-                cells[key] = cells.get(key, 0) + count
-            if events:
-                sequences[unit] = [system_norm[sys_label] for _, sys_label in events]
+            cell_ids, cell_counts = np.unique(cell, return_counts=True)
+            for c, count in zip(cell_ids.tolist(), cell_counts.tolist()):
+                cells[f"{unit}|{system_norm[c % n_sys]}|{labels[c // n_sys]}"] = count
+            if len(cell):
+                sequences[unit] = [system_norm[s] for s in system.tolist()]
 
     vehicles_path = out_dir / "vehicles.csv"
     with open(vehicles_path, "w", encoding="utf-8", newline="") as fh:

@@ -10,11 +10,17 @@ results:
   and the greedy component matching behind the congruence scores;
 - lstm: the finite-difference gradient check of the BPTT backward pass;
 - seqmine: a SequenceSet built straight from label lists, and the
-  per-record grouping and sorting that ``extract_sequences`` must match.
+  per-record grouping and sorting that ``extract_sequences`` must match;
+- synth: the per-event tuple list, cursor-driven motif rebuild and
+  ``Counter`` of cells that ``generate`` must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+from collections import Counter
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +38,18 @@ from fleetmaint.lstm import (
 from fleetmaint.parafac import CpModel, _component_order, _normalize_factors
 from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_system
 from fleetmaint.seqmine import EventSequence, SequenceSet
+from fleetmaint.synth import (
+    MAINTENANCE_COLUMNS,
+    VEHICLE_COLUMNS,
+    FleetSpec,
+    GeneratedFleet,
+    _csv_text,
+    _job_draws,
+    _money_fields,
+    _motif_count,
+    _sample_markov,
+    month_labels,
+)
 from fleetmaint.tensor import (
     AxisLabels,
     Tensor3,
@@ -305,3 +323,209 @@ def extract_sequences(
             EventSequence(unit_no=unit, make_model=by_unit[unit].make_model, events=events)
         )
     return SequenceSet(labels=labels, sequences=sequences), rejects
+
+
+# ---------------------------------------------------------------------------
+# synthetic fleets, one event tuple at a time
+# ---------------------------------------------------------------------------
+
+
+def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
+    """Write vehicles.csv, maintenance.csv and manifest.json under out_dir."""
+    spec.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+
+    labels = month_labels(spec.window_start, spec.months)
+    if spec.purchase_years is None:
+        purchase_years = tuple(sorted({int(lbl[:4]) for lbl in labels}))
+    else:
+        purchase_years = spec.purchase_years
+
+    # vehicle roster
+    roster = []  # (unit, make_model, purchase_year)
+    counter = 0
+    for make_model, count in spec.vehicles.items():
+        for _ in range(count):
+            counter += 1
+            unit = f"{counter:06d}"
+            year = purchase_years[(counter - 1) % len(purchase_years)]
+            roster.append((unit, make_model, year))
+
+    system_index = {label: i for i, label in enumerate(spec.systems)}
+    n_sys = len(spec.systems)
+    system_norm = {label: normalize_system(label) for label in spec.systems}
+    # per system label: the csv text of a job's fields before its money fields
+    # (Job Code, Job Description) and after its meter reading
+    system_fields = {
+        label: (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
+                _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
+        for label, i in system_index.items()
+    }
+    # per month: the year, and at index d the csv text from WO Open Date to
+    # Job Completed Date of a job on day d (jobs past the 28th share the 28th)
+    years = [label[:4] for label in labels]
+    date_fields = [
+        [""] + [f"{d},{d},CODRF,{d},B,BREAKDOWN / REPAIR,{d},{d}"
+                for d in (f"{label}-{day:02d}" for day in range(1, 29))]
+        for label in labels
+    ]
+
+    cells: dict[str, int] = {}
+    sequences: dict[str, list[str]] = {}
+    motif_bookkeeping = [
+        {"make_model": m.make_model, "labels": [normalize_system(x) for x in m.labels],
+         "rate": m.rate, "injected_per_unit": {}, "positions_per_unit": {},
+         "total_injected": 0}
+        for m in spec.motifs
+    ]
+    component_units: list[dict[str, float]] = [{} for _ in spec.components]
+
+    maintenance_path = out_dir / "maintenance.csv"
+    n_jobs = 0
+    with open(maintenance_path, "w", encoding="utf-8", newline="") as jobs_out:
+        csv.writer(jobs_out, lineterminator="\n").writerow(MAINTENANCE_COLUMNS)
+        for unit, make_model, purchase_year in roster:
+            # per-vehicle event list: (month index, display label)
+            if make_model in spec.markov:
+                chain = spec.markov[make_model]
+                drawn = _sample_markov(chain, rng)
+                events = [
+                    (min(pos * spec.months // max(len(drawn), 1), spec.months - 1), lbl)
+                    for pos, lbl in enumerate(drawn)
+                ]
+            else:
+                means = np.full((len(spec.systems), spec.months), float(spec.background_rate))
+                for ci, comp in enumerate(spec.components):
+                    vw = comp.vehicle_weights.get(make_model, 0.0)
+                    if vw == 0.0:
+                        continue
+                    component_units[ci][unit] = vw
+                    profile = np.asarray(comp.time_profile)
+                    for sys_label, sw in comp.system_weights.items():
+                        means[system_index[sys_label]] += comp.intensity * vw * sw * profile
+                # a negative mean emits no job
+                if spec.noiseless:
+                    counts = np.rint(means).astype(np.int64).clip(0)
+                else:
+                    counts = rng.poisson(means.clip(0))
+                # month-major: cell c is (month c // n_sys, system c % n_sys)
+                cell = np.repeat(np.arange(spec.months * n_sys), counts.T.ravel())
+                events = [(c // n_sys, spec.systems[c % n_sys]) for c in cell.tolist()]
+
+            # motif injection (contiguous runs, months inherited from neighbors)
+            for mi, motif in enumerate(spec.motifs):
+                if motif.make_model != make_model:
+                    continue
+                width = len(motif.labels)
+                n_inject = _motif_count(len(events), width, motif.rate)
+                if n_inject == 0:
+                    continue
+                gaps = sorted(int(g) for g in rng.integers(0, len(events) + 1, size=n_inject))
+                rebuilt = []
+                positions = []
+                gi = 0
+                for pos in range(len(events) + 1):
+                    while gi < len(gaps) and gaps[gi] == pos:
+                        month = (
+                            events[pos - 1][0] if pos > 0
+                            else (events[0][0] if events else 0)
+                        )
+                        positions.append(len(rebuilt))
+                        rebuilt.extend((month, lbl) for lbl in motif.labels)
+                        gi += 1
+                    if pos < len(events):
+                        rebuilt.append(events[pos])
+                events = rebuilt
+                book = motif_bookkeeping[mi]
+                book["injected_per_unit"][unit] = n_inject
+                book["positions_per_unit"][unit] = positions
+                book["total_injected"] += n_inject
+
+            # one row per event; within a month, days ascend with list position
+            labor, meter = _job_draws(rng, len(events))
+            per_month_seen: dict[int, int] = {}
+            lines = []
+            for (month, sys_label), hours, reading in zip(events, labor.tolist(), meter.tolist()):
+                day = per_month_seen[month] = per_month_seen.get(month, 0) + 1
+                n_jobs += 1
+                job_id = f"{n_jobs:07d}"
+                before_money, after_meter = system_fields[sys_label]
+                lines.append(
+                    f"{job_id},{years[month]},{unit},{job_id},{date_fields[month][min(day, 28)]},"
+                    f"{before_money},{_money_fields(round(hours, 2))},{reading},{after_meter}"
+                )
+            jobs_out.writelines(lines)
+            for (month, sys_label), count in Counter(events).items():
+                # labels that normalize alike count into one cell
+                key = f"{unit}|{system_norm[sys_label]}|{labels[month]}"
+                cells[key] = cells.get(key, 0) + count
+            if events:
+                sequences[unit] = [system_norm[sys_label] for _, sys_label in events]
+
+    vehicles_path = out_dir / "vehicles.csv"
+    with open(vehicles_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(VEHICLE_COLUMNS)
+        for unit, make_model, year in roster:
+            make, _, model = make_model.partition(" ")
+            cost = int(rng.integers(18, 95)) * 1000 + int(rng.integers(0, 1000))
+            writer.writerow((
+                unit, "19", "GENERAL SERVICES", make, model, str(year),
+                str(int(rng.integers(500, 120000))), f"{year + 1}-06-15 08:30:00",
+                f"${cost:,}", "A", "Active Unit",
+                f"${float(rng.integers(100, 9000)):,.2f}",
+                f"${float(rng.integers(100, 9000)):,.2f}",
+                f"{float(rng.integers(100, 4000)):,.1f}",
+            ))
+
+    manifest = {
+        "seed": spec.seed,
+        "window_start": spec.window_start,
+        "months": spec.months,
+        "month_labels": labels,
+        "systems": list(spec.systems),
+        "totals": {"vehicles": len(roster), "jobs": n_jobs},
+        "vehicles": {
+            unit: {"make_model": mm, "purchase_year": year} for unit, mm, year in roster
+        },
+        "cells": cells,
+        "sequences": sequences,
+        "components": [
+            {
+                "name": comp.name,
+                "intensity": comp.intensity,
+                "vehicle_units": component_units[ci],
+                "system_weights": {
+                    normalize_system(k): v for k, v in comp.system_weights.items()
+                },
+                "time_profile": list(comp.time_profile),
+                "active_months": [
+                    labels[t] for t, v in enumerate(comp.time_profile) if v > 0
+                ],
+            }
+            for ci, comp in enumerate(spec.components)
+        ],
+        "motifs": motif_bookkeeping,
+        "markov": {
+            name: {
+                "labels": [normalize_system(x) for x in chain.labels],
+                "transition": [list(row) for row in chain.transition],
+                "start": list(chain.start),
+                "length": chain.length,
+            }
+            for name, chain in spec.markov.items()
+        },
+    }
+    manifest_path = out_dir / "manifest.json"
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    return GeneratedFleet(
+        vehicles_path=vehicles_path,
+        maintenance_path=maintenance_path,
+        manifest_path=manifest_path,
+        manifest=manifest,
+    )

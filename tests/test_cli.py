@@ -135,6 +135,9 @@ class TestSynth:
         dict(CUSTOM_SPEC, markov={"FORD F15O": markov_spec()["markov"]["FORD F150"]}),
         dict(CUSTOM_SPEC, systems=["Brakes", " brakes", "Tires"]),
         dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 2, "dodge  charger": 3}),
+        dict(CUSTOM_SPEC, months=100000000),
+        markov_spec(length=1000000000),
+        dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 1000000000}),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -147,7 +150,8 @@ class TestSynth:
         "unknown-key", "unknown-component-key", "planted-mean-huge",
         "planted-mean-huge-noiseless", "motif-make-model-unknown",
         "component-vehicle-unknown", "markov-make-model-unknown", "systems-normalize-alike",
-        "vehicles-normalize-alike", "not-json",
+        "vehicles-normalize-alike", "months-huge", "markov-length-huge", "vehicles-huge",
+        "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -683,6 +687,7 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     [*TENSORIZE, "--time-mode", "lifetime", "--horizon", "100000000"],
     [*TENSORIZE, "--window-start", "2010-13"],
     [*TENSORIZE, "--window-start", "2016-12", "--window-end", "2016-11"],
+    [*TENSORIZE, "--window-start", "1900-01", "--window-end", "2101-01"],
     ["report", "--model", "m.txt", "--out", "rep", "--component", "abc"],
     ["report", "--model", "m.txt", "--out", "rep", "--component", "0"],
     ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",

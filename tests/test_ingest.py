@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
     MAINTENANCE_REQUIRED,
+    MAX_WINDOW_MONTHS,
     VEHICLE_REQUIRED,
     DataError,
     MaintenanceRecord,
@@ -548,6 +549,18 @@ class TestBuildTensor:
         with pytest.raises(DataError, match="cannot infer window end"):
             build_tensor(vehicles, maintenance[1:], TensorizeSpec(window_start="2015-01"))
 
+    def test_inferred_window_spans_at_most_the_model_years(self, tmp_path):
+        vehicles, maintenance = build_fixture(
+            tmp_path,
+            [vehicle_row("V1", year="2012")],
+            [maint_row("1", "V1", "2015-03-01", "Brakes"),
+             maint_row("2", "V1", "2216-12-01", "Brakes")],
+        )
+        build = build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2016-01"))
+        assert len(build.tensor.axis_labels[2]) == 2412
+        with pytest.raises(DataError, match="more than 2412 months past the window start"):
+            build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2015-12"))
+
     def test_idempotent_bit_for_bit(self, tmp_path):
         vehicles, maintenance = build_fixture(
             tmp_path,
@@ -593,6 +606,12 @@ class TestBuildTensor:
             TensorizeSpec(window_start="2015-01", window_end="2014-01")
         with pytest.raises(ValueError):
             TensorizeSpec(lifetime_horizon_years=0)
+        # 1900-01 through 2100-12 is the longest window, wherever it starts
+        TensorizeSpec(window_start="1900-01", window_end="2100-12")
+        TensorizeSpec(window_start="2500-06", window_end="2701-05")
+        for start, end in (("1900-01", "2101-01"), ("2500-06", "2701-06")):
+            with pytest.raises(ValueError, match="more than 2412 months"):
+                TensorizeSpec(window_start=start, window_end=end)
 
     def test_discard_summary_file(self, tmp_path):
         vehicles, maintenance = build_fixture(
@@ -630,6 +649,9 @@ def _time_axis_oracle(spec, records):
             end_y, end_m = last.year, last.month
         lo = _month_index(start_y, start_m)
         hi = _month_index(end_y, end_m)
+        if spec.window_end is None and hi - lo >= MAX_WINDOW_MONTHS:
+            raise DataError(f"cannot infer window end: the latest job is more than "
+                            f"{MAX_WINDOW_MONTHS} months past the window start")
         if hi < lo:
             raise DataError("window end precedes window start")
         if spec.granularity == "month":
@@ -775,6 +797,8 @@ class TestBuildTensorMatchesOracle:
     @example((ORACLE_VEHICLES, [], TensorizeSpec()))  # nothing to infer the window end from
     @example((ORACLE_VEHICLES, [ORACLE_JOB], TensorizeSpec(window_start="2012-01")))  # end < start
     @example((ORACLE_VEHICLES, [ORACLE_JOB], TensorizeSpec(time_mode="lifetime")))  # empty tensor
+    @example((ORACLE_VEHICLES, [MaintenanceRecord("1", "U1", date(2300, 1, 1), "Brakes")],
+              TensorizeSpec(window_start="2012-01")))  # an inferred window too long
     def test_build_tensor_matches_oracle(self, case):
         vehicles, maintenance, spec = case
         assert build_outcome(build_tensor, vehicles, maintenance, spec) == build_outcome(

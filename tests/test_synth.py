@@ -2,10 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.ingest import (
@@ -27,6 +30,7 @@ from fleetmaint.synth import (
     generate,
     month_labels,
 )
+from oracles import generate as generate_oracle
 
 
 def tiny_spec(seed=7, **overrides):
@@ -275,6 +279,12 @@ class TestGenerate:
         (dict(vehicles={" AB": 2}), "vehicles key ' AB' must be a make and a model"),
         (dict(purchase_years=(2014, 2015.0)), "purchase_years must be a non-empty list"),
         (dict(purchase_years=(0,)), "purchase_years must be a non-empty list"),
+        (dict(months=2413), r"months must be an integer in \[1, 2412\]"),
+        (dict(vehicles={"A B": 60_000, "C D": 40_001}), "vehicles total 100001, past 100000"),
+        (dict(vehicles={"A B": np.int32(2**31 - 1), "C D": np.int32(2**31 - 1)}),
+         "vehicles total 4294967294"),
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_001)}),
+         r"length must be an integer in \[1, 100000\]"),
     ])
     def test_counts_and_vehicle_keys_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -282,6 +292,11 @@ class TestGenerate:
 
     def test_numpy_integer_counts_accepted(self):
         tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)}).validate()
+
+    def test_size_bounds_are_inclusive(self):
+        chain = MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_000)
+        tiny_spec(months=2412, vehicles={"DODGE CHARGER": 60_000, "FORD F150": 40_000},
+                  markov={"FORD F150": chain}).validate()
 
 
 class TestDemoSpec:
@@ -370,3 +385,108 @@ class TestCsvText:
     def test_quoting_rules(self):
         assert _csv_text(("a b", " x", "", "1,5", 'say "hi"', "two\nlines")) == \
             'a b, x,,"1,5","say ""hi""","two\nlines"'
+
+
+# labels csv quoting has to mark among plain ones; no two normalize alike
+SYSTEM_POOL = ("Brakes", 'Tires "front"', " Exhaust, Pipes", "PM Service", "Mowing Blades")
+MAKE_MODEL_POOL = ("DODGE CHARGER", "FORD F150", "HUSTLER X-ONE")
+
+
+@st.composite
+def fleet_specs(draw):
+    """Small fleets mixing Poisson, noiseless and Markov vehicles, planted
+    components with negative weights, and several motifs per make/model."""
+    systems = tuple(draw(st.lists(st.sampled_from(SYSTEM_POOL), min_size=1, max_size=4,
+                                  unique=True)))
+    makes = draw(st.lists(st.sampled_from(MAKE_MODEL_POOL), min_size=1, unique=True))
+    months = draw(st.integers(1, 14))
+    weight = st.floats(-1.0, 2.0)
+    subsystems = st.lists(st.sampled_from(systems), min_size=1, max_size=3)
+    components = [
+        PlantedComponent(
+            name=f"c{i}",
+            vehicle_weights={m: draw(weight) for m in draw(st.lists(st.sampled_from(makes),
+                                                                     unique=True))},
+            system_weights={s: draw(weight) for s in draw(st.lists(st.sampled_from(systems),
+                                                                    unique=True))},
+            time_profile=tuple(draw(st.lists(weight, min_size=months, max_size=months))),
+            intensity=draw(st.floats(0.0, 3.0)),
+        )
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    motifs = []
+    for _ in range(draw(st.integers(0, 3))):
+        labels = tuple(draw(subsystems))
+        rate = draw(st.floats(0.01, 0.9)) / len(labels)
+        motifs.append(PlantedMotif(draw(st.sampled_from(makes)), labels, rate))
+    markov = {}
+    for make in draw(st.lists(st.sampled_from(makes), max_size=1)):
+        labels = tuple(sorted(set(draw(subsystems)), key=systems.index))
+        rows = [draw(st.lists(st.floats(0.1, 1.0), min_size=len(labels),
+                              max_size=len(labels))) for _ in labels]
+        markov[make] = MarkovSpec(
+            labels=labels,
+            transition=tuple(tuple(w / math.fsum(row) for w in row) for row in rows),
+            start=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels),
+                                      max_size=len(labels)).filter(any))),
+            length=draw(st.integers(1, 40)),
+        )
+    return FleetSpec(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        vehicles={m: draw(st.integers(1, 4)) for m in makes},
+        window_start=draw(st.sampled_from(["2013-01", "2015-11"])),
+        months=months,
+        systems=systems,
+        background_rate=draw(st.sampled_from([0.0, 0.05, 0.6, 2.0])),
+        components=components,
+        motifs=motifs,
+        markov=markov,
+        purchase_years=draw(st.sampled_from([None, (2014,), (2012, 2015)])),
+        noiseless=draw(st.booleans()),
+    )
+
+
+def two_motifs_spec():
+    return tiny_spec(seed=13, background_rate=1.2, motifs=[
+        PlantedMotif("DODGE CHARGER", ("PM Service", "Tires", "PM Service"), 0.1),
+        PlantedMotif("DODGE CHARGER", ("Brakes",), 0.3),
+    ])
+
+
+def markov_motif_spec():
+    spec = markov_spec()
+    spec.motifs = [PlantedMotif("FORD F150", ("Tires", "PM Service"), 0.2)]
+    return spec
+
+
+def jobless_vehicles_spec():
+    # only the component's make/model has a job; the motif's make/model has none
+    component = PlantedComponent("c", {"DODGE CHARGER": 1.0}, {"Brakes": 1.0},
+                                 (0.0,) * 11 + (3.0,), 1.0)
+    return tiny_spec(background_rate=0.0, components=[component],
+                     motifs=[PlantedMotif("FORD F150", ("Brakes", "Tires"), 0.2)])
+
+
+def quoted_motif_spec():
+    spec = quoted_systems_spec()
+    spec.motifs = [PlantedMotif("FORD F150", spec.systems[::-1], 0.1)]
+    return spec
+
+
+class TestGenerateMatchesOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(fleet_specs())
+    @example(two_motifs_spec())
+    @example(markov_motif_spec())
+    @example(jobless_vehicles_spec())
+    @example(negative_mean_spec())
+    @example(quoted_motif_spec())
+    def test_files_and_manifest_match_oracle(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            fleet = generate(spec, Path(tmp, "fleet"))
+            oracle = generate_oracle(spec, Path(tmp, "oracle"))
+            for name in ("vehicles.csv", "maintenance.csv", "manifest.json"):
+                assert (Path(tmp, "fleet", name).read_bytes()
+                        == Path(tmp, "oracle", name).read_bytes()), name
+        assert fleet.manifest == oracle.manifest
+
