@@ -9,6 +9,7 @@ ordered, compared and reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,13 @@ from .tensor import (
 )
 
 _RIDGE_SCALE = 1e-12
+# the largest rank and restart count AlsOptions accepts, and the most floats
+# of factors, Grams and partial products, n_restarts * rank * (I + J + K +
+# J*K + rank), that the stacked restarts of cp_als may hold: 2**27 floats
+# are 1 GiB
+MAX_RANK = 1000
+MAX_RESTARTS = 100
+MAX_WORKING_FLOATS = 1 << 27
 # sweeps whose fit passes this score it from a full reconstruction
 _DIRECT_FIT_ABOVE = 1.0 - 1e-6
 
@@ -42,14 +50,14 @@ class AlsOptions:
     n_restarts: int = 1
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        if not 1 <= self.rank <= MAX_RANK:
+            raise ValueError(f"rank must be in [1, {MAX_RANK}], got {self.rank}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (0 < self.tol < 1):
             raise ValueError("tol must be in (0, 1)")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be >= 1")
+        if not 1 <= self.n_restarts <= MAX_RESTARTS:
+            raise ValueError(f"n_restarts must be in [1, {MAX_RESTARTS}], got {self.n_restarts}")
 
 
 @dataclass
@@ -112,55 +120,20 @@ def _normalize_factors(factors):
     return out, weights
 
 
-def _solve(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Least-squares factor update from its MTTKRP and Hadamard-product Gram."""
-    ridge = _RIDGE_SCALE * float(np.trace(gram))
-    if ridge == 0.0:
-        ridge = _RIDGE_SCALE
-    return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), m.T).T
+def _solve(m: np.ndarray, gram: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Least-squares factor updates of a stack of restarts from their MTTKRPs
+    (S, n, R) and Hadamard-product Grams (S, R, R): one batched solve, each
+    slice with its own ridge. ``eye`` is the (R, R) identity."""
+    ridge = _RIDGE_SCALE * gram.diagonal(0, 1, 2).sum(1)
+    ridge[ridge == 0.0] = _RIDGE_SCALE
+    # each slice is the transpose of a C-contiguous (R, n) array, as a single
+    # solve's .T is: the Grams, the einsums and the column norms round by layout
+    return np.linalg.solve(gram + ridge[:, None, None] * eye, m.swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, norm_t: float,
-                    warnings: list[str]):
-    rng = np.random.default_rng([opts.seed, restart])
-    rank = opts.rank
-    a, b, c = (rng.random((dim, rank)) for dim in t.dims)
-    gram_b, gram_c = b.T @ b, c.T @ c
-
-    fits: list[float] = []
-    converged = False
-    for _ in range(opts.max_iters):
-        a = _solve(mttkrp(t, b, c, 1), gram_b * gram_c)
-        gram_a = a.T @ a
-        # modes 2 and 3 share Z = A'X_(1) of the new A (dimension tree)
-        z = mttkrp_partial(t, a)
-        b = _solve(mttkrp_from_partial(z, c, 2), gram_a * gram_c)
-        gram_b = b.T @ b
-        m3, gram = mttkrp_from_partial(z, b, 3), gram_a * gram_b
-        c = _solve(m3, gram)
-        gram_c = c.T @ c
-        # |X - X_hat|^2 = |X|^2 - 2<X, X_hat> + |X_hat|^2 with A and B unchanged
-        # since the mode-3 solve: <X, X_hat> = sum(C * M3) and |X_hat|^2 =
-        # sum((A'A * B'B) * C'C), so no reconstruction (Kolda & Bader 2009)
-        resid_sq = norm_t**2 - 2.0 * float(np.sum(c * m3)) + float(np.sum(gram * gram_c))
-        fit = 1.0 - float(np.sqrt(max(resid_sq, 0.0))) / norm_t
-        if fit > _DIRECT_FIT_ABOVE:
-            # the subtraction above cancels to ~1e-8 here, as large as tol:
-            # score the reconstruction instead
-            resid = t.data - cp_compose(np.ones(rank), (a, b, c))
-            fit = 1.0 - frob_norm(resid) / norm_t
-        fits.append(fit)
-        if len(fits) > 1 and abs(fits[-1] - fits[-2]) < opts.tol:
-            converged = True
-            break
-        # keep iterating on the unnormalized factors; scale is re-absorbed
-        # by the next least-squares solve
-    unit, weights = _normalize_factors([a, b, c])
-    order = _component_order(weights, unit)
-    unit = [f[:, order] for f in unit]
-    weights = weights[order]
-    _flag_degenerate_components(unit, warnings)
-    return unit, weights, fits, converged
+def _gram(f: np.ndarray) -> np.ndarray:
+    """F^T F of every factor in a stack."""
+    return f.swapaxes(1, 2) @ f
 
 
 def _flag_degenerate_components(unit, warnings: list[str]) -> None:
@@ -179,10 +152,18 @@ def _flag_degenerate_components(unit, warnings: list[str]) -> None:
 def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     """Best-of-n-restarts CP-ALS factorization of ``t``.
 
-    Raises ValueError on a zero tensor and on one whose Frobenius norm is
-    not finite: a nan or inf entry, or entries so large that the norm
-    overflows. A rank larger than all pairwise dimension products is
-    permitted but flagged in ``model.warnings``.
+    Restart r starts from ``default_rng([seed, r])`` and stops on its own
+    convergence test. The restarts run in lockstep: every sweep updates the
+    factors of all unconverged restarts as one (S, n, R) stack, with one
+    batched kernel call per step, and each restart's factors, fits and
+    iteration count are bit-identical to running it alone. The model is the
+    restart with the best final fit, the first one on a tie.
+
+    Raises ValueError on a zero tensor, on one whose Frobenius norm is not
+    finite (a nan or inf entry, or entries so large that the norm overflows)
+    and when the restarts' working set, n_restarts * rank * (I + J + K + J*K
+    + rank) floats, passes ``MAX_WORKING_FLOATS``. A rank larger than all
+    pairwise dimension products is permitted but flagged in ``model.warnings``.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
         norm_t = frob_norm(t)
@@ -193,29 +174,82 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     if norm_t == 0.0:
         raise ValueError("cannot factorize a zero tensor: fit is undefined")
     dim_i, dim_j, dim_k = t.dims
+    rank, n_restarts = opts.rank, opts.n_restarts
+    working = n_restarts * rank * (dim_i + dim_j + dim_k + dim_j * dim_k + rank)
+    if working > MAX_WORKING_FLOATS:
+        raise ValueError(
+            f"{n_restarts} restarts at rank {rank} on a {dim_i}x{dim_j}x{dim_k} tensor need "
+            f"{working} floats of factors, Grams and partial products, past {MAX_WORKING_FLOATS}"
+        )
     warnings: list[str] = []
-    if opts.rank > dim_i * dim_j and opts.rank > dim_j * dim_k and opts.rank > dim_i * dim_k:
+    if rank > dim_i * dim_j and rank > dim_j * dim_k and rank > dim_i * dim_k:
         warnings.append(
-            f"rank {opts.rank} exceeds every pairwise dimension product of {t.dims}; "
+            f"rank {rank} exceeds every pairwise dimension product of {t.dims}; "
             "components cannot all be independent"
         )
 
-    best = None
-    for restart in range(opts.n_restarts):
-        run_warnings: list[str] = []
-        unit, weights, fits, converged = _als_single_run(t, opts, restart, norm_t, run_warnings)
-        if best is None or fits[-1] > best[2][-1]:
-            best = (unit, weights, fits, converged, run_warnings)
-    unit, weights, fits, converged, run_warnings = best
+    eye = np.eye(rank)
+    rngs = [np.random.default_rng([opts.seed, r]) for r in range(n_restarts)]
+    a, b, c = (np.stack([rng.random((dim, rank)) for rng in rngs]) for dim in t.dims)
+    gram_b, gram_c = _gram(b), _gram(c)
+    live = list(range(n_restarts))  # the restart of each stack slice
+    fits: list[list[float]] = [[] for _ in live]
+    final = [None] * n_restarts  # each restart's last (A, B, C) and whether it converged
+    for sweep in range(opts.max_iters):
+        a = _solve(mttkrp(t, b, c, 1), gram_b * gram_c, eye)
+        gram_a = _gram(a)
+        # modes 2 and 3 share Z = A'X_(1) of the new A (dimension tree)
+        z = mttkrp_partial(t, a)
+        b = _solve(mttkrp_from_partial(z, c, 2), gram_a * gram_c, eye)
+        gram_b = _gram(b)
+        m3, gram = mttkrp_from_partial(z, b, 3), gram_a * gram_b
+        c = _solve(m3, gram, eye)
+        gram_c = _gram(c)
+        # |X - X_hat|^2 = |X|^2 - 2<X, X_hat> + |X_hat|^2 with A and B unchanged
+        # since the mode-3 solve: <X, X_hat> = sum(C * M3) and |X_hat|^2 =
+        # sum((A'A * B'B) * C'C), so no reconstruction (Kolda & Bader 2009)
+        inner = (c * m3).sum(axis=(1, 2)).tolist()
+        norm_hat_sq = (gram * gram_c).sum(axis=(1, 2)).tolist()
+        keep = []
+        for s, r in enumerate(live):
+            resid_sq = norm_t**2 - 2.0 * inner[s] + norm_hat_sq[s]
+            fit = 1.0 - math.sqrt(max(resid_sq, 0.0)) / norm_t
+            if fit > _DIRECT_FIT_ABOVE:
+                # the subtraction above cancels to ~1e-8 here, as large as tol:
+                # score the reconstruction instead
+                resid = t.data - cp_compose(np.ones(rank), (a[s], b[s], c[s]))
+                fit = 1.0 - frob_norm(resid) / norm_t
+            fits[r].append(fit)
+            converged = len(fits[r]) > 1 and abs(fits[r][-1] - fits[r][-2]) < opts.tol
+            if converged or sweep == opts.max_iters - 1:
+                final[r] = (a[s], b[s], c[s]), converged
+            else:
+                keep.append(s)
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[s] for s in keep]
+            # indexing keeps each slice's layout, which the mode-2 einsum rounds by
+            b, c, gram_b, gram_c = b[keep], c[keep], gram_b[keep], gram_c[keep]
+        # keep iterating on the unnormalized factors; scale is re-absorbed
+        # by the next least-squares solve
+
+    # max keeps the first of equal fits
+    best = max(range(n_restarts), key=lambda r: fits[r][-1])
+    factors, converged = final[best]
+    unit, weights = _normalize_factors(factors)
+    order = _component_order(weights, unit)
+    unit = [f[:, order] for f in unit]
+    _flag_degenerate_components(unit, warnings)
     return CpModel(
         factors=tuple(unit),
-        weights=weights,
-        fit=fits[-1],
-        iterations=len(fits),
+        weights=weights[order],
+        fit=fits[best][-1],
+        iterations=len(fits[best]),
         converged=converged,
         axis_labels=t.axis_labels,
-        fits=tuple(fits),
-        warnings=tuple(warnings + run_warnings),
+        fits=tuple(fits[best]),
+        warnings=tuple(warnings),
     )
 
 

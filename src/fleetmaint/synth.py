@@ -51,6 +51,10 @@ MAX_CELL_MEAN = 1e6
 # fails for want of memory
 MAX_VEHICLES = 100_000
 MAX_CHAIN_LENGTH = 100_000
+# a bound on a spec's expected job total, which the bounds above leave free
+# to reach 10**13: about 15 times the paper fleet's 136k jobs. A one-vehicle
+# fleet of 2 million jobs takes about 20 s and 0.9 GB to generate
+MAX_JOBS = 2_000_000
 # each job's Labor Hours is rng.uniform(*LABOR_HOURS), its Primary Meter
 # rng.integers(*METER_READINGS), drawn in that order
 LABOR_HOURS = (0.5, 8.0)
@@ -201,6 +205,36 @@ class FleetSpec:
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
             if not _are_labels(chain.labels) or set(chain.labels) - known:
                 raise ValueError(f"markov {name}: labels must be strings of the system vocabulary")
+        jobs = self.expected_jobs()
+        if not jobs <= MAX_JOBS:
+            raise ValueError(f"the spec's expected job total reaches {jobs:.4g}, "
+                             f"past {MAX_JOBS}")
+
+    def expected_jobs(self) -> float:
+        """A bound on the expected job total of a spec whose fields are valid.
+
+        A Markov vehicle emits its chain's length; any other vehicle at most
+        the sum of its cells' planted means, the background rate plus each
+        component's |weights| over months and systems. Each motif on a
+        make/model then stretches a vehicle's jobs by 1 / (1 - rate * width),
+        as its runs make up ``rate`` of the final windows.
+        """
+        total = 0.0
+        for make_model, count in self.vehicles.items():
+            if make_model in self.markov:
+                jobs = float(self.markov[make_model].length)
+            else:
+                jobs = self.background_rate * self.months * len(self.systems) + sum(
+                    comp.intensity * abs(comp.vehicle_weights.get(make_model, 0.0))
+                    * sum(map(abs, comp.system_weights.values()))
+                    * sum(map(abs, comp.time_profile))
+                    for comp in self.components
+                )
+            for motif in self.motifs:
+                if motif.make_model == make_model:
+                    jobs /= 1.0 - motif.rate * len(motif.labels)
+            total += int(count) * jobs
+        return total
 
 
 def spec_from_json(payload) -> FleetSpec:

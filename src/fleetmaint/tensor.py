@@ -163,6 +163,21 @@ def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
     return out
 
 
+def _stacks(names, factors, rows):
+    """The factors as C-contiguous float64 (S, rows, R) stacks of one S and R,
+    and whether they came as single matrices, each taken as a stack of one."""
+    stacks = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
+    first = stacks[0]
+    if first.ndim not in (2, 3):
+        raise ValueError(f"{names[0]} must be a matrix or a stack of matrices")
+    for name, f, n in zip(names, stacks, rows):
+        expected = (*first.shape[:-2], n, first.shape[-1])
+        if f.shape != expected:
+            raise ValueError(f"{name} has shape {f.shape}, expected {expected}")
+    single = first.ndim == 2
+    return [f[None] for f in stacks] if single else stacks, single
+
+
 def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for the target mode.
 
@@ -173,48 +188,66 @@ def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     product built as an (R, J*K) array: one GEMM, or for a tensor at most
     1/32 full a sum over each row's nonzeros. Modes 2 and 3 contract over i
     first (:func:`mttkrp_partial`) and finish with :func:`mttkrp_from_partial`.
+
+    ``f1`` and ``f2`` may also be stacks of S factor matrices, (S, n, R)
+    each, as CP-ALS passes its restarts; the result is then the (S, I_mode, R)
+    stack of the S products, each bit-identical to the call on its own pair.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     x = t.data
     others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
-    f1 = _check_factor("f1", f1, others[0], None)
-    f2 = _check_factor("f2", f2, others[1], f1.shape[1])
+    (f1, f2), single = _stacks(("f1", "f2"), (f1, f2), others)
     if mode == 1:
+        stack, rank = f1.shape[0], f1.shape[2]
         # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the
-        # column order of the C-contiguous (I, J*K) view
-        kr = (f1.T[:, :, None] * f2.T[:, None, :]).reshape(f1.shape[1], -1)
+        # column order of the C-contiguous (I, J*K) view; the product comes
+        # out r fastest, so each slice is an F-ordered view, a layout the
+        # GEMM rounds by
+        kr = (f1.swapaxes(1, 2)[:, :, :, None] * f2.swapaxes(1, 2)[:, :, None, :]).reshape(
+            stack, rank, -1)
         nonzeros = t._nonzeros
         if nonzeros is not None:
-            return _segment_sums(kr, nonzeros[0], x.shape[0]).T
-        # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
-        return (kr @ x.reshape(x.shape[0], -1).T).T
-    return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
+            m = _segment_sums(kr.reshape(stack * rank, -1), nonzeros[0], x.shape[0])
+            m = m.reshape(stack, rank, -1)
+        else:
+            # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
+            m = kr @ x.reshape(x.shape[0], -1).T
+        out = m.swapaxes(1, 2)
+    else:
+        out = mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
+    return out[0] if single else out
 
 
 def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
     """Z = A^T X_(1) as an (R, J, K) array: the contraction over i that the
     mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013).
     One GEMM, or for a tensor at most 1/32 full a sum over each column's
-    nonzeros."""
+    nonzeros. A stack of S factors (S, I, R) gives the (S, R, J, K) stack."""
     x = t.data
-    a = _check_factor("a", a, x.shape[0], None)
+    (a,), single = _stacks(("a",), (a,), x.shape[:1])
+    stack, rank = a.shape[0], a.shape[2]
     nonzeros = t._nonzeros
     if nonzeros is not None:
-        z = _segment_sums(a.T, nonzeros[1], x.shape[1] * x.shape[2])
+        z = _segment_sums(a.swapaxes(1, 2).reshape(stack * rank, -1), nonzeros[1],
+                          x.shape[1] * x.shape[2])
     else:
-        z = a.T @ x.reshape(x.shape[0], -1)
-    return z.reshape(a.shape[1], x.shape[1], x.shape[2])
+        z = a.swapaxes(1, 2) @ x.reshape(x.shape[0], -1)
+    z = z.reshape(stack, rank, x.shape[1], x.shape[2])
+    return z[0] if single else z
 
 
 def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRP from Z = A^T X_(1)."""
+    """Mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRP from Z = A^T X_(1),
+    or the stack of them from a stack of Z and of factors."""
+    if mode not in (2, 3):
+        raise ValueError(f"mode must be 2 or 3, got {mode}")
+    single = np.ndim(f) == 2
+    if single:
+        z, f = z[None], f[None]
     # one O(R*J*K) pass; einsum without path search, a plain C loop
-    if mode == 2:
-        return np.einsum("rjk,kr->jr", z, f)
-    if mode == 3:
-        return np.einsum("rjk,jr->kr", z, f)
-    raise ValueError(f"mode must be 2 or 3, got {mode}")
+    out = np.einsum("srjk,skr->sjr" if mode == 2 else "srjk,sjr->skr", z, f)
+    return out[0] if single else out
 
 
 def cp_compose(weights: np.ndarray,

@@ -7,7 +7,8 @@ results:
 - tensor: the mode-n unfolding and its inverse, the Khatri-Rao product and
   the ``unfold @ khatri_rao`` MTTKRP that the mttkrp kernels must match;
 - parafac: a CP model from known factors, its full reconstruction and fit,
-  and the greedy component matching behind the congruence scores;
+  the greedy component matching behind the congruence scores, and CP-ALS
+  with its restarts run one after another on single matrices;
 - lstm: the finite-difference gradient check of the BPTT backward pass;
 - seqmine: a SequenceSet built straight from label lists, and the
   per-record grouping and sorting that ``extract_sequences`` must match;
@@ -35,7 +36,15 @@ from fleetmaint.lstm import (
     _pack_batch,
     _zero_state,
 )
-from fleetmaint.parafac import CpModel, _component_order, _normalize_factors
+from fleetmaint.parafac import (
+    _DIRECT_FIT_ABOVE,
+    _RIDGE_SCALE,
+    AlsOptions,
+    CpModel,
+    _component_order,
+    _flag_degenerate_components,
+    _normalize_factors,
+)
 from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_system
 from fleetmaint.seqmine import EventSequence, SequenceSet
 from fleetmaint.synth import (
@@ -56,6 +65,8 @@ from fleetmaint.tensor import (
     _as_array,
     cp_compose,
     default_labels,
+    _check_factor,
+    _segment_sums,
     frob_norm,
 )
 
@@ -160,6 +171,128 @@ def fit_score(t: Tensor3, model: CpModel) -> float:
 def reconstruct(model: CpModel) -> Tensor3:
     """Tensor equal to sum_r weight_r * a_r (outer) b_r (outer) c_r."""
     return Tensor3(cp_compose(model.weights, model.factors), model.axis_labels)
+
+
+# ---------------------------------------------------------------------------
+# CP-ALS with its restarts run one after another, each on single matrices:
+# the fit that cp_als, which runs them in lockstep, must match bit for bit
+# ---------------------------------------------------------------------------
+
+
+def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
+    """``tensor.mttkrp`` on single matrices, in the memory layouts it rounds by."""
+    x = t.data
+    others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
+    f1 = _check_factor("f1", f1, others[0], None)
+    f2 = _check_factor("f2", f2, others[1], f1.shape[1])
+    if mode == 1:
+        # the product is laid out r fastest, so each KR is an F-ordered view
+        kr = (f1.T[:, :, None] * f2.T[:, None, :]).reshape(f1.shape[1], -1)
+        nonzeros = t._nonzeros
+        if nonzeros is not None:
+            return _segment_sums(kr, nonzeros[0], x.shape[0]).T
+        return (kr @ x.reshape(x.shape[0], -1).T).T
+    return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
+
+
+def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
+    """``tensor.mttkrp_partial`` on a single matrix."""
+    x = t.data
+    a = _check_factor("a", a, x.shape[0], None)
+    nonzeros = t._nonzeros
+    if nonzeros is not None:
+        z = _segment_sums(a.T, nonzeros[1], x.shape[1] * x.shape[2])
+    else:
+        z = a.T @ x.reshape(x.shape[0], -1)
+    return z.reshape(a.shape[1], x.shape[1], x.shape[2])
+
+
+def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
+    """``tensor.mttkrp_from_partial`` on a single matrix."""
+    if mode == 2:
+        return np.einsum("rjk,kr->jr", z, f)
+    return np.einsum("rjk,jr->kr", z, f)
+
+
+def _solve(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Least-squares factor update from its MTTKRP and Hadamard-product Gram."""
+    ridge = _RIDGE_SCALE * float(np.trace(gram))
+    if ridge == 0.0:
+        ridge = _RIDGE_SCALE
+    return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), m.T).T
+
+
+def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, norm_t: float,
+                    warnings: list[str]):
+    rng = np.random.default_rng([opts.seed, restart])
+    rank = opts.rank
+    a, b, c = (rng.random((dim, rank)) for dim in t.dims)
+    gram_b, gram_c = b.T @ b, c.T @ c
+
+    fits: list[float] = []
+    converged = False
+    for _ in range(opts.max_iters):
+        a = _solve(mttkrp(t, b, c, 1), gram_b * gram_c)
+        gram_a = a.T @ a
+        # modes 2 and 3 share Z = A'X_(1) of the new A (dimension tree)
+        z = mttkrp_partial(t, a)
+        b = _solve(mttkrp_from_partial(z, c, 2), gram_a * gram_c)
+        gram_b = b.T @ b
+        m3, gram = mttkrp_from_partial(z, b, 3), gram_a * gram_b
+        c = _solve(m3, gram)
+        gram_c = c.T @ c
+        # |X - X_hat|^2 = |X|^2 - 2<X, X_hat> + |X_hat|^2 with A and B unchanged
+        # since the mode-3 solve: <X, X_hat> = sum(C * M3) and |X_hat|^2 =
+        # sum((A'A * B'B) * C'C), so no reconstruction (Kolda & Bader 2009)
+        resid_sq = norm_t**2 - 2.0 * float(np.sum(c * m3)) + float(np.sum(gram * gram_c))
+        fit = 1.0 - float(np.sqrt(max(resid_sq, 0.0))) / norm_t
+        if fit > _DIRECT_FIT_ABOVE:
+            # the subtraction above cancels to ~1e-8 here, as large as tol:
+            # score the reconstruction instead
+            resid = t.data - cp_compose(np.ones(rank), (a, b, c))
+            fit = 1.0 - frob_norm(resid) / norm_t
+        fits.append(fit)
+        if len(fits) > 1 and abs(fits[-1] - fits[-2]) < opts.tol:
+            converged = True
+            break
+        # keep iterating on the unnormalized factors; scale is re-absorbed
+        # by the next least-squares solve
+    unit, weights = _normalize_factors([a, b, c])
+    order = _component_order(weights, unit)
+    unit = [f[:, order] for f in unit]
+    weights = weights[order]
+    _flag_degenerate_components(unit, warnings)
+    return unit, weights, fits, converged
+
+
+def cp_als_sequential(t: Tensor3, opts: AlsOptions) -> CpModel:
+    """Best-of-n-restarts CP-ALS, one restart after another."""
+    norm_t = frob_norm(t)
+    dim_i, dim_j, dim_k = t.dims
+    warnings: list[str] = []
+    if opts.rank > dim_i * dim_j and opts.rank > dim_j * dim_k and opts.rank > dim_i * dim_k:
+        warnings.append(
+            f"rank {opts.rank} exceeds every pairwise dimension product of {t.dims}; "
+            "components cannot all be independent"
+        )
+
+    best = None
+    for restart in range(opts.n_restarts):
+        run_warnings: list[str] = []
+        unit, weights, fits, converged = _als_single_run(t, opts, restart, norm_t, run_warnings)
+        if best is None or fits[-1] > best[2][-1]:
+            best = (unit, weights, fits, converged, run_warnings)
+    unit, weights, fits, converged, run_warnings = best
+    return CpModel(
+        factors=tuple(unit),
+        weights=weights,
+        fit=fits[-1],
+        iterations=len(fits),
+        converged=converged,
+        axis_labels=t.axis_labels,
+        fits=tuple(fits),
+        warnings=tuple(warnings + run_warnings),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ class TestSynth:
         dict(CUSTOM_SPEC, months=100000000),
         markov_spec(length=1000000000),
         dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 1000000000}),
+        dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 1}, months=2412, systems=["Brakes"],
+             background_rate=1000000),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -151,7 +153,7 @@ class TestSynth:
         "planted-mean-huge-noiseless", "motif-make-model-unknown",
         "component-vehicle-unknown", "markov-make-model-unknown", "systems-normalize-alike",
         "vehicles-normalize-alike", "months-huge", "markov-length-huge", "vehicles-huge",
-        "not-json",
+        "jobs-huge", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -676,6 +678,10 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     [*PARAFAC, "--tol", "2"],
     [*PARAFAC, "--max-iters", "0"],
     [*PARAFAC, "--restarts", "0"],
+    [*PARAFAC, "--rank", "1001"],
+    [*PARAFAC, "--rank", "100000000"],
+    [*PARAFAC, "--restarts", "101"],
+    [*PARAFAC, "--restarts", "100000000", "--max-iters", "1"],
     [*TRAIN, "--batch-size", "0"],
     [*TRAIN, "--dropout-keep", "0"],
     [*TRAIN, "--lr", "-1"],

@@ -1,16 +1,36 @@
+import dataclasses
 import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fleetmaint import parafac as parafac_module
 from fleetmaint import tensor as tensor_module
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
-from fleetmaint.parafac import AlsOptions, CpModel, cp_als, factor_report, load_model, save_model
+from fleetmaint.parafac import (
+    _DIRECT_FIT_ABOVE,
+    AlsOptions,
+    CpModel,
+    cp_als,
+    factor_report,
+    load_model,
+    save_model,
+)
 from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import Tensor3, cp_compose, frob_norm
-from oracles import congruence, congruence_per_mode, fit_score, from_factors, reconstruct
+from oracles import (
+    _als_single_run,
+    congruence,
+    congruence_per_mode,
+    cp_als_sequential,
+    fit_score,
+    from_factors,
+    reconstruct,
+)
 
 # fits of cp_als on the demo tensor, recorded with the einsum MTTKRP kernels
 GOLDEN_DEMO_FITS = Path(__file__).parent / "data" / "cp_demo_fits.txt"
@@ -177,6 +197,117 @@ class TestCpAls:
             AlsOptions(rank=1, tol=1.5)
         with pytest.raises(ValueError):
             AlsOptions(rank=1, n_restarts=0)
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 1000\]"):
+            AlsOptions(rank=1001)
+        with pytest.raises(ValueError, match=r"n_restarts must be in \[1, 100\]"):
+            AlsOptions(rank=1, n_restarts=101)
+        AlsOptions(rank=1000, n_restarts=100)
+
+    def test_working_set_bound(self):
+        t = Tensor3.from_array(np.random.default_rng(6).random((2, 40, 40)))
+        # 100 restarts at rank 1000 would hold 100 * 1000 * (82 + 1600 + 1000) floats
+        with pytest.raises(ValueError, match="past 134217728"):
+            cp_als(t, AlsOptions(rank=1000, n_restarts=100, max_iters=1))
+        opts = AlsOptions(rank=3, n_restarts=2, max_iters=1)
+        working = 2 * 3 * (2 + 40 + 40 + 40 * 40 + 3)
+        with mock.patch.object(parafac_module, "MAX_WORKING_FLOATS", working):
+            cp_als(t, opts)
+        with mock.patch.object(parafac_module, "MAX_WORKING_FLOATS", working - 1), \
+                pytest.raises(ValueError, match=f"need {working} floats"):
+            cp_als(t, opts)
+
+
+def als_case(dims, kind, seed):
+    """A dense tensor, a sparse one (at most 1/32 full) or an exact rank-2 one."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        x = rng.random(dims)
+    elif kind == "sparse":
+        x = np.zeros(dims)
+        flat = x.reshape(-1)
+        nnz = max(1, flat.size // 32)
+        flat[rng.choice(flat.size, nnz, replace=False)] = rng.random(nnz) + 0.5
+    else:
+        x = np.einsum("ir,jr,kr->ijk", *(rng.random((d, 2)) for d in dims))
+    return Tensor3.from_array(x)
+
+
+def assert_same_model(got, want):
+    """Every CpModel field equal, the floats bit for bit."""
+    for f in dataclasses.fields(CpModel):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "factors":
+            assert [x.shape for x in g] == [y.shape for y in w]
+            assert [x.tobytes() for x in g] == [y.tobytes() for y in w]
+        elif f.name in ("weights", "fit", "fits"):
+            assert np.shape(g) == np.shape(w), f.name
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), f.name
+        else:
+            assert g == w, f.name
+
+
+class TestLockstepRestarts:
+    """cp_als runs its restarts as one stack; the oracle runs them one by one."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9)),
+        kind=st.sampled_from(["dense", "sparse", "low-rank"]),
+        rank=st.integers(1, 10),
+        n_restarts=st.integers(1, 4),
+        max_iters=st.integers(1, 60),
+        tol=st.sampled_from([1e-3, 1e-5, 1e-8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(2, 2, 2), kind="dense", rank=5, n_restarts=2, max_iters=20, tol=1e-8, seed=0)
+    @example(dims=(40, 9, 9), kind="sparse", rank=3, n_restarts=4, max_iters=60, tol=1e-5,
+             seed=1)
+    @example(dims=(12, 9, 9), kind="dense", rank=10, n_restarts=3, max_iters=40, tol=1e-3,
+             seed=2)
+    @example(dims=(8, 6, 7), kind="low-rank", rank=2, n_restarts=3, max_iters=60, tol=1e-8,
+             seed=3)
+    def test_matches_restarts_run_one_after_another(self, dims, kind, rank, n_restarts,
+                                                    max_iters, tol, seed):
+        t = als_case(dims, kind, seed)
+        opts = AlsOptions(rank=rank, max_iters=max_iters, tol=tol, seed=seed,
+                          n_restarts=n_restarts)
+        assert_same_model(cp_als(t, opts), cp_als_sequential(t, opts))
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_stack_shrinks_as_restarts_converge(self, kind):
+        t = als_case((40, 9, 9), kind, 1)
+        assert (t._nonzeros is not None) == (kind == "sparse")
+        opts = AlsOptions(rank=3, max_iters=300, tol=1e-5, seed=1, n_restarts=4)
+        runs = [_als_single_run(t, opts, r, frob_norm(t), []) for r in range(4)]
+        # every restart converges, at different sweeps
+        assert all(converged for *_, converged in runs)
+        assert len({len(fits) for _, _, fits, _ in runs}) > 1
+        assert_same_model(cp_als(t, opts), cp_als_sequential(t, opts))
+
+    def test_demo_tensor(self, tmp_path):
+        spec = demo_spec(seed=1234)
+        fleet = generate(spec, tmp_path)
+        labels = month_labels(spec.window_start, spec.months)
+        t = build_tensor(
+            parse_vehicles(fleet.vehicles_path), parse_maintenance(fleet.maintenance_path)[0],
+            TensorizeSpec(window_start=labels[0], window_end=labels[-1]),
+        ).tensor
+        opts = AlsOptions(rank=5, seed=1234, n_restarts=3, max_iters=300)
+        assert_same_model(cp_als(t, opts), cp_als_sequential(t, opts))
+
+    def test_exact_low_rank_scores_the_reconstruction(self):
+        t = als_case((8, 6, 7), "low-rank", 3)
+        opts = AlsOptions(rank=2, max_iters=300, seed=3, n_restarts=3)
+        model = cp_als(t, opts)
+        assert model.fits[-1] > _DIRECT_FIT_ABOVE
+        assert_same_model(model, cp_als_sequential(t, opts))
+
+    def test_rank_warning_and_best_restart(self):
+        t = Tensor3.from_array(np.random.default_rng(2).random((2, 2, 2)))
+        opts = AlsOptions(rank=5, seed=0, max_iters=20, n_restarts=3)
+        model = cp_als(t, opts)
+        assert any("rank 5 exceeds" in w for w in model.warnings)
+        assert_same_model(model, cp_als_sequential(t, opts))
 
 
 class TestFitScore:

@@ -285,6 +285,18 @@ class TestGenerate:
          "vehicles total 4294967294"),
         (dict(markov={"FORD F150": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_001)}),
          r"length must be an integer in \[1, 100000\]"),
+        # each size inside its own bound, their product past MAX_JOBS
+        (dict(vehicles={"DODGE CHARGER": 1}, months=2412, systems=("Brakes",),
+              background_rate=1e6), r"expected job total reaches 2\.412e\+09, past 2000000"),
+        (dict(vehicles={"DODGE CHARGER": 3, "FORD F150": 100},
+              markov={"FORD F150": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_000)}),
+         r"expected job total reaches 1e\+07"),
+        (dict(components=[PlantedComponent("x", {"DODGE CHARGER": 1.0}, {"Brakes": -1.0},
+                                           (1e5,) * 12, 9.0)]),
+         r"expected job total reaches 3\.24e\+07"),
+        # a motif's runs make up its rate of the windows: near 1/width they swamp the jobs
+        (dict(motifs=[PlantedMotif("FORD F150", ("Brakes", "Tires"), 0.5 - 1e-9)]),
+         r"expected job total reaches 1\.44e\+10"),
     ])
     def test_counts_and_vehicle_keys_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -294,9 +306,23 @@ class TestGenerate:
         tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)}).validate()
 
     def test_size_bounds_are_inclusive(self):
+        # one at a time: together they pass the bound on the expected job total
         chain = MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_000)
-        tiny_spec(months=2412, vehicles={"DODGE CHARGER": 60_000, "FORD F150": 40_000},
-                  markov={"FORD F150": chain}).validate()
+        tiny_spec(months=2412).validate()
+        tiny_spec(vehicles={"DODGE CHARGER": 60_000, "FORD F150": 40_000}).validate()
+        tiny_spec(markov={"FORD F150": chain}).validate()
+        # 2,000 jobs a month for 1,000 months: 2 million expected jobs
+        at_bound = dict(vehicles={"DODGE CHARGER": 1}, months=1000, systems=("Brakes",))
+        tiny_spec(background_rate=2000.0, **at_bound).validate()
+        with pytest.raises(ValueError, match="past 2000000"):
+            tiny_spec(background_rate=2000.001, **at_bound).validate()
+
+    def test_expected_jobs_tracks_the_jobs_written(self, tmp_path):
+        # within noise of the jobs drawn: the bound is not a loose guess
+        for k, spec in enumerate((markov_spec(), demo_spec(3), demo_spec(4))):
+            expected = spec.expected_jobs()
+            jobs = generate(spec, tmp_path / str(k)).manifest["totals"]["jobs"]
+            assert abs(jobs - expected) <= 4 * math.sqrt(expected), (jobs, expected)
 
 
 class TestDemoSpec:

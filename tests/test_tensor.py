@@ -27,6 +27,7 @@ from fleetmaint.tensor import (
     save_tensor,
     write_floats,
 )
+import oracles
 from oracles import fold, khatri_rao, mttkrp_reference, unfold
 
 
@@ -347,6 +348,56 @@ class TestSparseMttkrp:
             mttkrp(t, np.ones((t.dims[1], rank)), np.ones((t.dims[2], rank)), 1)
             mttkrp_partial(t, np.ones((t.dims[0], rank)))
         segment_sums.assert_not_called()
+
+
+class TestStackedMttkrp:
+    """A stack of factors gives the stack of the single calls, bit for bit, and
+    a single call gives what the single-matrix kernels in tests/oracles.py do."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9)),
+        sparse=st.booleans(),
+        rank=st.integers(1, 10),
+        stack=st.integers(1, 4),
+        solved=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(40, 9, 9), sparse=True, rank=10, stack=3, solved=True, seed=0)
+    @example(dims=(12, 9, 9), sparse=False, rank=9, stack=2, solved=False, seed=1)
+    def test_each_slice_matches_its_single_call(self, dims, sparse, rank, stack, solved, seed):
+        rng = np.random.default_rng(seed)
+        if sparse:
+            x = sparse_tensor(dims, max(1, int(np.prod(dims)) // 32), seed)
+        else:
+            x = rng.normal(size=dims)
+        t = Tensor3.from_array(x)
+        # C-contiguous factors, or the transposed views a batched solve returns
+        a, b, c = (
+            f.swapaxes(1, 2) if solved else np.ascontiguousarray(f.swapaxes(1, 2))
+            for f in (rng.normal(size=(stack, rank, d)) for d in dims)
+        )
+        z = mttkrp_partial(t, a)
+        stacked = (mttkrp(t, b, c, 1), mttkrp(t, a, c, 2), mttkrp(t, a, b, 3), z,
+                   mttkrp_from_partial(z, c, 2), mttkrp_from_partial(z, b, 3))
+        for s in range(stack):
+            # the package on single matrices, and the former single-matrix kernels
+            for kernels in (tensor_module, oracles):
+                single = (kernels.mttkrp(t, b[s], c[s], 1), kernels.mttkrp(t, a[s], c[s], 2),
+                          kernels.mttkrp(t, a[s], b[s], 3), kernels.mttkrp_partial(t, a[s]),
+                          kernels.mttkrp_from_partial(z[s], c[s], 2),
+                          kernels.mttkrp_from_partial(z[s], b[s], 3))
+                for got, want in zip(stacked, single):
+                    assert got.shape == (stack, *want.shape)
+                    assert got[s].tobytes() == want.tobytes()
+
+    def test_stack_mismatch(self):
+        t = Tensor3.from_array(np.ones((3, 4, 5)))
+        for f2 in (np.ones((3, 5, 2)), np.ones((2, 5, 3)), np.ones((5, 2))):
+            with pytest.raises(ValueError, match=r"f2 has shape .*, expected \(2, 5, 2\)"):
+                mttkrp(t, np.ones((2, 4, 2)), f2, 1)
+        with pytest.raises(ValueError, match="a must be a matrix or a stack of matrices"):
+            mttkrp_partial(t, np.ones(3))
 
 
 class TestCpCompose:
