@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -217,6 +218,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _finite_perplexity(model, seqs) -> float:
+    """The model's perplexity on ``seqs``; a nan or inf one is a data error,
+    since JSON has no literal for it."""
+    value = perplexity(model, seqs)
+    if not math.isfinite(value):
+        raise DataError(f"the model's perplexity is not finite ({value}): "
+                        "its weights overflow the forward pass")
+    return value
+
+
 def cmd_eval(args) -> int:
     model = SeqModel.load(args.model)
     vehicles, maintenance = _load_tables(args)
@@ -224,9 +235,8 @@ def cmd_eval(args) -> int:
     lists = seqset.as_label_lists()
     train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
     chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
-    lstm_ppl = perplexity(model, chosen)
-    baseline = unigram_baseline(train_set)
-    baseline_ppl = perplexity(baseline, chosen)
+    lstm_ppl = _finite_perplexity(model, chosen)
+    baseline_ppl = _finite_perplexity(unigram_baseline(train_set), chosen)
     payload = {
         "split": args.split,
         "sequences": len(chosen),
@@ -300,8 +310,8 @@ def cmd_pipeline(args) -> int:
                      lr_constant_epochs=4, seed=args.seed)
     seq_model = train_lstm(train_set, valid_set, cfg)
     seq_model.save(out / "seq_model.txt")
-    lstm_ppl = perplexity(seq_model, test_set)
-    baseline_ppl = perplexity(unigram_baseline(train_set), test_set)
+    lstm_ppl = _finite_perplexity(seq_model, test_set)
+    baseline_ppl = _finite_perplexity(unigram_baseline(train_set), test_set)
 
     metrics = {
         "seed": args.seed,

@@ -95,6 +95,8 @@ class LstmConfig:
         for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.lr_constant_epochs < 0:
+            raise ValueError("lr_constant_epochs must be >= 0")
         if not 0 < self.dropout_keep <= 1:
             raise ValueError("dropout_keep must be in (0, 1]")
         if not all(0 < v < math.inf for v in (self.lr, self.lr_decay, self.grad_clip)):
@@ -504,6 +506,9 @@ def train(
     return model
 
 
+# warnings off: a model whose weights overflow gets a nan or inf perplexity,
+# which its callers reject
+@np.errstate(all="ignore")
 def perplexity(model, seqs: list[Sequence[str]]) -> float:
     """exp of the mean negative log-probability per predicted item (EOS included),
     from ``model.nll``: a SeqModel's or a UnigramModel's."""

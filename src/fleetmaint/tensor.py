@@ -318,34 +318,40 @@ def write_floats(fh, values: np.ndarray, per_line: int) -> None:
         fh.write("".join(parts))
 
 
-def parse_floats(text: str, count: int, what: str) -> np.ndarray:
+def parse_floats(source, count: int, what: str) -> np.ndarray:
     """The ``count`` finite floats of a ``write_floats`` block, named ``what`` in errors.
 
-    The writer ends every line with a newline: a block without one was cut,
-    possibly inside its last value. Count tensors are mostly zeros, written
-    as the token ``0.0``: a token that is exactly ``0.0`` is taken as +0.0
-    without parsing, and every other token goes through ``np.fromstring``,
-    so the block is accepted or rejected, and read to the same values, as
-    if ``np.fromstring`` read it whole. The block is read in chunks of about
-    ``_PARSE_CHARS`` characters, so no temporary is the size of the block.
+    ``source`` is the block's text, or a text stream read from where it
+    stands to its end. The writer ends every line with a newline: a block
+    without one was cut, possibly inside its last value. Count tensors are
+    mostly zeros, written as the token ``0.0``: a token that is exactly
+    ``0.0`` is taken as +0.0 without parsing, and every other token goes
+    through ``np.fromstring``, so the block is accepted or rejected, and read
+    to the same values, as if ``np.fromstring`` read it whole. The block is
+    read in pieces of ``_PARSE_CHARS`` characters, so no temporary is the
+    size of the block. The output grows with the values found: a ``count``
+    past what the block holds fails the count check, not the allocation.
+    The errors do not depend on where the pieces end: a cut block fails
+    before a malformed token, which fails before a wrong count.
     """
-    if text and not text.endswith("\n"):
-        raise ValueError(f"{what} is truncated: no final newline")
-    if text.isspace():
-        text = ""  # fromstring reads a blank string as [-1.0]
-    # n characters hold at most n // 2 values: a count past that, or below
-    # zero, fails the count check below instead of the allocation
-    out = np.zeros(min(max(count, 0), len(text) // 2))
+    if isinstance(source, str):
+        pieces = (source[i : i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
+    else:
+        pieces = iter(functools.partial(source.read, _PARSE_CHARS), "")
+    out = np.zeros(0)
     found = 0
     finite = True
+    malformed = None
     carry = b""
+    piece = ""
     with warnings.catch_warnings():
-        # older numpy only warns on unmatched data and returns the prefix
+        # numpy raises ValueError on unmatched data; older releases only
+        # warn and return the prefix
         warnings.simplefilter("error", DeprecationWarning)
-        for start in range(0, len(text), _PARSE_CHARS):
-            # cut after the chunk's last whitespace; the partial token after
-            # it opens the next chunk
-            buf = carry + text[start : start + _PARSE_CHARS].encode()
+        for piece in pieces:
+            # cut after the piece's last whitespace; the partial token after
+            # it opens the next piece
+            buf = carry + piece.encode()
             head = buf.rstrip(_TOKEN_BYTES)
             carry = buf[len(head):]
             b = np.frombuffer(head, dtype=np.uint8)
@@ -358,7 +364,11 @@ def parse_floats(text: str, count: int, what: str) -> np.ndarray:
             # zero marks a subset of first, so first ^ zero marks the other tokens
             index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
             found += starts.size
-            if not index.size:  # nothing to parse; a blank string reads as [-1.0]
+            if out.size < found <= count:
+                # zero-filled and at least doubled, so a block costs a few
+                # reallocations
+                out.resize(min(count, max(found, 2 * out.size)), refcheck=False)
+            if not index.size or malformed:  # a blank string reads as [-1.0]
                 continue
             # drop each 0.0 token with the whitespace byte after it: the
             # other tokens keep their order and a separator each
@@ -367,11 +377,16 @@ def parse_floats(text: str, count: int, what: str) -> np.ndarray:
                 drop[shift:] |= zero[:-shift]
             try:
                 values = np.fromstring(b[~drop], sep=" ")
-            except DeprecationWarning as exc:
-                raise ValueError(str(exc)) from None
+            except (DeprecationWarning, ValueError) as exc:
+                malformed = str(exc)
+                continue
             finite = finite and bool(np.isfinite(values).all())
-            if found <= out.size:
+            if found <= count:
                 out[index] = values
+    if piece and not piece.endswith("\n"):
+        raise ValueError(f"{what} is truncated: no final newline")
+    if malformed:
+        raise ValueError(f"{what}: {malformed}")
     if found != count:
         raise ValueError(f"{what}: expected {count} values, found {found}")
     if not finite:
@@ -417,7 +432,7 @@ class FormatReader:
         """A ``write_floats`` block of ``count`` values: its ceil(count / per_line)
         lines, or with no ``per_line`` the rest of the file."""
         if per_line is None:
-            block = self._fh.read()
+            block = self._fh
         else:
             block = "".join(self.line() + "\n" for _ in range(-(-count // per_line)))
         return parse_floats(block, count, f"{self._kind} {what}")

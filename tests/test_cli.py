@@ -218,6 +218,23 @@ class TestTensorize:
         err = capsys.readouterr().err
         assert err.startswith(f"data-error: {maintenance}: row 4: field larger than field limit")
 
+    @pytest.mark.parametrize("table", ["vehicles.csv", "maintenance.csv"])
+    def test_non_utf8_table_is_data_error(self, fleet_dir, tmp_path, capsys, table):
+        paths = {name: tmp_path / name for name in ("vehicles.csv", "maintenance.csv")}
+        for name, path in paths.items():
+            path.write_bytes((fleet_dir / name).read_bytes())
+        lines = paths[table].read_bytes().split(b"\n")
+        lines[7] += b"\xff"
+        paths[table].write_bytes(b"\n".join(lines))
+        code = main([
+            "tensorize", "--vehicles", str(paths["vehicles.csv"]),
+            "--maintenance", str(paths["maintenance.csv"]), "--out", str(tmp_path / "t.txt"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"data-error: {paths[table]}: line 8: not UTF-8 text: invalid start byte\n"
+        assert not (tmp_path / "t.txt").exists()
+
     @pytest.mark.parametrize("end, code", [("2016-12", 0), ("2016-11", 2)],
                              ids=["one month", "end before start"])
     def test_one_month_window(self, fleet_dir, tmp_path, capsys, end, code):
@@ -469,6 +486,28 @@ class TestTrainEvalPredict:
         assert payload["lstm_perplexity"] > 1.0
         assert payload["unigram_perplexity"] > 1.0
 
+    def test_eval_overflowing_model_is_data_error(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["pipeline", "--demo", "--out", str(run), "--seed", "1234"]) == 0
+        lines = (run / "seq_model.txt").read_text().split("\n")
+        assert lines[815].startswith("block out_w ")
+        values = lines[854].split(" ")
+        # finite, but the mean negative log-probability overflows exp
+        values[4] = "2147483648"
+        lines[854] = " ".join(values)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        # a subprocess, so that a numpy warning would reach stderr
+        proc = run_cli(
+            "eval", "--model", str(bad), "--vehicles", str(run / "data" / "vehicles.csv"),
+            "--maintenance", str(run / "data" / "maintenance.csv"), "--split", "all",
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("data-error: "), proc.stderr
+        assert "perplexity is not finite" in err[0]
+
     def test_predict_ranks(self, model_path, capsys):
         code = main([
             "predict", "--model", str(model_path),
@@ -685,6 +724,7 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     [*TRAIN, "--batch-size", "0"],
     [*TRAIN, "--dropout-keep", "0"],
     [*TRAIN, "--lr", "-1"],
+    [*TRAIN, "--lr-constant-epochs", "-5"],
     *([*TRAIN, flag, value] for flag in ("--lr", "--lr-decay", "--grad-clip")
       for value in ("nan", "inf")),
     ["predict", "--model", "m.txt", "--top-k", "0"],

@@ -169,6 +169,38 @@ class TestParseMaintenance:
         with pytest.raises(DataError, match="row 2"):
             parse_maintenance(path)
 
+    def test_equal_units_and_systems_share_one_string(self, tmp_path):
+        rows = [
+            maint_row("1", "U7", "2016-01-01", "Brakes"),
+            maint_row("2", " U7 ", "2016-01-02", "  Brakes"),
+            maint_row("3", "U7", "2016-01-03", "Tires"),
+            maint_row("4", "U8", "2016-01-04", "Brakes "),
+        ]
+        path = write_csv(tmp_path / "m.csv", MAINT_COLUMNS, rows)
+        records, _ = parse_maintenance(path)
+        assert [r.unit_no for r in records] == ["U7", "U7", "U7", "U8"]
+        assert [r.system_desc for r in records] == ["Brakes", "Brakes", "Tires", "Brakes"]
+        assert records[0].unit_no is records[1].unit_no is records[2].unit_no
+        assert records[0].system_desc is records[1].system_desc is records[3].system_desc
+
+    @pytest.mark.parametrize("table", ["vehicles", "maintenance"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, table):
+        if table == "vehicles":
+            path = write_csv(tmp_path / "v.csv", VEHICLE_COLUMNS,
+                             [vehicle_row(f"U{i}") for i in range(3000)])
+            parse = parse_vehicles
+        else:
+            path = write_csv(tmp_path / "m.csv", MAINT_COLUMNS,
+                             [maint_row(str(i), "U", "2016-01-01", "Brakes") for i in range(3000)])
+            parse = parse_maintenance
+        lines = path.read_bytes().split(b"\n")
+        # far past the first block the text layer decodes
+        lines[2500] = lines[2500].replace(b"U", b"U\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as info:
+            parse(path)
+        assert str(info.value) == f"{path}: line 2501: not UTF-8 text: invalid start byte"
+
 
 def strptime_date_oracle(value: str):
     """The former ``parse_date``: the reference for its accept/reject set."""

@@ -250,6 +250,9 @@ class TestTraining:
             LstmConfig(bptt_steps=0)
         with pytest.raises(ValueError):
             LstmConfig(lr=-1.0)
+        with pytest.raises(ValueError, match="lr_constant_epochs must be >= 0"):
+            LstmConfig(lr_constant_epochs=-5)
+        assert LstmConfig(lr_constant_epochs=0).lr_at_epoch(0) == pytest.approx(0.7)
 
     @pytest.mark.parametrize("name", ["lr", "lr_decay", "grad_clip"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -341,6 +344,12 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text(f'seqmodel v1\n{config_line}\n["a"]\nblocks 0\n')
         with pytest.raises(ValueError, match="config"):
+            SeqModel.load(path)
+
+    def test_config_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text('seqmodel v1\n{"lr_constant_epochs": -5}\n["a"]\nblocks 0\n')
+        with pytest.raises(ValueError, match="lr_constant_epochs must be >= 0"):
             SeqModel.load(path)
 
     @staticmethod

@@ -591,6 +591,110 @@ class TestSerialization:
             load_tensor(path)
 
 
+class TestStreamedValueBlock:
+    """``load_tensor`` and ``FormatReader.floats`` read the value block from the
+    stream in ``_PARSE_CHARS`` pieces: where the pieces end changes nothing."""
+
+    # long reprs, so that with pieces of 1-16 characters tokens straddle them
+    VALUES = [0.0, 0.1234567890123, 0.0, -2.5e-300, 0.0, 0.0, 1.7976931348623157e308, 3.0]
+    BLOCKS = {
+        "valid": " ".join(map(repr, VALUES)) + "\n",
+        "wrapped": "0.0 0.1234567890123\n0.0\t-2.5e-300 0.0\n0.0 1.7976931348623157e308 3.0\n",
+        "no final newline": " ".join(map(repr, VALUES)),
+        "malformed": "0.0 0.1234567890123 0.0 1x5 0.0 0.0 1.0 3.0\n",
+        "malformed and cut": "0.0 0.1234567890123 0.0 1x5 0.0 0.0 1.0 3.0",
+        "malformed and short": "0.0 1x5 0.0\n",
+        "short": "0.0 0.1234567890123 0.0\n",
+        "long": " ".join(map(repr, VALUES * 2)) + "\n",
+        "nan": "0.0 0.1234567890123 0.0 nan 0.0 0.0 1.0 3.0\n",
+        "inf and short": "0.0 -inf\n",
+        "blank": "   \n",
+        "empty": "",
+    }
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return "ok", bits(read()).ravel().tolist()
+        except ValueError as exc:
+            return "error", str(exc)
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    def test_load_tensor_ignores_piece_size(self, tmp_path, block):
+        path = tmp_path / "t.txt"
+        path.write_text("tensor3 v1\ndims 2 1 4\nu1\nu2\nb\nw\nx\ny\nz\n" + self.BLOCKS[block])
+        expected = self.outcome(lambda: load_tensor(path).data)
+        for chunk in range(1, 17):
+            with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
+                assert self.outcome(lambda: load_tensor(path).data) == expected, chunk
+        if block in ("valid", "wrapped"):
+            assert expected == ("ok", bits(np.array(self.VALUES)).tolist())
+        else:
+            assert expected[0] == "error"
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    def test_stream_reader_ignores_piece_size(self, block):
+        def read():
+            reader = FormatReader(io.StringIO("demo v1\n" + self.BLOCKS[block]), "demo v1")
+            return reader.floats(len(self.VALUES), "w")
+
+        expected = self.outcome(read)
+        # the whole block as one string gives the same outcome
+        assert self.outcome(lambda: parse_floats(
+            self.BLOCKS[block], len(self.VALUES), "demo w")) == expected
+        for chunk in range(1, 17):
+            with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
+                assert self.outcome(read) == expected, chunk
+
+    def test_errors_keep_their_order(self):
+        blocks = self.BLOCKS
+        count = len(self.VALUES)
+        for block, message in [
+            ("malformed and cut", "demo w is truncated: no final newline"),
+            ("no final newline", "demo w is truncated: no final newline"),
+            ("malformed and short", "demo w: string or file could not be read to its end"),
+            ("short", "demo w: expected 8 values, found 3"),
+            ("inf and short", "demo w: expected 8 values, found 2"),
+            ("blank", "demo w: expected 8 values, found 0"),
+            ("nan", "demo w holds nan or inf values"),
+        ]:
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                parse_floats(io.StringIO(blocks[block]), count, "demo w")
+
+    def test_malformed_token_names_the_block(self):
+        with pytest.raises(ValueError, match="^tensor3 values: .*unmatched data"):
+            parse_floats("1.0 1x5\n", 2, "tensor3 values")
+
+    def test_load_makes_no_file_size_temporary(self, tmp_path):
+        values = np.zeros((1 << 8, 1 << 4, 1 << 8))
+        values.flat[::97] = 1.5
+        path = tmp_path / "t.txt"
+        save_tensor(Tensor3.from_array(values), path)
+        chunk = 1 << 14
+        with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
+            tracemalloc.start()
+            try:
+                got = load_tensor(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(bits(got.data), bits(values))
+        # the array plus piece-sized buffers: the block's text alone would be
+        # path.stat().st_size characters, about half the array's bytes
+        assert path.stat().st_size > values.nbytes // 3
+        assert peak <= values.nbytes + 16 * chunk, peak
+
+    def test_count_past_the_file_is_a_count_error(self, tmp_path):
+        # 8e9 values would take 64 GB: the count check must come first
+        labels = "".join(f"{i}\n" for _ in range(3) for i in range(2000))
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor3 v1\ndims 2000 2000 2000\n{labels}0.0 1.0 2.0\n")
+        with pytest.raises(ValueError, match="expected 8000000000 values, found 3$"):
+            load_tensor(path)
+        with pytest.raises(ValueError, match="expected 1000000000000000000 values, found 3$"):
+            parse_floats(io.StringIO("0.0 1.0 2.0\n"), 10**18, "block")
+
+
 class TestFormatReader:
     def test_reads_each_part_in_order(self):
         fh = io.StringIO("demo v1\ndims 2 1\nu1\nu2\nb\n"
