@@ -24,7 +24,7 @@ from datetime import date
 
 import numpy as np
 
-from .tensor import Tensor3
+from .tensor import Tensor3, not_utf8
 
 
 class DataError(ValueError):
@@ -128,23 +128,7 @@ def _read_table(path, required):
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}: row {row_no + 1}: {exc}") from None
         except UnicodeDecodeError as exc:
-            # the text layer decodes ahead of the rows, so the row at hand may
-            # not hold the bad byte: the message names the line that does
-            line = _first_non_utf8_line(path)
-            where = f"line {line}: " if line else ""
-            raise DataError(f"{path}: {where}not UTF-8 text: {exc.reason}") from None
-
-
-def _first_non_utf8_line(path) -> int | None:
-    """The number of the first line of ``path`` that is not valid UTF-8."""
-    with open(path, "rb") as fh:
-        # no UTF-8 sequence holds the newline byte, so lines decode alone
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return None
+            raise DataError(not_utf8(path, exc)) from None
 
 
 def parse_vehicles(path) -> list[VehicleRecord]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import FormatReader, write_floats
+from .tensor import FormatReader, open_text, write_floats
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -71,6 +71,17 @@ class Vocab:
         return self.labels[idx]
 
 
+# size caps, set well above Zaremba et al. 2014's largest model (2 layers of
+# 1500 units, 35 BPTT steps, batch 20); a larger value is a config error
+MAX_WIDTH = 1 << 12  # embed_dim and hidden_dim
+MAX_LAYERS = 16
+MAX_BPTT_STEPS = 1000
+MAX_BATCH_SIZE = 1 << 12
+# floats of the working set that LstmConfig.check_working_set bounds: 2 GiB,
+# which admits that model over its 10,000-word vocabulary (about 2.3e8)
+MAX_WORKING_FLOATS = 1 << 28
+
+
 @dataclass
 class LstmConfig:
     embed_dim: int = 32
@@ -95,12 +106,34 @@ class LstmConfig:
         for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name, cap in (("embed_dim", MAX_WIDTH), ("hidden_dim", MAX_WIDTH),
+                          ("layers", MAX_LAYERS), ("bptt_steps", MAX_BPTT_STEPS),
+                          ("batch_size", MAX_BATCH_SIZE)):
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be <= {cap}, got {getattr(self, name)}")
         if self.lr_constant_epochs < 0:
             raise ValueError("lr_constant_epochs must be >= 0")
         if not 0 < self.dropout_keep <= 1:
             raise ValueError("dropout_keep must be in (0, 1]")
         if not all(0 < v < math.inf for v in (self.lr, self.lr_decay, self.grad_clip)):
             raise ValueError("lr, lr_decay and grad_clip must be positive and finite")
+
+    def check_working_set(self, vocab_size: int) -> None:
+        """Raise ValueError when training this model over ``vocab_size``
+        tokens would hold more than ``MAX_WORKING_FLOATS`` floats: three
+        copies of the parameters (the weights, their gradients and the best
+        validation snapshot) and about one BPTT window's caches."""
+        params = sum(math.prod(shape) for shape in _param_shapes(self, vocab_size).values())
+        # per step and row: each layer's input, gates, h, c and tanh(c), and
+        # the head's log-probabilities and their gradient
+        slot = self.layers * (max(self.embed_dim, self.hidden_dim) + 7 * self.hidden_dim)
+        working = 3 * params + self.bptt_steps * self.batch_size * (slot + 2 * vocab_size)
+        if working > MAX_WORKING_FLOATS:
+            raise ValueError(
+                f"a {self.layers}x{self.hidden_dim} LSTM with embed_dim {self.embed_dim} over "
+                f"{vocab_size} tokens needs {working} floats of parameters, gradients and "
+                f"caches, past {MAX_WORKING_FLOATS}"
+            )
 
     def lr_at_epoch(self, epoch: int) -> float:
         """Learning rate for a 0-based epoch index."""
@@ -404,13 +437,14 @@ class SeqModel:
 
     @classmethod
     def load(cls, path) -> "SeqModel":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             reader = FormatReader(fh, "seqmodel v1")
             try:
                 config = LstmConfig(**json.loads(reader.line()))
                 vocab = Vocab(labels=tuple(json.loads(reader.line())))
             except TypeError as exc:
                 raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
+            config.check_working_set(vocab.size)
             # the blocks save writes for this config and vocabulary, by name
             expected = sorted(_param_shapes(config, vocab.size).items())
             n_blocks = int(reader.fields("blocks", 1)[0])
@@ -462,6 +496,7 @@ def train(
         raise ValueError("training set is empty")
     rng = np.random.default_rng([cfg.seed, 0])
     vocab = Vocab.from_sequences(train_seqs)
+    cfg.check_working_set(vocab.size)
     model = SeqModel(vocab, cfg, _init_params(cfg, vocab.size, rng))
     if vocab.size <= 2:
         raise ValueError("empty vocabulary: no labels in the training sequences")

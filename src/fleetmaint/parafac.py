@@ -23,6 +23,7 @@ from .tensor import (
     mttkrp,
     mttkrp_from_partial,
     mttkrp_partial,
+    open_text,
     parse_floats,
     write_floats,
 )
@@ -308,7 +309,7 @@ def save_model(model: CpModel, path) -> None:
 
 
 def load_model(path) -> CpModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = FormatReader(fh, _MAGIC)
         rank = int(reader.fields("rank", 1)[0])
         dims = tuple(int(v) for v in reader.fields("dims", 3))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -299,22 +300,20 @@ def write_floats(fh, values: np.ndarray, per_line: int) -> None:
         return
     lines = min(_CHUNK_LINES, -(-flat.size // per_line))
     step = lines * per_line
-    # even slots take the values, odd slots a space or, after every
-    # per_line-th value, a newline
-    parts = ([None, " "] * (per_line - 1) + [None, "\n"]) * lines
-    zeros = ["0.0"] * step
+    # a chunk of +0.0 values: value k's token "0.0" at 4k, its separator at 4k + 3
+    template = ("0.0 " * (per_line - 1) + "0.0\n") * lines
     for start in range(0, flat.size, step):
         chunk = flat[start : start + step]
         if chunk.size < step:
-            parts = parts[: 2 * chunk.size]
-            parts[-1] = "\n"
-            zeros = zeros[: chunk.size]
-        # count tensors are mostly zeros: +0.0 (bit pattern 0) is written as
-        # its repr literal and only the other values go through repr
-        parts[0::2] = zeros
+            template = template[: 4 * chunk.size - 1] + "\n"
+        # count tensors are mostly zeros: only the values whose bit pattern
+        # is not 0 (-0.0 included) go through repr, spliced over their token
         nonzero = np.flatnonzero(chunk.view(np.uint64))
-        for slot, v in zip((2 * nonzero).tolist(), chunk[nonzero].tolist()):
-            parts[slot] = repr(v)
+        cuts = (4 * nonzero).tolist()
+        parts = [None] * (2 * len(cuts) + 1)
+        parts[0::2] = [template[lo:hi] for lo, hi in zip([0, *[c + 3 for c in cuts]],
+                                                         [*cuts, len(template)])]
+        parts[1::2] = map(repr, chunk[nonzero].tolist())
         fh.write("".join(parts))
 
 
@@ -394,6 +393,34 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
     return out
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for ``exc``, raised reading ``path`` as UTF-8 text.
+
+    The text layer decodes ahead of the reader, so the position in ``exc``
+    counts within a chunk: the message names the first line of the file
+    that is not UTF-8 instead.
+    """
+    with open(path, "rb") as fh:
+        # no UTF-8 sequence holds the newline byte, so lines decode alone
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}: line {line_no}: not UTF-8 text: {exc.reason}"
+    return f"{path}: not UTF-8 text: {exc.reason}"
+
+
+@contextmanager
+def open_text(path):
+    """``path`` open for reading as UTF-8; a byte that is not UTF-8 raises
+    ValueError naming the file and its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(not_utf8(path, exc)) from None
+
+
 class FormatReader:
     """The line rules of the tensor3, cpmodel and seqmodel formats.
 
@@ -453,7 +480,7 @@ def save_tensor(t: Tensor3, path) -> None:
 
 
 def load_tensor(path) -> Tensor3:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = FormatReader(fh, _MAGIC)
         dims = tuple(int(v) for v in reader.fields("dims", 3))
         labels = reader.labels(dims)

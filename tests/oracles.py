@@ -13,7 +13,10 @@ results:
 - seqmine: a SequenceSet built straight from label lists, and the
   per-record grouping and sorting that ``extract_sequences`` must match;
 - synth: the per-event tuple list, cursor-driven motif rebuild and
-  ``Counter`` of cells that ``generate`` must match byte for byte.
+  ``Counter`` of cells that ``generate`` must match byte for byte;
+- report: the CSV written one ``writerow`` per loading and the SVG panels
+  laid out anew for every component, which the factor reports must match
+  byte for byte.
 """
 
 from __future__ import annotations
@@ -41,11 +44,25 @@ from fleetmaint.parafac import (
     _RIDGE_SCALE,
     AlsOptions,
     CpModel,
+    FactorReport,
+    factor_report,
     _component_order,
     _flag_degenerate_components,
     _normalize_factors,
 )
 from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_system
+from fleetmaint.report import (
+    _AXIS,
+    _BAR_FILL,
+    _BAR_NEG_FILL,
+    _FONT,
+    _MARGIN,
+    _PANEL_H,
+    _PANEL_W,
+    _TEXT,
+    REPORT_CSV_COLUMNS,
+    _escape,
+)
 from fleetmaint.seqmine import EventSequence, SequenceSet
 from fleetmaint.synth import (
     MAINTENANCE_COLUMNS,
@@ -662,3 +679,100 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
         manifest_path=manifest_path,
         manifest=manifest,
     )
+
+
+# ---------------------------------------------------------------------------
+# factor reports, one writerow per loading and each panel laid out per component
+# ---------------------------------------------------------------------------
+
+
+def write_factor_csv(model: CpModel, path, components: list[int] | None = None) -> None:
+    """One CSV holding the loading series of the requested (1-based) components."""
+    chosen = components or list(range(1, model.rank + 1))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_CSV_COLUMNS)
+        for comp in chosen:
+            report = factor_report(model, comp)
+            for mode in ("vehicle", "system", "time"):
+                for label, loading in report.series[mode]:
+                    writer.writerow([comp, mode, label, repr(loading)])
+            writer.writerow([comp, "weight", "component_weight", repr(report.weight)])
+
+
+def _panel(series: list[tuple[str, float]], title: str, y_offset: int) -> list[str]:
+    values = [v for _, v in series]
+    peak = max((abs(v) for v in values), default=1.0) or 1.0
+    n = len(values)
+    plot_w = _PANEL_W - 2 * _MARGIN
+    plot_h = _PANEL_H - 46
+    baseline = y_offset + 24 + plot_h / 2
+    slot = plot_w / n
+    bar_w = max(1.0, slot * 0.8)
+    parts = [
+        f'<text x="{_MARGIN}" y="{y_offset + 14}" font-size="12" font-weight="bold" '
+        f'fill="{_TEXT}">{_escape(title)}</text>',
+        f'<line x1="{_MARGIN}" y1="{baseline:.1f}" x2="{_MARGIN + plot_w}" '
+        f'y2="{baseline:.1f}" stroke="{_AXIS}" stroke-width="1"/>',
+    ]
+    for idx, (label, value) in enumerate(series):
+        height = abs(value) / peak * (plot_h / 2)
+        x = _MARGIN + idx * slot + (slot - bar_w) / 2
+        if value >= 0:
+            y = baseline - height
+            fill = _BAR_FILL
+        else:
+            y = baseline
+            fill = _BAR_NEG_FILL
+        parts.append(
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{height:.2f}" '
+            f'fill="{fill}"><title>{_escape(label)}: {value:.6f}</title></rect>'
+        )
+    # thin the tick labels so long axes stay readable
+    step = max(1, (n + 15) // 16)
+    for idx in range(0, n, step):
+        x = _MARGIN + idx * slot + slot / 2
+        parts.append(
+            f'<text x="{x:.1f}" y="{y_offset + _PANEL_H - 6}" font-size="8" '
+            f'text-anchor="middle" fill="{_AXIS}">{_escape(series[idx][0][:14])}</text>'
+        )
+    return parts
+
+
+def render_factor_svg(report: FactorReport) -> str:
+    """Standalone SVG string: three stacked bar panels for one component."""
+    total_h = 3 * _PANEL_H + 34
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_PANEL_W} {total_h}" '
+        f'font-family="{_FONT}">',
+        f'<rect width="{_PANEL_W}" height="{total_h}" fill="#F8FAFC"/>',
+        f'<text x="{_PANEL_W / 2}" y="20" text-anchor="middle" font-size="14" '
+        f'font-weight="bold" fill="{_TEXT}">Component {report.component} '
+        f'(weight {report.weight:.4f})</text>',
+    ]
+    for row, mode in enumerate(("vehicle", "system", "time")):
+        parts.extend(_panel(report.series[mode], mode, 30 + row * _PANEL_H))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def export_component_reports(
+    model: CpModel,
+    out_dir,
+    components: list[int] | None = None,
+    svg: bool = True,
+) -> list[Path]:
+    """Write factor_report.csv plus one SVG per component; returns paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    csv_path = out_dir / "factor_report.csv"
+    write_factor_csv(model, csv_path, components)
+    written.append(csv_path)
+    if svg:
+        for comp in components or range(1, model.rank + 1):
+            report = factor_report(model, comp)
+            svg_path = out_dir / f"component_{comp:02d}.svg"
+            svg_path.write_text(render_factor_svg(report), encoding="utf-8", newline="\n")
+            written.append(svg_path)
+    return written

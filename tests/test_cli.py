@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleetmaint import lstm
 from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
 from fleetmaint.lstm import LstmConfig, SeqModel, predict_next
@@ -627,6 +628,24 @@ class TestTrainEvalPredict:
         assert len(lines) == 1 and lines[0].startswith("data-error: non-finite"), proc.stderr
         assert not out.exists()
 
+    def test_working_set_past_the_bound_is_data_error(self, fleet_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_init(*args):
+            raise AssertionError("parameters allocated")
+
+        monkeypatch.setattr(lstm, "_init_params", no_init)
+        out = tmp_path / "m.txt"
+        code = main([
+            "train",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--hidden-dim", "4096", "--layers", "16", "--out", str(out),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data-error: a 16x4096 LSTM"), err
+        assert not out.exists()
+
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 1\nhidden-dim = 8\n# comment\n")
@@ -725,6 +744,11 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     [*TRAIN, "--dropout-keep", "0"],
     [*TRAIN, "--lr", "-1"],
     [*TRAIN, "--lr-constant-epochs", "-5"],
+    [*TRAIN, "--hidden-dim", "100000000"],
+    [*TRAIN, "--embed-dim", "100000000"],
+    [*TRAIN, "--layers", "100000"],
+    [*TRAIN, "--bptt-steps", "1001"],
+    [*TRAIN, "--batch-size", "4097"],
     *([*TRAIN, flag, value] for flag in ("--lr", "--lr-decay", "--grad-clip")
       for value in ("nan", "inf")),
     ["predict", "--model", "m.txt", "--top-k", "0"],
@@ -763,6 +787,31 @@ def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames, unpinned):
     for f in dataclasses.fields(cls):
         if f.name not in unpinned:
             assert getattr(args, renames.get(f.name, f.name)) == f.default, f.name
+
+
+@pytest.mark.parametrize("kind", ["tensor", "cp model", "seq model"])
+def test_non_utf8_format_file_is_data_error(tensor_path, model_path, tmp_path, kind):
+    source = {"tensor": tensor_path, "seq model": model_path}.get(kind, tmp_path / "cp.txt")
+    if kind == "cp model":
+        assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                     "--out", str(source)]) == 0
+    lines = source.read_bytes().split(b"\n")
+    middle = len(lines) // 2
+    lines[middle] = lines[middle][:2] + b"\xff" + lines[middle][2:]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\n".join(lines))
+    argv = {
+        "tensor": ["parafac", "--tensor", str(bad), "--rank", "2", "--out", str(tmp_path / "m")],
+        "cp model": ["report", "--model", str(bad), "--out", str(tmp_path / "rep")],
+        "seq model": ["predict", "--model", str(bad), "--prefix", "brakes"],
+    }[kind]
+    # a subprocess, so that a traceback or warning would reach stderr
+    proc = run_cli(*argv)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"data-error: {bad}: line {middle + 1}: not UTF-8 text: invalid start byte\n")
+    assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
 
 
 class TestPipeline:

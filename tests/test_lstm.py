@@ -254,6 +254,36 @@ class TestTraining:
             LstmConfig(lr_constant_epochs=-5)
         assert LstmConfig(lr_constant_epochs=0).lr_at_epoch(0) == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("name, cap", [
+        ("embed_dim", lstm.MAX_WIDTH), ("hidden_dim", lstm.MAX_WIDTH),
+        ("layers", lstm.MAX_LAYERS), ("bptt_steps", lstm.MAX_BPTT_STEPS),
+        ("batch_size", lstm.MAX_BATCH_SIZE),
+    ])
+    def test_sizes_capped(self, name, cap):
+        assert getattr(LstmConfig(**{name: cap}), name) == cap
+        with pytest.raises(ValueError, match=f"{name} must be <= {cap}"):
+            LstmConfig(**{name: cap + 1})
+
+    def test_caps_admit_zaremba_large(self):
+        # 2 layers of 1500 units, 35 BPTT steps and batch 20 over the
+        # 10,000-word Penn Treebank vocabulary plus UNK and EOS
+        cfg = LstmConfig(embed_dim=1500, hidden_dim=1500, layers=2, bptt_steps=35,
+                         batch_size=20)
+        cfg.check_working_set(10_002)
+
+    def test_working_set_bounded_before_allocation(self, monkeypatch):
+        cfg = LstmConfig(embed_dim=4096, hidden_dim=4096, layers=16, **{
+            k: v for k, v in FAST_CFG.items() if k not in ("embed_dim", "hidden_dim", "layers")})
+        with pytest.raises(ValueError, match="past 268435456"):
+            cfg.check_working_set(10)
+
+        def no_init(*args):
+            raise AssertionError("parameters allocated")
+
+        monkeypatch.setattr(lstm, "_init_params", no_init)
+        with pytest.raises(ValueError, match="past 268435456"):
+            train([["a", "b"]] * 3, [], cfg)
+
     @pytest.mark.parametrize("name", ["lr", "lr_decay", "grad_clip"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rates_rejected(self, name, value):
@@ -346,10 +376,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="config"):
             SeqModel.load(path)
 
-    def test_config_out_of_range_rejected(self, tmp_path):
+    @pytest.mark.parametrize("config, message", [
+        ('{"lr_constant_epochs": -5}', "lr_constant_epochs must be >= 0"),
+        ('{"hidden_dim": 100000000}', "hidden_dim must be <= 4096"),
+        ('{"layers": 16, "hidden_dim": 4096}', "past 268435456"),
+    ])
+    def test_config_out_of_range_rejected(self, tmp_path, config, message):
         path = tmp_path / "bad.txt"
-        path.write_text('seqmodel v1\n{"lr_constant_epochs": -5}\n["a"]\nblocks 0\n')
-        with pytest.raises(ValueError, match="lr_constant_epochs must be >= 0"):
+        path.write_text(f'seqmodel v1\n{config}\n["a"]\nblocks 0\n')
+        with pytest.raises(ValueError, match=message):
             SeqModel.load(path)
 
     @staticmethod

@@ -1,8 +1,10 @@
 import csv
 
 import numpy as np
+import pytest
 
-from fleetmaint.parafac import AlsOptions, cp_als, factor_report
+import oracles
+from fleetmaint.parafac import AlsOptions, CpModel, cp_als, factor_report
 from fleetmaint.report import (
     export_component_reports,
     render_factor_svg,
@@ -75,3 +77,48 @@ class TestExport:
         model = small_model()
         written = export_component_reports(model, tmp_path / "out", svg=False)
         assert [p.name for p in written] == ["factor_report.csv"]
+
+
+# labels the CSV must quote or the SVG must escape, a leading space, an
+# empty label and one longer than a tick label
+AWKWARD_LABELS = ("a,b", 'say "hi"', "R&D", "<tag>", "x>y", " leading", "",
+                  "tires, tubes, liners & valves")
+
+
+def awkward_model():
+    """A rank-3 model whose loadings hold negatives, +0.0, -0.0, a subnormal
+    and a huge value, and whose second component is zero in every mode."""
+    rng = np.random.default_rng(11)
+    # 48 vehicles, a multiple of 16, thin the tick labels to every third;
+    # one month makes one wide bar
+    dims = (48, 8, 1)
+    factors = [rng.normal(size=(n, 3)) for n in dims]
+    factors[0][:5, 0] = [0.0, -0.0, 5e-324, -1e300, 1e300]
+    factors[1][2, 2] = 0.0
+    for f in factors:
+        f[:, 1] = 0.0
+    labels = (
+        tuple(AWKWARD_LABELS[i % 8] + f"{i:02d}" * (i % 3) for i in range(48)),
+        AWKWARD_LABELS,
+        ("2016-01",),
+    )
+    return CpModel(factors=tuple(factors), weights=np.array([2.5, 0.0, 1e-3]), fit=0.5,
+                   iterations=3, converged=False, axis_labels=labels)
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("components", [None, [2, 1]])
+    @pytest.mark.parametrize("svg", [True, False])
+    def test_every_file_byte_identical(self, tmp_path, components, svg):
+        model = awkward_model()
+        written = export_component_reports(model, tmp_path / "new", components, svg=svg)
+        expected = oracles.export_component_reports(model, tmp_path / "old", components, svg=svg)
+        assert [p.name for p in written] == [p.name for p in expected]
+        for new, old in zip(written, expected):
+            assert new.read_bytes() == old.read_bytes(), new.name
+        write_factor_csv(model, tmp_path / "new.csv", components)
+        oracles.write_factor_csv(model, tmp_path / "old.csv", components)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for comp in components or range(1, model.rank + 1):
+            report = factor_report(model, comp)
+            assert render_factor_svg(report) == oracles.render_factor_svg(report)

@@ -752,10 +752,19 @@ class TestWriteFloats:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        values=arrays(np.float64, st.integers(0, 70), elements=float_values),
+        values=st.one_of(
+            arrays(np.float64, st.integers(0, 70), elements=float_values),
+            # runs of +0.0 broken by a few -0.0 and edge values, as in a
+            # count tensor
+            arrays(np.float64, st.integers(0, 70), elements=st.sampled_from(EDGE_FLOATS),
+                   fill=st.just(0.0)),
+        ),
         per_line=st.integers(1, 30),
         chunk_lines=st.sampled_from([1, 2, 3, 1 << 15]),
     )
+    # 13 values in chunks of 2 lines of 4: the last chunk is 1 line and 1 value
+    @example(values=np.array([0.0] * 5 + [-0.0] + [0.0] * 6 + [5e-324]), per_line=4,
+             chunk_lines=2)
     def test_matches_per_value_writer(self, values, per_line, chunk_lines):
         fh = io.StringIO()
         with mock.patch.object(tensor_module, "_CHUNK_LINES", chunk_lines):
