@@ -53,8 +53,8 @@ class ConfigError(ValueError):
 def _config_flags(path, args: argparse.Namespace) -> list[str]:
     """The ``--key=value`` flags of a ``key = value`` config file.
 
-    A key must name one of the subcommand's options exactly; argparse
-    converts and checks the values when they are parsed.
+    A key must name one of the subcommand's options exactly; its value is
+    then converted and checked like the flag's.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -116,10 +116,19 @@ def _load_tables(args):
     return vehicles, maintenance
 
 
-def _from_flags(cls, args, **renames):
-    """A ``cls`` dataclass built from the flags whose dest is each field's name,
-    or its entry in ``renames``; a value it rejects is a config error."""
-    values = {f.name: getattr(args, renames.get(f.name, f.name)) for f in fields(cls)}
+def _add_field_flags(p, cls) -> None:
+    """Add the flag of each field of the config dataclass ``cls`` but ``seed``,
+    which add_common adds; _from_flags checks the values by building ``cls``."""
+    for f in fields(cls):
+        if f.name != "seed":
+            p.add_argument("--" + f.metadata.get("flag", f.name).replace("_", "-"),
+                           default=f.default, type={"int": int, "float": float}.get(f.type),
+                           choices=f.metadata.get("choices"), help=f.metadata.get("help"))
+
+
+def _from_flags(cls, args):
+    """A ``cls`` dataclass built from its fields' flags; a value it rejects is a config error."""
+    values = {f.name: getattr(args, f.metadata.get("flag", f.name)) for f in fields(cls)}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -147,8 +156,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_tensorize(args) -> int:
-    spec = _from_flags(TensorizeSpec, args, lifetime_horizon_years="horizon",
-                       purchase_year_floor="year_floor")
+    spec = _from_flags(TensorizeSpec, args)
     vehicles, maintenance = _load_tables(args)
     build = build_tensor(vehicles, maintenance, spec)
     save_tensor(build.tensor, args.out)
@@ -160,7 +168,7 @@ def cmd_tensorize(args) -> int:
 
 
 def cmd_parafac(args) -> int:
-    opts = _from_flags(AlsOptions, args, n_restarts="restarts")
+    opts = _from_flags(AlsOptions, args)
     tensor = load_tensor(args.tensor)
     model = cp_als(tensor, opts)
     save_model(model, args.out)
@@ -372,12 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensorize", help="build the job-count tensor from CSVs")
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
-    p.add_argument("--time-mode", choices=("absolute", "lifetime"), default="absolute")
-    p.add_argument("--granularity", choices=("month", "year"), default="month")
-    p.add_argument("--window-start", default="2010-01")
-    p.add_argument("--window-end", default=None)
-    p.add_argument("--horizon", type=int, default=8, help="lifetime horizon in years")
-    p.add_argument("--year-floor", type=int, default=2010, help="purchase-year floor")
+    _add_field_flags(p, TensorizeSpec)
     p.add_argument("--out", required=True, help="tensor output path")
     p.add_argument("--discards", default=None, help="discard summary JSON path")
     add_common(p)
@@ -385,10 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parafac", help="CP-ALS factorization of a tensor file")
     p.add_argument("--tensor", required=True)
-    p.add_argument("--rank", type=int, default=25)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--restarts", type=int, default=1)
+    _add_field_flags(p, AlsOptions)
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--report-dir", default=None, help="also export per-component reports")
     p.add_argument("--format", choices=("csv", "svg"), default="svg",
@@ -418,24 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_seqmine)
 
-    def add_lstm_flags(p):
-        p.add_argument("--embed-dim", type=int, default=32)
-        p.add_argument("--hidden-dim", type=int, default=64)
-        p.add_argument("--layers", type=int, default=2)
-        p.add_argument("--dropout-keep", type=float, default=0.75)
-        p.add_argument("--bptt-steps", type=int, default=20)
-        p.add_argument("--batch-size", type=int, default=8)
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--lr", type=float, default=1.0)
-        p.add_argument("--lr-constant-epochs", type=int, default=6)
-        p.add_argument("--lr-decay", type=float, default=0.7)
-        p.add_argument("--grad-clip", type=float, default=5.0)
-
     p = sub.add_parser("train", help="train the LSTM next-job model")
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--out", required=True, help="model output path")
-    add_lstm_flags(p)
+    _add_field_flags(p, LstmConfig)
     add_common(p)
     p.set_defaults(func=cmd_train)
 

@@ -19,11 +19,12 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
+from .knobs import check
 from .tensor import Tensor3, not_utf8
 
 
@@ -223,20 +224,17 @@ class TensorizeSpec:
     interpretable.
     """
 
-    time_mode: str = "absolute"
-    granularity: str = "month"
+    time_mode: str = field(default="absolute", metadata=dict(choices=("absolute", "lifetime")))
+    granularity: str = field(default="month", metadata=dict(choices=("month", "year")))
     window_start: str = "2010-01"
     window_end: str | None = None
-    lifetime_horizon_years: int = 8
-    purchase_year_floor: int = 2010
+    lifetime_horizon_years: int = field(default=8, metadata=dict(
+        ge=1, le=MAX_HORIZON_YEARS, flag="horizon", help="lifetime horizon in years"))
+    purchase_year_floor: int = field(default=2010, metadata=dict(
+        flag="year_floor", help="purchase-year floor"))
 
     def __post_init__(self) -> None:
-        if self.time_mode not in ("absolute", "lifetime"):
-            raise ValueError(f"time_mode must be absolute or lifetime, got {self.time_mode!r}")
-        if self.granularity not in ("month", "year"):
-            raise ValueError(f"granularity must be month or year, got {self.granularity!r}")
-        if not 1 <= self.lifetime_horizon_years <= MAX_HORIZON_YEARS:
-            raise ValueError(f"lifetime_horizon_years must be in [1, {MAX_HORIZON_YEARS}]")
+        check(self)
         start = _parse_month(self.window_start)
         if start is None:
             raise ValueError(f"bad window_start {self.window_start!r}")

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .knobs import check
 from .tensor import FormatReader, open_text, write_floats
 
 UNK_TOKEN = "<unk>"
@@ -71,12 +72,13 @@ class Vocab:
         return self.labels[idx]
 
 
-# size caps, set well above Zaremba et al. 2014's largest model (2 layers of
-# 1500 units, 35 BPTT steps, batch 20); a larger value is a config error
+# caps well above Zaremba et al. 2014's largest model (2 layers of 1500 units,
+# 35 BPTT steps, batch 20, 55 epochs); a larger value is a config error
 MAX_WIDTH = 1 << 12  # embed_dim and hidden_dim
 MAX_LAYERS = 16
 MAX_BPTT_STEPS = 1000
 MAX_BATCH_SIZE = 1 << 12
+MAX_EPOCHS = 1000
 # floats of the working set that LstmConfig.check_working_set bounds: 2 GiB,
 # which admits that model over its 10,000-word vocabulary (about 2.3e8)
 MAX_WORKING_FLOATS = 1 << 28
@@ -84,39 +86,21 @@ MAX_WORKING_FLOATS = 1 << 28
 
 @dataclass
 class LstmConfig:
-    embed_dim: int = 32
-    hidden_dim: int = 64
-    layers: int = 2
-    dropout_keep: float = 0.75
-    bptt_steps: int = 20
-    batch_size: int = 8
-    epochs: int = 20
-    lr: float = 1.0
-    lr_constant_epochs: int = 6
-    lr_decay: float = 0.7
-    grad_clip: float = 5.0
-    seed: int = 0
+    embed_dim: int = field(default=32, metadata=dict(ge=1, le=MAX_WIDTH))
+    hidden_dim: int = field(default=64, metadata=dict(ge=1, le=MAX_WIDTH))
+    layers: int = field(default=2, metadata=dict(ge=1, le=MAX_LAYERS))
+    dropout_keep: float = field(default=0.75, metadata=dict(gt=0, le=1))
+    bptt_steps: int = field(default=20, metadata=dict(ge=1, le=MAX_BPTT_STEPS))
+    batch_size: int = field(default=8, metadata=dict(ge=1, le=MAX_BATCH_SIZE))
+    epochs: int = field(default=20, metadata=dict(ge=1, le=MAX_EPOCHS))
+    lr: float = field(default=1.0, metadata=dict(gt=0))
+    lr_constant_epochs: int = field(default=6, metadata=dict(ge=0))
+    lr_decay: float = field(default=0.7, metadata=dict(gt=0))
+    grad_clip: float = field(default=5.0, metadata=dict(gt=0))
+    seed: int = field(default=0, metadata=dict(ge=0))
 
     def __post_init__(self) -> None:
-        for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs",
-                     "lr_constant_epochs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config field {name} must be an integer, got {value!r}")
-        for name in ("embed_dim", "hidden_dim", "layers", "bptt_steps", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name, cap in (("embed_dim", MAX_WIDTH), ("hidden_dim", MAX_WIDTH),
-                          ("layers", MAX_LAYERS), ("bptt_steps", MAX_BPTT_STEPS),
-                          ("batch_size", MAX_BATCH_SIZE)):
-            if getattr(self, name) > cap:
-                raise ValueError(f"{name} must be <= {cap}, got {getattr(self, name)}")
-        if self.lr_constant_epochs < 0:
-            raise ValueError("lr_constant_epochs must be >= 0")
-        if not 0 < self.dropout_keep <= 1:
-            raise ValueError("dropout_keep must be in (0, 1]")
-        if not all(0 < v < math.inf for v in (self.lr, self.lr_decay, self.grad_clip)):
-            raise ValueError("lr, lr_decay and grad_clip must be positive and finite")
+        check(self)
 
     def check_working_set(self, vocab_size: int) -> None:
         """Raise ValueError when training this model over ``vocab_size``
@@ -439,10 +423,11 @@ class SeqModel:
     def load(cls, path) -> "SeqModel":
         with open_text(path) as fh:
             reader = FormatReader(fh, "seqmodel v1")
+            config_line, vocab_line = reader.line(), reader.line()
             try:
-                config = LstmConfig(**json.loads(reader.line()))
-                vocab = Vocab(labels=tuple(json.loads(reader.line())))
-            except TypeError as exc:
+                config = LstmConfig(**json.loads(config_line))
+                vocab = Vocab(labels=tuple(json.loads(vocab_line)))
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
             config.check_working_set(vocab.size)
             # the blocks save writes for this config and vocabulary, by name

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .knobs import check
 from .tensor import (
     AxisLabels,
     FormatReader,
@@ -44,21 +45,14 @@ _DIRECT_FIT_ABOVE = 1.0 - 1e-6
 class AlsOptions:
     """Knobs for :func:`cp_als`."""
 
-    rank: int
-    max_iters: int = 500
-    tol: float = 1e-8
-    seed: int = 0
-    n_restarts: int = 1
+    rank: int = field(default=25, metadata=dict(ge=1, le=MAX_RANK))
+    max_iters: int = field(default=500, metadata=dict(ge=1))
+    tol: float = field(default=1e-8, metadata=dict(gt=0, lt=1))
+    seed: int = field(default=0, metadata=dict(ge=0))
+    n_restarts: int = field(default=1, metadata=dict(ge=1, le=MAX_RESTARTS, flag="restarts"))
 
     def __post_init__(self) -> None:
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be in [1, {MAX_RANK}], got {self.rank}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (0 < self.tol < 1):
-            raise ValueError("tol must be in (0, 1)")
-        if not 1 <= self.n_restarts <= MAX_RESTARTS:
-            raise ValueError(f"n_restarts must be in [1, {MAX_RESTARTS}], got {self.n_restarts}")
+        check(self)
 
 
 @dataclass

@@ -23,12 +23,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import MAX_WINDOW_MONTHS, _parse_month, normalize_make_model, normalize_system
+from .knobs import check, is_finite, is_integer
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -93,12 +93,12 @@ class MarkovSpec:
 
 @dataclass
 class FleetSpec:
-    seed: int
+    seed: int = field(metadata=dict(ge=0))
     vehicles: dict[str, int]
     window_start: str
-    months: int
+    months: int = field(metadata=dict(ge=1, le=MAX_WINDOW_MONTHS))
     systems: tuple[str, ...]
-    background_rate: float = 0.02
+    background_rate: float = field(default=0.02, metadata=dict(ge=0))
     components: list[PlantedComponent] = field(default_factory=list)
     motifs: list[PlantedMotif] = field(default_factory=list)
     markov: dict[str, MarkovSpec] = field(default_factory=dict)
@@ -106,15 +106,7 @@ class FleetSpec:
     noiseless: bool = False
 
     def validate(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (_is_count(self.months) and self.months <= MAX_WINDOW_MONTHS):
-            raise ValueError(f"months must be an integer in [1, {MAX_WINDOW_MONTHS}], "
-                             f"got {self.months!r}")
-        if not (_is_finite(self.background_rate) and self.background_rate >= 0):
-            raise ValueError(f"background_rate must be finite and >= 0: {self.background_rate!r}")
-        if not isinstance(self.noiseless, bool):
-            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
+        check(self)
         if not _are_labels(self.systems):
             raise ValueError(f"systems must be a non-empty list of strings, got {self.systems!r}")
         if len(set(map(normalize_system, self.systems))) < len(self.systems):
@@ -128,7 +120,7 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles key {make_model!r} must be a make and a model split by a space"
                 )
-            if not _is_count(count):
+            if not (is_integer(count) and count >= 1):
                 raise ValueError(
                     f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
                 )
@@ -139,7 +131,7 @@ class FleetSpec:
             raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
                              "normalize alike, which the tables would merge")
         if self.purchase_years is not None and not (
-                self.purchase_years and all(_is_count(y) for y in self.purchase_years)):
+                self.purchase_years and all(is_integer(y) and y >= 1 for y in self.purchase_years)):
             raise ValueError(
                 f"purchase_years must be a non-empty list of integers >= 1, "
                 f"got {self.purchase_years!r}"
@@ -151,7 +143,7 @@ class FleetSpec:
         for comp in self.components:
             values = (comp.intensity, *comp.vehicle_weights.values(),
                       *comp.system_weights.values(), *comp.time_profile)
-            if not (isinstance(comp.name, str) and all(_is_finite(v) for v in values)):
+            if not (isinstance(comp.name, str) and all(is_finite(v) for v in values)):
                 raise ValueError(f"component {comp.name!r}: the name must be a string, the "
                                  "intensity, weights and time-profile values finite numbers")
             if comp.intensity < 0:
@@ -188,7 +180,7 @@ class FleetSpec:
             if name not in self.vehicles:
                 raise ValueError(f"markov {name!r} is not a vehicles key")
             n = len(chain.labels)
-            if not (_is_count(chain.length) and chain.length <= MAX_CHAIN_LENGTH):
+            if not (is_integer(chain.length) and 1 <= chain.length <= MAX_CHAIN_LENGTH):
                 raise ValueError(f"markov {name}: length must be an integer in "
                                  f"[1, {MAX_CHAIN_LENGTH}], got {chain.length!r}")
             if not (len(chain.start) == n and _are_weights(chain.start)
@@ -259,19 +251,9 @@ def spec_from_json(payload) -> FleetSpec:
     return spec
 
 
-def _is_count(value) -> bool:
-    """True for an integer >= 1 that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
-
-
-def _is_finite(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _are_weights(values) -> bool:
     """True when every value is a finite real number >= 0 that is not a bool."""
-    return all(_is_finite(v) and v >= 0 for v in values)
+    return all(is_finite(v) and v >= 0 for v in values)
 
 
 def _are_labels(values) -> bool:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -646,6 +647,30 @@ class TestTrainEvalPredict:
         assert len(err) == 1 and err[0].startswith("data-error: a 16x4096 LSTM"), err
         assert not out.exists()
 
+    def test_epochs_past_the_cap(self, fleet_dir, model_path, tmp_path, capsys, monkeypatch):
+        # a config error before any table is read; in a model file, a data error
+        monkeypatch.setattr("fleetmaint.cli._load_tables", None)
+        out = tmp_path / "m.txt"
+        code = main([
+            "train",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--epochs", "1000000000", "--hidden-dim", "4", "--embed-dim", "4", "--layers", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config-error: epochs must be <= 1000, got 1000000000\n")
+        assert not out.exists()
+        lines = model_path.read_text().split("\n")
+        lines[1] = lines[1].replace('"epochs": 2', '"epochs": 1001', 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        assert main(["predict", "--model", str(bad), "--prefix", "brakes"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data-error: malformed seqmodel config or vocab: "
+                       "epochs must be <= 1000, got 1001"]
+
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
         config = tmp_path / "train.cfg"
         config.write_text("epochs = 1\nhidden-dim = 8\n# comment\n")
@@ -774,14 +799,50 @@ def test_flag_out_of_range_is_config_error(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def just_outside(f):
+    """A flag value just outside each bound, and one not in the choices,
+    declared on the config field ``f``."""
+    for key, bound in f.metadata.items():
+        if key in ("ge", "le"):
+            if f.type == "int":
+                yield str(bound - 1 if key == "ge" else bound + 1)
+            else:
+                yield repr(math.nextafter(bound, -math.inf if key == "ge" else math.inf))
+        elif key in ("gt", "lt"):
+            yield str(bound)
+        elif key == "choices":
+            yield "bogus"
+
+
+FIELD_FLAG_CASES = [
+    ([*argv, f"--{f.metadata.get('flag', f.name).replace('_', '-')}", value], f.name)
+    for cls, argv in ((TensorizeSpec, TENSORIZE), (AlsOptions, PARAFAC), (LstmConfig, TRAIN))
+    for f in dataclasses.fields(cls) if f.name != "seed"
+    for value in just_outside(f)
+]
+
+
+@pytest.mark.parametrize("argv, name", FIELD_FLAG_CASES,
+                         ids=[" ".join(argv[-2:]) for argv, _ in FIELD_FLAG_CASES])
+def test_field_flag_just_outside_its_bound_is_config_error(tmp_path, monkeypatch, capsys,
+                                                           argv, name):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
+    assert name in err or argv[-2] in err, err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("cls, argv, renames, unpinned", [
     (TensorizeSpec, TENSORIZE,
      {"lifetime_horizon_years": "horizon", "purchase_year_floor": "year_floor"}, ()),
-    (AlsOptions, PARAFAC, {"n_restarts": "restarts"}, ("rank", "seed")),
+    (AlsOptions, PARAFAC, {"n_restarts": "restarts"}, ("seed",)),
     (LstmConfig, TRAIN, {}, ("seed",)),
 ], ids=["tensorize", "parafac", "train"])
 def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames, unpinned):
-    # --rank has a default the dataclass lacks; --seed is every subcommand's DEFAULT_SEED
+    # --seed is every subcommand's DEFAULT_SEED
     args = build_parser().parse_args(argv)
     assert args.seed == DEFAULT_SEED
     for f in dataclasses.fields(cls):

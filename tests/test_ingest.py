@@ -638,6 +638,10 @@ class TestBuildTensor:
             TensorizeSpec(window_start="2015-01", window_end="2014-01")
         with pytest.raises(ValueError):
             TensorizeSpec(lifetime_horizon_years=0)
+        for kwargs in (dict(lifetime_horizon_years=2.5), dict(purchase_year_floor="x"),
+                       dict(window_end=201512), dict(granularity="week")):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                TensorizeSpec(**kwargs)
         # 1900-01 through 2100-12 is the longest window, wherever it starts
         TensorizeSpec(window_start="1900-01", window_end="2100-12")
         TensorizeSpec(window_start="2500-06", window_end="2701-05")

@@ -254,10 +254,20 @@ class TestTraining:
             LstmConfig(lr_constant_epochs=-5)
         assert LstmConfig(lr_constant_epochs=0).lr_at_epoch(0) == pytest.approx(0.7)
 
+    def test_numpy_integer_config_saves(self, tmp_path):
+        # the config line is JSON, which has no numpy integers
+        cfg = LstmConfig(embed_dim=np.int64(2), hidden_dim=2, layers=1, dropout_keep=1.0,
+                         epochs=np.int32(1), seed=np.int64(2))
+        assert type(cfg.embed_dim) is int and type(cfg.epochs) is int
+        seqs = [["a", "b"] * 3 for _ in range(5)]
+        path = tmp_path / "model.txt"
+        train(seqs[:4], seqs[4:], cfg).save(path)
+        assert SeqModel.load(path).config == cfg
+
     @pytest.mark.parametrize("name, cap", [
         ("embed_dim", lstm.MAX_WIDTH), ("hidden_dim", lstm.MAX_WIDTH),
         ("layers", lstm.MAX_LAYERS), ("bptt_steps", lstm.MAX_BPTT_STEPS),
-        ("batch_size", lstm.MAX_BATCH_SIZE),
+        ("batch_size", lstm.MAX_BATCH_SIZE), ("epochs", lstm.MAX_EPOCHS),
     ])
     def test_sizes_capped(self, name, cap):
         assert getattr(LstmConfig(**{name: cap}), name) == cap
@@ -379,7 +389,11 @@ class TestSerialization:
     @pytest.mark.parametrize("config, message", [
         ('{"lr_constant_epochs": -5}', "lr_constant_epochs must be >= 0"),
         ('{"hidden_dim": 100000000}', "hidden_dim must be <= 4096"),
+        ('{"epochs": 1000000000}', "epochs must be <= 1000"),
         ('{"layers": 16, "hidden_dim": 4096}', "past 268435456"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"lr": true}', "lr must be a finite number, got True"),
+        ('{"dropout_keep": "0.5"}', "dropout_keep must be a finite number, got '0.5'"),
     ])
     def test_config_out_of_range_rejected(self, tmp_path, config, message):
         path = tmp_path / "bad.txt"

@@ -191,15 +191,20 @@ class TestCpAls:
         np.testing.assert_array_equal(model.factors[0], a[:, [0, 2, 1]])
 
     def test_options_validation(self):
+        assert AlsOptions().rank == 25
         with pytest.raises(ValueError):
             AlsOptions(rank=0)
+        for kwargs in (dict(rank=2.5), dict(rank=True), dict(max_iters=2.5), dict(seed=-1),
+                       dict(tol="0.1")):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                AlsOptions(**kwargs)
         with pytest.raises(ValueError):
             AlsOptions(rank=1, tol=1.5)
         with pytest.raises(ValueError):
             AlsOptions(rank=1, n_restarts=0)
-        with pytest.raises(ValueError, match=r"rank must be in \[1, 1000\]"):
+        with pytest.raises(ValueError, match="rank must be <= 1000"):
             AlsOptions(rank=1001)
-        with pytest.raises(ValueError, match=r"n_restarts must be in \[1, 100\]"):
+        with pytest.raises(ValueError, match="n_restarts must be <= 100"):
             AlsOptions(rank=1, n_restarts=101)
         AlsOptions(rank=1000, n_restarts=100)
 
