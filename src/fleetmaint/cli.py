@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -116,6 +117,16 @@ def _load_tables(args):
     return vehicles, maintenance
 
 
+@contextmanager
+def _naming_tables(args):
+    """A ValueError raised inside names both job tables: it is about what
+    they hold together, such as no job left to place or no group to mine."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{args.vehicles} and {args.maintenance}: {exc}") from None
+
+
 def _add_field_flags(p, cls) -> None:
     """Add the flag of each field of the config dataclass ``cls`` but ``seed``,
     which add_common adds; _from_flags checks the values by building ``cls``."""
@@ -158,7 +169,8 @@ def cmd_synth(args) -> int:
 def cmd_tensorize(args) -> int:
     spec = _from_flags(TensorizeSpec, args)
     vehicles, maintenance = _load_tables(args)
-    build = build_tensor(vehicles, maintenance, spec)
+    with _naming_tables(args):
+        build = build_tensor(vehicles, maintenance, spec)
     save_tensor(build.tensor, args.out)
     if args.discards:
         write_discard_summary(build, args.discards)
@@ -202,13 +214,14 @@ def cmd_seqmine(args) -> int:
     seqset, rejects = extract_sequences(maintenance, vehicles)
     if rejects:
         print(f"note: {len(rejects)} maintenance rows had unknown vehicles", file=sys.stderr)
-    patterns = differential(
-        seqset,
-        args.target,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        top_n=args.top_n,
-    )
+    with _naming_tables(args):
+        patterns = differential(
+            seqset,
+            args.target,
+            min_len=args.min_len,
+            max_len=args.max_len,
+            top_n=args.top_n,
+        )
     write_diff_csv(patterns, args.out, bonferroni=args.bonferroni)
     print(f"wrote {args.out} patterns={len(patterns)}")
     return 0
@@ -218,7 +231,8 @@ def cmd_train(args) -> int:
     cfg = _from_flags(LstmConfig, args)
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
-    train_set, valid_set, _ = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
+    with _naming_tables(args):
+        train_set, valid_set, _ = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
     model = train_lstm(train_set, valid_set, cfg)
     model.save(args.out)
     best = min(model.history["valid_perplexity"]) if model.history["valid_perplexity"] else None
@@ -241,7 +255,8 @@ def cmd_eval(args) -> int:
     vehicles, maintenance = _load_tables(args)
     seqset, _ = extract_sequences(maintenance, vehicles)
     lists = seqset.as_label_lists()
-    train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
+    with _naming_tables(args):
+        train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
     chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
     lstm_ppl = _finite_perplexity(model, chosen)
     baseline_ppl = _finite_perplexity(unigram_baseline(train_set), chosen)

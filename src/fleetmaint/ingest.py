@@ -107,10 +107,16 @@ def _read_table(path, required):
     column, blank lines are skipped and not numbered (the first data row is
     row 2), a short row reads its missing columns as empty, and extra fields
     are ignored. No other column is read.
+
+    A data line with no ``"``, no NUL and no more characters than
+    ``csv.field_size_limit()`` is split at its commas, which gives the
+    fields ``csv.reader`` gives. The header and every other line go to one
+    ``csv.reader``, which reads on from the file through a quoted line break.
     """
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        held = []  # the line the loop below hands to the reader
+        reader = csv.reader(iter(lambda: held.pop() if held else fh.readline(), ""))
         row_no = 0
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}
@@ -120,11 +126,19 @@ def _read_table(path, required):
             positions = [index[c] for c in required]
             pick = operator.itemgetter(*positions)
             width = max(positions) + 1
+            limit = csv.field_size_limit()
             row_no = 1
-            for row in reader:
+            for line in fh:
+                if '"' in line or "\0" in line or len(line) > limit:
+                    held.append(line)
+                    row = next(reader)
+                else:
+                    text = line.rstrip("\r\n")
+                    row = text.split(",") if text else []  # a blank line, as csv.reader reads it
                 if row:
                     row_no += 1
-                    row += [""] * (width - len(row))
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
                     yield row_no, pick(row)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}: row {row_no + 1}: {exc}") from None
@@ -182,9 +196,10 @@ def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]
             continue
         seen.add(job_id)
         open_raw = open_raw.strip()
-        if open_raw not in dates:
-            dates[open_raw] = parse_date(open_raw)
-        open_date = dates[open_raw]
+        try:
+            open_date = dates[open_raw]
+        except KeyError:
+            open_date = dates[open_raw] = parse_date(open_raw)
         if open_date is None:
             rejects.append(RejectedRow(row_no, "bad_job_open_date", open_raw))
             continue

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .knobs import check
-from .tensor import FormatReader, open_text, write_floats
+from .tensor import FormatReader, write_floats
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -421,14 +421,9 @@ class SeqModel:
 
     @classmethod
     def load(cls, path) -> "SeqModel":
-        with open_text(path) as fh:
-            reader = FormatReader(fh, "seqmodel v1")
-            config_line, vocab_line = reader.line(), reader.line()
-            try:
-                config = LstmConfig(**json.loads(config_line))
-                vocab = Vocab(labels=tuple(json.loads(vocab_line)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
+        with FormatReader.open(path, "seqmodel v1") as reader:
+            config = _json_line(reader, lambda values: LstmConfig(**values))
+            vocab = _json_line(reader, lambda labels: Vocab(labels=tuple(labels)))
             config.check_working_set(vocab.size)
             # the blocks save writes for this config and vocabulary, by name
             expected = sorted(_param_shapes(config, vocab.size).items())
@@ -445,7 +440,16 @@ class SeqModel:
                 count = math.prod(shape)
                 params[name] = reader.floats(count, f"block {name}", 8).reshape(shape)
             reader.end()
-        return cls(vocab=vocab, config=config, params=params)
+            return cls(vocab=vocab, config=config, params=params)
+
+
+def _json_line(reader, build):
+    """``build`` applied to the JSON value of the reader's next line."""
+    line = reader.line()
+    try:
+        return build(json.loads(line))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed seqmodel config or vocab: {exc}") from None
 
 
 def _zero_state(cfg: LstmConfig, batch: int):

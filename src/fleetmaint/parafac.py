@@ -24,7 +24,6 @@ from .tensor import (
     mttkrp,
     mttkrp_from_partial,
     mttkrp_partial,
-    open_text,
     parse_floats,
     write_floats,
 )
@@ -303,8 +302,7 @@ def save_model(model: CpModel, path) -> None:
 
 
 def load_model(path) -> CpModel:
-    with open_text(path) as fh:
-        reader = FormatReader(fh, _MAGIC)
+    with FormatReader.open(path, _MAGIC) as reader:
         rank = int(reader.fields("rank", 1)[0])
         dims = tuple(int(v) for v in reader.fields("dims", 3))
         fit = float(reader.fields("fit", 1)[0])
@@ -326,13 +324,13 @@ def load_model(path) -> CpModel:
         factors = tuple(reader.floats(n * rank, f"factor {name}", rank).reshape(n, rank)
                         for name, n in zip("ABC", dims))
         reader.end()
-    return CpModel(
-        factors=factors,
-        weights=weights,
-        fit=fit,
-        iterations=iterations,
-        converged=bool(converged),
-        axis_labels=labels,  # type: ignore[arg-type]
-        fits=fits,
-        warnings=warnings,
-    )
+        return CpModel(
+            factors=factors,
+            weights=weights,
+            fit=fit,
+            iterations=iterations,
+            converged=bool(converged),
+            axis_labels=labels,  # type: ignore[arg-type]
+            fits=fits,
+            warnings=warnings,
+        )

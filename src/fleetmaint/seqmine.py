@@ -13,6 +13,7 @@ p = 1.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -163,11 +164,13 @@ def differential(
     right_counts = {width: window_counts(right, width) for width in widths}
     n_left = {width: counts.total() for width, counts in left_counts.items()}
     n_right = {width: counts.total() for width, counts in right_counts.items()}
-    # ties broken by the pattern's label indices, across all widths
-    mined = sorted(
+    # ties broken by the pattern's label indices, across all widths; the
+    # same as sorted(...)[:top_n] without sorting every window
+    mined = heapq.nsmallest(
+        top_n,
         (item for counts in left_counts.values() for item in counts.items()),
         key=lambda kv: (-kv[1], kv[0]),
-    )[:top_n]
+    )
 
     out = []
     for pattern_idx, left_support in mined:

@@ -13,6 +13,7 @@ and the explicit ``unfold @ khatri_rao`` reference live with the tests, in
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -308,7 +309,7 @@ def write_floats(fh, values: np.ndarray, per_line: int) -> None:
             template = template[: 4 * chunk.size - 1] + "\n"
         # count tensors are mostly zeros: only the values whose bit pattern
         # is not 0 (-0.0 included) go through repr, spliced over their token
-        nonzero = np.flatnonzero(chunk.view(np.uint64))
+        nonzero = np.flatnonzero(chunk.view(np.uint64) != 0)
         cuts = (4 * nonzero).tolist()
         parts = [None] * (2 * len(cuts) + 1)
         parts[0::2] = [template[lo:hi] for lo, hi in zip([0, *[c + 3 for c in cuts]],
@@ -328,16 +329,25 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
     through ``np.fromstring``, so the block is accepted or rejected, and read
     to the same values, as if ``np.fromstring`` read it whole. The block is
     read in pieces of ``_PARSE_CHARS`` characters, so no temporary is the
-    size of the block. The output grows with the values found: a ``count``
+    size of the block. Each value takes a token and a separator, so a block
+    of ``size`` characters or bytes holds at most ``size // 2`` values: when
+    the text's size is known (a string, or a stream on a file) and ``count``
+    fits in it, the output is allocated once, at most 4 bytes per byte of
+    text. Otherwise it grows with the values found. Either way a ``count``
     past what the block holds fails the count check, not the allocation.
     The errors do not depend on where the pieces end: a cut block fails
     before a malformed token, which fails before a wrong count.
     """
     if isinstance(source, str):
+        size = len(source)
         pieces = (source[i : i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
     else:
+        try:
+            size = os.fstat(source.fileno()).st_size
+        except OSError:  # e.g. io.StringIO, which has no file
+            size = -1
         pieces = iter(functools.partial(source.read, _PARSE_CHARS), "")
-    out = np.zeros(0)
+    out = np.zeros(count if 0 <= count <= size // 2 + 1 else 0)
     found = 0
     finite = True
     malformed = None
@@ -410,35 +420,54 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
     return f"{path}: not UTF-8 text: {exc.reason}"
 
 
-@contextmanager
-def open_text(path):
-    """``path`` open for reading as UTF-8; a byte that is not UTF-8 raises
-    ValueError naming the file and its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(not_utf8(path, exc)) from None
-
-
 class FormatReader:
     """The line rules of the tensor3, cpmodel and seqmodel formats.
 
     A file opens with its ``magic`` line, whose first word names the format
     in errors. Every line the writers produce ends with a newline, so a line
-    without one means the file was cut short.
+    without one means the file was cut short. ``where`` names the part of
+    the file read last, for errors: a line, the lines of a float block, or
+    "" once the reader has gone on to the end of the file.
     """
 
     def __init__(self, fh, magic: str):
         self._fh = fh
         self._kind = magic.split()[0]
+        self._lines = self._first = 1  # lines read; the first of the part read last
         header = fh.readline()
         if header != magic + "\n":
             raise ValueError(f"not a {self._kind} file, or one cut short: bad header {header!r}")
 
+    @classmethod
+    @contextmanager
+    def open(cls, path, magic: str):
+        """A reader of the file at ``path``. A ValueError raised while it is
+        open, by the reader or by its caller, is raised again prefixed with
+        the path and ``where``; a byte that is not UTF-8 names its line."""
+        reader = None
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                reader = cls(fh, magic)
+                yield reader
+        except UnicodeDecodeError as exc:
+            raise ValueError(not_utf8(path, exc)) from None
+        except ValueError as exc:
+            where = reader.where if reader else "line 1"
+            raise ValueError(f"{path}: {where}: {exc}" if where else f"{path}: {exc}") from None
+
+    @property
+    def where(self) -> str:
+        if self._first is None:
+            return ""
+        if self._first == self._lines:
+            return f"line {self._lines}"
+        return f"lines {self._first}-{self._lines}"
+
     def line(self) -> str:
         """The next line, without its newline."""
         line = self._fh.readline()
+        self._lines += 1
+        self._first = self._lines
         if not line.endswith("\n"):
             raise ValueError(f"{self._kind} file is truncated: it ends before a complete line")
         return line[:-1]
@@ -460,13 +489,20 @@ class FormatReader:
         lines, or with no ``per_line`` the rest of the file."""
         if per_line is None:
             block = self._fh
+            self._first = None
         else:
+            first = self._lines + 1
             block = "".join(self.line() + "\n" for _ in range(-(-count // per_line)))
+            self._first = min(first, self._lines)
         return parse_floats(block, count, f"{self._kind} {what}")
 
     def end(self) -> None:
+        """Check that the file ends here."""
+        self._lines += 1
+        self._first = self._lines
         if self._fh.read():
             raise ValueError(f"{self._kind} file has data after the last block")
+        self._first = None
 
 
 def save_tensor(t: Tensor3, path) -> None:
@@ -480,10 +516,11 @@ def save_tensor(t: Tensor3, path) -> None:
 
 
 def load_tensor(path) -> Tensor3:
-    with open_text(path) as fh:
-        reader = FormatReader(fh, _MAGIC)
+    with FormatReader.open(path, _MAGIC) as reader:
         dims = tuple(int(v) for v in reader.fields("dims", 3))
+        if min(dims) < 1:
+            raise ValueError(f"Tensor3 dims must be positive, got {dims}")
         labels = reader.labels(dims)
         values = reader.floats(dims[0] * dims[1] * dims[2], "values")
-    values.shape = dims  # in place: Tensor3 keeps an array that owns its buffer
-    return Tensor3(values, labels)  # type: ignore[arg-type]
+        values.shape = dims  # in place: Tensor3 keeps an array that owns its buffer
+        return Tensor3(values, labels)  # type: ignore[arg-type]

@@ -220,6 +220,22 @@ class TestTensorize:
         err = capsys.readouterr().err
         assert err.startswith(f"data-error: {maintenance}: row 4: field larger than field limit")
 
+    @pytest.mark.parametrize("command", ["tensorize", "seqmine"])
+    def test_error_of_the_tables_together_names_both(self, fleet_dir, tmp_path, capsys,
+                                                     command):
+        # only the header of the maintenance table: no job to place or mine
+        maintenance = tmp_path / "maintenance.csv"
+        maintenance.write_text((fleet_dir / "maintenance.csv").read_text().partition("\n")[0])
+        vehicles = fleet_dir / "vehicles.csv"
+        extra = ["--target", "DODGE CHARGER"] if command == "seqmine" else []
+        code = main([command, "--vehicles", str(vehicles), "--maintenance", str(maintenance),
+                     *extra, "--out", str(tmp_path / "out")])
+        assert code == 4
+        message = {"tensorize": "cannot infer window end: no maintenance records",
+                   "seqmine": "no sequences for target make/model 'DODGE CHARGER'"}[command]
+        assert capsys.readouterr().err == f"data-error: {vehicles} and {maintenance}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("table", ["vehicles.csv", "maintenance.csv"])
     def test_non_utf8_table_is_data_error(self, fleet_dir, tmp_path, capsys, table):
         paths = {name: tmp_path / name for name in ("vehicles.csv", "maintenance.csv")}
@@ -668,7 +684,7 @@ class TestTrainEvalPredict:
         bad.write_text("\n".join(lines))
         assert main(["predict", "--model", str(bad), "--prefix", "brakes"]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert err == ["data-error: malformed seqmodel config or vocab: "
+        assert err == [f"data-error: {bad}: line 2: malformed seqmodel config or vocab: "
                        "epochs must be <= 1000, got 1001"]
 
     def test_config_file_overrides_flags(self, fleet_dir, tmp_path):
@@ -872,6 +888,41 @@ def test_non_utf8_format_file_is_data_error(tensor_path, model_path, tmp_path, k
     assert proc.stdout == ""
     assert proc.stderr == (
         f"data-error: {bad}: line {middle + 1}: not UTF-8 text: invalid start byte\n")
+    assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("kind", ["tensor", "cp model", "seq model"])
+def test_format_file_content_error_names_the_file(tensor_path, model_path, tmp_path, kind):
+    source = {"tensor": tensor_path, "seq model": model_path}.get(kind, tmp_path / "cp.txt")
+    if kind == "cp model":
+        assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                     "--out", str(source)]) == 0
+    lines = source.read_text().split("\n")
+    if kind == "tensor":  # cut three lines of 8 values off the end
+        dims = [int(v) for v in lines[1].split()[1:]]
+        count = dims[0] * dims[1] * dims[2]
+        lines[-4:] = [""]
+        message = f"tensor3 values: expected {count} values, found {count - 24}"
+    elif kind == "cp model":
+        assert lines[5] == "converged 0"
+        lines[5] = "converged 7"
+        message = "line 6: cpmodel converged must be 0 or 1, got 7"
+    else:
+        config = json.loads(lines[1])
+        config["lr"] = -1.0
+        lines[1] = json.dumps(config, sort_keys=True)
+        message = "line 2: malformed seqmodel config or vocab: lr must be > 0, got -1.0"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines))
+    argv = {
+        "tensor": ["parafac", "--tensor", str(bad), "--rank", "2", "--out", str(tmp_path / "m")],
+        "cp model": ["report", "--model", str(bad), "--out", str(tmp_path / "rep")],
+        "seq model": ["predict", "--model", str(bad), "--prefix", "brakes"],
+    }[kind]
+    proc = run_cli(*argv)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == f"data-error: {bad}: {message}\n"
     assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
 
 

@@ -1,12 +1,15 @@
-"""Fuzzing of the CLI's config-file and fleet-spec inputs.
+"""Fuzzing of the CLI's config-file, fleet-spec and job-table inputs.
 
-Each example mutates one valid input (a ``train --config`` file or a
-``synth --spec`` fleet spec) and runs ``cli.main`` in-process. The
-mutations flip bits, drop or duplicate lines and keys, and swap values for
-awkward numbers or for values of other JSON types. The mutated file is the
-only input at fault, so whatever the mutation, the run either succeeds or
-ends with exit code 2 and exactly one ``config-error: `` line on stderr:
-never another exit code, a warning or a traceback.
+Each example mutates one valid input (a ``train --config`` file, a
+``synth --spec`` fleet spec, or the demo fleet's vehicle or maintenance
+table) and runs ``cli.main`` in-process. The mutations flip bits, drop or
+duplicate lines and keys, swap values for awkward numbers or for values of
+other JSON types, and cut tables short or inject quotes, NULs and carriage
+returns into them. The mutated file is the only input at fault, so whatever
+the mutation, the run either succeeds or ends with one error line on stderr:
+``config-error: `` with exit code 2 for a config file or spec, and
+``data-error: `` naming the table with exit code 4 for a table. Never
+another exit code, a warning or a traceback.
 """
 
 import contextlib
@@ -217,3 +220,74 @@ def test_mutated_spec(edit_list):
         check_outcome(code, err)
         if code == 2:  # a spec is checked before anything is written
             assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the vehicle and maintenance tables
+# ---------------------------------------------------------------------------
+
+TABLE_FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+INJECTED = [b'"', b"\0", b"\r"]
+
+
+def table_edits():
+    """One to three (kind, where, which) edits, as ``edits`` draws them."""
+    kinds = st.sampled_from(["flip", "truncate", "duplicate-line", "inject"])
+    edit = st.tuples(kinds, st.integers(0, 1 << 20), st.integers(0, 1 << 16))
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def mutate_table(data: bytes, edit_list) -> bytes:
+    """``data`` with one bit flipped, cut short, one line repeated, or a
+    quote, NUL or carriage return inserted, once per edit."""
+    for kind, where, which in edit_list:
+        if kind == "truncate":
+            data = data[: where % (len(data) + 1)]
+        elif kind == "inject":
+            at = where % (len(data) + 1)
+            data = data[:at] + INJECTED[which % len(INJECTED)] + data[at:]
+        elif data and kind == "flip":
+            flipped = bytearray(data)
+            flipped[where % len(data)] ^= 1 << (which % 8)
+            data = bytes(flipped)
+        elif data:
+            lines = data.splitlines(keepends=True)
+            at = where % len(lines)
+            lines[at:at + 1] = [lines[at]] * 2
+            data = b"".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def demo_tables(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_demo")
+    code, err = run(["synth", "--out", str(out)])
+    assert (code, err) == (0, "")
+    return {name: (out / f"{name}.csv").read_bytes() for name in ("vehicles", "maintenance")}
+
+
+def check_table_outcome(code, err, table):
+    """The run succeeds, or fails with exit code 4 and one ``data-error: ``
+    line that names ``table``; ``note: `` lines may come with either."""
+    lines = [line for line in err.splitlines() if not line.startswith("note: ")]
+    if code == 0:
+        assert lines == [], err
+    else:
+        assert code == 4, (code, err)
+        assert len(lines) == 1 and lines[0].startswith("data-error: "), err
+        assert str(table) in lines[0], err
+
+
+@TABLE_FUZZ
+@given(table=st.sampled_from(["vehicles", "maintenance"]), edit_list=table_edits())
+def test_mutated_table(demo_tables, table, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in demo_tables}
+        for name, data in demo_tables.items():
+            paths[name].write_bytes(mutate_table(data, edit_list) if name == table else data)
+        tables = ["--vehicles", str(paths["vehicles"]), "--maintenance", str(paths["maintenance"])]
+        for argv in (
+            ["tensorize", *tables, "--out", str(Path(tmp) / "t.txt")],
+            ["seqmine", *tables, "--target", "DODGE CHARGER", "--out", str(Path(tmp) / "s.csv")],
+        ):
+            check_table_outcome(*run(argv), paths[table])

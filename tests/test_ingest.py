@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 from datetime import date, datetime
@@ -364,6 +365,35 @@ def outcome(parse, path):
         return type(exc), str(exc)
 
 
+def expected_outcome(oracle, path):
+    """The oracle's outcome, where a ``csv.Error`` (a field over
+    ``csv.field_size_limit()``) becomes the DataError that names the file and
+    the row: one past the non-blank rows, header included, read before it."""
+    result = outcome(oracle, path)
+    if isinstance(result, tuple) and result[0] is csv.Error:
+        rows = 0
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            try:
+                for row in csv.reader(fh):
+                    rows += bool(row)
+            except csv.Error:
+                pass
+        return DataError, f"{path}: row {rows + 1}: {result[1]}"
+    return result
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    """``csv.field_size_limit()`` set to ``limit`` (None: left as it is)."""
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 MAINT_FIELD_VALUES = {
     "Job ID": [str(i) for i in range(1, 25)] + [" 8 ", "J9", "", " "],
     "Unit No": ["U1", "U2", "U3", " U4 ", "", "\t"],
@@ -371,16 +401,25 @@ MAINT_FIELD_VALUES = {
         "2016-01-05", " 2016-01-05 ", "2016-1-5", "2016-01- 5", "2016-01-05 10:00:00",
         "2016-02-30", "05/01/2016", " 05/01/2016 ", "", "2016-01-05x",
     ],
-    "System Description": ["Brakes", " Tires ", "", "Cab, Sheet Metal", "two\nlines", 'say "pm"'],
+    "System Description": ["Brakes", " Tires ", "", "Cab, Sheet Metal", "two\nlines", 'say "pm"',
+                           "Engine / Motor Systems Group"],
 }
-OTHER_FIELD_VALUES = ["", "x", "a,b", "c\r\nd", '"q"', "$1,000.00"]
+OTHER_FIELD_VALUES = ["", "x", "a,b", "c\r\nd", '"q"', "$1,000.00", "n\0l"]
+# what replaces a value with a comma, a quote or a line break in a row
+# written as raw text: a quote that does not open the field is a character
+RAW_FIELD_VALUES = ['5" tire', 'x"y"z', "n\0l"]
+# sizes from where the header still fits (its longest name has 18
+# characters) to where the longest value above does not
+FIELD_LIMITS = [None] * 6 + [19, 28]
 
 
 @st.composite
 def maintenance_tables(draw):
     """Text of a maintenance table: quoted commas, quotes and newlines, short,
     long and blank rows, a BOM, repeated or missing header names, duplicate
-    and blank identity values, bad and space-padded dates."""
+    and blank identity values, bad and space-padded dates; rows written as
+    raw text, with stray quotes and NULs; LF, CRLF or bare CR line ends,
+    the last one sometimes left off."""
     names = list(draw(st.permutations(MAINTENANCE_REQUIRED + ("Work Order No", "Part Cost"))))
     # usually every column; sometimes a mandatory one is missing or the
     # header row is blank
@@ -389,10 +428,14 @@ def maintenance_tables(draw):
         names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
     # a tidy table's rows are never short and have their identity values
     tidy = draw(st.booleans())
-    rows = [names]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    out = io.StringIO()
+    out.write(draw(st.sampled_from(["", "\ufeff"])))
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(names)
     for _ in range(draw(st.integers(0, 7))):
         if draw(st.integers(0, 4)) == 0:
-            rows.append([])  # a blank line
+            out.write(end)  # a blank line
         width = draw(st.integers(len(names) if tidy else 0, len(names) + 2))
         row = []
         for i in range(width):
@@ -401,11 +444,15 @@ def maintenance_tables(draw):
             if tidy and name in ("Job ID", "Unit No"):
                 pool = [v for v in pool if v.strip()]
             row.append(draw(st.sampled_from(pool)))
-        rows.append(row)
-    out = io.StringIO()
-    out.write(draw(st.sampled_from(["", "\ufeff"])))
-    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
-    return out.getvalue()
+        if draw(st.integers(0, 3)) == 0:
+            out.write(",".join(v if v.isprintable() and not set(v) & set(',"')
+                               else draw(st.sampled_from(RAW_FIELD_VALUES)) for v in row) + end)
+        else:
+            writer.writerow(row)
+    text = out.getvalue()
+    if draw(st.integers(0, 3)) == 0:
+        text = text.removesuffix(end)
+    return text
 
 
 VEHICLE_TABLES = [
@@ -426,22 +473,54 @@ VEHICLE_TABLES = [
     "Unit#,Make,Model,Year\n,FORD,F150,2012\n",
     "Unit#,Make,Model\nU1,FORD,F150\n",
     "Unit#,Make,Model,Year,Purchase Cost\r\nU1,FORD,F150,2012,n/a\r\n",
+    # bare \r line ends, and a line that is only \r\n
+    "Unit#,Make,Model,Year\rU1,FORD,F150,2012\r\rU2,FORD,F150,2013\r",
+    "Unit#,Make,Model,Year\r\n\r\nU1,FORD,F150,2012\r\n\r\n",
+    # a NUL, and quotes that do not open their field
+    "Unit#,Make,Model,Year,Notes\nU1,FORD,F150,2012,n\0l\nU2,FO\0RD,F150,2013\n",
+    'Unit#,Make,Model,Year,Notes\nU1,FORD,F150,2012,5" tire\nU2,FORD,F150,2013,x"y"z\n',
+    # a quoted line break right after a line that splits; one left open to the end
+    'Unit#,Make,Model,Year,Notes\nU1,FORD,F150,2012,ok\nU2,FORD,F150,2013,"a\nb, c"\n'
+    "U3,FORD,F150,2014\n",
+    'Unit#,Make,Model,Year,Notes\nU1,FORD,F150,2012,"open\nU2,FORD,F150,2013\n',
+    # no newline after the last line
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012",
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012\r\nU2,FORD,F150,2013\r",
+]
+# tables read under a field size limit of 10: a line longer than that whose
+# fields fit, a field that does not fit, and one in the header
+LIMITED_VEHICLE_TABLES = [
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012\nU2,CHEVROLET,2500,2013\n",
+    "Unit#,Make,Model,Year\nU1,FORD,F150,2012\n\nU2,CHEVROLET HD,2500,2013\n",
+    'Unit#,Make,Model,Year\nU1,FORD,F150,2012\nU2,"FORD\nF",F150\nU3,"CHEVROLET\nHD",2500,2013\n',
+    "Unit#,Make,Model,Year,Purchase Cost\nU1,FORD,F150,2012,1\n",
 ]
 
 
 class TestReaderMatchesDictReader:
     @settings(max_examples=500, deadline=None)
-    @given(text=maintenance_tables())
-    def test_parse_maintenance_matches_oracle(self, tmp_path_factory, text):
+    @given(text=maintenance_tables(), limit=st.sampled_from(FIELD_LIMITS))
+    def test_parse_maintenance_matches_oracle(self, tmp_path_factory, text, limit):
         path = tmp_path_factory.getbasetemp() / "maintenance_oracle.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert outcome(parse_maintenance, path) == outcome(parse_maintenance_oracle, path)
+        with field_size_limit(limit):
+            expected = expected_outcome(parse_maintenance_oracle, path)
+            assert outcome(parse_maintenance, path) == expected
 
     @pytest.mark.parametrize("text", VEHICLE_TABLES)
     def test_parse_vehicles_matches_oracle(self, tmp_path, text):
         path = tmp_path / "v.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert outcome(parse_vehicles, path) == outcome(parse_vehicles_oracle, path)
+
+    @pytest.mark.parametrize("text", LIMITED_VEHICLE_TABLES)
+    def test_parse_vehicles_matches_oracle_under_a_lowered_field_limit(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        limit = csv.field_size_limit()
+        with field_size_limit(10):
+            assert outcome(parse_vehicles, path) == expected_outcome(parse_vehicles_oracle, path)
+        assert csv.field_size_limit() == limit
 
 
 def build_fixture(tmp_path, vehicle_rows, maint_rows):

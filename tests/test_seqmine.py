@@ -414,6 +414,18 @@ class TestDifferential:
         want = brute_force_differential(seqset, "T ONE", min_len, max_len, top_n)
         assert_same_rows(got, want)
 
+    def test_top_n_cuts_through_ties_like_the_full_sort(self):
+        # every window of every width has support 3 but "d", so each top_n
+        # cuts through one tie that spans the widths
+        left = [list("abcd"), list("abcd"), list("abcd"), list("d")]
+        seqset = sequence_set_from_lists(
+            left + [list("dcba")], make_models=["T ONE"] * len(left) + ["O TWO"]
+        )
+        for top_n in range(1, 13):
+            got = differential(seqset, "T ONE", min_len=1, max_len=4, top_n=top_n)
+            assert_same_rows(got, brute_force_differential(seqset, "T ONE", 1, 4, top_n))
+        assert [d.pattern for d in got][:4] == [("d",), ("a",), ("a", "b"), ("a", "b", "c")]
+
     def test_rest_without_windows_of_a_width(self):
         seqset = sequence_set_from_lists(
             [["a", "b", "c", "a", "b"], ["a", "b", "c"]], make_models=["T ONE", "O TWO"]

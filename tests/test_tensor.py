@@ -518,6 +518,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("dims", ["0 1 1", "-1 -1 1", "-2 1 -2"])
+    def test_dims_below_one_rejected_at_their_line(self, tmp_path, dims):
+        # a product of two negative dims is a positive count
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor3 v1\ndims {dims}\na\n1.0 2.0 3.0 4.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: Tensor3 dims "
+                                             "must be positive"):
+            load_tensor(path)
+
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=arrays(
@@ -684,6 +693,23 @@ class TestStreamedValueBlock:
         assert path.stat().st_size > values.nbytes // 3
         assert peak <= values.nbytes + 16 * chunk, peak
 
+    def test_count_the_file_could_hold_costs_at_most_four_bytes_a_byte(self, tmp_path):
+        # dims that claim as many values as a file of this size could hold,
+        # over a block 10 values short: the count check fails, and the
+        # allocation stays within 8 bytes per 2 bytes of file
+        labels = "".join(f"{i}\n" for _ in range(3) for i in range(100))
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor3 v1\ndims 100 100 100\n{labels}" + "0.0\n" * (10**6 - 10))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 1000000 values, found 999990$"):
+                load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size + (1 << 20), (peak, size)
+
     def test_count_past_the_file_is_a_count_error(self, tmp_path):
         # 8e9 values would take 64 GB: the count check must come first
         labels = "".join(f"{i}\n" for _ in range(3) for i in range(2000))
@@ -742,6 +768,29 @@ class TestFormatReader:
         np.testing.assert_array_equal(reader.floats(1, "w", per_line=4), [1.0])
         with pytest.raises(ValueError, match="demo file has data after the last block"):
             reader.end()
+
+
+    @pytest.mark.parametrize("text, read, where", [
+        ("demo v2\n", lambda r: None, "line 1: not a demo file"),
+        ("demo v1\nrank 2\nranks 2\n", lambda r: r.fields("rank") + r.fields("rank"),
+         "line 3: malformed rank line"),
+        ("demo v1\nrank x\n", lambda r: int(r.fields("rank")[0]), "line 2: invalid literal"),
+        ("demo v1\nu1\nu2", lambda r: r.labels((3,)), "line 3: demo file is truncated"),
+        ("demo v1\n1.0 2.0\n3.0 4.0\n", lambda r: r.floats(3, "w", per_line=2),
+         "lines 2-3: demo w: expected 3 values, found 4"),
+        ("demo v1\n1.0 2.0\n", lambda r: r.floats(3, "w"), "demo w: expected 3 values, found 2"),
+        ("demo v1\n1.0\nx\n", lambda r: (r.floats(1, "w", per_line=1), r.end()),
+         "line 3: demo file has data after the last block"),
+        ("demo v1\n1.0\n", lambda r: (r.floats(1, "w", per_line=1), r.end(), int("x")),
+         "invalid literal"),
+    ], ids=["header", "keyword line", "caller error", "label", "float block", "rest of file",
+            "end", "after the end"])
+    def test_open_names_the_file_and_the_part_read_last(self, tmp_path, text, read, where):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info, FormatReader.open(path, "demo v1") as reader:
+            read(reader)
+        assert str(info.value).startswith(f"{path}: {where}")
 
 
 class TestWriteFloats:
