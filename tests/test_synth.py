@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetmaint.cli import main
 from fleetmaint.ingest import (
     TensorizeSpec,
     build_tensor,
@@ -129,6 +130,14 @@ GOLDEN_DIGESTS = {
     ),
 }
 
+# sha256 of the demo pipeline's files that hold only counts, repr floats and
+# fixed decimals (seed 1234); the CP and LSTM files round by the BLAS
+PIPELINE_DIGESTS = {
+    "tensor.txt": "4c7de449aa4c1ba308ffdbf8abb853d07694e073e1c292100b11c2d3b6f396a5",
+    "discards.json": "72cdf435677ec87551bebfbc1640153576923bf83586132526772922fedf709d",
+    "seqmine.csv": "bec0cf363938eacab039d6107f15c213c360620cb3687198e711b2e4c01777cb",
+}
+
 
 class TestGenerate:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
@@ -137,6 +146,11 @@ class TestGenerate:
         fleet = generate(make_spec(), tmp_path)
         paths = (fleet.vehicles_path, fleet.maintenance_path, fleet.manifest_path)
         assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == expected
+
+    def test_pipeline_golden_digests(self, tmp_path):
+        assert main(["pipeline", "--demo", "--seed", "1234", "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in PIPELINE_DIGESTS} == PIPELINE_DIGESTS
 
     def test_same_seed_byte_identical(self, tmp_path):
         f1 = generate(tiny_spec(), tmp_path / "a")
