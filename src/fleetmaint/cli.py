@@ -109,22 +109,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_tables(args):
-    vehicles = parse_vehicles(args.vehicles)
-    maintenance, rejects = parse_maintenance(args.maintenance)
+def _load_tables(vehicles_path, maintenance_path):
+    """The vehicle and maintenance tables and the maintenance rows rejected,
+    whose count goes to stderr."""
+    vehicles = parse_vehicles(vehicles_path)
+    maintenance, rejects = parse_maintenance(maintenance_path)
     if rejects:
         print(f"note: {len(rejects)} rejected maintenance rows", file=sys.stderr)
-    return vehicles, maintenance
+    return vehicles, maintenance, rejects
 
 
 @contextmanager
-def _naming_tables(args):
-    """A ValueError raised inside names both job tables: it is about what
-    they hold together, such as no job left to place or no group to mine."""
+def _naming(*paths):
+    """A ValueError raised inside names the files it is about: the tensor a
+    fit rejects, or both job tables for what they hold together, such as no
+    job left to place or no group to mine."""
     try:
         yield
     except ValueError as exc:
-        raise DataError(f"{args.vehicles} and {args.maintenance}: {exc}") from None
+        raise DataError(f"{' and '.join(map(str, paths))}: {exc}") from None
 
 
 def _add_field_flags(p, cls) -> None:
@@ -147,7 +150,8 @@ def _from_flags(cls, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations, and the stages that a subcommand and the
+# pipeline demo share: ``paths`` are the job tables, named in a data error
 # ---------------------------------------------------------------------------
 
 
@@ -166,14 +170,61 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _tensorize(paths, vehicles, maintenance, spec, out, discards):
+    """Build the job-count tensor and save it, with the discard summary if asked."""
+    with _naming(*paths):
+        build = build_tensor(vehicles, maintenance, spec)
+    save_tensor(build.tensor, out)
+    if discards:
+        write_discard_summary(build, discards)
+    return build
+
+
+def _factorize(path, tensor, opts, out, report_dir, svg=True):
+    """Fit the CP model of the tensor read from ``path``, save it, print its
+    warnings and export its reports if asked; returns it and the report files."""
+    with _naming(path):
+        model = cp_als(tensor, opts)
+    save_model(model, out)
+    for warning in model.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return model, export_component_reports(model, report_dir, svg=svg) if report_dir else []
+
+
+def _mine(paths, seqset, target, out, bonferroni=False, **options):
+    """Mine ``target``'s differential patterns and write them to ``out``."""
+    with _naming(*paths):
+        patterns = differential(seqset, target, **options)
+    write_diff_csv(patterns, out, bonferroni=bonferroni)
+    return patterns
+
+
+def _train(paths, seqset, cfg, out):
+    """``seqset``'s label lists split by vehicle into train, valid and test
+    with ``cfg``'s seed, and the LSTM trained on them, saved to ``out``."""
+    with _naming(*paths):
+        splits = split_by_vehicle(seqset.as_label_lists(), seed=cfg.seed)
+    model = train_lstm(splits[0], splits[1], cfg)
+    model.save(out)
+    return model, splits
+
+
+def _perplexities(model, train_set, seqs) -> list[float]:
+    """The perplexities on ``seqs`` of ``model`` and of ``train_set``'s unigram
+    baseline; a nan or inf one is a data error, as JSON has no literal for it."""
+    values = [perplexity(scored, seqs) for scored in (model, unigram_baseline(train_set))]
+    for value in values:
+        if not math.isfinite(value):
+            raise DataError(f"the model's perplexity is not finite ({value}): "
+                            "its weights overflow the forward pass")
+    return values
+
+
 def cmd_tensorize(args) -> int:
     spec = _from_flags(TensorizeSpec, args)
-    vehicles, maintenance = _load_tables(args)
-    with _naming_tables(args):
-        build = build_tensor(vehicles, maintenance, spec)
-    save_tensor(build.tensor, args.out)
+    paths = args.vehicles, args.maintenance
+    build = _tensorize(paths, *_load_tables(*paths)[:2], spec, args.out, args.discards)
     if args.discards:
-        write_discard_summary(build, args.discards)
         print(f"wrote {args.discards}")
     print(f"wrote {args.out} dims={build.tensor.dims} placed={build.placed}")
     return 0
@@ -181,17 +232,13 @@ def cmd_tensorize(args) -> int:
 
 def cmd_parafac(args) -> int:
     opts = _from_flags(AlsOptions, args)
-    tensor = load_tensor(args.tensor)
-    model = cp_als(tensor, opts)
-    save_model(model, args.out)
-    for warning in model.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    model, written = _factorize(args.tensor, load_tensor(args.tensor), opts, args.out,
+                                args.report_dir, svg=args.format != "csv")
     print(
         f"wrote {args.out} rank={model.rank} fit={model.fit:.6f} "
         f"iterations={model.iterations} converged={model.converged}"
     )
     if args.report_dir:
-        written = export_component_reports(model, args.report_dir, svg=args.format != "csv")
         print(f"wrote {len(written)} report files under {args.report_dir}")
     return 0
 
@@ -210,56 +257,37 @@ def cmd_report(args) -> int:
 def cmd_seqmine(args) -> int:
     if args.max_len < args.min_len:
         raise ConfigError(f"--max-len {args.max_len} is below --min-len {args.min_len}")
-    vehicles, maintenance = _load_tables(args)
+    paths = args.vehicles, args.maintenance
+    vehicles, maintenance, _ = _load_tables(*paths)
     seqset, rejects = extract_sequences(maintenance, vehicles)
     if rejects:
         print(f"note: {len(rejects)} maintenance rows had unknown vehicles", file=sys.stderr)
-    with _naming_tables(args):
-        patterns = differential(
-            seqset,
-            args.target,
-            min_len=args.min_len,
-            max_len=args.max_len,
-            top_n=args.top_n,
-        )
-    write_diff_csv(patterns, args.out, bonferroni=args.bonferroni)
+    patterns = _mine(paths, seqset, args.target, args.out, args.bonferroni,
+                     min_len=args.min_len, max_len=args.max_len, top_n=args.top_n)
     print(f"wrote {args.out} patterns={len(patterns)}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _from_flags(LstmConfig, args)
-    vehicles, maintenance = _load_tables(args)
-    seqset, _ = extract_sequences(maintenance, vehicles)
-    with _naming_tables(args):
-        train_set, valid_set, _ = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
-    model = train_lstm(train_set, valid_set, cfg)
-    model.save(args.out)
+    paths = args.vehicles, args.maintenance
+    vehicles, maintenance, _ = _load_tables(*paths)
+    model, _ = _train(paths, extract_sequences(maintenance, vehicles)[0], cfg, args.out)
     best = min(model.history["valid_perplexity"]) if model.history["valid_perplexity"] else None
     print(f"wrote {args.out} vocab={model.vocab.size} valid_perplexity={best}")
     return 0
 
 
-def _finite_perplexity(model, seqs) -> float:
-    """The model's perplexity on ``seqs``; a nan or inf one is a data error,
-    since JSON has no literal for it."""
-    value = perplexity(model, seqs)
-    if not math.isfinite(value):
-        raise DataError(f"the model's perplexity is not finite ({value}): "
-                        "its weights overflow the forward pass")
-    return value
-
-
 def cmd_eval(args) -> int:
     model = SeqModel.load(args.model)
-    vehicles, maintenance = _load_tables(args)
+    paths = args.vehicles, args.maintenance
+    vehicles, maintenance, _ = _load_tables(*paths)
     seqset, _ = extract_sequences(maintenance, vehicles)
-    lists = seqset.as_label_lists()
-    with _naming_tables(args):
-        train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
-    chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
-    lstm_ppl = _finite_perplexity(model, chosen)
-    baseline_ppl = _finite_perplexity(unigram_baseline(train_set), chosen)
+    with _naming(*paths):
+        train_set, valid_set, test_set = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
+    chosen = {"train": train_set, "valid": valid_set, "test": test_set,
+              "all": seqset.as_label_lists()}[args.split]
+    lstm_ppl, baseline_ppl = _perplexities(model, train_set, chosen)
     payload = {
         "split": args.split,
         "sequences": len(chosen),
@@ -308,33 +336,24 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = demo_spec(seed=args.seed)
     fleet = generate(spec, out / "data")
-
-    vehicles = parse_vehicles(fleet.vehicles_path)
-    maintenance, rejects = parse_maintenance(fleet.maintenance_path)
+    paths = fleet.vehicles_path, fleet.maintenance_path
+    vehicles, maintenance, rejects = _load_tables(*paths)
     labels = month_labels(spec.window_start, spec.months)
-    tspec = TensorizeSpec(window_start=labels[0], window_end=labels[-1])
-    build = build_tensor(vehicles, maintenance, tspec)
-    save_tensor(build.tensor, out / "tensor.txt")
-    write_discard_summary(build, out / "discards.json")
+    build = _tensorize(paths, vehicles, maintenance,
+                       TensorizeSpec(window_start=labels[0], window_end=labels[-1]),
+                       out / "tensor.txt", out / "discards.json")
     conserved = build.tensor.data.sum() + sum(build.discards.values()) == len(maintenance)
-
-    opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
-    cp_model = cp_als(build.tensor, opts)
-    save_model(cp_model, out / "cp_model.txt")
-    export_component_reports(cp_model, out / "reports")
-
+    cp_model, _ = _factorize(out / "tensor.txt", build.tensor,
+                             AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed,
+                                        n_restarts=2),
+                             out / "cp_model.txt", out / "reports")
     seqset, _ = extract_sequences(maintenance, vehicles)
-    patterns = differential(seqset, "DODGE CHARGER", top_n=8)
-    write_diff_csv(patterns, out / "seqmine.csv")
-
-    train_set, valid_set, test_set = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
+    patterns = _mine(paths, seqset, "DODGE CHARGER", out / "seqmine.csv", top_n=8)
     # a smaller, shorter run than the defaults
     cfg = LstmConfig(embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9, epochs=6,
                      lr_constant_epochs=4, seed=args.seed)
-    seq_model = train_lstm(train_set, valid_set, cfg)
-    seq_model.save(out / "seq_model.txt")
-    lstm_ppl = _finite_perplexity(seq_model, test_set)
-    baseline_ppl = _finite_perplexity(unigram_baseline(train_set), test_set)
+    seq_model, (train_set, _, test_set) = _train(paths, seqset, cfg, out / "seq_model.txt")
+    lstm_ppl, baseline_ppl = _perplexities(seq_model, train_set, test_set)
 
     metrics = {
         "seed": args.seed,

@@ -15,6 +15,7 @@ Dates must be ``YYYY-MM-DD`` or ``YYYY-MM-DD HH:MM:SS`` (exact grammar in
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
@@ -54,6 +55,15 @@ def normalize_system(label: str) -> str:
 def normalize_make_model(*parts: str) -> str:
     """Make/model key: the parts joined, whitespace runs collapsed, upper-cased."""
     return " ".join(" ".join(parts).split()).upper()
+
+
+def csv_text(fields) -> str:
+    """The fields as csv.writer joins them in a row, with no line terminator:
+    quoted, quotes doubled, only where QUOTE_MINIMAL needs it."""
+    out = io.StringIO()
+    # a trailing empty field: a row of one empty field is written as ""
+    csv.writer(out, lineterminator="\n").writerow((*fields, ""))
+    return out.getvalue()[:-2]
 
 
 def parse_date(value: str) -> date | None:

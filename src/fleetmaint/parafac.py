@@ -19,7 +19,6 @@ from .tensor import (
     AxisLabels,
     FormatReader,
     Tensor3,
-    cp_compose,
     frob_norm,
     mttkrp,
     mttkrp_from_partial,
@@ -29,11 +28,13 @@ from .tensor import (
 )
 
 _RIDGE_SCALE = 1e-12
-# the largest rank and restart count AlsOptions accepts, and the most floats
-# of factors, Grams and partial products, n_restarts * rank * (I + J + K +
-# J*K + rank), that the stacked restarts of cp_als may hold: 2**27 floats
-# are 1 GiB
+# the largest rank, sweep count and restart count AlsOptions accepts, and the
+# most floats of factors, Grams and partial products, n_restarts * rank * (I +
+# J + K + J*K + rank), that the stacked restarts of cp_als may hold: 2**27
+# floats are 1 GiB. MAX_ITERS, 20 times the default, also bounds the
+# iterations and fits of a saved model
 MAX_RANK = 1000
+MAX_ITERS = 10_000
 MAX_RESTARTS = 100
 MAX_WORKING_FLOATS = 1 << 27
 # sweeps whose fit passes this score it from a full reconstruction
@@ -45,7 +46,7 @@ class AlsOptions:
     """Knobs for :func:`cp_als`."""
 
     rank: int = field(default=25, metadata=dict(ge=1, le=MAX_RANK))
-    max_iters: int = field(default=500, metadata=dict(ge=1))
+    max_iters: int = field(default=500, metadata=dict(ge=1, le=MAX_ITERS))
     tol: float = field(default=1e-8, metadata=dict(gt=0, lt=1))
     seed: int = field(default=0, metadata=dict(ge=0))
     n_restarts: int = field(default=1, metadata=dict(ge=1, le=MAX_RESTARTS, flag="restarts"))
@@ -160,7 +161,7 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     pairwise dimension products is permitted but flagged in ``model.warnings``.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
-        norm_t = frob_norm(t)
+        norm_t = frob_norm(t.data)
     if not np.isfinite(norm_t):
         raise ValueError(
             "cannot factorize a tensor with nan or inf entries or whose norm overflows float64"
@@ -211,7 +212,8 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
             if fit > _DIRECT_FIT_ABOVE:
                 # the subtraction above cancels to ~1e-8 here, as large as tol:
                 # score the reconstruction instead
-                resid = t.data - cp_compose(np.ones(rank), (a[s], b[s], c[s]))
+                resid = t.data - np.einsum("r,ir,jr,kr->ijk", np.ones(rank), *(
+                    np.ascontiguousarray(f[s]) for f in (a, b, c)), optimize=True)
                 fit = 1.0 - frob_norm(resid) / norm_t
             fits[r].append(fit)
             converged = len(fits[r]) > 1 and abs(fits[r][-1] - fits[r][-2]) < opts.tol
@@ -248,33 +250,6 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
 
 
 # ---------------------------------------------------------------------------
-# per-component reporting
-# ---------------------------------------------------------------------------
-
-_MODE_NAMES = ("vehicle", "system", "time")
-
-
-@dataclass
-class FactorReport:
-    """Labeled loadings of one component across the three modes."""
-
-    component: int
-    weight: float
-    series: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-
-
-def factor_report(model: CpModel, component: int) -> FactorReport:
-    """Loading series (label, value) for each mode of a 1-based component."""
-    if not 1 <= component <= model.rank:
-        raise ValueError(f"component must be in [1, {model.rank}], got {component}")
-    col = component - 1
-    series = {}
-    for mode_name, factor, labels in zip(_MODE_NAMES, model.factors, model.axis_labels):
-        series[mode_name] = [(label, float(v)) for label, v in zip(labels, factor[:, col])]
-    return FactorReport(component=component, weight=float(model.weights[col]), series=series)
-
-
-# ---------------------------------------------------------------------------
 # plain-text model serialization (grammar in README.md)
 # ---------------------------------------------------------------------------
 
@@ -307,8 +282,8 @@ def load_model(path) -> CpModel:
         dims = tuple(int(v) for v in reader.fields("dims", 3))
         fit = float(reader.fields("fit", 1)[0])
         iterations = int(reader.fields("iterations", 1)[0])
-        if iterations < 0:
-            raise ValueError(f"cpmodel iterations must be >= 0, got {iterations}")
+        if not 0 <= iterations <= MAX_ITERS:
+            raise ValueError(f"cpmodel iterations must be in [0, {MAX_ITERS}], got {iterations}")
         converged = int(reader.fields("converged", 1)[0])
         if converged not in (0, 1):
             raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
@@ -318,6 +293,8 @@ def load_model(path) -> CpModel:
         fits = tuple(float(v) for v in fit_values)
         if len(fits) != int(n_fits):
             raise ValueError(f"fits line declares {n_fits} values, has {len(fits)}")
+        if len(fits) > MAX_ITERS:
+            raise ValueError(f"cpmodel fits holds {len(fits)} values, past {MAX_ITERS}")
         n_warn = int(reader.fields("warnings", 1)[0])
         warnings = tuple(reader.line() for _ in range(n_warn))
         labels = reader.labels(dims)

@@ -9,12 +9,11 @@ float formatting.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
-from .parafac import CpModel, FactorReport, factor_report
+from .ingest import csv_text
+from .parafac import CpModel
 
 REPORT_CSV_COLUMNS = ("component", "mode", "label", "loading")
 
@@ -31,35 +30,16 @@ _TEXT = "#1E293B"
 _FONT = "Helvetica, Arial, sans-serif"
 
 
-def _reports(model: CpModel, components: list[int] | None) -> list[FactorReport]:
-    return [factor_report(model, comp) for comp in components or range(1, model.rank + 1)]
-
-
-def _csv_fields(labels) -> list[str]:
-    """Each label as the ``csv`` module writes it in a row of several fields."""
-    rows: list[str] = []
-    # an empty last field is never quoted, so each row is the field and ",\n"
-    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(
-        (label, "") for label in labels)
-    return [row[:-2] for row in rows]
-
-
-def _write_csv(path, model: CpModel, reports: list[FactorReport]) -> None:
-    fields = [_csv_fields(labels) for labels in model.axis_labels]
+def _write_csv(path, model: CpModel, components: list[int]) -> None:
+    fields = [[csv_text((label,)) for label in labels] for labels in model.axis_labels]
     lines = [",".join(REPORT_CSV_COLUMNS) + "\n"]
-    for report in reports:
-        comp = report.component
-        for mode, axis in zip(_MODES, fields):
+    for comp in components:
+        for mode, axis, factor in zip(_MODES, fields, model.factors):
             lines += [f"{comp},{mode},{field},{loading!r}\n"
-                      for field, (_, loading) in zip(axis, report.series[mode])]
-        lines.append(f"{comp},weight,component_weight,{report.weight!r}\n")
+                      for field, loading in zip(axis, factor[:, comp - 1].tolist())]
+        lines.append(f"{comp},weight,component_weight,{model.weights[comp - 1].tolist()!r}\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(lines))
-
-
-def write_factor_csv(model: CpModel, path, components: list[int] | None = None) -> None:
-    """One CSV holding the loading series of the requested (1-based) components."""
-    _write_csv(path, model, _reports(model, components))
 
 
 def _escape(text: str) -> str:
@@ -107,11 +87,11 @@ def _axes(axis_labels) -> list[_Axis]:
             for row, (mode, labels) in enumerate(zip(_MODES, axis_labels))]
 
 
-def _panel(axis: _Axis, series: list[tuple[str, float]]) -> list[str]:
-    peak = max((abs(v) for _, v in series), default=1.0) or 1.0
+def _panel(axis: _Axis, loadings: list[float]) -> list[str]:
+    peak = max(map(abs, loadings), default=1.0) or 1.0
     scale = _PLOT_H / 2
     parts = list(axis.head)
-    for (x, label), (_, value) in zip(axis.bars, series):
+    for (x, label), value in zip(axis.bars, loadings):
         height = abs(value) / peak * scale
         if value >= 0:
             y, fill = axis.baseline - height, _BAR_FILL
@@ -125,25 +105,26 @@ def _panel(axis: _Axis, series: list[tuple[str, float]]) -> list[str]:
     return parts
 
 
-def render_factor_svg(report: FactorReport, axes: list[_Axis] | None = None) -> str:
-    """Standalone SVG string: three stacked bar panels for one component.
+def render_factor_svg(model: CpModel, component: int, axes: list[_Axis] | None = None) -> str:
+    """Standalone SVG string: three stacked bar panels for one 1-based component.
 
-    ``axes`` is the panel text of the report's labels; an export computes it
+    ``axes`` is the panel text of the model's labels; an export computes it
     once and passes it for every component.
     """
     if axes is None:
-        axes = _axes([[label for label, _ in report.series[mode]] for mode in _MODES])
+        axes = _axes(model.axis_labels)
+    col = component - 1
     total_h = 3 * _PANEL_H + 34
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_PANEL_W} {total_h}" '
         f'font-family="{_FONT}">',
         f'<rect width="{_PANEL_W}" height="{total_h}" fill="#F8FAFC"/>',
         f'<text x="{_PANEL_W / 2}" y="20" text-anchor="middle" font-size="14" '
-        f'font-weight="bold" fill="{_TEXT}">Component {report.component} '
-        f'(weight {report.weight:.4f})</text>',
+        f'font-weight="bold" fill="{_TEXT}">Component {component} '
+        f'(weight {model.weights[col]:.4f})</text>',
     ]
-    for axis, mode in zip(axes, _MODES):
-        parts += _panel(axis, report.series[mode])
+    for axis, factor in zip(axes, model.factors):
+        parts += _panel(axis, factor[:, col].tolist())
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -154,17 +135,22 @@ def export_component_reports(
     components: list[int] | None = None,
     svg: bool = True,
 ) -> list[Path]:
-    """Write factor_report.csv plus one SVG per component; returns paths."""
+    """Write factor_report.csv plus one SVG per 1-based component (all when
+    ``components`` is None); returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _reports(model, components)
+    components = list(components or range(1, model.rank + 1))
+    for comp in components:
+        if not 1 <= comp <= model.rank:
+            raise ValueError(f"component must be in [1, {model.rank}], got {comp}")
     csv_path = out_dir / "factor_report.csv"
-    _write_csv(csv_path, model, reports)
+    _write_csv(csv_path, model, components)
     written = [csv_path]
     if svg:
         axes = _axes(model.axis_labels)
-        for report in reports:
-            svg_path = out_dir / f"component_{report.component:02d}.svg"
-            svg_path.write_text(render_factor_svg(report, axes), encoding="utf-8", newline="\n")
+        for comp in components:
+            svg_path = out_dir / f"component_{comp:02d}.svg"
+            svg_path.write_text(render_factor_svg(model, comp, axes), encoding="utf-8",
+                                newline="\n")
             written.append(svg_path)
     return written

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import MAX_WINDOW_MONTHS, _parse_month, normalize_make_model, normalize_system
-from .knobs import check, is_finite, is_integer
+from .ingest import MAX_WINDOW_MONTHS, _parse_month, csv_text, normalize_make_model
+from .ingest import normalize_system
+from .knobs import check
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -69,7 +69,7 @@ class PlantedComponent:
     vehicle_weights: dict[str, float]
     system_weights: dict[str, float]
     time_profile: tuple[float, ...]
-    intensity: float
+    intensity: float = field(metadata=dict(ge=0))
 
 
 @dataclass
@@ -77,7 +77,7 @@ class PlantedMotif:
     """Contiguous label run injected into one make/model's timelines."""
 
     make_model: str
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(metadata=dict(nonempty=True))
     rate: float  # target fraction of length-len(labels) windows that match
 
 
@@ -85,44 +85,37 @@ class PlantedMotif:
 class MarkovSpec:
     """First-order chain that replaces Poisson emission for one make/model."""
 
-    labels: tuple[str, ...]
-    transition: tuple[tuple[float, ...], ...]
-    start: tuple[float, ...]
-    length: int
+    labels: tuple[str, ...] = field(metadata=dict(nonempty=True))
+    transition: tuple[tuple[float, ...], ...] = field(metadata=dict(ge=0))
+    start: tuple[float, ...] = field(metadata=dict(ge=0))
+    length: int = field(metadata=dict(ge=1, le=MAX_CHAIN_LENGTH))
 
 
 @dataclass
 class FleetSpec:
     seed: int = field(metadata=dict(ge=0))
-    vehicles: dict[str, int]
+    vehicles: dict[str, int] = field(metadata=dict(ge=1, nonempty=True))
     window_start: str
     months: int = field(metadata=dict(ge=1, le=MAX_WINDOW_MONTHS))
-    systems: tuple[str, ...]
+    systems: tuple[str, ...] = field(metadata=dict(nonempty=True))
     background_rate: float = field(default=0.02, metadata=dict(ge=0))
     components: list[PlantedComponent] = field(default_factory=list)
     motifs: list[PlantedMotif] = field(default_factory=list)
     markov: dict[str, MarkovSpec] = field(default_factory=dict)
-    purchase_years: tuple[int, ...] | None = None
+    purchase_years: tuple[int, ...] | None = field(default=None,
+                                                   metadata=dict(ge=1, nonempty=True))
     noiseless: bool = False
 
     def validate(self) -> None:
         check(self)
-        if not _are_labels(self.systems):
-            raise ValueError(f"systems must be a non-empty list of strings, got {self.systems!r}")
         if len(set(map(normalize_system, self.systems))) < len(self.systems):
             raise ValueError(f"systems {self.systems!r} hold labels that normalize alike, "
                              "which the tables would merge")
-        if not self.vehicles:
-            raise ValueError("need at least one make/model group")
-        for make_model, count in self.vehicles.items():
+        for make_model in self.vehicles:
             make, _, model = make_model.partition(" ")
             if not (make.strip() and model.strip()):
                 raise ValueError(
                     f"vehicles key {make_model!r} must be a make and a model split by a space"
-                )
-            if not (is_integer(count) and count >= 1):
-                raise ValueError(
-                    f"vehicles {make_model!r}: count must be an integer >= 1, got {count!r}"
                 )
         total = sum(map(int, self.vehicles.values()))
         if total > MAX_VEHICLES:
@@ -130,24 +123,12 @@ class FleetSpec:
         if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
             raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
                              "normalize alike, which the tables would merge")
-        if self.purchase_years is not None and not (
-                self.purchase_years and all(is_integer(y) and y >= 1 for y in self.purchase_years)):
-            raise ValueError(
-                f"purchase_years must be a non-empty list of integers >= 1, "
-                f"got {self.purchase_years!r}"
-            )
         if _parse_month(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
         planted = self.background_rate  # a bound on every cell's mean
-        for comp in self.components:
-            values = (comp.intensity, *comp.vehicle_weights.values(),
-                      *comp.system_weights.values(), *comp.time_profile)
-            if not (isinstance(comp.name, str) and all(is_finite(v) for v in values)):
-                raise ValueError(f"component {comp.name!r}: the name must be a string, the "
-                                 "intensity, weights and time-profile values finite numbers")
-            if comp.intensity < 0:
-                raise ValueError(f"component {comp.name}: negative intensity")
+        for i, comp in enumerate(self.components):
+            check(comp, f"components[{i}].")
             if len(comp.time_profile) != self.months:
                 raise ValueError(
                     f"component {comp.name}: time profile length "
@@ -166,37 +147,30 @@ class FleetSpec:
         if not planted <= MAX_CELL_MEAN:
             raise ValueError(f"a cell's planted mean can reach {planted:g}, "
                              f"past {MAX_CELL_MEAN:g}")
-        for motif in self.motifs:
-            if not (isinstance(motif.make_model, str) and _are_labels(motif.labels)
-                    and set(motif.labels) <= known):
-                raise ValueError("a motif needs a make_model and a non-empty list of labels "
-                                 f"from the system vocabulary, got {motif.labels!r}")
+        for i, motif in enumerate(self.motifs):
+            check(motif, f"motifs[{i}].")
+            if not set(motif.labels) <= known:
+                raise ValueError(f"motif labels {motif.labels!r} are not all in the system "
+                                 "vocabulary")
             if motif.make_model not in self.vehicles:
                 raise ValueError(f"motif make_model {motif.make_model!r} is not a vehicles key")
             width = len(motif.labels)
             if not 0 < motif.rate < 1.0 / width:
                 raise ValueError(f"motif rate must be in (0, 1/{width})")
         for name, chain in self.markov.items():
+            check(chain, f"markov[{name!r}].")
             if name not in self.vehicles:
                 raise ValueError(f"markov {name!r} is not a vehicles key")
             n = len(chain.labels)
-            if not (is_integer(chain.length) and 1 <= chain.length <= MAX_CHAIN_LENGTH):
-                raise ValueError(f"markov {name}: length must be an integer in "
-                                 f"[1, {MAX_CHAIN_LENGTH}], got {chain.length!r}")
-            if not (len(chain.start) == n and _are_weights(chain.start)
-                    and 0 < math.fsum(chain.start) < math.inf):
-                raise ValueError(
-                    f"markov {name}: start must hold one finite weight >= 0 per label, "
-                    "with a positive sum"
-                )
+            if not (len(chain.start) == n and 0 < math.fsum(chain.start) < math.inf):
+                raise ValueError(f"markov {name}: start must hold one weight per label, "
+                                 "with a positive sum")
             if len(chain.transition) != n or any(len(row) != n for row in chain.transition):
                 raise ValueError(f"markov {name}: transition shape mismatch")
-            if not all(_are_weights(row) for row in chain.transition):
-                raise ValueError(f"markov {name}: transition entries must be finite and >= 0")
             if not all(abs(math.fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
-            if not _are_labels(chain.labels) or set(chain.labels) - known:
-                raise ValueError(f"markov {name}: labels must be strings of the system vocabulary")
+            if set(chain.labels) - known:
+                raise ValueError(f"markov {name}: labels must be of the system vocabulary")
         jobs = self.expected_jobs()
         if not jobs <= MAX_JOBS:
             raise ValueError(f"the spec's expected job total reaches {jobs:.4g}, "
@@ -251,17 +225,6 @@ def spec_from_json(payload) -> FleetSpec:
     return spec
 
 
-def _are_weights(values) -> bool:
-    """True when every value is a finite real number >= 0 that is not a bool."""
-    return all(is_finite(v) and v >= 0 for v in values)
-
-
-def _are_labels(values) -> bool:
-    """True for a non-empty list or tuple of strings."""
-    return (isinstance(values, (list, tuple)) and len(values) > 0
-            and all(isinstance(v, str) for v in values))
-
-
 def month_labels(window_start: str, months: int) -> list[str]:
     y, m = _parse_month(window_start)
     base = y * 12 + (m - 1)
@@ -293,21 +256,12 @@ def _sample_markov(chain: MarkovSpec, rng: np.random.Generator) -> list[str]:
     return out
 
 
-def _csv_text(fields) -> str:
-    """The fields as csv.writer joins them in a row, with no line terminator:
-    quoted, quotes doubled, only where QUOTE_MINIMAL needs it."""
-    out = io.StringIO()
-    # a trailing empty field: a row of one empty field is written as ""
-    csv.writer(out, lineterminator="\n").writerow((*fields, ""))
-    return out.getvalue()[:-2]
-
-
 @functools.lru_cache(maxsize=1024)  # labor hours round to at most 751 values
 def _money_fields(labor: float) -> str:
     """csv text of the Labor Hours, Actual Labor Cost, Commercial Cost and Part
     Cost of a job whose labor hours round to ``labor``."""
     cost = round(labor * 54.8, 2)
-    return _csv_text((f"{labor:.2f}", f"${cost:,.2f}", "$0", f"${round(cost * 0.3, 2):,.2f}"))
+    return csv_text((f"{labor:.2f}", f"${cost:,.2f}", "$0", f"${round(cost * 0.3, 2):,.2f}"))
 
 
 def _job_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,8 +345,8 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     # per system: the csv text of a job's fields before its money fields (Job
     # Code, Job Description) and after its meter reading
     system_fields = [
-        (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
-         _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
+        (csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
+         csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
         for i, label in enumerate(spec.systems)
     ]
     # per month: the year, and at index d the csv text from WO Open Date to

@@ -24,11 +24,6 @@ import numpy as np
 AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 
-def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
-    """Numeric stand-in labels for tensors without real axis metadata."""
-    return tuple(tuple(str(i) for i in range(n)) for n in dims)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class Tensor3:
     """Immutable dense 3-mode tensor with one label per index of each axis.
@@ -68,13 +63,6 @@ class Tensor3:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "axis_labels", labels)
 
-    @classmethod
-    def from_array(cls, data: np.ndarray, axis_labels: AxisLabels | None = None) -> "Tensor3":
-        arr = np.asarray(data, dtype=np.float64)
-        if axis_labels is None:
-            axis_labels = default_labels(arr.shape)  # type: ignore[arg-type]
-        return cls(arr, axis_labels)
-
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
@@ -83,21 +71,6 @@ class Tensor3:
     def _nonzeros(self) -> "tuple[_Chunks, _Chunks] | None":
         # built once: the dataclass is frozen and its data read-only
         return _nonzero_chunks(self.data)
-
-
-def _as_array(t: "Tensor3 | np.ndarray") -> np.ndarray:
-    return t.data if isinstance(t, Tensor3) else np.asarray(t, dtype=np.float64)
-
-
-def _check_factor(name: str, f: np.ndarray, rows: int, rank: int | None) -> np.ndarray:
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"{name} must be a matrix")
-    if f.shape[0] != rows:
-        raise ValueError(f"{name} has {f.shape[0]} rows, expected {rows}")
-    if rank is not None and f.shape[1] != rank:
-        raise ValueError(f"{name} has {f.shape[1]} columns, expected {rank}")
-    return f
 
 
 # a tensor with at most 1/_SPARSE_FILL of its entries nonzero takes the
@@ -252,21 +225,9 @@ def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
     return out[0] if single else out
 
 
-def cp_compose(weights: np.ndarray,
-               factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The (I, J, K) array sum_r weights[r] * a_r (outer) b_r (outer) c_r."""
-    a, b, c = factors
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    rank = weights.shape[0]
-    a = _check_factor("A", a, a.shape[0], rank)
-    b = _check_factor("B", b, b.shape[0], rank)
-    c = _check_factor("C", c, c.shape[0], rank)
-    return np.einsum("r,ir,jr,kr->ijk", weights, a, b, c, optimize=True)
-
-
-def frob_norm(t: Tensor3 | np.ndarray) -> float:
-    """Frobenius norm: square root of the sum of squared entries."""
-    return float(np.linalg.norm(_as_array(t).ravel()))
+def frob_norm(x: np.ndarray) -> float:
+    """Frobenius norm of an array: square root of the sum of squared entries."""
+    return float(np.linalg.norm(x.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Nothing in the package calls these. They are the explicit forms of what the
 package computes faster, or helpers that build test inputs and score
 results:
 
-- tensor: the mode-n unfolding and its inverse, the Khatri-Rao product and
-  the ``unfold @ khatri_rao`` MTTKRP that the mttkrp kernels must match;
-- parafac: a CP model from known factors, its full reconstruction and fit,
+- tensor: tensors with numeric labels, the mode-n unfolding and its
+  inverse, the Khatri-Rao product and the ``unfold @ khatri_rao`` MTTKRP
+  that the mttkrp kernels must match;
+- parafac: a CP model from known factors, its full reconstruction (the
+  einsum of ``cp_als``'s near-exact fit) and fit,
   the greedy component matching behind the congruence scores, and CP-ALS
   with its restarts run one after another on single matrices;
 - lstm: the finite-difference gradient check of the BPTT backward pass;
@@ -14,9 +16,9 @@ results:
   per-record grouping and sorting that ``extract_sequences`` must match;
 - synth: the per-event tuple list, cursor-driven motif rebuild and
   ``Counter`` of cells that ``generate`` must match byte for byte;
-- report: the CSV written one ``writerow`` per loading and the SVG panels
-  laid out anew for every component, which the factor reports must match
-  byte for byte.
+- report: each component's labeled loadings as (label, value) tuples, the
+  CSV written one ``writerow`` per loading and the SVG panels laid out anew
+  for every component, which the factor reports must match byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -44,13 +47,17 @@ from fleetmaint.parafac import (
     _RIDGE_SCALE,
     AlsOptions,
     CpModel,
-    FactorReport,
-    factor_report,
     _component_order,
     _flag_degenerate_components,
     _normalize_factors,
 )
-from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, normalize_system
+from fleetmaint.ingest import (
+    MaintenanceRecord,
+    RejectedRow,
+    VehicleRecord,
+    csv_text,
+    normalize_system,
+)
 from fleetmaint.report import (
     _AXIS,
     _BAR_FILL,
@@ -69,23 +76,42 @@ from fleetmaint.synth import (
     VEHICLE_COLUMNS,
     FleetSpec,
     GeneratedFleet,
-    _csv_text,
     _job_draws,
     _money_fields,
     _motif_count,
     _sample_markov,
     month_labels,
 )
-from fleetmaint.tensor import (
-    AxisLabels,
-    Tensor3,
-    _as_array,
-    cp_compose,
-    default_labels,
-    _check_factor,
-    _segment_sums,
-    frob_norm,
-)
+from fleetmaint.tensor import AxisLabels, Tensor3, _segment_sums, frob_norm
+
+
+def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
+    """Numeric stand-in labels for tensors without real axis metadata."""
+    return tuple(tuple(str(i) for i in range(n)) for n in dims)  # type: ignore[return-value]
+
+
+def from_array(data: np.ndarray, axis_labels: AxisLabels | None = None) -> Tensor3:
+    """A Tensor3 of ``data``, with numeric labels unless given."""
+    arr = np.asarray(data, dtype=np.float64)
+    if axis_labels is None:
+        axis_labels = default_labels(arr.shape)  # type: ignore[arg-type]
+    return Tensor3(arr, axis_labels)
+
+
+def _as_array(t: "Tensor3 | np.ndarray") -> np.ndarray:
+    return t.data if isinstance(t, Tensor3) else np.asarray(t, dtype=np.float64)
+
+
+def _check_factor(name: str, f: np.ndarray, rows: int, rank: int | None) -> np.ndarray:
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    if f.ndim != 2:
+        raise ValueError(f"{name} must be a matrix")
+    if f.shape[0] != rows:
+        raise ValueError(f"{name} has {f.shape[0]} rows, expected {rows}")
+    if rank is not None and f.shape[1] != rank:
+        raise ValueError(f"{name} has {f.shape[1]} columns, expected {rank}")
+    return f
+
 
 # ---------------------------------------------------------------------------
 # tensor unfolding and the reference MTTKRP
@@ -174,11 +200,23 @@ def from_factors(a, b, c, axis_labels=None) -> CpModel:
     )
 
 
+def cp_compose(weights: np.ndarray,
+               factors: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (I, J, K) array sum_r weights[r] * a_r (outer) b_r (outer) c_r."""
+    a, b, c = factors
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    rank = weights.shape[0]
+    a = _check_factor("A", a, a.shape[0], rank)
+    b = _check_factor("B", b, b.shape[0], rank)
+    c = _check_factor("C", c, c.shape[0], rank)
+    return np.einsum("r,ir,jr,kr->ijk", weights, a, b, c, optimize=True)
+
+
 def fit_score(t: Tensor3, model: CpModel) -> float:
     """1 - relative Frobenius reconstruction error of the model on t, by full reconstruction."""
     if model.dims != t.dims:
         raise ValueError(f"model dims {model.dims} do not match tensor dims {t.dims}")
-    norm_t = frob_norm(t)
+    norm_t = frob_norm(t.data)
     if norm_t == 0.0:
         raise ValueError("fit is undefined for a zero tensor")
     resid = t.data - cp_compose(model.weights, model.factors)
@@ -284,7 +322,7 @@ def _als_single_run(t: Tensor3, opts: AlsOptions, restart: int, norm_t: float,
 
 def cp_als_sequential(t: Tensor3, opts: AlsOptions) -> CpModel:
     """Best-of-n-restarts CP-ALS, one restart after another."""
-    norm_t = frob_norm(t)
+    norm_t = frob_norm(t.data)
     dim_i, dim_j, dim_k = t.dims
     warnings: list[str] = []
     if opts.rank > dim_i * dim_j and opts.rank > dim_j * dim_k and opts.rank > dim_i * dim_k:
@@ -509,8 +547,8 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     # per system label: the csv text of a job's fields before its money fields
     # (Job Code, Job Description) and after its meter reading
     system_fields = {
-        label: (_csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
-                _csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
+        label: (csv_text((f"{i:02d}-13-000", f"REPAIR {label}")),
+                csv_text(("DON", "24", "REPAIR", f"{i:02d}", label, "CODRF")) + "\n")
         for label, i in system_index.items()
     }
     # per month: the year, and at index d the csv text from WO Open Date to
@@ -684,6 +722,27 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
 # ---------------------------------------------------------------------------
 # factor reports, one writerow per loading and each panel laid out per component
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class FactorReport:
+    """Labeled loadings of one component across the three modes."""
+
+    component: int
+    weight: float
+    series: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+
+
+def factor_report(model: CpModel, component: int) -> FactorReport:
+    """Loading series (label, value) for each mode of a 1-based component."""
+    if not 1 <= component <= model.rank:
+        raise ValueError(f"component must be in [1, {model.rank}], got {component}")
+    col = component - 1
+    series = {}
+    for mode_name, factor, labels in zip(("vehicle", "system", "time"), model.factors,
+                                         model.axis_labels):
+        series[mode_name] = [(label, float(v)) for label, v in zip(labels, factor[:, col])]
+    return FactorReport(component=component, weight=float(model.weights[col]), series=series)
 
 
 def write_factor_csv(model: CpModel, path, components: list[int] | None = None) -> None:

@@ -33,11 +33,12 @@ from fleetmaint.seqmine import (
     extract_sequences,
 )
 from fleetmaint.synth import FleetSpec, PlantedMotif, demo_spec, generate, month_labels
-from fleetmaint.tensor import Tensor3, frob_norm, mttkrp
+from fleetmaint.tensor import frob_norm, mttkrp
 from oracles import (
     congruence,
     congruence_per_mode,
     fold,
+    from_array,
     from_factors,
     grad_check,
     mttkrp_reference,
@@ -65,7 +66,7 @@ def test_c1_kernel_equivalence():
     for trial in range(200):
         dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
         rank = int(rng.integers(1, 5))
-        t = Tensor3.from_array(rng.normal(size=dims))
+        t = from_array(rng.normal(size=dims))
         for mode in (1, 2, 3):
             others = [d for m, d in enumerate(dims, start=1) if m != mode]
             f1 = rng.normal(size=(others[0], rank))
@@ -97,8 +98,8 @@ def recovery_runs():
     assert all(np.linalg.cond(f) < 10 for f in factors)
     generator = from_factors(*factors)
     clean = reconstruct(generator)
-    sigma = 0.1 * frob_norm(clean) / math.sqrt(clean.data.size)
-    noisy = Tensor3.from_array(clean.data + rng.normal(size=clean.dims) * sigma)
+    sigma = 0.1 * frob_norm(clean.data) / math.sqrt(clean.data.size)
+    noisy = from_array(clean.data + rng.normal(size=clean.dims) * sigma)
     t0 = time.monotonic()
     opts = AlsOptions(rank=3, seed=42, max_iters=200, n_restarts=3)
     model_clean = cp_als(clean, opts)

@@ -360,7 +360,7 @@ class TestParafacAndReport:
                        "--out", str(tmp_path / "model.txt"))
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("data-error: "), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"data-error: {tensor}: "), proc.stderr
 
     def test_report_truncated_model_is_data_error(self, tensor_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"

@@ -1,30 +1,36 @@
-"""Fuzzing of the CLI's config-file, fleet-spec and job-table inputs.
+"""Fuzzing of the CLI's config-file, fleet-spec, job-table and tensor inputs.
 
 Each example mutates one valid input (a ``train --config`` file, a
-``synth --spec`` fleet spec, or the demo fleet's vehicle or maintenance
-table) and runs ``cli.main`` in-process. The mutations flip bits, drop or
-duplicate lines and keys, swap values for awkward numbers or for values of
-other JSON types, and cut tables short or inject quotes, NULs and carriage
-returns into them. The mutated file is the only input at fault, so whatever
-the mutation, the run either succeeds or ends with one error line on stderr:
+``synth --spec`` fleet spec, the demo fleet's vehicle or maintenance table,
+or the demo ``tensor.txt`` that ``parafac`` reads) and runs ``cli.main``
+in-process. The mutations flip bits, drop, duplicate or swap lines and
+keys, swap values for awkward numbers or for values of other JSON types,
+and cut files short or inject quotes, NULs and carriage returns into them.
+The mutated file is the only input at fault, so whatever the mutation, the
+run either succeeds or ends with one error line on stderr:
 ``config-error: `` with exit code 2 for a config file or spec, and
-``data-error: `` naming the table with exit code 4 for a table. Never
-another exit code, a warning or a traceback.
+``data-error: `` naming the file with exit code 4 for a table or a tensor.
+Never another exit code, a warning or a traceback, and a run that succeeds
+writes no nan or inf.
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetmaint.cli import main
+from fleetmaint.parafac import load_model
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -291,3 +297,98 @@ def test_mutated_table(demo_tables, table, edit_list):
             ["seqmine", *tables, "--target", "DODGE CHARGER", "--out", str(Path(tmp) / "s.csv")],
         ):
             check_table_outcome(*run(argv), paths[table])
+
+
+# ---------------------------------------------------------------------------
+# the tensor file
+# ---------------------------------------------------------------------------
+
+# what a tensor value is swapped for: finite but with an overflowing norm,
+# not finite, negative, past float64, and a zero whose bits are not 0
+NUMBERS = ["1e308", "nan", "-1", "1e999", "-0.0"]
+CATEGORIES = ("config-error: ", "io-error: ", "data-error: ", "internal-error: ")
+
+
+def tensor_edits():
+    """One to three (kind, where, which) edits, as ``edits`` draws them."""
+    kinds = st.sampled_from(["flip", "truncate", "drop-line", "duplicate-line", "swap-lines",
+                             "number"])
+    edit = st.tuples(kinds, st.integers(0, 1 << 20), st.integers(0, 1 << 16))
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def mutate_tensor(data: bytes, first_value_line: int, edit_list) -> bytes:
+    """``data`` with one bit flipped, cut short, one line dropped, repeated
+    or swapped with the next, or one value of the lines from
+    ``first_value_line`` on replaced by one of ``NUMBERS``, once per edit."""
+    for kind, where, which in edit_list:
+        lines = data.splitlines(keepends=True)
+        if kind == "truncate":
+            data = data[: where % (len(data) + 1)]
+        elif kind == "flip" and data:
+            flipped = bytearray(data)
+            flipped[where % len(data)] ^= 1 << (which % 8)
+            data = bytes(flipped)
+        elif kind == "number" and len(lines) > first_value_line:
+            at = first_value_line + where % (len(lines) - first_value_line)
+            tokens = lines[at].split()
+            if tokens:
+                tokens[which // len(NUMBERS) % len(tokens)] = NUMBERS[which % len(NUMBERS)].encode()
+                lines[at] = b" ".join(tokens) + b"\n"
+            data = b"".join(lines)
+        elif kind != "number" and lines:
+            at = where % len(lines)
+            if kind == "drop-line":
+                del lines[at]
+            elif kind == "duplicate-line":
+                lines.insert(at, lines[at])
+            else:
+                lines[at:at + 2] = reversed(lines[at:at + 2])
+            data = b"".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def demo_tensor(tmp_path_factory):
+    """The demo tensor's bytes and the number of its header and label lines."""
+    out = tmp_path_factory.mktemp("fuzz_tensor")
+    assert run(["synth", "--out", str(out)]) == (0, "")
+    tensor = out / "tensor.txt"
+    assert run(["tensorize", "--vehicles", str(out / "vehicles.csv"),
+                "--maintenance", str(out / "maintenance.csv"), "--window-start", "2013-01",
+                "--out", str(tensor)])[0] == 0
+    data = tensor.read_bytes()
+    dims = [int(v) for v in data.splitlines()[1].split()[1:]]
+    return data, 2 + sum(dims)
+
+
+def test_valid_tensor_factorizes(demo_tensor, tmp_path):
+    tensor = tmp_path / "tensor.txt"
+    tensor.write_bytes(mutate_tensor(demo_tensor[0], demo_tensor[1], []))
+    code, err = run(["parafac", "--tensor", str(tensor), "--rank", "2", "--max-iters", "5",
+                     "--out", str(tmp_path / "m.txt")])
+    assert (code, err) == (0, "")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(edit_list=tensor_edits())
+# a finite value whose square overflows the norm (seen without the file's name)
+@example(edit_list=[("number", 0, 0)])
+def test_mutated_tensor(demo_tensor, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        tensor, model, reports = Path(tmp) / "tensor.txt", Path(tmp) / "m.txt", Path(tmp) / "r"
+        tensor.write_bytes(mutate_tensor(*demo_tensor, edit_list))
+        code, err = run(["parafac", "--tensor", str(tensor), "--rank", "2", "--max-iters", "5",
+                         "--out", str(model), "--report-dir", str(reports), "--format", "csv"])
+        assert code in (0, 2, 3, 4), (code, err)
+        assert "Traceback" not in err, err
+        errors = [line for line in err.splitlines() if line.startswith(CATEGORIES)]
+        if code == 0:
+            assert errors == [], err
+            cp = load_model(model)
+            assert all(map(math.isfinite, (cp.fit, *cp.fits))), (cp.fit, cp.fits)
+            assert all(np.isfinite(f).all() for f in (cp.weights, *cp.factors))
+            with open(reports / "factor_report.csv", newline="") as fh:
+                assert all(math.isfinite(float(row[3])) for row in list(csv.reader(fh))[1:])
+        else:
+            assert len(errors) == 1 and str(tensor) in errors[0], err

@@ -6,8 +6,8 @@ import numpy as np
 
 from fleetmaint.lstm import LstmConfig, SeqModel, Vocab, _init_params
 from fleetmaint.parafac import save_model
-from fleetmaint.tensor import Tensor3, save_tensor
-from oracles import from_factors
+from fleetmaint.tensor import save_tensor
+from oracles import from_array, from_factors
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
 spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
@@ -23,7 +23,7 @@ def up_one_ulp(arr, index=(0,)):
 
 def write_run(root: Path, tensor, cp_factors, seq_params, metrics):
     root.mkdir()
-    save_tensor(Tensor3.from_array(tensor), root / "tensor.txt")
+    save_tensor(from_array(tensor), root / "tensor.txt")
     save_model(from_factors(*cp_factors), root / "cp_model.txt")
     cfg = LstmConfig(embed_dim=2, hidden_dim=3, layers=1, seed=4)
     SeqModel(Vocab(labels=("a", "b")), cfg, seq_params).save(root / "seq_model.txt")

@@ -13,21 +13,24 @@ from fleetmaint import tensor as tensor_module
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.parafac import (
     _DIRECT_FIT_ABOVE,
+    MAX_ITERS,
     AlsOptions,
     CpModel,
     cp_als,
-    factor_report,
     load_model,
     save_model,
 )
+from fleetmaint.report import export_component_reports
 from fleetmaint.synth import demo_spec, generate, month_labels
-from fleetmaint.tensor import Tensor3, cp_compose, frob_norm
+from fleetmaint.tensor import Tensor3, frob_norm
 from oracles import (
     _als_single_run,
     congruence,
     congruence_per_mode,
     cp_als_sequential,
+    cp_compose,
     fit_score,
+    from_array,
     from_factors,
     reconstruct,
 )
@@ -58,7 +61,7 @@ class TestCpAls:
             assert abs(float(f_hat[:, 0] @ f_true[:, 0])) >= 1 - 1e-6
 
     def test_constant_tensor_is_rank_one(self):
-        t = Tensor3.from_array(np.full((3, 4, 2), 2.5))
+        t = from_array(np.full((3, 4, 2), 2.5))
         model = cp_als(t, AlsOptions(rank=1, seed=1))
         assert model.fit == pytest.approx(1.0, abs=1e-8)
         for f in model.factors:
@@ -109,9 +112,9 @@ class TestCpAls:
         x = rng.poisson(lam * (0.012 * lam.size / lam.sum())).astype(float)
         assert 0.005 < np.count_nonzero(x) / x.size < 0.02
         opts = AlsOptions(rank=3, seed=2, n_restarts=2)
-        sparse = cp_als(Tensor3.from_array(x), opts)
+        sparse = cp_als(from_array(x), opts)
         with mock.patch.object(tensor_module, "_nonzero_chunks", return_value=None):
-            dense = cp_als(Tensor3.from_array(x), opts)
+            dense = cp_als(from_array(x), opts)
         assert sparse.converged and dense.converged
         assert sparse.iterations == dense.iterations
         np.testing.assert_allclose(sparse.fits, dense.fits, rtol=0, atol=1e-12)
@@ -120,14 +123,14 @@ class TestCpAls:
 
     def test_fit_history_monotone(self):
         rng = np.random.default_rng(21)
-        t = Tensor3.from_array(rng.random((6, 7, 5)))
+        t = from_array(rng.random((6, 7, 5)))
         model = cp_als(t, AlsOptions(rank=2, seed=4))
         diffs = np.diff(np.array(model.fits))
         assert diffs.min() >= -1e-12
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(8)
-        t = Tensor3.from_array(rng.random((5, 4, 6)))
+        t = from_array(rng.random((5, 4, 6)))
         opts = AlsOptions(rank=2, seed=11, n_restarts=2)
         m1 = cp_als(t, opts)
         m2 = cp_als(t, opts)
@@ -138,19 +141,19 @@ class TestCpAls:
 
     def test_unit_columns_and_sorted_weights(self):
         rng = np.random.default_rng(13)
-        t = Tensor3.from_array(rng.random((6, 5, 4)))
+        t = from_array(rng.random((6, 5, 4)))
         model = cp_als(t, AlsOptions(rank=3, seed=5))
         for f in model.factors:
             np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
         assert np.all(np.diff(model.weights) <= 0)
 
     def test_zero_tensor_rejected(self):
-        t = Tensor3.from_array(np.zeros((2, 2, 2)))
+        t = from_array(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             cp_als(t, AlsOptions(rank=1))
 
     def test_oversized_rank_flagged_not_fatal(self):
-        t = Tensor3.from_array(np.random.default_rng(2).random((2, 2, 2)))
+        t = from_array(np.random.default_rng(2).random((2, 2, 2)))
         model = cp_als(t, AlsOptions(rank=5, seed=0, max_iters=20))
         assert any("rank 5 exceeds" in w for w in model.warnings)
 
@@ -174,11 +177,11 @@ class TestCpAls:
         data = np.random.default_rng(3).random((3, 2, 4))
         data[1, 0, 2] = bad
         with pytest.raises(ValueError, match="nan or inf"):
-            cp_als(Tensor3.from_array(data), AlsOptions(rank=1))
+            cp_als(from_array(data), AlsOptions(rank=1))
 
     def test_overflowing_norm_rejected(self):
         # every entry is finite, but the Frobenius norm overflows to inf
-        t = Tensor3.from_array(np.full((2, 2, 2), 1e200))
+        t = from_array(np.full((2, 2, 2), 1e200))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
             cp_als(t, AlsOptions(rank=1, max_iters=5))
 
@@ -209,7 +212,7 @@ class TestCpAls:
         AlsOptions(rank=1000, n_restarts=100)
 
     def test_working_set_bound(self):
-        t = Tensor3.from_array(np.random.default_rng(6).random((2, 40, 40)))
+        t = from_array(np.random.default_rng(6).random((2, 40, 40)))
         # 100 restarts at rank 1000 would hold 100 * 1000 * (82 + 1600 + 1000) floats
         with pytest.raises(ValueError, match="past 134217728"):
             cp_als(t, AlsOptions(rank=1000, n_restarts=100, max_iters=1))
@@ -234,7 +237,7 @@ def als_case(dims, kind, seed):
         flat[rng.choice(flat.size, nnz, replace=False)] = rng.random(nnz) + 0.5
     else:
         x = np.einsum("ir,jr,kr->ijk", *(rng.random((d, 2)) for d in dims))
-    return Tensor3.from_array(x)
+    return from_array(x)
 
 
 def assert_same_model(got, want):
@@ -283,7 +286,7 @@ class TestLockstepRestarts:
         t = als_case((40, 9, 9), kind, 1)
         assert (t._nonzeros is not None) == (kind == "sparse")
         opts = AlsOptions(rank=3, max_iters=300, tol=1e-5, seed=1, n_restarts=4)
-        runs = [_als_single_run(t, opts, r, frob_norm(t), []) for r in range(4)]
+        runs = [_als_single_run(t, opts, r, frob_norm(t.data), []) for r in range(4)]
         # every restart converges, at different sweeps
         assert all(converged for *_, converged in runs)
         assert len({len(fits) for _, _, fits, _ in runs}) > 1
@@ -308,7 +311,7 @@ class TestLockstepRestarts:
         assert_same_model(model, cp_als_sequential(t, opts))
 
     def test_rank_warning_and_best_restart(self):
-        t = Tensor3.from_array(np.random.default_rng(2).random((2, 2, 2)))
+        t = from_array(np.random.default_rng(2).random((2, 2, 2)))
         opts = AlsOptions(rank=5, seed=0, max_iters=20, n_restarts=3)
         model = cp_als(t, opts)
         assert any("rank 5 exceeds" in w for w in model.warnings)
@@ -324,7 +327,7 @@ class TestFitScore:
 
     def test_zero_factors_score_zero(self):
         rng = np.random.default_rng(4)
-        t = Tensor3.from_array(rng.random((3, 3, 3)))
+        t = from_array(rng.random((3, 3, 3)))
         zero = CpModel(
             factors=(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1))),
             weights=np.zeros(1),
@@ -338,14 +341,14 @@ class TestFitScore:
     def test_matches_hand_built_residual(self):
         # 2x2x2 case with the residual summed entry by entry
         rng = np.random.default_rng(5)
-        t = Tensor3.from_array(rng.random((2, 2, 2)))
+        t = from_array(rng.random((2, 2, 2)))
         gen = planted_model(rng, (2, 2, 2), 1, positive=True)
         (a, b, c), w = gen.factors, gen.weights[0]
         resid_sq = sum(
             (t.data[i, j, k] - w * a[i, 0] * b[j, 0] * c[k, 0]) ** 2
             for i in range(2) for j in range(2) for k in range(2)
         )
-        expected = 1.0 - math.sqrt(resid_sq) / frob_norm(t)
+        expected = 1.0 - math.sqrt(resid_sq) / frob_norm(t.data)
         assert fit_score(t, gen) == pytest.approx(expected, abs=1e-12)
 
     def test_sweep_fit_matches_fit_score(self):
@@ -356,21 +359,21 @@ class TestFitScore:
                  ((9, 4, 6), 4, 500), ((4, 5, 6), 3, 4), ((3, 8, 2), 5, 2)]
         stopped_at_max = 0
         for seed, (dims, rank, max_iters) in enumerate(cases):
-            t = Tensor3.from_array(rng.normal(size=dims))
+            t = from_array(rng.normal(size=dims))
             model = cp_als(t, AlsOptions(rank=rank, seed=seed, max_iters=max_iters))
             assert model.fit == pytest.approx(fit_score(t, model), abs=1e-9)
             stopped_at_max += not model.converged and model.iterations == max_iters
         assert stopped_at_max >= 1
 
     def test_zero_tensor_rejected(self):
-        t = Tensor3.from_array(np.zeros((2, 2, 2)))
+        t = from_array(np.zeros((2, 2, 2)))
         gen = planted_model(np.random.default_rng(1), (2, 2, 2), 1)
         with pytest.raises(ValueError):
             fit_score(t, gen)
 
     def test_dims_mismatch(self):
         rng = np.random.default_rng(2)
-        t = Tensor3.from_array(rng.random((2, 2, 2)))
+        t = from_array(rng.random((2, 2, 2)))
         gen = planted_model(rng, (3, 2, 2), 1)
         with pytest.raises(ValueError):
             fit_score(t, gen)
@@ -421,10 +424,8 @@ class TestFactorReport:
         gen = planted_model(rng, (4, 3, 5), 1, positive=True)
         t = planted_tensor(gen)
         model = cp_als(t, AlsOptions(rank=1, seed=0))
-        report = factor_report(model, 1)
-        assert set(report.series) == {"vehicle", "system", "time"}
-        for mode_name, f_true in zip(("vehicle", "system", "time"), gen.factors):
-            loadings = np.array([v for _, v in report.series[mode_name]])
+        for factor, f_true in zip(model.factors, gen.factors):
+            loadings = factor[:, 0]
             cos = abs(loadings @ f_true[:, 0]) / np.linalg.norm(loadings)
             assert cos >= 1 - 1e-6
 
@@ -432,16 +433,14 @@ class TestFactorReport:
         labels = (("v1", "v2"), ("brakes",), ("2015-01", "2015-02"))
         t = Tensor3(np.random.default_rng(0).random((2, 1, 2)), labels)
         model = cp_als(t, AlsOptions(rank=1, seed=0))
-        report = factor_report(model, 1)
-        assert [lbl for lbl, _ in report.series["vehicle"]] == ["v1", "v2"]
-        assert [lbl for lbl, _ in report.series["time"]] == ["2015-01", "2015-02"]
+        assert model.axis_labels == labels
 
-    def test_component_out_of_range(self):
+    def test_component_out_of_range(self, tmp_path):
         gen = planted_model(np.random.default_rng(1), (3, 3, 3), 2)
-        with pytest.raises(ValueError):
-            factor_report(gen, 3)
-        with pytest.raises(ValueError):
-            factor_report(gen, 0)
+        for comp in (3, 0):
+            with pytest.raises(ValueError, match=rf"component must be in \[1, 2\], got {comp}"):
+                export_component_reports(gen, tmp_path, [comp])
+        assert not (tmp_path / "factor_report.csv").exists()
 
 
 class TestModelSerialization:
@@ -487,7 +486,7 @@ class TestModelSerialization:
         ("\nrank 2\n", "\n\n"),
     ])
     def test_malformed_keyword_line_rejected(self, tmp_path, old, new):
-        t = Tensor3.from_array(np.random.default_rng(5).random((2, 1, 2)))
+        t = from_array(np.random.default_rng(5).random((2, 1, 2)))
         path = tmp_path / "model.txt"
         save_model(cp_als(t, AlsOptions(rank=2, seed=1, max_iters=3)), path)
         text = path.read_text()
@@ -496,8 +495,24 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="malformed|declares"):
             load_model(path)
 
+    @pytest.mark.parametrize("line, match", [
+        (f"iterations {MAX_ITERS + 1}", rf"iterations must be in \[0, {MAX_ITERS}\]"),
+        (f"fits {MAX_ITERS + 1}" + " 0.5" * (MAX_ITERS + 1), rf"fits holds {MAX_ITERS + 1} values"),
+    ], ids=["iterations", "fits"])
+    def test_sweep_count_past_max_iters_rejected(self, tmp_path, line, match):
+        t = from_array(np.random.default_rng(5).random((2, 1, 2)))
+        path = tmp_path / "model.txt"
+        save_model(cp_als(t, AlsOptions(rank=1, seed=1, max_iters=3)), path)
+        lines = path.read_text().split("\n")
+        keyword = line.split()[0]
+        at = next(i for i, text in enumerate(lines) if text.startswith(keyword + " "))
+        lines[at] = line
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
     def test_save_deterministic(self, tmp_path):
-        t = Tensor3.from_array(np.random.default_rng(4).random((2, 3, 2)))
+        t = from_array(np.random.default_rng(4).random((2, 3, 2)))
         model = cp_als(t, AlsOptions(rank=1, seed=2, max_iters=20))
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         save_model(model, p1)
@@ -518,7 +533,5 @@ class TestReconstruct:
         gen = planted_model(rng, (8, 6, 7), 2)
         t = planted_tensor(gen)
         model = cp_als(t, AlsOptions(rank=2, seed=1, n_restarts=3))
-        err = frob_norm(
-            Tensor3.from_array(t.data - reconstruct(model).data)
-        ) / frob_norm(t)
+        err = frob_norm(t.data - reconstruct(model).data) / frob_norm(t.data)
         assert err <= 1e-6

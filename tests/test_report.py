@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fleetmaint.parafac import AlsOptions, CpModel, cp_als, factor_report
-from fleetmaint.report import (
-    export_component_reports,
-    render_factor_svg,
-    write_factor_csv,
-)
+from fleetmaint.parafac import AlsOptions, CpModel, cp_als
+from fleetmaint.report import export_component_reports, render_factor_svg
 from fleetmaint.tensor import Tensor3
 
 
@@ -26,8 +22,7 @@ def small_model():
 class TestFactorCsv:
     def test_rows_cover_all_modes_and_weight(self, tmp_path):
         model = small_model()
-        path = tmp_path / "report.csv"
-        write_factor_csv(model, path)
+        path = export_component_reports(model, tmp_path, svg=False)[0]
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["component", "mode", "label", "loading"]
         body = rows[1:]
@@ -39,13 +34,11 @@ class TestFactorCsv:
         # loadings round-trip through repr
         series_rows = [r for r in body if r[1] == "vehicle" and r[0] == "1"]
         got = [float(r[3]) for r in series_rows]
-        expected = [v for _, v in factor_report(model, 1).series["vehicle"]]
-        assert got == expected
+        assert got == model.factors[0][:, 0].tolist()
 
     def test_component_selection(self, tmp_path):
         model = small_model()
-        path = tmp_path / "one.csv"
-        write_factor_csv(model, path, components=[2])
+        path = export_component_reports(model, tmp_path, components=[2], svg=False)[0]
         rows = list(csv.reader(path.read_text().splitlines()))[1:]
         assert {r[0] for r in rows} == {"2"}
 
@@ -53,7 +46,7 @@ class TestFactorCsv:
 class TestSvg:
     def test_escapes_and_structure(self):
         model = small_model()
-        svg = render_factor_svg(factor_report(model, 1))
+        svg = render_factor_svg(model, 1)
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         assert "tires &amp; tubes" in svg
@@ -61,9 +54,7 @@ class TestSvg:
 
     def test_deterministic(self):
         model = small_model()
-        assert render_factor_svg(factor_report(model, 1)) == render_factor_svg(
-            factor_report(model, 1)
-        )
+        assert render_factor_svg(model, 1) == render_factor_svg(model, 1)
 
 
 class TestExport:
@@ -116,9 +107,6 @@ class TestMatchesOracle:
         assert [p.name for p in written] == [p.name for p in expected]
         for new, old in zip(written, expected):
             assert new.read_bytes() == old.read_bytes(), new.name
-        write_factor_csv(model, tmp_path / "new.csv", components)
-        oracles.write_factor_csv(model, tmp_path / "old.csv", components)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         for comp in components or range(1, model.rank + 1):
-            report = factor_report(model, comp)
-            assert render_factor_svg(report) == oracles.render_factor_svg(report)
+            assert render_factor_svg(model, comp) == oracles.render_factor_svg(
+                oracles.factor_report(model, comp))

@@ -15,6 +15,7 @@ from fleetmaint.cli import main
 from fleetmaint.ingest import (
     TensorizeSpec,
     build_tensor,
+    csv_text,
     parse_maintenance,
     parse_vehicles,
 )
@@ -25,7 +26,6 @@ from fleetmaint.synth import (
     MarkovSpec,
     PlantedComponent,
     PlantedMotif,
-    _csv_text,
     _job_draws,
     demo_spec,
     generate,
@@ -284,21 +284,23 @@ class TestGenerate:
         (dict(months=2.7), "months must be an integer"),
         (dict(months=12.0), "months must be an integer"),
         (dict(months=True), "months must be an integer"),
-        (dict(vehicles={"A B": -2, "C D": 2}), "'A B': count must be an integer >= 1"),
-        (dict(vehicles={"A B": 0}), "'A B': count must be an integer >= 1"),
-        (dict(vehicles={"A B": 1.5}), "'A B': count must be an integer >= 1"),
-        (dict(vehicles={"A B": True}), "'A B': count must be an integer >= 1"),
+        (dict(vehicles={"A B": -2, "C D": 2}), r"vehicles\['A B'\] must be >= 1, got -2"),
+        (dict(vehicles={"A B": 0}), r"vehicles\['A B'\] must be >= 1, got 0"),
+        (dict(vehicles={"A B": 1.5}), r"vehicles\['A B'\] must be an integer, got 1.5"),
+        (dict(vehicles={"A B": True}), r"vehicles\['A B'\] must be an integer, got True"),
         (dict(vehicles={"AB": 2}), "vehicles key 'AB' must be a make and a model"),
         (dict(vehicles={"A B": 1, "AB ": 2}), "vehicles key 'AB ' must be a make and a model"),
         (dict(vehicles={" AB": 2}), "vehicles key ' AB' must be a make and a model"),
-        (dict(purchase_years=(2014, 2015.0)), "purchase_years must be a non-empty list"),
-        (dict(purchase_years=(0,)), "purchase_years must be a non-empty list"),
+        (dict(purchase_years=(2014, 2015.0)), r"purchase_years\[1\] must be an integer"),
+        (dict(purchase_years=(0,)), r"purchase_years\[0\] must be >= 1, got 0"),
+        (dict(purchase_years=()), "purchase_years must not be empty"),
+        (dict(vehicles={}), "vehicles must not be empty"),
         (dict(months=2413), "months must be <= 2412"),
         (dict(vehicles={"A B": 60_000, "C D": 40_001}), "vehicles total 100001, past 100000"),
         (dict(vehicles={"A B": np.int32(2**31 - 1), "C D": np.int32(2**31 - 1)}),
          "vehicles total 4294967294"),
         (dict(markov={"FORD F150": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_001)}),
-         r"length must be an integer in \[1, 100000\]"),
+         r"markov\['FORD F150'\]\.length must be <= 100000, got 100001"),
         # each size inside its own bound, their product past MAX_JOBS
         (dict(vehicles={"DODGE CHARGER": 1}, months=2412, systems=("Brakes",),
               background_rate=1e6), r"expected job total reaches 2\.412e\+09, past 2000000"),
@@ -420,10 +422,10 @@ class TestCsvText:
     def test_joined_pieces_are_the_csv_writer_row(self, head, tail):
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerow(head + tail)
-        assert f"{_csv_text(head)},{_csv_text(tail)}\n" == out.getvalue()
+        assert f"{csv_text(head)},{csv_text(tail)}\n" == out.getvalue()
 
     def test_quoting_rules(self):
-        assert _csv_text(("a b", " x", "", "1,5", 'say "hi"', "two\nlines")) == \
+        assert csv_text(("a b", " x", "", "1,5", 'say "hi"', "two\nlines")) == \
             'a b, x,,"1,5","say ""hi""","two\nlines"'
 
 

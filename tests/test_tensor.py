@@ -16,8 +16,6 @@ from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import (
     FormatReader,
     Tensor3,
-    cp_compose,
-    default_labels,
     frob_norm,
     load_tensor,
     mttkrp,
@@ -28,7 +26,15 @@ from fleetmaint.tensor import (
     write_floats,
 )
 import oracles
-from oracles import fold, khatri_rao, mttkrp_reference, unfold
+from oracles import (
+    cp_compose,
+    default_labels,
+    fold,
+    from_array,
+    khatri_rao,
+    mttkrp_reference,
+    unfold,
+)
 
 
 def unfold_oracle(x: np.ndarray, mode: int) -> np.ndarray:
@@ -117,18 +123,18 @@ def bits(x: np.ndarray) -> np.ndarray:
 
 def random_tensor(rng, max_dim=6):
     dims = tuple(int(d) for d in rng.integers(1, max_dim + 1, size=3))
-    return Tensor3.from_array(rng.normal(size=dims))
+    return from_array(rng.normal(size=dims))
 
 
 class TestUnfold:
     def test_degenerate_single_entry(self):
-        t = Tensor3.from_array(np.array([[[5.0]]]))
+        t = from_array(np.array([[[5.0]]]))
         for mode in (1, 2, 3):
             assert unfold(t, mode).tolist() == [[5.0]]
 
     def test_mode1_of_2x2x2_enumerated(self):
         # entries 0..7 in the fixed layout: x[i,j,k] = 4i + 2j + k
-        t = Tensor3.from_array(np.arange(8.0).reshape(2, 2, 2))
+        t = from_array(np.arange(8.0).reshape(2, 2, 2))
         expected = np.array([[0.0, 2.0, 1.0, 3.0], [4.0, 6.0, 5.0, 7.0]])
         np.testing.assert_array_equal(unfold(t, 1), expected)
 
@@ -154,12 +160,12 @@ class TestUnfold:
             a = rng.normal(size=(3, 4, 2))
             b = rng.normal(size=(3, 4, 2))
             alpha = 2.75
-            lhs = unfold(Tensor3.from_array(alpha * a + b), mode)
-            rhs = alpha * unfold(Tensor3.from_array(a), mode) + unfold(Tensor3.from_array(b), mode)
+            lhs = unfold(from_array(alpha * a + b), mode)
+            rhs = alpha * unfold(from_array(a), mode) + unfold(from_array(b), mode)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_bad_mode_rejected(self):
-        t = Tensor3.from_array(np.ones((2, 2, 2)))
+        t = from_array(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
             unfold(t, 0)
         with pytest.raises(ValueError):
@@ -173,7 +179,7 @@ class TestUnfold:
     )
     def test_round_trip_property(self, dims, mode, seed):
         x = np.random.default_rng(seed).normal(size=dims)
-        t = Tensor3.from_array(x)
+        t = from_array(x)
         np.testing.assert_array_equal(fold(unfold(t, mode), mode, dims).data, x)
 
 
@@ -208,7 +214,7 @@ class TestKhatriRao:
 class TestMttkrp:
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_zero_tensor(self, mode):
-        t = Tensor3.from_array(np.zeros((3, 4, 5)))
+        t = from_array(np.zeros((3, 4, 5)))
         shapes = {1: (4, 5), 2: (3, 5), 3: (3, 4)}
         f1 = np.ones((shapes[mode][0], 2))
         f2 = np.ones((shapes[mode][1], 2))
@@ -219,7 +225,7 @@ class TestMttkrp:
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_matches_explicit_path(self, mode):
         rng = np.random.default_rng(17)
-        t = Tensor3.from_array(rng.normal(size=(3, 4, 5)))
+        t = from_array(rng.normal(size=(3, 4, 5)))
         shapes = {1: (4, 5), 2: (3, 5), 3: (3, 4)}
         f1 = rng.normal(size=(shapes[mode][0], 2))
         f2 = rng.normal(size=(shapes[mode][1], 2))
@@ -232,13 +238,13 @@ class TestMttkrp:
         a = rng.normal(size=4)
         b = rng.normal(size=3)
         c = rng.normal(size=5)
-        t = Tensor3.from_array(np.einsum("i,j,k->ijk", a, b, c))
+        t = from_array(np.einsum("i,j,k->ijk", a, b, c))
         out = mttkrp(t, b[:, None], c[:, None], 1)
         expected = a[:, None] * (b @ b) * (c @ c)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        t = Tensor3.from_array(np.ones((3, 4, 5)))
+        t = from_array(np.ones((3, 4, 5)))
         with pytest.raises(ValueError):
             mttkrp(t, np.ones((4, 2)), np.ones((5, 3)), 1)
         with pytest.raises(ValueError):
@@ -257,7 +263,7 @@ class TestMttkrp:
         # cp_als takes modes 2 and 3 from one Z = A'X_(1); mttkrp builds on
         # the same two helpers
         rng = np.random.default_rng(seed)
-        t = Tensor3.from_array(rng.normal(size=dims))
+        t = from_array(rng.normal(size=dims))
         a, b, c = (rng.normal(size=(d, rank)) for d in dims)
         z = mttkrp_partial(t, a)
         assert z.shape == (rank, dims[1], dims[2])
@@ -270,7 +276,7 @@ class TestMttkrp:
             assert np.abs(fast - slow).max() <= 1e-10
 
     def test_from_partial_rejects_mode_one(self):
-        z = mttkrp_partial(Tensor3.from_array(np.ones((2, 3, 4))), np.ones((2, 2)))
+        z = mttkrp_partial(from_array(np.ones((2, 3, 4))), np.ones((2, 2)))
         with pytest.raises(ValueError, match="mode must be 2 or 3"):
             mttkrp_from_partial(z, np.ones((4, 2)), 1)
 
@@ -303,7 +309,7 @@ class TestSparseMttkrp:
         a, b, c = (rng.normal(size=(d, rank)) for d in dims)
         # chunks of a few nonzeros put runs across chunk boundaries
         with mock.patch.object(tensor_module, "_SEGMENT_CHUNK", chunk):
-            t = Tensor3.from_array(x)
+            t = from_array(x)
             assert t._nonzeros is not None
             z = mttkrp_partial(t, a)
             assert np.abs(z - np.einsum("ir,ijk->rjk", a, x)).max(initial=0) <= 1e-10
@@ -317,7 +323,7 @@ class TestSparseMttkrp:
         # cannot stale the nonzero lists cached by the first call
         base = np.zeros((4, 4, 8))
         base[0, 0, 0] = 1
-        t = Tensor3.from_array(base[:])
+        t = from_array(base[:])
         b, c = np.ones((4, 1)), np.ones((8, 1))
         mttkrp(t, b, c, 1)
         base[1, 1, 1] = 5
@@ -327,7 +333,7 @@ class TestSparseMttkrp:
     @pytest.mark.parametrize("nnz, sparse", [(0, True), (4, True), (5, False)])
     def test_path_follows_fill(self, nnz, sparse):
         # 128 entries: 4 nonzeros are 1/32 of them, 5 are more
-        t = Tensor3.from_array(sparse_tensor((4, 4, 8), nnz, 3))
+        t = from_array(sparse_tensor((4, 4, 8), nnz, 3))
         spy = mock.patch.object(tensor_module, "_segment_sums", wraps=tensor_module._segment_sums)
         with spy as segment_sums:
             mttkrp(t, np.ones((4, 2)), np.ones((8, 2)), 1)
@@ -371,7 +377,7 @@ class TestStackedMttkrp:
             x = sparse_tensor(dims, max(1, int(np.prod(dims)) // 32), seed)
         else:
             x = rng.normal(size=dims)
-        t = Tensor3.from_array(x)
+        t = from_array(x)
         # C-contiguous factors, or the transposed views a batched solve returns
         a, b, c = (
             f.swapaxes(1, 2) if solved else np.ascontiguousarray(f.swapaxes(1, 2))
@@ -392,7 +398,7 @@ class TestStackedMttkrp:
                     assert got[s].tobytes() == want.tobytes()
 
     def test_stack_mismatch(self):
-        t = Tensor3.from_array(np.ones((3, 4, 5)))
+        t = from_array(np.ones((3, 4, 5)))
         for f2 in (np.ones((3, 5, 2)), np.ones((2, 5, 3)), np.ones((5, 2))):
             with pytest.raises(ValueError, match=r"f2 has shape .*, expected \(2, 5, 2\)"):
                 mttkrp(t, np.ones((2, 4, 2)), f2, 1)
@@ -435,13 +441,13 @@ class TestCpCompose:
 
 class TestFrobNorm:
     def test_zeros(self):
-        assert frob_norm(Tensor3.from_array(np.zeros((2, 3, 4)))) == 0.0
+        assert frob_norm(np.zeros((2, 3, 4))) == 0.0
 
     def test_absolute_value(self):
-        assert frob_norm(Tensor3.from_array(np.array([[[-3.0]]]))) == 3.0
+        assert frob_norm(np.array([[[-3.0]]])) == 3.0
 
     def test_three_four_five(self):
-        t = Tensor3.from_array(np.array([3.0, 4.0]).reshape(2, 1, 1))
+        t = np.array([3.0, 4.0]).reshape(2, 1, 1)
         assert frob_norm(t) == pytest.approx(5.0, abs=1e-15)
 
 
@@ -459,7 +465,7 @@ class TestTensor3Construction:
             Tensor3(np.ones((1, 1, 1)), (("a\nb",), ("c",), ("d",)))
 
     def test_data_is_immutable(self):
-        t = Tensor3.from_array(np.ones((2, 2, 2)))
+        t = from_array(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0, 0] = 7.0
 
@@ -470,7 +476,7 @@ class TestTensor3Construction:
         data = np.arange(8.0).reshape(2, 2, 2)
         data.flat[at] = bad
         with pytest.raises(ValueError, match="nan or inf"):
-            Tensor3.from_array(data)
+            from_array(data)
 
     def test_finite_check_makes_no_full_size_temporary(self):
         data = np.ones((50, 40, 100))
@@ -500,7 +506,7 @@ class TestSerialization:
         assert back.axis_labels == t.axis_labels
 
     def test_save_is_deterministic(self, tmp_path):
-        t = Tensor3.from_array(np.random.default_rng(1).normal(size=(3, 2, 5)))
+        t = from_array(np.random.default_rng(1).normal(size=(3, 2, 5)))
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_tensor(t, p1)
         save_tensor(t, p2)
@@ -536,7 +542,7 @@ class TestSerialization:
     ))
     @example(data=np.array(EDGE_FLOATS[:-1]).reshape(1, 1, 11))
     def test_save_matches_per_value_writer(self, tmp_path, data):
-        t = Tensor3.from_array(data)
+        t = from_array(data)
         save_tensor(t, tmp_path / "new.txt")
         save_tensor_oracle(t, tmp_path / "old.txt")
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
@@ -580,7 +586,7 @@ class TestSerialization:
         replace=st.booleans(),
     )
     def test_malformed_token_rejected(self, tmp_path, data, junk, where, replace):
-        t = Tensor3.from_array(data)
+        t = from_array(data)
         path = tmp_path / "t.txt"
         save_tensor(t, path)
         lines = path.read_text().split("\n")
@@ -678,7 +684,7 @@ class TestStreamedValueBlock:
         values = np.zeros((1 << 8, 1 << 4, 1 << 8))
         values.flat[::97] = 1.5
         path = tmp_path / "t.txt"
-        save_tensor(Tensor3.from_array(values), path)
+        save_tensor(from_array(values), path)
         chunk = 1 << 14
         with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
             tracemalloc.start()
