@@ -223,7 +223,8 @@ def _perplexities(model, train_set, seqs) -> list[float]:
 def cmd_tensorize(args) -> int:
     spec = _from_flags(TensorizeSpec, args)
     paths = args.vehicles, args.maintenance
-    build = _tensorize(paths, *_load_tables(*paths)[:2], spec, args.out, args.discards)
+    vehicles, maintenance, _ = _load_tables(*paths)
+    build = _tensorize(paths, vehicles, maintenance, spec, args.out, args.discards)
     if args.discards:
         print(f"wrote {args.discards}")
     print(f"wrote {args.out} dims={build.tensor.dims} placed={build.placed}")
@@ -283,10 +284,10 @@ def cmd_eval(args) -> int:
     paths = args.vehicles, args.maintenance
     vehicles, maintenance, _ = _load_tables(*paths)
     seqset, _ = extract_sequences(maintenance, vehicles)
+    lists = seqset.as_label_lists()
     with _naming(*paths):
-        train_set, valid_set, test_set = split_by_vehicle(seqset.as_label_lists(), seed=args.seed)
-    chosen = {"train": train_set, "valid": valid_set, "test": test_set,
-              "all": seqset.as_label_lists()}[args.split]
+        train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
+    chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
     lstm_ppl, baseline_ppl = _perplexities(model, train_set, chosen)
     payload = {
         "split": args.split,
@@ -339,14 +340,13 @@ def cmd_pipeline(args) -> int:
     paths = fleet.vehicles_path, fleet.maintenance_path
     vehicles, maintenance, rejects = _load_tables(*paths)
     labels = month_labels(spec.window_start, spec.months)
-    build = _tensorize(paths, vehicles, maintenance,
-                       TensorizeSpec(window_start=labels[0], window_end=labels[-1]),
-                       out / "tensor.txt", out / "discards.json")
+    tspec = TensorizeSpec(window_start=labels[0], window_end=labels[-1])
+    build = _tensorize(paths, vehicles, maintenance, tspec, out / "tensor.txt",
+                       out / "discards.json")
     conserved = build.tensor.data.sum() + sum(build.discards.values()) == len(maintenance)
-    cp_model, _ = _factorize(out / "tensor.txt", build.tensor,
-                             AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed,
-                                        n_restarts=2),
-                             out / "cp_model.txt", out / "reports")
+    opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
+    cp_model, _ = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt",
+                             out / "reports")
     seqset, _ = extract_sequences(maintenance, vehicles)
     patterns = _mine(paths, seqset, "DODGE CHARGER", out / "seqmine.csv", top_n=8)
     # a smaller, shorter run than the defaults

@@ -1,9 +1,10 @@
 """Config fields declared once: a config dataclass field's annotation is its
 type, a scalar or a container of scalars, and its ``dataclasses.field``
 metadata holds its bounds (``ge``, ``gt``, ``le``, ``lt``) or ``choices``,
-which a container's items take, its command-line ``flag`` where that is not
-the field's name, and its ``help``. :func:`check` enforces them, and
-the command line makes each subcommand's flags from the same fields."""
+which a container's items take, ``nonempty`` for a container that needs an
+item, its command-line ``flag`` where that is not the field's name, and its
+``help``. :func:`check` enforces them, and the command line makes each
+subcommand's flags from the same fields."""
 
 import math
 import operator
@@ -42,7 +43,7 @@ def _check(name: str, value, kind: str, meta) -> None:
     in ``meta``. A container, non-empty if ``meta`` says ``nonempty``, holds
     items of its item annotation, which the bounds and choices apply to."""
     for prefix, (suffix, what, test, items) in CONTAINERS.items():
-        if kind.startswith(prefix):
+        if kind.startswith(prefix) and kind.endswith(suffix):
             if not test(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
             if meta.get("nonempty") and not value:

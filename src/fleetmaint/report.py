@@ -30,6 +30,13 @@ _TEXT = "#1E293B"
 _FONT = "Helvetica, Arial, sans-serif"
 
 
+def _check_components(model: CpModel, components) -> None:
+    """Raise ValueError for a 1-based component outside the model's rank."""
+    for comp in components:
+        if not 1 <= comp <= model.rank:
+            raise ValueError(f"component must be in [1, {model.rank}], got {comp}")
+
+
 def _write_csv(path, model: CpModel, components: list[int]) -> None:
     fields = [[csv_text((label,)) for label in labels] for labels in model.axis_labels]
     lines = [",".join(REPORT_CSV_COLUMNS) + "\n"]
@@ -111,6 +118,7 @@ def render_factor_svg(model: CpModel, component: int, axes: list[_Axis] | None =
     ``axes`` is the panel text of the model's labels; an export computes it
     once and passes it for every component.
     """
+    _check_components(model, [component])
     if axes is None:
         axes = _axes(model.axis_labels)
     col = component - 1
@@ -140,9 +148,7 @@ def export_component_reports(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     components = list(components or range(1, model.rank + 1))
-    for comp in components:
-        if not 1 <= comp <= model.rank:
-            raise ValueError(f"component must be in [1, {model.rank}], got {comp}")
+    _check_components(model, components)
     csv_path = out_dir / "factor_report.csv"
     _write_csv(csv_path, model, components)
     written = [csv_path]

@@ -51,13 +51,8 @@ from fleetmaint.parafac import (
     _flag_degenerate_components,
     _normalize_factors,
 )
-from fleetmaint.ingest import (
-    MaintenanceRecord,
-    RejectedRow,
-    VehicleRecord,
-    csv_text,
-    normalize_system,
-)
+from fleetmaint.ingest import MaintenanceRecord, RejectedRow, VehicleRecord, csv_text
+from fleetmaint.ingest import normalize_system
 from fleetmaint.report import (
     _AXIS,
     _BAR_FILL,

@@ -52,6 +52,11 @@ class TestSvg:
         assert "tires &amp; tubes" in svg
         assert svg.count("<rect") >= 3 + 2 + 4
 
+    @pytest.mark.parametrize("component", [0, 3])
+    def test_component_out_of_range(self, component):
+        with pytest.raises(ValueError, match=rf"component must be in \[1, 2\], got {component}"):
+            render_factor_svg(small_model(), component)
+
     def test_deterministic(self):
         model = small_model()
         assert render_factor_svg(model, 1) == render_factor_svg(model, 1)

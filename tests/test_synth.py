@@ -295,6 +295,18 @@ class TestGenerate:
         (dict(purchase_years=(0,)), r"purchase_years\[0\] must be >= 1, got 0"),
         (dict(purchase_years=()), "purchase_years must not be empty"),
         (dict(vehicles={}), "vehicles must not be empty"),
+        # each nested object's fields are checked like the spec's own, and named by place
+        (dict(components=[PlantedComponent("x", {"DODGE CHARGER": 1.0}, {"Brakes": 1.0},
+                                           (1.0,) * 12, -1.0)]),
+         r"components\[0\]\.intensity must be >= 0, got -1\.0"),
+        (dict(components=[PlantedComponent("x", {}, {"Brakes": float("nan")}, (1.0,) * 12,
+                                           1.0)]),
+         r"components\[0\]\.system_weights\['Brakes'\] must be a finite number, got nan"),
+        (dict(motifs=[PlantedMotif("FORD F150", (), 0.1)]),
+         r"motifs\[0\]\.labels must not be empty"),
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((0.5, 0.5), (1.5, -0.5)),
+                                              (1.0, 1.0), 5)}),
+         r"markov\['FORD F150'\]\.transition\[1\]\[1\] must be >= 0, got -0\.5"),
         (dict(months=2413), "months must be <= 2412"),
         (dict(vehicles={"A B": 60_000, "C D": 40_001}), "vehicles total 100001, past 100000"),
         (dict(vehicles={"A B": np.int32(2**31 - 1), "C D": np.int32(2**31 - 1)}),
