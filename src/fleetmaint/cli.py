@@ -27,6 +27,7 @@ from .ingest import (
     parse_maintenance,
     parse_vehicles,
     write_discard_summary,
+    write_json,
 )
 from .lstm import (
     UNK_TOKEN,
@@ -361,7 +362,7 @@ def cmd_pipeline(args) -> int:
         "rejected_rows": len(rejects),
         "tensor_dims": list(build.tensor.dims),
         "tensor_sum": build.tensor.data.sum(),
-        "discards": dict(sorted(build.discards.items())),
+        "discards": build.discards,
         "conservation_ok": bool(conserved),
         "cp_fit": cp_model.fit,
         "cp_iterations": cp_model.iterations,
@@ -373,9 +374,7 @@ def cmd_pipeline(args) -> int:
         "unigram_test_perplexity": baseline_ppl,
         "lstm_beats_unigram": bool(lstm_ppl < baseline_ppl),
     }
-    with open(out / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(metrics, out / "metrics.json")
 
     print(f"pipeline demo complete under {out}")
     print(f"  conservation: {'ok' if conserved else 'FAILED'}")

@@ -20,13 +20,14 @@ import json
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
 from .knobs import check
-from .tensor import Tensor3, not_utf8
+from .tensor import Tensor3, check_dims, not_utf8
 
 
 class DataError(ValueError):
@@ -64,6 +65,30 @@ def csv_text(fields) -> str:
     # a trailing empty field: a row of one empty field is written as ""
     csv.writer(out, lineterminator="\n").writerow((*fields, ""))
     return out.getvalue()[:-2]
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as every JSON artifact is written: LF line ends,
+    indent 2, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def month_index(value: str) -> int | None:
+    """``12*year + month - 1`` of a ``YYYY-MM`` month, or None when ``value``
+    is not one: two integers split by one dash, the second in [1, 12]."""
+    try:  # a ValueError from int(), or from a count of parts other than two
+        year, month = map(int, value.strip().split("-"))
+    except ValueError:
+        return None
+    return year * 12 + month - 1 if 1 <= month <= 12 else None
+
+
+def month_labels(window_start: str, months: int) -> list[str]:
+    """The ``YYYY-MM`` labels of ``months`` months from ``window_start`` on."""
+    start = month_index(window_start)
+    return [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(start, start + months)]
 
 
 def parse_date(value: str) -> date | None:
@@ -156,10 +181,16 @@ def _read_table(path, required):
             raise DataError(not_utf8(path, exc)) from None
 
 
+def _check_unique(path, column: str, values: list[str]) -> None:
+    """Raise a DataError that lists each value of ``column`` found more than
+    once in ``values``."""
+    if len(set(values)) < len(values):
+        duplicates = sorted(value for value, n in Counter(values).items() if n > 1)
+        raise DataError(f"{path}: duplicate {column} values: {duplicates}")
+
+
 def parse_vehicles(path) -> list[VehicleRecord]:
     records: list[VehicleRecord] = []
-    seen: set[str] = set()
-    duplicates: list[str] = []
     for row_no, (unit, make, model, year_raw) in _read_table(path, VEHICLE_REQUIRED):
         unit = unit.strip()
         if not unit:
@@ -175,21 +206,15 @@ def parse_vehicles(path) -> list[VehicleRecord]:
             raise DataError(f"{path}: row {row_no}: unparseable Year {year_raw!r}")
         if not 1900 <= year <= 2100:
             raise DataError(f"{path}: row {row_no}: Year {year} outside [1900, 2100]")
-        if unit in seen:
-            duplicates.append(unit)
-            continue
-        seen.add(unit)
         records.append(VehicleRecord(unit, make, model, year))
-    if duplicates:
-        raise DataError(f"{path}: duplicate Unit# values: {sorted(set(duplicates))}")
+    _check_unique(path, "Unit#", [v.unit_no for v in records])
     return records
 
 
 def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]:
     records: list[MaintenanceRecord] = []
     rejects: list[RejectedRow] = []
-    seen: set[str] = set()
-    duplicates: list[str] = []
+    job_ids: list[str] = []
     dates: dict[str, date | None] = {}  # parse_date of each distinct raw value
     # one string object per distinct Unit No and System Description: the
     # paper-scale fleet's 136k jobs name only 1,087 units and 81 systems
@@ -201,10 +226,7 @@ def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]
         unit = unit.strip()
         if not unit:
             raise DataError(f"{path}: row {row_no}: missing Unit No value")
-        if job_id in seen:
-            duplicates.append(job_id)
-            continue
-        seen.add(job_id)
+        job_ids.append(job_id)
         open_raw = open_raw.strip()
         try:
             open_date = dates[open_raw]
@@ -220,8 +242,7 @@ def parse_maintenance(path) -> tuple[list[MaintenanceRecord], list[RejectedRow]]
         unit = shared.setdefault(unit, unit)
         system = shared.setdefault(system, system)
         records.append(MaintenanceRecord(job_id, unit, open_date, system))
-    if duplicates:
-        raise DataError(f"{path}: duplicate Job ID values: {sorted(set(duplicates))}")
+    _check_unique(path, "Job ID", job_ids)
     return records, rejects
 
 
@@ -260,34 +281,17 @@ class TensorizeSpec:
 
     def __post_init__(self) -> None:
         check(self)
-        start = _parse_month(self.window_start)
+        start = month_index(self.window_start)
         if start is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         if self.window_end is not None:
-            end = _parse_month(self.window_end)
+            end = month_index(self.window_end)
             if end is None:
                 raise ValueError(f"bad window_end {self.window_end!r}")
             if end < start:
                 raise ValueError("window_end precedes window_start")
-            if _month_index(*end) - _month_index(*start) >= MAX_WINDOW_MONTHS:
+            if end - start >= MAX_WINDOW_MONTHS:
                 raise ValueError(f"the window spans more than {MAX_WINDOW_MONTHS} months")
-
-
-def _parse_month(value: str) -> tuple[int, int] | None:
-    parts = value.strip().split("-")
-    if len(parts) != 2:
-        return None
-    try:
-        year, month = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    if not 1 <= month <= 12:
-        return None
-    return year, month
-
-
-def _month_index(year: int, month: int) -> int:
-    return year * 12 + (month - 1)
 
 
 @dataclass
@@ -355,9 +359,9 @@ def build_tensor(
         "below_purchase_year_floor": model_year < spec.purchase_year_floor,
     }
     if spec.time_mode == "absolute":
-        lo = _month_index(*_parse_month(spec.window_start))
+        lo = month_index(spec.window_start)
         if spec.window_end is not None:
-            hi = _month_index(*_parse_month(spec.window_end))
+            hi = month_index(spec.window_end)
         else:
             # the latest job that the vehicle checks keep
             kept = month[~(masks["unknown_vehicle"] | masks["below_purchase_year_floor"])]
@@ -369,8 +373,8 @@ def build_tensor(
                                 f"{MAX_WINDOW_MONTHS} months past the window start")
         if hi < lo:
             raise DataError("window end precedes window start")
-        buckets = range(lo // step, hi // step + 1)
-        labels = [f"{i // 12:04d}-{i % 12 + 1:02d}" if step == 1 else str(i) for i in buckets]
+        labels = (month_labels(spec.window_start, hi - lo + 1) if step == 1
+                  else [str(year) for year in range(lo // 12, hi // 12 + 1)])
         origin = lo
         masks["outside_window"] = (month < lo) | (month > hi)
     else:
@@ -392,6 +396,7 @@ def build_tensor(
     units, unit_axis = np.unique(unit[placed], return_inverse=True)
     systems, system_axis = np.unique(system[placed], return_inverse=True)
     shape = (len(units), len(systems), len(labels))
+    check_dims(shape)
     flat = (unit_axis * shape[1] + system_axis) * shape[2] + bucket[placed]
     # weighted, so the counts come out as float64 without an integer copy
     data = np.bincount(flat, weights=np.ones(flat.size), minlength=math.prod(shape))
@@ -402,11 +407,5 @@ def build_tensor(
 
 
 def write_discard_summary(build: TensorBuild, path) -> None:
-    payload = {
-        "placed": build.placed,
-        "discarded": dict(sorted(build.discards.items())),
-        "total_records": build.total_seen,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"placed": build.placed, "discarded": build.discards,
+                "total_records": build.total_seen}, path)

@@ -427,7 +427,7 @@ class SeqModel:
             config.check_working_set(vocab.size)
             # the blocks save writes for this config and vocabulary, by name
             expected = sorted(_param_shapes(config, vocab.size).items())
-            n_blocks = int(reader.fields("blocks", 1)[0])
+            n_blocks, = reader.integers("blocks")
             if n_blocks != len(expected):
                 raise ValueError(f"seqmodel declares {n_blocks} blocks, its config needs "
                                  f"{len(expected)}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .knobs import check
 from .tensor import (
+    MAX_WORKING_FLOATS,
     AxisLabels,
     FormatReader,
     Tensor3,
@@ -28,15 +29,14 @@ from .tensor import (
 )
 
 _RIDGE_SCALE = 1e-12
-# the largest rank, sweep count and restart count AlsOptions accepts, and the
-# most floats of factors, Grams and partial products, n_restarts * rank * (I +
-# J + K + J*K + rank), that the stacked restarts of cp_als may hold: 2**27
-# floats are 1 GiB. MAX_ITERS, 20 times the default, also bounds the
-# iterations and fits of a saved model
+# the largest rank, sweep count and restart count AlsOptions accepts; the
+# stacked restarts of cp_als may hold at most MAX_WORKING_FLOATS floats of
+# factors, Grams and partial products, n_restarts * rank * (I + J + K + J*K +
+# rank). MAX_ITERS, 20 times the default, also bounds the iterations and fits
+# of a saved model
 MAX_RANK = 1000
 MAX_ITERS = 10_000
 MAX_RESTARTS = 100
-MAX_WORKING_FLOATS = 1 << 27
 # sweeps whose fit passes this score it from a full reconstruction
 _DIRECT_FIT_ABOVE = 1.0 - 1e-6
 
@@ -278,24 +278,27 @@ def save_model(model: CpModel, path) -> None:
 
 def load_model(path) -> CpModel:
     with FormatReader.open(path, _MAGIC) as reader:
-        rank = int(reader.fields("rank", 1)[0])
-        dims = tuple(int(v) for v in reader.fields("dims", 3))
-        fit = float(reader.fields("fit", 1)[0])
-        iterations = int(reader.fields("iterations", 1)[0])
-        if not 0 <= iterations <= MAX_ITERS:
+        rank, = reader.integers("rank")
+        dims = tuple(reader.integers("dims", 3))
+        fit = reader.fields("fit", 1)[0]
+        # nan is the fit that a model assembled from known factors saves
+        fit = math.nan if fit == "nan" else parse_floats(fit + "\n", 1, "cpmodel fit").item()
+        iterations, = reader.integers("iterations")
+        if iterations > MAX_ITERS:
             raise ValueError(f"cpmodel iterations must be in [0, {MAX_ITERS}], got {iterations}")
-        converged = int(reader.fields("converged", 1)[0])
+        converged, = reader.integers("converged")
         if converged not in (0, 1):
             raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
         weights = parse_floats(" ".join(reader.fields("weights", rank)) + "\n", rank,
                                "cpmodel weights")
         n_fits, *fit_values = reader.fields("fits")
-        fits = tuple(float(v) for v in fit_values)
-        if len(fits) != int(n_fits):
-            raise ValueError(f"fits line declares {n_fits} values, has {len(fits)}")
-        if len(fits) > MAX_ITERS:
-            raise ValueError(f"cpmodel fits holds {len(fits)} values, past {MAX_ITERS}")
-        n_warn = int(reader.fields("warnings", 1)[0])
+        n_fits = reader.integer("fits", n_fits)
+        if len(fit_values) != n_fits:
+            raise ValueError(f"fits line declares {n_fits} values, has {len(fit_values)}")
+        if n_fits > MAX_ITERS:
+            raise ValueError(f"cpmodel fits holds {n_fits} values, past {MAX_ITERS}")
+        fits = tuple(parse_floats(" ".join(fit_values) + "\n", n_fits, "cpmodel fits").tolist())
+        n_warn, = reader.integers("warnings")
         warnings = tuple(reader.line() for _ in range(n_warn))
         labels = reader.labels(dims)
         factors = tuple(reader.floats(n * rank, f"factor {name}", rank).reshape(n, rank)

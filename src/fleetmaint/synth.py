@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import MAX_WINDOW_MONTHS, _parse_month, csv_text, normalize_make_model
-from .ingest import normalize_system
+from .ingest import MAX_WINDOW_MONTHS, csv_text, month_index, month_labels
+from .ingest import normalize_make_model, normalize_system, write_json
 from .knobs import check
 
 VEHICLE_COLUMNS = (
@@ -123,7 +122,7 @@ class FleetSpec:
         if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
             raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
                              "normalize alike, which the tables would merge")
-        if _parse_month(self.window_start) is None:
+        if month_index(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
         planted = self.background_rate  # a bound on every cell's mean
@@ -223,12 +222,6 @@ def spec_from_json(payload) -> FleetSpec:
         comp.intensity = float(comp.intensity)
         comp.time_profile = tuple(map(float, comp.time_profile))
     return spec
-
-
-def month_labels(window_start: str, months: int) -> list[str]:
-    y, m = _parse_month(window_start)
-    base = y * 12 + (m - 1)
-    return [f"{(base + k) // 12:04d}-{(base + k) % 12 + 1:02d}" for k in range(months)]
 
 
 @dataclass
@@ -492,9 +485,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
         },
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, manifest_path)
 
     return GeneratedFleet(
         vehicles_path=vehicles_path,

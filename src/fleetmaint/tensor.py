@@ -13,6 +13,7 @@ and the explicit ``unfold @ khatri_rao`` reference live with the tests, in
 from __future__ import annotations
 
 import functools
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -22,6 +23,20 @@ from typing import NamedTuple
 import numpy as np
 
 AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+
+# the most entries a dense tensor, built or loaded, may hold, and the most
+# floats of the CP-ALS working set: 2**27 floats are 1 GiB
+MAX_WORKING_FLOATS = 1 << 27
+
+
+def check_dims(dims) -> None:
+    """Raise ValueError unless the dims of a dense tensor are positive and
+    hold at most ``MAX_WORKING_FLOATS`` entries."""
+    if min(dims) < 1:
+        raise ValueError(f"Tensor3 dims must be positive, got {dims}")
+    if math.prod(dims) > MAX_WORKING_FLOATS:
+        raise ValueError(f"a {'x'.join(map(str, dims))} tensor holds {math.prod(dims)} "
+                         f"entries, past {MAX_WORKING_FLOATS}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +59,7 @@ class Tensor3:
             arr = arr.copy()
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 data must be 3-dimensional, got ndim={arr.ndim}")
-        if any(d < 1 for d in arr.shape):
-            raise ValueError(f"Tensor3 dims must be positive, got {arr.shape}")
+        check_dims(arr.shape)
         # min and max carry any nan and reach any inf, with no temporary array
         if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("Tensor3 data holds nan or inf values")
@@ -282,31 +296,27 @@ def write_floats(fh, values: np.ndarray, per_line: int) -> None:
 def parse_floats(source, count: int, what: str) -> np.ndarray:
     """The ``count`` finite floats of a ``write_floats`` block, named ``what`` in errors.
 
-    ``source`` is the block's text, or a text stream read from where it
-    stands to its end. The writer ends every line with a newline: a block
-    without one was cut, possibly inside its last value. Count tensors are
-    mostly zeros, written as the token ``0.0``: a token that is exactly
-    ``0.0`` is taken as +0.0 without parsing, and every other token goes
-    through ``np.fromstring``, so the block is accepted or rejected, and read
-    to the same values, as if ``np.fromstring`` read it whole. The block is
-    read in pieces of ``_PARSE_CHARS`` characters, so no temporary is the
-    size of the block. Each value takes a token and a separator, so a block
-    of ``size`` characters or bytes holds at most ``size // 2`` values: when
-    the text's size is known (a string, or a stream on a file) and ``count``
-    fits in it, the output is allocated once, at most 4 bytes per byte of
-    text. Otherwise it grows with the values found. Either way a ``count``
-    past what the block holds fails the count check, not the allocation.
-    The errors do not depend on where the pieces end: a cut block fails
-    before a malformed token, which fails before a wrong count.
+    ``source`` is the block's text, or a text file read from where it stands
+    to its end. The writer ends every line with a newline: a block without
+    one was cut, possibly inside its last value. Count tensors are mostly
+    zeros, written as the token ``0.0``: a token that is exactly ``0.0`` is
+    taken as +0.0 without parsing, and every other token goes through
+    ``np.fromstring``, so the block is accepted or rejected, and read to the
+    same values, as if ``np.fromstring`` read it whole. The block is read in
+    pieces of ``_PARSE_CHARS`` characters, so no temporary is the size of
+    the block. Each value takes a token and a separator, so a block of
+    ``size`` characters or bytes (the string's length, or the file's size)
+    holds at most ``size // 2 + 1`` values: the output is allocated once, at
+    most 4 bytes per byte of text, and a ``count`` past that fails the count
+    check, not the allocation. The errors do not depend on where the pieces
+    end: a cut block fails before a malformed token, which fails before a
+    wrong count.
     """
     if isinstance(source, str):
         size = len(source)
         pieces = (source[i : i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
     else:
-        try:
-            size = os.fstat(source.fileno()).st_size
-        except OSError:  # e.g. io.StringIO, which has no file
-            size = -1
+        size = os.fstat(source.fileno()).st_size
         pieces = iter(functools.partial(source.read, _PARSE_CHARS), "")
     out = np.zeros(count if 0 <= count <= size // 2 + 1 else 0)
     found = 0
@@ -334,10 +344,6 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
             # zero marks a subset of first, so first ^ zero marks the other tokens
             index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
             found += starts.size
-            if out.size < found <= count:
-                # zero-filled and at least doubled, so a block costs a few
-                # reallocations
-                out.resize(min(count, max(found, 2 * out.size)), refcheck=False)
             if not index.size or malformed:  # a blank string reads as [-1.0]
                 continue
             # drop each 0.0 token with the whitespace byte after it: the
@@ -351,7 +357,7 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
                 malformed = str(exc)
                 continue
             finite = finite and bool(np.isfinite(values).all())
-            if found <= count:
+            if found <= out.size:
                 out[index] = values
     if piece and not piece.endswith("\n"):
         raise ValueError(f"{what} is truncated: no final newline")
@@ -441,6 +447,18 @@ class FormatReader:
             raise ValueError(f"malformed {keyword} line {line!r}")
         return parts[1:]
 
+    @staticmethod
+    def integer(keyword: str, value: str) -> int:
+        """A value of a ``keyword`` line read as a header integer: one or more
+        of the ASCII digits 0-9, and nothing else."""
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{keyword} must be written in the digits 0-9, got {value!r}")
+        return int(value)
+
+    def integers(self, keyword: str, count: int = 1) -> list[int]:
+        """The values of a ``keyword n1 n2 ...`` line of ``count`` header integers."""
+        return [self.integer(keyword, value) for value in self.fields(keyword, count)]
+
     def labels(self, dims) -> AxisLabels:
         """One verbatim label per line for each index of each axis, axis 1 first."""
         return tuple(tuple(self.line() for _ in range(n)) for n in dims)  # type: ignore[return-value]
@@ -478,9 +496,8 @@ def save_tensor(t: Tensor3, path) -> None:
 
 def load_tensor(path) -> Tensor3:
     with FormatReader.open(path, _MAGIC) as reader:
-        dims = tuple(int(v) for v in reader.fields("dims", 3))
-        if min(dims) < 1:
-            raise ValueError(f"Tensor3 dims must be positive, got {dims}")
+        dims = tuple(reader.integers("dims", 3))
+        check_dims(dims)
         labels = reader.labels(dims)
         values = reader.floats(dims[0] * dims[1] * dims[2], "values")
         values.shape = dims  # in place: Tensor3 keeps an array that owns its buffer

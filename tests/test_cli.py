@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fleetmaint import lstm
+from fleetmaint import tensor as tensor_module
 from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
 from fleetmaint.lstm import LstmConfig, SeqModel, predict_next
@@ -235,6 +236,39 @@ class TestTensorize:
                    "seqmine": "no sequences for target make/model 'DODGE CHARGER'"}[command]
         assert capsys.readouterr().err == f"data-error: {vehicles} and {maintenance}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spare", [0, -1], ids=["at the bound", "past the bound"])
+    def test_dense_tensor_past_the_bound_is_data_error(self, fleet_dir, tmp_path, capsys,
+                                                       monkeypatch, spare):
+        vehicles, maintenance = fleet_dir / "vehicles.csv", fleet_dir / "maintenance.csv"
+        out = tmp_path / "tensor.txt"
+        argv = ["tensorize", "--vehicles", str(vehicles), "--maintenance", str(maintenance),
+                "--window-start", "2013-01", "--window-end", "2016-12", "--out", str(out)]
+        assert main(argv) == 0
+        dims = load_tensor(out).dims
+        out.unlink()
+        capsys.readouterr()
+        monkeypatch.setattr(tensor_module, "MAX_WORKING_FLOATS", math.prod(dims) + spare)
+        if spare == 0:
+            assert main(argv) == 0
+            assert load_tensor(out).dims == dims
+            return
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"data-error: {vehicles} and {maintenance}: a {dims[0]}x{dims[1]}x{dims[2]} tensor "
+            f"holds {math.prod(dims)} entries, past {math.prod(dims) - 1}\n")
+        assert not out.exists()
+
+    def test_tensor_file_past_the_bound_is_data_error(self, tensor_path, tmp_path, capsys,
+                                                      monkeypatch):
+        dims = load_tensor(tensor_path).dims
+        monkeypatch.setattr(tensor_module, "MAX_WORKING_FLOATS", math.prod(dims) - 1)
+        code = main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"data-error: {tensor_path}: line 2: a {dims[0]}x{dims[1]}x{dims[2]} tensor holds "
+            f"{math.prod(dims)} entries, past {math.prod(dims) - 1}\n")
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("table", ["vehicles.csv", "maintenance.csv"])
     def test_non_utf8_table_is_data_error(self, fleet_dir, tmp_path, capsys, table):
@@ -924,6 +958,94 @@ def test_format_file_content_error_names_the_file(tensor_path, model_path, tmp_p
     assert proc.stdout == ""
     assert proc.stderr == f"data-error: {bad}: {message}\n"
     assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@pytest.mark.parametrize("kind, keyword, at, spell", [
+    ("cp model", "fits", 1, lambda v: "1_0"),
+    ("cp model", "fits", 1, lambda v: "nan"),
+    ("cp model", "fits", 1, lambda v: "infinity"),
+    ("cp model", "fits", 1, lambda v: "1e999"),
+    ("cp model", "fit", 0, lambda v: "1_0"),
+    ("cp model", "rank", 0, lambda v: "+" + v),
+    ("tensor", "dims", 0, lambda v: v[0] + "_" + v[1:]),
+    ("tensor", "dims", 0, lambda v: v.translate(ARABIC_INDIC)),
+    ("tensor", "dims", 0, lambda v: "+" + v),
+    ("seq model", "blocks", 0, lambda v: "+" + v),
+], ids=["fits 1_0", "fits nan", "fits infinity", "fits 1e999", "fit 1_0", "rank +", "dims 6_0",
+        "dims arabic-indic", "dims +", "blocks +"])
+def test_number_outside_the_format_grammar_is_data_error(tensor_path, model_path, tmp_path,
+                                                          kind, keyword, at, spell):
+    """Header integers are ASCII digits and float values go through
+    ``parse_floats``: a value that Python's int() or float() would take but
+    the writers never write names the file and its line."""
+    source = {"tensor": tensor_path, "seq model": model_path}.get(kind, tmp_path / "cp.txt")
+    if kind == "cp model":
+        assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                     "--out", str(source)]) == 0
+    lines = source.read_text().split("\n")
+    line_no = next(i for i, line in enumerate(lines) if line.split(" ")[0] == keyword)
+    values = lines[line_no].split(" ")
+    values[1 + at] = spell(values[1 + at])
+    lines[line_no] = " ".join(values)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    argv = {
+        "tensor": ["parafac", "--tensor", str(bad), "--rank", "2", "--out", str(tmp_path / "m")],
+        "cp model": ["report", "--model", str(bad), "--out", str(tmp_path / "rep")],
+        "seq model": ["predict", "--model", str(bad), "--prefix", "brakes"],
+    }[kind]
+    proc = run_cli(*argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"data-error: {bad}: line {line_no + 1}: {kind.split()[0]}"
+                                  if keyword in ("fit", "fits") else
+                                  f"data-error: {bad}: line {line_no + 1}: {keyword} "), proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
+
+
+def test_model_with_nan_fit_reports(tensor_path, tmp_path):
+    """nan is the fit a model assembled from known factors saves."""
+    path = tmp_path / "cp.txt"
+    assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                 "--out", str(path)]) == 0
+    lines = path.read_text().split("\n")
+    assert lines[3].startswith("fit ")
+    lines[3] = "fit nan"
+    path.write_text("\n".join(lines))
+    assert math.isnan(load_model(path).fit)
+    assert main(["report", "--model", str(path), "--out", str(tmp_path / "rep")]) == 0
+
+
+HELP_PINS = Path(__file__).parent / "data" / "cli_help.txt"
+
+
+def help_pins():
+    """``{argv: text}`` of each ``==> fleetmaint <argv> <==`` section of HELP_PINS."""
+    sections = HELP_PINS.read_text(encoding="utf-8").split("==> fleetmaint ")[1:]
+    return dict(section.split(" <==\n", 1) for section in sections)
+
+
+# argparse's layout changes between Python releases (3.13 joins the metavar
+# of short and long options, for one); the pins are those of Python 3.11
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pins are Python 3.11's")
+@pytest.mark.parametrize("argv", list(help_pins()))
+def test_help_is_pinned(argv, monkeypatch, capsys):
+    """``fleetmaint [<cmd>] --help`` at 80 columns, byte for byte; after a
+    deliberate change, regenerate HELP_PINS from the same calls."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == help_pins()[argv]
+
+
+def test_help_pins_cover_every_parser():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert list(help_pins()) == ["--help"] + [f"{name} --help" for name in commands]
 
 
 class TestPipeline:

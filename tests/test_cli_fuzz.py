@@ -1,17 +1,19 @@
-"""Fuzzing of the CLI's config-file, fleet-spec, job-table and tensor inputs.
+"""Fuzzing of the CLI's config-file, fleet-spec, job-table, tensor and model inputs.
 
 Each example mutates one valid input (a ``train --config`` file, a
 ``synth --spec`` fleet spec, the demo fleet's vehicle or maintenance table,
-or the demo ``tensor.txt`` that ``parafac`` reads) and runs ``cli.main``
-in-process. The mutations flip bits, drop, duplicate or swap lines and
-keys, swap values for awkward numbers or for values of other JSON types,
-and cut files short or inject quotes, NULs and carriage returns into them.
+the demo ``tensor.txt`` that ``parafac`` reads, or a ``cp_model.txt`` that
+``report`` reads or ``seq_model.txt`` that ``predict`` reads) and runs
+``cli.main`` in-process. The mutations flip bits, drop, duplicate or swap
+lines and keys, swap values for awkward numbers or for values of other JSON
+types, and cut files short or inject quotes, NULs and carriage returns into
+them.
 The mutated file is the only input at fault, so whatever the mutation, the
 run either succeeds or ends with one error line on stderr:
 ``config-error: `` with exit code 2 for a config file or spec, and
-``data-error: `` naming the file with exit code 4 for a table or a tensor.
-Never another exit code, a warning or a traceback, and a run that succeeds
-writes no nan or inf.
+``data-error: `` naming the file with exit code 4 for a table, a tensor or
+a model. Never another exit code, a warning or a traceback, and a run that
+succeeds writes or prints no nan or inf.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -86,12 +89,14 @@ def edits(kinds):
     return st.lists(edit, min_size=1, max_size=3)
 
 
-def run(argv):
-    """Exit code and stderr of ``main(argv)``; fails on any warning."""
+def run(argv, out=None):
+    """Exit code and stderr of ``main(argv)``, whose stdout goes to ``out``
+    if given; fails on any warning."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO() if out is None else out), \
+                contextlib.redirect_stderr(err):
             code = main(argv)
     assert not caught, [str(w.message) for w in caught]
     return code, err.getvalue()
@@ -309,6 +314,18 @@ NUMBERS = ["1e308", "nan", "-1", "1e999", "-0.0"]
 CATEGORIES = ("config-error: ", "io-error: ", "data-error: ", "internal-error: ")
 
 
+def check_file_outcome(code, err, path):
+    """Exit 0 with no error line, or one categorized error line that names
+    ``path``; never another exit code or a traceback."""
+    assert code in (0, 2, 3, 4), (code, err)
+    assert "Traceback" not in err, err
+    errors = [line for line in err.splitlines() if line.startswith(CATEGORIES)]
+    if code == 0:
+        assert errors == [], err
+    else:
+        assert len(errors) == 1 and str(path) in errors[0], err
+
+
 def tensor_edits():
     """One to three (kind, where, which) edits, as ``edits`` draws them."""
     kinds = st.sampled_from(["flip", "truncate", "drop-line", "duplicate-line", "swap-lines",
@@ -317,10 +334,10 @@ def tensor_edits():
     return st.lists(edit, min_size=1, max_size=3)
 
 
-def mutate_tensor(data: bytes, first_value_line: int, edit_list) -> bytes:
+def mutate_tensor(data: bytes, first_value_line: int, edit_list, numbers=NUMBERS) -> bytes:
     """``data`` with one bit flipped, cut short, one line dropped, repeated
     or swapped with the next, or one value of the lines from
-    ``first_value_line`` on replaced by one of ``NUMBERS``, once per edit."""
+    ``first_value_line`` on replaced by one of ``numbers``, once per edit."""
     for kind, where, which in edit_list:
         lines = data.splitlines(keepends=True)
         if kind == "truncate":
@@ -333,7 +350,7 @@ def mutate_tensor(data: bytes, first_value_line: int, edit_list) -> bytes:
             at = first_value_line + where % (len(lines) - first_value_line)
             tokens = lines[at].split()
             if tokens:
-                tokens[which // len(NUMBERS) % len(tokens)] = NUMBERS[which % len(NUMBERS)].encode()
+                tokens[which // len(numbers) % len(tokens)] = numbers[which % len(numbers)].encode()
                 lines[at] = b" ".join(tokens) + b"\n"
             data = b"".join(lines)
         elif kind != "number" and lines:
@@ -380,15 +397,68 @@ def test_mutated_tensor(demo_tensor, edit_list):
         tensor.write_bytes(mutate_tensor(*demo_tensor, edit_list))
         code, err = run(["parafac", "--tensor", str(tensor), "--rank", "2", "--max-iters", "5",
                          "--out", str(model), "--report-dir", str(reports), "--format", "csv"])
-        assert code in (0, 2, 3, 4), (code, err)
-        assert "Traceback" not in err, err
-        errors = [line for line in err.splitlines() if line.startswith(CATEGORIES)]
+        check_file_outcome(code, err, tensor)
         if code == 0:
-            assert errors == [], err
             cp = load_model(model)
             assert all(map(math.isfinite, (cp.fit, *cp.fits))), (cp.fit, cp.fits)
             assert all(np.isfinite(f).all() for f in (cp.weights, *cp.factors))
             with open(reports / "factor_report.csv", newline="") as fh:
                 assert all(math.isfinite(float(row[3])) for row in list(csv.reader(fh))[1:])
-        else:
-            assert len(errors) == 1 and str(tensor) in errors[0], err
+
+
+# ---------------------------------------------------------------------------
+# the cp model and seq model files
+# ---------------------------------------------------------------------------
+
+# what a model value, header integers included, is swapped for: NUMBERS, and
+# spellings that Python's int() or float() take but the writers never write
+MODEL_NUMBERS = NUMBERS + ["1_0", "+1", "\u0666", "0", "infinity"]
+SVG_NUMBER = re.compile(r' (?:x|y|width|height)="([^"]*)"')
+
+
+@pytest.fixture(scope="module")
+def demo_models(demo_tables, tmp_path_factory):
+    """The bytes of a cp model of the demo tensor and of a seq model of the demo tables."""
+    out = tmp_path_factory.mktemp("fuzz_models")
+    for name, data in demo_tables.items():
+        (out / f"{name}.csv").write_bytes(data)
+    tables = ["--vehicles", str(out / "vehicles.csv"),
+              "--maintenance", str(out / "maintenance.csv")]
+    config = out / "train.cfg"
+    config.write_text(VALID_CONFIG)
+    for argv in (["tensorize", *tables, "--out", str(out / "tensor.txt")],
+                 ["parafac", "--tensor", str(out / "tensor.txt"), "--rank", "2",
+                  "--max-iters", "5", "--out", str(out / "cp_model.txt")],
+                 ["train", *tables, "--config", str(config), "--out", str(out / "seq_model.txt")]):
+        assert run(argv) == (0, "")
+    return {name: (out / name).read_bytes() for name in ("cp_model.txt", "seq_model.txt")}
+
+
+@FUZZ
+@given(edit_list=tensor_edits())
+def test_mutated_cp_model(demo_models, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        model, reports = Path(tmp) / "cp_model.txt", Path(tmp) / "r"
+        model.write_bytes(mutate_tensor(demo_models["cp_model.txt"], 1, edit_list, MODEL_NUMBERS))
+        code, err = run(["report", "--model", str(model), "--out", str(reports)])
+        check_file_outcome(code, err, model)
+        if code == 0:
+            with open(reports / "factor_report.csv", newline="") as fh:
+                assert all(math.isfinite(float(row[3])) for row in list(csv.reader(fh))[1:])
+            for svg in reports.glob("*.svg"):
+                assert all(map(math.isfinite, map(float, SVG_NUMBER.findall(svg.read_text()))))
+
+
+@FUZZ
+@given(edit_list=tensor_edits())
+def test_mutated_seq_model(demo_models, edit_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "seq_model.txt"
+        model.write_bytes(mutate_tensor(demo_models["seq_model.txt"], 1, edit_list,
+                                        MODEL_NUMBERS))
+        out = io.StringIO()
+        code, err = run(["predict", "--model", str(model), "--prefix", "brakes"], out)
+        check_file_outcome(code, err, model)
+        if code == 0:
+            ranked = [line.split("\t")[0] for line in out.getvalue().splitlines()]
+            assert ranked and all(math.isfinite(float(prob)) for prob in ranked), out.getvalue()

@@ -18,8 +18,6 @@ from fleetmaint.ingest import (
     TensorBuild,
     TensorizeSpec,
     VehicleRecord,
-    _month_index,
-    _parse_month,
     build_tensor,
     normalize_system,
     parse_date,
@@ -751,12 +749,22 @@ class TestBuildTensor:
         }
 
 
+def _year_month(value):
+    """The year and month of a valid ``YYYY-MM`` window bound."""
+    year, month = value.strip().split("-")
+    return int(year), int(month)
+
+
+def _month_index(year, month):
+    return year * 12 + (month - 1)
+
+
 def _time_axis_oracle(spec, records):
     """The former per-framing bucket closures of ``build_tensor_oracle``."""
     if spec.time_mode == "absolute":
-        start_y, start_m = _parse_month(spec.window_start)
+        start_y, start_m = _year_month(spec.window_start)
         if spec.window_end is not None:
-            end_y, end_m = _parse_month(spec.window_end)
+            end_y, end_m = _year_month(spec.window_end)
         else:
             if not records:
                 raise DataError("cannot infer window end: no maintenance records")

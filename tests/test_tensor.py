@@ -524,13 +524,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_tensor(path)
 
-    @pytest.mark.parametrize("dims", ["0 1 1", "-1 -1 1", "-2 1 -2"])
-    def test_dims_below_one_rejected_at_their_line(self, tmp_path, dims):
+    @pytest.mark.parametrize("dims, message", [
+        ("0 1 1", "Tensor3 dims must be positive"),
         # a product of two negative dims is a positive count
+        ("-1 -1 1", "dims must be written in the digits 0-9, got '-1'"),
+        ("-2 1 -2", "dims must be written in the digits 0-9, got '-2'"),
+    ], ids=["0 1 1", "-1 -1 1", "-2 1 -2"])
+    def test_dims_below_one_rejected_at_their_line(self, tmp_path, dims, message):
         path = tmp_path / "t.txt"
         path.write_text(f"tensor3 v1\ndims {dims}\na\n1.0 2.0 3.0 4.0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: Tensor3 dims "
-                                             "must be positive"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "
+                                             f"{re.escape(message)}"):
             load_tensor(path)
 
     @settings(max_examples=80, deadline=None,
@@ -648,10 +652,13 @@ class TestStreamedValueBlock:
             assert expected[0] == "error"
 
     @pytest.mark.parametrize("block", list(BLOCKS))
-    def test_stream_reader_ignores_piece_size(self, block):
+    def test_stream_reader_ignores_piece_size(self, tmp_path, block):
+        path = tmp_path / "f.txt"
+        path.write_text("demo v1\n" + self.BLOCKS[block])
+
         def read():
-            reader = FormatReader(io.StringIO("demo v1\n" + self.BLOCKS[block]), "demo v1")
-            return reader.floats(len(self.VALUES), "w")
+            with open(path, encoding="utf-8") as fh:
+                return FormatReader(fh, "demo v1").floats(len(self.VALUES), "w")
 
         expected = self.outcome(read)
         # the whole block as one string gives the same outcome
@@ -661,8 +668,8 @@ class TestStreamedValueBlock:
             with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
                 assert self.outcome(read) == expected, chunk
 
-    def test_errors_keep_their_order(self):
-        blocks = self.BLOCKS
+    def test_errors_keep_their_order(self, tmp_path):
+        path = tmp_path / "block.txt"
         count = len(self.VALUES)
         for block, message in [
             ("malformed and cut", "demo w is truncated: no final newline"),
@@ -673,8 +680,10 @@ class TestStreamedValueBlock:
             ("blank", "demo w: expected 8 values, found 0"),
             ("nan", "demo w holds nan or inf values"),
         ]:
-            with pytest.raises(ValueError, match="^" + re.escape(message)):
-                parse_floats(io.StringIO(blocks[block]), count, "demo w")
+            path.write_text(self.BLOCKS[block])
+            with open(path, encoding="utf-8") as fh, \
+                    pytest.raises(ValueError, match="^" + re.escape(message)):
+                parse_floats(fh, count, "demo w")
 
     def test_malformed_token_names_the_block(self):
         with pytest.raises(ValueError, match="^tensor3 values: .*unmatched data"):
@@ -717,30 +726,36 @@ class TestStreamedValueBlock:
         assert peak <= 4 * size + (1 << 20), (peak, size)
 
     def test_count_past_the_file_is_a_count_error(self, tmp_path):
-        # 8e9 values would take 64 GB: the count check must come first
-        labels = "".join(f"{i}\n" for _ in range(3) for i in range(2000))
+        # 1.25e8 values, within the dims bound, would take 1 GB: the count
+        # check must come first
+        labels = "".join(f"{i}\n" for _ in range(3) for i in range(500))
         path = tmp_path / "t.txt"
-        path.write_text(f"tensor3 v1\ndims 2000 2000 2000\n{labels}0.0 1.0 2.0\n")
-        with pytest.raises(ValueError, match="expected 8000000000 values, found 3$"):
+        path.write_text(f"tensor3 v1\ndims 500 500 500\n{labels}0.0 1.0 2.0\n")
+        with pytest.raises(ValueError, match="expected 125000000 values, found 3$"):
             load_tensor(path)
-        with pytest.raises(ValueError, match="expected 1000000000000000000 values, found 3$"):
-            parse_floats(io.StringIO("0.0 1.0 2.0\n"), 10**18, "block")
+        block = tmp_path / "block.txt"
+        block.write_text("0.0 1.0 2.0\n")
+        with open(block, encoding="utf-8") as fh, \
+                pytest.raises(ValueError, match="expected 1000000000000000000 values, found 3$"):
+            parse_floats(fh, 10**18, "block")
 
 
 class TestFormatReader:
-    def test_reads_each_part_in_order(self):
-        fh = io.StringIO("demo v1\ndims 2 1\nu1\nu2\nb\n"
-                         "block w 3\n0.5 0.0\n-2.0\n"
-                         "block v 2\n1.0 2.0\n")
-        reader = FormatReader(fh, "demo v1")
-        assert reader.fields("dims", 2) == ["2", "1"]
-        assert reader.labels((2, 1)) == (("u1", "u2"), ("b",))
-        assert reader.fields("block") == ["w", "3"]
-        # ceil(3 / 2) = 2 lines, leaving the next keyword line unread
-        np.testing.assert_array_equal(reader.floats(3, "w", per_line=2), [0.5, 0.0, -2.0])
-        assert reader.fields("block", 2) == ["v", "2"]
-        np.testing.assert_array_equal(reader.floats(2, "v"), [1.0, 2.0])
-        reader.end()
+    def test_reads_each_part_in_order(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("demo v1\ndims 2 1\nu1\nu2\nb\n"
+                        "block w 3\n0.5 0.0\n-2.0\n"
+                        "block v 2\n1.0 2.0\n")
+        with open(path, encoding="utf-8") as fh:
+            reader = FormatReader(fh, "demo v1")
+            assert reader.fields("dims", 2) == ["2", "1"]
+            assert reader.labels((2, 1)) == (("u1", "u2"), ("b",))
+            assert reader.fields("block") == ["w", "3"]
+            # ceil(3 / 2) = 2 lines, leaving the next keyword line unread
+            np.testing.assert_array_equal(reader.floats(3, "w", per_line=2), [0.5, 0.0, -2.0])
+            assert reader.fields("block", 2) == ["v", "2"]
+            np.testing.assert_array_equal(reader.floats(2, "v"), [1.0, 2.0])
+            reader.end()
 
     def test_bad_magic_names_the_format(self):
         with pytest.raises(ValueError, match="not a demo file"):
