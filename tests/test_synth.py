@@ -20,6 +20,7 @@ from fleetmaint.ingest import (
     parse_vehicles,
 )
 from fleetmaint.seqmine import extract_sequences
+from fleetmaint.tensor import load_tensor, save_tensor
 from fleetmaint.synth import (
     METER_READINGS,
     FleetSpec,
@@ -137,6 +138,9 @@ PIPELINE_DIGESTS = {
     "discards.json": "72cdf435677ec87551bebfbc1640153576923bf83586132526772922fedf709d",
     "seqmine.csv": "bec0cf363938eacab039d6107f15c213c360620cb3687198e711b2e4c01777cb",
 }
+# sha256 of the demo tables (seed 1234) tensorized over 2005-01..2034-12: a
+# 60x8x360 tensor 1.33% full, which the nonzero-list kernels take
+SPARSE_TENSOR_DIGEST = "24b83cc8f1424dbc89644763e269f90364fe4f142df55656fac4f81c7d4a8a3c"
 
 
 class TestGenerate:
@@ -151,6 +155,19 @@ class TestGenerate:
         assert main(["pipeline", "--demo", "--seed", "1234", "--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in PIPELINE_DIGESTS} == PIPELINE_DIGESTS
+
+    def test_sparse_tensor_golden_digest(self, tmp_path):
+        data, path = tmp_path / "data", tmp_path / "tensor.txt"
+        assert main(["synth", "--seed", "1234", "--out", str(data)]) == 0
+        assert main(["tensorize", "--vehicles", str(data / "vehicles.csv"),
+                     "--maintenance", str(data / "maintenance.csv"),
+                     "--window-start", "2005-01", "--window-end", "2034-12",
+                     "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SPARSE_TENSOR_DIGEST
+        t = load_tensor(path)
+        assert t._nonzeros is not None
+        save_tensor(t, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_same_seed_byte_identical(self, tmp_path):
         f1 = generate(tiny_spec(), tmp_path / "a")
