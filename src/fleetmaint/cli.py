@@ -344,7 +344,7 @@ def cmd_pipeline(args) -> int:
     tspec = TensorizeSpec(window_start=labels[0], window_end=labels[-1])
     build = _tensorize(paths, vehicles, maintenance, tspec, out / "tensor.txt",
                        out / "discards.json")
-    conserved = build.tensor.data.sum() + sum(build.discards.values()) == len(maintenance)
+    conserved = build.tensor.values.sum() + sum(build.discards.values()) == len(maintenance)
     opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
     cp_model, _ = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt",
                              out / "reports")
@@ -361,7 +361,7 @@ def cmd_pipeline(args) -> int:
         "jobs": len(maintenance),
         "rejected_rows": len(rejects),
         "tensor_dims": list(build.tensor.dims),
-        "tensor_sum": build.tensor.data.sum(),
+        "tensor_sum": build.tensor.values.sum(),
         "discards": build.discards,
         "conservation_ok": bool(conserved),
         "cp_fit": cp_model.fit,
@@ -378,7 +378,7 @@ def cmd_pipeline(args) -> int:
 
     print(f"pipeline demo complete under {out}")
     print(f"  conservation: {'ok' if conserved else 'FAILED'}")
-    print(f"  tensor: dims={build.tensor.dims} sum={build.tensor.data.sum():.0f}")
+    print(f"  tensor: dims={build.tensor.dims} sum={build.tensor.values.sum():.0f}")
     print(f"  parafac: fit={cp_model.fit:.4f} iters={cp_model.iterations}")
     print(f"  top pattern: {patterns[0].pattern} i_ratio={patterns[0].i_ratio:.2f}")
     print(f"  lstm test perplexity: {lstm_ppl:.4f} (unigram {baseline_ppl:.4f})")

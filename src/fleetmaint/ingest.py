@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import operator
 import re
 from collections import Counter
@@ -398,11 +397,9 @@ def build_tensor(
     shape = (len(units), len(systems), len(labels))
     check_dims(shape)
     flat = (unit_axis * shape[1] + system_axis) * shape[2] + bucket[placed]
-    # weighted, so the counts come out as float64 without an integer copy
-    data = np.bincount(flat, weights=np.ones(flat.size), minlength=math.prod(shape))
-    data.shape = shape  # in place: Tensor3 keeps an array that owns its buffer
+    positions, counts = np.unique(flat, return_counts=True)
     axes = ([ranked[i].unit_no for i in units], [system_names[j] for j in systems], labels)
-    tensor = Tensor3(data, tuple(map(tuple, axes)))
+    tensor = Tensor3(shape, positions, counts, tuple(map(tuple, axes)))
     return TensorBuild(tensor=tensor, discards=discards, placed=flat.size)
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .knobs import check
-from .tensor import FormatReader, write_floats
+from .tensor import FloatBlock, FormatReader, write_floats
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -417,7 +417,7 @@ class SeqModel:
                 arr = self.params[name]
                 dims = " ".join(str(d) for d in arr.shape)
                 fh.write(f"block {name} {arr.ndim} {dims}\n")
-                write_floats(fh, arr, 8)
+                write_floats(fh, FloatBlock.of(arr), 8)
 
     @classmethod
     def load(cls, path) -> "SeqModel":
@@ -438,7 +438,7 @@ class SeqModel:
                     raise ValueError(f"seqmodel block line {' '.join(header)!r} does not match "
                                      f"the config and vocabulary, which need block {name} {shape}")
                 count = math.prod(shape)
-                params[name] = reader.floats(count, f"block {name}", 8).reshape(shape)
+                params[name] = reader.floats(count, f"block {name}", 8).dense().reshape(shape)
             reader.end()
             return cls(vocab=vocab, config=config, params=params)
 

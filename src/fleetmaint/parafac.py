@@ -18,6 +18,7 @@ from .knobs import check
 from .tensor import (
     MAX_WORKING_FLOATS,
     AxisLabels,
+    FloatBlock,
     FormatReader,
     Tensor3,
     frob_norm,
@@ -161,7 +162,11 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     pairwise dimension products is permitted but flagged in ``model.warnings``.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
-        norm_t = frob_norm(t.data)
+        square = float(t.values @ t.values)
+        # integers whose squares sum below 2**53 square and add exactly in
+        # any order: the dense array's norm, to the bit, from the stored values
+        exact = square < 2**53 and bool((np.trunc(t.values) == t.values).all())
+        norm_t = math.sqrt(square) if exact else frob_norm(t.data)
     if not np.isfinite(norm_t):
         raise ValueError(
             "cannot factorize a tensor with nan or inf entries or whose norm overflows float64"
@@ -273,7 +278,7 @@ def save_model(model: CpModel, path) -> None:
             for label in axis:
                 fh.write(label + "\n")
         for f in model.factors:
-            write_floats(fh, f, model.rank)
+            write_floats(fh, FloatBlock.of(f), model.rank)
 
 
 def load_model(path) -> CpModel:
@@ -282,7 +287,7 @@ def load_model(path) -> CpModel:
         dims = tuple(reader.integers("dims", 3))
         fit = reader.fields("fit", 1)[0]
         # nan is the fit that a model assembled from known factors saves
-        fit = math.nan if fit == "nan" else parse_floats(fit + "\n", 1, "cpmodel fit").item()
+        fit = math.nan if fit == "nan" else parse_floats(fit + "\n", 1, "cpmodel fit").dense().item()
         iterations, = reader.integers("iterations")
         if iterations > MAX_ITERS:
             raise ValueError(f"cpmodel iterations must be in [0, {MAX_ITERS}], got {iterations}")
@@ -290,18 +295,18 @@ def load_model(path) -> CpModel:
         if converged not in (0, 1):
             raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
         weights = parse_floats(" ".join(reader.fields("weights", rank)) + "\n", rank,
-                               "cpmodel weights")
+                               "cpmodel weights").dense()
         n_fits, *fit_values = reader.fields("fits")
         n_fits = reader.integer("fits", n_fits)
         if len(fit_values) != n_fits:
             raise ValueError(f"fits line declares {n_fits} values, has {len(fit_values)}")
         if n_fits > MAX_ITERS:
             raise ValueError(f"cpmodel fits holds {n_fits} values, past {MAX_ITERS}")
-        fits = tuple(parse_floats(" ".join(fit_values) + "\n", n_fits, "cpmodel fits").tolist())
+        fits = parse_floats(" ".join(fit_values) + "\n", n_fits, "cpmodel fits").dense()
         n_warn, = reader.integers("warnings")
         warnings = tuple(reader.line() for _ in range(n_warn))
         labels = reader.labels(dims)
-        factors = tuple(reader.floats(n * rank, f"factor {name}", rank).reshape(n, rank)
+        factors = tuple(reader.floats(n * rank, f"factor {name}", rank).dense().reshape(n, rank)
                         for name, n in zip("ABC", dims))
         reader.end()
         return CpModel(
@@ -311,6 +316,6 @@ def load_model(path) -> CpModel:
             iterations=iterations,
             converged=bool(converged),
             axis_labels=labels,  # type: ignore[arg-type]
-            fits=fits,
+            fits=tuple(fits.tolist()),
             warnings=warnings,
         )

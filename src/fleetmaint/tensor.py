@@ -1,20 +1,18 @@
-"""Dense 3-mode labeled tensors and the multilinear kernels behind CP-ALS.
+"""Sparse 3-mode labeled tensors and the multilinear kernels behind CP-ALS.
 
-Layout is fixed repo-wide: values are stored row-major with the first axis
-slowest and the third fastest, i.e. a C-contiguous float64 array of shape
-(I, J, K). The mttkrp kernels read the tensor through its (I, J*K) view,
-with no copy, and a tensor at most 1/``_SPARSE_FILL`` full through its
-nonzeros only. The mode-n unfolding convention they are checked against
-(Kolda & Bader 2009, remaining axes with the earlier one varying fastest)
-and the explicit ``unfold @ khatri_rao`` reference live with the tests, in
-``tests/oracles.py``.
+Layout is fixed repo-wide: entries are row-major, the first axis slowest and
+the third fastest. A tensor holds its entries' flat positions and values (a
+coordinate tensor, Bader & Kolda 2007); the mttkrp kernels read one at most
+1/``_SPARSE_FILL`` full through its nonzeros, and any other through the (I,
+J*K) view of its dense C-contiguous float64 array. The mode-n unfolding they
+are checked against (Kolda & Bader 2009) and the explicit ``unfold @
+khatri_rao`` reference live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,8 +28,8 @@ MAX_WORKING_FLOATS = 1 << 27
 
 
 def check_dims(dims) -> None:
-    """Raise ValueError unless the dims of a dense tensor are positive and
-    hold at most ``MAX_WORKING_FLOATS`` entries."""
+    """Raise ValueError unless the dims are positive and hold at most
+    ``MAX_WORKING_FLOATS`` entries, so the dense array may be built."""
     if min(dims) < 1:
         raise ValueError(f"Tensor3 dims must be positive, got {dims}")
     if math.prod(dims) > MAX_WORKING_FLOATS:
@@ -41,56 +39,74 @@ def check_dims(dims) -> None:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Immutable dense 3-mode tensor with one label per index of each axis.
+    """Immutable 3-mode tensor with one label per index of each axis.
 
-    The data is made read-only. An array that does not own its buffer (a
-    view, or one wrapping foreign memory) is copied first, since a write
-    through another view would change the data under the nonzero lists
-    cached on first use. An owned C-contiguous float64 array is kept, not
-    copied: the caller must not write to it through any other view afterwards.
-    """
+    It holds the strictly increasing flat positions of its stored entries
+    and their finite values; every other entry is +0.0. A stored zero (a
+    file's ``-0.0`` or ``0``) is kept, so a file writes back to the same
+    bytes, but the kernels skip it. The positions and values are copied
+    read-only, so no other array writes to them. ``data``, the dense (I, J,
+    K) array, is built on first use, read-only."""
 
-    data: np.ndarray
+    dims: tuple[int, int, int]
+    positions: np.ndarray
+    values: np.ndarray
     axis_labels: AxisLabels
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.base is not None:
-            arr = arr.copy()
-        if arr.ndim != 3:
-            raise ValueError(f"Tensor3 data must be 3-dimensional, got ndim={arr.ndim}")
-        check_dims(arr.shape)
-        # min and max carry any nan and reach any inf, with no temporary array
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        dims = tuple(map(int, self.dims))
+        check_dims(dims)
+        pos = np.array(self.positions, dtype=np.int64)
+        vals = np.array(self.values, dtype=np.float64)
+        if pos.ndim != 1 or pos.shape != vals.shape or pos.size and (
+                pos[0] < 0 or pos[-1] >= math.prod(dims) or (pos[1:] <= pos[:-1]).any()):
+            raise ValueError("Tensor3 positions must be one per value, increasing within dims")
+        if not np.isfinite(vals).all():
             raise ValueError("Tensor3 data holds nan or inf values")
         labels = tuple(tuple(str(x) for x in axis) for axis in self.axis_labels)
-        if len(labels) != 3:
-            raise ValueError("axis_labels must hold exactly three label lists")
-        for ax, (n, lab) in enumerate(zip(arr.shape, labels)):
+        if len(dims) != 3 or len(labels) != 3:
+            raise ValueError("Tensor3 must have three dims and three label lists")
+        for ax, (n, lab) in enumerate(zip(dims, labels)):
             if len(lab) != n:
-                raise ValueError(
-                    f"axis {ax} has {n} indices but {len(lab)} labels"
-                )
+                raise ValueError(f"axis {ax} has {n} indices but {len(lab)} labels")
             if any("\n" in s or "\r" in s for s in lab):
                 raise ValueError("labels must not contain newlines")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "axis_labels", labels)
+        # the dims hold at most 2**27 entries: int32 halves the positions' memory
+        pos = pos.astype(np.int32)
+        pos.flags.writeable = vals.flags.writeable = False
+        for name, value in zip(("dims", "positions", "values", "axis_labels"),
+                               (dims, pos, vals, labels)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """The dense (I, J, K) array, read-only."""
+        out = FloatBlock(math.prod(self.dims), self.positions, self.values).dense()
+        out.shape, out.flags.writeable = self.dims, False
+        return out
 
     @functools.cached_property
     def _nonzeros(self) -> "tuple[_Chunks, _Chunks] | None":
-        # built once: the dataclass is frozen and its data read-only
-        return _nonzero_chunks(self.data)
+        """The nonzeros (stored values != 0) of the (I, J*K) view grouped by row
+        and, in a stable sort, by column; None when more than 1/_SPARSE_FILL
+        of the entries are nonzero. Built once: the tensor is immutable."""
+        nonzero = self.values != 0
+        nnz = np.count_nonzero(nonzero)
+        if nnz * _SPARSE_FILL > math.prod(self.dims):
+            return None
+        # with no stored zero the values are shared, not copied
+        pos, vals = (self.positions, self.values) if nnz == nonzero.size else (
+            self.positions[nonzero], self.values[nonzero])
+        # int64 indices, which np.take reads without a converted copy
+        rows, cols = np.divmod(pos, np.int64(self.dims[1] * self.dims[2]))
+        # unique keys sort faster than a stable sort by column, to the same order
+        order = np.argsort(cols * self.dims[0] + rows)
+        return _chunks(rows, cols, vals), _chunks(cols[order], rows[order], vals[order])
 
 
-# a tensor with at most 1/_SPARSE_FILL of its entries nonzero takes the
-# nonzero-list kernels: at rank 25 on a 1087x81x96 tensor they beat the GEMMs
-# up to about 3.5% fill; on a 60x8x48 one at rank 5 either path takes tens of
-# microseconds (README, Method notes)
+# a tensor at most 1/_SPARSE_FILL nonzero takes the nonzero-list kernels: at
+# rank 25 on a 1087x81x96 tensor they beat the GEMMs up to about 3.5% fill; at
+# rank 5 on a 60x8x48 one either path takes tens of microseconds (README)
 _SPARSE_FILL = 32
 # nonzeros per pass of the segment sum: an (R, _SEGMENT_CHUNK) buffer is a few MB
 _SEGMENT_CHUNK = 1 << 14
@@ -113,27 +129,13 @@ def _chunks(keys: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> _Chunks:
     about ``_SEGMENT_CHUNK`` that each begin where a run begins."""
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     # each chunk begins with the run that holds its first wanted nonzero
-    first = np.unique(
-        np.searchsorted(starts, np.arange(0, keys.size, _SEGMENT_CHUNK), side="right") - 1
-    )
+    first = np.unique(np.searchsorted(starts, np.arange(0, keys.size, _SEGMENT_CHUNK),
+                                      side="right") - 1)
     bounds = np.append(starts[first], keys.size).tolist()
     return tuple(
         _Chunk(idx[lo:hi], vals[lo:hi], keys[runs], runs - lo)
         for lo, hi, runs in zip(bounds, bounds[1:], np.split(starts, first[1:]))
     )
-
-
-def _nonzero_chunks(x: np.ndarray) -> tuple[_Chunks, _Chunks] | None:
-    """The nonzeros of the (I, J*K) view of ``x`` grouped by row and, in a
-    stable sort, by column; None when more than 1/_SPARSE_FILL are nonzero."""
-    flat = x.reshape(-1)
-    if np.count_nonzero(flat) * _SPARSE_FILL > flat.size:
-        return None
-    pos = np.flatnonzero(flat)
-    rows, cols = np.divmod(pos, x.shape[1] * x.shape[2])
-    vals = flat[pos]
-    order = np.argsort(cols, kind="stable")
-    return _chunks(rows, cols, vals), _chunks(cols[order], rows[order], vals[order])
 
 
 def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
@@ -171,21 +173,20 @@ def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for the target mode.
 
     ``f1`` and ``f2`` are the factor matrices of the two non-target modes in
-    ascending mode order. Equivalent to ``unfold(t, mode) @ khatri_rao(f2, f1)``
-    (the reference in ``tests/oracles.py``).
-    Mode 1 multiplies the (I, J*K) view of the tensor by the Khatri-Rao
-    product built as an (R, J*K) array: one GEMM, or for a tensor at most
-    1/32 full a sum over each row's nonzeros. Modes 2 and 3 contract over i
-    first (:func:`mttkrp_partial`) and finish with :func:`mttkrp_from_partial`.
-
-    ``f1`` and ``f2`` may also be stacks of S factor matrices, (S, n, R)
-    each, as CP-ALS passes its restarts; the result is then the (S, I_mode, R)
-    stack of the S products, each bit-identical to the call on its own pair.
+    ascending mode order: ``unfold(t, mode) @ khatri_rao(f2, f1)``, the
+    reference in ``tests/oracles.py``. Mode 1 multiplies the (I, J*K) view
+    of the tensor by the Khatri-Rao product built as an (R, J*K) array: one
+    GEMM, or for a tensor at most 1/32 full a sum over each row's nonzeros.
+    Modes 2 and 3 contract over i first (:func:`mttkrp_partial`) and finish
+    with :func:`mttkrp_from_partial`. ``f1`` and ``f2`` may also be stacks
+    of S factor matrices, (S, n, R) each, as CP-ALS passes its restarts: the
+    result is the (S, I_mode, R) stack, each slice bit-identical to the call
+    on its own pair.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    x = t.data
-    others = [d for m, d in enumerate(x.shape, start=1) if m != mode]
+    dims = t.dims
+    others = [d for m, d in enumerate(dims, start=1) if m != mode]
     (f1, f2), single = _stacks(("f1", "f2"), (f1, f2), others)
     if mode == 1:
         stack, rank = f1.shape[0], f1.shape[2]
@@ -197,11 +198,11 @@ def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
             stack, rank, -1)
         nonzeros = t._nonzeros
         if nonzeros is not None:
-            m = _segment_sums(kr.reshape(stack * rank, -1), nonzeros[0], x.shape[0])
+            m = _segment_sums(kr.reshape(stack * rank, -1), nonzeros[0], dims[0])
             m = m.reshape(stack, rank, -1)
         else:
             # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
-            m = kr @ x.reshape(x.shape[0], -1).T
+            m = kr @ t.data.reshape(dims[0], -1).T
         out = m.swapaxes(1, 2)
     else:
         out = mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
@@ -213,16 +214,16 @@ def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
     mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013).
     One GEMM, or for a tensor at most 1/32 full a sum over each column's
     nonzeros. A stack of S factors (S, I, R) gives the (S, R, J, K) stack."""
-    x = t.data
-    (a,), single = _stacks(("a",), (a,), x.shape[:1])
+    dims = t.dims
+    (a,), single = _stacks(("a",), (a,), dims[:1])
     stack, rank = a.shape[0], a.shape[2]
     nonzeros = t._nonzeros
     if nonzeros is not None:
         z = _segment_sums(a.swapaxes(1, 2).reshape(stack * rank, -1), nonzeros[1],
-                          x.shape[1] * x.shape[2])
+                          dims[1] * dims[2])
     else:
-        z = a.swapaxes(1, 2) @ x.reshape(x.shape[0], -1)
-    z = z.reshape(stack, rank, x.shape[1], x.shape[2])
+        z = a.swapaxes(1, 2) @ t.data.reshape(dims[0], -1)
+    z = z.reshape(stack, rank, dims[1], dims[2])
     return z[0] if single else z
 
 
@@ -245,15 +246,8 @@ def frob_norm(x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization
-#
-# Grammar (documented in README.md):
-#   line 1: "tensor3 v1"
-#   line 2: "dims I J K"
-#   next I+J+K lines: axis labels, axis 1 first, one label per line, verbatim
-#   remaining lines: I*J*K whitespace-separated finite float values in the
-#   fixed layout (axis 1 slowest, axis 3 fastest); line wrapping is
-#   insignificant, but the file ends with a newline
+# plain-text serialization (grammar in README.md): "tensor3 v1", "dims I J K",
+# the I+J+K axis labels one per line, then the I*J*K values in the fixed layout
 # ---------------------------------------------------------------------------
 
 _MAGIC = "tensor3 v1"
@@ -264,66 +258,73 @@ _PARSE_CHARS = 1 << 18
 _TOKEN_BYTES = bytes(sorted(set(range(256)) - set(b" \t\n\v\f\r")))
 
 
-def write_floats(fh, values: np.ndarray, per_line: int) -> None:
-    """Write ``values`` in C order as ``repr`` floats, ``per_line`` to a line.
+class FloatBlock(NamedTuple):
+    """``count`` floats in C order: the strictly increasing positions of some
+    entries and their values; every other entry is +0.0."""
 
-    Every line, the last one included, ends with a newline; an empty array
-    writes nothing. The tensor, CP model and sequence model formats write
-    their float blocks through this one function.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if flat.size == 0:
+    count: int
+    positions: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> "FloatBlock":
+        """The entries of ``values`` whose bit pattern is not 0 (-0.0 too)."""
+        flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        positions = np.flatnonzero(flat.view(np.uint64))
+        return cls(flat.size, positions, flat[positions])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.count)
+        out[self.positions] = self.values
+        return out
+
+
+def write_floats(fh, block: FloatBlock, per_line: int) -> None:
+    """Write ``block`` as ``repr`` floats, ``per_line`` to a line, each line
+    ending with a newline (an empty block writes nothing): the one writer of
+    the float blocks of the tensor, CP model and sequence model formats."""
+    count, positions, values = block
+    if count == 0:
         return
-    lines = min(_CHUNK_LINES, -(-flat.size // per_line))
+    lines = min(_CHUNK_LINES, -(-count // per_line))
     step = lines * per_line
     # a chunk of +0.0 values: value k's token "0.0" at 4k, its separator at 4k + 3
     template = ("0.0 " * (per_line - 1) + "0.0\n") * lines
-    for start in range(0, flat.size, step):
-        chunk = flat[start : start + step]
-        if chunk.size < step:
-            template = template[: 4 * chunk.size - 1] + "\n"
-        # count tensors are mostly zeros: only the values whose bit pattern
-        # is not 0 (-0.0 included) go through repr, spliced over their token
-        nonzero = np.flatnonzero(chunk.view(np.uint64) != 0)
-        cuts = (4 * nonzero).tolist()
+    # count tensors are mostly zeros: only the listed entries of each chunk
+    # go through repr, spliced over their token
+    bounds = np.searchsorted(positions, np.arange(0, count + step, step)).tolist()
+    for start, first, last in zip(range(0, count, step), bounds, bounds[1:]):
+        if count - start < step:
+            template = template[: 4 * (count - start) - 1] + "\n"
+        cuts = (4 * (positions[first:last] - start)).tolist()
         parts = [None] * (2 * len(cuts) + 1)
         parts[0::2] = [template[lo:hi] for lo, hi in zip([0, *[c + 3 for c in cuts]],
                                                          [*cuts, len(template)])]
-        parts[1::2] = map(repr, chunk[nonzero].tolist())
+        parts[1::2] = map(repr, values[first:last].tolist())
         fh.write("".join(parts))
 
 
-def parse_floats(source, count: int, what: str) -> np.ndarray:
+def parse_floats(source, count: int, what: str) -> FloatBlock:
     """The ``count`` finite floats of a ``write_floats`` block, named ``what`` in errors.
 
     ``source`` is the block's text, or a text file read from where it stands
     to its end. The writer ends every line with a newline: a block without
     one was cut, possibly inside its last value. Count tensors are mostly
     zeros, written as the token ``0.0``: a token that is exactly ``0.0`` is
-    taken as +0.0 without parsing, and every other token goes through
-    ``np.fromstring``, so the block is accepted or rejected, and read to the
-    same values, as if ``np.fromstring`` read it whole. The block is read in
-    pieces of ``_PARSE_CHARS`` characters, so no temporary is the size of
-    the block. Each value takes a token and a separator, so a block of
-    ``size`` characters or bytes (the string's length, or the file's size)
-    holds at most ``size // 2 + 1`` values: the output is allocated once, at
-    most 4 bytes per byte of text, and a ``count`` past that fails the count
-    check, not the allocation. The errors do not depend on where the pieces
-    end: a cut block fails before a malformed token, which fails before a
-    wrong count.
-    """
+    +0.0, left out of the block's positions unparsed, and every other token
+    goes through ``np.fromstring``, so the block is accepted or rejected,
+    and read to the same values, as if ``np.fromstring`` read it whole. It
+    is read in pieces of ``_PARSE_CHARS`` characters, so no temporary is the
+    size of the block; the output takes 16 bytes for each of the first
+    ``count`` tokens that is not ``0.0``, at most 8 per character of text.
+    The errors do not depend on where the pieces end: a cut block fails
+    before a malformed token, which fails before a wrong count."""
     if isinstance(source, str):
-        size = len(source)
         pieces = (source[i : i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
     else:
-        size = os.fstat(source.fileno()).st_size
         pieces = iter(functools.partial(source.read, _PARSE_CHARS), "")
-    out = np.zeros(count if 0 <= count <= size // 2 + 1 else 0)
-    found = 0
-    finite = True
-    malformed = None
-    carry = b""
-    piece = ""
+    positions, values = [np.zeros(0, np.intp)], [np.zeros(0)]
+    found, finite, malformed, carry, piece = 0, True, None, b"", ""
     with warnings.catch_warnings():
         # numpy raises ValueError on unmatched data; older releases only
         # warn and return the prefix
@@ -352,13 +353,14 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
             for shift in (1, 2, 3):
                 drop[shift:] |= zero[:-shift]
             try:
-                values = np.fromstring(b[~drop], sep=" ")
+                parsed = np.fromstring(b[~drop], sep=" ")
             except (DeprecationWarning, ValueError) as exc:
                 malformed = str(exc)
                 continue
-            finite = finite and bool(np.isfinite(values).all())
-            if found <= out.size:
-                out[index] = values
+            finite = finite and bool(np.isfinite(parsed).all())
+            if found <= count:
+                positions.append(index)
+                values.append(parsed)
     if piece and not piece.endswith("\n"):
         raise ValueError(f"{what} is truncated: no final newline")
     if malformed:
@@ -367,16 +369,13 @@ def parse_floats(source, count: int, what: str) -> np.ndarray:
         raise ValueError(f"{what}: expected {count} values, found {found}")
     if not finite:
         raise ValueError(f"{what} holds nan or inf values")
-    return out
+    return FloatBlock(count, np.concatenate(positions), np.concatenate(values))
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> str:
-    """The message for ``exc``, raised reading ``path`` as UTF-8 text.
-
-    The text layer decodes ahead of the reader, so the position in ``exc``
-    counts within a chunk: the message names the first line of the file
-    that is not UTF-8 instead.
-    """
+    """The message for ``exc``, raised reading ``path`` as UTF-8 text. The text
+    layer decodes ahead of the reader, so the position in ``exc`` counts
+    within a chunk: the message names the first line that is not UTF-8."""
     with open(path, "rb") as fh:
         # no UTF-8 sequence holds the newline byte, so lines decode alone
         for line_no, line in enumerate(fh, start=1):
@@ -391,11 +390,9 @@ class FormatReader:
     """The line rules of the tensor3, cpmodel and seqmodel formats.
 
     A file opens with its ``magic`` line, whose first word names the format
-    in errors. Every line the writers produce ends with a newline, so a line
-    without one means the file was cut short. ``where`` names the part of
-    the file read last, for errors: a line, the lines of a float block, or
-    "" once the reader has gone on to the end of the file.
-    """
+    in errors. Every line written ends with a newline, so a line without one
+    means the file was cut short. ``where`` names the part read last, for
+    errors: a line, a float block's lines, or "" past the end of the file."""
 
     def __init__(self, fh, magic: str):
         self._fh = fh
@@ -463,7 +460,7 @@ class FormatReader:
         """One verbatim label per line for each index of each axis, axis 1 first."""
         return tuple(tuple(self.line() for _ in range(n)) for n in dims)  # type: ignore[return-value]
 
-    def floats(self, count: int, what: str, per_line: int | None = None) -> np.ndarray:
+    def floats(self, count: int, what: str, per_line: int | None = None) -> FloatBlock:
         """A ``write_floats`` block of ``count`` values: its ceil(count / per_line)
         lines, or with no ``per_line`` the rest of the file."""
         if per_line is None:
@@ -491,7 +488,7 @@ def save_tensor(t: Tensor3, path) -> None:
         for axis in t.axis_labels:
             for label in axis:
                 fh.write(label + "\n")
-        write_floats(fh, t.data, _VALUES_PER_LINE)
+        write_floats(fh, FloatBlock(math.prod(t.dims), t.positions, t.values), _VALUES_PER_LINE)
 
 
 def load_tensor(path) -> Tensor3:
@@ -499,6 +496,5 @@ def load_tensor(path) -> Tensor3:
         dims = tuple(reader.integers("dims", 3))
         check_dims(dims)
         labels = reader.labels(dims)
-        values = reader.floats(dims[0] * dims[1] * dims[2], "values")
-        values.shape = dims  # in place: Tensor3 keeps an array that owns its buffer
-        return Tensor3(values, labels)  # type: ignore[arg-type]
+        block = reader.floats(math.prod(dims), "values")
+        return Tensor3(dims, block.positions, block.values, labels)  # type: ignore[arg-type]

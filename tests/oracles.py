@@ -4,7 +4,8 @@ Nothing in the package calls these. They are the explicit forms of what the
 package computes faster, or helpers that build test inputs and score
 results:
 
-- tensor: tensors with numeric labels, the mode-n unfolding and its
+- tensor: tensors from dense arrays with numeric labels, the
+  one-``repr``-per-value float writer, the mode-n unfolding and its
   inverse, the Khatri-Rao product and the ``unfold @ khatri_rao`` MTTKRP
   that the mttkrp kernels must match;
 - parafac: a CP model from known factors, its full reconstruction (the
@@ -77,7 +78,7 @@ from fleetmaint.synth import (
     _sample_markov,
     month_labels,
 )
-from fleetmaint.tensor import AxisLabels, Tensor3, _segment_sums, frob_norm
+from fleetmaint.tensor import AxisLabels, FloatBlock, Tensor3, _segment_sums, frob_norm
 
 
 def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
@@ -86,11 +87,26 @@ def default_labels(dims: tuple[int, int, int]) -> AxisLabels:
 
 
 def from_array(data: np.ndarray, axis_labels: AxisLabels | None = None) -> Tensor3:
-    """A Tensor3 of ``data``, with numeric labels unless given."""
+    """A Tensor3 of ``data``, with numeric labels unless given. It stores each
+    entry whose bit pattern is not 0, so its ``data`` is ``data`` bit for bit."""
     arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"Tensor3 data must be 3-dimensional, got ndim={arr.ndim}")
     if axis_labels is None:
         axis_labels = default_labels(arr.shape)  # type: ignore[arg-type]
-    return Tensor3(arr, axis_labels)
+    _, positions, values = FloatBlock.of(arr)
+    return Tensor3(arr.shape, positions, values, axis_labels)  # type: ignore[arg-type]
+
+
+def float_lines(values: np.ndarray, per_line: int) -> str:
+    """``values`` in C order, ``per_line`` to a line, one ``repr`` per value:
+    the writer whose bytes ``tensor.write_floats`` must reproduce."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    out = []
+    for start in range(0, flat.size, per_line):
+        chunk = flat[start : start + per_line]
+        out.append(" ".join(repr(float(v)) for v in chunk) + "\n")
+    return "".join(out)
 
 
 def _as_array(t: "Tensor3 | np.ndarray") -> np.ndarray:
@@ -150,9 +166,7 @@ def fold(mat: np.ndarray, mode: int, dims: tuple[int, int, int],
         )
     inverse = tuple(perm.index(ax) for ax in range(3))
     data = mat.reshape(shape_permuted).transpose(inverse)
-    if axis_labels is None:
-        axis_labels = default_labels(dims)
-    return Tensor3(data, axis_labels)
+    return from_array(data, axis_labels)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,7 +234,7 @@ def fit_score(t: Tensor3, model: CpModel) -> float:
 
 def reconstruct(model: CpModel) -> Tensor3:
     """Tensor equal to sum_r weight_r * a_r (outer) b_r (outer) c_r."""
-    return Tensor3(cp_compose(model.weights, model.factors), model.axis_labels)
+    return from_array(cp_compose(model.weights, model.factors), model.axis_labels)
 
 
 # ---------------------------------------------------------------------------

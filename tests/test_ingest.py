@@ -25,7 +25,7 @@ from fleetmaint.ingest import (
     parse_vehicles,
     write_discard_summary,
 )
-from fleetmaint.tensor import Tensor3
+from oracles import from_array
 
 VEHICLE_COLUMNS = [
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -857,7 +857,7 @@ def build_tensor_oracle(vehicles, maintenance, spec):
     data = np.zeros((len(units), len(systems), len(time_labels)))
     for unit, system, t in placements:
         data[unit_idx[unit], system_idx[system], t] += 1.0
-    tensor = Tensor3(data, (tuple(units), tuple(systems), tuple(time_labels)))
+    tensor = from_array(data, (tuple(units), tuple(systems), tuple(time_labels)))
     return TensorBuild(tensor=tensor, discards=discards, placed=len(placements))
 
 
@@ -868,7 +868,8 @@ def build_outcome(build, vehicles, maintenance, spec):
     except Exception as exc:
         return type(exc), str(exc)
     t = b.tensor
-    return t.data.dtype, t.dims, t.data.tobytes(), t.axis_labels, b.discards, b.placed
+    return (t.data.dtype, t.dims, t.data.tobytes(), t.positions.tobytes(), t.values.tobytes(),
+            t.axis_labels, b.discards, b.placed)
 
 
 UNITS = ["U1", "U2", "U3", "U4", "u1"]

@@ -22,7 +22,7 @@ from fleetmaint.parafac import (
 )
 from fleetmaint.report import export_component_reports
 from fleetmaint.synth import demo_spec, generate, month_labels
-from fleetmaint.tensor import Tensor3, frob_norm
+from fleetmaint.tensor import frob_norm
 from oracles import (
     _als_single_run,
     congruence,
@@ -105,7 +105,8 @@ class TestCpAls:
 
     def test_sparse_kernels_match_the_gemms(self):
         # Poisson counts of a rank-3 intensity, about 1% of the entries nonzero:
-        # the nonzero-list kernels run, and the GEMMs when the lists are withheld
+        # the nonzero-list kernels run, and the GEMMs under a fill rule that
+        # takes any nonzero as too many
         rng = np.random.default_rng(5)
         a, b, c = (rng.random((d, 3)) ** 4 for d in (120, 16, 24))
         lam = np.einsum("ir,jr,kr->ijk", a, b, c)
@@ -113,7 +114,7 @@ class TestCpAls:
         assert 0.005 < np.count_nonzero(x) / x.size < 0.02
         opts = AlsOptions(rank=3, seed=2, n_restarts=2)
         sparse = cp_als(from_array(x), opts)
-        with mock.patch.object(tensor_module, "_nonzero_chunks", return_value=None):
+        with mock.patch.object(tensor_module, "_SPARSE_FILL", x.size + 1):
             dense = cp_als(from_array(x), opts)
         assert sparse.converged and dense.converged
         assert sparse.iterations == dense.iterations
@@ -281,6 +282,15 @@ class TestLockstepRestarts:
                           n_restarts=n_restarts)
         assert_same_model(cp_als(t, opts), cp_als_sequential(t, opts))
 
+    def test_integer_counts_take_the_norm_of_their_values(self):
+        # counts up to 10**4 at 5% fill: the norm from the stored values is
+        # the dense array's to the bit, as the oracle computes it
+        rng = np.random.default_rng(6)
+        x = rng.poisson(0.05, (40, 9, 9)) * rng.integers(1, 10**4, (40, 9, 9)).astype(float)
+        t = from_array(x)
+        opts = AlsOptions(rank=3, max_iters=40, seed=6, n_restarts=2)
+        assert_same_model(cp_als(t, opts), cp_als_sequential(t, opts))
+
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_stack_shrinks_as_restarts_converge(self, kind):
         t = als_case((40, 9, 9), kind, 1)
@@ -431,7 +441,7 @@ class TestFactorReport:
 
     def test_labels_flow_through(self):
         labels = (("v1", "v2"), ("brakes",), ("2015-01", "2015-02"))
-        t = Tensor3(np.random.default_rng(0).random((2, 1, 2)), labels)
+        t = from_array(np.random.default_rng(0).random((2, 1, 2)), labels)
         model = cp_als(t, AlsOptions(rank=1, seed=0))
         assert model.axis_labels == labels
 
@@ -446,7 +456,7 @@ class TestFactorReport:
 class TestModelSerialization:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(44)
-        t = Tensor3(
+        t = from_array(
             rng.random((3, 2, 4)),
             (("u1", "u2", "u3"), ("brakes", "pm service"), ("a", "b", "c", "d")),
         )
@@ -465,7 +475,7 @@ class TestModelSerialization:
             assert np.array_equal(f1, f2)
 
     def test_every_proper_prefix_rejected(self, tmp_path):
-        t = Tensor3(np.random.default_rng(5).random((2, 1, 2)), (("u1", "u2"), ("b",), ("x", "y")))
+        t = from_array(np.random.default_rng(5).random((2, 1, 2)), (("u1", "u2"), ("b",), ("x", "y")))
         model = cp_als(t, AlsOptions(rank=2, seed=1, max_iters=3))
         path = tmp_path / "model.txt"
         save_model(model, path)

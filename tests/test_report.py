@@ -6,7 +6,6 @@ import pytest
 import oracles
 from fleetmaint.parafac import AlsOptions, CpModel, cp_als
 from fleetmaint.report import export_component_reports, render_factor_svg
-from fleetmaint.tensor import Tensor3
 
 
 def small_model():
@@ -15,7 +14,7 @@ def small_model():
         ("brakes", "tires & tubes"),
         ("2015-01", "2015-02", "2015-03", "2015-04"),
     )
-    t = Tensor3(np.random.default_rng(3).random((3, 2, 4)), labels)
+    t = oracles.from_array(np.random.default_rng(3).random((3, 2, 4)), labels)
     return cp_als(t, AlsOptions(rank=2, seed=1, max_iters=40))
 
 

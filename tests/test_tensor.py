@@ -14,6 +14,7 @@ from fleetmaint import tensor as tensor_module
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import (
+    FloatBlock,
     FormatReader,
     Tensor3,
     frob_norm,
@@ -29,6 +30,7 @@ import oracles
 from oracles import (
     cp_compose,
     default_labels,
+    float_lines,
     fold,
     from_array,
     khatri_rao,
@@ -62,16 +64,6 @@ def unfold_oracle(x: np.ndarray, mode: int) -> np.ndarray:
     return out
 
 
-def float_lines_oracle(values: np.ndarray, per_line: int) -> str:
-    """The per-value writer ``write_floats`` replaced: its output is the reference."""
-    flat = values.ravel()
-    out = []
-    for start in range(0, flat.size, per_line):
-        chunk = flat[start : start + per_line]
-        out.append(" ".join(repr(float(v)) for v in chunk) + "\n")
-    return "".join(out)
-
-
 def parse_floats_oracle(text: str, count: int, what: str) -> np.ndarray:
     """The former ``parse_floats``: one ``np.fromstring`` call on the whole block."""
     if text and not text.endswith("\n"):
@@ -101,7 +93,7 @@ def save_tensor_oracle(t: Tensor3, path) -> None:
         for axis in t.axis_labels:
             for label in axis:
                 fh.write(label + "\n")
-        fh.write(float_lines_oracle(t.data, 8))
+        fh.write(float_lines(t.data, 8))
 
 
 # zeros dominate count tensors; the rest covers signed zero, subnormals and
@@ -319,15 +311,18 @@ class TestSparseMttkrp:
                 assert np.abs(fast - slow).max(initial=0) <= 1e-10
 
     def test_write_through_a_view_leaves_the_tensor_alone(self):
-        # the tensor copies a view, so a later write to the buffer under it
-        # cannot stale the nonzero lists cached by the first call
+        # the tensor owns its positions and values, so a write through a view
+        # of the wrapped array, made before wrapping, changes neither the
+        # dense view nor the nonzero lists cached by the first call
         base = np.zeros((4, 4, 8))
         base[0, 0, 0] = 1
-        t = from_array(base[:])
+        v = base[:]
+        t = from_array(base)
         b, c = np.ones((4, 1)), np.ones((8, 1))
         mttkrp(t, b, c, 1)
-        base[1, 1, 1] = 5
+        v[1, 1, 1] = 5
         assert t.data[1, 1, 1] == 0
+        np.testing.assert_array_equal(mttkrp(t, b, c, 1), [[1], [0], [0], [0]])
         np.testing.assert_array_equal(mttkrp(t, b, c, 1), mttkrp_reference(t, b, c, 1))
 
     @pytest.mark.parametrize("nnz, sparse", [(0, True), (4, True), (5, False)])
@@ -354,6 +349,62 @@ class TestSparseMttkrp:
             mttkrp(t, np.ones((t.dims[1], rank)), np.ones((t.dims[2], rank)), 1)
             mttkrp_partial(t, np.ones((t.dims[0], rank)))
         segment_sums.assert_not_called()
+
+
+# a zero spelled other than the writer's 0.0, and values at the ends of the
+# finite range
+ZERO_TOKENS = ["-0.0", "0", "0.00", "+0.0", "0e0", "-0"]
+VALUE_TOKENS = ["5e-324", "-5e-324", "1e-310", "1e308", "1.0", "3", "-2.5"]
+
+
+class TestStoredZeros:
+    """A file's zero tokens are stored entries: saved back as their ``repr``,
+    never counted as nonzeros by the path choice or the kernels."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8)),
+        cells=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.sampled_from(ZERO_TOKENS + VALUE_TOKENS)), max_size=12),
+        rank=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 5 stored zeros and 4 values in 128 entries: 9 stored, 4 nonzero, so the
+    # nonzero path
+    @example(dims=(4, 4, 8), cells=[(k / 9, tok) for k, tok in enumerate(
+        ZERO_TOKENS[:5] + ["1e308", "5e-324", "-2.5", "3"])], rank=2, seed=0)
+    @example(dims=(1, 1, 6), cells=[(k / 6, tok) for k, tok in enumerate(ZERO_TOKENS)],
+             rank=1, seed=0)
+    def test_zero_spellings(self, tmp_path, dims, cells, rank, seed):
+        size = int(np.prod(dims))
+        tokens = ["0.0"] * size
+        for where, token in cells:
+            tokens[int(where * size)] = token
+        values = np.array([float(token) for token in tokens])
+        header = "tensor3 v1\ndims %d %d %d\n" % dims + "".join(
+            label + "\n" for axis in default_labels(dims) for label in axis)
+        path = tmp_path / "t.txt"
+        path.write_text(header + " ".join(tokens) + "\n")
+        t = load_tensor(path)
+        np.testing.assert_array_equal(bits(t.data.ravel()), bits(values))
+        save_tensor(t, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == header + float_lines(values, 8)
+        nnz = np.count_nonzero(values)
+        assert (t._nonzeros is not None) == (32 * nnz <= size)
+        for chunks in t._nonzeros or ():
+            listed = np.concatenate([np.zeros(0), *(chunk.vals for chunk in chunks)])
+            assert listed.size == nnz and np.all(listed != 0)
+        # the factors keep every product finite; the error is bounded by the
+        # sum of the absolute terms, and by a subnormal's rounding
+        rng = np.random.default_rng(seed)
+        a, b, c = (rng.random((d, rank)) / 64 for d in dims)
+        x = values.reshape(dims)
+        for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b)):
+            error = np.abs(mttkrp(t, f1, f2, mode) - mttkrp_reference(x, f1, f2, mode))
+            assert np.all(error <= 1e-12 * mttkrp_reference(np.abs(x), f1, f2, mode) + 1e-300)
+        error = np.abs(mttkrp_partial(t, a) - np.einsum("ir,ijk->rjk", a, x))
+        assert np.all(error <= 1e-12 * np.einsum("ir,ijk->rjk", a, np.abs(x)) + 1e-300)
 
 
 class TestStackedMttkrp:
@@ -454,20 +505,25 @@ class TestFrobNorm:
 class TestTensor3Construction:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            Tensor3(np.ones((2, 2, 2)), (("a",), ("b", "c"), ("d", "e")))
+            from_array(np.ones((2, 2, 2)), (("a",), ("b", "c"), ("d", "e")))
 
     def test_wrong_ndim(self):
         with pytest.raises(ValueError):
-            Tensor3(np.ones((2, 2)), (("a", "b"), ("c", "d"), ()))
+            from_array(np.ones((2, 2)), (("a", "b"), ("c", "d"), ()))
+        with pytest.raises(ValueError, match="three dims"):
+            Tensor3((2, 2), [], [], (("a", "b"), ("c", "d")))
 
     def test_newline_in_label_rejected(self):
         with pytest.raises(ValueError):
-            Tensor3(np.ones((1, 1, 1)), (("a\nb",), ("c",), ("d",)))
+            from_array(np.ones((1, 1, 1)), (("a\nb",), ("c",), ("d",)))
 
     def test_data_is_immutable(self):
         t = from_array(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0, 0] = 7.0
+        for stored in (t.positions, t.values):
+            with pytest.raises(ValueError):
+                stored[0] = 1
 
 
     @pytest.mark.parametrize("at", [0, 5, 7])
@@ -479,16 +535,25 @@ class TestTensor3Construction:
             from_array(data)
 
     def test_finite_check_makes_no_full_size_temporary(self):
-        data = np.ones((50, 40, 100))
-        labels = default_labels(data.shape)
+        dims = (100, 80, 250)
+        positions = np.arange(0, 100 * 80 * 250, 997)
+        values = np.ones(positions.size)
+        labels = default_labels(dims)
         tracemalloc.start()
         try:
-            Tensor3(data, labels)
+            Tensor3(dims, positions, values, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a boolean mask of the entries alone would be data.nbytes / 8
-        assert peak < data.nbytes // 16, peak
+        # a boolean mask of the 2,000,000 entries alone would be 2 MB; the
+        # copied positions and values are 16 bytes for each of 2,007 entries
+        assert peak < 100 * 80 * 250 // 8, peak
+
+    @pytest.mark.parametrize("positions", [[0, 2, 2], [3, 1, 5], [-1, 0, 1], [0, 1, 8], [0, 1]],
+                             ids=["repeated", "unsorted", "negative", "past the end", "short"])
+    def test_positions_are_checked(self, positions):
+        with pytest.raises(ValueError, match="positions must be one per value, increasing"):
+            Tensor3((2, 2, 2), positions, [1.0, 2.0, 3.0], default_labels((2, 2, 2)))
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
@@ -498,7 +563,7 @@ class TestSerialization:
             ("tires, tubes, liners & valves", "pm service all levels", "brakes"),
             ("2015-01", "2015-02", "2015-03", "2015-04"),
         )
-        t = Tensor3(rng.normal(size=(2, 3, 4)), labels)
+        t = from_array(rng.normal(size=(2, 3, 4)), labels)
         path = tmp_path / "t.txt"
         save_tensor(t, path)
         back = load_tensor(path)
@@ -554,7 +619,7 @@ class TestSerialization:
 
     def test_every_proper_prefix_rejected(self, tmp_path):
         data = np.array([[[0.25, 0.0, -2.0]], [[0.0, 3.0, 1.5]]])
-        t = Tensor3(data, (("u1", "u2"), ("b",), ("x", "y", "z")))
+        t = from_array(data, (("u1", "u2"), ("b",), ("x", "y", "z")))
         path = tmp_path / "t.txt"
         save_tensor(t, path)
         text = path.read_text()
@@ -658,12 +723,12 @@ class TestStreamedValueBlock:
 
         def read():
             with open(path, encoding="utf-8") as fh:
-                return FormatReader(fh, "demo v1").floats(len(self.VALUES), "w")
+                return FormatReader(fh, "demo v1").floats(len(self.VALUES), "w").dense()
 
         expected = self.outcome(read)
         # the whole block as one string gives the same outcome
         assert self.outcome(lambda: parse_floats(
-            self.BLOCKS[block], len(self.VALUES), "demo w")) == expected
+            self.BLOCKS[block], len(self.VALUES), "demo w").dense()) == expected
         for chunk in range(1, 17):
             with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
                 assert self.outcome(read) == expected, chunk
@@ -725,6 +790,23 @@ class TestStreamedValueBlock:
             tracemalloc.stop()
         assert peak <= 4 * size + (1 << 20), (peak, size)
 
+    def test_tokens_not_zero_cost_at_most_eight_bytes_a_byte(self, tmp_path):
+        # the shortest tokens that are not 0.0, a digit and a newline: the
+        # reader holds a position and a value, 16 bytes, for each 2 bytes of
+        # the block until the count check fails, beside one piece's temporaries
+        labels = "".join(f"{i}\n" for _ in range(3) for i in range(100))
+        path = tmp_path / "t.txt"
+        path.write_text(f"tensor3 v1\ndims 100 100 100\n{labels}" + "1\n" * (10**6 - 10))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 1000000 values, found 999990$"):
+                load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * size < peak <= 8 * size + 16 * tensor_module._PARSE_CHARS, (peak, size)
+
     def test_count_past_the_file_is_a_count_error(self, tmp_path):
         # 1.25e8 values, within the dims bound, would take 1 GB: the count
         # check must come first
@@ -752,9 +834,10 @@ class TestFormatReader:
             assert reader.labels((2, 1)) == (("u1", "u2"), ("b",))
             assert reader.fields("block") == ["w", "3"]
             # ceil(3 / 2) = 2 lines, leaving the next keyword line unread
-            np.testing.assert_array_equal(reader.floats(3, "w", per_line=2), [0.5, 0.0, -2.0])
+            np.testing.assert_array_equal(reader.floats(3, "w", per_line=2).dense(),
+                                          [0.5, 0.0, -2.0])
             assert reader.fields("block", 2) == ["v", "2"]
-            np.testing.assert_array_equal(reader.floats(2, "v"), [1.0, 2.0])
+            np.testing.assert_array_equal(reader.floats(2, "v").dense(), [1.0, 2.0])
             reader.end()
 
     def test_bad_magic_names_the_format(self):
@@ -786,7 +869,7 @@ class TestFormatReader:
 
     def test_data_after_last_block_rejected(self):
         reader = FormatReader(io.StringIO("demo v1\n1.0\n\n"), "demo v1")
-        np.testing.assert_array_equal(reader.floats(1, "w", per_line=4), [1.0])
+        np.testing.assert_array_equal(reader.floats(1, "w", per_line=4).dense(), [1.0])
         with pytest.raises(ValueError, match="demo file has data after the last block"):
             reader.end()
 
@@ -817,7 +900,7 @@ class TestFormatReader:
 class TestWriteFloats:
     def test_empty_block_writes_nothing(self):
         fh = io.StringIO()
-        write_floats(fh, np.empty((0, 3)), 3)
+        write_floats(fh, FloatBlock.of(np.empty((0, 3))), 3)
         assert fh.getvalue() == ""
 
     @settings(max_examples=80, deadline=None)
@@ -838,8 +921,8 @@ class TestWriteFloats:
     def test_matches_per_value_writer(self, values, per_line, chunk_lines):
         fh = io.StringIO()
         with mock.patch.object(tensor_module, "_CHUNK_LINES", chunk_lines):
-            write_floats(fh, values, per_line)
-        assert fh.getvalue() == float_lines_oracle(values, per_line)
+            write_floats(fh, FloatBlock.of(values), per_line)
+        assert fh.getvalue() == float_lines(values, per_line)
 
 
 # tokens that look like the 0.0 token but are not it: each one parses to
@@ -854,7 +937,8 @@ SEPARATORS = [" ", "\t", "\n", "\v", "\f", "\r", "   ", ""]
 def parse_outcome(parse, text, count):
     """Bits of the parsed values, or None if ``parse`` raised ValueError."""
     try:
-        return bits(parse(text, count, "block"))
+        block = parse(text, count, "block")
+        return bits(block if parse is parse_floats_oracle else block.dense())
     except ValueError:
         return None
 
@@ -878,7 +962,7 @@ class TestParseFloats:
     def test_matches_oracle(self, values, per_line, tokens, separators, lead, trail,
                             count_delta, chunk):
         fh = io.StringIO()
-        write_floats(fh, values, per_line)
+        write_floats(fh, FloatBlock.of(values), per_line)
         # alternating tokens and the whitespace after each; a mutation
         # replaces one of either
         pieces = re.split(r"(\s+)", fh.getvalue())
@@ -903,7 +987,7 @@ class TestParseFloats:
         values = np.zeros(1 << 20)
         values[::97] = 1.5
         fh = io.StringIO()
-        write_floats(fh, values, 8)
+        write_floats(fh, FloatBlock.of(values), 8)
         text = fh.getvalue()
         chunk = 1 << 14
         with mock.patch.object(tensor_module, "_PARSE_CHARS", chunk):
@@ -913,7 +997,7 @@ class TestParseFloats:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        np.testing.assert_array_equal(bits(got), bits(values))
+        np.testing.assert_array_equal(bits(got.dense()), bits(values))
         # the output plus chunk-sized temporaries: an encoded copy of the
         # block would be len(text) bytes, a finiteness mask values.size
         assert peak <= values.nbytes + 16 * chunk, peak
