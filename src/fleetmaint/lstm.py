@@ -82,6 +82,7 @@ MAX_EPOCHS = 1000
 # floats of the working set that LstmConfig.check_working_set bounds: 2 GiB,
 # which admits that model over its 10,000-word vocabulary (about 2.3e8)
 MAX_WORKING_FLOATS = 1 << 28
+EVAL_BATCH = 32  # least rows of an evaluation batch: wider ones ran no faster
 
 
 @dataclass
@@ -102,16 +103,21 @@ class LstmConfig:
     def __post_init__(self) -> None:
         check(self)
 
-    def check_working_set(self, vocab_size: int) -> None:
-        """Raise ValueError when training this model over ``vocab_size``
-        tokens would hold more than ``MAX_WORKING_FLOATS`` floats: three
-        copies of the parameters (the weights, their gradients and the best
-        validation snapshot) and about one BPTT window's caches."""
+    def _working_floats(self, vocab_size: int) -> tuple[int, int]:
+        """Floats of the working set over ``vocab_size`` tokens: three copies of the parameters
+        (the weights, their gradients and the best validation snapshot), and about one BPTT
+        window's caches per row."""
         params = sum(math.prod(shape) for shape in _param_shapes(self, vocab_size).values())
         # per step and row: each layer's input, gates, h, c and tanh(c), and
         # the head's log-probabilities and their gradient
         slot = self.layers * (max(self.embed_dim, self.hidden_dim) + 7 * self.hidden_dim)
-        working = 3 * params + self.bptt_steps * self.batch_size * (slot + 2 * vocab_size)
+        return 3 * params, self.bptt_steps * (slot + 2 * vocab_size)
+
+    def check_working_set(self, vocab_size: int) -> None:
+        """Raise ValueError when training over ``vocab_size`` tokens, ``batch_size`` rows
+        a window, would hold more than ``MAX_WORKING_FLOATS`` floats (:meth:`_working_floats`)."""
+        fixed, per_row = self._working_floats(vocab_size)
+        working = fixed + self.batch_size * per_row
         if working > MAX_WORKING_FLOATS:
             raise ValueError(
                 f"a {self.layers}x{self.hidden_dim} LSTM with embed_dim {self.embed_dim} over "
@@ -206,7 +212,8 @@ def _forward_chunk(params, cfg, ids, state, drop_masks):
         tanh_c = np.empty((steps, batch, hidden))
         hs[0] = state[0][layer]
         cs[0] = state[1][layer]
-        gate_i, gate_f, gate_g, gate_o = np.split(gates, 4, axis=2)
+        gate_i, gate_f, gate_g, gate_o = (gates[:, :, k * hidden : (k + 1) * hidden]
+                                          for k in range(4))
         for t in range(steps):
             z = gates[t]
             z += hs[t] @ wh
@@ -255,12 +262,15 @@ def _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop_mas
         dh_in = dinp.reshape(steps, batch, hidden)
         if drop_masks is not None:
             dh_in = dh_in * drop_masks["layer"][:, layer]
-        gate_i, gate_f, gate_g, gate_o = np.split(gates, 4, axis=2)
+        gate_i, gate_f, gate_g, gate_o = (gates[:, :, k * hidden : (k + 1) * hidden]
+                                          for k in range(4))
         # window-wide factors: dc = dh * dc_dh + dc_next, the i, f and g
         # columns of dz are dc * dz_dc and the o column is dh * dzo_dh
         dc_dh = gate_o * (1.0 - tanh_c**2)
-        dz_dc = np.stack([gate_g * gate_i * (1.0 - gate_i), cs[:-1] * gate_f * (1.0 - gate_f),
-                          gate_i * (1.0 - gate_g**2)], axis=2)
+        dz_dc = np.empty((steps, batch, 3, hidden))
+        np.multiply(gate_g * gate_i, 1.0 - gate_i, out=dz_dc[:, :, 0])
+        np.multiply(cs[:-1] * gate_f, 1.0 - gate_f, out=dz_dc[:, :, 1])
+        np.multiply(gate_i, 1.0 - gate_g**2, out=dz_dc[:, :, 2])
         dzo_dh = tanh_c * gate_o * (1.0 - gate_o)
         wh_t = params[f"lstm{layer}_wh"].T
         dz = np.empty((steps, batch, 4, hidden))
@@ -281,8 +291,11 @@ def _backward_chunk(params, cfg, ids, targets, mask, log_probs, caches, drop_mas
         dinp = dz @ params[f"lstm{layer}_wx"].T
     if drop_masks is not None:
         dinp = dinp * drop_masks["input"].reshape(slots, -1)
-    grads["embedding"] = np.zeros_like(params["embedding"])
-    np.add.at(grads["embedding"], ids.ravel(), dinp)
+    # one bin per (id, column), summed in row order from +0.0 as np.add.at does
+    vocab, embed = params["embedding"].shape
+    bins = (ids.reshape(-1, 1) * embed + np.arange(embed)).ravel()
+    grads["embedding"] = np.bincount(bins, weights=dinp.ravel(),
+                                     minlength=vocab * embed).reshape(vocab, embed)
     return grads
 
 
@@ -370,17 +383,19 @@ class SeqModel:
     def nll(self, seqs: list[Sequence[str]]) -> tuple[float, int]:
         """Total negative log-likelihood and item count (EOS included), dropout disabled.
 
-        Batches hold sequences of similar length (a stable sort by length).
-        Each sequence's NLL is summed in time order and the sequences' totals
-        are added in input order, so the total does not depend on how the
-        batches are formed.
+        Batches hold sequences of similar length (a stable sort by length), ``EVAL_BATCH`` or
+        ``batch_size`` of them, but no more than a window's working set admits. Each sequence's
+        NLL is summed in time order and the sequences' totals are added in input order, so the
+        total does not depend on how the batches are formed.
         """
         cfg = self.config
+        fixed, per_row = cfg._working_floats(self.vocab.size)
+        width = max(cfg.batch_size, min(EVAL_BATCH, (MAX_WORKING_FLOATS - fixed) // per_row))
         encoded = [self.vocab.encode(s) for s in seqs]
         order = np.argsort([s.shape[0] for s in encoded], kind="stable")
         seq_nll = np.zeros(len(encoded))
-        for start in range(0, len(order), cfg.batch_size):
-            group = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), width):
+            group = order[start : start + width]
             ids, targets, mask = _pack_batch([encoded[i] for i in group], self.vocab.eos)
             nll = np.zeros(len(group))
             for rows, _, targets_w, mask_w, log_probs, _, _ in _live_windows(
@@ -390,7 +405,7 @@ class SeqModel:
                 nll[rows] = np.cumsum(np.vstack([nll[rows], item_nll]), axis=0)[-1]
             seq_nll[group] = nll
         total_items = sum(s.shape[0] + 1 for s in encoded)
-        return float(np.cumsum(seq_nll)[-1]), total_items
+        return float(np.cumsum(seq_nll)[-1]) if encoded else 0.0, total_items
 
     def next_distribution(self, prefix: Sequence[str]) -> np.ndarray:
         """Probability distribution over the vocabulary for the next item.

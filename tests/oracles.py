@@ -12,7 +12,9 @@ results:
   einsum of ``cp_als``'s near-exact fit) and fit,
   the greedy component matching behind the congruence scores, and CP-ALS
   with its restarts run one after another on single matrices;
-- lstm: the finite-difference gradient check of the BPTT backward pass;
+- lstm: the finite-difference gradient check of the BPTT backward pass,
+  and that pass as it was written with ``np.split``, ``np.stack`` and
+  ``np.add.at``, whose gradients the package's must match bit for bit;
 - seqmine: a SequenceSet built straight from label lists, and the
   per-record grouping and sorting that ``extract_sequences`` must match;
 - synth: the per-event tuple list, cursor-driven motif rebuild and
@@ -465,6 +467,57 @@ def grad_check(
             denom = max(abs(analytic) + abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def backward_chunk_copying(params, cfg, ids, targets, mask, log_probs, caches, drop_masks,
+                           norm: float):
+    """``lstm._backward_chunk`` with the gate blocks split off by ``np.split``,
+    the cell factors stacked by ``np.stack`` and the embedding gradient
+    scattered by ``np.add.at`` into zeros."""
+    steps, batch = ids.shape
+    slots = steps * batch
+    hidden = cfg.hidden_dim
+    layer_caches, top = caches
+    grads = dict.fromkeys(params)
+    dlogits = np.exp(log_probs) * mask[:, :, None]
+    dlogits[np.arange(steps)[:, None], np.arange(batch), targets] -= mask
+    dlogits /= norm
+    dlogits = dlogits.reshape(slots, -1)
+    grads["out_w"] = top.reshape(slots, hidden).T @ dlogits
+    grads["out_b"] = dlogits.sum(axis=0)
+    dinp = dlogits @ params["out_w"].T
+    for layer in range(cfg.layers - 1, -1, -1):
+        inp, hs, cs, gates, tanh_c = layer_caches[layer]
+        dh_in = dinp.reshape(steps, batch, hidden)
+        if drop_masks is not None:
+            dh_in = dh_in * drop_masks["layer"][:, layer]
+        gate_i, gate_f, gate_g, gate_o = np.split(gates, 4, axis=2)
+        dc_dh = gate_o * (1.0 - tanh_c**2)
+        dz_dc = np.stack([gate_g * gate_i * (1.0 - gate_i), cs[:-1] * gate_f * (1.0 - gate_f),
+                          gate_i * (1.0 - gate_g**2)], axis=2)
+        dzo_dh = tanh_c * gate_o * (1.0 - gate_o)
+        wh_t = params[f"lstm{layer}_wh"].T
+        dz = np.empty((steps, batch, 4, hidden))
+        dh_next = np.zeros((batch, hidden))
+        dc_next = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = dh_in[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            np.multiply(dc[:, None, :], dz_dc[t], out=dz[t, :, :3])
+            np.multiply(dh, dzo_dh[t], out=dz[t, :, 3])
+            dc_next = dc * gate_f[t]
+            dh_next = dz[t].reshape(batch, 4 * hidden) @ wh_t
+        dz = dz.reshape(slots, 4 * hidden)
+        grads[f"lstm{layer}_wx"] = inp.reshape(slots, -1).T @ dz
+        grads[f"lstm{layer}_wh"] = hs[:-1].reshape(slots, hidden).T @ dz
+        grads[f"lstm{layer}_b"] = dz.sum(axis=0)
+        dinp = dz @ params[f"lstm{layer}_wx"].T
+    if drop_masks is not None:
+        dinp = dinp * drop_masks["input"].reshape(slots, -1)
+    grads["embedding"] = np.zeros_like(params["embedding"])
+    np.add.at(grads["embedding"], ids.ravel(), dinp)
+    return grads
 
 
 # ---------------------------------------------------------------------------

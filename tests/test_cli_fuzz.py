@@ -1,4 +1,5 @@
-"""Fuzzing of the CLI's config-file, fleet-spec, job-table, tensor and model inputs.
+"""Fuzzing of the CLI's config-file, fleet-spec, job-table, tensor and model
+inputs, and of its numeric flag values.
 
 Each example mutates one valid input (a ``train --config`` file, a
 ``synth --spec`` fleet spec, the demo fleet's vehicle or maintenance table,
@@ -14,11 +15,17 @@ run either succeeds or ends with one error line on stderr:
 ``data-error: `` naming the file with exit code 4 for a table, a tensor or
 a model. Never another exit code, a warning or a traceback, and a run that
 succeeds writes or prints no nan or inf.
+
+The numeric flags take every spelling of ``FLAG_SPELLINGS`` and their own
+bounds plus and minus one, with the model stage stubbed out; a run either
+hands the stage the number the spelling reads as, or ends with one
+categorized error line.
 """
 
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,8 +39,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fleetmaint import cli
 from fleetmaint.cli import main
-from fleetmaint.parafac import load_model
+from fleetmaint.ingest import TensorizeSpec
+from fleetmaint.knobs import BOUNDS
+from fleetmaint.lstm import LstmConfig, SeqModel
+from fleetmaint.parafac import AlsOptions, load_model
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -462,3 +473,95 @@ def test_mutated_seq_model(demo_models, edit_list):
         if code == 0:
             ranked = [line.split("\t")[0] for line in out.getvalue().splitlines()]
             assert ranked and all(math.isfinite(float(prob)) for prob in ranked), out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# numeric flag values
+# ---------------------------------------------------------------------------
+
+# what a numeric flag is given, besides each of its bounds plus and minus one
+FLAG_SPELLINGS = ["0", "-0", "1e3", "1_0", "nan", "inf", " 5", "", str(2**70)]
+
+
+def numeric_flags():
+    """(command, flag, field, type, bounds) of every numeric flag of tensorize,
+    parafac and train, from their config fields, and of seqmine, predict and
+    ``--seed``, whose bounds the parser states; ``field`` names where the
+    stubbed stage finds the value, None where no stage reads it."""
+    found = []
+    for command, cls in (("tensorize", TensorizeSpec), ("parafac", AlsOptions),
+                         ("train", LstmConfig)):
+        for f in dataclasses.fields(cls):
+            if f.type in ("int", "float"):
+                flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
+                bounds = {key: f.metadata[key] for key in BOUNDS if key in f.metadata}
+                found.append((command, flag, f.name, f.type, bounds))
+    found += [("seqmine", "--min-len", "min_len", "int", {"ge": 1}),
+              ("seqmine", "--max-len", "max_len", "int", {"ge": 1}),
+              ("seqmine", "--top-n", "top_n", "int", {"ge": 1}),
+              ("predict", "--top-k", "top_k", "int", {"ge": 1})]
+    found += [(command, "--seed", None, "int", {"ge": 0})
+              for command in ("tensorize", "seqmine", "predict")]
+    return found
+
+
+@pytest.fixture(scope="module")
+def flag_runs(demo_tables, demo_tensor, demo_models, tmp_path_factory):
+    """Each command's arguments but the fuzzed flag, and the directory of its inputs."""
+    out = tmp_path_factory.mktemp("fuzz_flags")
+    for name, data in {**{f"{k}.csv": v for k, v in demo_tables.items()}, **demo_models,
+                       "tensor.txt": demo_tensor[0]}.items():
+        (out / name).write_bytes(data)
+    tables = ["--vehicles", str(out / "vehicles.csv"), "--maintenance", str(out / "maintenance.csv")]
+    return {
+        "tensorize": ["tensorize", *tables, "--out", str(out / "t.txt")],
+        "parafac": ["parafac", "--tensor", str(out / "tensor.txt"), "--out", str(out / "m.txt")],
+        "train": ["train", *tables, "--out", str(out / "s.txt")],
+        "seqmine": ["seqmine", *tables, "--target", "DODGE CHARGER", "--out", str(out / "d.csv")],
+        "predict": ["predict", "--model", str(out / "seq_model.txt"), "--prefix", "brakes"],
+    }, out
+
+
+@pytest.mark.parametrize("command, flag, name, kind, bounds", numeric_flags(),
+                         ids=lambda value: value if isinstance(value, str) else None)
+def test_numeric_flag_values(flag_runs, monkeypatch, command, flag, name, kind, bounds):
+    argv, out = flag_runs
+    seen = {}
+    cp_model = load_model(out / "cp_model.txt")
+    seq_model = SeqModel.load(out / "seq_model.txt")
+    seq_model.history = {"train_loss": [], "valid_perplexity": []}
+    real_build = cli.build_tensor
+
+    def build_tensor(vehicles, maintenance, spec):
+        seen.update(vars(spec))
+        return real_build(vehicles, maintenance, spec)
+
+    def stub(result, read):
+        """A stage that keeps what ``read`` takes from its arguments and returns ``result``."""
+        def stage(*args, **kwargs):
+            seen.update(read(*args, **kwargs))
+            return result
+        return stage
+
+    monkeypatch.setattr(cli, "build_tensor", build_tensor)
+    monkeypatch.setattr(cli, "cp_als", stub(cp_model, lambda tensor, opts: vars(opts)))
+    monkeypatch.setattr(cli, "train_lstm", stub(seq_model, lambda train, valid, cfg: vars(cfg)))
+    monkeypatch.setattr(cli, "differential", stub([], lambda seqset, target, **options: options))
+    monkeypatch.setattr(cli, "predict_next",
+                        stub([("x", 0.5)], lambda model, prefix, top_k: {"top_k": top_k}))
+    spellings = FLAG_SPELLINGS + [str(bound + step) for bound in bounds.values()
+                                  for step in (-1, 1)]
+    for spelling in spellings:
+        seen.clear()
+        code, err = run([*argv[command], flag, spelling])
+        context = (flag, spelling, code, err)
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, context
+        errors = [line for line in err.splitlines() if line.startswith(CATEGORIES)]
+        if code:
+            assert len(errors) == 1 and errors[0].startswith(CATEGORIES[code - 2]), context
+        else:
+            assert errors == [], context
+            want = {"int": int, "float": float}[kind](spelling)
+            assert all(BOUNDS[key][1](want, bound) for key, bound in bounds.items()), context
+            if name is not None:
+                assert type(seen[name]) is type(want) and seen[name] == want, (context, seen)

@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from fleetmaint.lstm import (
     train,
     unigram_baseline,
 )
-from oracles import grad_check
+from oracles import backward_chunk_copying, grad_check
 
 FAST_CFG = dict(
     embed_dim=8, hidden_dim=16, layers=1, dropout_keep=1.0,
@@ -124,6 +125,16 @@ class TestPerplexity:
     def test_empty_eval_set_rejected(self):
         with pytest.raises(ValueError):
             perplexity(unigram_baseline([["a"]]), [])
+
+    def test_empty_set_has_zero_nll(self):
+        seqs = [["a", "b"], ["b"]]
+        lstm_model = train(seqs, [], LstmConfig(epochs=1, **FAST_CFG))
+        for model in (lstm_model, unigram_baseline(seqs)):
+            total, items = model.nll([])
+            assert (total, items) == (0.0, 0) and math.copysign(1.0, total) == 1.0
+            assert type(total) is float and type(items) is int
+            with pytest.raises(ValueError, match="evaluation set is empty"):
+                perplexity(model, [])
 
 
 class TestUnigram:
@@ -762,3 +773,94 @@ class TestLiveRowWindows:
         model = SeqModel(vocab, cfg, params)
         assert perplexity(model, seqs) == pytest.approx(perplexity_oracle(model, seqs),
                                                         rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evaluation width and the window kernels' bits
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def width_cases(draw):
+    """A model with batch_size 1 and sequences whose lengths include 0, 1,
+    bptt_steps and bptt_steps + 1; "d" is not in the vocabulary."""
+    bptt = draw(st.integers(1, 5))
+    cfg = LstmConfig(embed_dim=draw(st.integers(1, 4)), hidden_dim=draw(st.integers(1, 5)),
+                     layers=draw(st.integers(1, 2)), bptt_steps=bptt, batch_size=1,
+                     seed=draw(st.integers(0, 2**16)))
+    length = st.sampled_from([0, 1, bptt, bptt + 1]) | st.integers(0, 3 * bptt + 1)
+    seqs = draw(st.lists(length.flatmap(
+        lambda n: st.lists(st.sampled_from("abcd"), min_size=n, max_size=n)), max_size=40))
+    return cfg, seqs
+
+
+class TestEvaluationWidth:
+    # 40 sequences, more than EVAL_BATCH: lengths 0, 1, bptt_steps and
+    # bptt_steps + 1, unknown labels, and one row left alone in its windows
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(width_cases())
+    @example((LstmConfig(embed_dim=3, hidden_dim=4, layers=2, bptt_steps=4, batch_size=1,
+                         seed=9),
+              [[], list("a"), list("abcd"), list("dcbab"), list("abcabcabcabcab")] * 8))
+    def test_nll_bits_do_not_depend_on_the_width(self, case):
+        cfg, seqs = case
+        vocab = Vocab.from_sequences([list("abc")])
+        rng = np.random.default_rng(cfg.seed)
+        params = {name: rng.uniform(-0.8, 0.8, size=shape)
+                  for name, shape in _param_shapes(cfg, vocab.size).items()}
+        model = SeqModel(vocab, cfg, params)
+        results = set()
+        for width in (1, 2, 3, 8, 32, max(len(seqs), 1)):
+            with mock.patch.object(lstm, "EVAL_BATCH", width):
+                total, items = model.nll(seqs)
+            results.add((total.hex(), items))
+        assert len(results) == 1, results
+
+    def test_width_stays_within_the_working_set(self, monkeypatch):
+        cfg = LstmConfig(embed_dim=3, hidden_dim=4, layers=1, bptt_steps=4, batch_size=3)
+        vocab = Vocab.from_sequences([list("abc")])
+        params = {name: np.zeros(shape) for name, shape in _param_shapes(cfg, vocab.size).items()}
+        model = SeqModel(vocab, cfg, params)
+        widths = []
+
+        def pack_batch(encoded, eos):
+            widths.append(len(encoded))
+            return _pack_batch(encoded, eos)
+
+        monkeypatch.setattr(lstm, "_pack_batch", pack_batch)
+        model.nll([list("ab")] * 40)
+        assert widths == [32, 8]
+        # the config is admitted at batch 3, where a window of 4 rows would not fit
+        fixed, per_row = cfg._working_floats(vocab.size)
+        monkeypatch.setattr(lstm, "MAX_WORKING_FLOATS", fixed + 3 * per_row)
+        cfg.check_working_set(vocab.size)
+        widths.clear()
+        model.nll([list("ab")] * 10)
+        assert widths == [3, 3, 3, 1]
+
+
+class TestWindowGradientBits:
+    # sequences of 2, 3 and 12 labels (3, 4 and 13 packed slots) in windows
+    # of 4 steps: ids repeat (a, b and EOS only), and the last three windows
+    # have one live row
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    def test_gradients_match_the_copying_kernel(self, layers, keep):
+        cfg = LstmConfig(embed_dim=3, hidden_dim=5, layers=layers, dropout_keep=keep,
+                         bptt_steps=4, batch_size=3, seed=4)
+        vocab = Vocab.from_sequences([list("ab")])
+        rng = np.random.default_rng(cfg.seed)
+        params = {name: rng.uniform(-0.8, 0.8, size=shape)
+                  for name, shape in _param_shapes(cfg, vocab.size).items()}
+        encoded = [vocab.encode(list(s)) for s in ("ab", "bab", "abbabaabbaba")]
+        ids, targets, mask = _pack_batch(encoded, vocab.eos)
+        live = []
+        for rows, ids_w, targets_w, mask_w, log_probs, caches, drop in lstm._live_windows(
+                params, cfg, ids, targets, mask, np.random.default_rng(1)):
+            live.append(len(rows))
+            args = (params, cfg, ids_w, targets_w, mask_w, log_probs, caches, drop, 12.0)
+            grads, ref = _backward_chunk(*args), backward_chunk_copying(*args)
+            assert list(grads) == list(ref)
+            for name, value in ref.items():
+                assert grads[name].tobytes() == value.tobytes(), name
+        assert live == [3, 1, 1, 1]
