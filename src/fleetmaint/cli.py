@@ -59,7 +59,7 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
     then converted and checked like the flag's.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
     flags = []
@@ -159,7 +159,7 @@ def _from_flags(cls, args):
 def cmd_synth(args) -> int:
     if args.spec:
         try:
-            spec = spec_from_json(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+            spec = spec_from_json(json.loads(Path(args.spec).read_text(encoding="utf-8-sig")))
         except ValueError as exc:  # not UTF-8, not JSON, or not a valid spec
             raise ConfigError(f"malformed fleet spec: {exc}") from None
     else:
@@ -398,16 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fleetmaint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
-                       help="seed for randomized steps (default %(default)s)")
+    def add_common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
+                           help="seed for randomized steps (default %(default)s)")
         p.add_argument("--config", type=str, default=None,
                        help="key = value file; values override flags")
 
     p = sub.add_parser("synth", help="generate a synthetic fleet")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--spec", type=str, default=None, help="fleet spec JSON (default: demo spec)")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("tensorize", help="build the job-count tensor from CSVs")
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-dir", default=None, help="also export per-component reports")
     p.add_argument("--format", choices=("csv", "svg"), default="svg",
                    help="report format: csv only, or csv plus svg charts")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_parafac)
 
     p = sub.add_parser("report", help="export factor loading reports for a saved model")
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maintenance", required=True)
     p.add_argument("--out", required=True, help="model output path")
     _add_field_flags(p, LstmConfig)
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="perplexity of a trained model on a split")
@@ -464,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--split", choices=("train", "valid", "test", "all"), default="test")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="rank likely next jobs after a prefix")
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="run the built-in demo fleet")
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

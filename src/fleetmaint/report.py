@@ -112,15 +112,10 @@ def _panel(axis: _Axis, loadings: list[float]) -> list[str]:
     return parts
 
 
-def render_factor_svg(model: CpModel, component: int, axes: list[_Axis] | None = None) -> str:
-    """Standalone SVG string: three stacked bar panels for one 1-based component.
-
-    ``axes`` is the panel text of the model's labels; an export computes it
-    once and passes it for every component.
-    """
-    _check_components(model, [component])
-    if axes is None:
-        axes = _axes(model.axis_labels)
+def _render_svg(model: CpModel, component: int, axes: list[_Axis]) -> str:
+    """Standalone SVG string: three stacked bar panels for one 1-based
+    component. ``axes`` is the panel text of the model's labels, computed
+    once for every component drawn."""
     col = component - 1
     total_h = 3 * _PANEL_H + 34
     parts = [
@@ -156,7 +151,7 @@ def export_component_reports(
         axes = _axes(model.axis_labels)
         for comp in components:
             svg_path = out_dir / f"component_{comp:02d}.svg"
-            svg_path.write_text(render_factor_svg(model, comp, axes), encoding="utf-8",
+            svg_path.write_text(_render_svg(model, comp, axes), encoding="utf-8",
                                 newline="\n")
             written.append(svg_path)
     return written

@@ -155,67 +155,62 @@ def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
 
 
 def _stacks(names, factors, rows):
-    """The factors as C-contiguous float64 (S, rows, R) stacks of one S and R,
-    and whether they came as single matrices, each taken as a stack of one."""
+    """The factors as C-contiguous float64 (S, rows, R) stacks of one S and R."""
     stacks = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
     first = stacks[0]
-    if first.ndim not in (2, 3):
-        raise ValueError(f"{names[0]} must be a matrix or a stack of matrices")
     for name, f, n in zip(names, stacks, rows):
-        expected = (*first.shape[:-2], n, first.shape[-1])
+        if f.ndim != 3:
+            raise ValueError(f"{name} must be a stack of matrices, got a {f.ndim}-D array")
+        expected = (first.shape[0], n, first.shape[2])
         if f.shape != expected:
             raise ValueError(f"{name} has shape {f.shape}, expected {expected}")
-    single = first.ndim == 2
-    return [f[None] for f in stacks] if single else stacks, single
+    return stacks
 
 
 def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
-    """Matricized-tensor times Khatri-Rao product for the target mode.
+    """Matricized-tensor times Khatri-Rao product for the target mode, for a
+    stack of S factor pairs at once, as CP-ALS passes its restarts.
 
-    ``f1`` and ``f2`` are the factor matrices of the two non-target modes in
-    ascending mode order: ``unfold(t, mode) @ khatri_rao(f2, f1)``, the
-    reference in ``tests/oracles.py``. Mode 1 multiplies the (I, J*K) view
-    of the tensor by the Khatri-Rao product built as an (R, J*K) array: one
-    GEMM, or for a tensor at most 1/32 full a sum over each row's nonzeros.
-    Modes 2 and 3 contract over i first (:func:`mttkrp_partial`) and finish
-    with :func:`mttkrp_from_partial`. ``f1`` and ``f2`` may also be stacks
-    of S factor matrices, (S, n, R) each, as CP-ALS passes its restarts: the
-    result is the (S, I_mode, R) stack, each slice bit-identical to the call
-    on its own pair.
+    ``f1`` and ``f2`` are (S, n, R) stacks of the factor matrices of the two
+    non-target modes in ascending mode order; slice s of the (S, I_mode, R)
+    result is ``unfold(t, mode) @ khatri_rao(f2[s], f1[s])``, the reference
+    in ``tests/oracles.py``, bit-identical to the call on that pair alone as
+    a stack of one. Mode 1 multiplies the (I, J*K) view of the tensor by the
+    Khatri-Rao product built as an (R, J*K) array: one GEMM, or for a tensor
+    at most 1/32 full a sum over each row's nonzeros. Modes 2 and 3 contract
+    over i first (:func:`mttkrp_partial`) and finish with
+    :func:`mttkrp_from_partial`.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     dims = t.dims
     others = [d for m, d in enumerate(dims, start=1) if m != mode]
-    (f1, f2), single = _stacks(("f1", "f2"), (f1, f2), others)
-    if mode == 1:
-        stack, rank = f1.shape[0], f1.shape[2]
-        # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the
-        # column order of the C-contiguous (I, J*K) view; the product comes
-        # out r fastest, so each slice is an F-ordered view, a layout the
-        # GEMM rounds by
-        kr = (f1.swapaxes(1, 2)[:, :, :, None] * f2.swapaxes(1, 2)[:, :, None, :]).reshape(
-            stack, rank, -1)
-        nonzeros = t._nonzeros
-        if nonzeros is not None:
-            m = _segment_sums(kr.reshape(stack * rank, -1), nonzeros[0], dims[0])
-            m = m.reshape(stack, rank, -1)
-        else:
-            # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
-            m = kr @ t.data.reshape(dims[0], -1).T
-        out = m.swapaxes(1, 2)
+    f1, f2 = _stacks(("f1", "f2"), (f1, f2), others)
+    if mode != 1:
+        return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
+    stack, rank = f1.shape[0], f1.shape[2]
+    # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the column
+    # order of the C-contiguous (I, J*K) view; the product comes out r
+    # fastest, so each slice is an F-ordered view, a layout the GEMM rounds by
+    kr = (f1.swapaxes(1, 2)[:, :, :, None] * f2.swapaxes(1, 2)[:, :, None, :]).reshape(
+        stack, rank, -1)
+    nonzeros = t._nonzeros
+    if nonzeros is not None:
+        m = _segment_sums(kr.reshape(stack * rank, -1), nonzeros[0], dims[0])
+        m = m.reshape(stack, rank, -1)
     else:
-        out = mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
-    return out[0] if single else out
+        # (KR X_(1)^T)^T, which BLAS does faster than X_(1) KR^T
+        m = kr @ t.data.reshape(dims[0], -1).T
+    return m.swapaxes(1, 2)
 
 
 def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
-    """Z = A^T X_(1) as an (R, J, K) array: the contraction over i that the
-    mode-2 and mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013).
-    One GEMM, or for a tensor at most 1/32 full a sum over each column's
-    nonzeros. A stack of S factors (S, I, R) gives the (S, R, J, K) stack."""
+    """Z = A^T X_(1) for each (I, R) factor A of the (S, I, R) stack ``a``,
+    as the (S, R, J, K) stack: the contraction over i that the mode-2 and
+    mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013). One GEMM, or
+    for a tensor at most 1/32 full a sum over each column's nonzeros."""
     dims = t.dims
-    (a,), single = _stacks(("a",), (a,), dims[:1])
+    (a,) = _stacks(("a",), (a,), dims[:1])
     stack, rank = a.shape[0], a.shape[2]
     nonzeros = t._nonzeros
     if nonzeros is not None:
@@ -223,21 +218,18 @@ def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
                           dims[1] * dims[2])
     else:
         z = a.swapaxes(1, 2) @ t.data.reshape(dims[0], -1)
-    z = z.reshape(stack, rank, dims[1], dims[2])
-    return z[0] if single else z
+    return z.reshape(stack, rank, dims[1], dims[2])
 
 
 def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRP from Z = A^T X_(1),
-    or the stack of them from a stack of Z and of factors."""
+    """The stack of mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRPs from
+    the (S, R, J, K) stack of Z = A^T X_(1) and the (S, n, R) stack ``f``."""
     if mode not in (2, 3):
         raise ValueError(f"mode must be 2 or 3, got {mode}")
-    single = np.ndim(f) == 2
-    if single:
-        z, f = z[None], f[None]
+    if np.ndim(f) != 3:
+        raise ValueError(f"f must be a stack of matrices, got a {np.ndim(f)}-D array")
     # one O(R*J*K) pass; einsum without path search, a plain C loop
-    out = np.einsum("srjk,skr->sjr" if mode == 2 else "srjk,sjr->skr", z, f)
-    return out[0] if single else out
+    return np.einsum("srjk,skr->sjr" if mode == 2 else "srjk,sjr->skr", z, f)
 
 
 def frob_norm(x: np.ndarray) -> float:

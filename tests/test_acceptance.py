@@ -71,7 +71,7 @@ def test_c1_kernel_equivalence():
             others = [d for m, d in enumerate(dims, start=1) if m != mode]
             f1 = rng.normal(size=(others[0], rank))
             f2 = rng.normal(size=(others[1], rank))
-            fast = mttkrp(t, f1, f2, mode)
+            fast = mttkrp(t, f1[None], f2[None], mode)[0]
             slow = mttkrp_reference(t, f1, f2, mode)
             worst = max(worst, float(np.abs(fast - slow).max()))
             assert worst <= 1e-10

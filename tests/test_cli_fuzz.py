@@ -485,9 +485,9 @@ FLAG_SPELLINGS = ["0", "-0", "1e3", "1_0", "nan", "inf", " 5", "", str(2**70)]
 
 def numeric_flags():
     """(command, flag, field, type, bounds) of every numeric flag of tensorize,
-    parafac and train, from their config fields, and of seqmine, predict and
-    ``--seed``, whose bounds the parser states; ``field`` names where the
-    stubbed stage finds the value, None where no stage reads it."""
+    parafac and train, from their config fields (``--seed`` among them for
+    parafac and train), and of seqmine and predict, whose bounds the parser
+    states; ``field`` names where the stubbed stage finds the value."""
     found = []
     for command, cls in (("tensorize", TensorizeSpec), ("parafac", AlsOptions),
                          ("train", LstmConfig)):
@@ -500,8 +500,6 @@ def numeric_flags():
               ("seqmine", "--max-len", "max_len", "int", {"ge": 1}),
               ("seqmine", "--top-n", "top_n", "int", {"ge": 1}),
               ("predict", "--top-k", "top_k", "int", {"ge": 1})]
-    found += [(command, "--seed", None, "int", {"ge": 0})
-              for command in ("tensorize", "seqmine", "predict")]
     return found
 
 
@@ -563,5 +561,32 @@ def test_numeric_flag_values(flag_runs, monkeypatch, command, flag, name, kind, 
             assert errors == [], context
             want = {"int": int, "float": float}[kind](spelling)
             assert all(BOUNDS[key][1](want, bound) for key, bound in bounds.items()), context
-            if name is not None:
-                assert type(seen[name]) is type(want) and seen[name] == want, (context, seen)
+            # every value a command accepts reaches its stage
+            assert name in seen, (context, seen)
+            assert type(seen[name]) is type(want) and seen[name] == want, (context, seen)
+
+
+UNSEEDED = [
+    ["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt"],
+    ["report", "--model", "m.txt", "--out", "rep"],
+    ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
+     "--out", "d.csv"],
+    ["predict", "--model", "m.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", UNSEEDED, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_seed_on_an_unseeded_command_is_config_error(tmp_path, monkeypatch, argv, where):
+    # no stage of these commands is randomized, so none takes a seed
+    monkeypatch.chdir(tmp_path)
+    if where == "config":
+        (tmp_path / "seed.cfg").write_text("seed = 1\n")
+        extra = ["--config", "seed.cfg"]
+    else:
+        extra = ["--seed", "1"]
+    code, err = run([*argv, *extra])
+    assert code == 2, err
+    assert err.startswith("config-error: ") and err.count("\n") == 1, err
+    assert "seed" in err, err
+    assert [p.name for p in tmp_path.iterdir()] == (["seed.cfg"] if where == "config" else [])

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from fleetmaint.parafac import AlsOptions, CpModel, cp_als
-from fleetmaint.report import export_component_reports, render_factor_svg
+from fleetmaint.report import export_component_reports
 
 
 def small_model():
@@ -43,22 +43,24 @@ class TestFactorCsv:
 
 
 class TestSvg:
-    def test_escapes_and_structure(self):
-        model = small_model()
-        svg = render_factor_svg(model, 1)
+    def test_escapes_and_structure(self, tmp_path):
+        export_component_reports(small_model(), tmp_path, [1])
+        svg = (tmp_path / "component_01.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         assert "tires &amp; tubes" in svg
         assert svg.count("<rect") >= 3 + 2 + 4
 
     @pytest.mark.parametrize("component", [0, 3])
-    def test_component_out_of_range(self, component):
+    def test_component_out_of_range(self, tmp_path, component):
         with pytest.raises(ValueError, match=rf"component must be in \[1, 2\], got {component}"):
-            render_factor_svg(small_model(), component)
+            export_component_reports(small_model(), tmp_path, [component])
+        assert not list(tmp_path.glob("component_*.svg"))
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         model = small_model()
-        assert render_factor_svg(model, 1) == render_factor_svg(model, 1)
+        first = export_component_reports(model, tmp_path / "a", [1])[1].read_bytes()
+        assert export_component_reports(model, tmp_path / "b", [1])[1].read_bytes() == first
 
 
 class TestExport:
@@ -111,6 +113,3 @@ class TestMatchesOracle:
         assert [p.name for p in written] == [p.name for p in expected]
         for new, old in zip(written, expected):
             assert new.read_bytes() == old.read_bytes(), new.name
-        for comp in components or range(1, model.rank + 1):
-            assert render_factor_svg(model, comp) == oracles.render_factor_svg(
-                oracles.factor_report(model, comp))

@@ -210,7 +210,7 @@ class TestMttkrp:
         shapes = {1: (4, 5), 2: (3, 5), 3: (3, 4)}
         f1 = np.ones((shapes[mode][0], 2))
         f2 = np.ones((shapes[mode][1], 2))
-        out = mttkrp(t, f1, f2, mode)
+        out = mttkrp(t, f1[None], f2[None], mode)[0]
         assert out.shape == (t.dims[mode - 1], 2)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -222,7 +222,8 @@ class TestMttkrp:
         f1 = rng.normal(size=(shapes[mode][0], 2))
         f2 = rng.normal(size=(shapes[mode][1], 2))
         np.testing.assert_allclose(
-            mttkrp(t, f1, f2, mode), mttkrp_reference(t, f1, f2, mode), atol=1e-10
+            mttkrp(t, f1[None], f2[None], mode)[0], mttkrp_reference(t, f1, f2, mode),
+            atol=1e-10
         )
 
     def test_rank_one_closed_form(self):
@@ -231,16 +232,16 @@ class TestMttkrp:
         b = rng.normal(size=3)
         c = rng.normal(size=5)
         t = from_array(np.einsum("i,j,k->ijk", a, b, c))
-        out = mttkrp(t, b[:, None], c[:, None], 1)
+        out = mttkrp(t, b[None, :, None], c[None, :, None], 1)[0]
         expected = a[:, None] * (b @ b) * (c @ c)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_dimension_mismatch(self):
         t = from_array(np.ones((3, 4, 5)))
         with pytest.raises(ValueError):
-            mttkrp(t, np.ones((4, 2)), np.ones((5, 3)), 1)
+            mttkrp(t, np.ones((1, 4, 2)), np.ones((1, 5, 3)), 1)
         with pytest.raises(ValueError):
-            mttkrp(t, np.ones((3, 2)), np.ones((5, 2)), 1)
+            mttkrp(t, np.ones((1, 3, 2)), np.ones((1, 5, 2)), 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -257,20 +258,20 @@ class TestMttkrp:
         rng = np.random.default_rng(seed)
         t = from_array(rng.normal(size=dims))
         a, b, c = (rng.normal(size=(d, rank)) for d in dims)
-        z = mttkrp_partial(t, a)
-        assert z.shape == (rank, dims[1], dims[2])
-        cases = [(mttkrp_from_partial(z, c, 2), mttkrp_reference(t, a, c, 2)),
-                 (mttkrp_from_partial(z, b, 3), mttkrp_reference(t, a, b, 3))]
-        cases += [(mttkrp(t, f1, f2, mode), mttkrp_reference(t, f1, f2, mode))
+        z = mttkrp_partial(t, a[None])
+        assert z.shape == (1, rank, dims[1], dims[2])
+        cases = [(mttkrp_from_partial(z, c[None], 2)[0], mttkrp_reference(t, a, c, 2)),
+                 (mttkrp_from_partial(z, b[None], 3)[0], mttkrp_reference(t, a, b, 3))]
+        cases += [(mttkrp(t, f1[None], f2[None], mode)[0], mttkrp_reference(t, f1, f2, mode))
                   for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b))]
         for fast, slow in cases:
             assert fast.shape == slow.shape
             assert np.abs(fast - slow).max() <= 1e-10
 
     def test_from_partial_rejects_mode_one(self):
-        z = mttkrp_partial(from_array(np.ones((2, 3, 4))), np.ones((2, 2)))
+        z = mttkrp_partial(from_array(np.ones((2, 3, 4))), np.ones((1, 2, 2)))
         with pytest.raises(ValueError, match="mode must be 2 or 3"):
-            mttkrp_from_partial(z, np.ones((4, 2)), 1)
+            mttkrp_from_partial(z, np.ones((1, 4, 2)), 1)
 
 
 def sparse_tensor(dims, nnz, seed):
@@ -303,10 +304,11 @@ class TestSparseMttkrp:
         with mock.patch.object(tensor_module, "_SEGMENT_CHUNK", chunk):
             t = from_array(x)
             assert t._nonzeros is not None
-            z = mttkrp_partial(t, a)
+            z = mttkrp_partial(t, a[None])[0]
             assert np.abs(z - np.einsum("ir,ijk->rjk", a, x)).max(initial=0) <= 1e-10
             for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b)):
-                fast, slow = mttkrp(t, f1, f2, mode), mttkrp_reference(x, f1, f2, mode)
+                fast = mttkrp(t, f1[None], f2[None], mode)[0]
+                slow = mttkrp_reference(x, f1, f2, mode)
                 assert fast.shape == slow.shape
                 assert np.abs(fast - slow).max(initial=0) <= 1e-10
 
@@ -319,11 +321,12 @@ class TestSparseMttkrp:
         v = base[:]
         t = from_array(base)
         b, c = np.ones((4, 1)), np.ones((8, 1))
-        mttkrp(t, b, c, 1)
+        mttkrp(t, b[None], c[None], 1)
         v[1, 1, 1] = 5
         assert t.data[1, 1, 1] == 0
-        np.testing.assert_array_equal(mttkrp(t, b, c, 1), [[1], [0], [0], [0]])
-        np.testing.assert_array_equal(mttkrp(t, b, c, 1), mttkrp_reference(t, b, c, 1))
+        np.testing.assert_array_equal(mttkrp(t, b[None], c[None], 1)[0], [[1], [0], [0], [0]])
+        np.testing.assert_array_equal(mttkrp(t, b[None], c[None], 1)[0],
+                                      mttkrp_reference(t, b, c, 1))
 
     @pytest.mark.parametrize("nnz, sparse", [(0, True), (4, True), (5, False)])
     def test_path_follows_fill(self, nnz, sparse):
@@ -331,8 +334,8 @@ class TestSparseMttkrp:
         t = from_array(sparse_tensor((4, 4, 8), nnz, 3))
         spy = mock.patch.object(tensor_module, "_segment_sums", wraps=tensor_module._segment_sums)
         with spy as segment_sums:
-            mttkrp(t, np.ones((4, 2)), np.ones((8, 2)), 1)
-            mttkrp_partial(t, np.ones((4, 2)))
+            mttkrp(t, np.ones((1, 4, 2)), np.ones((1, 8, 2)), 1)
+            mttkrp_partial(t, np.ones((1, 4, 2)))
         assert segment_sums.call_count == (2 if sparse else 0)
 
     def test_demo_tensor_takes_the_gemms(self, tmp_path):
@@ -346,8 +349,8 @@ class TestSparseMttkrp:
         assert 32 * np.count_nonzero(t.data) > t.data.size
         rank = 5
         with mock.patch.object(tensor_module, "_segment_sums") as segment_sums:
-            mttkrp(t, np.ones((t.dims[1], rank)), np.ones((t.dims[2], rank)), 1)
-            mttkrp_partial(t, np.ones((t.dims[0], rank)))
+            mttkrp(t, np.ones((1, t.dims[1], rank)), np.ones((1, t.dims[2], rank)), 1)
+            mttkrp_partial(t, np.ones((1, t.dims[0], rank)))
         segment_sums.assert_not_called()
 
 
@@ -401,15 +404,16 @@ class TestStoredZeros:
         a, b, c = (rng.random((d, rank)) / 64 for d in dims)
         x = values.reshape(dims)
         for mode, f1, f2 in ((1, b, c), (2, a, c), (3, a, b)):
-            error = np.abs(mttkrp(t, f1, f2, mode) - mttkrp_reference(x, f1, f2, mode))
+            error = np.abs(mttkrp(t, f1[None], f2[None], mode)[0]
+                           - mttkrp_reference(x, f1, f2, mode))
             assert np.all(error <= 1e-12 * mttkrp_reference(np.abs(x), f1, f2, mode) + 1e-300)
-        error = np.abs(mttkrp_partial(t, a) - np.einsum("ir,ijk->rjk", a, x))
+        error = np.abs(mttkrp_partial(t, a[None])[0] - np.einsum("ir,ijk->rjk", a, x))
         assert np.all(error <= 1e-12 * np.einsum("ir,ijk->rjk", a, np.abs(x)) + 1e-300)
 
 
 class TestStackedMttkrp:
-    """A stack of factors gives the stack of the single calls, bit for bit, and
-    a single call gives what the single-matrix kernels in tests/oracles.py do."""
+    """A stack of factors gives, slice for slice and bit for bit, what the
+    single-matrix kernels in tests/oracles.py give on each slice."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -438,23 +442,30 @@ class TestStackedMttkrp:
         stacked = (mttkrp(t, b, c, 1), mttkrp(t, a, c, 2), mttkrp(t, a, b, 3), z,
                    mttkrp_from_partial(z, c, 2), mttkrp_from_partial(z, b, 3))
         for s in range(stack):
-            # the package on single matrices, and the former single-matrix kernels
-            for kernels in (tensor_module, oracles):
-                single = (kernels.mttkrp(t, b[s], c[s], 1), kernels.mttkrp(t, a[s], c[s], 2),
-                          kernels.mttkrp(t, a[s], b[s], 3), kernels.mttkrp_partial(t, a[s]),
-                          kernels.mttkrp_from_partial(z[s], c[s], 2),
-                          kernels.mttkrp_from_partial(z[s], b[s], 3))
-                for got, want in zip(stacked, single):
-                    assert got.shape == (stack, *want.shape)
-                    assert got[s].tobytes() == want.tobytes()
+            single = (oracles.mttkrp(t, b[s], c[s], 1), oracles.mttkrp(t, a[s], c[s], 2),
+                      oracles.mttkrp(t, a[s], b[s], 3), oracles.mttkrp_partial(t, a[s]),
+                      oracles.mttkrp_from_partial(z[s], c[s], 2),
+                      oracles.mttkrp_from_partial(z[s], b[s], 3))
+            for got, want in zip(stacked, single):
+                assert got.shape == (stack, *want.shape)
+                assert got[s].tobytes() == want.tobytes()
 
     def test_stack_mismatch(self):
         t = from_array(np.ones((3, 4, 5)))
-        for f2 in (np.ones((3, 5, 2)), np.ones((2, 5, 3)), np.ones((5, 2))):
+        for f2 in (np.ones((3, 5, 2)), np.ones((2, 5, 3))):
             with pytest.raises(ValueError, match=r"f2 has shape .*, expected \(2, 5, 2\)"):
                 mttkrp(t, np.ones((2, 4, 2)), f2, 1)
-        with pytest.raises(ValueError, match="a must be a matrix or a stack of matrices"):
+        # a single matrix is rejected, not taken as a stack of one
+        with pytest.raises(ValueError, match="f2 must be a stack of matrices, got a 2-D array"):
+            mttkrp(t, np.ones((2, 4, 2)), np.ones((5, 2)), 1)
+        with pytest.raises(ValueError, match="f1 must be a stack of matrices, got a 2-D array"):
+            mttkrp(t, np.ones((3, 2)), np.ones((1, 4, 2)), 2)
+        with pytest.raises(ValueError, match="a must be a stack of matrices, got a 2-D array"):
+            mttkrp_partial(t, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="a must be a stack of matrices, got a 1-D array"):
             mttkrp_partial(t, np.ones(3))
+        with pytest.raises(ValueError, match="f must be a stack of matrices, got a 2-D array"):
+            mttkrp_from_partial(np.ones((1, 2, 4, 5)), np.ones((5, 2)), 2)
 
 
 class TestCpCompose:
