@@ -275,7 +275,7 @@ def cmd_train(args) -> int:
     paths = args.vehicles, args.maintenance
     vehicles, maintenance, _ = _load_tables(*paths)
     model, _ = _train(paths, extract_sequences(maintenance, vehicles)[0], cfg, args.out)
-    best = min(model.history["valid_perplexity"]) if model.history["valid_perplexity"] else None
+    best = min(model.history["valid_perplexity"])
     print(f"wrote {args.out} vocab={model.vocab.size} valid_perplexity={best}")
     return 0
 

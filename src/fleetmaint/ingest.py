@@ -142,7 +142,7 @@ def _read_table(path, required):
     row 2), a short row reads its missing columns as empty, and extra fields
     are ignored. No other column is read.
 
-    A data line with no ``"``, no NUL and no more characters than
+    A data line with no ``"`` and no more characters than
     ``csv.field_size_limit()`` is split at its commas, which gives the
     fields ``csv.reader`` gives. The header and every other line go to one
     ``csv.reader``, which reads on from the file through a quoted line break.
@@ -163,7 +163,7 @@ def _read_table(path, required):
             limit = csv.field_size_limit()
             row_no = 1
             for line in fh:
-                if '"' in line or "\0" in line or len(line) > limit:
+                if '"' in line or len(line) > limit:
                     held.append(line)
                     row = next(reader)
                 else:

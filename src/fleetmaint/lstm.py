@@ -496,14 +496,10 @@ def train(
     cfg: LstmConfig,
 ) -> SeqModel:
     """SGD training with truncated BPTT; returns the best-validation model."""
-    if not train_seqs:
-        raise ValueError("training set is empty")
     rng = np.random.default_rng([cfg.seed, 0])
     vocab = Vocab.from_sequences(train_seqs)
     cfg.check_working_set(vocab.size)
     model = SeqModel(vocab, cfg, _init_params(cfg, vocab.size, rng))
-    if vocab.size <= 2:
-        raise ValueError("empty vocabulary: no labels in the training sequences")
     encoded_train = [vocab.encode(s) for s in train_seqs]
 
     best_ppl = np.inf
@@ -551,8 +547,6 @@ def train(
 def perplexity(model, seqs: list[Sequence[str]]) -> float:
     """exp of the mean negative log-probability per predicted item (EOS included),
     from ``model.nll``: a SeqModel's or a UnigramModel's."""
-    if not seqs:
-        raise ValueError("evaluation set is empty")
     total_nll, total_items = model.nll(seqs)
     return float(np.exp(total_nll / total_items))
 
@@ -576,8 +570,6 @@ class UnigramModel:
 
 
 def unigram_baseline(train_seqs: list[Sequence[str]]) -> UnigramModel:
-    if not train_seqs:
-        raise ValueError("training set is empty")
     vocab = Vocab.from_sequences(train_seqs)
     targets = [vocab.encode(seq) for seq in train_seqs] + [np.full(len(train_seqs), vocab.eos)]
     counts = np.bincount(np.concatenate(targets), minlength=vocab.size).astype(float)
@@ -587,8 +579,6 @@ def unigram_baseline(train_seqs: list[Sequence[str]]) -> UnigramModel:
 
 def predict_next(model: SeqModel, prefix: Sequence[str], top_k: int = 5) -> list[tuple[str, float]]:
     """Ranked (label, probability) list for the next item after ``prefix``."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     probs = model.next_distribution(prefix)
     order = np.lexsort((np.arange(probs.shape[0]), -probs))
     return [(model.vocab.token_label(int(i)), float(probs[i])) for i in order[:top_k]]

@@ -78,10 +78,6 @@ class CpModel:
     def __post_init__(self) -> None:
         a, b, c = (np.ascontiguousarray(f, dtype=np.float64) for f in self.factors)
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        rank = w.shape[0]
-        for name, f in (("A", a), ("B", b), ("C", c)):
-            if f.ndim != 2 or f.shape[1] != rank:
-                raise ValueError(f"factor {name} must have {rank} columns")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
         self.factors = (a, b, c)

@@ -30,13 +30,6 @@ _TEXT = "#1E293B"
 _FONT = "Helvetica, Arial, sans-serif"
 
 
-def _check_components(model: CpModel, components) -> None:
-    """Raise ValueError for a 1-based component outside the model's rank."""
-    for comp in components:
-        if not 1 <= comp <= model.rank:
-            raise ValueError(f"component must be in [1, {model.rank}], got {comp}")
-
-
 def _write_csv(path, model: CpModel, components: list[int]) -> None:
     fields = [[csv_text((label,)) for label in labels] for labels in model.axis_labels]
     lines = [",".join(REPORT_CSV_COLUMNS) + "\n"]
@@ -143,7 +136,6 @@ def export_component_reports(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     components = list(components or range(1, model.rank + 1))
-    _check_components(model, components)
     csv_path = out_dir / "factor_report.csv"
     _write_csv(csv_path, model, components)
     written = [csv_path]

@@ -89,8 +89,6 @@ def window_counts(sequences: list[EventSequence], width: int) -> Counter:
     """Occurrences of every contiguous window of ``width`` events, keyed by its
     tuple of label indices; overlapping windows and repeats within one
     sequence all count, and ``total()`` is the number of windows."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
     counts: Counter = Counter()
     for seq in sequences:
         if len(seq) >= width:  # a shorter sequence has no window
@@ -110,15 +108,10 @@ def normal_cdf(z: float) -> float:
 
 
 def two_prop_z(x1: int, n1: int, x2: int, n2: int) -> tuple[float, float]:
-    """Pooled two-proportion z-test of H0: p1 = p2.
-
-    Returns (z, two-sided p). A degenerate pooled proportion (0 or 1) gives
-    z = 0, p = 1.
+    """Pooled two-proportion z-test of H0: p1 = p2, for 0 <= x <= n and n >= 1
+    on both sides. Returns (z, two-sided p). A degenerate pooled proportion
+    (0 or 1) gives z = 0, p = 1.
     """
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("n1 and n2 must be positive")
-    if not 0 <= x1 <= n1 or not 0 <= x2 <= n2:
-        raise ValueError("need 0 <= x <= n on both sides")
     p1 = x1 / n1
     p2 = x2 / n2
     pooled = (x1 + x2) / (n1 + n2)
@@ -146,10 +139,6 @@ def differential(
 
     Output is sorted by left support descending, then by pattern.
     """
-    if min_len < 1 or max_len < min_len:
-        raise ValueError("need 1 <= min_len <= max_len")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
     target = normalize_make_model(target_make_model)
     left = [s for s in seqset.sequences if s.make_model == target]
     right = [s for s in seqset.sequences if s.make_model != target]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -224,10 +223,6 @@ def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
 def mttkrp_from_partial(z: np.ndarray, f: np.ndarray, mode: int) -> np.ndarray:
     """The stack of mode-2 (``f`` = C) or mode-3 (``f`` = B) MTTKRPs from
     the (S, R, J, K) stack of Z = A^T X_(1) and the (S, n, R) stack ``f``."""
-    if mode not in (2, 3):
-        raise ValueError(f"mode must be 2 or 3, got {mode}")
-    if np.ndim(f) != 3:
-        raise ValueError(f"f must be a stack of matrices, got a {np.ndim(f)}-D array")
     # one O(R*J*K) pass; einsum without path search, a plain C loop
     return np.einsum("srjk,skr->sjr" if mode == 2 else "srjk,sjr->skr", z, f)
 
@@ -317,42 +312,38 @@ def parse_floats(source, count: int, what: str) -> FloatBlock:
         pieces = iter(functools.partial(source.read, _PARSE_CHARS), "")
     positions, values = [np.zeros(0, np.intp)], [np.zeros(0)]
     found, finite, malformed, carry, piece = 0, True, None, b"", ""
-    with warnings.catch_warnings():
-        # numpy raises ValueError on unmatched data; older releases only
-        # warn and return the prefix
-        warnings.simplefilter("error", DeprecationWarning)
-        for piece in pieces:
-            # cut after the piece's last whitespace; the partial token after
-            # it opens the next piece
-            buf = carry + piece.encode()
-            head = buf.rstrip(_TOKEN_BYTES)
-            carry = buf[len(head):]
-            b = np.frombuffer(head, dtype=np.uint8)
-            ws = (b == 32) | (b - 9 < 5)  # space, or \t \n \v \f \r (uint8 wraps)
-            first = ~ws  # the first byte of each token
-            first[1:] &= ws[:-1]
-            zero = np.zeros_like(first)  # the first byte of each 0.0 token
-            zero[:-3] = first[:-3] & (b[:-3] == 48) & (b[1:-2] == 46) & (b[2:-1] == 48) & ws[3:]
-            starts = np.flatnonzero(first)
-            # zero marks a subset of first, so first ^ zero marks the other tokens
-            index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
-            found += starts.size
-            if not index.size or malformed:  # a blank string reads as [-1.0]
-                continue
-            # drop each 0.0 token with the whitespace byte after it: the
-            # other tokens keep their order and a separator each
-            drop = zero.copy()
-            for shift in (1, 2, 3):
-                drop[shift:] |= zero[:-shift]
-            try:
-                parsed = np.fromstring(b[~drop], sep=" ")
-            except (DeprecationWarning, ValueError) as exc:
-                malformed = str(exc)
-                continue
-            finite = finite and bool(np.isfinite(parsed).all())
-            if found <= count:
-                positions.append(index)
-                values.append(parsed)
+    for piece in pieces:
+        # cut after the piece's last whitespace; the partial token after
+        # it opens the next piece
+        buf = carry + piece.encode()
+        head = buf.rstrip(_TOKEN_BYTES)
+        carry = buf[len(head):]
+        b = np.frombuffer(head, dtype=np.uint8)
+        ws = (b == 32) | (b - 9 < 5)  # space, or \t \n \v \f \r (uint8 wraps)
+        first = ~ws  # the first byte of each token
+        first[1:] &= ws[:-1]
+        zero = np.zeros_like(first)  # the first byte of each 0.0 token
+        zero[:-3] = first[:-3] & (b[:-3] == 48) & (b[1:-2] == 46) & (b[2:-1] == 48) & ws[3:]
+        starts = np.flatnonzero(first)
+        # zero marks a subset of first, so first ^ zero marks the other tokens
+        index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
+        found += starts.size
+        if not index.size or malformed:  # a blank string reads as [-1.0]
+            continue
+        # drop each 0.0 token with the whitespace byte after it: the
+        # other tokens keep their order and a separator each
+        drop = zero.copy()
+        for shift in (1, 2, 3):
+            drop[shift:] |= zero[:-shift]
+        try:
+            parsed = np.fromstring(b[~drop], sep=" ")
+        except ValueError as exc:
+            malformed = str(exc)
+            continue
+        finite = finite and bool(np.isfinite(parsed).all())
+        if found <= count:
+            positions.append(index)
+            values.append(parsed)
     if piece and not piece.endswith("\n"):
         raise ValueError(f"{what} is truncated: no final newline")
     if malformed:

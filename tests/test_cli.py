@@ -155,6 +155,12 @@ class TestSynth:
         dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 1000000000}),
         dict(CUSTOM_SPEC, vehicles={"DODGE CHARGER": 1}, months=2412, systems=["Brakes"],
              background_rate=1000000),
+        dict(CUSTOM_SPEC, window_start="2015-13"),
+        component_spec(time_profile=[1.0] * 5),
+        dict(CUSTOM_SPEC, motifs=[{
+            "make_model": "FORD F150", "labels": ["Brakes", "Engine"], "rate": 0.2,
+        }]),
+        markov_spec(labels=["Brakes", "Engine"]),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -168,7 +174,8 @@ class TestSynth:
         "planted-mean-huge-noiseless", "motif-make-model-unknown",
         "component-vehicle-unknown", "markov-make-model-unknown", "systems-normalize-alike",
         "vehicles-normalize-alike", "months-huge", "markov-length-huge", "vehicles-huge",
-        "jobs-huge", "not-json",
+        "jobs-huge", "window-start-bad", "time-profile-length", "motif-labels-unknown",
+        "markov-labels-unknown", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -453,6 +460,37 @@ class TestParafacAndReport:
         assert capsys.readouterr().err.startswith("data-error:")
         assert not (tmp_path / "rep" / "factor_report.csv").exists()
 
+    def test_report_negative_model_weight_is_data_error(self, tensor_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        main([
+            "parafac", "--tensor", str(tensor_path), "--rank", "2",
+            "--max-iters", "5", "--seed", "3", "--out", str(model_path),
+        ])
+        lines = model_path.read_text().split("\n")
+        assert lines[6].startswith("weights ")
+        lines[6] = "weights -1.0 " + lines[6].split()[2]
+        model_path.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = main(["report", "--model", str(model_path), "--out", str(tmp_path / "rep")])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data-error: {model_path}: weights must be non-negative"]
+        assert not (tmp_path / "rep").exists()
+
+    def test_model_with_a_warning_round_trips(self, tmp_path, capsys):
+        # rank 5 exceeds every pairwise dimension product of a 2x2x2 tensor
+        tensor = tmp_path / "tensor.txt"
+        tensor.write_text("tensor3 v1\ndims 2 2 2\na\nb\nc\nd\ne\nf\n" + "1.0 " * 7 + "1.0\n")
+        model_path = tmp_path / "model.txt"
+        assert main(["parafac", "--tensor", str(tensor), "--rank", "5", "--seed", "0",
+                     "--out", str(model_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: rank 5 exceeds"), err
+        lines = model_path.read_text().split("\n")
+        assert lines[8] == "warnings 1" and f"warning: {lines[9]}" == err[0]
+        assert load_model(model_path).warnings == (lines[9],)
+        assert main(["report", "--model", str(model_path), "--out", str(tmp_path / "rep")]) == 0
+        assert len(list((tmp_path / "rep").glob("component_*.svg"))) == 5
 
     @pytest.mark.parametrize("line", ["converged 7", "converged -1", "iterations -5"])
     def test_report_out_of_range_model_header_is_data_error(self, tensor_path, tmp_path, capsys,
@@ -858,6 +896,7 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     [*TENSORIZE, "--window-start", "2010-13"],
     [*TENSORIZE, "--window-start", "2016-12", "--window-end", "2016-11"],
     [*TENSORIZE, "--window-start", "1900-01", "--window-end", "2101-01"],
+    *([*TENSORIZE, "--window-end", value] for value in ("abc", "2015", "2015-1-1", "", "2015-00")),
     ["report", "--model", "m.txt", "--out", "rep", "--component", "abc"],
     ["report", "--model", "m.txt", "--out", "rep", "--component", "0"],
     ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",

@@ -20,7 +20,6 @@ from fleetmaint.parafac import (
     load_model,
     save_model,
 )
-from fleetmaint.report import export_component_reports
 from fleetmaint.synth import demo_spec, generate, month_labels
 from fleetmaint.tensor import frob_norm
 from oracles import (
@@ -444,13 +443,6 @@ class TestFactorReport:
         t = from_array(np.random.default_rng(0).random((2, 1, 2)), labels)
         model = cp_als(t, AlsOptions(rank=1, seed=0))
         assert model.axis_labels == labels
-
-    def test_component_out_of_range(self, tmp_path):
-        gen = planted_model(np.random.default_rng(1), (3, 3, 3), 2)
-        for comp in (3, 0):
-            with pytest.raises(ValueError, match=rf"component must be in \[1, 2\], got {comp}"):
-                export_component_reports(gen, tmp_path, [comp])
-        assert not (tmp_path / "factor_report.csv").exists()
 
 
 class TestModelSerialization:

@@ -51,12 +51,6 @@ class TestSvg:
         assert "tires &amp; tubes" in svg
         assert svg.count("<rect") >= 3 + 2 + 4
 
-    @pytest.mark.parametrize("component", [0, 3])
-    def test_component_out_of_range(self, tmp_path, component):
-        with pytest.raises(ValueError, match=rf"component must be in \[1, 2\], got {component}"):
-            export_component_reports(small_model(), tmp_path, [component])
-        assert not list(tmp_path.glob("component_*.svg"))
-
     def test_deterministic(self, tmp_path):
         model = small_model()
         first = export_component_reports(model, tmp_path / "a", [1])[1].read_bytes()

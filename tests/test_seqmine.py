@@ -139,10 +139,6 @@ class TestCountWindows:
         ten = sequence_set_from_lists([["a"] * 10 for _ in range(10)]).sequences
         assert window_counts(ten, 4).total() == 70
 
-    def test_width_below_one_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            window_counts(sequence_set_from_lists([["a"]]).sequences, 0)
-
     @settings(max_examples=50, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 12), min_size=0, max_size=8),
@@ -260,14 +256,6 @@ class TestTwoPropZ:
         z2, p2 = two_prop_z(x2, n2, x1, n1)
         assert z1 == -z2
         assert p1 == p2
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            two_prop_z(1, 0, 0, 5)
-        with pytest.raises(ValueError):
-            two_prop_z(6, 5, 0, 5)
-        with pytest.raises(ValueError):
-            two_prop_z(-1, 5, 0, 5)
 
 
 class TestNormalCdf:
@@ -440,14 +428,6 @@ class TestDifferential:
         # width 3 still has rest windows and is tested as before
         abc = next(d for d in result if d.pattern == ("a", "b", "c"))
         assert (abc.z, abc.p) == two_prop_z(1, 3, 1, 1)
-
-    def test_length_and_top_n_checks(self):
-        seqset = sequence_set_from_lists(
-            [["a", "b", "c"], ["a", "b"]], make_models=["T ONE", "O TWO"]
-        )
-        for min_len, max_len, top_n in ((0, 3, 8), (3, 2, 8), (3, 4, 0)):
-            with pytest.raises(ValueError, match="min_len|top_n"):
-                differential(seqset, "T ONE", min_len=min_len, max_len=max_len, top_n=top_n)
 
     def test_supports_bounded_by_window_counts(self):
         rng = np.random.default_rng(5)

@@ -71,13 +71,7 @@ def parse_floats_oracle(text: str, count: int, what: str) -> np.ndarray:
     if text.isspace():
         values = np.empty(0)  # fromstring reads a blank string as [-1.0]
     else:
-        with warnings.catch_warnings():
-            # older numpy only warns on unmatched data and returns the prefix
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                values = np.fromstring(text, sep=" ")
-            except DeprecationWarning as exc:
-                raise ValueError(str(exc)) from None
+        values = np.fromstring(text, sep=" ")
     if values.size != count:
         raise ValueError(f"{what}: expected {count} values, found {values.size}")
     if not np.isfinite(values).all():
@@ -267,11 +261,6 @@ class TestMttkrp:
         for fast, slow in cases:
             assert fast.shape == slow.shape
             assert np.abs(fast - slow).max() <= 1e-10
-
-    def test_from_partial_rejects_mode_one(self):
-        z = mttkrp_partial(from_array(np.ones((2, 3, 4))), np.ones((1, 2, 2)))
-        with pytest.raises(ValueError, match="mode must be 2 or 3"):
-            mttkrp_from_partial(z, np.ones((1, 4, 2)), 1)
 
 
 def sparse_tensor(dims, nnz, seed):
@@ -464,8 +453,6 @@ class TestStackedMttkrp:
             mttkrp_partial(t, np.ones((3, 2)))
         with pytest.raises(ValueError, match="a must be a stack of matrices, got a 1-D array"):
             mttkrp_partial(t, np.ones(3))
-        with pytest.raises(ValueError, match="f must be a stack of matrices, got a 2-D array"):
-            mttkrp_from_partial(np.ones((1, 2, 4, 5)), np.ones((5, 2)), 2)
 
 
 class TestCpCompose:
@@ -762,7 +749,11 @@ class TestStreamedValueBlock:
                 parse_floats(fh, count, "demo w")
 
     def test_malformed_token_names_the_block(self):
-        with pytest.raises(ValueError, match="^tensor3 values: .*unmatched data"):
+        # numpy 2 raises ValueError on unmatched data; a release that only
+        # warned and returned the prefix fails here with DeprecationWarning
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match="^tensor3 values: .*unmatched data"):
+            warnings.simplefilter("error", DeprecationWarning)
             parse_floats("1.0 1x5\n", 2, "tensor3 values")
 
     def test_load_makes_no_file_size_temporary(self, tmp_path):
