@@ -5,7 +5,8 @@ Every randomized step takes --seed (default 1234). A --config file of
 ``key = value`` lines (keys are long flag names with dashes or underscores,
 switches take true or false) overrides the corresponding flags. Failures
 print one machine-parseable ``<category>: <message>`` line to stderr and
-exit nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error.
+exit nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error;
+an interrupt prints ``interrupted`` and exits 130.
 """
 
 from __future__ import annotations
@@ -503,7 +504,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ValueError) as exc:
         print(f"data-error: {exc}", file=sys.stderr)
         return 4
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except Exception as exc:  # last-resort guard
         print(f"internal-error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from datetime import date
 import numpy as np
 
 from .knobs import check
-from .tensor import Tensor3, check_dims, not_utf8
+from .tensor import Tensor3, check_dims, not_utf8, writing
 
 
 class DataError(ValueError):
@@ -69,7 +69,7 @@ def csv_text(fields) -> str:
 def write_json(payload, path) -> None:
     """Write ``payload`` as every JSON artifact is written: LF line ends,
     indent 2, sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -301,10 +301,6 @@ class TensorBuild:
     discards: dict[str, int]
     placed: int
 
-    @property
-    def total_seen(self) -> int:
-        return self.placed + sum(self.discards.values())
-
 
 def encode_jobs(
     vehicles: list[VehicleRecord], maintenance: list[MaintenanceRecord]
@@ -405,4 +401,4 @@ def build_tensor(
 
 def write_discard_summary(build: TensorBuild, path) -> None:
     write_json({"placed": build.placed, "discarded": build.discards,
-                "total_records": build.total_seen}, path)
+                "total_records": build.placed + sum(build.discards.values())}, path)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .knobs import check
-from .tensor import FloatBlock, FormatReader, write_floats
+from .tensor import FloatBlock, FormatReader, write_floats, writing
 
 UNK_TOKEN = "<unk>"
 EOS_TOKEN = "<eos>"
@@ -423,7 +423,7 @@ class SeqModel:
     # -- serialization ------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with writing(path) as fh:
             fh.write("seqmodel v1\n")
             fh.write(json.dumps(asdict(self.config), sort_keys=True) + "\n")
             fh.write(json.dumps(list(self.vocab.labels)) + "\n")

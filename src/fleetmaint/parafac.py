@@ -27,6 +27,7 @@ from .tensor import (
     mttkrp_partial,
     parse_floats,
     write_floats,
+    writing,
 )
 
 _RIDGE_SCALE = 1e-12
@@ -258,7 +259,7 @@ _MAGIC = "cpmodel v1"
 
 
 def save_model(model: CpModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         fh.write(_MAGIC + "\n")
         fh.write(f"rank {model.rank}\n")
         fh.write("dims %d %d %d\n" % model.dims)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .ingest import csv_text
 from .parafac import CpModel
+from .tensor import writing
 
 REPORT_CSV_COLUMNS = ("component", "mode", "label", "loading")
 
@@ -38,7 +39,7 @@ def _write_csv(path, model: CpModel, components: list[int]) -> None:
             lines += [f"{comp},{mode},{field},{loading!r}\n"
                       for field, loading in zip(axis, factor[:, comp - 1].tolist())]
         lines.append(f"{comp},weight,component_weight,{model.weights[comp - 1].tolist()!r}\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with writing(path) as fh:
         fh.write("".join(lines))
 
 
@@ -79,12 +80,6 @@ def _axis(title: str, labels, y_offset: int) -> _Axis:
         for idx in range(0, n, max(1, (n + 15) // 16))
     ]
     return _Axis(head, baseline, bars, f"{bar_w:.2f}", ticks)
-
-
-def _axes(axis_labels) -> list[_Axis]:
-    """The panel text of each mode, computed once for every component drawn."""
-    return [_axis(mode, labels, 30 + row * _PANEL_H)
-            for row, (mode, labels) in enumerate(zip(_MODES, axis_labels))]
 
 
 def _panel(axis: _Axis, loadings: list[float]) -> list[str]:
@@ -140,10 +135,11 @@ def export_component_reports(
     _write_csv(csv_path, model, components)
     written = [csv_path]
     if svg:
-        axes = _axes(model.axis_labels)
+        axes = [_axis(mode, labels, 30 + row * _PANEL_H)
+                for row, (mode, labels) in enumerate(zip(_MODES, model.axis_labels))]
         for comp in components:
             svg_path = out_dir / f"component_{comp:02d}.svg"
-            svg_path.write_text(_render_svg(model, comp, axes), encoding="utf-8",
-                                newline="\n")
+            with writing(svg_path) as fh:
+                fh.write(_render_svg(model, comp, axes))
             written.append(svg_path)
     return written

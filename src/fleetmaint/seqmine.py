@@ -22,6 +22,7 @@ import numpy as np
 
 from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, encode_jobs
 from .ingest import normalize_make_model
+from .tensor import writing
 
 I_RATIO_CAP = 10000.0
 P_FLOOR = 1e-4
@@ -222,7 +223,7 @@ def write_diff_csv(patterns: list[DiffPattern], path, bonferroni: bool = False) 
     """Table-style CSV of mining results; optional Bonferroni-adjusted column."""
     columns = DIFF_CSV_COLUMNS + (("p_bonferroni",) if bonferroni else ())
     n_tests = len(patterns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with writing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for d in patterns:

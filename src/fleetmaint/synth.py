@@ -28,6 +28,7 @@ import numpy as np
 from .ingest import MAX_WINDOW_MONTHS, csv_text, month_index, month_labels
 from .ingest import normalize_make_model, normalize_system, write_json
 from .knobs import check
+from .tensor import writing
 
 VEHICLE_COLUMNS = (
     "Unit#", "Dept#", "Dept Desc", "Make", "Model", "Year", "Last Meter",
@@ -363,7 +364,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
 
     maintenance_path = out_dir / "maintenance.csv"
     n_jobs = 0
-    with open(maintenance_path, "w", encoding="utf-8", newline="") as jobs_out:
+    with writing(maintenance_path) as jobs_out:
         csv.writer(jobs_out, lineterminator="\n").writerow(MAINTENANCE_COLUMNS)
         for unit, make_model, _ in roster:
             # the vehicle's jobs in emission order as month-major cells: cell c
@@ -431,7 +432,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                 sequences[unit] = [system_norm[s] for s in system.tolist()]
 
     vehicles_path = out_dir / "vehicles.csv"
-    with open(vehicles_path, "w", encoding="utf-8", newline="") as fh:
+    with writing(vehicles_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VEHICLE_COLUMNS)
         for unit, make_model, year in roster:

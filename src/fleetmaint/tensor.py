@@ -324,10 +324,17 @@ def parse_floats(source, count: int, what: str) -> FloatBlock:
         first[1:] &= ws[:-1]
         zero = np.zeros_like(first)  # the first byte of each 0.0 token
         zero[:-3] = first[:-3] & (b[:-3] == 48) & (b[1:-2] == 46) & (b[2:-1] == 48) & ws[3:]
-        starts = np.flatnonzero(first)
-        # zero marks a subset of first, so first ^ zero marks the other tokens
-        index = found + np.searchsorted(starts, np.flatnonzero(first ^ zero))
-        found += starts.size
+        # the start marks, 64 to a little-endian word: bit i of word w marks byte 64w + i
+        packed = np.packbits(first, bitorder="little")
+        words = np.zeros(-(-packed.size // 8), "<u8")
+        words.view(np.uint8)[: packed.size] = packed
+        ones = np.bitwise_count(words)
+        # zero marks a subset of first, so first ^ zero marks the other tokens; a
+        # token's index counts the marks through its word less its own and later ones
+        other = np.flatnonzero(first ^ zero)
+        index = (found + np.cumsum(ones, dtype=np.intp)[other >> 6]
+                 - np.bitwise_count(words[other >> 6] >> (other & 63).astype(np.uint64)))
+        found += int(ones.sum())
         if not index.size or malformed:  # a blank string reads as [-1.0]
             continue
         # drop each 0.0 token with the whitespace byte after it: the
@@ -367,6 +374,20 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
             except UnicodeDecodeError:
                 return f"{path}: line {line_no}: not UTF-8 text: {exc.reason}"
     return f"{path}: not UTF-8 text: {exc.reason}"
+
+
+@contextmanager
+def writing(path):
+    """``path`` opened to write UTF-8 text with no newline translation, as
+    every artifact is written. An OSError raised while it is open names the
+    path, as ``open()`` names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 class FormatReader:
@@ -465,7 +486,7 @@ class FormatReader:
 
 
 def save_tensor(t: Tensor3, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         fh.write(_MAGIC + "\n")
         fh.write("dims %d %d %d\n" % t.dims)
         for axis in t.axis_labels:

@@ -1087,6 +1087,61 @@ def test_model_with_nan_fit_reports(tensor_path, tmp_path):
     assert main(["report", "--model", str(path), "--out", str(tmp_path / "rep")]) == 0
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command, name", [
+    ("synth", "vehicles.csv"), ("synth", "maintenance.csv"), ("synth", "manifest.json"),
+    ("tensorize", "tensor.txt"), ("tensorize", "discards.json"),
+    ("parafac", "factor_report.csv"), ("parafac", "component_01.svg"),
+    ("seqmine", "diff.csv"), ("train", "seq_model.txt"),
+])
+def test_failed_write_names_its_path(fleet_dir, tensor_path, tmp_path, capsys, command, name):
+    # the artifact is a link to /dev/full, so writing it fails as on a full disk
+    target = tmp_path / name
+    target.symlink_to("/dev/full")
+    tables = ["--vehicles", str(fleet_dir / "vehicles.csv"),
+              "--maintenance", str(fleet_dir / "maintenance.csv")]
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path)],
+        "tensorize": ["tensorize", *tables, "--window-start", "2013-01",
+                      "--out", str(tmp_path / "tensor.txt"),
+                      "--discards", str(tmp_path / "discards.json")],
+        "parafac": ["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                    "--out", str(tmp_path / "cp.txt"), "--report-dir", str(tmp_path)],
+        "seqmine": ["seqmine", *tables, "--target", "DODGE CHARGER", "--out", str(target)],
+        "train": ["train", *tables, "--embed-dim", "8", "--hidden-dim", "16", "--layers", "1",
+                  "--epochs", "1", "--out", str(target)],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"io-error: [Errno 28] No space left on device: '{target}'\n"
+
+
+@needs_dev_full
+def test_full_disk_is_one_io_error_line(tensor_path):
+    # a subprocess, so that a traceback would reach stderr
+    proc = run_cli("parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                   "--out", "/dev/full")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "io-error: [Errno 28] No space left on device: '/dev/full'\n"
+
+
+@pytest.mark.parametrize("name, exc, code, line", [
+    ("cp_als", KeyboardInterrupt, 130, "interrupted"),
+    ("cmd_parafac", RuntimeError("boom"), 1, "internal-error: boom"),
+], ids=["interrupt inside a stage", "last-resort guard"])
+def test_uncategorized_exception_is_one_line(tensor_path, tmp_path, capsys, monkeypatch,
+                                             name, exc, code, line):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(f"fleetmaint.cli.{name}", fail)
+    assert main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "m").exists()
+
+
 HELP_PINS = Path(__file__).parent / "data" / "cli_help.txt"
 
 
