@@ -6,7 +6,7 @@ Every randomized step takes --seed (default 1234). A --config file of
 switches take true or false) overrides the corresponding flags. Failures
 print one machine-parseable ``<category>: <message>`` line to stderr and
 exit nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error;
-an interrupt prints ``interrupted`` and exits 130.
+an interrupt (Ctrl-C or SIGTERM) prints ``interrupted`` and exits 130.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -119,6 +121,15 @@ def _load_tables(vehicles_path, maintenance_path):
     if rejects:
         print(f"note: {len(rejects)} rejected maintenance rows", file=sys.stderr)
     return vehicles, maintenance, rejects
+
+
+def _sequences(vehicles, maintenance):
+    """The tables' sequence set; the count of maintenance rows whose vehicle
+    is unknown goes to stderr."""
+    seqset, unknown = extract_sequences(maintenance, vehicles)
+    if unknown:
+        print(f"note: {len(unknown)} maintenance rows had unknown vehicles", file=sys.stderr)
+    return seqset
 
 
 @contextmanager
@@ -261,10 +272,7 @@ def cmd_seqmine(args) -> int:
     if args.max_len < args.min_len:
         raise ConfigError(f"--max-len {args.max_len} is below --min-len {args.min_len}")
     paths = args.vehicles, args.maintenance
-    vehicles, maintenance, _ = _load_tables(*paths)
-    seqset, rejects = extract_sequences(maintenance, vehicles)
-    if rejects:
-        print(f"note: {len(rejects)} maintenance rows had unknown vehicles", file=sys.stderr)
+    seqset = _sequences(*_load_tables(*paths)[:2])
     patterns = _mine(paths, seqset, args.target, args.out, args.bonferroni,
                      min_len=args.min_len, max_len=args.max_len, top_n=args.top_n)
     print(f"wrote {args.out} patterns={len(patterns)}")
@@ -274,8 +282,7 @@ def cmd_seqmine(args) -> int:
 def cmd_train(args) -> int:
     cfg = _from_flags(LstmConfig, args)
     paths = args.vehicles, args.maintenance
-    vehicles, maintenance, _ = _load_tables(*paths)
-    model, _ = _train(paths, extract_sequences(maintenance, vehicles)[0], cfg, args.out)
+    model, _ = _train(paths, _sequences(*_load_tables(*paths)[:2]), cfg, args.out)
     best = min(model.history["valid_perplexity"])
     print(f"wrote {args.out} vocab={model.vocab.size} valid_perplexity={best}")
     return 0
@@ -284,9 +291,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = SeqModel.load(args.model)
     paths = args.vehicles, args.maintenance
-    vehicles, maintenance, _ = _load_tables(*paths)
-    seqset, _ = extract_sequences(maintenance, vehicles)
-    lists = seqset.as_label_lists()
+    lists = _sequences(*_load_tables(*paths)[:2]).as_label_lists()
     with _naming(*paths):
         train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
     chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
@@ -349,7 +354,7 @@ def cmd_pipeline(args) -> int:
     opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
     cp_model, _ = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt",
                              out / "reports")
-    seqset, _ = extract_sequences(maintenance, vehicles)
+    seqset = _sequences(vehicles, maintenance)
     patterns = _mine(paths, seqset, "DODGE CHARGER", out / "seqmine.csv", top_n=8)
     # a smaller, shorter run than the defaults
     cfg = LstmConfig(embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9, epochs=6,
@@ -489,6 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # SIGTERM ends a command as Ctrl-C does; only the main thread may set a handler
+    previous = (signal.signal(signal.SIGTERM, signal.default_int_handler)
+                if threading.current_thread() is threading.main_thread() else None)
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -510,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # last-resort guard
         print(f"internal-error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

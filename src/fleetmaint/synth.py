@@ -43,17 +43,15 @@ MAINTENANCE_COLUMNS = (
     "Part Cost", "Primary Meter", "Job Status", "Job WAC", "WACDescription",
     "Job System", "System Description", "Job Location",
 )
-# a bound on any cell's planted mean: past it a Poisson draw or the noiseless
-# int64 count fails, and far short of it the fleet no longer fits in memory
-MAX_CELL_MEAN = 1e6
 # bounds on a spec's vehicle total (40 times the paper's 2,500-vehicle fleet)
 # and on a Markov chain's length: far past them synth runs for minutes or
 # fails for want of memory
 MAX_VEHICLES = 100_000
 MAX_CHAIN_LENGTH = 100_000
-# a bound on a spec's expected job total, which the bounds above leave free
-# to reach 10**13: about 15 times the paper fleet's 136k jobs. A one-vehicle
-# fleet of 2 million jobs takes about 20 s and 0.9 GB to generate
+# a bound on a spec's expected job total, and so on each cell's planted mean,
+# which the bounds above leave free to reach 10**13: about 15 times the paper
+# fleet's 136k jobs. A one-vehicle fleet of 2 million jobs takes about 20 s
+# and 0.9 GB to generate
 MAX_JOBS = 2_000_000
 # each job's Labor Hours is rng.uniform(*LABOR_HOURS), its Primary Meter
 # rng.integers(*METER_READINGS), drawn in that order
@@ -117,7 +115,7 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles key {make_model!r} must be a make and a model split by a space"
                 )
-        total = sum(map(int, self.vehicles.values()))
+        total = sum(self.vehicles.values())
         if total > MAX_VEHICLES:
             raise ValueError(f"vehicles total {total}, past {MAX_VEHICLES}")
         if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
@@ -126,7 +124,6 @@ class FleetSpec:
         if month_index(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
         known = set(self.systems)
-        planted = self.background_rate  # a bound on every cell's mean
         for i, comp in enumerate(self.components):
             check(comp, f"components[{i}].")
             if len(comp.time_profile) != self.months:
@@ -141,12 +138,6 @@ class FleetSpec:
             if unknown:
                 raise ValueError(f"component {comp.name}: vehicle_weights keys that are not "
                                  f"vehicles keys: {', '.join(sorted(map(repr, unknown)))}")
-            peaks = (max(map(abs, v), default=0.0) for v in (
-                comp.vehicle_weights.values(), comp.system_weights.values(), comp.time_profile))
-            planted += comp.intensity * math.prod(peaks)
-        if not planted <= MAX_CELL_MEAN:
-            raise ValueError(f"a cell's planted mean can reach {planted:g}, "
-                             f"past {MAX_CELL_MEAN:g}")
         for i, motif in enumerate(self.motifs):
             check(motif, f"motifs[{i}].")
             if not set(motif.labels) <= known:
@@ -199,7 +190,7 @@ class FleetSpec:
             for motif in self.motifs:
                 if motif.make_model == make_model:
                     jobs /= 1.0 - motif.rate * len(motif.labels)
-            total += int(count) * jobs
+            total += count * jobs
         return total
 
 
@@ -208,8 +199,7 @@ def spec_from_json(payload) -> FleetSpec:
 
     Components, motifs and Markov chains are built from their own fields the
     same way. A missing or unknown key, or a value of the wrong type, raises
-    ValueError. Intensities and time profiles are stored as floats, so a spec
-    that writes them as integers gives the same manifest.
+    ValueError.
     """
     try:
         spec = FleetSpec(**payload)
@@ -219,9 +209,6 @@ def spec_from_json(payload) -> FleetSpec:
         spec.validate()
     except (AttributeError, OverflowError, TypeError) as exc:
         raise ValueError(str(exc)) from None
-    for comp in spec.components:
-        comp.intensity = float(comp.intensity)
-        comp.time_profile = tuple(map(float, comp.time_profile))
     return spec
 
 
@@ -374,7 +361,7 @@ def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
                 month = np.arange(len(drawn)) * spec.months // len(drawn)
                 cell = month * n_sys + [system_index[lbl] for lbl in drawn]
             else:
-                means = np.full((len(spec.systems), spec.months), float(spec.background_rate))
+                means = np.full((len(spec.systems), spec.months), spec.background_rate)
                 for ci, comp in enumerate(spec.components):
                     vw = comp.vehicle_weights.get(make_model, 0.0)
                     if vw == 0.0:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -379,13 +381,28 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
 @contextmanager
 def writing(path):
     """``path`` opened to write UTF-8 text with no newline translation, as
-    every artifact is written. An OSError raised while it is open names the
-    path, as ``open()`` names it."""
+    every artifact is written. The text goes to a new sibling file that then
+    replaces the file whole, with its permission bits, so an error or an
+    interrupt leaves an earlier file as it was; a link is followed, and stays
+    a link. A path that exists but is not a regular file, such as a device or
+    a FIFO, is written directly. An OSError names ``path``, as open() does."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    mode = os.stat(target).st_mode if os.path.exists(target) else None
+    # a name of fixed length, which fits wherever the target's name does
+    tmp = None if mode and not stat.S_ISREG(mode) else os.path.join(
+        os.path.dirname(target), f".{os.urandom(6).hex()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp or target, "x" if tmp else "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-    except OSError as exc:
-        if exc.filename is None:
+        if tmp and mode:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        if tmp:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp:
+            with suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
             exc.filename = str(path)
         raise
 

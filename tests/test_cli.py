@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,9 +188,19 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("config-error: malformed fleet spec")
         assert not (tmp_path / "o").exists()
 
-    def test_integer_intensities_give_the_same_files(self, tmp_path):
-        floats = component_spec(intensity=2.0, time_profile=[1.0, 0.0, 3.0, 0.5, 0.0, 1.0])
-        ints = component_spec(intensity=2, time_profile=[1, 0, 3, 0.5, 0, 1])
+    @pytest.mark.parametrize("floats, ints", [
+        (component_spec(intensity=2.0, time_profile=[1.0, 0.0, 3.0, 0.5, 0.0, 1.0]),
+         component_spec(intensity=2, time_profile=[1, 0, 3, 0.5, 0, 1])),
+        (dict(markov_spec(start=[1.0, 0.0], transition=[[0.0, 1.0], [1.0, 0.0]]),
+              background_rate=1.0, components=component_spec(
+                  vehicle_weights={"DODGE CHARGER": 1.0},
+                  system_weights={"Brakes": 1.0, "Tires": 0.0})["components"]),
+         dict(markov_spec(start=[1, 0], transition=[[0, 1], [1, 0]]),
+              background_rate=1, components=component_spec(
+                  vehicle_weights={"DODGE CHARGER": 1}, system_weights={"Brakes": 1, "Tires": 0},
+              )["components"])),
+    ], ids=["intensities", "rates-weights-and-chains"])
+    def test_integer_spelled_floats_give_the_same_files(self, tmp_path, floats, ints):
         for name, spec in (("floats", floats), ("ints", ints)):
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
             assert main(["synth", "--out", str(tmp_path / name),
@@ -1140,6 +1152,82 @@ def test_uncategorized_exception_is_one_line(tensor_path, tmp_path, capsys, monk
     assert main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")]) == code
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (KeyboardInterrupt(), 130, "interrupted"),
+    (OSError(28, "No space left on device"), 3,
+     "io-error: [Errno 28] No space left on device: '{path}'"),
+], ids=["interrupt", "full disk"])
+def test_failed_rewrite_leaves_the_earlier_artifact(fleet_dir, tmp_path, capsys, monkeypatch,
+                                                    exc, code, line):
+    path = tmp_path / "tensor.txt"
+    argv = ["tensorize", "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"), "--out", str(path)]
+    assert main(argv) == 0
+    earlier = path.read_bytes()
+    capsys.readouterr()
+    write_floats = tensor_module.write_floats
+
+    class FailsInItsFirstChunk:
+        # the demo tensor's values are one chunk: half of it reaches the disk
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, text):
+            self._fh.write(text[:len(text) // 2])
+            self._fh.flush()
+            raise exc
+
+    monkeypatch.setattr(tensor_module, "write_floats",
+                        lambda fh, *args: write_floats(FailsInItsFirstChunk(fh), *args))
+    assert main(argv) == code
+    assert capsys.readouterr().err == line.format(path=path) + "\n"
+    assert path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["tensor.txt"]
+
+
+def test_sigterm_is_an_interrupt(tensor_path, tmp_path, capsys, monkeypatch):
+    def terminated(*args):
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(2)  # main's handler raises before this ends
+
+    # a handler of the test's own, which main restores; it keeps pytest alive if main sets none
+    def outer(*args):
+        pass
+
+    monkeypatch.setattr("fleetmaint.cli.cp_als", terminated)
+    previous = signal.signal(signal.SIGTERM, outer)
+    try:
+        code = main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")])
+        assert signal.getsignal(signal.SIGTERM) is outer
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["seqmine", "train", "eval"])
+def test_unknown_vehicle_rows_are_noted(fleet_dir, model_path, tmp_path, capsys, command):
+    # the first vehicle's rows are left without a vehicle
+    lines = (fleet_dir / "vehicles.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "vehicles.csv").write_text(lines[0] + "".join(lines[2:]))
+    unit = lines[1].split(",")[0]
+    with open(fleet_dir / "maintenance.csv", newline="") as fh:
+        orphans = sum(row["Unit No"] == unit for row in csv.DictReader(fh))
+    tables = ["--vehicles", str(tmp_path / "vehicles.csv"),
+              "--maintenance", str(fleet_dir / "maintenance.csv")]
+    argv = {
+        "seqmine": ["seqmine", *tables, "--target", "DODGE CHARGER",
+                    "--out", str(tmp_path / "d.csv")],
+        "train": ["train", *tables, "--embed-dim", "4", "--hidden-dim", "4", "--layers", "1",
+                  "--epochs", "1", "--out", str(tmp_path / "m.txt")],
+        "eval": ["eval", "--model", str(model_path), *tables],
+    }[command]
+    assert main(argv) == 0
+    assert orphans > 0
+    assert capsys.readouterr().err == f"note: {orphans} maintenance rows had unknown vehicles\n"
 
 
 HELP_PINS = Path(__file__).parent / "data" / "cli_help.txt"

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +352,45 @@ class TestGenerate:
     def test_numpy_integer_counts_accepted(self):
         tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)}).validate()
 
+    def test_values_are_stored_as_python_scalars(self):
+        # each float field holds a float, each container its annotation's type
+        spec = tiny_spec(background_rate=np.float32(0.5), systems=["Brakes", np.str_("Tires")],
+                         purchase_years=[np.int64(2014)], vehicles={"A B": np.int32(2)},
+                         markov={"A B": MarkovSpec(["Brakes"], [[1]], [np.int8(1)], 3)})
+        spec.validate()
+        chain = spec.markov["A B"]
+        assert (spec.background_rate, spec.systems, spec.purchase_years, spec.vehicles,
+                chain.labels, chain.transition, chain.start) == (
+                    0.5, ("Brakes", "Tires"), (2014,), {"A B": 2}, ("Brakes",), ((1.0,),),
+                    (1.0,))
+        scalars = (spec.background_rate, *spec.systems, *spec.purchase_years,
+                   *spec.vehicles.values(), *chain.transition[0], *chain.start)
+        assert [type(v) for v in scalars] == [float, str, str, int, int, float, float]
+        # -0.0 equals 0.0, so it is stored, and written, as 0.0
+        zero = tiny_spec(background_rate=-0.0)
+        zero.validate()
+        assert math.copysign(1.0, zero.background_rate) == 1.0
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(background_rate=10**400), "background_rate"),
+        (dict(components=[PlantedComponent("x", {"DODGE CHARGER": 1.0}, {"Brakes": 1.0},
+                                           (1.0,) * 11 + (10**309,), 1.0)]),
+         r"components\[0\]\.time_profile\[11\]"),
+        (dict(motifs=[PlantedMotif("FORD F150", ("Brakes",), -(10**400))]),
+         r"motifs\[0\]\.rate"),
+    ])
+    def test_integer_past_a_float_is_not_a_finite_number(self, overrides, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+            tiny_spec(**overrides).validate()
+
+    def test_cell_mean_bounded_by_the_job_total_alone(self):
+        # one vehicle, system and month: its one cell mean is its expected job total
+        one_cell = dict(vehicles={"DODGE CHARGER": 1}, months=1, systems=("Brakes",))
+        assert tiny_spec(background_rate=1.5e6, **one_cell).expected_jobs() == 1.5e6
+        tiny_spec(background_rate=1.5e6, **one_cell).validate()
+        with pytest.raises(ValueError, match=r"expected job total reaches 2\.5e\+06, past"):
+            tiny_spec(background_rate=2.5e6, **one_cell).validate()
+
     def test_size_bounds_are_inclusive(self):
         # one at a time: together they pass the bound on the expected job total
         chain = MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_000)
@@ -517,6 +558,25 @@ def fleet_specs(draw):
     )
 
 
+def respelled(value, numpy: bool):
+    """``value``, a spec or any part of one, with each number spelled another
+    way: with ``numpy`` as a numpy scalar of the same value, else as an int
+    where a float is integral, and each tuple as a list, as JSON spells it."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: respelled(getattr(value, f.name), numpy)
+                                             for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return {key: respelled(item, numpy) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [respelled(item, numpy) for item in value]
+        return type(value)(items) if numpy else items
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    if numpy:
+        return np.int64(value) if isinstance(value, int) else np.float64(value)
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def two_motifs_spec():
     return tiny_spec(seed=13, background_rate=1.2, motifs=[
         PlantedMotif("DODGE CHARGER", ("PM Service", "Tires", "PM Service"), 0.1),
@@ -560,4 +620,59 @@ class TestGenerateMatchesOracle:
                 assert (Path(tmp, "fleet", name).read_bytes()
                         == Path(tmp, "oracle", name).read_bytes()), name
         assert fleet.manifest == oracle.manifest
+
+
+class TestSpecProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(fleet_specs())
+    def test_every_poisson_cell_mean_is_within_the_job_total(self, spec):
+        # a bound on every mean passed to a Poisson draw, so MAX_JOBS bounds them all
+        spec.validate()
+        means = []
+        real_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def poisson(self, lam):
+                means.append(float(np.max(lam, initial=0.0)))
+                return self._rng.poisson(lam)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("fleetmaint.synth.np.random.default_rng", Recording):
+            generate(spec, tmp)
+        assert all(mean <= spec.expected_jobs() for mean in means)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fleet_specs())
+    @example(negative_mean_spec())
+    @example(markov_motif_spec())
+    def test_int_float_and_numpy_spellings_write_the_same_files(self, spec):
+        written = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, each in enumerate((spec, respelled(spec, False), respelled(spec, True))):
+                generate(each, Path(tmp, str(k)))
+                written.append({name: Path(tmp, str(k), name).read_bytes()
+                                for name in ("vehicles.csv", "maintenance.csv",
+                                             "manifest.json")})
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+    def test_numpy_values_in_containers_write_the_python_files(self, tmp_path):
+        # a numpy item of a container once passed validate and failed on the manifest
+        component = PlantedComponent("c", {"DODGE CHARGER": 0.5}, {"Brakes": 1.0},
+                                     (1.0,) * 12, 2.0)
+        python = tiny_spec(components=[component], purchase_years=(2014, 2015))
+        numpy = tiny_spec(components=[dataclasses.replace(
+            component, vehicle_weights={"DODGE CHARGER": np.float32(0.5)})],
+            purchase_years=(np.int64(2014), np.int32(2015)))
+        for name, spec in (("python", python), ("numpy", numpy)):
+            generate(spec, tmp_path / name)
+        for name in ("vehicles.csv", "maintenance.csv", "manifest.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == \
+                (tmp_path / "python" / name).read_bytes(), name
 

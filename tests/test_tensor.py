@@ -1,5 +1,8 @@
 import io
+import os
 import re
+import stat
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -22,9 +25,11 @@ from fleetmaint.tensor import (
     mttkrp,
     mttkrp_from_partial,
     mttkrp_partial,
+    not_utf8,
     parse_floats,
     save_tensor,
     write_floats,
+    writing,
 )
 import oracles
 from oracles import (
@@ -453,6 +458,11 @@ class TestStackedMttkrp:
             mttkrp_partial(t, np.ones((3, 2)))
         with pytest.raises(ValueError, match="a must be a stack of matrices, got a 1-D array"):
             mttkrp_partial(t, np.ones(3))
+
+    def test_mode_out_of_range(self):
+        t = from_array(np.ones((3, 4, 5)))
+        with pytest.raises(ValueError, match="^mode must be 1, 2 or 3, got 4$"):
+            mttkrp(t, np.ones((1, 4, 2)), np.ones((1, 5, 2)), 4)
 
 
 class TestCpCompose:
@@ -897,6 +907,68 @@ class TestFormatReader:
         with pytest.raises(ValueError) as info, FormatReader.open(path, "demo v1") as reader:
             read(reader)
         assert str(info.value).startswith(f"{path}: {where}")
+
+
+    def test_not_utf8_on_clean_text_names_no_line(self, tmp_path):
+        # a decode error that no single line of the file reproduces
+        path = tmp_path / "f.txt"
+        path.write_text("demo v1\nlabel \u00e9\n", encoding="utf-8")
+        exc = UnicodeDecodeError("utf-8", b"\xc3", 0, 1, "unexpected end of data")
+        assert not_utf8(path, exc) == f"{path}: not UTF-8 text: unexpected end of data"
+
+
+class TestWriting:
+    def test_an_error_leaves_the_earlier_file_and_no_other(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("earlier\n")
+        for exc in (KeyboardInterrupt(), OSError(28, "No space left on device")):
+            with pytest.raises(type(exc)) as info, writing(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise exc
+            assert path.read_text() == "earlier\n"
+            assert os.listdir(tmp_path) == ["a.txt"]
+        assert str(info.value) == f"[Errno 28] No space left on device: '{path}'"
+
+    def test_replaces_the_file_keeping_its_bits_and_its_link(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("earlier\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        inode = target.stat().st_ino
+        with writing(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert target.stat().st_ino != inode  # a new file, not the old one rewritten
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+    def test_a_new_file_takes_the_umask_mode(self, tmp_path):
+        # a name as long as most file systems take: the temporary name is no longer
+        new = tmp_path / ("n" * 250)
+        with writing(new) as fh:
+            fh.write("x")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        assert new.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == [new.name, "plain.txt"]
+
+    def test_a_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()))
+        reader.start()
+        with writing(fifo) as fh:
+            fh.write("through\n")
+        reader.join(timeout=10)
+        assert read == ["through\n"] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_a_missing_directory_is_named(self, tmp_path):
+        path = tmp_path / "missing" / "a.txt"
+        with pytest.raises(FileNotFoundError, match=f"No such file or directory: '{path}'$"):
+            with writing(path):
+                pass
 
 
 class TestWriteFloats:
