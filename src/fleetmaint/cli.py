@@ -1,12 +1,12 @@
 """fleetmaint command line: synth, tensorize, parafac, report, seqmine,
 train, eval, predict, and the end-to-end pipeline demo.
 
-Every randomized step takes --seed (default 1234). A --config file of
-``key = value`` lines (keys are long flag names with dashes or underscores,
-switches take true or false) overrides the corresponding flags. Failures
-print one machine-parseable ``<category>: <message>`` line to stderr and
-exit nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error;
-an interrupt (Ctrl-C or SIGTERM) prints ``interrupted`` and exits 130.
+Every randomized step takes --seed (default 1234); eval splits with the seed its model
+file records. A --config file of ``key = value`` lines (keys are long flag names with
+dashes or underscores, switches take true or false) overrides the corresponding flags.
+Failures print one machine-parseable ``<category>: <message>`` line to stderr and exit
+nonzero: 2 config-error, 3 io-error, 4 data-error, 1 internal-error; an interrupt
+(Ctrl-C or SIGTERM) prints ``interrupted`` and exits 130.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def cmd_eval(args) -> int:
     paths = args.vehicles, args.maintenance
     lists = _sequences(*_load_tables(*paths)[:2]).as_label_lists()
     with _naming(*paths):
-        train_set, valid_set, test_set = split_by_vehicle(lists, seed=args.seed)
+        train_set, valid_set, test_set = split_by_vehicle(lists, seed=model.config.seed)
     chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
     lstm_ppl, baseline_ppl = _perplexities(model, train_set, chosen)
     payload = {
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--split", choices=("train", "valid", "test", "all"), default="test")
-    add_common(p, seeded=True)
+    add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="rank likely next jobs after a prefix")

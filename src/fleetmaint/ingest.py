@@ -26,7 +26,7 @@ from datetime import date
 import numpy as np
 
 from .knobs import check
-from .tensor import Tensor3, check_dims, not_utf8, writing
+from .tensor import Tensor3, not_utf8, writing
 
 
 class DataError(ValueError):
@@ -391,7 +391,6 @@ def build_tensor(
     units, unit_axis = np.unique(unit[placed], return_inverse=True)
     systems, system_axis = np.unique(system[placed], return_inverse=True)
     shape = (len(units), len(systems), len(labels))
-    check_dims(shape)
     flat = (unit_axis * shape[1] + system_axis) * shape[2] + bucket[placed]
     positions, counts = np.unique(flat, return_counts=True)
     axes = ([ranked[i].unit_no for i in units], [system_names[j] for j in systems], labels)

@@ -59,6 +59,13 @@ LABOR_HOURS = (0.5, 8.0)
 METER_READINGS = (1000, 99000)
 
 
+def _fsum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a sum past the float range
+        return math.inf
+
+
 @dataclass
 class PlantedComponent:
     """Rank-one (vehicle-group x system x time) intensity bump."""
@@ -153,12 +160,12 @@ class FleetSpec:
             if name not in self.vehicles:
                 raise ValueError(f"markov {name!r} is not a vehicles key")
             n = len(chain.labels)
-            if not (len(chain.start) == n and 0 < math.fsum(chain.start) < math.inf):
+            if not (len(chain.start) == n and 0 < _fsum(chain.start) < math.inf):
                 raise ValueError(f"markov {name}: start must hold one weight per label, "
                                  "with a positive sum")
             if len(chain.transition) != n or any(len(row) != n for row in chain.transition):
                 raise ValueError(f"markov {name}: transition shape mismatch")
-            if not all(abs(math.fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
+            if not all(abs(_fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
                 raise ValueError(f"markov {name}: transition rows must sum to 1")
             if set(chain.labels) - known:
                 raise ValueError(f"markov {name}: labels must be of the system vocabulary")

@@ -418,7 +418,8 @@ class FormatReader:
     def __init__(self, fh, magic: str):
         self._fh = fh
         self._kind = magic.split()[0]
-        self._lines = self._first = 1  # lines read; the first of the part read last
+        self._lines = 1  # lines read
+        self.where = "line 1"
         header = fh.readline()
         if header != magic + "\n":
             raise ValueError(f"not a {self._kind} file, or one cut short: bad header {header!r}")
@@ -440,19 +441,11 @@ class FormatReader:
             where = reader.where if reader else "line 1"
             raise ValueError(f"{path}: {where}: {exc}" if where else f"{path}: {exc}") from None
 
-    @property
-    def where(self) -> str:
-        if self._first is None:
-            return ""
-        if self._first == self._lines:
-            return f"line {self._lines}"
-        return f"lines {self._first}-{self._lines}"
-
     def line(self) -> str:
         """The next line, without its newline."""
         line = self._fh.readline()
         self._lines += 1
-        self._first = self._lines
+        self.where = f"line {self._lines}"
         if not line.endswith("\n"):
             raise ValueError(f"{self._kind} file is truncated: it ends before a complete line")
         return line[:-1]
@@ -485,21 +478,21 @@ class FormatReader:
         """A ``write_floats`` block of ``count`` values: its ceil(count / per_line)
         lines, or with no ``per_line`` the rest of the file."""
         if per_line is None:
-            block = self._fh
-            self._first = None
+            block, self.where = self._fh, ""
         else:
             first = self._lines + 1
             block = "".join(self.line() + "\n" for _ in range(-(-count // per_line)))
-            self._first = min(first, self._lines)
+            if self._lines > first:
+                self.where = f"lines {first}-{self._lines}"
         return parse_floats(block, count, f"{self._kind} {what}")
 
     def end(self) -> None:
         """Check that the file ends here."""
         self._lines += 1
-        self._first = self._lines
+        self.where = f"line {self._lines}"
         if self._fh.read():
             raise ValueError(f"{self._kind} file has data after the last block")
-        self._first = None
+        self.where = ""
 
 
 def save_tensor(t: Tensor3, path) -> None:

@@ -163,6 +163,8 @@ class TestSynth:
             "make_model": "FORD F150", "labels": ["Brakes", "Engine"], "rate": 0.2,
         }]),
         markov_spec(labels=["Brakes", "Engine"]),
+        markov_spec(start=[1e308, 1e308]),
+        markov_spec(transition=[[1e308, 1e308], [0.8, 0.2]]),
     )] + [json.dumps(CUSTOM_SPEC)[:-1]], ids=[
         "vehicles-list", "top-level-list", "time-profile-strings", "seed-negative",
         "seed-float", "months-zero", "background-nan", "intensity-inf", "weight-nan",
@@ -177,7 +179,7 @@ class TestSynth:
         "component-vehicle-unknown", "markov-make-model-unknown", "systems-normalize-alike",
         "vehicles-normalize-alike", "months-huge", "markov-length-huge", "vehicles-huge",
         "jobs-huge", "window-start-bad", "time-profile-length", "motif-labels-unknown",
-        "markov-labels-unknown", "not-json",
+        "markov-labels-unknown", "markov-start-overflow", "markov-row-overflow", "not-json",
     ])
     def test_wrong_shape_spec_is_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
@@ -605,13 +607,28 @@ class TestTrainEvalPredict:
             "eval", "--model", str(model_path),
             "--vehicles", str(fleet_dir / "vehicles.csv"),
             "--maintenance", str(fleet_dir / "maintenance.csv"),
-            "--split", "test", "--seed", "4",
+            "--split", "test",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["split"] == "test"
         assert payload["lstm_perplexity"] > 1.0
         assert payload["unigram_perplexity"] > 1.0
+
+    def test_eval_scores_the_test_split_of_its_pipeline_run(self, tmp_path, capsys):
+        # eval splits with the seed the model file records, so its test split
+        # is the one the pipeline held out, and its perplexities are the run's
+        run = tmp_path / "run"
+        assert main(["pipeline", "--demo", "--out", str(run), "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(run / "seq_model.txt"),
+                     "--vehicles", str(run / "data" / "vehicles.csv"),
+                     "--maintenance", str(run / "data" / "maintenance.csv"),
+                     "--split", "test"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert (payload["lstm_perplexity"], payload["unigram_perplexity"]) == (
+            metrics["lstm_test_perplexity"], metrics["unigram_test_perplexity"])
 
     def test_eval_overflowing_model_is_data_error(self, tmp_path):
         run = tmp_path / "run"

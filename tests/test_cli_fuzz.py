@@ -572,13 +572,15 @@ UNSEEDED = [
     ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
      "--out", "d.csv"],
     ["predict", "--model", "m.txt"],
+    ["eval", "--model", "m.txt", "--vehicles", "v.csv", "--maintenance", "m.csv"],
 ]
 
 
 @pytest.mark.parametrize("argv", UNSEEDED, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_seed_on_an_unseeded_command_is_config_error(tmp_path, monkeypatch, argv, where):
-    # no stage of these commands is randomized, so none takes a seed
+    # none of these commands takes a seed: no stage of them is randomized but
+    # eval's split, which takes the seed its model file records
     monkeypatch.chdir(tmp_path)
     if where == "config":
         (tmp_path / "seed.cfg").write_text("seed = 1\n")

@@ -326,6 +326,13 @@ class TestGenerate:
         (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((0.5, 0.5), (1.5, -0.5)),
                                               (1.0, 1.0), 5)}),
          r"markov\['FORD F150'\]\.transition\[1\]\[1\] must be >= 0, got -0\.5"),
+        # a sum past the float range fails its chain's check
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((0.5, 0.5), (0.5, 0.5)),
+                                              (1e308, 1e308), 5)}),
+         "^markov FORD F150: start must hold one weight per label, with a positive sum$"),
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((1e308, 1e308), (0.5, 0.5)),
+                                              (1.0, 1.0), 5)}),
+         "^markov FORD F150: transition rows must sum to 1$"),
         (dict(months=2413), "months must be <= 2412"),
         (dict(vehicles={"A B": 60_000, "C D": 40_001}), "vehicles total 100001, past 100000"),
         (dict(vehicles={"A B": np.int32(2**31 - 1), "C D": np.int32(2**31 - 1)}),

@@ -894,13 +894,15 @@ class TestFormatReader:
         ("demo v1\nu1\nu2", lambda r: r.labels((3,)), "line 3: demo file is truncated"),
         ("demo v1\n1.0 2.0\n3.0 4.0\n", lambda r: r.floats(3, "w", per_line=2),
          "lines 2-3: demo w: expected 3 values, found 4"),
+        ("demo v1\n1.0 2.0\n", lambda r: r.floats(3, "w", per_line=4),
+         "line 2: demo w: expected 3 values, found 2"),
         ("demo v1\n1.0 2.0\n", lambda r: r.floats(3, "w"), "demo w: expected 3 values, found 2"),
         ("demo v1\n1.0\nx\n", lambda r: (r.floats(1, "w", per_line=1), r.end()),
          "line 3: demo file has data after the last block"),
         ("demo v1\n1.0\n", lambda r: (r.floats(1, "w", per_line=1), r.end(), int("x")),
          "invalid literal"),
-    ], ids=["header", "keyword line", "caller error", "label", "float block", "rest of file",
-            "end", "after the end"])
+    ], ids=["header", "keyword line", "caller error", "label", "float block",
+            "one-line float block", "rest of file", "end", "after the end"])
     def test_open_names_the_file_and_the_part_read_last(self, tmp_path, text, read, where):
         path = tmp_path / "f.txt"
         path.write_text(text)
