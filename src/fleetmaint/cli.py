@@ -509,14 +509,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:  # DataError included
         print(f"data-error: {exc}", file=sys.stderr)
         return 4
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
     except Exception as exc:  # last-resort guard
-        print(f"internal-error: {exc}", file=sys.stderr)
+        print(f"internal-error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     finally:
         if previous is not None:

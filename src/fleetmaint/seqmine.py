@@ -45,11 +45,8 @@ class SequenceSet:
     labels: tuple[str, ...]
     sequences: list[EventSequence]
 
-    def labels_of(self, seq: EventSequence) -> list[str]:
-        return [self.labels[i] for i in seq.events]
-
     def as_label_lists(self) -> list[list[str]]:
-        return [self.labels_of(s) for s in self.sequences]
+        return [[self.labels[i] for i in s.events] for s in self.sequences]
 
 
 @dataclass
@@ -86,15 +83,17 @@ def extract_sequences(
     return SequenceSet(tuple(systems[j] for j in used.tolist()), sequences), rejects
 
 
-def window_counts(sequences: list[EventSequence], width: int) -> Counter:
-    """Occurrences of every contiguous window of ``width`` events, keyed by its
+def window_counts(sequences: list[EventSequence], width: int, wanted: set | None = None) -> Counter:
+    """Occurrences of each contiguous window of ``width`` events, keyed by its
     tuple of label indices; overlapping windows and repeats within one
-    sequence all count, and ``total()`` is the number of windows."""
+    sequence all count. Only windows in ``wanted`` are kept when it is given;
+    without it, ``total()`` is the number of windows."""
     counts: Counter = Counter()
     for seq in sequences:
         if len(seq) >= width:  # a shorter sequence has no window
             events = seq.events.tolist()
-            counts.update(zip(*(events[k:] for k in range(width))))
+            windows = zip(*(events[k:] for k in range(width)))
+            counts.update(windows if wanted is None else filter(wanted.__contains__, windows))
     return counts
 
 
@@ -148,28 +147,28 @@ def differential(
     if not right:
         raise ValueError("no non-target sequences to compare against")
 
-    # no target window is wider than the longest target sequence
-    widths = range(min_len, min(max_len, max(map(len, left))) + 1)
-    left_counts = {width: window_counts(left, width) for width in widths}
-    right_counts = {width: window_counts(right, width) for width in widths}
-    n_left = {width: counts.total() for width, counts in left_counts.items()}
-    n_right = {width: counts.total() for width, counts in right_counts.items()}
-    # ties broken by the pattern's label indices, across all widths; the
-    # same as sorted(...)[:top_n] without sorting every window
-    mined = heapq.nsmallest(
-        top_n,
-        (item for counts in left_counts.values() for item in counts.items()),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
+    # one width at a time, up to the longest target sequence; ties go by label
+    # indices, a total order, so this keeps the first top_n of the full sort
+    mined: list = []
+    for width in range(min_len, min(max_len, max(map(len, left))) + 1):
+        mined = heapq.nsmallest(top_n, [*mined, *window_counts(left, width).items()],
+                                key=lambda kv: (-kv[1], kv[0]))
+
+    # the rest is counted only for the mined patterns
+    wanted = {pattern for pattern, _ in mined}
+    right_counts: Counter = Counter()
+    for width in set(map(len, wanted)):
+        right_counts.update(window_counts(right, width, wanted))
 
     out = []
     for pattern_idx, left_support in mined:
         width = len(pattern_idx)
-        right_support = right_counts[width][pattern_idx]
-        left_norm = left_support / n_left[width]
-        if n_right[width] > 0:
-            right_norm = right_support / n_right[width]
-            z, p = two_prop_z(left_support, n_left[width], right_support, n_right[width])
+        n_left, n_right = (sum(max(len(s) - width + 1, 0) for s in g) for g in (left, right))
+        right_support = right_counts[pattern_idx]
+        left_norm = left_support / n_left
+        if n_right > 0:
+            right_norm = right_support / n_right
+            z, p = two_prop_z(left_support, n_left, right_support, n_right)
         else:  # no rest window of this width: nothing to test against
             right_norm, z, p = 0.0, 0.0, 1.0
         i_ratio = left_norm / right_norm if right_norm > 0 else I_RATIO_CAP

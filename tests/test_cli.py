@@ -1159,7 +1159,8 @@ def test_full_disk_is_one_io_error_line(tensor_path):
 @pytest.mark.parametrize("name, exc, code, line", [
     ("cp_als", KeyboardInterrupt, 130, "interrupted"),
     ("cmd_parafac", RuntimeError("boom"), 1, "internal-error: boom"),
-], ids=["interrupt inside a stage", "last-resort guard"])
+    ("cmd_parafac", MemoryError(), 1, "internal-error: MemoryError"),
+], ids=["interrupt inside a stage", "last-resort guard", "last-resort guard, empty text"])
 def test_uncategorized_exception_is_one_line(tensor_path, tmp_path, capsys, monkeypatch,
                                              name, exc, code, line):
     def fail(*args):

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from collections import Counter
 from datetime import date
 from pathlib import Path
@@ -388,7 +389,7 @@ class TestDifferential:
         left=st.lists(st.lists(st.sampled_from("abc"), max_size=10), min_size=1, max_size=5),
         right=st.lists(st.lists(st.sampled_from("abc"), max_size=6), min_size=1, max_size=5),
         min_len=st.integers(1, 3),
-        extra=st.integers(0, 2),
+        extra=st.integers(0, 12),
         top_n=st.integers(1, 12),
     )
     # a rest group too short for max_len
@@ -439,6 +440,21 @@ class TestDifferential:
             width = len(d.pattern)
             assert d.left_support <= window_counts(left, width).total()
             assert d.right_support <= window_counts(right, width).total()
+
+    def test_working_set_stays_flat_at_any_max_len(self):
+        # every width up to 150 mined: the tables of all widths at once
+        # would hold about 100 MB of window tuples
+        rng = np.random.default_rng(11)
+        lists = [list(rng.choice(list("abcd"), size=150)) for _ in range(20)]
+        seqset = sequence_set_from_lists(lists, make_models=["T ONE"] * 10 + ["O TWO"] * 10)
+        tracemalloc.start()
+        try:
+            result = differential(seqset, "T ONE", min_len=1, max_len=10**6, top_n=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 8
+        assert peak < 16 * 2**20
 
     def test_missing_target_and_missing_rest(self):
         seqset = sequence_set_from_lists(

@@ -218,7 +218,7 @@ class TestGenerate:
         maintenance, _ = parse_maintenance(fleet.maintenance_path)
         seqset, rejects = extract_sequences(maintenance, vehicles)
         assert rejects == []
-        got = {s.unit_no: seqset.labels_of(s) for s in seqset.sequences}
+        got = {s.unit_no: labels for s, labels in zip(seqset.sequences, seqset.as_label_lists())}
         assert got == fleet.manifest["sequences"]
 
     def test_noiseless_rank_one_component_exact(self, tmp_path):
