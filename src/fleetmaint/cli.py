@@ -46,7 +46,7 @@ from .parafac import AlsOptions, cp_als, load_model, save_model
 from .report import export_component_reports
 from .seqmine import differential, extract_sequences, write_diff_csv
 from .synth import demo_spec, generate, month_labels, spec_from_json
-from .tensor import load_tensor, save_tensor
+from .tensor import load_tensor, not_utf8, save_tensor
 
 DEFAULT_SEED = 1234
 
@@ -64,7 +64,7 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: config file is not UTF-8: {exc}") from None
+        raise ConfigError(not_utf8(path, exc)) from None
     flags = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -76,7 +76,7 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
         dest = key.strip().replace("-", "_")
         if dest == "config":
             raise ConfigError(f"{path}:{line_no}: a config file cannot name another config file")
-        if dest not in vars(args):
+        if dest not in vars(args).keys() - {"command", "func"}:
             raise ConfigError(f"{path}:{line_no}: unknown option {key.strip()!r}")
         flags.append(f"--{dest.replace('_', '-')}={value.strip()}")
     return flags
@@ -173,7 +173,8 @@ def cmd_synth(args) -> int:
         try:
             spec = spec_from_json(json.loads(Path(args.spec).read_text(encoding="utf-8-sig")))
         except ValueError as exc:  # not UTF-8, not JSON, or not a valid spec
-            raise ConfigError(f"malformed fleet spec: {exc}") from None
+            text = not_utf8(args.spec, exc) if isinstance(exc, UnicodeDecodeError) else exc
+            raise ConfigError(f"malformed fleet spec: {text}") from None
     else:
         spec = demo_spec(seed=args.seed)
     fleet = generate(spec, args.out)
@@ -193,15 +194,14 @@ def _tensorize(paths, vehicles, maintenance, spec, out, discards):
     return build
 
 
-def _factorize(path, tensor, opts, out, report_dir, svg=True):
-    """Fit the CP model of the tensor read from ``path``, save it, print its
-    warnings and export its reports if asked; returns it and the report files."""
+def _factorize(path, tensor, opts, out):
+    """Fit the CP model of the tensor read from ``path``, save it and print its warnings."""
     with _naming(path):
         model = cp_als(tensor, opts)
     save_model(model, out)
     for warning in model.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return model, export_component_reports(model, report_dir, svg=svg) if report_dir else []
+    return model
 
 
 def _mine(paths, seqset, target, out, bonferroni=False, **options):
@@ -246,14 +246,11 @@ def cmd_tensorize(args) -> int:
 
 def cmd_parafac(args) -> int:
     opts = _from_flags(AlsOptions, args)
-    model, written = _factorize(args.tensor, load_tensor(args.tensor), opts, args.out,
-                                args.report_dir, svg=args.format != "csv")
+    model = _factorize(args.tensor, load_tensor(args.tensor), opts, args.out)
     print(
         f"wrote {args.out} rank={model.rank} fit={model.fit:.6f} "
         f"iterations={model.iterations} converged={model.converged}"
     )
-    if args.report_dir:
-        print(f"wrote {len(written)} report files under {args.report_dir}")
     return 0
 
 
@@ -352,8 +349,8 @@ def cmd_pipeline(args) -> int:
                        out / "discards.json")
     conserved = build.tensor.values.sum() + sum(build.discards.values()) == len(maintenance)
     opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
-    cp_model, _ = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt",
-                             out / "reports")
+    cp_model = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt")
+    export_component_reports(cp_model, out / "reports")
     seqset = _sequences(vehicles, maintenance)
     patterns = _mine(paths, seqset, "DODGE CHARGER", out / "seqmine.csv", top_n=8)
     # a smaller, shorter run than the defaults
@@ -404,17 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fleetmaint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeded=False):
+    def add_common(p, seeded=None):
+        """Add --config, and --seed to ``seeded``, the parser or group that takes it."""
         if seeded:
-            p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
-                           help="seed for randomized steps (default %(default)s)")
+            seeded.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
+                                help="seed for randomized steps (default %(default)s)")
         p.add_argument("--config", type=str, default=None,
                        help="key = value file; values override flags")
 
     p = sub.add_parser("synth", help="generate a synthetic fleet")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--spec", type=str, default=None, help="fleet spec JSON (default: demo spec)")
-    add_common(p, seeded=True)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", default=None, help="fleet spec JSON (default: demo spec)")
+    add_common(p, seeded=source)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("tensorize", help="build the job-count tensor from CSVs")
@@ -430,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True)
     _add_field_flags(p, AlsOptions)
     p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--report-dir", default=None, help="also export per-component reports")
-    p.add_argument("--format", choices=("csv", "svg"), default="svg",
-                   help="report format: csv only, or csv plus svg charts")
-    add_common(p, seeded=True)
+    add_common(p, seeded=p)
     p.set_defaults(func=cmd_parafac)
 
     p = sub.add_parser("report", help="export factor loading reports for a saved model")
@@ -463,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maintenance", required=True)
     p.add_argument("--out", required=True, help="model output path")
     _add_field_flags(p, LstmConfig)
-    add_common(p, seeded=True)
+    add_common(p, seeded=p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="perplexity of a trained model on a split")
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="run the built-in demo fleet")
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p, seeded=True)
+    add_common(p, seeded=p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

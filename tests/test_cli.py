@@ -88,6 +88,38 @@ class TestSynth:
         assert written["bom"] == written["plain"]
         assert "manifest.json" in written["bom"]
 
+    def test_seed_alone_or_spec_alone_sets_the_seed(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(CUSTOM_SPEC, seed=99)))
+        assert main(["synth", "--out", str(tmp_path / "seeded"), "--seed", "5"]) == 0
+        assert main(["synth", "--out", str(tmp_path / "spec"), "--spec", str(spec_path)]) == 0
+        for name, seed in (("seeded", 5), ("spec", 99)):
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["seed"] == seed
+
+    # a spec holds its own seed, so a --seed beside it, even the default, is refused
+    @pytest.mark.parametrize("extra, config", [
+        (["--seed", "5"], None), (["--seed", "1234"], None), ([], "seed = 5"), ([], "seed = 1234"),
+    ], ids=["seed", "default-seed", "config-seed", "config-default-seed"])
+    def test_spec_and_seed_together_is_config_error(self, tmp_path, capsys, extra, config):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(CUSTOM_SPEC))
+        if config:
+            (tmp_path / "s.cfg").write_text(config + "\n")
+            extra = ["--config", str(tmp_path / "s.cfg")]
+        code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path), *extra])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config-error: argument --seed: not allowed with argument --spec\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_spec_file_not_utf8_names_the_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_bytes(b"{\n\xff}\n")
+        assert main(["synth", "--out", "o", "--spec", "spec.json"]) == 2
+        assert capsys.readouterr().err == ("config-error: malformed fleet spec: spec.json: "
+                                           "line 2: not UTF-8 text: invalid start byte\n")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_spec_is_config_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 5}))
@@ -370,13 +402,27 @@ class TestParafacAndReport:
         code = main([
             "parafac", "--tensor", str(tensor_path), "--rank", "3",
             "--max-iters", "60", "--restarts", "1", "--seed", "9",
-            "--out", str(model_path), "--report-dir", str(tmp_path / "reports"),
+            "--out", str(model_path),
         ])
         assert code == 0
         model = load_model(model_path)
         assert model.rank == 3
+        assert main(["report", "--model", str(model_path), "--out", str(tmp_path / "reports")]) == 0
         assert (tmp_path / "reports" / "factor_report.csv").exists()
         assert (tmp_path / "reports" / "component_01.svg").exists()
+
+    # factor reports come from ``report`` alone
+    @pytest.mark.parametrize("extra, line", [
+        (["--report-dir", "rep"], "config-error: unrecognized arguments: --report-dir rep"),
+        (["--format", "csv"], "config-error: unrecognized arguments: --format csv"),
+        (["--config", "p.cfg"], "config-error: p.cfg:1: unknown option 'report-dir'"),
+    ], ids=["report-dir", "format", "config-report-dir"])
+    def test_parafac_takes_no_report_flags(self, tmp_path, monkeypatch, capsys, extra, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.cfg").write_text("report-dir = rep\n")
+        assert main(["parafac", "--tensor", "t.txt", "--out", "m.txt", *extra]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.cfg"]
 
     def test_config_file_led_by_a_bom(self, tensor_path, tmp_path):
         # the byte order mark is not part of the first key
@@ -833,18 +879,19 @@ class TestTrainEvalPredict:
         assert model.config.epochs == 1
 
     def test_config_file_not_utf8_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the message names the first line that is not UTF-8, as a table's does
         monkeypatch.chdir(tmp_path)
-        config = tmp_path / "bad.cfg"
-        config.write_bytes(b"top-k = 3\n\xff\n")
-        code = main(["predict", "--model", "x", "--config", str(config)])
+        (tmp_path / "c.cfg").write_bytes(b"top-k = 3\n\xff\n")
+        code = main(["predict", "--model", "x", "--config", "c.cfg"])
         assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config-error: "), err
-        assert "UTF-8" in err[0]
+        assert capsys.readouterr().err == (
+            "config-error: c.cfg: line 2: not UTF-8 text: invalid start byte\n")
 
-    def test_bad_config_key_is_config_error(self, fleet_dir, tmp_path, capsys):
+    # the parser's own ``command`` and ``func`` are not options either
+    @pytest.mark.parametrize("key", ["no-such-option", "func", "command"])
+    def test_bad_config_key_is_config_error(self, fleet_dir, tmp_path, capsys, key):
         config = tmp_path / "bad.cfg"
-        config.write_text("no-such-option = 12\n")
+        config.write_text(f"{key} = 12\n")
         code = main([
             "train",
             "--vehicles", str(fleet_dir / "vehicles.csv"),
@@ -852,7 +899,8 @@ class TestTrainEvalPredict:
             "--out", str(tmp_path / "m.txt"), "--config", str(config),
         ])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config-error:")
+        assert capsys.readouterr().err == f"config-error: {config}:1: unknown option '{key}'\n"
+        assert not (tmp_path / "m.txt").exists()
 
 
     @pytest.mark.parametrize("command, config", [
@@ -1123,7 +1171,7 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="nee
 @pytest.mark.parametrize("command, name", [
     ("synth", "vehicles.csv"), ("synth", "maintenance.csv"), ("synth", "manifest.json"),
     ("tensorize", "tensor.txt"), ("tensorize", "discards.json"),
-    ("parafac", "factor_report.csv"), ("parafac", "component_01.svg"),
+    ("report", "factor_report.csv"), ("report", "component_01.svg"),
     ("seqmine", "diff.csv"), ("train", "seq_model.txt"),
 ])
 def test_failed_write_names_its_path(fleet_dir, tensor_path, tmp_path, capsys, command, name):
@@ -1137,12 +1185,15 @@ def test_failed_write_names_its_path(fleet_dir, tensor_path, tmp_path, capsys, c
         "tensorize": ["tensorize", *tables, "--window-start", "2013-01",
                       "--out", str(tmp_path / "tensor.txt"),
                       "--discards", str(tmp_path / "discards.json")],
-        "parafac": ["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
-                    "--out", str(tmp_path / "cp.txt"), "--report-dir", str(tmp_path)],
+        "report": ["report", "--model", str(tmp_path / "cp.txt"), "--out", str(tmp_path)],
         "seqmine": ["seqmine", *tables, "--target", "DODGE CHARGER", "--out", str(target)],
         "train": ["train", *tables, "--embed-dim", "8", "--hidden-dim", "16", "--layers", "1",
                   "--epochs", "1", "--out", str(target)],
     }[command]
+    if command == "report":
+        assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
+                     "--out", str(tmp_path / "cp.txt")]) == 0
+        capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err == f"io-error: [Errno 28] No space left on device: '{target}'\n"
 

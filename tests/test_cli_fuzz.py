@@ -407,12 +407,14 @@ def test_mutated_tensor(demo_tensor, edit_list):
         tensor, model, reports = Path(tmp) / "tensor.txt", Path(tmp) / "m.txt", Path(tmp) / "r"
         tensor.write_bytes(mutate_tensor(*demo_tensor, edit_list))
         code, err = run(["parafac", "--tensor", str(tensor), "--rank", "2", "--max-iters", "5",
-                         "--out", str(model), "--report-dir", str(reports), "--format", "csv"])
+                         "--out", str(model)])
         check_file_outcome(code, err, tensor)
         if code == 0:
             cp = load_model(model)
             assert all(map(math.isfinite, (cp.fit, *cp.fits))), (cp.fit, cp.fits)
             assert all(np.isfinite(f).all() for f in (cp.weights, *cp.factors))
+            assert run(["report", "--model", str(model), "--out", str(reports),
+                        "--format", "csv"]) == (0, "")
             with open(reports / "factor_report.csv", newline="") as fh:
                 assert all(math.isfinite(float(row[3])) for row in list(csv.reader(fh))[1:])
 
