@@ -70,8 +70,8 @@ def check(obj, where: str = "") -> None:
     dataclass ``obj`` that does not hold its annotation (a ``T | None`` one
     may hold None; the config modules postpone annotations, so they are read
     as written), passes one of its bounds or is not one of its choices. Each
-    field is set to its value as stored, so that equal configs save alike."""
+    field is set to its value as stored, a frozen dataclass's too, so equal configs save alike."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
         if value is not None or kind == f.type:
-            setattr(obj, f.name, _check(where + f.name, value, kind, f.metadata))
+            object.__setattr__(obj, f.name, _check(where + f.name, value, kind, f.metadata))

@@ -40,6 +40,9 @@ class Vocab:
 
     labels: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        check(self)
+
     @classmethod
     def from_sequences(cls, sequences: Iterable[Sequence[str]]) -> "Vocab":
         return cls(labels=tuple(sorted({lab for seq in sequences for lab in seq})))
@@ -438,7 +441,7 @@ class SeqModel:
     def load(cls, path) -> "SeqModel":
         with FormatReader.open(path, "seqmodel v1") as reader:
             config = _json_line(reader, lambda values: LstmConfig(**values))
-            vocab = _json_line(reader, lambda labels: Vocab(labels=tuple(labels)))
+            vocab = _json_line(reader, Vocab)
             config.check_working_set(vocab.size)
             # the blocks save writes for this config and vocabulary, by name
             expected = sorted(_param_shapes(config, vocab.size).items())

@@ -34,8 +34,8 @@ _RIDGE_SCALE = 1e-12
 # the largest rank, sweep count and restart count AlsOptions accepts; the
 # stacked restarts of cp_als may hold at most MAX_WORKING_FLOATS floats of
 # factors, Grams and partial products, n_restarts * rank * (I + J + K + J*K +
-# rank). MAX_ITERS, 20 times the default, also bounds the iterations and fits
-# of a saved model
+# rank). They also bound a saved model: MAX_RANK its rank, and MAX_ITERS, 20
+# times the default, its iterations and fits
 MAX_RANK = 1000
 MAX_ITERS = 10_000
 MAX_RESTARTS = 100
@@ -280,25 +280,19 @@ def save_model(model: CpModel, path) -> None:
 
 def load_model(path) -> CpModel:
     with FormatReader.open(path, _MAGIC) as reader:
-        rank, = reader.integers("rank")
-        dims = tuple(reader.integers("dims", 3))
+        rank, = reader.integers("rank", ge=1, le=MAX_RANK)
+        dims = tuple(reader.integers("dims", 3, ge=1))
         fit = reader.fields("fit", 1)[0]
         # nan is the fit that a model assembled from known factors saves
         fit = math.nan if fit == "nan" else parse_floats(fit + "\n", 1, "cpmodel fit").dense().item()
-        iterations, = reader.integers("iterations")
-        if iterations > MAX_ITERS:
-            raise ValueError(f"cpmodel iterations must be in [0, {MAX_ITERS}], got {iterations}")
-        converged, = reader.integers("converged")
-        if converged not in (0, 1):
-            raise ValueError(f"cpmodel converged must be 0 or 1, got {converged}")
+        iterations, = reader.integers("iterations", le=MAX_ITERS)
+        converged, = reader.integers("converged", le=1)
         weights = parse_floats(" ".join(reader.fields("weights", rank)) + "\n", rank,
                                "cpmodel weights").dense()
         n_fits, *fit_values = reader.fields("fits")
-        n_fits = reader.integer("fits", n_fits)
+        n_fits = reader.integer("fits", n_fits, le=MAX_ITERS)
         if len(fit_values) != n_fits:
             raise ValueError(f"fits line declares {n_fits} values, has {len(fit_values)}")
-        if n_fits > MAX_ITERS:
-            raise ValueError(f"cpmodel fits holds {n_fits} values, past {MAX_ITERS}")
         fits = parse_floats(" ".join(fit_values) + "\n", n_fits, "cpmodel fits").dense()
         n_warn, = reader.integers("warnings")
         warnings = tuple(reader.line() for _ in range(n_warn))

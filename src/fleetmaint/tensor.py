@@ -21,6 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .knobs import _check
+
 AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 # the most entries a dense tensor, built or loaded, may hold, and the most
@@ -458,17 +460,17 @@ class FormatReader:
             raise ValueError(f"malformed {keyword} line {line!r}")
         return parts[1:]
 
-    @staticmethod
-    def integer(keyword: str, value: str) -> int:
+    def integer(self, keyword: str, value: str, **bounds) -> int:
         """A value of a ``keyword`` line read as a header integer: one or more
-        of the ASCII digits 0-9, and nothing else."""
+        of the ASCII digits 0-9, and nothing else, within the knobs ``bounds``
+        (``ge``, ``le``), checked as a config field named ``<kind> <keyword>``."""
         if not (value.isascii() and value.isdigit()):
             raise ValueError(f"{keyword} must be written in the digits 0-9, got {value!r}")
-        return int(value)
+        return _check(f"{self._kind} {keyword}", int(value), "int", bounds)
 
-    def integers(self, keyword: str, count: int = 1) -> list[int]:
+    def integers(self, keyword: str, count: int = 1, **bounds) -> list[int]:
         """The values of a ``keyword n1 n2 ...`` line of ``count`` header integers."""
-        return [self.integer(keyword, value) for value in self.fields(keyword, count)]
+        return [self.integer(keyword, value, **bounds) for value in self.fields(keyword, count)]
 
     def labels(self, dims) -> AxisLabels:
         """One verbatim label per line for each index of each axis, axis 1 first."""

@@ -1069,9 +1069,10 @@ def test_non_utf8_format_file_is_data_error(tensor_path, model_path, tmp_path, k
     assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
 
 
-@pytest.mark.parametrize("kind", ["tensor", "cp model", "seq model"])
+@pytest.mark.parametrize("kind", ["tensor", "cp model", "seq model", "seq vocab of integers",
+                                  "seq vocab as a string"])
 def test_format_file_content_error_names_the_file(tensor_path, model_path, tmp_path, kind):
-    source = {"tensor": tensor_path, "seq model": model_path}.get(kind, tmp_path / "cp.txt")
+    source = {"tensor": tensor_path, "cp model": tmp_path / "cp.txt"}.get(kind, model_path)
     if kind == "cp model":
         assert main(["parafac", "--tensor", str(tensor_path), "--rank", "2", "--max-iters", "5",
                      "--out", str(source)]) == 0
@@ -1084,7 +1085,14 @@ def test_format_file_content_error_names_the_file(tensor_path, model_path, tmp_p
     elif kind == "cp model":
         assert lines[5] == "converged 0"
         lines[5] = "converged 7"
-        message = "line 6: cpmodel converged must be 0 or 1, got 7"
+        message = "line 6: cpmodel converged must be <= 1, got 7"
+    elif kind == "seq vocab of integers":
+        lines[2] = json.dumps(list(range(len(json.loads(lines[2])))))
+        message = "line 3: malformed seqmodel config or vocab: labels[0] must be a string, got 0"
+    elif kind == "seq vocab as a string":
+        lines[2] = json.dumps("abcdefgh")
+        message = ("line 3: malformed seqmodel config or vocab: labels must be a list, "
+                   "got 'abcdefgh'")
     else:
         config = json.loads(lines[1])
         config["lr"] = -1.0
@@ -1095,13 +1103,24 @@ def test_format_file_content_error_names_the_file(tensor_path, model_path, tmp_p
     argv = {
         "tensor": ["parafac", "--tensor", str(bad), "--rank", "2", "--out", str(tmp_path / "m")],
         "cp model": ["report", "--model", str(bad), "--out", str(tmp_path / "rep")],
-        "seq model": ["predict", "--model", str(bad), "--prefix", "brakes"],
-    }[kind]
+    }.get(kind, ["predict", "--model", str(bad), "--prefix", "brakes"])
     proc = run_cli(*argv)
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == f"data-error: {bad}: {message}\n"
     assert not (tmp_path / "m").exists() and not (tmp_path / "rep").exists()
+
+
+def test_report_on_zero_dims_model_is_data_error(tmp_path):
+    # a consistent rank-1 model of a 0x0x0 tensor: no labels, empty factor blocks
+    model = tmp_path / "cp.txt"
+    model.write_text("cpmodel v1\nrank 1\ndims 0 0 0\nfit 0.5\niterations 1\nconverged 0\n"
+                     "weights 1.0\nfits 1 0.5\nwarnings 0\n")
+    proc = run_cli("report", "--model", str(model), "--out", str(tmp_path / "rep"))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == f"data-error: {model}: line 3: cpmodel dims must be >= 1, got 0\n"
+    assert not (tmp_path / "rep").exists()
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")

@@ -337,10 +337,11 @@ def check_file_outcome(code, err, path):
         assert len(errors) == 1 and str(path) in errors[0], err
 
 
-def tensor_edits():
-    """One to three (kind, where, which) edits, as ``edits`` draws them."""
+def tensor_edits(*extra):
+    """One to three (kind, where, which) edits, as ``edits`` draws them, of
+    the kinds ``mutate_tensor`` makes and the ``extra`` ones."""
     kinds = st.sampled_from(["flip", "truncate", "drop-line", "duplicate-line", "swap-lines",
-                             "number"])
+                             "number", *extra])
     edit = st.tuples(kinds, st.integers(0, 1 << 20), st.integers(0, 1 << 16))
     return st.lists(edit, min_size=1, max_size=3)
 
@@ -462,13 +463,28 @@ def test_mutated_cp_model(demo_models, edit_list):
                 assert all(map(math.isfinite, map(float, SVG_NUMBER.findall(svg.read_text()))))
 
 
+def swap_labels(data: bytes, edit_list) -> bytes:
+    """``data``, a seq model, with one item of its vocabulary line swapped for
+    a ``JSON_SWAPS`` value per ``label`` edit."""
+    lines = data.split(b"\n")
+    labels = json.loads(lines[2])
+    for kind, where, which in edit_list:
+        if kind == "label":
+            labels[where % len(labels)] = JSON_SWAPS[which % len(JSON_SWAPS)]
+    lines[2] = json.dumps(labels).encode()
+    return b"\n".join(lines)
+
+
 @FUZZ
-@given(edit_list=tensor_edits())
+@given(edit_list=tensor_edits("label"))
+# an integer label (seen as an internal error)
+@example(edit_list=[("label", 0, 0)])
 def test_mutated_seq_model(demo_models, edit_list):
+    data = swap_labels(demo_models["seq_model.txt"], edit_list)
+    others = [edit for edit in edit_list if edit[0] != "label"]
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "seq_model.txt"
-        model.write_bytes(mutate_tensor(demo_models["seq_model.txt"], 1, edit_list,
-                                        MODEL_NUMBERS))
+        model.write_bytes(mutate_tensor(data, 1, others, MODEL_NUMBERS))
         out = io.StringIO()
         code, err = run(["predict", "--model", str(model), "--prefix", "brakes"], out)
         check_file_outcome(code, err, model)

@@ -14,6 +14,7 @@ from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, pa
 from fleetmaint.parafac import (
     _DIRECT_FIT_ABOVE,
     MAX_ITERS,
+    MAX_RANK,
     AlsOptions,
     CpModel,
     cp_als,
@@ -498,18 +499,31 @@ class TestModelSerialization:
             load_model(path)
 
     @pytest.mark.parametrize("line, match", [
-        (f"iterations {MAX_ITERS + 1}", rf"iterations must be in \[0, {MAX_ITERS}\]"),
-        (f"fits {MAX_ITERS + 1}" + " 0.5" * (MAX_ITERS + 1), rf"fits holds {MAX_ITERS + 1} values"),
-    ], ids=["iterations", "fits"])
+        (f"iterations {MAX_ITERS + 1}",
+         rf"line 5: cpmodel iterations must be <= {MAX_ITERS}, got {MAX_ITERS + 1}$"),
+        (f"fits {MAX_ITERS + 1}" + " 0.5" * (MAX_ITERS + 1),
+         rf"line 8: cpmodel fits must be <= {MAX_ITERS}, got {MAX_ITERS + 1}$"),
+        (f"rank {MAX_RANK + 500}",
+         rf"line 2: cpmodel rank must be <= {MAX_RANK}, got {MAX_RANK + 500}$"),
+        # no edit: a consistent rank-1 model of a 0x0x0 tensor, with no
+        # labels and empty factor blocks
+        (None, r"line 3: cpmodel dims must be >= 1, got 0$"),
+    ], ids=["iterations", "fits", "rank", "dims"])
     def test_sweep_count_past_max_iters_rejected(self, tmp_path, line, match):
-        t = from_array(np.random.default_rng(5).random((2, 1, 2)))
+        """A header integer past the bound that cp_als or the format obeys is rejected."""
         path = tmp_path / "model.txt"
-        save_model(cp_als(t, AlsOptions(rank=1, seed=1, max_iters=3)), path)
-        lines = path.read_text().split("\n")
-        keyword = line.split()[0]
-        at = next(i for i, text in enumerate(lines) if text.startswith(keyword + " "))
-        lines[at] = line
-        path.write_text("\n".join(lines))
+        if line is None:
+            empty = np.zeros((0, 1))
+            save_model(CpModel(factors=(empty,) * 3, weights=np.ones(1), fit=0.5, iterations=1,
+                               converged=False, axis_labels=((), (), ()), fits=(0.5,)), path)
+        else:
+            t = from_array(np.random.default_rng(5).random((2, 1, 2)))
+            save_model(cp_als(t, AlsOptions(rank=1, seed=1, max_iters=3)), path)
+            lines = path.read_text().split("\n")
+            keyword = line.split()[0]
+            at = next(i for i, text in enumerate(lines) if text.startswith(keyword + " "))
+            lines[at] = line
+            path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match=match):
             load_model(path)
 
