@@ -8,6 +8,6 @@ next-job predictor evaluated by per-item perplexity.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor3, frob_norm, mttkrp
+from .tensor import Tensor3
 
-__all__ = ["Tensor3", "frob_norm", "mttkrp", "__version__"]
+__all__ = ["Tensor3", "__version__"]

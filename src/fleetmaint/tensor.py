@@ -4,7 +4,8 @@ Layout is fixed repo-wide: entries are row-major, the first axis slowest and
 the third fastest. A tensor holds its entries' flat positions and values (a
 coordinate tensor, Bader & Kolda 2007); the mttkrp kernels read one at most
 1/``_SPARSE_FILL`` full through its nonzeros, and any other through the (I,
-J*K) view of its dense C-contiguous float64 array. The mode-n unfolding they
+J*K) view of its dense C-contiguous float64 array. They are internal and
+check no argument: ``cp_als`` builds their stacks. The mode-n unfolding they
 are checked against (Kolda & Bader 2009) and the explicit ``unfold @
 khatri_rao`` reference live with the tests, in ``tests/oracles.py``.
 """
@@ -31,10 +32,8 @@ MAX_WORKING_FLOATS = 1 << 27
 
 
 def check_dims(dims) -> None:
-    """Raise ValueError unless the dims are positive and hold at most
-    ``MAX_WORKING_FLOATS`` entries, so the dense array may be built."""
-    if min(dims) < 1:
-        raise ValueError(f"Tensor3 dims must be positive, got {dims}")
+    """Raise ValueError unless the dims hold at most ``MAX_WORKING_FLOATS``
+    entries, so the dense array may be built."""
     if math.prod(dims) > MAX_WORKING_FLOATS:
         raise ValueError(f"a {'x'.join(map(str, dims))} tensor holds {math.prod(dims)} "
                          f"entries, past {MAX_WORKING_FLOATS}")
@@ -57,7 +56,7 @@ class Tensor3:
     axis_labels: AxisLabels
 
     def __post_init__(self) -> None:
-        dims = tuple(map(int, self.dims))
+        dims = _check("Tensor3 dims", self.dims, "tuple[int, ...]", {"ge": 1})
         check_dims(dims)
         pos = np.array(self.positions, dtype=np.int64)
         vals = np.array(self.values, dtype=np.float64)
@@ -157,19 +156,6 @@ def _segment_sums(table_t: np.ndarray, chunks: _Chunks, n: int) -> np.ndarray:
     return out
 
 
-def _stacks(names, factors, rows):
-    """The factors as C-contiguous float64 (S, rows, R) stacks of one S and R."""
-    stacks = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
-    first = stacks[0]
-    for name, f, n in zip(names, stacks, rows):
-        if f.ndim != 3:
-            raise ValueError(f"{name} must be a stack of matrices, got a {f.ndim}-D array")
-        expected = (first.shape[0], n, first.shape[2])
-        if f.shape != expected:
-            raise ValueError(f"{name} has shape {f.shape}, expected {expected}")
-    return stacks
-
-
 def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     """Matricized-tensor times Khatri-Rao product for the target mode, for a
     stack of S factor pairs at once, as CP-ALS passes its restarts.
@@ -184,13 +170,10 @@ def mttkrp(t: Tensor3, f1: np.ndarray, f2: np.ndarray, mode: int) -> np.ndarray:
     over i first (:func:`mttkrp_partial`) and finish with
     :func:`mttkrp_from_partial`.
     """
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    dims = t.dims
-    others = [d for m, d in enumerate(dims, start=1) if m != mode]
-    f1, f2 = _stacks(("f1", "f2"), (f1, f2), others)
+    f1, f2 = (np.ascontiguousarray(f, dtype=np.float64) for f in (f1, f2))
     if mode != 1:
         return mttkrp_from_partial(mttkrp_partial(t, f1), f2, mode)
+    dims = t.dims
     stack, rank = f1.shape[0], f1.shape[2]
     # row r, column j*K + k holds f1[j, r] * f2[k, r], matching the column
     # order of the C-contiguous (I, J*K) view; the product comes out r
@@ -213,7 +196,7 @@ def mttkrp_partial(t: Tensor3, a: np.ndarray) -> np.ndarray:
     mode-3 MTTKRPs share (a dimension tree, Phan et al. 2013). One GEMM, or
     for a tensor at most 1/32 full a sum over each column's nonzeros."""
     dims = t.dims
-    (a,) = _stacks(("a",), (a,), dims[:1])
+    a = np.ascontiguousarray(a, dtype=np.float64)
     stack, rank = a.shape[0], a.shape[2]
     nonzeros = t._nonzeros
     if nonzeros is not None:
@@ -509,7 +492,7 @@ def save_tensor(t: Tensor3, path) -> None:
 
 def load_tensor(path) -> Tensor3:
     with FormatReader.open(path, _MAGIC) as reader:
-        dims = tuple(reader.integers("dims", 3))
+        dims = tuple(reader.integers("dims", 3, ge=1))
         check_dims(dims)
         labels = reader.labels(dims)
         block = reader.floats(math.prod(dims), "values")

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fleetmaint
 from fleetmaint import tensor as tensor_module
 from fleetmaint.ingest import TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles
 from fleetmaint.synth import demo_spec, generate, month_labels
@@ -444,26 +445,6 @@ class TestStackedMttkrp:
                 assert got.shape == (stack, *want.shape)
                 assert got[s].tobytes() == want.tobytes()
 
-    def test_stack_mismatch(self):
-        t = from_array(np.ones((3, 4, 5)))
-        for f2 in (np.ones((3, 5, 2)), np.ones((2, 5, 3))):
-            with pytest.raises(ValueError, match=r"f2 has shape .*, expected \(2, 5, 2\)"):
-                mttkrp(t, np.ones((2, 4, 2)), f2, 1)
-        # a single matrix is rejected, not taken as a stack of one
-        with pytest.raises(ValueError, match="f2 must be a stack of matrices, got a 2-D array"):
-            mttkrp(t, np.ones((2, 4, 2)), np.ones((5, 2)), 1)
-        with pytest.raises(ValueError, match="f1 must be a stack of matrices, got a 2-D array"):
-            mttkrp(t, np.ones((3, 2)), np.ones((1, 4, 2)), 2)
-        with pytest.raises(ValueError, match="a must be a stack of matrices, got a 2-D array"):
-            mttkrp_partial(t, np.ones((3, 2)))
-        with pytest.raises(ValueError, match="a must be a stack of matrices, got a 1-D array"):
-            mttkrp_partial(t, np.ones(3))
-
-    def test_mode_out_of_range(self):
-        t = from_array(np.ones((3, 4, 5)))
-        with pytest.raises(ValueError, match="^mode must be 1, 2 or 3, got 4$"):
-            mttkrp(t, np.ones((1, 4, 2)), np.ones((1, 5, 2)), 4)
-
 
 class TestCpCompose:
     def test_single_component(self):
@@ -557,6 +538,24 @@ class TestTensor3Construction:
         # copied positions and values are 16 bytes for each of 2,007 entries
         assert peak < 100 * 80 * 250 // 8, peak
 
+    @pytest.mark.parametrize("dims, message", [
+        ((2.7, 1, 1), "Tensor3 dims[0] must be an integer, got 2.7"),
+        ((True, 1, 1), "Tensor3 dims[0] must be an integer, got True"),
+        ((0, 1, 1), "Tensor3 dims[0] must be >= 1, got 0"),
+        ((np.int64(2), 1, 1), None),
+    ], ids=["float", "bool", "zero", "numpy int"])
+    def test_dims_are_checked(self, dims, message):
+        labels = (("a", "b"), ("c",), ("d",))
+        if message is None:
+            t = Tensor3(dims, [0], [1.0], labels)
+            assert t.dims == (2, 1, 1) and all(type(n) is int for n in t.dims)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Tensor3(dims, [0], [1.0], labels)
+
+    def test_package_exports_only_tensor3(self):
+        assert fleetmaint.__all__ == ["Tensor3", "__version__"]
+
     @pytest.mark.parametrize("positions", [[0, 2, 2], [3, 1, 5], [-1, 0, 1], [0, 1, 8], [0, 1]],
                              ids=["repeated", "unsorted", "negative", "past the end", "short"])
     def test_positions_are_checked(self, positions):
@@ -598,7 +597,7 @@ class TestSerialization:
             load_tensor(path)
 
     @pytest.mark.parametrize("dims, message", [
-        ("0 1 1", "Tensor3 dims must be positive"),
+        ("0 1 1", "tensor3 dims must be >= 1, got 0"),
         # a product of two negative dims is a positive count
         ("-1 -1 1", "dims must be written in the digits 0-9, got '-1'"),
         ("-2 1 -2", "dims must be written in the digits 0-9, got '-2'"),
