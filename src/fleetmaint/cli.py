@@ -44,7 +44,7 @@ from .lstm import (
 )
 from .parafac import AlsOptions, cp_als, load_model, save_model
 from .report import export_component_reports
-from .seqmine import differential, extract_sequences, write_diff_csv
+from .seqmine import MineOptions, differential, extract_sequences, write_diff_csv
 from .synth import demo_spec, generate, month_labels, spec_from_json
 from .tensor import load_tensor, not_utf8, save_tensor
 
@@ -266,12 +266,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_seqmine(args) -> int:
-    if args.max_len < args.min_len:
-        raise ConfigError(f"--max-len {args.max_len} is below --min-len {args.min_len}")
+    opts = _from_flags(MineOptions, args)
     paths = args.vehicles, args.maintenance
     seqset = _sequences(*_load_tables(*paths)[:2])
-    patterns = _mine(paths, seqset, args.target, args.out, args.bonferroni,
-                     min_len=args.min_len, max_len=args.max_len, top_n=args.top_n)
+    patterns = _mine(paths, seqset, args.target, args.out, args.bonferroni, **vars(opts))
     print(f"wrote {args.out} patterns={len(patterns)}")
     return 0
 
@@ -445,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--target", required=True, help='target make/model, e.g. "DODGE CHARGER"')
-    p.add_argument("--min-len", type=_at_least(1), default=3)
-    p.add_argument("--max-len", type=_at_least(1), default=4)
-    p.add_argument("--top-n", type=_at_least(1), default=8)
+    _add_field_flags(p, MineOptions)
     p.add_argument("--bonferroni", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="append a Bonferroni-adjusted p column")
     p.add_argument("--out", required=True, help="CSV output path")

@@ -366,8 +366,9 @@ def build_tensor(
             if hi - lo >= MAX_WINDOW_MONTHS:
                 raise DataError(f"cannot infer window end: the latest job is more than "
                                 f"{MAX_WINDOW_MONTHS} months past the window start")
-        if hi < lo:
-            raise DataError("window end precedes window start")
+            if hi < lo:
+                raise DataError(f"cannot infer window end: the latest job, in {hi // 12:04d}-"
+                                f"{hi % 12 + 1:02d}, precedes the window start {spec.window_start}")
         labels = (month_labels(spec.window_start, hi - lo + 1) if step == 1
                   else [str(year) for year in range(lo // 12, hi // 12 + 1)])
         origin = lo

@@ -519,10 +519,10 @@ def train(
             ids, targets, mask = _pack_batch(group, vocab.eos)
             for _, ids_w, targets_w, mask_w, log_probs, caches, drop in _live_windows(
                     model.params, cfg, ids, targets, mask, rng):
-                loss = _chunk_loss(mask_w, targets_w, log_probs)
+                loss, items = _chunk_loss(mask_w, targets_w, log_probs), mask_w.sum()
                 _check_finite(loss, "loss", epoch, lr)
-                epoch_nll += loss * mask_w.sum()
-                epoch_items += int(mask_w.sum())
+                epoch_nll += loss * items
+                epoch_items += int(items)
                 grads = _backward_chunk(
                     model.params, cfg, ids_w, targets_w, mask_w, log_probs, caches, drop,
                     norm=float(cfg.batch_size * cfg.bptt_steps),
@@ -580,7 +580,7 @@ def unigram_baseline(train_seqs: list[Sequence[str]]) -> UnigramModel:
     return UnigramModel(vocab, np.log(probs))
 
 
-def predict_next(model: SeqModel, prefix: Sequence[str], top_k: int = 5) -> list[tuple[str, float]]:
+def predict_next(model: SeqModel, prefix: Sequence[str], top_k: int) -> list[tuple[str, float]]:
     """Ranked (label, probability) list for the next item after ``prefix``."""
     probs = model.next_distribution(prefix)
     order = np.lexsort((np.arange(probs.shape[0]), -probs))

@@ -16,12 +16,12 @@ import csv
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, encode_jobs
-from .ingest import normalize_make_model
+from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, encode_jobs, normalize_make_model
+from .knobs import check
 from .tensor import writing
 
 I_RATIO_CAP = 10000.0
@@ -47,6 +47,20 @@ class SequenceSet:
 
     def as_label_lists(self) -> list[list[str]]:
         return [[self.labels[i] for i in s.events] for s in self.sequences]
+
+
+@dataclass
+class MineOptions:
+    """Knobs for :func:`differential`: the pattern widths mined and how many patterns are kept."""
+
+    min_len: int = field(default=3, metadata=dict(ge=1))
+    max_len: int = field(default=4, metadata=dict(ge=1))
+    top_n: int = field(default=8, metadata=dict(ge=1))
+
+    def __post_init__(self) -> None:
+        check(self)
+        if self.max_len < self.min_len:
+            raise ValueError(f"max_len {self.max_len} is below min_len {self.min_len}")
 
 
 @dataclass
@@ -128,17 +142,11 @@ def two_prop_z(x1: int, n1: int, x2: int, n2: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def differential(
-    seqset: SequenceSet,
-    target_make_model: str,
-    min_len: int = 3,
-    max_len: int = 4,
-    top_n: int = 8,
-) -> list[DiffPattern]:
-    """Mine the target group's top patterns and contrast them with the rest.
-
-    Output is sorted by left support descending, then by pattern.
+def differential(seqset: SequenceSet, target_make_model: str, **options) -> list[DiffPattern]:
+    """Mine the target group's top patterns, by the :class:`MineOptions` ``options``, and
+    contrast them with the rest. Output is sorted by left support descending, then by pattern.
     """
+    opts = MineOptions(**options)
     target = normalize_make_model(target_make_model)
     left = [s for s in seqset.sequences if s.make_model == target]
     right = [s for s in seqset.sequences if s.make_model != target]
@@ -150,8 +158,8 @@ def differential(
     # one width at a time, up to the longest target sequence; ties go by label
     # indices, a total order, so this keeps the first top_n of the full sort
     mined: list = []
-    for width in range(min_len, min(max_len, max(map(len, left))) + 1):
-        mined = heapq.nsmallest(top_n, [*mined, *window_counts(left, width).items()],
+    for width in range(opts.min_len, min(opts.max_len, max(map(len, left))) + 1):
+        mined = heapq.nsmallest(opts.top_n, [*mined, *window_counts(left, width).items()],
                                 key=lambda kv: (-kv[1], kv[0]))
 
     # the rest is counted only for the mined patterns

@@ -18,6 +18,7 @@ from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
 from fleetmaint.lstm import LstmConfig, SeqModel, predict_next
 from fleetmaint.parafac import AlsOptions, load_model
+from fleetmaint.seqmine import MineOptions
 from fleetmaint.tensor import load_tensor
 
 
@@ -352,23 +353,28 @@ class TestTensorize:
         assert err == f"data-error: {paths[table]}: line 8: not UTF-8 text: invalid start byte\n"
         assert not (tmp_path / "t.txt").exists()
 
-    @pytest.mark.parametrize("end, code", [("2016-12", 0), ("2016-11", 2)],
-                             ids=["one month", "end before start"])
-    def test_one_month_window(self, fleet_dir, tmp_path, capsys, end, code):
+    @pytest.mark.parametrize("start, end, code", [
+        ("2016-12", "2016-12", 0), ("2016-12", "2016-11", 2), ("2030-01", None, 4),
+    ], ids=["one month", "end before start", "inferred end before start"])
+    def test_one_month_window(self, fleet_dir, tmp_path, capsys, start, end, code):
         out = tmp_path / "tensor.txt"
+        tables = fleet_dir / "vehicles.csv", fleet_dir / "maintenance.csv"
         assert main([
-            "tensorize",
-            "--vehicles", str(fleet_dir / "vehicles.csv"),
-            "--maintenance", str(fleet_dir / "maintenance.csv"),
-            "--window-start", "2016-12", "--window-end", end,
+            "tensorize", "--vehicles", str(tables[0]), "--maintenance", str(tables[1]),
+            "--window-start", start, *(["--window-end", end] if end else []),
             "--out", str(out),
         ]) == code
+        err = capsys.readouterr().err
         if code == 0:
             tensor = load_tensor(out)
             assert tensor.dims[2] == 1
             assert tensor.axis_labels[2] == ("2016-12",)
+        elif code == 2:
+            assert err.startswith("config-error:")
         else:
-            assert capsys.readouterr().err.startswith("config-error:")
+            assert err == (f"data-error: {tables[0]} and {tables[1]}: cannot infer window end: "
+                           "the latest job, in 2016-12, precedes the window start 2030-01\n")
+            assert not out.exists()
 
     def test_lifetime_mode(self, fleet_dir, tmp_path):
         out = tmp_path / "life.txt"
@@ -944,6 +950,8 @@ class TestTrainEvalPredict:
 TENSORIZE = ["tensorize", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "t.txt"]
 PARAFAC = ["parafac", "--tensor", "t.txt", "--out", "m.txt"]
 TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.txt"]
+SEQMINE = ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
+           "--out", "d.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -976,8 +984,8 @@ TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.t
     *([*TENSORIZE, "--window-end", value] for value in ("abc", "2015", "2015-1-1", "", "2015-00")),
     ["report", "--model", "m.txt", "--out", "rep", "--component", "abc"],
     ["report", "--model", "m.txt", "--out", "rep", "--component", "0"],
-    ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
-     "--out", "d.csv", "--min-len", "4", "--max-len", "3"],
+    [*SEQMINE, "--min-len", "4", "--max-len", "3"],
+    [*SEQMINE, "--top-n", "x"],
     ["synth", "--out", "fleet", "--seed", "-1"],
 ], ids=" ".join)
 def test_flag_out_of_range_is_config_error(tmp_path, monkeypatch, capsys, argv):
@@ -1007,7 +1015,8 @@ def just_outside(f):
 
 FIELD_FLAG_CASES = [
     ([*argv, f"--{f.metadata.get('flag', f.name).replace('_', '-')}", value], f.name)
-    for cls, argv in ((TensorizeSpec, TENSORIZE), (AlsOptions, PARAFAC), (LstmConfig, TRAIN))
+    for cls, argv in ((TensorizeSpec, TENSORIZE), (AlsOptions, PARAFAC), (MineOptions, SEQMINE),
+                      (LstmConfig, TRAIN))
     for f in dataclasses.fields(cls) if f.name != "seed"
     for value in just_outside(f)
 ]
@@ -1030,8 +1039,9 @@ def test_field_flag_just_outside_its_bound_is_config_error(tmp_path, monkeypatch
     (TensorizeSpec, TENSORIZE,
      {"lifetime_horizon_years": "horizon", "purchase_year_floor": "year_floor"}, ()),
     (AlsOptions, PARAFAC, {"n_restarts": "restarts"}, ("seed",)),
+    (MineOptions, SEQMINE, {}, ()),
     (LstmConfig, TRAIN, {}, ("seed",)),
-], ids=["tensorize", "parafac", "train"])
+], ids=["tensorize", "parafac", "seqmine", "train"])
 def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames, unpinned):
     args = build_parser().parse_args(argv)
     # --seed, on the commands with a randomized step, defaults to DEFAULT_SEED

@@ -45,6 +45,7 @@ from fleetmaint.ingest import TensorizeSpec
 from fleetmaint.knobs import BOUNDS
 from fleetmaint.lstm import LstmConfig, SeqModel
 from fleetmaint.parafac import AlsOptions, load_model
+from fleetmaint.seqmine import MineOptions
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -503,21 +504,18 @@ FLAG_SPELLINGS = ["0", "-0", "1e3", "1_0", "nan", "inf", " 5", "", str(2**70)]
 
 def numeric_flags():
     """(command, flag, field, type, bounds) of every numeric flag of tensorize,
-    parafac and train, from their config fields (``--seed`` among them for
-    parafac and train), and of seqmine and predict, whose bounds the parser
+    parafac, seqmine and train, from their config fields (``--seed`` among
+    them for parafac and train), and of predict, whose bounds the parser
     states; ``field`` names where the stubbed stage finds the value."""
     found = []
     for command, cls in (("tensorize", TensorizeSpec), ("parafac", AlsOptions),
-                         ("train", LstmConfig)):
+                         ("seqmine", MineOptions), ("train", LstmConfig)):
         for f in dataclasses.fields(cls):
             if f.type in ("int", "float"):
                 flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
                 bounds = {key: f.metadata[key] for key in BOUNDS if key in f.metadata}
                 found.append((command, flag, f.name, f.type, bounds))
-    found += [("seqmine", "--min-len", "min_len", "int", {"ge": 1}),
-              ("seqmine", "--max-len", "max_len", "int", {"ge": 1}),
-              ("seqmine", "--top-n", "top_n", "int", {"ge": 1}),
-              ("predict", "--top-k", "top_k", "int", {"ge": 1})]
+    found.append(("predict", "--top-k", "top_k", "int", {"ge": 1}))
     return found
 
 

@@ -655,8 +655,12 @@ class TestBuildTensor:
         build = build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2015-01"))
         assert build.tensor.axis_labels[2] == ("2015-01", "2015-02", "2015-03")
         assert build.discards == {"unknown_vehicle": 1, "below_purchase_year_floor": 1}
-        with pytest.raises(DataError, match="cannot infer window end"):
+        with pytest.raises(DataError, match="cannot infer window end: no maintenance records"):
             build_tensor(vehicles, maintenance[1:], TensorizeSpec(window_start="2015-01"))
+        # the kept jobs all precede the window: a discarded later one sets no end
+        with pytest.raises(DataError, match="^cannot infer window end: the latest job, in "
+                           "2015-03, precedes the window start 2030-01$"):
+            build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2030-01"))
 
     def test_inferred_window_spans_at_most_the_model_years(self, tmp_path):
         vehicles, maintenance = build_fixture(
@@ -775,8 +779,9 @@ def _time_axis_oracle(spec, records):
         if spec.window_end is None and hi - lo >= MAX_WINDOW_MONTHS:
             raise DataError(f"cannot infer window end: the latest job is more than "
                             f"{MAX_WINDOW_MONTHS} months past the window start")
-        if hi < lo:
-            raise DataError("window end precedes window start")
+        if spec.window_end is None and hi < lo:
+            raise DataError(f"cannot infer window end: the latest job, in {end_y:04d}-{end_m:02d}, "
+                            f"precedes the window start {spec.window_start}")
         if spec.granularity == "month":
             labels = [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(lo, hi + 1)]
 

@@ -201,6 +201,17 @@ class TestMineFrequent:
             names = [d.pattern for d in mined]
             assert names == [("a", "a", "a"), ("b", "b", "b")][:top_n]
 
+    @pytest.mark.parametrize("options, message", [
+        (dict(min_len=-2), "min_len must be >= 1, got -2"),
+        (dict(top_n=0), "top_n must be >= 1, got 0"),
+        (dict(min_len=4, max_len=3), "max_len 3 is below min_len 4"),
+    ])
+    def test_bad_options_name_the_field(self, options, message):
+        seqset = sequence_set_from_lists([["a", "b", "c", "a"], ["a", "b", "c"]],
+                                         make_models=["T ONE", "O TWO"])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            differential(seqset, "T ONE", **options)
+
     def test_empty_input(self):
         assert window_counts([], 3) == Counter()
 
