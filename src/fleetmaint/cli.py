@@ -13,35 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import signal
 import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
-from .ingest import (
-    DataError,
-    TensorizeSpec,
-    build_tensor,
-    normalize_system,
-    parse_maintenance,
-    parse_vehicles,
-    write_discard_summary,
-    write_json,
-)
-from .lstm import (
-    UNK_TOKEN,
-    LstmConfig,
-    SeqModel,
-    perplexity,
-    predict_next,
-    split_by_vehicle,
-    train as train_lstm,
-    unigram_baseline,
-)
+from . import __version__, stages
+
+# besides what the commands use, the names that perfbench's passes look up on
+# this module stay imported here until perfbench calls the stages
+from .ingest import (TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles,
+                     write_discard_summary, write_json)
+from .lstm import (LstmConfig, SeqModel, perplexity, predict_next, split_by_vehicle,
+                   unigram_baseline)
+from .lstm import train as train_lstm
 from .parafac import AlsOptions, cp_als, load_model, save_model
 from .report import export_component_reports
 from .seqmine import MineOptions, differential, extract_sequences, write_diff_csv
@@ -113,36 +99,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_tables(vehicles_path, maintenance_path):
-    """The vehicle and maintenance tables and the maintenance rows rejected,
-    whose count goes to stderr."""
-    vehicles = parse_vehicles(vehicles_path)
-    maintenance, rejects = parse_maintenance(maintenance_path)
-    if rejects:
-        print(f"note: {len(rejects)} rejected maintenance rows", file=sys.stderr)
-    return vehicles, maintenance, rejects
-
-
-def _sequences(vehicles, maintenance):
-    """The tables' sequence set; the count of maintenance rows whose vehicle
-    is unknown goes to stderr."""
-    seqset, unknown = extract_sequences(maintenance, vehicles)
-    if unknown:
-        print(f"note: {len(unknown)} maintenance rows had unknown vehicles", file=sys.stderr)
-    return seqset
-
-
-@contextmanager
-def _naming(*paths):
-    """A ValueError raised inside names the files it is about: the tensor a
-    fit rejects, or both job tables for what they hold together, such as no
-    job left to place or no group to mine."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(f"{' and '.join(map(str, paths))}: {exc}") from None
-
-
 def _add_field_flags(p, cls) -> None:
     """Add the flag of each field of the config dataclass ``cls`` but ``seed``,
     which add_common adds; _from_flags checks the values by building ``cls``."""
@@ -163,8 +119,7 @@ def _from_flags(cls, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations, and the stages that a subcommand and the
-# pipeline demo share: ``paths`` are the job tables, named in a data error
+# subcommand implementations: flags in, the stages of ``stages`` run, lines out
 # ---------------------------------------------------------------------------
 
 
@@ -178,66 +133,15 @@ def cmd_synth(args) -> int:
     else:
         spec = demo_spec(seed=args.seed)
     fleet = generate(spec, args.out)
-    print(f"wrote {fleet.vehicles_path}")
-    print(f"wrote {fleet.maintenance_path}")
-    print(f"wrote {fleet.manifest_path}")
+    for path in (fleet.vehicles_path, fleet.maintenance_path, fleet.manifest_path):
+        print(f"wrote {path}")
     return 0
-
-
-def _tensorize(paths, vehicles, maintenance, spec, out, discards):
-    """Build the job-count tensor and save it, with the discard summary if asked."""
-    with _naming(*paths):
-        build = build_tensor(vehicles, maintenance, spec)
-    save_tensor(build.tensor, out)
-    if discards:
-        write_discard_summary(build, discards)
-    return build
-
-
-def _factorize(path, tensor, opts, out):
-    """Fit the CP model of the tensor read from ``path``, save it and print its warnings."""
-    with _naming(path):
-        model = cp_als(tensor, opts)
-    save_model(model, out)
-    for warning in model.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return model
-
-
-def _mine(paths, seqset, target, out, bonferroni=False, **options):
-    """Mine ``target``'s differential patterns and write them to ``out``."""
-    with _naming(*paths):
-        patterns = differential(seqset, target, **options)
-    write_diff_csv(patterns, out, bonferroni=bonferroni)
-    return patterns
-
-
-def _train(paths, seqset, cfg, out):
-    """``seqset``'s label lists split by vehicle into train, valid and test
-    with ``cfg``'s seed, and the LSTM trained on them, saved to ``out``."""
-    with _naming(*paths):
-        splits = split_by_vehicle(seqset.as_label_lists(), seed=cfg.seed)
-    model = train_lstm(splits[0], splits[1], cfg)
-    model.save(out)
-    return model, splits
-
-
-def _perplexities(model, train_set, seqs) -> list[float]:
-    """The perplexities on ``seqs`` of ``model`` and of ``train_set``'s unigram
-    baseline; a nan or inf one is a data error, as JSON has no literal for it."""
-    values = [perplexity(scored, seqs) for scored in (model, unigram_baseline(train_set))]
-    for value in values:
-        if not math.isfinite(value):
-            raise DataError(f"the model's perplexity is not finite ({value}): "
-                            "its weights overflow the forward pass")
-    return values
 
 
 def cmd_tensorize(args) -> int:
     spec = _from_flags(TensorizeSpec, args)
-    paths = args.vehicles, args.maintenance
-    vehicles, maintenance, _ = _load_tables(*paths)
-    build = _tensorize(paths, vehicles, maintenance, spec, args.out, args.discards)
+    tables = stages.load(args.vehicles, args.maintenance)
+    build = stages.tensorize(tables, spec, args.out, args.discards)
     if args.discards:
         print(f"wrote {args.discards}")
     print(f"wrote {args.out} dims={build.tensor.dims} placed={build.placed}")
@@ -246,11 +150,9 @@ def cmd_tensorize(args) -> int:
 
 def cmd_parafac(args) -> int:
     opts = _from_flags(AlsOptions, args)
-    model = _factorize(args.tensor, load_tensor(args.tensor), opts, args.out)
-    print(
-        f"wrote {args.out} rank={model.rank} fit={model.fit:.6f} "
-        f"iterations={model.iterations} converged={model.converged}"
-    )
+    model = stages.factorize(args.tensor, load_tensor(args.tensor), opts, args.out)
+    print(f"wrote {args.out} rank={model.rank} fit={model.fit:.6f} "
+          f"iterations={model.iterations} converged={model.converged}")
     return 0
 
 
@@ -258,26 +160,22 @@ def cmd_report(args) -> int:
     model = load_model(args.model)
     if args.component is not None and args.component > model.rank:
         raise ConfigError(f"--component {args.component} is past the model's rank {model.rank}")
-    components = None if args.component is None else [args.component]
-    written = export_component_reports(model, args.out, components, svg=args.format != "csv")
-    for path in written:
+    for path in stages.report(model, args.out, args.component, svg=args.format != "csv"):
         print(f"wrote {path}")
     return 0
 
 
 def cmd_seqmine(args) -> int:
     opts = _from_flags(MineOptions, args)
-    paths = args.vehicles, args.maintenance
-    seqset = _sequences(*_load_tables(*paths)[:2])
-    patterns = _mine(paths, seqset, args.target, args.out, args.bonferroni, **vars(opts))
+    tables = stages.load(args.vehicles, args.maintenance)
+    patterns = stages.mine(tables, args.target, opts, args.out, args.bonferroni)
     print(f"wrote {args.out} patterns={len(patterns)}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _from_flags(LstmConfig, args)
-    paths = args.vehicles, args.maintenance
-    model, _ = _train(paths, _sequences(*_load_tables(*paths)[:2]), cfg, args.out)
+    model = stages.train(stages.load(args.vehicles, args.maintenance), cfg, args.out)
     best = min(model.history["valid_perplexity"])
     print(f"wrote {args.out} vocab={model.vocab.size} valid_perplexity={best}")
     return 0
@@ -285,49 +183,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = SeqModel.load(args.model)
-    paths = args.vehicles, args.maintenance
-    lists = _sequences(*_load_tables(*paths)[:2]).as_label_lists()
-    with _naming(*paths):
-        train_set, valid_set, test_set = split_by_vehicle(lists, seed=model.config.seed)
-    chosen = {"train": train_set, "valid": valid_set, "test": test_set, "all": lists}[args.split]
-    lstm_ppl, baseline_ppl = _perplexities(model, train_set, chosen)
-    payload = {
-        "split": args.split,
-        "sequences": len(chosen),
-        "lstm_perplexity": lstm_ppl,
-        "unigram_perplexity": baseline_ppl,
-    }
-    print(json.dumps(payload, sort_keys=True))
+    tables = stages.load(args.vehicles, args.maintenance)
+    chosen, lstm_ppl, baseline_ppl = stages.evaluate(model, tables, args.split)
+    print(json.dumps({"split": args.split, "sequences": len(chosen), "lstm_perplexity": lstm_ppl,
+                      "unigram_perplexity": baseline_ppl}, sort_keys=True))
     return 0
-
-
-def _prefix_labels(text: str, vocabulary: tuple[str, ...]) -> list[str]:
-    """The labels of a comma-separated prefix, each normalized like a System
-    Description; empty ones are dropped. Where consecutive pieces rejoin into
-    a vocabulary label that holds commas, the longest such run is one label."""
-    widest = 1 + max((label.count(",") for label in vocabulary), default=0)
-    pieces = text.split(",")
-    labels, i = [], 0
-    while i < len(pieces):
-        for j in range(min(len(pieces), i + widest), i, -1):
-            label = normalize_system(",".join(pieces[i:j]))
-            if j == i + 1 or label in vocabulary:
-                break
-        if label:
-            labels.append(label)
-        i = j
-    return labels
 
 
 def cmd_predict(args) -> int:
     model = SeqModel.load(args.model)
-    prefix = _prefix_labels(args.prefix, model.vocab.labels)
-    unknown = [label for label in dict.fromkeys(prefix) if label not in model.vocab.labels]
-    if unknown:
-        print(f"note: prefix labels read as {UNK_TOKEN}: {', '.join(map(repr, unknown))}",
-              file=sys.stderr)
-    ranked = predict_next(model, prefix, top_k=args.top_k)
-    for label, prob in ranked:
+    for label, prob in stages.predict(model, args.prefix, args.top_k):
         print(f"{prob:.6f}\t{label}")
     return 0
 
@@ -339,39 +204,27 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = demo_spec(seed=args.seed)
     fleet = generate(spec, out / "data")
-    paths = fleet.vehicles_path, fleet.maintenance_path
-    vehicles, maintenance, rejects = _load_tables(*paths)
+    tables = stages.load(fleet.vehicles_path, fleet.maintenance_path)
     labels = month_labels(spec.window_start, spec.months)
     tspec = TensorizeSpec(window_start=labels[0], window_end=labels[-1])
-    build = _tensorize(paths, vehicles, maintenance, tspec, out / "tensor.txt",
-                       out / "discards.json")
-    conserved = build.tensor.values.sum() + sum(build.discards.values()) == len(maintenance)
+    build = stages.tensorize(tables, tspec, out / "tensor.txt", out / "discards.json")
+    conserved = build.tensor.values.sum() + sum(build.discards.values()) == len(tables.maintenance)
     opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
-    cp_model = _factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt")
-    export_component_reports(cp_model, out / "reports")
-    seqset = _sequences(vehicles, maintenance)
-    patterns = _mine(paths, seqset, "DODGE CHARGER", out / "seqmine.csv", top_n=8)
+    cp_model = stages.factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt")
+    stages.report(cp_model, out / "reports")
+    patterns = stages.mine(tables, "DODGE CHARGER", MineOptions(top_n=8), out / "seqmine.csv")
     # a smaller, shorter run than the defaults
     cfg = LstmConfig(embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9, epochs=6,
                      lr_constant_epochs=4, seed=args.seed)
-    seq_model, (train_set, _, test_set) = _train(paths, seqset, cfg, out / "seq_model.txt")
-    lstm_ppl, baseline_ppl = _perplexities(seq_model, train_set, test_set)
-
+    seq_model = stages.train(tables, cfg, out / "seq_model.txt")
+    _, lstm_ppl, baseline_ppl = stages.evaluate(seq_model, tables, "test")
     metrics = {
-        "seed": args.seed,
-        "jobs": len(maintenance),
-        "rejected_rows": len(rejects),
-        "tensor_dims": list(build.tensor.dims),
-        "tensor_sum": build.tensor.values.sum(),
-        "discards": build.discards,
-        "conservation_ok": bool(conserved),
-        "cp_fit": cp_model.fit,
-        "cp_iterations": cp_model.iterations,
-        "cp_converged": cp_model.converged,
-        "top_pattern": list(patterns[0].pattern),
-        "top_pattern_i_ratio": patterns[0].i_ratio,
-        "top_pattern_p": patterns[0].p,
-        "lstm_test_perplexity": lstm_ppl,
+        "seed": args.seed, "jobs": len(tables.maintenance), "rejected_rows": len(tables.rejects),
+        "tensor_dims": list(build.tensor.dims), "tensor_sum": build.tensor.values.sum(),
+        "discards": build.discards, "conservation_ok": bool(conserved), "cp_fit": cp_model.fit,
+        "cp_iterations": cp_model.iterations, "cp_converged": cp_model.converged,
+        "top_pattern": list(patterns[0].pattern), "top_pattern_i_ratio": patterns[0].i_ratio,
+        "top_pattern_p": patterns[0].p, "lstm_test_perplexity": lstm_ppl,
         "unigram_test_perplexity": baseline_ppl,
         "lstm_beats_unigram": bool(lstm_ppl < baseline_ppl),
     }

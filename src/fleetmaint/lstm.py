@@ -84,7 +84,7 @@ MAX_BATCH_SIZE = 1 << 12
 MAX_EPOCHS = 1000
 # floats of the working set that LstmConfig.check_working_set bounds: 2 GiB,
 # which admits that model over its 10,000-word vocabulary (about 2.3e8)
-MAX_WORKING_FLOATS = 1 << 28
+MAX_TRAINING_FLOATS = 1 << 28
 EVAL_BATCH = 32  # least rows of an evaluation batch: wider ones ran no faster
 
 
@@ -118,14 +118,14 @@ class LstmConfig:
 
     def check_working_set(self, vocab_size: int) -> None:
         """Raise ValueError when training over ``vocab_size`` tokens, ``batch_size`` rows
-        a window, would hold more than ``MAX_WORKING_FLOATS`` floats (:meth:`_working_floats`)."""
+        a window, would hold more than ``MAX_TRAINING_FLOATS`` floats (:meth:`_working_floats`)."""
         fixed, per_row = self._working_floats(vocab_size)
         working = fixed + self.batch_size * per_row
-        if working > MAX_WORKING_FLOATS:
+        if working > MAX_TRAINING_FLOATS:
             raise ValueError(
                 f"a {self.layers}x{self.hidden_dim} LSTM with embed_dim {self.embed_dim} over "
                 f"{vocab_size} tokens needs {working} floats of parameters, gradients and "
-                f"caches, past {MAX_WORKING_FLOATS}"
+                f"caches, past {MAX_TRAINING_FLOATS}"
             )
 
     def lr_at_epoch(self, epoch: int) -> float:
@@ -393,7 +393,7 @@ class SeqModel:
         """
         cfg = self.config
         fixed, per_row = cfg._working_floats(self.vocab.size)
-        width = max(cfg.batch_size, min(EVAL_BATCH, (MAX_WORKING_FLOATS - fixed) // per_row))
+        width = max(cfg.batch_size, min(EVAL_BATCH, (MAX_TRAINING_FLOATS - fixed) // per_row))
         encoded = [self.vocab.encode(s) for s in seqs]
         order = np.argsort([s.shape[0] for s in encoded], kind="stable")
         seq_nll = np.zeros(len(encoded))

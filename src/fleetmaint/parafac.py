@@ -16,7 +16,7 @@ import numpy as np
 
 from .knobs import check
 from .tensor import (
-    MAX_WORKING_FLOATS,
+    MAX_TENSOR_FLOATS,
     AxisLabels,
     FloatBlock,
     FormatReader,
@@ -32,7 +32,7 @@ from .tensor import (
 
 _RIDGE_SCALE = 1e-12
 # the largest rank, sweep count and restart count AlsOptions accepts; the
-# stacked restarts of cp_als may hold at most MAX_WORKING_FLOATS floats of
+# stacked restarts of cp_als may hold at most MAX_TENSOR_FLOATS floats of
 # factors, Grams and partial products, n_restarts * rank * (I + J + K + J*K +
 # rank). They also bound a saved model: MAX_RANK its rank, and MAX_ITERS, 20
 # times the default, its iterations and fits
@@ -155,7 +155,7 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     Raises ValueError on a zero tensor, on one whose Frobenius norm is not
     finite (a nan or inf entry, or entries so large that the norm overflows)
     and when the restarts' working set, n_restarts * rank * (I + J + K + J*K
-    + rank) floats, passes ``MAX_WORKING_FLOATS``. A rank larger than all
+    + rank) floats, passes ``MAX_TENSOR_FLOATS``. A rank larger than all
     pairwise dimension products is permitted but flagged in ``model.warnings``.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
@@ -173,10 +173,10 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     dim_i, dim_j, dim_k = t.dims
     rank, n_restarts = opts.rank, opts.n_restarts
     working = n_restarts * rank * (dim_i + dim_j + dim_k + dim_j * dim_k + rank)
-    if working > MAX_WORKING_FLOATS:
+    if working > MAX_TENSOR_FLOATS:
         raise ValueError(
             f"{n_restarts} restarts at rank {rank} on a {dim_i}x{dim_j}x{dim_k} tensor need "
-            f"{working} floats of factors, Grams and partial products, past {MAX_WORKING_FLOATS}"
+            f"{working} floats of factors, Grams and partial products, past {MAX_TENSOR_FLOATS}"
         )
     warnings: list[str] = []
     if rank > dim_i * dim_j and rank > dim_j * dim_k and rank > dim_i * dim_k:

@@ -12,6 +12,7 @@ khatri_rao`` reference live with the tests, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
 import os
@@ -28,15 +29,15 @@ AxisLabels = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 # the most entries a dense tensor, built or loaded, may hold, and the most
 # floats of the CP-ALS working set: 2**27 floats are 1 GiB
-MAX_WORKING_FLOATS = 1 << 27
+MAX_TENSOR_FLOATS = 1 << 27
 
 
 def check_dims(dims) -> None:
-    """Raise ValueError unless the dims hold at most ``MAX_WORKING_FLOATS``
+    """Raise ValueError unless the dims hold at most ``MAX_TENSOR_FLOATS``
     entries, so the dense array may be built."""
-    if math.prod(dims) > MAX_WORKING_FLOATS:
+    if math.prod(dims) > MAX_TENSOR_FLOATS:
         raise ValueError(f"a {'x'.join(map(str, dims))} tensor holds {math.prod(dims)} "
-                         f"entries, past {MAX_WORKING_FLOATS}")
+                         f"entries, past {MAX_TENSOR_FLOATS}")
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,20 @@ def writing(path):
         if isinstance(exc, OSError):
             exc.filename = str(path)
         raise
+
+
+def check_targets(*paths) -> None:
+    """Raise the OSError that :func:`writing` raises for a path that is a directory
+    or whose parent is not one, so a command can check its paths before it writes any."""
+    for path in map(str, paths):
+        target = os.path.realpath(path)
+        try:  # os.stat raises for a parent that is missing or under a file
+            if os.path.isdir(target) or not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
+                code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR
+                raise OSError(code, os.strerror(code))
+        except OSError as exc:
+            exc.filename = path
+            raise
 
 
 class FormatReader:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetmaint import lstm
+from fleetmaint import cli, lstm
 from fleetmaint import tensor as tensor_module
 from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
@@ -262,6 +263,26 @@ class TestTensorize:
         payload = json.loads(discards.read_text())
         assert payload["placed"] == tensor.data.sum()
 
+    @pytest.mark.parametrize("directory", ["discards", "out"])
+    def test_a_directory_target_leaves_the_other_as_it_was(self, fleet_dir, tmp_path, capsys,
+                                                           directory):
+        # both targets are checked before either is written
+        paths = {"out": tmp_path / "tensor.txt", "discards": tmp_path / "discards.json"}
+        paths[directory].mkdir()
+        other = paths["out" if directory == "discards" else "discards"]
+        other.write_text("earlier\n")
+        code = main([
+            "tensorize",
+            "--vehicles", str(fleet_dir / "vehicles.csv"),
+            "--maintenance", str(fleet_dir / "maintenance.csv"),
+            "--out", str(paths["out"]), "--discards", str(paths["discards"]),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"io-error: [Errno 21] Is a directory: '{paths[directory]}'\n")
+        assert other.read_text() == "earlier\n"
+        assert sorted(os.listdir(tmp_path)) == ["discards.json", "tensor.txt"]
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main([
             "tensorize", "--vehicles", str(tmp_path / "nope.csv"),
@@ -314,7 +335,7 @@ class TestTensorize:
         dims = load_tensor(out).dims
         out.unlink()
         capsys.readouterr()
-        monkeypatch.setattr(tensor_module, "MAX_WORKING_FLOATS", math.prod(dims) + spare)
+        monkeypatch.setattr(tensor_module, "MAX_TENSOR_FLOATS", math.prod(dims) + spare)
         if spare == 0:
             assert main(argv) == 0
             assert load_tensor(out).dims == dims
@@ -328,7 +349,7 @@ class TestTensorize:
     def test_tensor_file_past_the_bound_is_data_error(self, tensor_path, tmp_path, capsys,
                                                       monkeypatch):
         dims = load_tensor(tensor_path).dims
-        monkeypatch.setattr(tensor_module, "MAX_WORKING_FLOATS", math.prod(dims) - 1)
+        monkeypatch.setattr(tensor_module, "MAX_TENSOR_FLOATS", math.prod(dims) - 1)
         code = main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")])
         assert code == 4
         assert capsys.readouterr().err == (
@@ -843,7 +864,7 @@ class TestTrainEvalPredict:
 
     def test_epochs_past_the_cap(self, fleet_dir, model_path, tmp_path, capsys, monkeypatch):
         # a config error before any table is read; in a model file, a data error
-        monkeypatch.setattr("fleetmaint.cli._load_tables", None)
+        monkeypatch.setattr("fleetmaint.stages.load", None)
         out = tmp_path / "m.txt"
         code = main([
             "train",
@@ -1237,16 +1258,16 @@ def test_full_disk_is_one_io_error_line(tensor_path):
 
 
 @pytest.mark.parametrize("name, exc, code, line", [
-    ("cp_als", KeyboardInterrupt, 130, "interrupted"),
-    ("cmd_parafac", RuntimeError("boom"), 1, "internal-error: boom"),
-    ("cmd_parafac", MemoryError(), 1, "internal-error: MemoryError"),
+    ("stages.cp_als", KeyboardInterrupt, 130, "interrupted"),
+    ("cli.cmd_parafac", RuntimeError("boom"), 1, "internal-error: boom"),
+    ("cli.cmd_parafac", MemoryError(), 1, "internal-error: MemoryError"),
 ], ids=["interrupt inside a stage", "last-resort guard", "last-resort guard, empty text"])
 def test_uncategorized_exception_is_one_line(tensor_path, tmp_path, capsys, monkeypatch,
                                              name, exc, code, line):
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr(f"fleetmaint.cli.{name}", fail)
+    monkeypatch.setattr(f"fleetmaint.{name}", fail)
     assert main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")]) == code
     assert capsys.readouterr().err == line + "\n"
     assert not (tmp_path / "m").exists()
@@ -1294,7 +1315,7 @@ def test_sigterm_is_an_interrupt(tensor_path, tmp_path, capsys, monkeypatch):
     def outer(*args):
         pass
 
-    monkeypatch.setattr("fleetmaint.cli.cp_als", terminated)
+    monkeypatch.setattr("fleetmaint.stages.cp_als", terminated)
     previous = signal.signal(signal.SIGTERM, outer)
     try:
         code = main(["parafac", "--tensor", str(tensor_path), "--out", str(tmp_path / "m")])
@@ -1351,12 +1372,56 @@ def test_help_is_pinned(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == help_pins()[argv]
 
 
+def test_perfbench_names_resolve_on_cli():
+    # perfbench's passes look up every package name they call on fleetmaint.cli
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    names = {node.attr for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "cli"}
+    assert names
+    assert [name for name in sorted(names) if not hasattr(cli, name)] == []
+
+
 def test_help_pins_cover_every_parser():
     commands = build_parser()._subparsers._group_actions[0].choices
     assert list(help_pins()) == ["--help"] + [f"{name} --help" for name in commands]
 
 
 class TestPipeline:
+    def test_subcommand_chain_writes_what_pipeline_writes(self, tmp_path, monkeypatch, capsys):
+        # the subcommands, run on the pipeline's tables with its settings,
+        # write its artifacts into chain/, the working directory
+        run, chain = tmp_path / "run", tmp_path / "chain"
+        assert main(["pipeline", "--demo", "--seed", "1234", "--out", str(run)]) == 0
+        chain.mkdir()
+        monkeypatch.chdir(chain)
+        tables = ["--vehicles", str(run / "data" / "vehicles.csv"),
+                  "--maintenance", str(run / "data" / "maintenance.csv")]
+        for argv in (
+            ["tensorize", *tables, "--window-start", "2013-01", "--window-end", "2016-12",
+             "--out", "tensor.txt", "--discards", "discards.json"],
+            ["parafac", "--tensor", "tensor.txt", "--rank", "5", "--max-iters", "300",
+             "--tol", "1e-8", "--restarts", "2", "--seed", "1234", "--out", "cp_model.txt"],
+            ["report", "--model", "cp_model.txt", "--out", "reports"],
+            ["seqmine", *tables, "--target", "DODGE CHARGER", "--top-n", "8",
+             "--out", "seqmine.csv"],
+            ["train", *tables, "--embed-dim", "16", "--hidden-dim", "32", "--layers", "1",
+             "--dropout-keep", "0.9", "--epochs", "6", "--lr-constant-epochs", "4",
+             "--seed", "1234", "--out", "seq_model.txt"],
+        ):
+            assert main(argv) == 0, argv
+        reports = sorted(p.name for p in (run / "reports").iterdir())
+        assert sorted(p.name for p in (chain / "reports").iterdir()) == reports
+        for name in ["tensor.txt", "discards.json", "cp_model.txt", "seqmine.csv",
+                     "seq_model.txt", *(f"reports/{report}" for report in reports)]:
+            assert (chain / name).read_bytes() == (run / name).read_bytes(), name
+        capsys.readouterr()
+        assert main(["eval", "--model", "seq_model.txt", *tables, "--split", "test"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert (payload["lstm_perplexity"], payload["unigram_perplexity"]) == (
+            metrics["lstm_test_perplexity"], metrics["unigram_test_perplexity"])
+
     def test_demo_smoke(self, tmp_path):
         code = main(["pipeline", "--demo", "--out", str(tmp_path / "run"), "--seed", "99"])
         assert code == 0

@@ -39,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fleetmaint import cli
+from fleetmaint import stages
 from fleetmaint.cli import main
 from fleetmaint.ingest import TensorizeSpec
 from fleetmaint.knobs import BOUNDS
@@ -544,7 +544,7 @@ def test_numeric_flag_values(flag_runs, monkeypatch, command, flag, name, kind, 
     cp_model = load_model(out / "cp_model.txt")
     seq_model = SeqModel.load(out / "seq_model.txt")
     seq_model.history = {"train_loss": [], "valid_perplexity": []}
-    real_build = cli.build_tensor
+    real_build = stages.build_tensor
 
     def build_tensor(vehicles, maintenance, spec):
         seen.update(vars(spec))
@@ -557,11 +557,11 @@ def test_numeric_flag_values(flag_runs, monkeypatch, command, flag, name, kind, 
             return result
         return stage
 
-    monkeypatch.setattr(cli, "build_tensor", build_tensor)
-    monkeypatch.setattr(cli, "cp_als", stub(cp_model, lambda tensor, opts: vars(opts)))
-    monkeypatch.setattr(cli, "train_lstm", stub(seq_model, lambda train, valid, cfg: vars(cfg)))
-    monkeypatch.setattr(cli, "differential", stub([], lambda seqset, target, **options: options))
-    monkeypatch.setattr(cli, "predict_next",
+    monkeypatch.setattr(stages, "build_tensor", build_tensor)
+    monkeypatch.setattr(stages, "cp_als", stub(cp_model, lambda tensor, opts: vars(opts)))
+    monkeypatch.setattr(stages, "train_lstm", stub(seq_model, lambda train, valid, cfg: vars(cfg)))
+    monkeypatch.setattr(stages, "differential", stub([], lambda seqset, target, **options: options))
+    monkeypatch.setattr(stages, "predict_next",
                         stub([("x", 0.5)], lambda model, prefix, top_k: {"top_k": top_k}))
     spellings = FLAG_SPELLINGS + [str(bound + step) for bound in bounds.values()
                                   for step in (-1, 1)]

@@ -818,7 +818,7 @@ class TestEvaluationWidth:
         assert widths == [32, 8]
         # the config is admitted at batch 3, where a window of 4 rows would not fit
         fixed, per_row = cfg._working_floats(vocab.size)
-        monkeypatch.setattr(lstm, "MAX_WORKING_FLOATS", fixed + 3 * per_row)
+        monkeypatch.setattr(lstm, "MAX_TRAINING_FLOATS", fixed + 3 * per_row)
         cfg.check_working_set(vocab.size)
         widths.clear()
         model.nll([list("ab")] * 10)

@@ -219,9 +219,9 @@ class TestCpAls:
             cp_als(t, AlsOptions(rank=1000, n_restarts=100, max_iters=1))
         opts = AlsOptions(rank=3, n_restarts=2, max_iters=1)
         working = 2 * 3 * (2 + 40 + 40 + 40 * 40 + 3)
-        with mock.patch.object(parafac_module, "MAX_WORKING_FLOATS", working):
+        with mock.patch.object(parafac_module, "MAX_TENSOR_FLOATS", working):
             cp_als(t, opts)
-        with mock.patch.object(parafac_module, "MAX_WORKING_FLOATS", working - 1), \
+        with mock.patch.object(parafac_module, "MAX_TENSOR_FLOATS", working - 1), \
                 pytest.raises(ValueError, match=f"need {working} floats"):
             cp_als(t, opts)
 

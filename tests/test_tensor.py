@@ -21,6 +21,7 @@ from fleetmaint.tensor import (
     FloatBlock,
     FormatReader,
     Tensor3,
+    check_targets,
     frob_norm,
     load_tensor,
     mttkrp,
@@ -970,6 +971,31 @@ class TestWriting:
         with pytest.raises(FileNotFoundError, match=f"No such file or directory: '{path}'$"):
             with writing(path):
                 pass
+
+    @pytest.mark.parametrize("name", ["dir", "dir-link", "missing/a.txt", "file/a.txt",
+                                      "file/sub/a.txt"])
+    def test_check_targets_raises_what_writing_raises(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("dir")
+        os.symlink("dir", "dir-link")
+        with open("file", "w") as fh:
+            fh.write("x")
+        with pytest.raises(OSError) as written:
+            with writing(name):
+                pass
+        with pytest.raises(OSError) as checked:
+            check_targets("ok.txt", name)
+        assert (type(checked.value), str(checked.value)) == (type(written.value),
+                                                             str(written.value))
+        assert sorted(os.listdir()) == ["dir", "dir-link", "file"]
+
+    @pytest.mark.parametrize("name", ["new.txt", "file", "file-link", "/dev/null"])
+    def test_check_targets_passes_what_writing_writes(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        with open("file", "w") as fh:
+            fh.write("x")
+        os.symlink("file", "file-link")
+        check_targets(name, tmp_path / name)
 
 
 class TestWriteFloats:
