@@ -32,7 +32,7 @@ from .parafac import AlsOptions, cp_als, load_model, save_model
 from .report import export_component_reports
 from .seqmine import MineOptions, differential, extract_sequences, write_diff_csv
 from .synth import demo_spec, generate, month_labels, spec_from_json
-from .tensor import load_tensor, not_utf8, save_tensor
+from .tensor import check_target, load_tensor, not_utf8, save_tensor
 
 DEFAULT_SEED = 1234
 
@@ -140,6 +140,8 @@ def cmd_synth(args) -> int:
 
 def cmd_tensorize(args) -> int:
     spec = _from_flags(TensorizeSpec, args)
+    if args.discards and Path(args.discards).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--out and --discards name the same file: {args.out!r}")
     tables = stages.load(args.vehicles, args.maintenance)
     build = stages.tensorize(tables, spec, args.out, args.discards)
     if args.discards:
@@ -271,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     _add_field_flags(p, TensorizeSpec)
-    p.add_argument("--out", required=True, help="tensor output path")
-    p.add_argument("--discards", default=None, help="discard summary JSON path")
+    p.add_argument("--out", required=True, type=check_target, help="tensor output path")
+    p.add_argument("--discards", default=None, type=check_target, help="discard summary JSON path")
     add_common(p)
     p.set_defaults(func=cmd_tensorize)
 
     p = sub.add_parser("parafac", help="CP-ALS factorization of a tensor file")
     p.add_argument("--tensor", required=True)
     _add_field_flags(p, AlsOptions)
-    p.add_argument("--out", required=True, help="model output path")
+    p.add_argument("--out", required=True, type=check_target, help="model output path")
     add_common(p, seeded=p)
     p.set_defaults(func=cmd_parafac)
 
@@ -299,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, MineOptions)
     p.add_argument("--bonferroni", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="append a Bonferroni-adjusted p column")
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", required=True, type=check_target, help="CSV output path")
     add_common(p)
     p.set_defaults(func=cmd_seqmine)
 
     p = sub.add_parser("train", help="train the LSTM next-job model")
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
-    p.add_argument("--out", required=True, help="model output path")
+    p.add_argument("--out", required=True, type=check_target, help="model output path")
     _add_field_flags(p, LstmConfig)
     add_common(p, seeded=p)
     p.set_defaults(func=cmd_train)

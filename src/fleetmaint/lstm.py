@@ -86,6 +86,8 @@ MAX_EPOCHS = 1000
 # which admits that model over its 10,000-word vocabulary (about 2.3e8)
 MAX_TRAINING_FLOATS = 1 << 28
 EVAL_BATCH = 32  # least rows of an evaluation batch: wider ones ran no faster
+_MAGIC = "seqmodel v1"
+_VALUES_PER_LINE = 8
 
 
 @dataclass
@@ -427,19 +429,17 @@ class SeqModel:
 
     def save(self, path) -> None:
         with writing(path) as fh:
-            fh.write("seqmodel v1\n")
+            fh.write(_MAGIC + "\n")
             fh.write(json.dumps(asdict(self.config), sort_keys=True) + "\n")
             fh.write(json.dumps(list(self.vocab.labels)) + "\n")
             fh.write(f"blocks {len(self.params)}\n")
-            for name in sorted(self.params):
-                arr = self.params[name]
-                dims = " ".join(str(d) for d in arr.shape)
-                fh.write(f"block {name} {arr.ndim} {dims}\n")
-                write_floats(fh, FloatBlock.of(arr), 8)
+            for name, arr in sorted(self.params.items()):
+                fh.write(f"block {name} {arr.ndim} {' '.join(map(str, arr.shape))}\n")
+                write_floats(fh, FloatBlock.of(arr), _VALUES_PER_LINE)
 
     @classmethod
     def load(cls, path) -> "SeqModel":
-        with FormatReader.open(path, "seqmodel v1") as reader:
+        with FormatReader.open(path, _MAGIC) as reader:
             config = _json_line(reader, lambda values: LstmConfig(**values))
             vocab = _json_line(reader, Vocab)
             config.check_working_set(vocab.size)
@@ -455,8 +455,8 @@ class SeqModel:
                 if header != [name, str(len(shape)), *map(str, shape)]:
                     raise ValueError(f"seqmodel block line {' '.join(header)!r} does not match "
                                      f"the config and vocabulary, which need block {name} {shape}")
-                count = math.prod(shape)
-                params[name] = reader.floats(count, f"block {name}", 8).dense().reshape(shape)
+                block = reader.floats(math.prod(shape), f"block {name}", _VALUES_PER_LINE)
+                params[name] = block.dense().reshape(shape)
             reader.end()
             return cls(vocab=vocab, config=config, params=params)
 

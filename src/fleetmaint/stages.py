@@ -17,7 +17,7 @@ from .lstm import train as train_lstm
 from .parafac import cp_als, save_model
 from .report import export_component_reports
 from .seqmine import differential, extract_sequences, write_diff_csv
-from .tensor import check_targets, save_tensor
+from .tensor import save_tensor
 
 
 @contextmanager
@@ -63,10 +63,9 @@ def load(vehicles_path, maintenance_path) -> Tables:
 
 
 def tensorize(tables: Tables, spec, out, discards=None):
-    """Save the job-count tensor, and the discard summary if asked, once both paths pass."""
+    """Save the job-count tensor, and the discard summary if asked."""
     with _naming(*tables.paths):
         build = build_tensor(tables.vehicles, tables.maintenance, spec)
-    check_targets(out, *[discards] if discards else [])
     save_tensor(build.tensor, out)
     if discards:
         write_discard_summary(build, discards)

@@ -393,18 +393,18 @@ def writing(path):
         raise
 
 
-def check_targets(*paths) -> None:
-    """Raise the OSError that :func:`writing` raises for a path that is a directory
-    or whose parent is not one, so a command can check its paths before it writes any."""
-    for path in map(str, paths):
-        target = os.path.realpath(path)
-        try:  # os.stat raises for a parent that is missing or under a file
-            if os.path.isdir(target) or not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
-                code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR
-                raise OSError(code, os.strerror(code))
-        except OSError as exc:
-            exc.filename = path
-            raise
+def check_target(path):
+    """Return ``path``, or raise the OSError :func:`writing` raises for a directory or a path
+    whose parent is not one; the type of each output flag, checked before any input is read."""
+    target = os.path.realpath(path)
+    try:  # os.stat raises for a parent that is missing or under a file
+        if os.path.isdir(target) or not stat.S_ISDIR(os.stat(os.path.dirname(target)).st_mode):
+            code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR
+            raise OSError(code, os.strerror(code))
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    return path
 
 
 class FormatReader:

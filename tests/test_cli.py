@@ -283,6 +283,22 @@ class TestTensorize:
         assert other.read_text() == "earlier\n"
         assert sorted(os.listdir(tmp_path)) == ["discards.json", "tensor.txt"]
 
+    @pytest.mark.parametrize("discards", ["t.txt", "./t.txt", "link.txt", "{tmp}/t.txt"])
+    def test_one_file_as_both_targets_is_config_error(self, fleet_dir, tmp_path, monkeypatch,
+                                                     capsys, discards):
+        # refused before either is written: the discard summary would replace the tensor
+        monkeypatch.chdir(tmp_path)
+        Path("t.txt").write_text("earlier\n")
+        os.symlink("t.txt", "link.txt")
+        code = main(["tensorize", "--vehicles", str(fleet_dir / "vehicles.csv"),
+                     "--maintenance", str(fleet_dir / "maintenance.csv"),
+                     "--out", "t.txt", "--discards", discards.format(tmp=tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config-error: --out and --discards name the same file: 't.txt'\n")
+        assert sorted(os.listdir()) == ["link.txt", "t.txt"]
+        assert Path("t.txt").read_text() == "earlier\n"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main([
             "tensorize", "--vehicles", str(tmp_path / "nope.csv"),
@@ -1304,6 +1320,35 @@ def test_failed_rewrite_leaves_the_earlier_artifact(fleet_dir, tmp_path, capsys,
     assert capsys.readouterr().err == line.format(path=path) + "\n"
     assert path.read_bytes() == earlier
     assert os.listdir(tmp_path) == ["tensor.txt"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tensorize", "--out"), ("tensorize", "--discards"), ("parafac", "--out"),
+    ("seqmine", "--out"), ("train", "--out"),
+])
+def test_a_target_fails_before_any_input_is_read(tmp_path, capsys, command, flag):
+    # every input is missing, so an error that names the target was raised first
+    missing = str(tmp_path / "missing.csv")
+    tables = ["--vehicles", missing, "--maintenance", missing]
+    inputs = {"tensorize": tables, "parafac": ["--tensor", missing],
+              "seqmine": [*tables, "--target", "DODGE CHARGER"], "train": tables}[command]
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    targets = {"--out": str(tmp_path / "out.txt"), flag: str(directory)}
+    assert main([command, *inputs, *(arg for item in targets.items() for arg in item)]) == 3
+    assert capsys.readouterr().err == f"io-error: [Errno 21] Is a directory: '{directory}'\n"
+    assert os.listdir(tmp_path) == ["dir"] and os.listdir(directory) == []
+
+
+def test_train_to_a_directory_fails_before_training(fleet_dir, tmp_path, capsys, monkeypatch):
+    def trained(*args):
+        raise AssertionError("train ran before its target was checked")
+
+    monkeypatch.setattr("fleetmaint.stages.train_lstm", trained)
+    assert main(["train", "--vehicles", str(fleet_dir / "vehicles.csv"),
+                 "--maintenance", str(fleet_dir / "maintenance.csv"), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr() == ("", f"io-error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_sigterm_is_an_interrupt(tensor_path, tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import stat
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from fleetmaint.tensor import (
     FloatBlock,
     FormatReader,
     Tensor3,
-    check_targets,
+    check_target,
     frob_norm,
     load_tensor,
     mttkrp,
@@ -974,28 +975,33 @@ class TestWriting:
 
     @pytest.mark.parametrize("name", ["dir", "dir-link", "missing/a.txt", "file/a.txt",
                                       "file/sub/a.txt"])
-    def test_check_targets_raises_what_writing_raises(self, tmp_path, monkeypatch, name):
+    @pytest.mark.parametrize("as_path", [False, True], ids=["str", "Path"])
+    def test_check_target_raises_what_writing_raises(self, tmp_path, monkeypatch, name, as_path):
         monkeypatch.chdir(tmp_path)
         os.mkdir("dir")
         os.symlink("dir", "dir-link")
         with open("file", "w") as fh:
             fh.write("x")
+        target = Path(name) if as_path else name
         with pytest.raises(OSError) as written:
-            with writing(name):
+            with writing(target):
                 pass
         with pytest.raises(OSError) as checked:
-            check_targets("ok.txt", name)
+            check_target(target)
         assert (type(checked.value), str(checked.value)) == (type(written.value),
                                                              str(written.value))
+        assert checked.value.filename == name
         assert sorted(os.listdir()) == ["dir", "dir-link", "file"]
 
     @pytest.mark.parametrize("name", ["new.txt", "file", "file-link", "/dev/null"])
-    def test_check_targets_passes_what_writing_writes(self, tmp_path, monkeypatch, name):
+    def test_check_target_passes_what_writing_writes(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
         with open("file", "w") as fh:
             fh.write("x")
         os.symlink("file", "file-link")
-        check_targets(name, tmp_path / name)
+        for target in (name, tmp_path / name):
+            assert check_target(target) is target
+        assert sorted(os.listdir()) == ["file", "file-link"]
 
 
 class TestWriteFloats:
