@@ -152,10 +152,10 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
     iteration count are bit-identical to running it alone. The model is the
     restart with the best final fit, the first one on a tie.
 
-    Raises ValueError on a zero tensor, on one whose Frobenius norm is not
-    finite (a nan or inf entry, or entries so large that the norm overflows)
-    and when the restarts' working set, n_restarts * rank * (I + J + K + J*K
-    + rank) floats, passes ``MAX_TENSOR_FLOATS``. A rank larger than all
+    Raises ValueError on a zero tensor, on one whose Frobenius norm
+    overflows float64 (``Tensor3`` holds only finite entries) and when the
+    restarts' working set, n_restarts * rank * (I + J + K + J*K + rank)
+    floats, passes ``MAX_TENSOR_FLOATS``. A rank larger than all
     pairwise dimension products is permitted but flagged in ``model.warnings``.
     """
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
@@ -165,9 +165,7 @@ def cp_als(t: Tensor3, opts: AlsOptions) -> CpModel:
         exact = square < 2**53 and bool((np.trunc(t.values) == t.values).all())
         norm_t = math.sqrt(square) if exact else frob_norm(t.data)
     if not np.isfinite(norm_t):
-        raise ValueError(
-            "cannot factorize a tensor with nan or inf entries or whose norm overflows float64"
-        )
+        raise ValueError("cannot factorize a tensor whose norm overflows float64")
     if norm_t == 0.0:
         raise ValueError("cannot factorize a zero tensor: fit is undefined")
     dim_i, dim_j, dim_k = t.dims

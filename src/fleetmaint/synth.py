@@ -27,7 +27,7 @@ import numpy as np
 
 from .ingest import MAX_WINDOW_MONTHS, csv_text, month_index, month_labels
 from .ingest import normalize_make_model, normalize_system, write_json
-from .knobs import check
+from .knobs import _check, check
 from .tensor import writing
 
 VEHICLE_COLUMNS = (
@@ -122,53 +122,45 @@ class FleetSpec:
                 raise ValueError(
                     f"vehicles key {make_model!r} must be a make and a model split by a space"
                 )
-        total = sum(self.vehicles.values())
-        if total > MAX_VEHICLES:
-            raise ValueError(f"vehicles total {total}, past {MAX_VEHICLES}")
+        _check("vehicles total", sum(self.vehicles.values()), "int", dict(le=MAX_VEHICLES))
         if len({normalize_make_model(key) for key in self.vehicles}) < len(self.vehicles):
             raise ValueError(f"vehicles keys {sorted(self.vehicles)!r} hold make/models that "
                              "normalize alike, which the tables would merge")
         if month_index(self.window_start) is None:
             raise ValueError(f"bad window_start {self.window_start!r}")
-        known = set(self.systems)
+        # each cross-reference names a system or a vehicles key; a dict's keys
+        # are checked as a dict that maps each key to itself
+        systems, vehicles = dict(choices=self.systems), dict(choices=tuple(self.vehicles))
         for i, comp in enumerate(self.components):
-            check(comp, f"components[{i}].")
+            where = f"components[{i}]."
+            check(comp, where)
             if len(comp.time_profile) != self.months:
-                raise ValueError(
-                    f"component {comp.name}: time profile length "
-                    f"{len(comp.time_profile)} != months {self.months}"
-                )
-            unknown = set(comp.system_weights) - known
-            if unknown:
-                raise ValueError(f"component {comp.name}: unknown systems {sorted(unknown)}")
-            unknown = set(comp.vehicle_weights) - set(self.vehicles)
-            if unknown:
-                raise ValueError(f"component {comp.name}: vehicle_weights keys that are not "
-                                 f"vehicles keys: {', '.join(sorted(map(repr, unknown)))}")
+                raise ValueError(f"{where}time_profile length {len(comp.time_profile)} "
+                                 f"!= months {self.months}")
+            _check(where + "system_weights", {k: k for k in comp.system_weights},
+                   "dict[str, str]", systems)
+            _check(where + "vehicle_weights", {k: k for k in comp.vehicle_weights},
+                   "dict[str, str]", vehicles)
         for i, motif in enumerate(self.motifs):
-            check(motif, f"motifs[{i}].")
-            if not set(motif.labels) <= known:
-                raise ValueError(f"motif labels {motif.labels!r} are not all in the system "
-                                 "vocabulary")
-            if motif.make_model not in self.vehicles:
-                raise ValueError(f"motif make_model {motif.make_model!r} is not a vehicles key")
-            width = len(motif.labels)
-            if not 0 < motif.rate < 1.0 / width:
-                raise ValueError(f"motif rate must be in (0, 1/{width})")
+            where = f"motifs[{i}]."
+            check(motif, where)
+            _check(where + "labels", motif.labels, "tuple[str, ...]", systems)
+            _check(where + "make_model", motif.make_model, "str", vehicles)
+            if not 0 < motif.rate < 1.0 / len(motif.labels):
+                raise ValueError(f"{where}rate must be in (0, 1/{len(motif.labels)})")
+        _check("markov", {k: k for k in self.markov}, "dict[str, str]", vehicles)
         for name, chain in self.markov.items():
-            check(chain, f"markov[{name!r}].")
-            if name not in self.vehicles:
-                raise ValueError(f"markov {name!r} is not a vehicles key")
+            where = f"markov[{name!r}]."
+            check(chain, where)
             n = len(chain.labels)
             if not (len(chain.start) == n and 0 < _fsum(chain.start) < math.inf):
-                raise ValueError(f"markov {name}: start must hold one weight per label, "
+                raise ValueError(f"{where}start must hold one weight per label, "
                                  "with a positive sum")
             if len(chain.transition) != n or any(len(row) != n for row in chain.transition):
-                raise ValueError(f"markov {name}: transition shape mismatch")
+                raise ValueError(f"{where}transition must be {n} rows of {n} weights")
             if not all(abs(_fsum(row) - 1.0) <= 1e-9 for row in chain.transition):
-                raise ValueError(f"markov {name}: transition rows must sum to 1")
-            if set(chain.labels) - known:
-                raise ValueError(f"markov {name}: labels must be of the system vocabulary")
+                raise ValueError(f"{where}transition rows must sum to 1")
+            _check(where + "labels", chain.labels, "tuple[str, ...]", systems)
         jobs = self.expected_jobs()
         if not jobs <= MAX_JOBS:
             raise ValueError(f"the spec's expected job total reaches {jobs:.4g}, "

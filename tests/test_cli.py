@@ -224,6 +224,18 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("config-error: malformed fleet spec")
         assert not (tmp_path / "o").exists()
 
+    def test_spec_error_names_its_place(self, tmp_path, capsys):
+        # a motif label is one of the systems, checked by knobs like any choice
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(CUSTOM_SPEC, motifs=[{
+            "make_model": "FORD F150", "labels": ["Brakes", "Wheels"], "rate": 0.2}])))
+        code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config-error: malformed fleet spec: motifs[0].labels[1] must be one of Brakes, "
+            "Tires, got 'Wheels'\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("floats, ints", [
         (component_spec(intensity=2.0, time_profile=[1.0, 0.0, 3.0, 0.5, 0.0, 1.0]),
          component_spec(intensity=2, time_profile=[1, 0, 3, 0.5, 0, 1])),
@@ -920,6 +932,26 @@ class TestTrainEvalPredict:
         model = SeqModel.load(out)
         assert model.config.hidden_dim == 8
         assert model.config.epochs == 1
+
+    # each config line is parsed as a flag after the command line's flags, so a
+    # command-line value is checked whatever the config file sets
+    @pytest.mark.parametrize("argv, config, code", [
+        (["parafac", "--rank", "x", "--out", "cp.txt"], "rank = 2", 2),
+        (["predict", "--top-k", "0"], "top-k = 3", 2),
+        (["parafac", "--rank", "2", "--out", "dir"], "out = cp.txt", 3),
+    ], ids=["rank-not-a-number", "top-k-zero", "out-directory"])
+    def test_bad_flag_fails_whatever_the_config_file_sets(
+            self, tensor_path, model_path, tmp_path, monkeypatch, capsys, argv, config, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "c.cfg").write_text(config + "\n")
+        inputs = ["--tensor", str(tensor_path)] if argv[0] == "parafac" else [
+            "--model", str(model_path), "--prefix", "brakes"]
+        assert main([*argv, *inputs, "--config", "c.cfg"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "dir"]
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_config_file_not_utf8_is_config_error(self, tmp_path, monkeypatch, capsys):
         # the message names the first line that is not UTF-8, as a table's does

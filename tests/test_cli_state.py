@@ -20,7 +20,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from hypothesis import event, settings
+from hypothesis import Phase, event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, multiple, rule
 
@@ -175,6 +175,9 @@ class CliMachine(RuleBasedStateMachine):
                 reload(path)
 
 
+# no shrinking: each step runs a whole command, so minimizing a failure takes
+# minutes; generation is derandomized, so the failure found is the same
 CliMachine.TestCase.settings = settings(max_examples=30, stateful_step_count=20, deadline=None,
-                                        derandomize=True, database=None)
+                                        derandomize=True, database=None,
+                                        phases=[p for p in Phase if p is not Phase.shrink])
 test_cli_state_machine = CliMachine.TestCase

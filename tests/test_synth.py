@@ -329,16 +329,48 @@ class TestGenerate:
         # a sum past the float range fails its chain's check
         (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((0.5, 0.5), (0.5, 0.5)),
                                               (1e308, 1e308), 5)}),
-         "^markov FORD F150: start must hold one weight per label, with a positive sum$"),
+         r"^markov\['FORD F150'\]\.start must hold one weight per label, with a positive sum$"),
         (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((1e308, 1e308), (0.5, 0.5)),
                                               (1.0, 1.0), 5)}),
-         "^markov FORD F150: transition rows must sum to 1$"),
+         r"^markov\['FORD F150'\]\.transition rows must sum to 1$"),
         (dict(months=2413), "months must be <= 2412"),
-        (dict(vehicles={"A B": 60_000, "C D": 40_001}), "vehicles total 100001, past 100000"),
+        (dict(vehicles={"A B": 60_000, "C D": 40_001}),
+         "^vehicles total must be <= 100000, got 100001$"),
         (dict(vehicles={"A B": np.int32(2**31 - 1), "C D": np.int32(2**31 - 1)}),
-         "vehicles total 4294967294"),
+         "^vehicles total must be <= 100000, got 4294967294$"),
         (dict(markov={"FORD F150": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_001)}),
          r"markov\['FORD F150'\]\.length must be <= 100000, got 100001"),
+        # each name that refers to a system or a vehicles key is one of them, and
+        # each error, the hand-written ones too, names its place
+        (dict(components=[PlantedComponent("x", {}, {"Nope": 1.0}, (0.0,) * 12, 1.0)]),
+         r"^components\[0\]\.system_weights\['Nope'\] must be one of Brakes, Tires, PM Service, "
+         r"got 'Nope'$"),
+        (dict(components=[PlantedComponent("x", {"HONDA CIVIC": 1.0}, {"Brakes": 1.0},
+                                           (0.0,) * 12, 1.0)]),
+         r"^components\[0\]\.vehicle_weights\['HONDA CIVIC'\] must be one of DODGE CHARGER, "
+         r"FORD F150, got 'HONDA CIVIC'$"),
+        (dict(components=[PlantedComponent("x", {}, {}, (0.0,) * 11, 1.0)]),
+         r"^components\[0\]\.time_profile length 11 != months 12$"),
+        (dict(motifs=[PlantedMotif("FORD F150", ("Brakes", "Wheels"), 0.1)]),
+         r"^motifs\[0\]\.labels\[1\] must be one of Brakes, Tires, PM Service, got 'Wheels'$"),
+        (dict(motifs=[PlantedMotif("HONDA CIVIC", ("Brakes",), 0.1)]),
+         r"^motifs\[0\]\.make_model must be one of DODGE CHARGER, FORD F150, "
+         r"got 'HONDA CIVIC'$"),
+        (dict(motifs=[PlantedMotif("FORD F150", ("Brakes",) * 3, 0.5)]),
+         r"^motifs\[0\]\.rate must be in \(0, 1/3\)$"),
+        (dict(markov={"HONDA CIVIC": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 5)}),
+         r"^markov\['HONDA CIVIC'\] must be one of DODGE CHARGER, FORD F150, "
+         r"got 'HONDA CIVIC'$"),
+        # the keys are checked before each chain's fields
+        (dict(markov={"HONDA CIVIC": MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 0)}),
+         r"^markov\['HONDA CIVIC'\] must be one of"),
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Wheels"), ((0.5, 0.5), (0.5, 0.5)),
+                                              (1.0, 1.0), 5)}),
+         r"^markov\['FORD F150'\]\.labels\[1\] must be one of Brakes, Tires, PM Service, "
+         r"got 'Wheels'$"),
+        (dict(markov={"FORD F150": MarkovSpec(("Brakes", "Tires"), ((0.5, 0.5),), (1.0, 1.0),
+                                              5)}),
+         r"^markov\['FORD F150'\]\.transition must be 2 rows of 2 weights$"),
         # each size inside its own bound, their product past MAX_JOBS
         (dict(vehicles={"DODGE CHARGER": 1}, months=2412, systems=("Brakes",),
               background_rate=1e6), r"expected job total reaches 2\.412e\+09, past 2000000"),
