@@ -56,14 +56,15 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}: line {line_no}:"  # as a table's line is named
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{where} expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
         if dest == "config":
-            raise ConfigError(f"{path}:{line_no}: a config file cannot name another config file")
+            raise ConfigError(f"{where} a config file cannot name another config file")
         if dest not in vars(args).keys() - {"command", "func"}:
-            raise ConfigError(f"{path}:{line_no}: unknown option {key.strip()!r}")
+            raise ConfigError(f"{where} unknown option {key.strip()!r}")
         flags.append(f"--{dest.replace('_', '-')}={value.strip()}")
     return flags
 
@@ -128,7 +129,8 @@ def cmd_synth(args) -> int:
         try:
             spec = spec_from_json(json.loads(Path(args.spec).read_text(encoding="utf-8-sig")))
         except ValueError as exc:  # not UTF-8, not JSON, or not a valid spec
-            text = not_utf8(args.spec, exc) if isinstance(exc, UnicodeDecodeError) else exc
+            text = (not_utf8(args.spec, exc) if isinstance(exc, UnicodeDecodeError)
+                    else f"{args.spec}: {exc}")
             raise ConfigError(f"malformed fleet spec: {text}") from None
     else:
         spec = demo_spec(seed=args.seed)

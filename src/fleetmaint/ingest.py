@@ -25,7 +25,7 @@ from datetime import date
 
 import numpy as np
 
-from .knobs import check
+from .knobs import Checked
 from .tensor import Tensor3, not_utf8, writing
 
 
@@ -258,7 +258,7 @@ MAX_WINDOW_MONTHS = 12 * (2100 - 1900 + 1)
 
 
 @dataclass
-class TensorizeSpec:
+class TensorizeSpec(Checked):
     """How maintenance events map onto the time axis.
 
     absolute framing buckets by calendar month/year inside the window;
@@ -279,7 +279,7 @@ class TensorizeSpec:
         flag="year_floor", help="purchase-year floor"))
 
     def __post_init__(self) -> None:
-        check(self)
+        super().__post_init__()
         start = month_index(self.window_start)
         if start is None:
             raise ValueError(f"bad window_start {self.window_start!r}")

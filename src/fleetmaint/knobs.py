@@ -3,8 +3,8 @@ type, a scalar or a container of scalars, and its ``dataclasses.field``
 metadata holds its bounds (``ge``, ``gt``, ``le``, ``lt``) or ``choices``,
 which a container's items take, ``nonempty`` for a container that needs an
 item, its command-line ``flag`` where that is not the field's name, and its
-``help``. :func:`check` enforces them, and the command line makes each
-subcommand's flags from the same fields."""
+``help``. :func:`check` enforces them as a :class:`Checked` config is built,
+and the command line makes each subcommand's flags from the same fields."""
 
 import math
 import operator
@@ -75,3 +75,10 @@ def check(obj, where: str = "") -> None:
         value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
         if value is not None or kind == f.type:
             object.__setattr__(obj, f.name, _check(where + f.name, value, kind, f.metadata))
+
+
+class Checked:
+    """A config dataclass whose fields :func:`check` enforces when it is built."""
+
+    def __post_init__(self) -> None:
+        check(self)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .knobs import check
+from .knobs import Checked
 from .tensor import FloatBlock, FormatReader, write_floats, writing
 
 UNK_TOKEN = "<unk>"
@@ -35,13 +35,10 @@ class TrainingDiverged(ValueError):
 
 
 @dataclass(frozen=True)
-class Vocab:
+class Vocab(Checked):
     """Label-to-index map over training labels plus reserved UNK and EOS."""
 
     labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        check(self)
 
     @classmethod
     def from_sequences(cls, sequences: Iterable[Sequence[str]]) -> "Vocab":
@@ -91,7 +88,7 @@ _VALUES_PER_LINE = 8
 
 
 @dataclass
-class LstmConfig:
+class LstmConfig(Checked):
     embed_dim: int = field(default=32, metadata=dict(ge=1, le=MAX_WIDTH))
     hidden_dim: int = field(default=64, metadata=dict(ge=1, le=MAX_WIDTH))
     layers: int = field(default=2, metadata=dict(ge=1, le=MAX_LAYERS))
@@ -104,9 +101,6 @@ class LstmConfig:
     lr_decay: float = field(default=0.7, metadata=dict(gt=0))
     grad_clip: float = field(default=5.0, metadata=dict(gt=0))
     seed: int = field(default=0, metadata=dict(ge=0))
-
-    def __post_init__(self) -> None:
-        check(self)
 
     def _working_floats(self, vocab_size: int) -> tuple[int, int]:
         """Floats of the working set over ``vocab_size`` tokens: three copies of the parameters

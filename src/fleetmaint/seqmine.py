@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import MaintenanceRecord, RejectedRow, VehicleRecord, encode_jobs, normalize_make_model
-from .knobs import check
+from .knobs import Checked
 from .tensor import writing
 
 I_RATIO_CAP = 10000.0
@@ -50,7 +50,7 @@ class SequenceSet:
 
 
 @dataclass
-class MineOptions:
+class MineOptions(Checked):
     """Knobs for :func:`differential`: the pattern widths mined and how many patterns are kept."""
 
     min_len: int = field(default=3, metadata=dict(ge=1))
@@ -58,7 +58,7 @@ class MineOptions:
     top_n: int = field(default=8, metadata=dict(ge=1))
 
     def __post_init__(self) -> None:
-        check(self)
+        super().__post_init__()
         if self.max_len < self.min_len:
             raise ValueError(f"max_len {self.max_len} is below min_len {self.min_len}")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ingest import MAX_WINDOW_MONTHS, csv_text, month_index, month_labels
 from .ingest import normalize_make_model, normalize_system, write_json
-from .knobs import _check, check
+from .knobs import Checked, _check, check
 from .tensor import writing
 
 VEHICLE_COLUMNS = (
@@ -97,7 +97,7 @@ class MarkovSpec:
 
 
 @dataclass
-class FleetSpec:
+class FleetSpec(Checked):
     seed: int = field(metadata=dict(ge=0))
     vehicles: dict[str, int] = field(metadata=dict(ge=1, nonempty=True))
     window_start: str
@@ -111,8 +111,8 @@ class FleetSpec:
                                                    metadata=dict(ge=1, nonempty=True))
     noiseless: bool = False
 
-    def validate(self) -> None:
-        check(self)
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if len(set(map(normalize_system, self.systems))) < len(self.systems):
             raise ValueError(f"systems {self.systems!r} hold labels that normalize alike, "
                              "which the tables would merge")
@@ -194,21 +194,20 @@ class FleetSpec:
 
 
 def spec_from_json(payload) -> FleetSpec:
-    """The validated FleetSpec whose fields are the keys of a decoded JSON object.
+    """The FleetSpec whose fields are the keys of a decoded JSON object.
 
     Components, motifs and Markov chains are built from their own fields the
-    same way. A missing or unknown key, or a value of the wrong type, raises
-    ValueError.
+    same way, before the spec that checks them. A missing or unknown key, or
+    a value of the wrong type, raises ValueError.
     """
     try:
-        spec = FleetSpec(**payload)
-        spec.components = [PlantedComponent(**c) for c in spec.components]
-        spec.motifs = [PlantedMotif(**m) for m in spec.motifs]
-        spec.markov = {name: MarkovSpec(**c) for name, c in spec.markov.items()}
-        spec.validate()
+        return FleetSpec(**{
+            **payload,
+            "components": [PlantedComponent(**c) for c in payload.get("components", ())],
+            "motifs": [PlantedMotif(**m) for m in payload.get("motifs", ())],
+            "markov": {name: MarkovSpec(**c) for name, c in payload.get("markov", {}).items()}})
     except (AttributeError, OverflowError, TypeError) as exc:
         raise ValueError(str(exc)) from None
-    return spec
 
 
 @dataclass
@@ -298,7 +297,6 @@ def _job_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray
 
 def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     """Write vehicles.csv, maintenance.csv and manifest.json under out_dir."""
-    spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)

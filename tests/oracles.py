@@ -582,7 +582,6 @@ def extract_sequences(
 
 def generate(spec: FleetSpec, out_dir) -> GeneratedFleet:
     """Write vehicles.csv, maintenance.csv and manifest.json under out_dir."""
-    spec.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,9 +18,11 @@ from fleetmaint import cli, lstm
 from fleetmaint import tensor as tensor_module
 from fleetmaint.cli import DEFAULT_SEED, build_parser, main
 from fleetmaint.ingest import TensorizeSpec
-from fleetmaint.lstm import LstmConfig, SeqModel, predict_next
-from fleetmaint.parafac import AlsOptions, load_model
+from fleetmaint.knobs import Checked
+from fleetmaint.lstm import LstmConfig, SeqModel, Vocab, predict_next
+from fleetmaint.parafac import MAX_RANK, AlsOptions, load_model
 from fleetmaint.seqmine import MineOptions
+from fleetmaint.synth import FleetSpec, demo_spec
 from fleetmaint.tensor import load_tensor
 
 
@@ -221,7 +224,8 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config-error: malformed fleet spec")
+        assert len(err) == 1
+        assert err[0].startswith(f"config-error: malformed fleet spec: {spec_path}: "), err
         assert not (tmp_path / "o").exists()
 
     def test_spec_error_names_its_place(self, tmp_path, capsys):
@@ -232,8 +236,8 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "config-error: malformed fleet spec: motifs[0].labels[1] must be one of Brakes, "
-            "Tires, got 'Wheels'\n")
+            f"config-error: malformed fleet spec: {spec_path}: motifs[0].labels[1] must be one "
+            "of Brakes, Tires, got 'Wheels'\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("floats, ints", [
@@ -470,7 +474,7 @@ class TestParafacAndReport:
     @pytest.mark.parametrize("extra, line", [
         (["--report-dir", "rep"], "config-error: unrecognized arguments: --report-dir rep"),
         (["--format", "csv"], "config-error: unrecognized arguments: --format csv"),
-        (["--config", "p.cfg"], "config-error: p.cfg:1: unknown option 'report-dir'"),
+        (["--config", "p.cfg"], "config-error: p.cfg: line 1: unknown option 'report-dir'"),
     ], ids=["report-dir", "format", "config-report-dir"])
     def test_parafac_takes_no_report_flags(self, tmp_path, monkeypatch, capsys, extra, line):
         monkeypatch.chdir(tmp_path)
@@ -974,8 +978,22 @@ class TestTrainEvalPredict:
             "--out", str(tmp_path / "m.txt"), "--config", str(config),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"config-error: {config}:1: unknown option '{key}'\n"
+        assert capsys.readouterr().err == (
+            f"config-error: {config}: line 1: unknown option '{key}'\n")
         assert not (tmp_path / "m.txt").exists()
+
+    # a config file names its line as a table or model file does
+    @pytest.mark.parametrize("line, message", [
+        ("rank 3", "expected key = value, got 'rank 3'"),
+        ("config = other.cfg", "a config file cannot name another config file"),
+    ])
+    def test_config_file_error_names_its_line(self, tmp_path, monkeypatch, capsys, line,
+                                              message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(f"# one comment\n{line}\n")
+        assert main(["parafac", "--tensor", "t.txt", "--out", "m.txt", "--config", "c.cfg"]) == 2
+        assert capsys.readouterr().err == f"config-error: c.cfg: line 2: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
     @pytest.mark.parametrize("command, config", [
@@ -1102,6 +1120,21 @@ def test_field_flag_just_outside_its_bound_is_config_error(tmp_path, monkeypatch
     assert err.startswith("config-error: ") and len(err.splitlines()) == 1, err
     assert name in err or argv[-2] in err, err
     assert not list(tmp_path.iterdir())
+
+
+# each config is checked as it is built, whoever builds it
+@pytest.mark.parametrize("cls, values, name", [
+    (TensorizeSpec, dict(lifetime_horizon_years=0), "lifetime_horizon_years"),
+    (AlsOptions, dict(rank=MAX_RANK + 1), "rank"),
+    (MineOptions, dict(top_n=0), "top_n"),
+    (LstmConfig, dict(dropout_keep=0.0), "dropout_keep"),
+    (Vocab, dict(labels=("brakes", 0)), "labels[1]"),
+    (FleetSpec, dict(vars(demo_spec()), background_rate=-1e-9), "background_rate"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_config_is_checked_when_built(cls, values, name):
+    assert issubclass(cls, Checked)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        cls(**values)
 
 
 @pytest.mark.parametrize("cls, argv, renames, unpinned", [

@@ -287,17 +287,21 @@ class TestGenerate:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            tiny_spec(months=0).validate()
+            tiny_spec(months=0)
         with pytest.raises(ValueError):
             tiny_spec(
                 components=[
                     PlantedComponent("x", {}, {"Nope": 1.0}, tuple([0.0] * 12), 1.0)
                 ]
-            ).validate()
+            )
         with pytest.raises(ValueError):
             tiny_spec(
                 motifs=[PlantedMotif("DODGE CHARGER", ("Brakes",) * 3, 0.5)]
-            ).validate()
+            )
+
+    def test_replaced_spec_is_checked(self):
+        with pytest.raises(ValueError, match=r"^months must be >= 1, got 0$"):
+            dataclasses.replace(demo_spec(), months=0)
 
     @pytest.mark.parametrize("overrides, match", [
         (dict(months=2.7), "months must be an integer"),
@@ -386,17 +390,16 @@ class TestGenerate:
     ])
     def test_counts_and_vehicle_keys_rejected(self, overrides, match):
         with pytest.raises(ValueError, match=match):
-            tiny_spec(**overrides).validate()
+            tiny_spec(**overrides)
 
     def test_numpy_integer_counts_accepted(self):
-        tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)}).validate()
+        tiny_spec(months=np.int64(12), vehicles={"A B": np.int32(2)})
 
     def test_values_are_stored_as_python_scalars(self):
         # each float field holds a float, each container its annotation's type
         spec = tiny_spec(background_rate=np.float32(0.5), systems=["Brakes", np.str_("Tires")],
                          purchase_years=[np.int64(2014)], vehicles={"A B": np.int32(2)},
                          markov={"A B": MarkovSpec(["Brakes"], [[1]], [np.int8(1)], 3)})
-        spec.validate()
         chain = spec.markov["A B"]
         assert (spec.background_rate, spec.systems, spec.purchase_years, spec.vehicles,
                 chain.labels, chain.transition, chain.start) == (
@@ -407,7 +410,6 @@ class TestGenerate:
         assert [type(v) for v in scalars] == [float, str, str, int, int, float, float]
         # -0.0 equals 0.0, so it is stored, and written, as 0.0
         zero = tiny_spec(background_rate=-0.0)
-        zero.validate()
         assert math.copysign(1.0, zero.background_rate) == 1.0
 
     @pytest.mark.parametrize("overrides, field", [
@@ -420,27 +422,27 @@ class TestGenerate:
     ])
     def test_integer_past_a_float_is_not_a_finite_number(self, overrides, field):
         with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
-            tiny_spec(**overrides).validate()
+            tiny_spec(**overrides)
 
     def test_cell_mean_bounded_by_the_job_total_alone(self):
         # one vehicle, system and month: its one cell mean is its expected job total
         one_cell = dict(vehicles={"DODGE CHARGER": 1}, months=1, systems=("Brakes",))
         assert tiny_spec(background_rate=1.5e6, **one_cell).expected_jobs() == 1.5e6
-        tiny_spec(background_rate=1.5e6, **one_cell).validate()
+        tiny_spec(background_rate=1.5e6, **one_cell)
         with pytest.raises(ValueError, match=r"expected job total reaches 2\.5e\+06, past"):
-            tiny_spec(background_rate=2.5e6, **one_cell).validate()
+            tiny_spec(background_rate=2.5e6, **one_cell)
 
     def test_size_bounds_are_inclusive(self):
         # one at a time: together they pass the bound on the expected job total
         chain = MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 100_000)
-        tiny_spec(months=2412).validate()
-        tiny_spec(vehicles={"DODGE CHARGER": 60_000, "FORD F150": 40_000}).validate()
-        tiny_spec(markov={"FORD F150": chain}).validate()
+        tiny_spec(months=2412)
+        tiny_spec(vehicles={"DODGE CHARGER": 60_000, "FORD F150": 40_000})
+        tiny_spec(markov={"FORD F150": chain})
         # 2,000 jobs a month for 1,000 months: 2 million expected jobs
         at_bound = dict(vehicles={"DODGE CHARGER": 1}, months=1000, systems=("Brakes",))
-        tiny_spec(background_rate=2000.0, **at_bound).validate()
+        tiny_spec(background_rate=2000.0, **at_bound)
         with pytest.raises(ValueError, match="past 2000000"):
-            tiny_spec(background_rate=2000.001, **at_bound).validate()
+            tiny_spec(background_rate=2000.001, **at_bound)
 
     def test_expected_jobs_tracks_the_jobs_written(self, tmp_path):
         # within noise of the jobs drawn: the bound is not a loose guess
@@ -666,7 +668,6 @@ class TestSpecProperties:
     @given(fleet_specs())
     def test_every_poisson_cell_mean_is_within_the_job_total(self, spec):
         # a bound on every mean passed to a Poisson draw, so MAX_JOBS bounds them all
-        spec.validate()
         means = []
         real_rng = np.random.default_rng
 
@@ -702,7 +703,7 @@ class TestSpecProperties:
         assert written[2] == written[0]
 
     def test_numpy_values_in_containers_write_the_python_files(self, tmp_path):
-        # a numpy item of a container once passed validate and failed on the manifest
+        # a numpy item of a container once passed the spec's checks and failed on the manifest
         component = PlantedComponent("c", {"DODGE CHARGER": 0.5}, {"Brakes": 1.0},
                                      (1.0,) * 12, 2.0)
         python = tiny_spec(components=[component], purchase_years=(2014, 2015))
