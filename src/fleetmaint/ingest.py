@@ -257,7 +257,7 @@ MAX_HORIZON_YEARS = 200
 MAX_WINDOW_MONTHS = 12 * (2100 - 1900 + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorizeSpec(Checked):
     """How maintenance events map onto the time axis.
 

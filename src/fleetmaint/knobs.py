@@ -78,7 +78,7 @@ def check(obj, where: str = "") -> None:
 
 
 class Checked:
-    """A config dataclass whose fields :func:`check` enforces when it is built."""
+    """A frozen config dataclass (dict fields stay mutable), checked when built or ``replace``d."""
 
     def __post_init__(self) -> None:
         check(self)

@@ -87,7 +87,7 @@ _MAGIC = "seqmodel v1"
 _VALUES_PER_LINE = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmConfig(Checked):
     embed_dim: int = field(default=32, metadata=dict(ge=1, le=MAX_WIDTH))
     hidden_dim: int = field(default=64, metadata=dict(ge=1, le=MAX_WIDTH))

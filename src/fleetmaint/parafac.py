@@ -43,7 +43,7 @@ MAX_RESTARTS = 100
 _DIRECT_FIT_ABOVE = 1.0 - 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlsOptions(Checked):
     """Knobs for :func:`cp_als`."""
 

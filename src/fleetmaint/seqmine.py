@@ -49,7 +49,7 @@ class SequenceSet:
         return [[self.labels[i] for i in s.events] for s in self.sequences]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MineOptions(Checked):
     """Knobs for :func:`differential`: the pattern widths mined and how many patterns are kept."""
 

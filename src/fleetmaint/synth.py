@@ -66,7 +66,7 @@ def _fsum(values) -> float:
         return math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantedComponent:
     """Rank-one (vehicle-group x system x time) intensity bump."""
 
@@ -77,7 +77,7 @@ class PlantedComponent:
     intensity: float = field(metadata=dict(ge=0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantedMotif:
     """Contiguous label run injected into one make/model's timelines."""
 
@@ -86,7 +86,7 @@ class PlantedMotif:
     rate: float  # target fraction of length-len(labels) windows that match
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovSpec:
     """First-order chain that replaces Poisson emission for one make/model."""
 
@@ -96,7 +96,7 @@ class MarkovSpec:
     length: int = field(metadata=dict(ge=1, le=MAX_CHAIN_LENGTH))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FleetSpec(Checked):
     seed: int = field(metadata=dict(ge=0))
     vehicles: dict[str, int] = field(metadata=dict(ge=1, nonempty=True))
@@ -104,8 +104,8 @@ class FleetSpec(Checked):
     months: int = field(metadata=dict(ge=1, le=MAX_WINDOW_MONTHS))
     systems: tuple[str, ...] = field(metadata=dict(nonempty=True))
     background_rate: float = field(default=0.02, metadata=dict(ge=0))
-    components: list[PlantedComponent] = field(default_factory=list)
-    motifs: list[PlantedMotif] = field(default_factory=list)
+    components: tuple[PlantedComponent, ...] = ()
+    motifs: tuple[PlantedMotif, ...] = ()
     markov: dict[str, MarkovSpec] = field(default_factory=dict)
     purchase_years: tuple[int, ...] | None = field(default=None,
                                                    metadata=dict(ge=1, nonempty=True))

@@ -22,7 +22,7 @@ from fleetmaint.knobs import Checked
 from fleetmaint.lstm import LstmConfig, SeqModel, Vocab, predict_next
 from fleetmaint.parafac import MAX_RANK, AlsOptions, load_model
 from fleetmaint.seqmine import MineOptions
-from fleetmaint.synth import FleetSpec, demo_spec
+from fleetmaint.synth import FleetSpec, MarkovSpec, PlantedComponent, PlantedMotif, demo_spec
 from fleetmaint.tensor import load_tensor
 
 
@@ -1135,6 +1135,26 @@ def test_config_is_checked_when_built(cls, values, name):
     assert issubclass(cls, Checked)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         cls(**values)
+
+
+def _subclasses(cls):
+    return [sub for child in cls.__subclasses__() for sub in (child, *_subclasses(child))]
+
+
+# a config that exists has passed its check: none can be changed after it is built
+def test_every_config_is_frozen():
+    configs = {*_subclasses(Checked), PlantedComponent, PlantedMotif, MarkovSpec}
+    assert {cls.__name__ for cls in configs} >= {
+        "TensorizeSpec", "AlsOptions", "MineOptions", "LstmConfig", "Vocab", "FleetSpec",
+        "PlantedComponent", "PlantedMotif", "MarkovSpec"}
+    for cls in configs:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+    for config in (TensorizeSpec(), AlsOptions(), MineOptions(), LstmConfig(),
+                   Vocab(("brakes",)), demo_spec(), *demo_spec().components,
+                   *demo_spec().motifs, MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 3)):
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
 
 
 @pytest.mark.parametrize("cls, argv, renames, unpinned", [

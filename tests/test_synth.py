@@ -33,6 +33,7 @@ from fleetmaint.synth import (
     demo_spec,
     generate,
     month_labels,
+    spec_from_json,
 )
 from oracles import generate as generate_oracle
 
@@ -277,8 +278,7 @@ class TestGenerate:
 
     def test_negative_sampled_mean_emits_no_job(self, tmp_path):
         # as in noiseless mode, a Poisson draw of a mean below zero is no job
-        spec = negative_mean_spec()
-        spec.noiseless = False
+        spec = dataclasses.replace(negative_mean_spec(), noiseless=False)
         fleet = generate(spec, tmp_path)
         for unit, meta in fleet.manifest["vehicles"].items():
             if meta["make_model"] == "DODGE CHARGER":
@@ -303,6 +303,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"^months must be >= 1, got 0$"):
             dataclasses.replace(demo_spec(), months=0)
 
+    def test_built_spec_cannot_be_assigned(self):
+        # a spec is checked once, as it is built, so no field can change after
+        spec = demo_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.months = 0
+
     @pytest.mark.parametrize("overrides, match", [
         (dict(months=2.7), "months must be an integer"),
         (dict(months=12.0), "months must be an integer"),
@@ -318,6 +324,8 @@ class TestGenerate:
         (dict(purchase_years=(0,)), r"purchase_years\[0\] must be >= 1, got 0"),
         (dict(purchase_years=()), "purchase_years must not be empty"),
         (dict(vehicles={}), "vehicles must not be empty"),
+        (dict(components="ab"), r"^components must be a list, got 'ab'$"),
+        (dict(motifs=None), r"^motifs must be a list, got None$"),
         # each nested object's fields are checked like the spec's own, and named by place
         (dict(components=[PlantedComponent("x", {"DODGE CHARGER": 1.0}, {"Brakes": 1.0},
                                            (1.0,) * 12, -1.0)]),
@@ -626,9 +634,8 @@ def two_motifs_spec():
 
 
 def markov_motif_spec():
-    spec = markov_spec()
-    spec.motifs = [PlantedMotif("FORD F150", ("Tires", "PM Service"), 0.2)]
-    return spec
+    return dataclasses.replace(markov_spec(), motifs=[
+        PlantedMotif("FORD F150", ("Tires", "PM Service"), 0.2)])
 
 
 def jobless_vehicles_spec():
@@ -641,8 +648,7 @@ def jobless_vehicles_spec():
 
 def quoted_motif_spec():
     spec = quoted_systems_spec()
-    spec.motifs = [PlantedMotif("FORD F150", spec.systems[::-1], 0.1)]
-    return spec
+    return dataclasses.replace(spec, motifs=[PlantedMotif("FORD F150", spec.systems[::-1], 0.1)])
 
 
 class TestGenerateMatchesOracle:
@@ -701,6 +707,12 @@ class TestSpecProperties:
                                              "manifest.json")})
         assert written[1] == written[0]
         assert written[2] == written[0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(fleet_specs())
+    def test_spec_survives_its_json_form(self, spec):
+        # the path from a spec written as JSON back to the spec that `synth --spec` builds
+        assert spec_from_json(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
     def test_numpy_values_in_containers_write_the_python_files(self, tmp_path):
         # a numpy item of a container once passed the spec's checks and failed on the manifest
