@@ -8,8 +8,10 @@ and the command line makes each subcommand's flags from the same fields."""
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import fields
 from numbers import Integral, Real
+from types import MappingProxyType
 
 
 # each scalar annotation that check enforces: its description, and the value
@@ -21,12 +23,13 @@ KINDS = {"int": ("an integer", lambda v: int(v) if isinstance(v, Integral) else 
          "bool": ("true or false", lambda v: v),
          "str": ("a string", lambda v: str(v) if isinstance(v, str) else None)}
 # each container annotation that check enforces, by its opening: its closing,
-# its description, its test, its (key, item) pairs, and the container built
-# from its (key, stored item) pairs
+# its description, its test, its (key, item) pairs, and the read-only container
+# built from its (key, stored item) pairs, a tuple or a view of a fresh dict
 CONTAINERS = {"tuple[": (", ...]", "a list", lambda v: isinstance(v, (list, tuple)), enumerate,
                          lambda pairs: tuple(item for _, item in pairs)),
-              "dict[str, ": ("]", "an object with string keys", lambda v: isinstance(v, dict)
-                             and all(isinstance(k, str) for k in v), dict.items, dict)}
+              "dict[str, ": ("]", "an object with string keys", lambda v: isinstance(v, Mapping)
+                             and all(isinstance(k, str) for k in v), lambda v: v.items(),
+                             lambda pairs: MappingProxyType(dict(pairs)))}
 # each bound's metadata key, with its symbol and its test
 BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
@@ -78,7 +81,14 @@ def check(obj, where: str = "") -> None:
 
 
 class Checked:
-    """A frozen config dataclass (dict fields stay mutable), checked when built or ``replace``d."""
+    """A frozen config dataclass, checked when built or ``replace``d."""
 
     def __post_init__(self) -> None:
         check(self)
+
+
+def json_form(value):
+    """``json.dumps``' ``default=`` for a config: a mapping or a dataclass's fields as an object."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    return {f.name: getattr(value, f.name) for f in fields(value)}

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .knobs import Checked
+from .knobs import Checked, json_form
 from .tensor import FloatBlock, FormatReader, write_floats, writing
 
 UNK_TOKEN = "<unk>"
@@ -424,7 +424,7 @@ class SeqModel:
     def save(self, path) -> None:
         with writing(path) as fh:
             fh.write(_MAGIC + "\n")
-            fh.write(json.dumps(asdict(self.config), sort_keys=True) + "\n")
+            fh.write(json.dumps(self.config, default=json_form, sort_keys=True) + "\n")
             fh.write(json.dumps(list(self.vocab.labels)) + "\n")
             fh.write(f"blocks {len(self.params)}\n")
             for name, arr in sorted(self.params.items()):

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -1141,7 +1142,8 @@ def _subclasses(cls):
     return [sub for child in cls.__subclasses__() for sub in (child, *_subclasses(child))]
 
 
-# a config that exists has passed its check: none can be changed after it is built
+# a config that exists has passed its check: none can be changed after it is built,
+# nor can a mapping it holds
 def test_every_config_is_frozen():
     configs = {*_subclasses(Checked), PlantedComponent, PlantedMotif, MarkovSpec}
     assert {cls.__name__ for cls in configs} >= {
@@ -1149,12 +1151,29 @@ def test_every_config_is_frozen():
         "PlantedComponent", "PlantedMotif", "MarkovSpec"}
     for cls in configs:
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+    mappings = set()
     for config in (TensorizeSpec(), AlsOptions(), MineOptions(), LstmConfig(),
                    Vocab(("brakes",)), demo_spec(), *demo_spec().components,
                    *demo_spec().motifs, MarkovSpec(("Brakes",), ((1.0,),), (1.0,), 3)):
         for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(config, f.name, getattr(config, f.name))
+                setattr(config, f.name, value)
+            if isinstance(value, Mapping):
+                mappings.add(f.name)
+                key = next(iter(value), "KEY")
+                with pytest.raises(TypeError):
+                    value[key] = value.get(key)
+                with pytest.raises(TypeError):
+                    del value[key]
+    assert mappings == {"vehicles", "markov", "vehicle_weights", "system_weights"}
+    # a dict passed in and changed after the build does not reach the spec
+    spec = demo_spec()
+    vehicles, weights = dict(spec.vehicles), dict(spec.components[0].vehicle_weights)
+    built = dataclasses.replace(spec, vehicles=vehicles, components=(
+        dataclasses.replace(spec.components[0], vehicle_weights=weights), *spec.components[1:]))
+    vehicles["X"], weights["NOPE"] = 2, 5.0
+    assert built == spec
 
 
 @pytest.mark.parametrize("cls, argv, renames, unpinned", [

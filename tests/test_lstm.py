@@ -344,6 +344,11 @@ class TestSerialization:
         model = train(seqs[:4], seqs[4:], cfg)
         path = tmp_path / "model.txt"
         model.save(path)
+        # the config line, pinned: the digests leave seqmodel files out
+        assert path.read_text().splitlines()[1] == (
+            '{"batch_size": 2, "bptt_steps": 20, "dropout_keep": 0.9, "embed_dim": 5, '
+            '"epochs": 2, "grad_clip": 5.0, "hidden_dim": 7, "layers": 2, "lr": 1.0, '
+            '"lr_constant_epochs": 6, "lr_decay": 0.7, "seed": 13}')
         back = SeqModel.load(path)
         assert back.vocab == model.vocab
         assert back.config == model.config

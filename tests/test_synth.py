@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +22,7 @@ from fleetmaint.ingest import (
     parse_maintenance,
     parse_vehicles,
 )
+from fleetmaint.knobs import json_form
 from fleetmaint.seqmine import extract_sequences
 from fleetmaint.tensor import load_tensor, save_tensor
 from fleetmaint.synth import (
@@ -614,7 +616,7 @@ def respelled(value, numpy: bool):
     if dataclasses.is_dataclass(value):
         return dataclasses.replace(value, **{f.name: respelled(getattr(value, f.name), numpy)
                                              for f in dataclasses.fields(value)})
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {key: respelled(item, numpy) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         items = [respelled(item, numpy) for item in value]
@@ -712,7 +714,7 @@ class TestSpecProperties:
     @given(fleet_specs())
     def test_spec_survives_its_json_form(self, spec):
         # the path from a spec written as JSON back to the spec that `synth --spec` builds
-        assert spec_from_json(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+        assert spec_from_json(json.loads(json.dumps(spec, default=json_form))) == spec
 
     def test_numpy_values_in_containers_write_the_python_files(self, tmp_path):
         # a numpy item of a container once passed the spec's checks and failed on the manifest
