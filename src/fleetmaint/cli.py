@@ -25,6 +25,7 @@ from . import __version__, stages
 # this module stay imported here until perfbench calls the stages
 from .ingest import (TensorizeSpec, build_tensor, parse_maintenance, parse_vehicles,
                      write_discard_summary, write_json)
+from .knobs import Seeded
 from .lstm import (LstmConfig, SeqModel, perplexity, predict_next, split_by_vehicle,
                    unigram_baseline)
 from .lstm import train as train_lstm
@@ -33,8 +34,6 @@ from .report import export_component_reports
 from .seqmine import MineOptions, differential, extract_sequences, write_diff_csv
 from .synth import demo_spec, generate, month_labels, spec_from_json
 from .tensor import check_target, load_tensor, not_utf8, save_tensor
-
-DEFAULT_SEED = 1234
 
 
 class ConfigError(ValueError):
@@ -69,22 +68,20 @@ def _config_flags(path, args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _at_least(low: int):
-    """Argument type: an integer no less than ``low``."""
-    def parse(value: str) -> int:
-        try:
-            number = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-        if number < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
-        return number
-    return parse
+def _positive(value: str) -> int:
+    """Argument type: an integer no less than 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _component(value: str) -> int | None:
     """Argument type of ``--component``: a 1-based component, or None for ``all``."""
-    return None if value == "all" else _at_least(1)(value)
+    return None if value == "all" else _positive(value)
 
 
 def _boolean(value: str) -> bool:
@@ -101,13 +98,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_field_flags(p, cls) -> None:
-    """Add the flag of each field of the config dataclass ``cls`` but ``seed``,
-    which add_common adds; _from_flags checks the values by building ``cls``."""
+    """Add to the parser or group ``p`` the flag of each field of the config
+    dataclass ``cls``, an inherited ``seed`` first; _from_flags checks the
+    values by building ``cls``."""
     for f in fields(cls):
-        if f.name != "seed":
-            p.add_argument("--" + f.metadata.get("flag", f.name).replace("_", "-"),
-                           default=f.default, type={"int": int, "float": float}.get(f.type),
-                           choices=f.metadata.get("choices"), help=f.metadata.get("help"))
+        p.add_argument("--" + f.metadata.get("flag", f.name).replace("_", "-"),
+                       default=f.default, type={"int": int, "float": float}.get(f.type),
+                       choices=f.metadata.get("choices"), help=f.metadata.get("help"))
 
 
 def _from_flags(cls, args):
@@ -133,7 +130,7 @@ def cmd_synth(args) -> int:
                     else f"{args.spec}: {exc}")
             raise ConfigError(f"malformed fleet spec: {text}") from None
     else:
-        spec = demo_spec(seed=args.seed)
+        spec = demo_spec(seed=_from_flags(Seeded, args).seed)
     fleet = generate(spec, args.out)
     for path in (fleet.vehicles_path, fleet.maintenance_path, fleet.manifest_path):
         print(f"wrote {path}")
@@ -204,26 +201,27 @@ def cmd_predict(args) -> int:
 def cmd_pipeline(args) -> int:
     if not args.demo:
         raise ConfigError("pipeline currently supports --demo only")
+    seed = _from_flags(Seeded, args).seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = demo_spec(seed=args.seed)
+    spec = demo_spec(seed=seed)
     fleet = generate(spec, out / "data")
     tables = stages.load(fleet.vehicles_path, fleet.maintenance_path)
     labels = month_labels(spec.window_start, spec.months)
     tspec = TensorizeSpec(window_start=labels[0], window_end=labels[-1])
     build = stages.tensorize(tables, tspec, out / "tensor.txt", out / "discards.json")
     conserved = build.tensor.values.sum() + sum(build.discards.values()) == len(tables.maintenance)
-    opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=args.seed, n_restarts=2)
+    opts = AlsOptions(rank=5, max_iters=300, tol=1e-8, seed=seed, n_restarts=2)
     cp_model = stages.factorize(out / "tensor.txt", build.tensor, opts, out / "cp_model.txt")
     stages.report(cp_model, out / "reports")
     patterns = stages.mine(tables, "DODGE CHARGER", MineOptions(top_n=8), out / "seqmine.csv")
     # a smaller, shorter run than the defaults
     cfg = LstmConfig(embed_dim=16, hidden_dim=32, layers=1, dropout_keep=0.9, epochs=6,
-                     lr_constant_epochs=4, seed=args.seed)
+                     lr_constant_epochs=4, seed=seed)
     seq_model = stages.train(tables, cfg, out / "seq_model.txt")
     _, lstm_ppl, baseline_ppl = stages.evaluate(seq_model, tables, "test")
     metrics = {
-        "seed": args.seed, "jobs": len(tables.maintenance), "rejected_rows": len(tables.rejects),
+        "seed": seed, "jobs": len(tables.maintenance), "rejected_rows": len(tables.rejects),
         "tensor_dims": list(build.tensor.dims), "tensor_sum": build.tensor.values.sum(),
         "discards": build.discards, "conservation_ok": bool(conserved), "cp_fit": cp_model.fit,
         "cp_iterations": cp_model.iterations, "cp_converged": cp_model.converged,
@@ -256,19 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fleetmaint {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeded=None):
-        """Add --config, and --seed to ``seeded``, the parser or group that takes it."""
-        if seeded:
-            seeded.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
-                                help="seed for randomized steps (default %(default)s)")
-        p.add_argument("--config", type=str, default=None,
-                       help="key = value file; values override flags")
-
     p = sub.add_parser("synth", help="generate a synthetic fleet")
     p.add_argument("--out", required=True, help="output directory")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None, help="fleet spec JSON (default: demo spec)")
-    add_common(p, seeded=source)
+    _add_field_flags(source, Seeded)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("tensorize", help="build the job-count tensor from CSVs")
@@ -277,14 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, TensorizeSpec)
     p.add_argument("--out", required=True, type=check_target, help="tensor output path")
     p.add_argument("--discards", default=None, type=check_target, help="discard summary JSON path")
-    add_common(p)
     p.set_defaults(func=cmd_tensorize)
 
     p = sub.add_parser("parafac", help="CP-ALS factorization of a tensor file")
     p.add_argument("--tensor", required=True)
     _add_field_flags(p, AlsOptions)
     p.add_argument("--out", required=True, type=check_target, help="model output path")
-    add_common(p, seeded=p)
     p.set_defaults(func=cmd_parafac)
 
     p = sub.add_parser("report", help="export factor loading reports for a saved model")
@@ -293,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based component or 'all'")
     p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("seqmine", help="differential sequence mining for a make/model")
@@ -304,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bonferroni", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="append a Bonferroni-adjusted p column")
     p.add_argument("--out", required=True, type=check_target, help="CSV output path")
-    add_common(p)
     p.set_defaults(func=cmd_seqmine)
 
     p = sub.add_parser("train", help="train the LSTM next-job model")
@@ -312,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maintenance", required=True)
     p.add_argument("--out", required=True, type=check_target, help="model output path")
     _add_field_flags(p, LstmConfig)
-    add_common(p, seeded=p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="perplexity of a trained model on a split")
@@ -320,23 +305,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", required=True)
     p.add_argument("--maintenance", required=True)
     p.add_argument("--split", choices=("train", "valid", "test", "all"), default="test")
-    add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="rank likely next jobs after a prefix")
     p.add_argument("--model", required=True)
     p.add_argument("--prefix", default="", help="comma-separated system labels")
-    p.add_argument("--top-k", type=_at_least(1), default=5)
-    add_common(p)
+    p.add_argument("--top-k", type=_positive, default=5)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("pipeline", help="end-to-end demo: synth through eval")
     p.add_argument("--demo", nargs="?", type=_boolean, const=True, default=False,
                    metavar="true|false", help="run the built-in demo fleet")
     p.add_argument("--out", required=True, help="output directory")
-    add_common(p, seeded=p)
+    _add_field_flags(p, Seeded)
     p.set_defaults(func=cmd_pipeline)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", type=str, default=None,
+                       help="key = value file; values override flags")
     return parser
 
 

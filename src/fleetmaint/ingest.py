@@ -361,7 +361,8 @@ def build_tensor(
             # the latest job that the vehicle checks keep
             kept = month[~(masks["unknown_vehicle"] | masks["below_purchase_year_floor"])]
             if not kept.size:
-                raise DataError("cannot infer window end: no maintenance records")
+                raise DataError("cannot infer window end: no maintenance record is of a known "
+                                "vehicle at or above the purchase year floor")
             hi = int(kept.max())
             if hi - lo >= MAX_WINDOW_MONTHS:
                 raise DataError(f"cannot infer window end: the latest job is more than "

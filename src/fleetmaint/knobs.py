@@ -6,10 +6,12 @@ item, its command-line ``flag`` where that is not the field's name, and its
 ``help``. :func:`check` enforces them as a :class:`Checked` config is built,
 and the command line makes each subcommand's flags from the same fields."""
 
+from __future__ import annotations
+
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from types import MappingProxyType
 
@@ -85,6 +87,14 @@ class Checked:
 
     def __post_init__(self) -> None:
         check(self)
+
+
+@dataclass(frozen=True)
+class Seeded(Checked):
+    """A config with a randomized step: its seed, one default for every such step."""
+
+    seed: int = field(default=1234, metadata=dict(
+        ge=0, help="seed for randomized steps (default %(default)s)"))
 
 
 def json_form(value):

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .knobs import Checked, json_form
+from .knobs import Checked, Seeded, json_form
 from .tensor import FloatBlock, FormatReader, write_floats, writing
 
 UNK_TOKEN = "<unk>"
@@ -88,7 +88,7 @@ _VALUES_PER_LINE = 8
 
 
 @dataclass(frozen=True)
-class LstmConfig(Checked):
+class LstmConfig(Seeded):
     embed_dim: int = field(default=32, metadata=dict(ge=1, le=MAX_WIDTH))
     hidden_dim: int = field(default=64, metadata=dict(ge=1, le=MAX_WIDTH))
     layers: int = field(default=2, metadata=dict(ge=1, le=MAX_LAYERS))
@@ -100,7 +100,6 @@ class LstmConfig(Checked):
     lr_constant_epochs: int = field(default=6, metadata=dict(ge=0))
     lr_decay: float = field(default=0.7, metadata=dict(gt=0))
     grad_clip: float = field(default=5.0, metadata=dict(gt=0))
-    seed: int = field(default=0, metadata=dict(ge=0))
 
     def _working_floats(self, vocab_size: int) -> tuple[int, int]:
         """Floats of the working set over ``vocab_size`` tokens: three copies of the parameters
@@ -470,7 +469,7 @@ def _zero_state(cfg: LstmConfig, batch: int):
     return h, c
 
 
-def split_by_vehicle(items: list, seed: int = 0) -> tuple[list, list, list]:
+def split_by_vehicle(items: list, seed: int) -> tuple[list, list, list]:
     """Disjoint 50/25/25 split (train keeps the rounding remainder)."""
     n = len(items)
     if n < 4:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knobs import Checked
+from .knobs import Seeded
 from .tensor import (
     MAX_TENSOR_FLOATS,
     AxisLabels,
@@ -44,13 +44,12 @@ _DIRECT_FIT_ABOVE = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
-class AlsOptions(Checked):
+class AlsOptions(Seeded):
     """Knobs for :func:`cp_als`."""
 
     rank: int = field(default=25, metadata=dict(ge=1, le=MAX_RANK))
     max_iters: int = field(default=500, metadata=dict(ge=1, le=MAX_ITERS))
     tol: float = field(default=1e-8, metadata=dict(gt=0, lt=1))
-    seed: int = field(default=0, metadata=dict(ge=0))
     n_restarts: int = field(default=1, metadata=dict(ge=1, le=MAX_RESTARTS, flag="restarts"))
 
 

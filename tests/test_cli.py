@@ -17,9 +17,9 @@ import pytest
 
 from fleetmaint import cli, lstm
 from fleetmaint import tensor as tensor_module
-from fleetmaint.cli import DEFAULT_SEED, build_parser, main
+from fleetmaint.cli import build_parser, main
 from fleetmaint.ingest import TensorizeSpec
-from fleetmaint.knobs import Checked
+from fleetmaint.knobs import Checked, Seeded
 from fleetmaint.lstm import LstmConfig, SeqModel, Vocab, predict_next
 from fleetmaint.parafac import MAX_RANK, AlsOptions, load_model
 from fleetmaint.seqmine import MineOptions
@@ -352,7 +352,8 @@ class TestTensorize:
         code = main([command, "--vehicles", str(vehicles), "--maintenance", str(maintenance),
                      *extra, "--out", str(tmp_path / "out")])
         assert code == 4
-        message = {"tensorize": "cannot infer window end: no maintenance records",
+        message = {"tensorize": "cannot infer window end: no maintenance record is of a "
+                                "known vehicle at or above the purchase year floor",
                    "seqmine": "no sequences for target make/model 'DODGE CHARGER'"}[command]
         assert capsys.readouterr().err == f"data-error: {vehicles} and {maintenance}: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -1040,6 +1041,8 @@ PARAFAC = ["parafac", "--tensor", "t.txt", "--out", "m.txt"]
 TRAIN = ["train", "--vehicles", "v.csv", "--maintenance", "m.csv", "--out", "m.txt"]
 SEQMINE = ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target", "X",
            "--out", "d.csv"]
+SYNTH = ["synth", "--out", "fleet"]
+PIPELINE = ["pipeline", "--demo", "--out", "run"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1074,7 +1077,8 @@ SEQMINE = ["seqmine", "--vehicles", "v.csv", "--maintenance", "m.csv", "--target
     ["report", "--model", "m.txt", "--out", "rep", "--component", "0"],
     [*SEQMINE, "--min-len", "4", "--max-len", "3"],
     [*SEQMINE, "--top-n", "x"],
-    ["synth", "--out", "fleet", "--seed", "-1"],
+    [*SYNTH, "--seed", "-1"],
+    [*PIPELINE, "--seed", "-1"],
 ], ids=" ".join)
 def test_flag_out_of_range_is_config_error(tmp_path, monkeypatch, capsys, argv):
     # none of the named files exist: the flags are checked before any is read
@@ -1104,14 +1108,14 @@ def just_outside(f):
 FIELD_FLAG_CASES = [
     ([*argv, f"--{f.metadata.get('flag', f.name).replace('_', '-')}", value], f.name)
     for cls, argv in ((TensorizeSpec, TENSORIZE), (AlsOptions, PARAFAC), (MineOptions, SEQMINE),
-                      (LstmConfig, TRAIN))
-    for f in dataclasses.fields(cls) if f.name != "seed"
+                      (LstmConfig, TRAIN), (Seeded, SYNTH), (Seeded, PIPELINE))
+    for f in dataclasses.fields(cls)
     for value in just_outside(f)
 ]
 
 
 @pytest.mark.parametrize("argv, name", FIELD_FLAG_CASES,
-                         ids=[" ".join(argv[-2:]) for argv, _ in FIELD_FLAG_CASES])
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in FIELD_FLAG_CASES])
 def test_field_flag_just_outside_its_bound_is_config_error(tmp_path, monkeypatch, capsys,
                                                            argv, name):
     monkeypatch.chdir(tmp_path)
@@ -1176,23 +1180,27 @@ def test_every_config_is_frozen():
     assert built == spec
 
 
-@pytest.mark.parametrize("cls, argv, renames, unpinned", [
+@pytest.mark.parametrize("cls, argv, renames", [
     (TensorizeSpec, TENSORIZE,
-     {"lifetime_horizon_years": "horizon", "purchase_year_floor": "year_floor"}, ()),
-    (AlsOptions, PARAFAC, {"n_restarts": "restarts"}, ("seed",)),
-    (MineOptions, SEQMINE, {}, ()),
-    (LstmConfig, TRAIN, {}, ("seed",)),
+     {"lifetime_horizon_years": "horizon", "purchase_year_floor": "year_floor"}),
+    (AlsOptions, PARAFAC, {"n_restarts": "restarts"}),
+    (MineOptions, SEQMINE, {}),
+    (LstmConfig, TRAIN, {}),
 ], ids=["tensorize", "parafac", "seqmine", "train"])
-def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames, unpinned):
+def test_flag_defaults_are_the_dataclass_defaults(cls, argv, renames):
     args = build_parser().parse_args(argv)
-    # --seed, on the commands with a randomized step, defaults to DEFAULT_SEED
-    if "seed" in unpinned:
-        assert args.seed == DEFAULT_SEED
-    else:
-        assert "seed" not in vars(args)
+    # only a command with a randomized step takes --seed
+    assert ("seed" in vars(args)) == issubclass(cls, Seeded)
     for f in dataclasses.fields(cls):
-        if f.name not in unpinned:
-            assert getattr(args, renames.get(f.name, f.name)) == f.default, f.name
+        assert getattr(args, renames.get(f.name, f.name)) == f.default, f.name
+
+
+# the library's configs, the demo fleet and every seeded command share one default seed
+def test_one_default_seed():
+    seed = Seeded().seed
+    assert AlsOptions().seed == LstmConfig().seed == demo_spec().seed == seed
+    for argv in (SYNTH, PARAFAC, TRAIN, PIPELINE):
+        assert build_parser().parse_args(argv).seed == seed, argv[0]
 
 
 @pytest.mark.parametrize("kind", ["tensor", "cp model", "seq model"])

@@ -655,7 +655,8 @@ class TestBuildTensor:
         build = build_tensor(vehicles, maintenance, TensorizeSpec(window_start="2015-01"))
         assert build.tensor.axis_labels[2] == ("2015-01", "2015-02", "2015-03")
         assert build.discards == {"unknown_vehicle": 1, "below_purchase_year_floor": 1}
-        with pytest.raises(DataError, match="cannot infer window end: no maintenance records"):
+        with pytest.raises(DataError, match="^cannot infer window end: no maintenance record "
+                           "is of a known vehicle at or above the purchase year floor$"):
             build_tensor(vehicles, maintenance[1:], TensorizeSpec(window_start="2015-01"))
         # the kept jobs all precede the window: a discarded later one sets no end
         with pytest.raises(DataError, match="^cannot infer window end: the latest job, in "
@@ -771,7 +772,8 @@ def _time_axis_oracle(spec, records):
             end_y, end_m = _year_month(spec.window_end)
         else:
             if not records:
-                raise DataError("cannot infer window end: no maintenance records")
+                raise DataError("cannot infer window end: no maintenance record is of a "
+                                "known vehicle at or above the purchase year floor")
             last = max(r.job_open_date for r in records)
             end_y, end_m = last.year, last.month
         lo = _month_index(start_y, start_m)
